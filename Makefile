@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-functional bench-gateway bench-offload bench-prefix bench-smoke bench-chunked bench-quant bench-scenario bench-fleet scenario-smoke fleet-smoke fuzz-smoke
+.PHONY: check vet build test race bench bench-functional bench-gateway bench-offload bench-prefix bench-smoke bench-chunked bench-quant bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
 
 # check is the CI gate: vet, build everything, then the full test suite
 # under the race detector (the runner pool and shared caches are
@@ -89,6 +89,18 @@ bench-scenario:
 bench-fleet:
 	$(GO) run ./cmd/lia-serve -fleet-bench -seed 1 > BENCH_fleet.json
 	@cat BENCH_fleet.json
+
+# artifacts-check regenerates the two byte-reproducible virtual-clock
+# artifacts into a temp dir and compares them with the committed files:
+# any change to serve.Machine or its drivers that moves a simulated
+# number fails here (≈1 s each).
+artifacts-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/lia-serve -scenario -seed 1 2> /dev/null > "$$tmp/scenario.json" && \
+	cmp "$$tmp/scenario.json" BENCH_scenario.json && \
+	$(GO) run ./cmd/lia-serve -fleet-bench -seed 1 2> /dev/null > "$$tmp/fleet.json" && \
+	cmp "$$tmp/fleet.json" BENCH_fleet.json && \
+	echo "BENCH_scenario.json and BENCH_fleet.json regenerate byte-identically"
 
 # fleet-smoke is the CI-sized cut of the fleet: the live 2-replica
 # lifecycle/failover suite, the 1-replica router-vs-bare-gateway

@@ -478,17 +478,6 @@ func runBench(g *gateway.Gateway, desc string, clients int, seconds float64, tok
 		return fmt.Errorf("bench served no requests")
 	}
 
-	// Exact nearest-rank percentile over the raw samples.
-	pct := func(d []time.Duration, p float64) time.Duration {
-		idx := int(p*float64(len(d))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(d) {
-			idx = len(d) - 1
-		}
-		return d[idx]
-	}
 	ttfts := make([]time.Duration, len(samples))
 	totals := make([]time.Duration, len(samples))
 	for i, s := range samples {
@@ -508,10 +497,10 @@ func runBench(g *gateway.Gateway, desc string, clients int, seconds float64, tok
 	rep.Preempted = snap.Preempted
 	rep.SustainedReqS = float64(len(samples)) / elapsed.Seconds()
 	rep.TokensPerS = float64(len(samples)*tokens) / elapsed.Seconds()
-	rep.TTFTP50Ms = ms(pct(ttfts, 0.50))
-	rep.TTFTP99Ms = ms(pct(ttfts, 0.99))
-	rep.TotalP50Ms = ms(pct(totals, 0.50))
-	rep.TotalP99Ms = ms(pct(totals, 0.99))
+	rep.TTFTP50Ms = ms(pctDur(ttfts, 0.50))
+	rep.TTFTP99Ms = ms(pctDur(ttfts, 0.99))
+	rep.TotalP50Ms = ms(pctDur(totals, 0.50))
+	rep.TotalP99Ms = ms(pctDur(totals, 0.99))
 	rep.QueueMeanMs = ms(snap.QueueWaitMean)
 	rep.DecodeStepMeanMs = ms(snap.PerTokenMean)
 	enc := json.NewEncoder(os.Stdout)
@@ -768,16 +757,9 @@ type prefixBenchReport struct {
 
 // p50 returns the exact nearest-rank median of the samples.
 func p50(d []time.Duration) time.Duration {
-	if len(d) == 0 {
-		return 0
-	}
 	s := append([]time.Duration(nil), d...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(0.5*float64(len(s))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
+	return pctDur(s, 0.5)
 }
 
 // runPrefixBench replays the same hot-prefix trace twice (a cold wave

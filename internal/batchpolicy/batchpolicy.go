@@ -447,3 +447,28 @@ func (s *Scheduler) DropRequeued(drop func(Item) bool) []Item {
 	s.requeued = kept
 	return dropped
 }
+
+// Reap removes every piece of scheduler-owned work whose request has
+// expired — requeued items first, then running sequences in admission
+// order — and returns it in that order. This is the one reap decision
+// the live batcher's reapCanceled and the virtual serve.Machine share
+// (callers filter their own waiting list with the same predicate first;
+// the scheduler never sees it). Requeued work comes back as a Seq with
+// ID -1 and nothing emitted, matching the EventRemove it raised. A
+// release error does not stop the pass — the work is gone either way —
+// and the first one is returned alongside the full list.
+func (s *Scheduler) Reap(expired func(ref int) bool) (reaped []Seq, err error) {
+	for _, it := range s.DropRequeued(func(it Item) bool { return expired(it.Ref) }) {
+		reaped = append(reaped, Seq{ID: -1, Item: it, Remaining: it.OutputLen})
+	}
+	for _, seq := range s.Running() {
+		if !expired(seq.Item.Ref) {
+			continue
+		}
+		if rmErr := s.Remove(seq.ID); rmErr != nil && err == nil {
+			err = rmErr
+		}
+		reaped = append(reaped, seq)
+	}
+	return reaped, err
+}

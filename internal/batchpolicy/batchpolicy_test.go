@@ -206,6 +206,43 @@ func TestAdmitRequeuedFirst(t *testing.T) {
 	}
 }
 
+// TestReapOrderAndBooks pins the shared reap pass: expired requeued
+// work leaves first (Seq -1, nothing emitted), then expired running
+// sequences in admission order with their progress intact; unexpired
+// work is untouched, every removal is an EventRemove, and the pool's
+// books still balance.
+func TestReapOrderAndBooks(t *testing.T) {
+	s := sched(t, 6, 8, [2]int{4, 8}, [2]int{4, 8}, [2]int{4, 8})
+	if _, err := s.ExtendAll(); err != nil { // evicts ref 2 to the requeue
+		t.Fatal(err)
+	}
+	var removed []Event
+	s.OnEvent = func(e Event) {
+		if e.Kind != EventRemove {
+			t.Fatalf("reap emitted %+v", e)
+		}
+		removed = append(removed, e)
+	}
+	reaped, err := s.Reap(func(ref int) bool { return ref != 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reaped) != 2 || reaped[0].Item.Ref != 2 || reaped[0].ID != -1 || reaped[1].Item.Ref != 1 || reaped[1].ID != 1 {
+		t.Fatalf("reaped %+v, want requeued ref 2 (id -1) then running ref 1", reaped)
+	}
+	if got := reaped[0].Item.OutputLen - reaped[0].Remaining; got != 0 {
+		t.Errorf("requeued work reports %d emitted tokens, want 0", got)
+	}
+	want := []Event{{Kind: EventRemove, Ref: 2, Seq: -1}, {Kind: EventRemove, Ref: 1, Seq: 1}}
+	if len(removed) != 2 || removed[0] != want[0] || removed[1] != want[1] {
+		t.Fatalf("events %+v, want %+v", removed, want)
+	}
+	if s.RunningLen() != 1 || s.RequeuedLen() != 0 || s.Running()[0].Item.Ref != 0 {
+		t.Fatalf("survivors: %d running, %d requeued", s.RunningLen(), s.RequeuedLen())
+	}
+	checkBooks(t, s)
+}
+
 // TestSchedulerValidation: a batch cap below one is rejected.
 func TestSchedulerValidation(t *testing.T) {
 	if _, err := NewScheduler(0, nil); err == nil {

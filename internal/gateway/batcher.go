@@ -148,13 +148,13 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 				s, err := g.exec.NewSequenceFrom(j.prompt, j.n, j.seed)
 				return prefillRes{s: s, err: err}, nil
 			})
-			if mapErr != nil { // kill aborted the prefill wave mid-flight
+			if mapErr != nil { // kill aborted the prefill wave mid-flight: a shutdown, so a router fails these over
 				for _, a := range admitted {
 					if rmErr := sched.Remove(a.ID); rmErr != nil {
 						continue
 					}
 					if e, ok := byRef[a.Item.Ref]; ok {
-						respond(e, outcome{err: fmt.Errorf("gateway: prefill: %w", mapErr)})
+						respond(e, outcome{err: ErrShuttingDown})
 					}
 				}
 				return nil
@@ -222,7 +222,7 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 				done, err := seqs[a.ID].AdvancePrefill()
 				return chunkRes{done: done, err: err}, nil
 			})
-			if mapErr != nil { // kill aborted the chunk wave mid-flight
+			if mapErr != nil { // kill aborted the chunk wave mid-flight: a shutdown too
 				for _, a := range live {
 					if rmErr := sched.Remove(a.ID); rmErr != nil {
 						continue
@@ -230,7 +230,7 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 					seqs[a.ID].Release()
 					delete(seqs, a.ID)
 					if e, ok := byRef[a.Item.Ref]; ok {
-						respond(e, outcome{err: fmt.Errorf("gateway: chunked prefill: %w", mapErr)})
+						respond(e, outcome{err: ErrShuttingDown})
 					}
 				}
 				return nil
@@ -408,26 +408,18 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 			}
 		}
 		backlog = kept
-		for _, seq := range sched.Running() {
+		// Scheduler-owned work goes through the reap pass the virtual
+		// machines share. A release error still means the work is gone, so
+		// every reaped request is answered regardless.
+		reaped, _ := sched.Reap(func(ref int) bool { return expired(byRef[ref].p.ctx) })
+		for _, seq := range reaped {
+			if s := seqs[seq.ID]; s != nil {
+				s.Release()
+			}
+			delete(seqs, seq.ID)
+			delete(ahead, seq.ID)
 			e := byRef[seq.Item.Ref]
-			if !expired(e.p.ctx) {
-				continue
-			}
-			if err := sched.Remove(seq.ID); err == nil {
-				if s := seqs[seq.ID]; s != nil {
-					s.Release()
-				}
-				delete(seqs, seq.ID)
-				delete(ahead, seq.ID)
-				respond(e, outcome{err: reapErr(e.p.ctx)})
-			}
-		}
-		for _, it := range sched.DropRequeued(func(it batchpolicy.Item) bool {
-			return expired(byRef[it.Ref].p.ctx)
-		}) {
-			if e := byRef[it.Ref]; e != nil {
-				respond(e, outcome{err: reapErr(e.p.ctx)})
-			}
+			respond(e, outcome{err: reapErr(e.p.ctx)})
 		}
 	}
 
@@ -491,6 +483,11 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 // extend its KV reservation (fail that one request, keep serving), or an
 // engine/step failure (fail the whole running batch, keep accepting).
 func (g *Gateway) failRound(sched *batchpolicy.Scheduler, seqs map[int]*llm.Sequence, byRef map[int]*entry, err error) {
+	select {
+	case <-g.kill: // the step was aborted by the drain deadline, not broken
+		err = ErrShuttingDown
+	default:
+	}
 	for _, seq := range sched.Running() {
 		if rmErr := sched.Remove(seq.ID); rmErr != nil {
 			continue

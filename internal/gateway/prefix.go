@@ -22,6 +22,8 @@ import (
 //	Admit:    pin the match (refcounting the deepest node) and charge the
 //	          pool for blocksFor(prompt) − matched + 1, retaining the
 //	          shared blocks.
+//	Extend:   grow by one token slot, reclaiming a cold tree block first
+//	          when the pool is dry.
 //	Release:  drop the pool reservation and the pin — reached on finish,
 //	          preemption, cancel, and failure alike, because every removal
 //	          path in the scheduler routes through KV.Release.
@@ -93,7 +95,17 @@ func (a *prefixAdmitter) Admit(seqID int, it batchpolicy.Item) error {
 	return nil
 }
 
-func (a *prefixAdmitter) Extend(seqID int) error { return a.pool.Extend(seqID) }
+// Extend grows the reservation by one slot. When the pool is out of
+// blocks, cold unpinned tree blocks are reclaimed before the failure is
+// reported: cached prefixes are evictable, so they must never cost a
+// live sequence a preemption (or a sole sequence its life).
+func (a *prefixAdmitter) Extend(seqID int) error {
+	err := a.pool.Extend(seqID)
+	if err != nil && a.tree.EnsureFree(1, kvprefix.Match{}) {
+		err = a.pool.Extend(seqID)
+	}
+	return err
+}
 
 func (a *prefixAdmitter) Release(seqID int) error {
 	err := a.pool.Release(seqID)

@@ -213,3 +213,66 @@ func TestPrefixCachePreemptionSafety(t *testing.T) {
 		t.Fatalf("%d pinned nodes after drain", st.PinnedNodes)
 	}
 }
+
+// TestPrefixCacheYieldsToDecode is the regression test for the
+// admitter's Extend never reclaiming tree blocks: once a hot-prefix
+// trace has let the radix tree fill a bounded pool, a lone long decode
+// must grow through the cache's cold blocks instead of dying with "KV
+// pool cannot extend the sole running sequence" — and still match solo
+// Generate token for token.
+func TestPrefixCacheYieldsToDecode(t *testing.T) {
+	e := testExecutor(t)
+	vocab := e.Model.Cfg.VocabSize
+	g, err := New(e, Config{
+		MaxBatch:      4,
+		QueueDepth:    64,
+		KVBudget:      e.Model.Cfg.KVBytes(1, 1024), // 256 blocks of 4 tokens
+		KVBlockTokens: 4,
+		PrefixCache:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, g)
+
+	// Hot prefixes with distinct 36-token tails, one at a time, until the
+	// tree has filled the pool and admissions have started evicting: from
+	// then on only one admission's worth of blocks is ever free.
+	var filled uint64
+	for i := 0; filled == 0; i++ {
+		if i == 200 {
+			t.Fatalf("tree never filled the pool: %+v", g.tree.Stats())
+		}
+		prompt := make([]int, 48)
+		for j := range prompt {
+			if j < 12 {
+				prompt[j] = (i%3*31 + j*7 + 1) % vocab
+			} else {
+				prompt[j] = (i*37 + j*11 + 5) % vocab
+			}
+		}
+		if _, err := g.Submit(context.Background(), prompt, 1); err != nil {
+			t.Fatalf("fill request %d: %v", i, err)
+		}
+		filled = g.tree.Stats().Evictions
+	}
+
+	// The long decode needs 27 blocks; about half that many are free.
+	prompt, n := []int{3, 1, 4, 1, 5, 9, 2, 6}, 100
+	res, err := g.Submit(context.Background(), prompt, n)
+	if err != nil {
+		t.Fatalf("long decode behind a full prefix cache: %v", err)
+	}
+	want := reference(t, e, prompt, n)
+	if len(res.Tokens) != len(want) {
+		t.Fatalf("got %d tokens, want %d", len(res.Tokens), len(want))
+	}
+	for i := range want {
+		if res.Tokens[i] != want[i] {
+			t.Fatalf("token %d: got %d, want %d", i, res.Tokens[i], want[i])
+		}
+	}
+	if g.tree.Stats().Evictions == filled {
+		t.Error("decode grew without evicting any cached block — the pool was never tight")
+	}
+}

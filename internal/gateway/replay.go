@@ -3,84 +3,29 @@ package gateway
 import (
 	"fmt"
 
-	"github.com/lia-sim/lia/internal/batchpolicy"
-	"github.com/lia-sim/lia/internal/kvpage"
-	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/serve"
-	"github.com/lia-sim/lia/internal/units"
 )
 
-// ReplayRequest is one request in a deterministic replay: lengths plus a
-// virtual arrival time, and optionally the client-side abandonment times
-// the live gateway honours through contexts. All times are absolute on
-// the replay's virtual clock; zero means "never".
-type ReplayRequest struct {
-	PromptLen, OutputLen int
-	Arrival              units.Seconds
-	// CancelAt is when the client walks away; Deadline when its SLO
-	// expires. Both resolve the request as canceled: still waiting → it
-	// leaves the queue, running → the batcher reaps the sequence
-	// (EventRemove) and frees its KV blocks, exactly like the live
-	// gateway's reapCanceled pass.
-	CancelAt units.Seconds
-	Deadline units.Seconds
-}
+// The replay vocabulary lives next to the virtual machine that speaks it
+// (serve.Machine); the gateway keeps its historical names.
+type (
+	ReplayRequest = serve.ReplayRequest
+	ReplayOutcome = serve.ReplayOutcome
+	ReplayConfig  = serve.ReplayConfig
+	ReplayResult  = serve.ReplayResult
+)
 
-// Replay outcomes. The zero value is never reported: every request in a
-// finished replay is completed, shed, or canceled — the accounting
-// identity the scenario harness asserts.
+// Replay outcomes (see serve.ReplayOutcome).
 const (
-	ReplayCompleted = "completed"
-	ReplayShed      = "shed"
-	ReplayCanceled  = "canceled"
+	ReplayCompleted = serve.ReplayCompleted
+	ReplayShed      = serve.ReplayShed
+	ReplayCanceled  = serve.ReplayCanceled
 )
 
-// ReplayOutcome is one request's fate and timeline on the virtual
-// clock. Zero times mean the request never reached that stage (a shed
-// request has only Arrival and Finish; a request canceled while waiting
-// has no Admitted or FirstToken).
-type ReplayOutcome struct {
-	Outcome    string
-	Arrival    units.Seconds
-	Admitted   units.Seconds // first admission (re-admissions after preemption don't reset it)
-	FirstToken units.Seconds // end of the prefill that produced the first token
-	Finish     units.Seconds // completion, shed, or cancel time
-	Emitted    int           // output tokens produced (partial for canceled)
-}
-
-// ReplayConfig parameterizes a replay. The pool is constructed exactly
-// as the simulator constructs its own (kvpage.ForModel over the same
-// model config), and Costs is the same injected fake engine type
-// serve.Config.StepCosts takes — the differential test hands one value
-// to both sides.
-type ReplayConfig struct {
-	MaxBatch      int
-	Model         model.Config
-	KVBudget      units.Bytes
-	KVBlockTokens int
-	Costs         *serve.StepCosts
-	// QueueDepth bounds the not-yet-admitted backlog, mirroring the live
-	// gateway's submit channel: an arrival that finds QueueDepth requests
-	// already waiting is shed (the virtual 429). 0 means unbounded.
-	QueueDepth int
-}
-
-// ReplayResult is the replay's observable behaviour: the full ordered
-// scheduling-decision stream, summary counts, and a per-request outcome
-// record (indexed like the request slice).
-type ReplayResult struct {
-	Events      []batchpolicy.Event
-	Completed   int
-	Preemptions int
-	Shed        int
-	Canceled    int
-	Makespan    units.Seconds
-	Requests    []ReplayOutcome
-}
-
-// Replay drives the gateway's batcher loop — the same batchpolicy.Round
-// skeleton run() uses — over a virtual clock and the injected cost
-// model, with arrivals released by time instead of a live queue. The
+// Replay is the gateway on the virtual clock: one serve.Machine — the
+// same batchpolicy.Round skeleton and Scheduler.Reap pass run() uses,
+// priced by the injected cost model — served by the single-replica
+// driver, with arrivals released by time instead of a live queue. The
 // differential test replays one trace through this and through
 // serve.SimulateContinuous and requires bit-identical event streams:
 // same admissions, same preemption victims, same completion order.
@@ -95,221 +40,16 @@ type ReplayResult struct {
 // harness replays chaos plans through this and requires byte-identical
 // results across runs.
 func Replay(cfg ReplayConfig, reqs []ReplayRequest) (ReplayResult, error) {
-	if cfg.MaxBatch < 1 {
-		return ReplayResult{}, fmt.Errorf("gateway: replay MaxBatch must be ≥1, got %d", cfg.MaxBatch)
-	}
-	if cfg.Costs == nil || cfg.Costs.Prefill == nil || cfg.Costs.Decode == nil {
-		return ReplayResult{}, fmt.Errorf("gateway: replay requires injected step costs")
-	}
-	if cfg.QueueDepth < 0 {
-		return ReplayResult{}, fmt.Errorf("gateway: replay QueueDepth must be ≥0, got %d", cfg.QueueDepth)
-	}
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
-			return ReplayResult{}, fmt.Errorf("gateway: replay requests not sorted by arrival")
-		}
-	}
-	var pool *kvpage.Manager
-	if cfg.KVBudget > 0 {
-		blockTokens := cfg.KVBlockTokens
-		if blockTokens <= 0 {
-			blockTokens = 16
-		}
-		var err error
-		pool, err = kvpage.ForModel(cfg.KVBudget, blockTokens, cfg.Model)
-		if err != nil {
-			return ReplayResult{}, err
-		}
-	}
-	sched, err := batchpolicy.NewScheduler(cfg.MaxBatch, pool)
+	led, err := serve.NewLedger(reqs)
 	if err != nil {
+		return ReplayResult{}, fmt.Errorf("gateway: replay: %w", err)
+	}
+	m, err := serve.NewMachine(cfg, led)
+	if err != nil {
+		return ReplayResult{}, fmt.Errorf("gateway: replay: %w", err)
+	}
+	if err := m.Run(); err != nil {
 		return ReplayResult{}, err
 	}
-
-	var (
-		out     ReplayResult
-		clock   units.Seconds
-		next    int       // arrivals not yet ingested
-		waiting []int     // ingested, not yet admitted (request indexes, FIFO)
-		costErr error
-	)
-	out.Requests = make([]ReplayOutcome, len(reqs))
-	for i := range reqs {
-		out.Requests[i].Arrival = reqs[i].Arrival
-	}
-
-	// expiry returns the earliest abandonment time for request i, 0 if
-	// it never abandons.
-	expiry := func(i int) units.Seconds {
-		e := reqs[i].CancelAt
-		if d := reqs[i].Deadline; d > 0 && (e == 0 || d < e) {
-			e = d
-		}
-		return e
-	}
-	cancel := func(i int, emitted int) {
-		r := &out.Requests[i]
-		r.Outcome = ReplayCanceled
-		r.Finish = clock
-		r.Emitted = emitted
-		out.Canceled++
-	}
-
-	sched.OnEvent = func(e batchpolicy.Event) {
-		out.Events = append(out.Events, e)
-		switch e.Kind {
-		case batchpolicy.EventPreempt:
-			out.Preemptions++
-		case batchpolicy.EventComplete:
-			out.Completed++
-			r := &out.Requests[e.Ref]
-			r.Outcome = ReplayCompleted
-			r.Finish = clock
-			r.Emitted = reqs[e.Ref].OutputLen
-		}
-	}
-	hooks := batchpolicy.Hooks{
-		Waiting: func() []batchpolicy.Item {
-			items := make([]batchpolicy.Item, 0, len(waiting))
-			for _, i := range waiting {
-				items = append(items, batchpolicy.Item{Ref: i, PromptLen: reqs[i].PromptLen, OutputLen: reqs[i].OutputLen})
-			}
-			return items
-		},
-		Consumed: func(n int) {
-			for _, i := range waiting[:n] {
-				out.Requests[i].Admitted = clock
-			}
-			waiting = waiting[n:]
-		},
-		Prefill: func(admitted []batchpolicy.Seq) error {
-			maxIn := 1
-			for _, a := range admitted {
-				if a.Item.PromptLen > maxIn {
-					maxIn = a.Item.PromptLen
-				}
-			}
-			c, err := cfg.Costs.Prefill(len(admitted), maxIn)
-			if err != nil {
-				costErr = err
-				return err
-			}
-			clock += c
-			for _, a := range admitted {
-				if r := &out.Requests[a.Item.Ref]; r.FirstToken == 0 {
-					r.FirstToken = clock
-				}
-			}
-			return nil
-		},
-		Step: func(running []batchpolicy.Seq) error {
-			var ctxSum int
-			for _, a := range running {
-				ctxSum += a.Context
-			}
-			c, err := cfg.Costs.Decode(len(running), ctxSum/len(running))
-			if err != nil {
-				costErr = err
-				return err
-			}
-			clock += c
-			return nil
-		},
-	}
-
-	// reap resolves every waiting, requeued, or running request whose
-	// CancelAt/Deadline has passed on the virtual clock — the replay's
-	// equivalent of the live batcher's reapCanceled pass between rounds.
-	reap := func() error {
-		kept := waiting[:0]
-		for _, i := range waiting {
-			if e := expiry(i); e > 0 && e <= clock {
-				cancel(i, 0)
-			} else {
-				kept = append(kept, i)
-			}
-		}
-		waiting = kept
-		for _, it := range sched.DropRequeued(func(it batchpolicy.Item) bool {
-			e := expiry(it.Ref)
-			return e > 0 && e <= clock
-		}) {
-			cancel(it.Ref, 0)
-		}
-		for _, seq := range sched.Running() {
-			if e := expiry(seq.Item.Ref); e > 0 && e <= clock {
-				if err := sched.Remove(seq.ID); err != nil {
-					return err
-				}
-				cancel(seq.Item.Ref, seq.Item.OutputLen-seq.Remaining)
-			}
-		}
-		return nil
-	}
-	// ingest moves due arrivals into the waiting queue, shedding when the
-	// backlog is full and cancelling dead-on-arrival requests.
-	ingest := func() {
-		for next < len(reqs) && reqs[next].Arrival <= clock {
-			i := next
-			next++
-			if e := expiry(i); e > 0 && e <= clock {
-				cancel(i, 0)
-				continue
-			}
-			if cfg.QueueDepth > 0 && len(waiting) >= cfg.QueueDepth {
-				r := &out.Requests[i]
-				r.Outcome = ReplayShed
-				r.Finish = clock
-				out.Shed++
-				continue
-			}
-			waiting = append(waiting, i)
-		}
-	}
-
-	for next < len(reqs) || len(waiting) > 0 || sched.Busy() {
-		if err := reap(); err != nil {
-			return ReplayResult{}, fmt.Errorf("gateway: replay reap: %w", err)
-		}
-		ingest()
-		if next >= len(reqs) && len(waiting) == 0 && !sched.Busy() {
-			break
-		}
-		progressed, err := batchpolicy.Round(sched, hooks)
-		if err != nil {
-			if costErr != nil {
-				return ReplayResult{}, costErr
-			}
-			return ReplayResult{}, fmt.Errorf("gateway: replay: %w", err)
-		}
-		if !progressed {
-			// Nothing could run. Jump the clock to the next thing that
-			// changes the world: an arrival, or the expiry of a starved
-			// waiting/requeued request. If neither exists the trace is
-			// stuck — the KV budget cannot hold what remains.
-			var wake units.Seconds
-			consider := func(t units.Seconds) {
-				if t > clock && (wake == 0 || t < wake) {
-					wake = t
-				}
-			}
-			if next < len(reqs) {
-				consider(reqs[next].Arrival)
-			}
-			for _, i := range waiting {
-				if e := expiry(i); e > 0 {
-					consider(e)
-				}
-			}
-			if wake == 0 {
-				return ReplayResult{}, fmt.Errorf("gateway: replay: KV budget %v cannot hold the next request", cfg.KVBudget)
-			}
-			clock = wake
-			continue
-		}
-		if clock > out.Makespan {
-			out.Makespan = clock
-		}
-	}
-	return out, nil
+	return led.ReplayResult, nil
 }

@@ -4,27 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/lia-sim/lia/internal/batchpolicy"
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/gateway"
 	"github.com/lia-sim/lia/internal/hw"
-	"github.com/lia-sim/lia/internal/kvpage"
 	"github.com/lia-sim/lia/internal/llm"
 	"github.com/lia-sim/lia/internal/model"
+	"github.com/lia-sim/lia/internal/serve"
 	"github.com/lia-sim/lia/internal/units"
-)
-
-// Virtual per-round cost model, the same whole-microsecond closed forms
-// the scenario lab's replay leg prices rounds with (scenario/trial.go),
-// expressed here per reference device: a replica's costs divide by its
-// device speed factor relative to the A100 the constants were shaped
-// for.
-const (
-	replayPrefillTokenCost = 0.25e-3  // seconds per widest-prompt token per admitted sequence, on the reference device
-	replayDecodeSeqCost    = 1e-3     // seconds per running sequence per decode round
-	replayDecodeCtxCost    = 0.125e-3 // seconds per token of mean context per round
 )
 
 // ReplayReplica declares one virtual replica of a replayed fleet.
@@ -78,46 +67,33 @@ type ReplicaReplayStats struct {
 	Rounds int
 }
 
-// FleetResult is a fleet replay's outcome: the accounting identity
+// FleetResult is a fleet replay's outcome: the shared ledger's record —
+// counts, Makespan (the latest virtual completion across the fleet),
+// per-request outcomes indexed like the input, and the fleet-wide ordered
+// event stream, which for a 1-replica fleet is directly comparable with
+// gateway.Replay's (the differential the router's correctness test pins)
+// — plus what only a fleet has. The accounting identity
 // Completed+Shed+Canceled == len(Requests) holds for every finished
 // replay, across any number of failovers.
 type FleetResult struct {
-	Completed   int
-	Shed        int
-	Canceled    int
-	Preemptions int
+	gateway.ReplayResult
 	// Failovers counts requests re-placed off a killed replica.
 	Failovers int
-	// Makespan is the latest virtual completion time across the fleet.
-	Makespan units.Seconds
 	// ThroughputRPS is Completed / Makespan.
 	ThroughputRPS float64
 	// TTFTs collects completed requests' arrival→first-token latencies,
 	// unsorted (use Percentile).
 	TTFTs []units.Seconds
-	// Requests records per-request outcomes, indexed like the input.
-	Requests []gateway.ReplayOutcome
 	// PerReplica maps replica name → its share of the work.
 	PerReplica map[string]ReplicaReplayStats
-	// Events is the fleet-wide ordered scheduling-decision stream (for a
-	// 1-replica fleet, directly comparable with gateway.Replay's — the
-	// differential the router's correctness test pins).
-	Events []batchpolicy.Event
 }
 
 // Percentile returns the p-th percentile (0 < p ≤ 100) of a latency
-// sample by nearest-rank, 0 for an empty sample.
+// sample by nearest-rank (serve.Percentile), 0 for an empty sample.
 func Percentile(sample []units.Seconds, p float64) units.Seconds {
-	if len(sample) == 0 {
-		return 0
-	}
-	s := append([]units.Seconds(nil), sample...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
+	s := slices.Clone(sample)
+	slices.Sort(s)
+	return serve.Percentile(s, p/100)
 }
 
 // deviceSpeed is a replica's compute factor relative to the A100
@@ -141,93 +117,64 @@ func deviceSpeed(sys hw.System, tpWays int) float64 {
 	return f
 }
 
-// machine is one replica's virtual serving state.
-type machine struct {
-	spec  ReplayReplica
-	cfg   model.Config
-	speed float64
-	peer  hw.LinkSpec
-
-	up      bool
-	clock   units.Seconds
-	sched   *batchpolicy.Scheduler
-	waiting []int // global request indexes, FIFO
-
+// replayReplica is one fleet member: a serve.Machine plus the fault plan
+// and placement bookkeeping only a fleet has.
+type replayReplica struct {
+	*serve.Machine
+	spec              ReplayReplica
 	killed, respawned bool // fault transitions already processed
-	stats             ReplicaReplayStats
+	placed            int
 }
 
-// tpComm prices one round's tensor-parallel communication: two ring
-// all-reduces per decoder layer over the batch's hidden states.
-func (m *machine) tpComm(batch int) units.Seconds {
-	if m.spec.TPWays < 2 {
-		return 0
+// replicaCosts prices a replica's rounds: the reference closed forms
+// divided by its device speed, plus — for a tensor-parallel node — two
+// ring all-reduces per decoder layer over the batch's hidden states.
+func replicaCosts(spec ReplayReplica, cfg model.Config) *serve.StepCosts {
+	speed := deviceSpeed(spec.System, spec.TPWays)
+	peer := spec.System.GPU.PeerLink
+	if peer.BW == 0 {
+		peer = hw.NVLink3
 	}
-	bytes := units.Bytes(batch * m.cfg.DModel * m.cfg.BytesPerParam)
-	return units.Seconds(2*m.cfg.Layers) * core.TPAllReduceTime(m.spec.TPWays, m.peer, bytes)
-}
-
-func (m *machine) prefillCost(b, maxIn int) units.Seconds {
-	return units.Seconds(float64(b*maxIn)*replayPrefillTokenCost/m.speed) + m.tpComm(b)
-}
-
-func (m *machine) decodeCost(b, meanCtx int) units.Seconds {
-	return units.Seconds((float64(b)*replayDecodeSeqCost+float64(meanCtx)*replayDecodeCtxCost)/m.speed) + m.tpComm(b)
-}
-
-// newSched builds the machine's scheduler and pool.
-func (m *machine) newSched() error {
-	var pool *kvpage.Manager
-	if m.spec.KVTokens > 0 {
-		blockTokens := m.spec.KVBlockTokens
-		if blockTokens <= 0 {
-			blockTokens = 16
+	tpComm := func(batch int) units.Seconds {
+		if spec.TPWays < 2 {
+			return 0
 		}
-		var err error
-		pool, err = kvpage.ForModel(m.cfg.KVBytes(1, m.spec.KVTokens), blockTokens, m.cfg)
-		if err != nil {
-			return err
-		}
+		bytes := units.Bytes(batch * cfg.DModel * cfg.BytesPerParam)
+		return units.Seconds(2*cfg.Layers) * core.TPAllReduceTime(spec.TPWays, peer, bytes)
 	}
-	sched, err := batchpolicy.NewScheduler(m.spec.MaxBatch, pool)
-	if err != nil {
-		return err
+	return &serve.StepCosts{
+		Prefill: func(b, maxIn int) (units.Seconds, error) {
+			return units.Seconds(float64(b*maxIn)*serve.RoundPrefillTokenCost/speed) + tpComm(b), nil
+		},
+		Decode: func(b, meanCtx int) (units.Seconds, error) {
+			return units.Seconds((float64(b)*serve.RoundDecodeSeqCost+float64(meanCtx)*serve.RoundDecodeCtxCost)/speed) + tpComm(b), nil
+		},
 	}
-	m.sched = sched
-	return nil
 }
 
-// load snapshots the machine for a placement decision.
-func (m *machine) load() Load {
-	l := Load{
-		Name:      m.spec.Name,
-		QueueLen:  len(m.waiting),
-		QueueCap:  m.spec.QueueDepth,
-		Placeable: m.up && (m.spec.QueueDepth == 0 || len(m.waiting) < m.spec.QueueDepth),
+// load snapshots the replica for a placement decision.
+func (r *replayReplica) load() Load {
+	queued, running, free, total := r.Load()
+	return Load{
+		Name:          r.spec.Name,
+		QueueLen:      queued,
+		QueueCap:      r.spec.QueueDepth,
+		Running:       running,
+		KVFreeBlocks:  free,
+		KVTotalBlocks: total,
+		Placeable:     r.Up() && !r.Full(),
 	}
-	if m.sched != nil {
-		l.Running = m.sched.RunningLen()
-		if p := m.sched.Pool(); p != nil {
-			l.KVFreeBlocks = p.FreeBlocks()
-			l.KVTotalBlocks = p.TotalBlocks()
-		}
-	}
-	return l
 }
 
-// runnable reports whether the machine has work for its next round.
-func (m *machine) runnable() bool {
-	return m.up && (len(m.waiting) > 0 || m.sched.Busy())
-}
-
-// FleetReplay prices a request stream through a virtual fleet: the
-// discrete-event composition of N gateway.Replay-style machines — each
-// with its own clock, scheduler, KV pool, and device-scaled costs —
-// behind the same placement policies the live router runs. Events
-// (fault transitions, arrivals, machine rounds) are processed in global
-// time order, so results are a pure function of (config, requests):
-// byte-identical across runs, the property the scale study and the
-// failover accounting tests rely on.
+// FleetReplay prices a request stream through a virtual fleet: N
+// serve.Machines — each with its own clock, scheduler, KV pool, and
+// device-scaled costs — recording into one ledger, behind the same
+// placement policies the live router runs. This driver owns only what a
+// fleet adds: placement, kill/respawn, and the merge of fault
+// transitions, arrivals and machine rounds into global time order, so
+// results are a pure function of (config, requests): byte-identical
+// across runs, the property the scale study and the failover accounting
+// tests rely on.
 func FleetReplay(cfg FleetConfig, reqs []gateway.ReplayRequest) (FleetResult, error) {
 	if len(cfg.Replicas) == 0 {
 		return FleetResult{}, fmt.Errorf("router: replay fleet needs at least one replica")
@@ -240,13 +187,12 @@ func FleetReplay(cfg FleetConfig, reqs []gateway.ReplayRequest) (FleetResult, er
 	if cfg.Model.DModel == 0 {
 		cfg.Model = llm.TinyConfig()
 	}
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
-			return FleetResult{}, fmt.Errorf("router: replay requests not sorted by arrival")
-		}
+	led, err := serve.NewLedger(reqs)
+	if err != nil {
+		return FleetResult{}, fmt.Errorf("router: replay: %w", err)
 	}
 
-	machines := make([]*machine, len(cfg.Replicas))
+	fleet := make([]*replayReplica, len(cfg.Replicas))
 	seen := map[string]bool{}
 	for i, spec := range cfg.Replicas {
 		if spec.Name == "" {
@@ -256,101 +202,41 @@ func FleetReplay(cfg FleetConfig, reqs []gateway.ReplayRequest) (FleetResult, er
 			return FleetResult{}, fmt.Errorf("router: duplicate replica name %q", spec.Name)
 		}
 		seen[spec.Name] = true
-		if spec.MaxBatch < 1 {
-			return FleetResult{}, fmt.Errorf("router: replica %q MaxBatch must be ≥1", spec.Name)
-		}
 		if spec.System.CPU.Cores == 0 {
 			spec.System = hw.SPRA100
 		}
-		peer := spec.System.GPU.PeerLink
-		if peer.BW == 0 {
-			peer = hw.NVLink3
+		var budget units.Bytes
+		if spec.KVTokens > 0 {
+			budget = cfg.Model.KVBytes(1, spec.KVTokens)
 		}
-		m := &machine{
-			spec:  spec,
-			cfg:   cfg.Model,
-			speed: deviceSpeed(spec.System, spec.TPWays),
-			peer:  peer,
-			up:    true,
-		}
-		if err := m.newSched(); err != nil {
+		m, err := serve.NewMachine(serve.ReplayConfig{
+			MaxBatch:      spec.MaxBatch,
+			Model:         cfg.Model,
+			KVBudget:      budget,
+			KVBlockTokens: spec.KVBlockTokens,
+			Costs:         replicaCosts(spec, cfg.Model),
+			QueueDepth:    spec.QueueDepth,
+		}, led)
+		if err != nil {
 			return FleetResult{}, fmt.Errorf("router: replica %q: %w", spec.Name, err)
 		}
-		machines[i] = m
+		fleet[i] = &replayReplica{Machine: m, spec: spec}
 	}
 
 	var (
-		out FleetResult
-		rng = rand.New(rand.NewSource(cfg.Seed))
-		rr  uint64
+		rng       = rand.New(rand.NewSource(cfg.Seed))
+		rr        uint64
+		failovers int
 	)
-	out.Requests = make([]gateway.ReplayOutcome, len(reqs))
-	out.PerReplica = map[string]ReplicaReplayStats{}
-	for i := range reqs {
-		out.Requests[i].Arrival = reqs[i].Arrival
-	}
-
-	expiry := func(i int) units.Seconds {
-		e := reqs[i].CancelAt
-		if d := reqs[i].Deadline; d > 0 && (e == 0 || d < e) {
-			e = d
-		}
-		return e
-	}
-	cancelAt := func(i int, t units.Seconds, emitted int) {
-		r := &out.Requests[i]
-		r.Outcome = gateway.ReplayCanceled
-		r.Finish = t
-		r.Emitted = emitted
-		out.Canceled++
-	}
-	shedAt := func(i int, t units.Seconds) {
-		r := &out.Requests[i]
-		r.Outcome = gateway.ReplayShed
-		r.Finish = t
-		out.Shed++
-	}
-
-	// attachEvents wires a machine's scheduler into the fleet-wide event
-	// stream and outcome accounting; called at startup and on respawn
-	// (before any round or reap can emit).
-	attachEvents := func(m *machine) {
-		m.sched.OnEvent = func(e batchpolicy.Event) {
-			out.Events = append(out.Events, e)
-			switch e.Kind {
-			case batchpolicy.EventPreempt:
-				out.Preemptions++
-			case batchpolicy.EventComplete:
-				out.Completed++
-				m.stats.Completed++
-				r := &out.Requests[e.Ref]
-				r.Outcome = gateway.ReplayCompleted
-				r.Finish = m.clock
-				r.Emitted = reqs[e.Ref].OutputLen
-				if r.FirstToken > 0 {
-					out.TTFTs = append(out.TTFTs, r.FirstToken-r.Arrival)
-				}
-			}
-		}
-	}
-	for _, m := range machines {
-		attachEvents(m)
-	}
-
-	loads := func() []Load {
-		ls := make([]Load, len(machines))
-		for i, m := range machines {
-			ls[i] = m.load()
-		}
-		return ls
-	}
 	// place routes one request at virtual time t: policy pick first,
 	// then least-pressure spill over the remaining placeable machines
 	// (the replay's analogue of Submit's retry loop — a full machine
-	// refuses and the next-best is tried). Returns false when no machine
-	// can hold it.
-	place := func(req int, t units.Seconds) bool {
-		ls := loads()
+	// refuses and the next-best is tried). No machine can hold it → shed.
+	place := func(req int, t units.Seconds) {
+		ls := make([]Load, len(fleet))
+		for i, r := range fleet {
+			ls[i] = r.load()
+		}
 		var pick int
 		if cfg.Policy == PolicyRoundRobin {
 			pick = PickRoundRobin(ls, rr)
@@ -362,131 +248,15 @@ func FleetReplay(cfg FleetConfig, reqs []gateway.ReplayRequest) (FleetResult, er
 			pick = PickLeastPressure(ls)
 		}
 		if pick < 0 {
-			return false
+			led.Refuse(req, t)
+			return
 		}
-		m := machines[pick]
-		if !m.runnable() && m.clock < t {
-			m.clock = t // idle machine wakes at the placement instant
+		r := fleet[pick]
+		if !r.Busy() && r.Clock < t {
+			r.Clock = t // idle machine wakes at the placement instant
 		}
-		m.waiting = append(m.waiting, req)
-		m.stats.Placed++
-		return true
-	}
-
-	// kill fails a machine over: every waiting, requeued, and running
-	// request re-places across the survivors at the kill instant.
-	kill := func(m *machine, t units.Seconds) {
-		m.up = false
-		m.killed = true
-		if m.clock < t {
-			m.clock = t
-		}
-		orphans := append([]int(nil), m.waiting...)
-		m.waiting = nil
-		for _, it := range m.sched.DropRequeued(func(batchpolicy.Item) bool { return true }) {
-			orphans = append(orphans, it.Ref)
-		}
-		for _, seq := range m.sched.Running() {
-			orphans = append(orphans, seq.Item.Ref)
-		}
-		m.sched = nil
-		for _, req := range orphans {
-			out.Failovers++
-			if !place(req, t) {
-				shedAt(req, t)
-			}
-		}
-	}
-
-	// One round on machine m: reap expired work, run batchpolicy.Round
-	// with the machine's priced hooks, advance its clock.
-	round := func(m *machine) error {
-		// Reap expired waiting/requeued/running work against the
-		// machine's clock — the per-machine reapCanceled pass.
-		kept := m.waiting[:0]
-		for _, i := range m.waiting {
-			if e := expiry(i); e > 0 && e <= m.clock {
-				cancelAt(i, m.clock, 0)
-			} else {
-				kept = append(kept, i)
-			}
-		}
-		m.waiting = kept
-		for _, it := range m.sched.DropRequeued(func(it batchpolicy.Item) bool {
-			e := expiry(it.Ref)
-			return e > 0 && e <= m.clock
-		}) {
-			cancelAt(it.Ref, m.clock, 0)
-		}
-		for _, seq := range m.sched.Running() {
-			if e := expiry(seq.Item.Ref); e > 0 && e <= m.clock {
-				if err := m.sched.Remove(seq.ID); err != nil {
-					return err
-				}
-				cancelAt(seq.Item.Ref, m.clock, seq.Item.OutputLen-seq.Remaining)
-			}
-		}
-		if !m.runnable() {
-			return nil
-		}
-		hooks := batchpolicy.Hooks{
-			Waiting: func() []batchpolicy.Item {
-				items := make([]batchpolicy.Item, 0, len(m.waiting))
-				for _, i := range m.waiting {
-					items = append(items, batchpolicy.Item{Ref: i, PromptLen: reqs[i].PromptLen, OutputLen: reqs[i].OutputLen})
-				}
-				return items
-			},
-			Consumed: func(n int) {
-				for _, i := range m.waiting[:n] {
-					if r := &out.Requests[i]; r.Admitted == 0 {
-						r.Admitted = m.clock
-					}
-				}
-				m.waiting = m.waiting[n:]
-			},
-			Prefill: func(admitted []batchpolicy.Seq) error {
-				maxIn := 1
-				for _, a := range admitted {
-					if a.Item.PromptLen > maxIn {
-						maxIn = a.Item.PromptLen
-					}
-				}
-				m.clock += m.prefillCost(len(admitted), maxIn)
-				for _, a := range admitted {
-					if r := &out.Requests[a.Item.Ref]; r.FirstToken == 0 {
-						r.FirstToken = m.clock
-					}
-				}
-				return nil
-			},
-			Step: func(running []batchpolicy.Seq) error {
-				var ctxSum int
-				for _, a := range running {
-					ctxSum += a.Context
-				}
-				m.clock += m.decodeCost(len(running), ctxSum/len(running))
-				return nil
-			},
-		}
-		progressed, err := batchpolicy.Round(m.sched, hooks)
-		if err != nil {
-			return err
-		}
-		m.stats.Rounds++
-		if !progressed && !m.sched.Busy() && len(m.waiting) > 0 {
-			// The head request cannot be admitted even into a drained pool,
-			// so it can never fit this machine — and in a homogeneous fleet,
-			// any machine. Shed it (re-placing would ping-pong between full
-			// machines without ever advancing a clock).
-			req := m.waiting[0]
-			m.waiting = m.waiting[1:]
-			shedAt(req, m.clock)
-		}
-		if m.clock > out.Makespan {
-			out.Makespan = m.clock
-		}
-		return nil
+		r.Enqueue(req)
+		r.placed++
 	}
 
 	const never = units.Seconds(math.MaxFloat64)
@@ -495,11 +265,11 @@ func FleetReplay(cfg FleetConfig, reqs []gateway.ReplayRequest) (FleetResult, er
 		// Next fault transition, arrival, and machine round, in global
 		// time order (faults before arrivals before rounds on ties).
 		tFault, faultIdx, faultKill := never, -1, false
-		for i, m := range machines {
-			if d := m.spec.DownAt; d > 0 && !m.killed && (tFault > d) {
+		for i, r := range fleet {
+			if d := r.spec.DownAt; d > 0 && !r.killed && (tFault > d) {
 				tFault, faultIdx, faultKill = d, i, true
 			}
-			if u := m.spec.UpAt; u > 0 && m.killed && !m.respawned && tFault > u {
+			if u := r.spec.UpAt; u > 0 && r.killed && !r.respawned && tFault > u {
 				tFault, faultIdx, faultKill = u, i, false
 			}
 		}
@@ -508,56 +278,73 @@ func FleetReplay(cfg FleetConfig, reqs []gateway.ReplayRequest) (FleetResult, er
 			tArr = reqs[next].Arrival
 		}
 		tRound, roundIdx := never, -1
-		for i, m := range machines {
-			if m.runnable() && m.clock < tRound {
-				tRound, roundIdx = m.clock, i
+		for i, r := range fleet {
+			if r.Busy() && r.Clock < tRound {
+				tRound, roundIdx = r.Clock, i
 			}
 		}
 		switch {
 		case faultIdx >= 0 && tFault <= tArr && tFault <= tRound:
-			m := machines[faultIdx]
+			r := fleet[faultIdx]
 			if faultKill {
-				kill(m, tFault)
+				// Fail over: every waiting, requeued, and running request
+				// re-places across the survivors at the kill instant.
+				r.killed = true
+				r.Clock = max(r.Clock, tFault)
+				for _, req := range r.Orphans() {
+					failovers++
+					place(req, tFault)
+				}
 			} else {
-				m.respawned = true
-				m.up = true
-				m.clock = tFault
-				if err := m.newSched(); err != nil {
+				r.respawned = true
+				r.Clock = tFault
+				if err := r.Restart(); err != nil {
 					return FleetResult{}, err
 				}
-				attachEvents(m)
 			}
 		case next < len(reqs) && tArr <= tRound:
-			i := next
+			if led.Expired(next, tArr) {
+				led.Cancel(next, tArr, 0)
+			} else {
+				place(next, tArr)
+			}
 			next++
-			if e := expiry(i); e > 0 && e <= tArr {
-				cancelAt(i, tArr, 0)
-				continue
-			}
-			if !place(i, tArr) {
-				shedAt(i, tArr)
-			}
 		case roundIdx >= 0:
-			if err := round(machines[roundIdx]); err != nil {
-				return FleetResult{}, fmt.Errorf("router: replay round on %q: %w", machines[roundIdx].spec.Name, err)
+			r := fleet[roundIdx]
+			err := r.Reap()
+			if err == nil && r.Busy() { // the reap may have emptied it
+				var progressed bool
+				if progressed, err = r.Round(); err == nil && !progressed {
+					r.ShedStuck()
+				}
+			}
+			if err != nil {
+				return FleetResult{}, fmt.Errorf("router: replay round on %q: %w", r.spec.Name, err)
 			}
 		default:
-			// No events left. Any work stranded on a killed machine that
-			// never respawned is unreachable — shed it for the accounting
-			// identity (the live router answers those ErrShuttingDown).
-			for _, m := range machines {
-				for _, i := range m.waiting {
-					shedAt(i, m.clock)
-				}
-				m.waiting = nil
-			}
-			for _, m := range machines {
-				out.PerReplica[m.spec.Name] = m.stats
-			}
-			if out.Makespan > 0 {
-				out.ThroughputRPS = float64(out.Completed) / float64(out.Makespan)
-			}
-			return out, nil
+			return fleetResult(led, fleet, failovers)
 		}
 	}
+}
+
+// fleetResult closes a finished replay: the leak invariant on every live
+// machine, then the ledger folded into the fleet's view of it.
+func fleetResult(led *serve.Ledger, fleet []*replayReplica, failovers int) (FleetResult, error) {
+	out := FleetResult{ReplayResult: led.ReplayResult, Failovers: failovers, PerReplica: map[string]ReplicaReplayStats{}}
+	for _, r := range fleet {
+		if err := r.Drained(); err != nil {
+			return FleetResult{}, fmt.Errorf("router: replica %q: %w", r.spec.Name, err)
+		}
+		out.PerReplica[r.spec.Name] = ReplicaReplayStats{Placed: r.placed, Completed: r.Completed, Rounds: r.Rounds}
+	}
+	// TTFT samples in completion order, as the event stream recorded it.
+	for _, e := range led.Events {
+		if r := led.Requests[e.Ref]; e.Kind == batchpolicy.EventComplete && r.FirstToken > 0 {
+			out.TTFTs = append(out.TTFTs, r.FirstToken-r.Arrival)
+		}
+	}
+	if out.Makespan > 0 {
+		out.ThroughputRPS = float64(out.Completed) / float64(out.Makespan)
+	}
+	return out, nil
 }

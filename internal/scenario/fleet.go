@@ -13,7 +13,6 @@ import (
 	"github.com/lia-sim/lia/internal/gateway"
 	"github.com/lia-sim/lia/internal/llm"
 	"github.com/lia-sim/lia/internal/router"
-	"github.com/lia-sim/lia/internal/units"
 )
 
 // runFleetTrial is the fleet scenarios' trial body: the virtual leg
@@ -25,15 +24,7 @@ import (
 // must close exactly across any number of failovers, on both legs.
 func runFleetTrial(cell Cell, stream []streamReq, seed int64, live bool) (TrialResult, error) {
 	s, f := cell.Scenario, cell.Fault
-
-	queue := s.QueueDepth
-	if f.QueueDepth > 0 {
-		queue = f.QueueDepth
-	}
-	kvTokens := s.KVTokens
-	if f.KVScale > 0 && f.KVScale < 1 && kvTokens > 0 {
-		kvTokens = int(float64(kvTokens) * f.KVScale)
-	}
+	queue, kvTokens := cell.envelope()
 
 	reqs := make([]gateway.ReplayRequest, len(stream))
 	for i, r := range stream {
@@ -64,36 +55,11 @@ func runFleetTrial(cell Cell, stream []streamReq, seed int64, live bool) (TrialR
 	if err != nil {
 		return TrialResult{}, fmt.Errorf("scenario %s/%s: fleet replay: %w", s.Name, f.Name, err)
 	}
-	if got := res.Completed + res.Shed + res.Canceled; got != len(reqs) {
-		return TrialResult{}, fmt.Errorf("scenario %s/%s: fleet outcome accounting broken: %d+%d+%d != %d",
-			s.Name, f.Name, res.Completed, res.Shed, res.Canceled, len(reqs))
+	out, err := foldOutcomes(cell, seed, res.ReplayResult)
+	if err != nil {
+		return TrialResult{}, err
 	}
-
-	out := TrialResult{
-		Seed:      seed,
-		Requests:  len(reqs),
-		Completed: res.Completed,
-		Shed:      res.Shed,
-		Canceled:  res.Canceled,
-		Preempted: res.Preemptions,
-		Failovers: res.Failovers,
-		Makespan:  float64(res.Makespan),
-	}
-	var ttfts, lats []float64
-	for _, r := range res.Requests {
-		if r.FirstToken > 0 {
-			ttfts = append(ttfts, float64(r.FirstToken-r.Arrival))
-		}
-		if r.Outcome == gateway.ReplayCompleted {
-			lat := float64(r.Finish - r.Arrival)
-			lats = append(lats, lat)
-			if lat <= float64(s.SLO) {
-				out.Attained++
-			}
-		}
-	}
-	out.TTFTP50, out.TTFTP99 = Percentile(ttfts, 0.50), Percentile(ttfts, 0.99)
-	out.LatencyP50, out.LatencyP99 = Percentile(lats, 0.50), Percentile(lats, 0.99)
+	out.Failovers = res.Failovers
 
 	if live {
 		lr, err := runFleetLiveTrial(cell, stream, seed)
@@ -117,18 +83,7 @@ func runFleetLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, 
 	modelCfg := llm.TinyConfig()
 	baseline := runtime.NumGoroutine()
 
-	queue := s.QueueDepth
-	if f.QueueDepth > 0 {
-		queue = f.QueueDepth
-	}
-	kvTokens := s.KVTokens
-	if f.KVScale > 0 && f.KVScale < 1 && kvTokens > 0 {
-		kvTokens = int(float64(kvTokens) * f.KVScale)
-	}
-	var budget units.Bytes
-	if kvTokens > 0 {
-		budget = modelCfg.KVBytes(1, kvTokens)
-	}
+	queue, kvTokens := cell.envelope()
 	specs := make([]router.ReplicaSpec, s.Replicas)
 	for i := range specs {
 		specs[i] = router.ReplicaSpec{
@@ -139,7 +94,7 @@ func runFleetLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, 
 			Gateway: gateway.Config{
 				MaxBatch:      s.MaxBatch,
 				QueueDepth:    queue,
-				KVBudget:      budget,
+				KVBudget:      kvBudget(kvTokens),
 				KVBlockTokens: 4,
 			},
 		}
@@ -149,30 +104,8 @@ func runFleetLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, 
 		return nil, err
 	}
 
-	n := len(stream)
-	if n > liveRequests {
-		n = liveRequests
-	}
-	type job struct {
-		prompt []int
-		out    int
-	}
-	jobs := make([]job, n)
-	for i := 0; i < n; i++ {
-		p := stream[i].Prompt
-		if len(p) > 16 {
-			p = p[:16]
-		}
-		prompt := make([]int, len(p))
-		for j, t := range p {
-			prompt[j] = t % modelCfg.VocabSize
-		}
-		out := stream[i].OutputLen
-		if out > 6 {
-			out = 6
-		}
-		jobs[i] = job{prompt: prompt, out: out}
-	}
+	jobs := liveJobs(stream)
+	n := len(jobs)
 
 	lr := &LiveResult{Requests: n, BitIdentical: true}
 	var (
@@ -181,10 +114,7 @@ func runFleetLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, 
 		unknown   int
 		started   atomic.Int64
 		killOnce  sync.Once
-		completed []struct {
-			prompt, tokens []int
-			n              int
-		}
+		completed []liveDone
 	)
 	kill := f.ReplicaKillAt > 0 && s.Replicas >= 2
 	for i := range jobs {
@@ -203,10 +133,7 @@ func runFleetLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, 
 			switch {
 			case err == nil:
 				lr.Completed++
-				completed = append(completed, struct {
-					prompt, tokens []int
-					n              int
-				}{jobs[i].prompt, res.Tokens, jobs[i].out})
+				completed = append(completed, liveDone{jobs[i], res.Tokens})
 			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 				lr.Canceled++
 			case errors.Is(err, router.ErrNoReplicas):
@@ -245,44 +172,11 @@ func runFleetLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, 
 		snap.Placed == uint64(lr.Completed) &&
 		snap.Spilled == uint64(lr.Shed)
 
-	// Every replica serves the same seed on the dense tier, so every
-	// completed stream — whichever replica or failover path produced it
-	// — must equal a solo Generate.
-	ref, err := llm.NewRandom(modelCfg, seed)
-	if err != nil {
+	// Every replica serves the same seed on the dense tier, so the
+	// bit-identity guarantee holds across replicas and failover paths.
+	if lr.BitIdentical, err = bitIdentical(seed, completed); err != nil {
 		return nil, err
 	}
-	rexec := llm.NewExecutor(ref, core.FullGPU)
-	type key struct {
-		h uint64
-		n int
-	}
-	seen := map[key][]int{}
-	for _, c := range completed {
-		k := key{hashTokens(c.prompt), c.n}
-		want, ok := seen[k]
-		if !ok {
-			if want, err = rexec.Generate(c.prompt, c.n); err != nil {
-				return nil, err
-			}
-			seen[k] = want
-		}
-		if !equalTokens(c.tokens, want) {
-			lr.BitIdentical = false
-		}
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= baseline+2 {
-			lr.LeakFree = true
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	lr.LeakFree = goroutinesSettle(baseline)
 	return lr, nil
 }

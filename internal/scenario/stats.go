@@ -1,29 +1,20 @@
 package scenario
 
 import (
-	"math"
 	"math/rand"
 	"sort"
+
+	"github.com/lia-sim/lia/internal/serve"
 )
 
 // Percentile returns the nearest-rank p-quantile of the samples (p in
-// [0, 1]; 0 on an empty slice). Nearest-rank — not interpolation — so
-// the value is always an observed sample and small-N results stay
+// [0, 1]; 0 on an empty slice) — serve.Percentile over a sorted copy,
+// so the value is always an observed sample and small-N results stay
 // exactly reproducible.
 func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	rank := int(math.Ceil(p * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
+	return serve.Percentile(s, p)
 }
 
 // MetricSummary aggregates one metric across a cell's trials.

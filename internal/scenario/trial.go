@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,19 +19,6 @@ import (
 	"github.com/lia-sim/lia/internal/spec"
 	"github.com/lia-sim/lia/internal/trace"
 	"github.com/lia-sim/lia/internal/units"
-)
-
-// Virtual cost model (the injected analytic engine the replay leg
-// prices rounds with): whole-microsecond-resolution closed forms, so
-// every clock comparison is exact in float64 and a trial is a pure
-// function of its seed. Offloaded scenarios additionally pay per-round
-// layer-stream time priced through a fault-hooked offload.XferEngine —
-// that is where the chaos plans' degraded links and expander faults
-// surface as deterministic latency-tail inflation.
-const (
-	prefillTokenCost = 0.25e-3 // seconds per prompt token of the widest prompt, per admitted sequence
-	decodeSeqCost    = 1e-3    // seconds per running sequence per decode round
-	decodeCtxCost    = 0.125e-3 // seconds per token of mean context per round
 )
 
 // quantFactor is the nominal compute scaling of each weight tier — the
@@ -174,9 +162,32 @@ func faultHook(f FaultPlan) offload.LinkFault {
 	}
 }
 
-// virtualCosts builds the replay leg's injected step costs. For
-// offloaded modes it also returns the pricing XferEngine so the caller
-// can read fault counters afterwards.
+// offloadPlan is the tiered-memory plan both legs of an offloaded
+// scenario stream the tiny model's weights under: DDR-only, or with one
+// CXL expander and the paper's placement policy.
+func (s ScenarioConfig) offloadPlan() (*offload.Plan, error) {
+	cfg := llm.TinyConfig()
+	nCXL, placement := 0, cxl.DDROnlyPlacement()
+	if s.Mode.Offload == "cxl" {
+		nCXL, placement = 1, cxl.PolicyPlacement()
+	}
+	return offload.NewPlan(offload.Config{
+		System:    offload.TinySystem(cfg, 1, 256, 1, nCXL),
+		Model:     cfg,
+		Batch:     1,
+		Context:   256,
+		Placement: placement,
+	})
+}
+
+// virtualCosts builds the replay leg's injected step costs: the shared
+// whole-microsecond round closed forms (serve.Round*Cost) scaled by the
+// weight tier and speculative speedup. Offloaded scenarios additionally
+// pay per-round layer-stream time priced through a fault-hooked
+// offload.XferEngine — that is where the chaos plans' degraded links and
+// expander faults surface as deterministic latency-tail inflation — and
+// the engine is returned so the caller can read fault counters
+// afterwards.
 func virtualCosts(cell Cell) (*serve.StepCosts, *offload.XferEngine, error) {
 	s := cell.Scenario
 	qf := quantFactor(s.Mode)
@@ -189,18 +200,7 @@ func virtualCosts(cell Cell) (*serve.StepCosts, *offload.XferEngine, error) {
 		stream func() units.Seconds
 	)
 	if s.offloaded() {
-		cfg := llm.TinyConfig()
-		nCXL, placement := 0, cxl.DDROnlyPlacement()
-		if s.Mode.Offload == "cxl" {
-			nCXL, placement = 1, cxl.PolicyPlacement()
-		}
-		plan, err := offload.NewPlan(offload.Config{
-			System:    offload.TinySystem(cfg, 1, 256, 1, nCXL),
-			Model:     cfg,
-			Batch:     1,
-			Context:   256,
-			Placement: placement,
-		})
+		plan, err := s.offloadPlan()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -221,14 +221,14 @@ func virtualCosts(cell Cell) (*serve.StepCosts, *offload.XferEngine, error) {
 	}
 	costs := &serve.StepCosts{
 		Prefill: func(b, maxIn int) (units.Seconds, error) {
-			c := units.Seconds(float64(b*maxIn) * prefillTokenCost * qf)
+			c := units.Seconds(float64(b*maxIn) * serve.RoundPrefillTokenCost * qf)
 			if stream != nil {
 				c += stream()
 			}
 			return c, nil
 		},
 		Decode: func(b, meanCtx int) (units.Seconds, error) {
-			c := units.Seconds((float64(b)*decodeSeqCost + float64(meanCtx)*decodeCtxCost) * qf / speedup)
+			c := units.Seconds((float64(b)*serve.RoundDecodeSeqCost + float64(meanCtx)*serve.RoundDecodeCtxCost) * qf / speedup)
 			if stream != nil {
 				c += stream()
 			}
@@ -293,62 +293,43 @@ func (l *LiveResult) Invariants() bool {
 	return l != nil && l.LeakFree && l.AccountingExact && l.BitIdentical
 }
 
-// RunTrial runs one seeded trial of a cell: always the virtual leg,
-// plus the live chaos leg when live is set.
-func RunTrial(cell Cell, seed int64, live bool) (TrialResult, error) {
-	cell.Scenario = cell.Scenario.withDefaults()
-	stream, err := buildStream(cell, seed)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	if cell.Scenario.Replicas >= 2 {
-		// Fleet scenarios route the stream (and the fault plan's replica
-		// kill) through the router instead of a single gateway.
-		return runFleetTrial(cell, stream, seed, live)
-	}
-	costs, xfer, err := virtualCosts(cell)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	s, f := cell.Scenario, cell.Fault
-	modelCfg := llm.TinyConfig()
-
-	kvTokens := s.KVTokens
-	if f.KVScale > 0 && f.KVScale < 1 && kvTokens > 0 {
-		kvTokens = int(float64(kvTokens) * f.KVScale)
-	}
-	var budget units.Bytes
-	if kvTokens > 0 {
-		budget = modelCfg.KVBytes(1, kvTokens)
-	}
-	queue := s.QueueDepth
+// envelope applies the fault plan's queue squeeze and KV-pool pressure
+// to the scenario's serving envelope: the queue depth and KV pool size
+// (in tokens) every leg — virtual or live, one gateway or a fleet — runs
+// under.
+func (c Cell) envelope() (queue, kvTokens int) {
+	s, f := c.Scenario, c.Fault
+	queue, kvTokens = s.QueueDepth, s.KVTokens
 	if f.QueueDepth > 0 {
 		queue = f.QueueDepth
 	}
+	if f.KVScale > 0 && f.KVScale < 1 && kvTokens > 0 {
+		kvTokens = int(float64(kvTokens) * f.KVScale)
+	}
+	return queue, kvTokens
+}
 
-	reqs := make([]gateway.ReplayRequest, len(stream))
-	for i, r := range stream {
-		reqs[i] = r.ReplayRequest
+// kvBudget sizes the tiny model's KV pool for kvTokens (0 = unbounded).
+func kvBudget(kvTokens int) units.Bytes {
+	if kvTokens <= 0 {
+		return 0
 	}
-	res, err := gateway.Replay(gateway.ReplayConfig{
-		MaxBatch:      s.MaxBatch,
-		Model:         modelCfg,
-		KVBudget:      budget,
-		KVBlockTokens: 4,
-		Costs:         costs,
-		QueueDepth:    queue,
-	}, reqs)
-	if err != nil {
-		return TrialResult{}, fmt.Errorf("scenario %s/%s: %w", s.Name, f.Name, err)
-	}
-	if got := res.Completed + res.Shed + res.Canceled; got != len(reqs) {
+	return llm.TinyConfig().KVBytes(1, kvTokens)
+}
+
+// foldOutcomes turns a virtual leg's replay into the trial record: the
+// accounting identity checked, then counts, SLO attainment, and TTFT and
+// latency percentiles over the per-request outcomes.
+func foldOutcomes(cell Cell, seed int64, res gateway.ReplayResult) (TrialResult, error) {
+	s := cell.Scenario
+	n := len(res.Requests)
+	if got := res.Completed + res.Shed + res.Canceled; got != n {
 		return TrialResult{}, fmt.Errorf("scenario %s/%s: outcome accounting broken: %d+%d+%d != %d",
-			s.Name, f.Name, res.Completed, res.Shed, res.Canceled, len(reqs))
+			s.Name, cell.Fault.Name, res.Completed, res.Shed, res.Canceled, n)
 	}
-
 	out := TrialResult{
 		Seed:      seed,
-		Requests:  len(reqs),
+		Requests:  n,
 		Completed: res.Completed,
 		Shed:      res.Shed,
 		Canceled:  res.Canceled,
@@ -370,6 +351,46 @@ func RunTrial(cell Cell, seed int64, live bool) (TrialResult, error) {
 	}
 	out.TTFTP50, out.TTFTP99 = Percentile(ttfts, 0.50), Percentile(ttfts, 0.99)
 	out.LatencyP50, out.LatencyP99 = Percentile(lats, 0.50), Percentile(lats, 0.99)
+	return out, nil
+}
+
+// RunTrial runs one seeded trial of a cell: always the virtual leg,
+// plus the live chaos leg when live is set.
+func RunTrial(cell Cell, seed int64, live bool) (TrialResult, error) {
+	cell.Scenario = cell.Scenario.withDefaults()
+	stream, err := buildStream(cell, seed)
+	if err != nil {
+		return TrialResult{}, err
+	}
+	if cell.Scenario.Replicas >= 2 {
+		// Fleet scenarios route the stream (and the fault plan's replica
+		// kill) through the router instead of a single gateway.
+		return runFleetTrial(cell, stream, seed, live)
+	}
+	costs, xfer, err := virtualCosts(cell)
+	if err != nil {
+		return TrialResult{}, err
+	}
+	queue, kvTokens := cell.envelope()
+	reqs := make([]gateway.ReplayRequest, len(stream))
+	for i, r := range stream {
+		reqs[i] = r.ReplayRequest
+	}
+	res, err := gateway.Replay(gateway.ReplayConfig{
+		MaxBatch:      cell.Scenario.MaxBatch,
+		Model:         llm.TinyConfig(),
+		KVBudget:      kvBudget(kvTokens),
+		KVBlockTokens: 4,
+		Costs:         costs,
+		QueueDepth:    queue,
+	}, reqs)
+	if err != nil {
+		return TrialResult{}, fmt.Errorf("scenario %s/%s: %w", cell.Scenario.Name, cell.Fault.Name, err)
+	}
+	out, err := foldOutcomes(cell, seed, res)
+	if err != nil {
+		return TrialResult{}, err
+	}
 	if xfer != nil {
 		st := xfer.Stats()
 		out.LinkTransfers, out.LinkFaults = st.Transfers, st.LinkFaults
@@ -405,17 +426,7 @@ func runLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, error
 	}
 	var host *offload.Host
 	if s.offloaded() {
-		nCXL, placement := 0, cxl.DDROnlyPlacement()
-		if s.Mode.Offload == "cxl" {
-			nCXL, placement = 1, cxl.PolicyPlacement()
-		}
-		plan, err := offload.NewPlan(offload.Config{
-			System:    offload.TinySystem(modelCfg, 1, 256, 1, nCXL),
-			Model:     modelCfg,
-			Batch:     1,
-			Context:   256,
-			Placement: placement,
-		})
+		plan, err := s.offloadPlan()
 		if err != nil {
 			return nil, err
 		}
@@ -431,22 +442,11 @@ func runLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, error
 	if host != nil {
 		exec.Mem = host
 	}
-	queue := s.QueueDepth
-	if f.QueueDepth > 0 {
-		queue = f.QueueDepth
-	}
-	kvTokens := s.KVTokens
-	if f.KVScale > 0 && f.KVScale < 1 && kvTokens > 0 {
-		kvTokens = int(float64(kvTokens) * f.KVScale)
-	}
-	var budget units.Bytes
-	if kvTokens > 0 {
-		budget = modelCfg.KVBytes(1, kvTokens)
-	}
+	queue, kvTokens := cell.envelope()
 	g, err := gateway.New(exec, gateway.Config{
 		MaxBatch:      s.MaxBatch,
 		QueueDepth:    queue,
-		KVBudget:      budget,
+		KVBudget:      kvBudget(kvTokens),
 		KVBlockTokens: 4,
 		Offload:       host,
 		PrefixCache:   s.Mode.PrefixCache,
@@ -459,63 +459,33 @@ func runLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, error
 		return nil, err
 	}
 
-	n := len(stream)
-	if n > liveRequests {
-		n = liveRequests
-	}
-	type job struct {
-		prompt           []int
-		out              int
-		cancel, deadline bool
-	}
-	jobs := make([]job, n)
-	for i := 0; i < n; i++ {
-		p := stream[i].Prompt
-		if len(p) > 16 {
-			p = p[:16]
-		}
-		prompt := make([]int, len(p))
-		for j, t := range p {
-			prompt[j] = t % modelCfg.VocabSize
-		}
-		out := stream[i].OutputLen
-		if out > 6 {
-			out = 6
-		}
-		jobs[i] = job{
-			prompt:   prompt,
-			out:      out,
-			cancel:   f.CancelEvery > 0 && (i+1)%f.CancelEvery == 0,
-			deadline: f.DeadlineEvery > 0 && (i+1)%f.DeadlineEvery == 0,
-		}
-	}
+	jobs := liveJobs(stream)
+	n := len(jobs)
 
 	lr := &LiveResult{Requests: n, BitIdentical: true}
 	var (
 		mu        sync.Mutex
 		wg        sync.WaitGroup
 		unknown   int
-		completed []struct {
-			prompt, tokens []int
-			n              int
-		}
+		completed []liveDone
 	)
 	for i := range jobs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			j := jobs[i]
+			cancels := f.CancelEvery > 0 && (i+1)%f.CancelEvery == 0
 			ctx := context.Background()
 			// The tiny model serves a request in microseconds, so the storm's
 			// timers live on that scale too; every fourth canceler is dead
 			// before it even submits, guaranteeing the cancel path fires no
 			// matter how fast the batcher drains.
-			if j.deadline {
+			if f.DeadlineEvery > 0 && (i+1)%f.DeadlineEvery == 0 {
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithTimeout(ctx, time.Duration(200+(i%4)*300)*time.Microsecond)
 				defer cancel()
 			}
-			if j.cancel {
+			if cancels {
 				cctx, cancel := context.WithCancel(ctx)
 				ctx = cctx
 				if d := time.Duration(i%4) * 250 * time.Microsecond; d == 0 {
@@ -532,10 +502,7 @@ func runLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, error
 			switch {
 			case err == nil:
 				lr.Completed++
-				completed = append(completed, struct {
-					prompt, tokens []int
-					n              int
-				}{j.prompt, res.Tokens, j.out})
+				completed = append(completed, liveDone{j, res.Tokens})
 			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 				lr.Canceled++
 			case errors.Is(err, gateway.ErrOverloaded):
@@ -566,47 +533,86 @@ func runLiveTrial(cell Cell, stream []streamReq, seed int64) (*LiveResult, error
 	// the dense tier makes. Quantized tiers are deterministic but differ
 	// from the BF16 reference, so they are exempt.
 	if s.Mode.Quant == "" || s.Mode.Quant == "dense" {
-		ref, err := llm.NewRandom(modelCfg, seed)
-		if err != nil {
+		if lr.BitIdentical, err = bitIdentical(seed, completed); err != nil {
 			return nil, err
 		}
-		rexec := llm.NewExecutor(ref, core.FullGPU)
-		type key struct {
-			h uint64
-			n int
+	}
+	lr.LeakFree = goroutinesSettle(baseline)
+	return lr, nil
+}
+
+// liveJob is one live-leg request: the stream's prompt and output length
+// scaled down to the tiny model's microsecond service times.
+type liveJob struct {
+	prompt []int
+	out    int
+}
+
+// liveDone is a live request that completed, with the tokens it got.
+type liveDone struct {
+	liveJob
+	tokens []int
+}
+
+// liveJobs scales the head of a trial's stream into the live leg's jobs.
+func liveJobs(stream []streamReq) []liveJob {
+	vocab := llm.TinyConfig().VocabSize
+	jobs := make([]liveJob, min(len(stream), liveRequests))
+	for i := range jobs {
+		p := stream[i].Prompt
+		p = p[:min(len(p), 16)]
+		prompt := make([]int, len(p))
+		for j, t := range p {
+			prompt[j] = t % vocab
 		}
-		seen := map[key][]int{}
-		for _, c := range completed {
-			k := key{hashTokens(c.prompt), c.n}
-			want, ok := seen[k]
-			if !ok {
-				if want, err = rexec.Generate(c.prompt, c.n); err != nil {
-					return nil, err
-				}
-				seen[k] = want
+		jobs[i] = liveJob{prompt: prompt, out: min(stream[i].OutputLen, 6)}
+	}
+	return jobs
+}
+
+// bitIdentical reports whether every completed stream equals a solo
+// Generate on a fresh executor over the same seed's weights — whichever
+// gateway, replica or failover path produced it.
+func bitIdentical(seed int64, completed []liveDone) (bool, error) {
+	ref, err := llm.NewRandom(llm.TinyConfig(), seed)
+	if err != nil {
+		return false, err
+	}
+	rexec := llm.NewExecutor(ref, core.FullGPU)
+	type key struct {
+		h uint64
+		n int
+	}
+	seen := map[key][]int{}
+	for _, c := range completed {
+		k := key{hashTokens(c.prompt), c.out}
+		want, ok := seen[k]
+		if !ok {
+			if want, err = rexec.Generate(c.prompt, c.out); err != nil {
+				return false, err
 			}
-			if !equalTokens(c.tokens, want) {
-				lr.BitIdentical = false
-			}
+			seen[k] = want
+		}
+		if !slices.Equal(c.tokens, want) {
+			return false, nil
 		}
 	}
+	return true, nil
+}
 
-	// Goroutine-leak check: after Shutdown the batcher, all clients, and
-	// every per-request timer must be gone. Poll with GC nudges — timer
-	// goroutines and the runtime need a moment to settle.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+// goroutinesSettle is the leak check: after Shutdown the batchers, all
+// clients, and every per-request timer must be gone. Poll with GC nudges
+// — timer goroutines and the runtime need a moment to settle.
+func goroutinesSettle(baseline int) bool {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		runtime.GC()
 		if runtime.NumGoroutine() <= baseline+2 {
-			lr.LeakFree = true
-			break
+			return true
 		}
 		if time.Now().After(deadline) {
-			break
+			return false
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	return lr, nil
 }
 
 // hashTokens is FNV-1a over a token slice (reference-cache key).
@@ -617,16 +623,4 @@ func hashTokens(ts []int) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func equalTokens(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

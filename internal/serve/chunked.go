@@ -2,11 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
-	"github.com/lia-sim/lia/internal/core"
-	"github.com/lia-sim/lia/internal/exec"
-	"github.com/lia-sim/lia/internal/memplan"
 	"github.com/lia-sim/lia/internal/units"
 )
 
@@ -26,32 +22,13 @@ import (
 // chunk is the per-iteration prefill token budget (across all prefilling
 // sequences).
 func SimulateChunked(cfg Config, reqs []Request, chunk int) (Metrics, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.check(reqs); err != nil {
 		return Metrics{}, err
 	}
 	if chunk < 1 {
 		return Metrics{}, fmt.Errorf("serve: chunk must be ≥1 token")
 	}
-	if len(reqs) == 0 {
-		return Metrics{}, fmt.Errorf("serve: no requests")
-	}
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
-			return Metrics{}, fmt.Errorf("serve: requests not sorted by arrival")
-		}
-	}
-
-	env := core.NewEnvWithPlacement(cfg.System, cfg.Model, cfg.Placement)
-	gpuPlan := memplan.PlanLIAGPU(cfg.System.GPU, cfg.Model, cfg.MaxBatch, cfg.Model.MaxSeqLen)
-	opt := core.Options{KVOnGPU: gpuPlan.KVOnGPU}
-	basePlan := exec.Plan{
-		Env:          env,
-		Opt:          opt,
-		Layers:       cfg.Model.Layers,
-		PinnedLayers: gpuPlan.PinnedLayers,
-		Overlap:      true,
-		MiniBatches:  1,
-	}
+	basePlan := cfg.basePlan()
 
 	// Iteration cost: a decode-shaped pass whose row count is the decode
 	// batch plus the piggybacked prompt tokens (that is what a chunked
@@ -158,29 +135,6 @@ func SimulateChunked(cfg Config, reqs []Request, chunk int) (Metrics, error) {
 		}
 	}
 
-	m.Completed = len(latencies)
-	if m.Batches > 0 {
-		m.MeanBatchSize /= float64(m.Batches)
-	}
-	if m.Makespan > 0 {
-		m.Throughput = float64(m.GeneratedTokens) / float64(m.Makespan)
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	var sum, qsum float64
-	for _, l := range latencies {
-		sum += float64(l)
-	}
-	for _, q := range queueing {
-		qsum += float64(q)
-	}
-	if len(latencies) > 0 {
-		m.Mean = units.Seconds(sum / float64(len(latencies)))
-	}
-	if len(queueing) > 0 {
-		m.MeanQueueing = units.Seconds(qsum / float64(len(queueing)))
-	}
-	m.P50 = percentile(latencies, 0.50)
-	m.P95 = percentile(latencies, 0.95)
-	m.P99 = percentile(latencies, 0.99)
+	summarize(latencies, queueing, &m)
 	return m, nil
 }

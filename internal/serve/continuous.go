@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
-
 	"github.com/lia-sim/lia/internal/batchpolicy"
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/exec"
-	"github.com/lia-sim/lia/internal/kvpage"
 	"github.com/lia-sim/lia/internal/memplan"
 	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/units"
@@ -32,201 +28,100 @@ import (
 // mean context length — unless Config.StepCosts injects deterministic
 // costs (the differential test's fake engine).
 func SimulateContinuous(cfg Config, reqs []Request) (Metrics, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.check(reqs); err != nil {
 		return Metrics{}, err
 	}
-	if len(reqs) == 0 {
-		return Metrics{}, fmt.Errorf("serve: no requests")
+	stream := make([]ReplayRequest, len(reqs))
+	for i, r := range reqs {
+		stream[i] = ReplayRequest{PromptLen: r.InputLen, OutputLen: r.OutputLen, Arrival: r.Arrival}
 	}
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
-			return Metrics{}, fmt.Errorf("serve: requests not sorted by arrival")
-		}
-	}
-
-	stepCost, prefillCost := cfg.iterationCosts()
-
-	// Optional paged KV-cache pool (vLLM-style): admissions and per-token
-	// extensions allocate blocks; exhaustion preempts the youngest
-	// sequence back to the waiting queue for recomputation.
-	var pool *kvpage.Manager
-	if cfg.KVBudget > 0 {
-		blockTokens := cfg.KVBlockTokens
-		if blockTokens <= 0 {
-			blockTokens = 16
-		}
-		var err error
-		pool, err = kvpage.ForModel(cfg.KVBudget, blockTokens, cfg.Model)
-		if err != nil {
-			return Metrics{}, err
-		}
-	}
-	sched, err := batchpolicy.NewScheduler(cfg.MaxBatch, pool)
+	led, err := NewLedger(stream)
 	if err != nil {
 		return Metrics{}, err
 	}
-	sched.OnEvent = cfg.OnEvent
+	mach, err := NewMachine(ReplayConfig{
+		MaxBatch:      cfg.MaxBatch,
+		Model:         cfg.Model,
+		KVBudget:      cfg.KVBudget,
+		KVBlockTokens: cfg.KVBlockTokens,
+		Costs:         cfg.stepCosts(),
+	}, led)
+	if err != nil {
+		return Metrics{}, err
+	}
+	mach.OnEvent = cfg.OnEvent
 
+	// Every executed launch — prefill or decode iteration — is one batch
+	// weighted by the sequences it carried; a prefill also ends its
+	// sequences' queueing (again after a preemption: the re-admission
+	// waited too).
 	var (
-		m         Metrics
-		clock     units.Seconds
-		next      int
-		latencies []units.Seconds
-		queueing  []units.Seconds
-		costErr   error
+		m        Metrics
+		queueing []units.Seconds
 	)
-	hooks := batchpolicy.Hooks{
-		// Admissible work: the arrived prefix of the trace (requeued
-		// preemptions live inside the scheduler and take priority there).
-		Waiting: func() []batchpolicy.Item {
-			var waiting []batchpolicy.Item
-			for i := next; i < len(reqs) && reqs[i].Arrival <= clock; i++ {
-				waiting = append(waiting, batchpolicy.Item{
-					Ref:       i,
-					PromptLen: reqs[i].InputLen,
-					OutputLen: reqs[i].OutputLen,
-				})
-			}
-			return waiting
-		},
-		Consumed: func(n int) { next += n },
-		Prefill: func(admitted []batchpolicy.Seq) error {
-			maxIn := 1
-			for _, a := range admitted {
-				if a.Item.PromptLen > maxIn {
-					maxIn = a.Item.PromptLen
-				}
-			}
-			c, err := prefillCost(len(admitted), maxIn)
-			if err != nil {
-				costErr = err
-				return err
-			}
-			clock += c
-			m.Batches++ // each prefill launch is one executed batch
-			m.MeanBatchSize += float64(len(admitted))
-			for _, a := range admitted {
-				queueing = append(queueing, clock-reqs[a.Item.Ref].Arrival)
-			}
-			return nil
-		},
-		Step: func(running []batchpolicy.Seq) error {
-			var ctxSum int
-			for _, a := range running {
-				ctxSum += a.Context
-			}
-			c, err := stepCost(len(running), ctxSum/len(running))
-			if err != nil {
-				costErr = err
-				return err
-			}
-			clock += c
-			m.Batches++ // each decode iteration is one executed batch
-			m.MeanBatchSize += float64(len(running))
-			m.GeneratedTokens += len(running)
-			return nil
-		},
-		Evicted: func(evicted []batchpolicy.Seq) {
-			m.Preemptions += len(evicted)
-		},
-		Finished: func(finished []batchpolicy.Seq) {
-			for _, f := range finished {
-				latencies = append(latencies, clock-reqs[f.Item.Ref].Arrival)
-			}
-		},
-	}
-
-	for next < len(reqs) || sched.Busy() {
-		progressed, err := batchpolicy.Round(sched, hooks)
-		if err != nil {
-			if costErr != nil {
-				return Metrics{}, costErr
-			}
-			return Metrics{}, fmt.Errorf("serve: KV budget %v: %w", cfg.KVBudget, err)
+	mach.OnLaunch = func(prefill bool, batch []batchpolicy.Seq) {
+		m.Batches++
+		m.MeanBatchSize += float64(len(batch))
+		if !prefill {
+			m.GeneratedTokens += len(batch)
+			return
 		}
-		if !progressed {
-			// Nothing was admitted and nothing is running. If the head of
-			// the line (preempted work, or an arrival that is already
-			// here) still cannot be admitted into an otherwise-empty
-			// batch, it never will be — erroring beats the seed
-			// implementation's silent infinite loop on an oversized
-			// mid-trace request. Otherwise the server is idle: jump to
-			// the next arrival.
-			if sched.RequeuedLen() > 0 || next >= len(reqs) || reqs[next].Arrival <= clock {
-				return Metrics{}, fmt.Errorf("serve: KV budget %v cannot hold the next request", cfg.KVBudget)
-			}
-			clock = reqs[next].Arrival
-			continue
-		}
-		if clock > m.Makespan {
-			m.Makespan = clock
+		for _, a := range batch {
+			queueing = append(queueing, mach.Clock-reqs[a.Item.Ref].Arrival)
 		}
 	}
-
-	// Pool-accounting invariant: every admitted sequence completed and
-	// released its blocks, so the pool must be back to fully free.
-	if pool != nil && (pool.Live() != 0 || pool.FreeBlocks() != pool.TotalBlocks()) {
-		return Metrics{}, fmt.Errorf("serve: internal error: %d sequences / %d blocks leaked from the KV pool",
-			pool.Live(), pool.TotalBlocks()-pool.FreeBlocks())
+	if err := mach.Run(); err != nil {
+		return Metrics{}, err
 	}
 
-	m.Completed = len(latencies)
-	if m.Batches > 0 {
-		m.MeanBatchSize /= float64(m.Batches)
+	m.Makespan, m.Preemptions = led.Makespan, led.Preemptions
+	latencies := make([]units.Seconds, 0, led.Completed)
+	for _, r := range led.Requests {
+		if r.Outcome == ReplayCompleted {
+			latencies = append(latencies, r.Finish-r.Arrival)
+		}
 	}
-	if m.Makespan > 0 {
-		m.Throughput = float64(m.GeneratedTokens) / float64(m.Makespan)
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	var sum, qsum float64
-	for _, l := range latencies {
-		sum += float64(l)
-	}
-	for _, q := range queueing {
-		qsum += float64(q)
-	}
-	if len(latencies) > 0 {
-		m.Mean = units.Seconds(sum / float64(len(latencies)))
-	}
-	if len(queueing) > 0 {
-		m.MeanQueueing = units.Seconds(qsum / float64(len(queueing)))
-	}
-	m.P50 = percentile(latencies, 0.50)
-	m.P95 = percentile(latencies, 0.95)
-	m.P99 = percentile(latencies, 0.99)
+	summarize(latencies, queueing, &m)
 	return m, nil
 }
 
-// iterationCosts returns the decode and prefill cost functions for the
-// iteration-level simulators: the injected StepCosts when present (the
-// differential test's deterministic fake engine), else the analytic
-// execution back-end through the process-wide step cache (stepcost.go).
-func (c Config) iterationCosts() (step, prefill func(b, l int) (units.Seconds, error)) {
-	if c.StepCosts != nil {
-		return c.StepCosts.Decode, c.StepCosts.Prefill
-	}
-	env := core.NewEnvWithPlacement(c.System, c.Model, c.Placement)
+// basePlan is the execution plan the iteration-level simulators price
+// stages with before a per-shape policy is filled in: LIA's GPU memory
+// plan at the batch cap (Optimization-1 pinning), overlap on
+// (Optimization-2), one mini-batch.
+func (c Config) basePlan() exec.Plan {
 	gpuPlan := memplan.PlanLIAGPU(c.System.GPU, c.Model, c.MaxBatch, c.Model.MaxSeqLen)
-	opt := core.Options{KVOnGPU: gpuPlan.KVOnGPU}
-	basePlan := exec.Plan{
-		Env:          env,
-		Opt:          opt,
+	return exec.Plan{
+		Env:          core.NewEnvWithPlacement(c.System, c.Model, c.Placement),
+		Opt:          core.Options{KVOnGPU: gpuPlan.KVOnGPU},
 		Layers:       c.Model.Layers,
 		PinnedLayers: gpuPlan.PinnedLayers,
 		Overlap:      true,
 		MiniBatches:  1,
 	}
-	step = func(b, l int) (units.Seconds, error) {
-		return decodeStepCost(basePlan, b, l)
+}
+
+// stepCosts returns the machine's engine: the injected StepCosts when
+// present (the differential test's deterministic fake engine), else the
+// analytic execution back-end through the process-wide step cache
+// (stepcost.go).
+func (c Config) stepCosts() *StepCosts {
+	if c.StepCosts != nil {
+		return c.StepCosts
 	}
-	prefill = func(b, l int) (units.Seconds, error) {
-		pol, _ := core.OptimizeOptsCached(env, model.Prefill, b, l, opt)
-		p := basePlan
-		p.Policy = pol
-		if b > 1 {
-			p.MiniBatches = 2
-		}
-		return stageCost(p, model.Prefill, b, l)
+	basePlan := c.basePlan()
+	return &StepCosts{
+		Decode: func(b, l int) (units.Seconds, error) {
+			return decodeStepCost(basePlan, b, l)
+		},
+		Prefill: func(b, l int) (units.Seconds, error) {
+			pol, _ := core.OptimizeOptsCached(basePlan.Env, model.Prefill, b, l, basePlan.Opt)
+			p := basePlan
+			p.Policy = pol
+			if b > 1 {
+				p.MiniBatches = 2
+			}
+			return stageCost(p, model.Prefill, b, l)
+		},
 	}
-	return step, prefill
 }

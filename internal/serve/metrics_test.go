@@ -38,7 +38,7 @@ func TestPercentile(t *testing.T) {
 		{"overshoot-clamps", ten, 1.5, 10},
 	}
 	for _, c := range cases {
-		if got := percentile(c.sorted, c.p); got != c.want {
+		if got := Percentile(c.sorted, c.p); got != c.want {
 			t.Errorf("%s: percentile(%v, %v) = %v, want %v", c.name, c.sorted, c.p, got, c.want)
 		}
 	}

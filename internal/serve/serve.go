@@ -104,6 +104,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// check is the simulators' shared precondition: a valid configuration
+// over a non-empty stream sorted by arrival.
+func (c Config) check(reqs []Request) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if len(reqs) == 0 {
+		return fmt.Errorf("serve: no requests")
+	}
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Arrival < reqs[i-1].Arrival {
+			return fmt.Errorf("serve: requests not sorted by arrival")
+		}
+	}
+	return nil
+}
+
 // Metrics summarizes a simulated run.
 type Metrics struct {
 	// Completed counts served requests.
@@ -142,16 +159,8 @@ type Metrics struct {
 // Simulate runs the batch-serving loop over the request stream (which
 // must be sorted by arrival; PoissonArrivals output already is).
 func Simulate(cfg Config, reqs []Request) (Metrics, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.check(reqs); err != nil {
 		return Metrics{}, err
-	}
-	if len(reqs) == 0 {
-		return Metrics{}, fmt.Errorf("serve: no requests")
-	}
-	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Arrival < reqs[i-1].Arrival {
-			return Metrics{}, fmt.Errorf("serve: requests not sorted by arrival")
-		}
 	}
 
 	var (
@@ -225,8 +234,19 @@ func Simulate(cfg Config, reqs []Request) (Metrics, error) {
 		}
 	}
 
+	summarize(latencies, queueing, &m)
+	return m, nil
+}
+
+// summarize is the metrics tail all three simulators share: it
+// normalizes the batch-size and throughput accumulators already in m
+// and fills the latency report from the per-request samples (sorting
+// latencies in place).
+func summarize(latencies, queueing []units.Seconds, m *Metrics) {
 	m.Completed = len(latencies)
-	m.MeanBatchSize /= float64(m.Batches)
+	if m.Batches > 0 {
+		m.MeanBatchSize /= float64(m.Batches)
+	}
 	if m.Makespan > 0 {
 		m.Throughput = float64(m.GeneratedTokens) / float64(m.Makespan)
 	}
@@ -238,25 +258,26 @@ func Simulate(cfg Config, reqs []Request) (Metrics, error) {
 	for _, q := range queueing {
 		qsum += float64(q)
 	}
-	m.Mean = units.Seconds(sum / float64(len(latencies)))
-	m.MeanQueueing = units.Seconds(qsum / float64(len(queueing)))
-	m.P50 = percentile(latencies, 0.50)
-	m.P95 = percentile(latencies, 0.95)
-	m.P99 = percentile(latencies, 0.99)
-	return m, nil
+	if len(latencies) > 0 {
+		m.Mean = units.Seconds(sum / float64(len(latencies)))
+	}
+	if len(queueing) > 0 {
+		m.MeanQueueing = units.Seconds(qsum / float64(len(queueing)))
+	}
+	m.P50 = Percentile(latencies, 0.50)
+	m.P95 = Percentile(latencies, 0.95)
+	m.P99 = Percentile(latencies, 0.99)
 }
 
-// percentile returns the p-quantile of a sorted slice (nearest-rank).
-func percentile(sorted []units.Seconds, p float64) units.Seconds {
+// Percentile returns the nearest-rank p-quantile (p in [0, 1]) of an
+// ascending-sorted sample, 0 when it is empty: element ceil(p·n), ranks
+// clamped to the ends. Nearest-rank — not interpolation — so the value
+// is always an observed sample. The one implementation behind the
+// simulators' Metrics, router.Percentile and scenario.Percentile.
+func Percentile[T ~float64](sorted []T, p float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}
 	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
