@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-functional bench-gateway bench-offload bench-prefix bench-smoke bench-chunked bench-quant bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
+.PHONY: check vet build test race bench bench-compare bench-functional bench-gateway bench-offload bench-prefix bench-smoke bench-chunked bench-quant bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
 
 # check is the CI gate: vet, build everything, then the full test suite
-# under the race detector (the runner pool and shared caches are
-# concurrent by default, so -race is not optional here).
+# under the race detector (the worker team, the runner pool and the
+# shared caches are concurrent by default, so -race is not optional here).
 check: vet build race
 
 vet:
@@ -21,6 +21,28 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ .
+
+# bench-compare is benchmark/README.md's paired protocol: build
+# ./benchmark at BASE (in a temporary git worktree) and at the working
+# tree, run PAIRS alternating pairs of WORKLOAD — odd pairs BASE first,
+# even pairs the working tree first, one seed per pair — and hand the two
+# report sets to -compare.
+BASE ?= HEAD~1
+PAIRS ?= 10
+WORKLOAD ?= offline_tiers
+bench-compare:
+	@tmp=$$(mktemp -d) && root=$$(pwd) && \
+	trap 'git worktree remove --force "$$tmp/base" 2> /dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --detach "$$tmp/base" $(BASE) > /dev/null && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench-before" ./benchmark) && \
+	$(GO) build -o "$$tmp/bench-after" ./benchmark && \
+	mkdir "$$tmp/before" "$$tmp/after" && \
+	run() { (cd "$$1" && "$$tmp/bench-$$2" -workload $(WORKLOAD) -seed $$3 -report "$$tmp/$$2/$(WORKLOAD)-$$3.json" > /dev/null 2>&1) || { echo "$$2 run of seed $$3 failed"; return 1; }; } && \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then run "$$tmp/base" before $$i && run "$$root" after $$i; \
+		else run "$$root" after $$i && run "$$tmp/base" before $$i; fi || exit 1; \
+	done && \
+	$(GO) run ./benchmark -compare "$$tmp/before" "$$tmp/after"
 
 # bench-functional runs the allocation-sensitive micro-benchmarks the
 # BENCH_functional.json baseline records (decode step, packed vs legacy

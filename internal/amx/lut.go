@@ -2,6 +2,8 @@ package amx
 
 import (
 	"fmt"
+
+	"github.com/lia-sim/lia/internal/team"
 )
 
 // INT4 LUT-GEMV tier (SAIL-style): the decode path's single-row GEMV
@@ -100,40 +102,50 @@ func (w *PrepackedINT4) GEMV4LUTInto(dst, x []float32, m int) (uint64, error) {
 	if len(dst) != m*w.N {
 		return 0, fmt.Errorf("amx: int4 gemv destination size %d does not match %dx%d", len(dst), m, w.N)
 	}
-	lutBuf := getScratchF32(w.K * 16)
-	defer putScratchF32(lutBuf)
-	lut := *lutBuf
-	for i := 0; i < m; i++ {
-		row := x[i*w.K : (i+1)*w.K]
-		// Table build: 16 partial products per activation element.
-		for k, v := range row {
-			xr := RoundFloat32(v)
-			t := lut[k*16 : k*16+16]
-			for c := range t {
-				t[c] = xr * float32(c-8)
-			}
-		}
-		out := dst[i*w.N : (i+1)*w.N]
-		for j := 0; j < w.N; j++ {
-			col := w.codes[j*w.K : (j+1)*w.K]
-			scol := w.scales[j*w.groups : (j+1)*w.groups]
-			var acc float32
-			for g := 0; g < w.groups; g++ {
-				lo := g * w.Group
-				hi := lo + w.Group
-				if hi > w.K {
-					hi = w.K
-				}
-				var gs float32
-				for k := lo; k < hi; k++ {
-					gs += lut[k*16+int(col[k])]
-				}
-				acc += scol[g] * gs
-			}
-			out[j] = acc
+	// Activation rows are independent (each builds its own table), so a
+	// multi-row call with enough work splits by row across the team.
+	if m > 1 && m*w.K*w.N >= team.SplitMACs {
+		workers.Run(m, func(i int) { w.lutRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K]) })
+	} else {
+		for i := 0; i < m; i++ {
+			w.lutRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K])
 		}
 	}
 	return uint64(m) * w.PredictCycles(1), nil
+}
+
+// lutRow computes one activation row's outputs with table scratch of
+// its own, so rows can run on different workers.
+func (w *PrepackedINT4) lutRow(out, row []float32) {
+	lutBuf := getScratchF32(w.K * 16)
+	defer putScratchF32(lutBuf)
+	lut := *lutBuf
+	// Table build: 16 partial products per activation element.
+	for k, v := range row {
+		xr := RoundFloat32(v)
+		t := lut[k*16 : k*16+16]
+		for c := range t {
+			t[c] = xr * float32(c-8)
+		}
+	}
+	for j := 0; j < w.N; j++ {
+		col := w.codes[j*w.K : (j+1)*w.K]
+		scol := w.scales[j*w.groups : (j+1)*w.groups]
+		var acc float32
+		for g := 0; g < w.groups; g++ {
+			lo := g * w.Group
+			hi := lo + w.Group
+			if hi > w.K {
+				hi = w.K
+			}
+			var gs float32
+			for k := lo; k < hi; k++ {
+				gs += lut[k*16+int(col[k])]
+			}
+			acc += scol[g] * gs
+		}
+		out[j] = acc
+	}
 }
 
 // PredictCycles is the LUT kernel's documented cycles model for an m-row

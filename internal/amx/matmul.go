@@ -270,7 +270,7 @@ func MatmulBF16PackedInto(dst, a []float32, m int, w *Prepacked) (uint64, error)
 // matmulBF16Driver routes a product to the decoded fast path when the
 // operand carries its decoded view (every production Prepacked does),
 // falling back to the byte-accurate oracle otherwise. Both paths share
-// the same blocking, worker-pool dispatch, fault checks and cycle
+// the same blocking, team partition, fault checks and cycle
 // accounting, write the full m×N result into c, and produce
 // bit-identical results.
 func matmulBF16Driver(c, a []float32, m int, w *Prepacked) (uint64, error) {
@@ -280,11 +280,11 @@ func matmulBF16Driver(c, a []float32, m int, w *Prepacked) (uint64, error) {
 	return matmulBF16DriverBytes(c, a, m, w)
 }
 
-// matmulBF16DriverBytes packs A into pooled scratch and dispatches row
-// blocks onto the persistent worker pool (single-block products run
-// inline on the caller), moving every operand through the tile file
-// byte-for-byte — the instruction-level oracle the decoded fast path is
-// pinned against.
+// matmulBF16DriverBytes packs A into pooled scratch and runs the output
+// grid — partitioned over the worker team when the product is large
+// enough to split, inline on the caller otherwise — moving every operand
+// through the tile file byte-for-byte: the instruction-level oracle the
+// decoded fast path is pinned against.
 func matmulBF16DriverBytes(c, a []float32, m int, w *Prepacked) (uint64, error) {
 	padM := ceilDiv(m, blockM) * blockM
 	aScratch := getScratch(padM * w.padK * 2)
@@ -296,36 +296,22 @@ func matmulBF16DriverBytes(c, a []float32, m int, w *Prepacked) (uint64, error) 
 	colBlocks := w.padN / blockN
 	kBlocks := w.padK / blockK
 
-	if rowBlocks == 1 {
-		// Decode-shaped fast path, closure-free.
-		caller := callerUnits.Get().(*pooledUnit)
-		defer callerUnits.Put(caller)
-		start := caller.u.Cycles()
-		err := caller.ensure(matmulConfig)
-		if err == nil {
-			err = runRowBlock(caller.u, 0, colBlocks, kBlocks, w.padK, w.padN, packedA, w.vnni, caller.cTile[:blockM*blockN*4], c, m, w.N, w.zero)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return caller.u.Cycles() - start, nil
+	if splits(m, rowBlocks, colBlocks, kBlocks) {
+		return runTiled(matmulConfig, rowBlocks, colBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
+			return runRowBlock(pu.u, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockM*blockN*4], c, m, w.N, w.zero)
+		})
 	}
-
-	cycles, err := runTiled(matmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
-		return runRowBlock(pu.u, rb, colBlocks, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockM*blockN*4], c, m, w.N, w.zero)
+	return runInline(matmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
+		return runRowBlock(pu.u, rb, 0, colBlocks, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockM*blockN*4], c, m, w.N, w.zero)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return cycles, nil
 }
 
 // matmulBF16DriverDecoded is the decoded-tile fast path: A is rounded
 // once per call into pooled float32 scratch (the same values decoding
 // the byte image would yield), the prepacked operand supplies its
-// decoded VNNI view, and row blocks run TDPBF16PSDecoded over flat
-// slices. Blocking, faults and cycle accounting mirror the byte driver
-// exactly.
+// decoded VNNI view, and blocks run TDPBF16PSDecoded over flat slices.
+// Blocking, partition, faults and cycle accounting mirror the byte
+// driver exactly.
 func matmulBF16DriverDecoded(c, a []float32, m int, w *Prepacked) (uint64, error) {
 	padM := ceilDiv(m, blockM) * blockM
 	aScratch := getScratchF32(padM * w.padK)
@@ -337,37 +323,24 @@ func matmulBF16DriverDecoded(c, a []float32, m int, w *Prepacked) (uint64, error
 	colBlocks := w.padN / blockN
 	kBlocks := w.padK / blockK
 
-	if rowBlocks == 1 {
-		// Decode-shaped fast path, closure-free.
-		caller := callerUnits.Get().(*pooledUnit)
-		defer callerUnits.Put(caller)
-		start := caller.u.Cycles()
-		err := caller.ensure(matmulConfig)
-		if err == nil {
-			err = runRowBlockDecoded(caller, 0, colBlocks, kBlocks, w.padK, w.padN, decA, w.dec, c, m, w.N, w.zero)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return caller.u.Cycles() - start, nil
+	if splits(m, rowBlocks, colBlocks, kBlocks) {
+		return runTiled(matmulConfig, rowBlocks, colBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
+			return runRowBlockDecoded(pu, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, decA, w.dec, c, m, w.N, w.zero)
+		})
 	}
-
-	cycles, err := runTiled(matmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
-		return runRowBlockDecoded(pu, rb, colBlocks, kBlocks, w.padK, w.padN, decA, w.dec, c, m, w.N, w.zero)
+	return runInline(matmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
+		return runRowBlockDecoded(pu, rb, 0, colBlocks, kBlocks, w.padK, w.padN, decA, w.dec, c, m, w.N, w.zero)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return cycles, nil
 }
 
-// runRowBlock computes one 16-row stripe of the output. A non-nil zero
-// bitmap (sparse operand) elides a marked block's TileLoads and TDP —
-// the same skips the decoded path takes, so the two stay bit-identical.
-func runRowBlock(u *Unit, rb, colBlocks, kBlocks, padK, padN int, packedA, packedB, cTile []byte, c []float32, m, n int, zero *zeroBitmap) error {
+// runRowBlock computes column blocks [cbLo, cbHi) of one 16-row stripe
+// of the output. A non-nil zero bitmap (sparse operand) elides a marked
+// block's TileLoads and TDP — the same skips the decoded path takes, so
+// the two stay bit-identical.
+func runRowBlock(u *Unit, rb, cbLo, cbHi, kBlocks, padK, padN int, packedA, packedB, cTile []byte, c []float32, m, n int, zero *zeroBitmap) error {
 	aStride := padK * 2 // bytes per packed A row
 	bStride := padN * 4 // bytes per packed VNNI B row (pairs)
-	for cb := 0; cb < colBlocks; cb++ {
+	for cb := cbLo; cb < cbHi; cb++ {
 		if err := u.TileZero(tmmC); err != nil {
 			return err
 		}
@@ -411,14 +384,15 @@ func runRowBlock(u *Unit, rb, colBlocks, kBlocks, padK, padN int, packedA, packe
 	return nil
 }
 
-// runRowBlockDecoded computes one 16-row stripe of the output through
-// the decoded entry points: the same TileZero/TileLoad/TDP/TileStore
+// runRowBlockDecoded computes column blocks [cbLo, cbHi) of one 16-row
+// stripe of the output through the decoded entry points: the same
+// TileZero/TileLoad/TDP/TileStore
 // sequence as runRowBlock — with identical faults and cycle accounting
 // via the *Check variants — but the MAC loop reads flat pre-decoded
 // slices and the accumulator stays float32 end to end (a byte image of
 // the accumulator would round-trip losslessly anyway, so results are
 // bit-identical).
-func runRowBlockDecoded(pu *pooledUnit, rb, colBlocks, kBlocks, padK, padN int, decA, decB []float32, c []float32, m, n int, zero *zeroBitmap) error {
+func runRowBlockDecoded(pu *pooledUnit, rb, cbLo, cbHi, kBlocks, padK, padN int, decA, decB []float32, c []float32, m, n int, zero *zeroBitmap) error {
 	u := pu.u
 	cDec := pu.cDecF[:blockM*blockN]
 	// Rows of this stripe that carry real data; the rest of the tile is
@@ -433,7 +407,7 @@ func runRowBlockDecoded(pu *pooledUnit, rb, colBlocks, kBlocks, padK, padN int, 
 	bStrideB := padN * 4 // byte stride of the VNNI image the byte path would load
 	aBytes := 2 * len(decA)
 	bBytes := 2 * len(decB)
-	for cb := 0; cb < colBlocks; cb++ {
+	for cb := cbLo; cb < cbHi; cb++ {
 		if err := u.TileZeroCheck(tmmC); err != nil {
 			return err
 		}

@@ -195,12 +195,12 @@ func MatmulINT8Packed(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 	return matmulINT8Driver(a, m, w)
 }
 
-// matmulINT8Driver packs A into pooled scratch and dispatches row blocks
-// onto the persistent worker pool (single-block products run inline on
-// the caller), routing to the decoded fast path when the operand carries
-// its decoded view (every production PrepackedINT8 does). The unsigned A
-// image needs no decoding — its padded bytes are the lane values — so
-// both paths share it.
+// matmulINT8Driver packs A into pooled scratch and runs the output grid
+// — partitioned over the worker team when the product is large enough
+// to split, inline on the caller otherwise — routing to the decoded fast
+// path when the operand carries its decoded view (every production
+// PrepackedINT8 does). The unsigned A image needs no decoding — its
+// padded bytes are the lane values — so both paths share it.
 func matmulINT8Driver(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
 	padM := ceilDiv(m, blockMi8) * blockMi8
 	aScratch := getScratch(padM * w.padK)
@@ -213,44 +213,42 @@ func matmulINT8Driver(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 	colBlocks := w.padN / blockNi8
 	kBlocks := w.padK / blockKi8
 
-	if rowBlocks == 1 {
-		// Decode-shaped fast path, closure-free.
-		caller := callerUnits.Get().(*pooledUnit)
-		defer callerUnits.Put(caller)
-		start := caller.u.Cycles()
-		err := caller.ensure(int8MatmulConfig)
-		if err == nil {
-			if w.dec != nil {
-				err = runInt8RowBlockDecoded(caller, 0, colBlocks, kBlocks, w.padK, w.padN, packedA, w.dec, c, m, w.N, w.zero)
-			} else {
-				err = runInt8RowBlock(caller.u, 0, colBlocks, kBlocks, w.padK, w.padN, packedA, w.vnni, caller.cTile[:blockMi8*blockNi8*4], c, m, w.N, w.zero)
-			}
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return c, caller.u.Cycles() - start, nil
+	var (
+		cycles uint64
+		err    error
+	)
+	if splits(m, rowBlocks, colBlocks, kBlocks) {
+		cycles, err = runTiled(int8MatmulConfig, rowBlocks, colBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
+			return runInt8Blocks(pu, rb, cbLo, cbHi, kBlocks, packedA, c, m, w)
+		})
+	} else {
+		cycles, err = runInline(int8MatmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
+			return runInt8Blocks(pu, rb, 0, colBlocks, kBlocks, packedA, c, m, w)
+		})
 	}
-
-	cycles, err := runTiled(int8MatmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
-		if w.dec != nil {
-			return runInt8RowBlockDecoded(pu, rb, colBlocks, kBlocks, w.padK, w.padN, packedA, w.dec, c, m, w.N, w.zero)
-		}
-		return runInt8RowBlock(pu.u, rb, colBlocks, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockMi8*blockNi8*4], c, m, w.N, w.zero)
-	})
 	if err != nil {
 		return nil, 0, err
 	}
 	return c, cycles, nil
 }
 
-// runInt8RowBlock computes one 16-row stripe of the INT8 output. A
-// non-nil zero bitmap elides a marked block's TileLoads and TDP; the
-// integer skip is exact (a zero block adds +0 to every lane).
-func runInt8RowBlock(u *Unit, rb, colBlocks, kBlocks, padK, padN int, packedA, packedB, cTile []byte, c []int32, m, n int, zero *zeroBitmap) error {
+// runInt8Blocks routes one chunk to the decoded or the byte row-block
+// kernel, whichever view the operand carries.
+func runInt8Blocks(pu *pooledUnit, rb, cbLo, cbHi, kBlocks int, packedA []byte, c []int32, m int, w *PrepackedINT8) error {
+	if w.dec != nil {
+		return runInt8RowBlockDecoded(pu, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, packedA, w.dec, c, m, w.N, w.zero)
+	}
+	return runInt8RowBlock(pu.u, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockMi8*blockNi8*4], c, m, w.N, w.zero)
+}
+
+// runInt8RowBlock computes column blocks [cbLo, cbHi) of one 16-row
+// stripe of the INT8 output. A non-nil zero bitmap elides a marked
+// block's TileLoads and TDP; the integer skip is exact (a zero block
+// adds +0 to every lane).
+func runInt8RowBlock(u *Unit, rb, cbLo, cbHi, kBlocks, padK, padN int, packedA, packedB, cTile []byte, c []int32, m, n int, zero *zeroBitmap) error {
 	aStride := padK     // bytes per packed A row (u8)
 	bStride := padN * 4 // bytes per packed VNNI B row (quads)
-	for cb := 0; cb < colBlocks; cb++ {
+	for cb := cbLo; cb < cbHi; cb++ {
 		if err := u.TileZero(tmmC); err != nil {
 			return err
 		}
@@ -292,12 +290,13 @@ func runInt8RowBlock(u *Unit, rb, colBlocks, kBlocks, padK, padN int, packedA, p
 	return nil
 }
 
-// runInt8RowBlockDecoded computes one 16-row stripe of the INT8 output
-// through the decoded entry points — the TDPBUSD mirror of
+// runInt8RowBlockDecoded computes column blocks [cbLo, cbHi) of one
+// 16-row stripe of the INT8 output through the decoded entry points —
+// the TDPBUSD mirror of
 // runRowBlockDecoded: identical faults and cycle accounting via the
 // *Check variants, flat-slice MAC loop, int32 accumulator kept decoded
 // (its byte image round-trips losslessly, so results are bit-identical).
-func runInt8RowBlockDecoded(pu *pooledUnit, rb, colBlocks, kBlocks, padK, padN int, packedA []byte, decB []int8, c []int32, m, n int, zero *zeroBitmap) error {
+func runInt8RowBlockDecoded(pu *pooledUnit, rb, cbLo, cbHi, kBlocks, padK, padN int, packedA []byte, decB []int8, c []int32, m, n int, zero *zeroBitmap) error {
 	u := pu.u
 	cDec := pu.cDecI[:blockMi8*blockNi8]
 	// Rows of this stripe carrying real data; the padding rows' MAC work
@@ -309,7 +308,7 @@ func runInt8RowBlockDecoded(pu *pooledUnit, rb, colBlocks, kBlocks, padK, padN i
 	aStride := padK      // bytes per packed A row (u8)
 	bStrideB := padN * 4 // byte stride of the VNNI image the byte path would load
 	bBytes := len(decB)
-	for cb := 0; cb < colBlocks; cb++ {
+	for cb := cbLo; cb < cbHi; cb++ {
 		if err := u.TileZeroCheck(tmmC); err != nil {
 			return err
 		}

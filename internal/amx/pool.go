@@ -1,23 +1,48 @@
 package amx
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"github.com/lia-sim/lia/internal/team"
 )
 
 // This file is the execution layer shared by the blocked matmul drivers:
-// a persistent pool of tile workers (each owning an emulated Unit, i.e. a
-// core's tile file) that row-block jobs are dispatched onto, plus pooled
-// operand scratch. Spawning goroutines and allocating pack buffers per
-// matmul call is exactly the per-iteration overhead a real AMX kernel
-// amortizes away, so the steady state here does neither.
+// the partition of a product's output grid into chunks for the process's
+// worker team (internal/team), the emulated tile units those chunks run
+// on, and pooled operand scratch. Spawning goroutines and allocating
+// pack buffers per matmul call is exactly the per-iteration overhead a
+// real AMX kernel amortizes away, so the steady state here does neither.
 
-// pooledUnit is one worker's persistent emulator state: a Unit, the
+// workers is the team the drivers partition onto. Production code never
+// reassigns it; tests pin other sizes.
+var workers = team.Default()
+
+const (
+	// splitTileRows is team.SplitMACs in this package's unit: one row of
+	// one BF16 tile block is blockN×blockK MACs, so a product splits only
+	// when colBlocks × kBlocks × rows reaches 256 tile-rows. Decode-shaped
+	// products of a tiny model (≈10 µs) stay inline; a fused round's
+	// M ≤ 16 products on a real model use every core.
+	splitTileRows = team.SplitMACs / (blockN * blockK)
+	// chunkColBlocks is how many column blocks of one row block a worker
+	// claims at a time: coarse enough that claiming is noise, fine enough
+	// that a late helper still finds work.
+	chunkColBlocks = 4
+)
+
+// splits reports whether a rowBlocks × colBlocks grid over m activation
+// rows is worth partitioning: enough work, and more than one chunk.
+func splits(m, rowBlocks, colBlocks, kBlocks int) bool {
+	return colBlocks*kBlocks*m >= splitTileRows &&
+		rowBlocks*ceilDiv(colBlocks, chunkColBlocks) > 1 && workers.Size() > 1
+}
+
+// pooledUnit is one emulated core's persistent state: a Unit, the
 // last-installed tile palette (so reconfiguration only happens when the
-// pipeline switches between BF16 and INT8 geometry), a C-tile staging
-// buffer for the byte path, and the decoded fast path's flat C
-// accumulators (float32 for TDPBF16PSDecoded, int32 for TDPBUSDDecoded).
+// geometry changes), a C-tile staging buffer for the byte path, and the
+// decoded fast path's flat C accumulators (float32 for
+// TDPBF16PSDecoded, int32 for TDPBUSDDecoded).
 type pooledUnit struct {
 	u     *Unit
 	cfg   TileConfig
@@ -38,108 +63,107 @@ func (w *pooledUnit) ensure(cfg TileConfig) error {
 	return nil
 }
 
-// tileTask is one matmul's row-block work queue. Workers — and the
-// submitting goroutine, which always participates — claim block indices
-// from next until total is exhausted. Per-block results land in disjoint
-// output rows, so claim order cannot affect the product; cycle counts are
-// summed and therefore partition-independent too.
-type tileTask struct {
-	cfg   TileConfig
-	run   func(w *pooledUnit, rb int) error
-	next  atomic.Int64
-	total int
+// units is the free list of tile units: whoever holds a chunk of a
+// product — the caller or a team helper — takes one for the chunk and
+// returns it. The list never shrinks (it is bounded by the most
+// goroutines ever inside a kernel at once), so a unit pays its palette
+// configure once in the process's life and steady-state cycle counts do
+// not depend on when the garbage collector last ran.
+var units struct {
+	mu   sync.Mutex
+	free []*pooledUnit
+}
 
-	wg     sync.WaitGroup
+func getUnit() *pooledUnit {
+	units.mu.Lock()
+	if n := len(units.free); n > 0 {
+		pu := units.free[n-1]
+		units.free = units.free[:n-1]
+		units.mu.Unlock()
+		return pu
+	}
+	units.mu.Unlock()
+	return &pooledUnit{u: NewUnit()}
+}
+
+func putUnit(pu *pooledUnit) {
+	units.mu.Lock()
+	units.free = append(units.free, pu)
+	units.mu.Unlock()
+}
+
+// tiledCall is one partitioned product: the team hands out chunk
+// indices, each chunk runs run over its column blocks on a unit of its
+// own. Chunks write disjoint output columns, so who computes which
+// cannot affect the product; cycle counts are summed and therefore
+// partition-independent too.
+type tiledCall struct {
+	cfg          TileConfig
+	run          func(pu *pooledUnit, rb, cbLo, cbHi int) error
+	colBlocks    int
+	chunksPerRow int
+
+	cycles atomic.Uint64
+	failed atomic.Bool
 	mu     sync.Mutex
+	errAt  int // chunk index of err
 	err    error
-	cycles uint64
 }
 
-// work claims and runs row blocks until the task is drained or fails.
-func (t *tileTask) work(w *pooledUnit) {
-	defer t.wg.Done()
-	start := w.u.Cycles()
-	err := w.ensure(t.cfg)
-	for err == nil {
-		rb := int(t.next.Add(1)) - 1
-		if rb >= t.total {
-			break
+// chunk runs one claimed chunk. A unit is taken — and its palette
+// touched — only here, after the claim: a helper that wakes to a drained
+// product does nothing and bills nothing.
+func (t *tiledCall) chunk(i int) {
+	if t.failed.Load() {
+		return
+	}
+	pu := getUnit()
+	start := pu.u.Cycles()
+	err := pu.ensure(t.cfg)
+	if err == nil {
+		cbLo := i % t.chunksPerRow * chunkColBlocks
+		err = t.run(pu, i/t.chunksPerRow, cbLo, min(cbLo+chunkColBlocks, t.colBlocks))
+	}
+	t.cycles.Add(pu.u.Cycles() - start)
+	putUnit(pu)
+	if err != nil {
+		t.mu.Lock()
+		if t.err == nil || i < t.errAt {
+			t.errAt, t.err = i, err
 		}
-		err = t.run(w, rb)
-	}
-	delta := w.u.Cycles() - start
-	t.mu.Lock()
-	if err != nil && t.err == nil {
-		t.err = err
-	}
-	t.cycles += delta
-	t.mu.Unlock()
-}
-
-var (
-	poolOnce    sync.Once
-	poolJobs    chan *tileTask
-	poolWorkers int
-)
-
-// startPool launches the persistent workers. GOMAXPROCS-1 of them suffice
-// because the submitting goroutine always works its own task.
-func startPool() {
-	poolWorkers = runtime.GOMAXPROCS(0) - 1
-	if poolWorkers < 0 {
-		poolWorkers = 0
-	}
-	poolJobs = make(chan *tileTask, poolWorkers)
-	for i := 0; i < poolWorkers; i++ {
-		go func() {
-			w := &pooledUnit{u: NewUnit()}
-			for t := range poolJobs {
-				t.work(w)
-			}
-		}()
+		t.mu.Unlock()
+		t.failed.Store(true)
 	}
 }
 
-// callerUnits recycles tile state for submitting goroutines (and for the
-// single-block fast path, which never touches the pool).
-var callerUnits = sync.Pool{New: func() any { return &pooledUnit{u: NewUnit()} }}
+// runTiled executes the rowBlocks × colBlocks grid under cfg on the
+// team, returning the emulated cycles consumed and the failure of the
+// lowest-numbered chunk that failed. Products that do not split (see
+// splits) go through runInline instead.
+func runTiled(cfg TileConfig, rowBlocks, colBlocks int, run func(pu *pooledUnit, rb, cbLo, cbHi int) error) (uint64, error) {
+	t := &tiledCall{cfg: cfg, run: run, colBlocks: colBlocks, chunksPerRow: ceilDiv(colBlocks, chunkColBlocks)}
+	workers.Run(rowBlocks*t.chunksPerRow, t.chunk)
+	if t.err != nil {
+		return 0, t.err
+	}
+	return t.cycles.Load(), nil
+}
 
-// runTiled executes row blocks [0, total) under cfg across the persistent
-// pool plus the calling goroutine, returning the emulated cycles consumed.
-func runTiled(cfg TileConfig, total int, run func(w *pooledUnit, rb int) error) (uint64, error) {
-	caller := callerUnits.Get().(*pooledUnit)
-	defer callerUnits.Put(caller)
-	if total <= 1 {
-		// Decode-shaped fast path: one row block, no task, no handoff.
-		start := caller.u.Cycles()
-		err := caller.ensure(cfg)
-		if err == nil && total == 1 {
-			err = run(caller, 0)
-		}
-		return caller.u.Cycles() - start, err
+// runInline is the decode-shaped fast path: every row block on the
+// caller, on one unit, with no loop state. run does not escape, so the
+// drivers' closures stay on their stacks and the path allocates nothing.
+func runInline(cfg TileConfig, rowBlocks int, run func(pu *pooledUnit, rb int) error) (uint64, error) {
+	pu := getUnit()
+	defer putUnit(pu)
+	start := pu.u.Cycles()
+	err := pu.ensure(cfg)
+	for rb := 0; err == nil && rb < rowBlocks; rb++ {
+		err = run(pu, rb)
 	}
-	poolOnce.Do(startPool)
-	t := &tileTask{cfg: cfg, run: run, total: total}
-	t.wg.Add(1) // the caller's own share
-	helpers := poolWorkers
-	if helpers > total-1 {
-		helpers = total - 1
+	if err != nil {
+		return 0, err
 	}
-enqueue:
-	for i := 0; i < helpers; i++ {
-		t.wg.Add(1)
-		select {
-		case poolJobs <- t:
-		default:
-			// Pool saturated by concurrent matmuls; the enqueued workers
-			// and the caller absorb the remaining blocks.
-			t.wg.Done()
-			break enqueue
-		}
-	}
-	t.work(caller)
-	t.wg.Wait()
-	return t.cycles, t.err
+	return pu.u.Cycles() - start, nil
 }
 
 // packScratch recycles operand pack buffers across matmul calls.

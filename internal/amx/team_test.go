@@ -1,0 +1,314 @@
+package amx
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/lia-sim/lia/internal/team"
+)
+
+// This file pins the drivers' partition over the worker team: results
+// and cycle totals are the same whoever computes which chunk (team sizes
+// 1, 2 and 4), steady-state cycles equal PredictCycles, and a worker that
+// claims nothing touches no tile unit.
+
+// useTeam runs the rest of the test on a team of the given size.
+func useTeam(t *testing.T, size int) {
+	t.Helper()
+	old := workers
+	workers = team.New(size)
+	t.Cleanup(func() {
+		workers.Close()
+		workers = old
+	})
+}
+
+// seedUnits replaces the free list with n units whose palette is cfg
+// already (installed before the test's calls, so not billed to them) and
+// restores the old list afterwards. With the palette in steady state a
+// call's cycles are exactly its tile work.
+func seedUnits(t *testing.T, n int, cfg TileConfig) {
+	t.Helper()
+	units.mu.Lock()
+	old := units.free
+	units.free = nil
+	units.mu.Unlock()
+	for i := 0; i < n; i++ {
+		pu := &pooledUnit{u: NewUnit()}
+		if err := pu.ensure(cfg); err != nil {
+			t.Fatal(err)
+		}
+		putUnit(pu)
+	}
+	t.Cleanup(func() {
+		units.mu.Lock()
+		units.free = old
+		units.mu.Unlock()
+	})
+}
+
+func randF32(rng *rand.Rand, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = float32(rng.NormFloat64())
+	}
+	return out
+}
+
+func sameBitsF32(t *testing.T, got, want []float32, label string) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d = %g, want %g", label, i, got[i], want[i])
+		}
+	}
+}
+
+var (
+	partitionMs = []int{1, 3, 8, 16, 17, 64}
+	// (K, N): one that never splits, the bench model's QKV shape, and one
+	// that is a multiple of neither 16, 32 nor 64 yet splits even at m=1.
+	partitionKNs = [][2]int{{70, 50}, {128, 384}, {500, 390}}
+)
+
+// TestPartitionInvarianceBF16: dense and 50%-block-sparse operands give
+// bit-identical results and identical cycles at every team size, and the
+// cycles are PredictCycles(m).
+func TestPartitionInvarianceBF16(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, kn := range partitionKNs {
+		k, n := kn[0], kn[1]
+		dense, err := PrepackBF16(randF32(rng, k*n), k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := PrepackBF16Sparse(blockSparseBF16(rng, k, n, func(kb, cb int) bool { return (kb+cb)%2 == 0 }), k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range partitionMs {
+			a := randF32(rng, m*k)
+			for name, w := range map[string]*Prepacked{"dense": dense, "sparse": sparse} {
+				var want []float32
+				for _, size := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("%s/m%d/k%dn%d/team%d", name, m, k, n, size), func(t *testing.T) {
+						useTeam(t, size)
+						seedUnits(t, size, matmulConfig)
+						got := make([]float32, m*n)
+						for rep := 0; rep < 3; rep++ {
+							cycles, err := MatmulBF16PackedInto(got, a, m, w)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if cycles != w.PredictCycles(m) {
+								t.Fatalf("m=%d k=%d n=%d size %d: %d cycles, model %d", m, k, n, size, cycles, w.PredictCycles(m))
+							}
+							if want == nil {
+								want = append(want, got...)
+							}
+							sameBitsF32(t, got, want, "vs team size 1")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionInvarianceINT8 is the TDPBUSD twin.
+func TestPartitionInvarianceINT8(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, kn := range partitionKNs {
+		k, n := kn[0], kn[1]
+		b := make([]int8, k*n)
+		bs := make([]int8, k*n)
+		for i := range b {
+			b[i] = int8(rng.Intn(255) - 127)
+			if ((i/n)/blockKi8+(i%n)/blockNi8)%2 == 1 {
+				bs[i] = b[i]
+			}
+		}
+		dense, err := PrepackINT8(b, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := PrepackINT8Sparse(bs, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nz, total := sparse.BlockStats(); nz == total {
+			t.Fatalf("k=%d n=%d: sparse operand has no zero block", k, n)
+		}
+		for _, m := range partitionMs {
+			a := make([]uint8, m*k)
+			for i := range a {
+				a[i] = uint8(rng.Intn(256))
+			}
+			for name, w := range map[string]*PrepackedINT8{"dense": dense, "sparse": sparse} {
+				var want []int32
+				for _, size := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("%s/m%d/k%dn%d/team%d", name, m, k, n, size), func(t *testing.T) {
+						useTeam(t, size)
+						seedUnits(t, size, int8MatmulConfig)
+						for rep := 0; rep < 3; rep++ {
+							got, cycles, err := MatmulINT8Packed(a, m, w)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if cycles != w.PredictCycles(m) {
+								t.Fatalf("m=%d k=%d n=%d size %d: %d cycles, model %d", m, k, n, size, cycles, w.PredictCycles(m))
+							}
+							if want == nil {
+								want = got
+							}
+							for i := range want {
+								if got[i] != want[i] {
+									t.Fatalf("m=%d k=%d n=%d size %d: element %d = %d, want %d", m, k, n, size, i, got[i], want[i])
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionInvarianceLUT: the INT4 LUT kernel splits activation rows
+// (m ≥ 2, enough work); results and modeled cycles do not depend on it.
+func TestPartitionInvarianceLUT(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, kn := range partitionKNs {
+		k, n := kn[0], kn[1]
+		const group = 32
+		groups := ceilDiv(k, group)
+		codes := make([]uint8, k*n)
+		for i := range codes {
+			codes[i] = uint8(rng.Intn(16))
+		}
+		scales := make([]float32, groups*n)
+		for i := range scales {
+			scales[i] = float32(rng.Float64()*0.1 + 0.01)
+		}
+		w, err := PrepackINT4LUT(codes, k, n, group, scales)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range partitionMs {
+			x := randF32(rng, m*k)
+			var want []float32
+			for _, size := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("m%d/k%dn%d/team%d", m, k, n, size), func(t *testing.T) {
+					useTeam(t, size)
+					got := make([]float32, m*n)
+					cycles, err := w.GEMV4LUTInto(got, x, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cycles != w.PredictCycles(m) {
+						t.Fatalf("%d cycles, model %d", cycles, w.PredictCycles(m))
+					}
+					if want == nil {
+						want = got
+					}
+					sameBitsF32(t, got, want, "vs team size 1")
+				})
+			}
+		}
+	}
+}
+
+// TestMixedPaletteSteadyState interleaves BF16 and INT8 products that
+// split into fewer chunks than the team has workers. Both pipelines
+// install the same tile geometry, so once every unit has it no call —
+// whichever workers it lands on — pays a configure: each call's cycles
+// are exactly PredictCycles(m).
+func TestMixedPaletteSteadyState(t *testing.T) {
+	if matmulConfig != int8MatmulConfig {
+		t.Skip("BF16 and INT8 palettes differ; interleaving them reconfigures by design")
+	}
+	useTeam(t, 4)
+	seedUnits(t, 4, matmulConfig)
+	rng := rand.New(rand.NewSource(43))
+	const m, k, n = 8, 512, 128 // 8 column blocks → 2 chunks for 4 workers
+	wf, err := PrepackBF16(randF32(rng, k*n), k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b8 := make([]int8, k*n)
+	for i := range b8 {
+		b8[i] = int8(rng.Intn(255) - 127)
+	}
+	w8, err := PrepackINT8(b8, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	af := randF32(rng, m*k)
+	a8 := make([]uint8, m*k)
+	dst := make([]float32, m*n)
+	for call := 0; call < 200; call++ {
+		cf, err := MatmulBF16PackedInto(dst, af, m, wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, c8, err := MatmulINT8Packed(a8, m, w8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cf != wf.PredictCycles(m) || c8 != w8.PredictCycles(m) {
+			t.Fatalf("call %d: bf16 %d (model %d), int8 %d (model %d)", call, cf, wf.PredictCycles(m), c8, w8.PredictCycles(m))
+		}
+	}
+}
+
+// TestIdleWorkerLeavesPaletteAlone is the regression test for the pool's
+// configure-before-claim: tileTask.work called w.ensure(t.cfg) first, so
+// a worker that woke to an already-drained product still switched its
+// palette and billed the configure to a call it did no work for. Here a
+// product of two chunks runs on a team of four whose units all hold the
+// other geometry: at most two units — those that held a chunk — may
+// switch, and the call is billed exactly their configures.
+func TestIdleWorkerLeavesPaletteAlone(t *testing.T) {
+	cfgA := matmulConfig
+	cfgB := matmulConfig
+	cfgB.Tiles[tmmB].Rows = blockK / 4 // a genuinely different geometry
+	useTeam(t, 4)
+	const chunks = 2
+	count := func(cfg TileConfig) (n int) {
+		units.mu.Lock()
+		defer units.mu.Unlock()
+		for _, pu := range units.free {
+			if pu.cfg == cfg {
+				n++
+			}
+		}
+		return n
+	}
+	for round := 0; round < 100; round++ {
+		cfg, other := cfgA, cfgB
+		if round%2 == 1 {
+			cfg, other = cfgB, cfgA
+		}
+		seedUnits(t, 4, other)
+		cycles, err := runTiled(cfg, 1, chunks*chunkColBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
+			for cb := cbLo; cb < cbHi; cb++ {
+				if err := pu.u.TileZeroCheck(tmmC); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switched := count(cfg)
+		if switched < 1 || switched > chunks {
+			t.Fatalf("round %d: %d units switched palette for a %d-chunk product", round, switched, chunks)
+		}
+		if want := uint64(chunks*chunkColBlocks*cyclesTileZero + switched*cyclesConfig); cycles != want {
+			t.Fatalf("round %d: %d cycles, want %d (%d configures)", round, cycles, want, switched)
+		}
+	}
+}

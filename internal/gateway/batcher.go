@@ -7,7 +7,7 @@ import (
 
 	"github.com/lia-sim/lia/internal/batchpolicy"
 	"github.com/lia-sim/lia/internal/llm"
-	"github.com/lia-sim/lia/internal/runner"
+	"github.com/lia-sim/lia/internal/team"
 )
 
 // entry is one live request's batcher-side state. Ref is the scheduler
@@ -115,9 +115,10 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 		Consumed: func(n int) { backlog = backlog[n:] },
 		Prefill: func(admitted []batchpolicy.Seq) error {
 			// Record queue waits at the admission decision, then prefill
-			// every admitted prompt in parallel on the deterministic
-			// runner pool. Per-request failures (which validation should
-			// have made impossible) fail that request alone.
+			// every admitted prompt in parallel on the worker team (whose
+			// nested kernels then run inline). Per-request failures (which
+			// validation should have made impossible) fail that request
+			// alone.
 			for _, a := range admitted {
 				e := byRef[a.Item.Ref]
 				if !e.admitted {
@@ -144,9 +145,11 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 				prompt := byRef[a.Item.Ref].p.prompt
 				jobs[i] = prefillJob{prompt: prompt, n: a.Item.OutputLen, seed: g.seedFor(a.ID, prompt)}
 			}
-			results, mapErr := runner.Map(stepCtx, jobs, func(_ context.Context, j prefillJob) (prefillRes, error) {
-				s, err := g.exec.NewSequenceFrom(j.prompt, j.n, j.seed)
-				return prefillRes{s: s, err: err}, nil
+			results := make([]prefillRes, len(jobs))
+			mapErr := team.RunErr(stepCtx, len(jobs), func(i int) error {
+				j := jobs[i]
+				results[i].s, results[i].err = g.exec.NewSequenceFrom(j.prompt, j.n, j.seed)
+				return nil
 			})
 			if mapErr != nil { // kill aborted the prefill wave mid-flight: a shutdown, so a router fails these over
 				for _, a := range admitted {
@@ -184,8 +187,8 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 			// First sight of a sequence is its admission: record the queue
 			// wait and build the chunked engine sequence (resuming from a
 			// cached prefix when the tree has one). Then every listed
-			// sequence computes one prompt chunk, in parallel on the runner
-			// pool. The scheduler walks the full prompt even when a prefix
+			// sequence computes one prompt chunk, in parallel on the worker
+			// team. The scheduler walks the full prompt even when a prefix
 			// seed let the engine skip ahead, so the engine-side advance
 			// no-ops once its (shorter) remainder is done.
 			for _, a := range prefilling {
@@ -218,9 +221,10 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 					live = append(live, a)
 				}
 			}
-			results, mapErr := runner.Map(stepCtx, live, func(_ context.Context, a batchpolicy.Seq) (chunkRes, error) {
-				done, err := seqs[a.ID].AdvancePrefill()
-				return chunkRes{done: done, err: err}, nil
+			results := make([]chunkRes, len(live))
+			mapErr := team.RunErr(stepCtx, len(live), func(i int) error {
+				results[i].done, results[i].err = seqs[live[i].ID].AdvancePrefill()
+				return nil
 			})
 			if mapErr != nil { // kill aborted the chunk wave mid-flight: a shutdown too
 				for _, a := range live {
@@ -338,20 +342,22 @@ func (g *Gateway) run(sched *batchpolicy.Scheduler) {
 				stats   llm.SpecStats
 			}
 			start := time.Now()
-			results, mapErr := runner.Map(stepCtx, running, func(_ context.Context, r batchpolicy.Seq) (specRes, error) {
-				s := seqs[r.ID]
+			results := make([]specRes, len(running))
+			mapErr := team.RunErr(stepCtx, len(running), func(i int) error {
+				s := seqs[running[i].ID]
 				prev := s.SpecStats()
-				emitted, err := s.SpecStep(ahead[r.ID])
+				emitted, err := s.SpecStep(ahead[running[i].ID])
 				if err != nil {
-					return specRes{}, err
+					return err
 				}
 				cur := s.SpecStats()
-				return specRes{emitted: emitted, stats: llm.SpecStats{
+				results[i] = specRes{emitted: emitted, stats: llm.SpecStats{
 					Rounds:   cur.Rounds - prev.Rounds,
 					Drafted:  cur.Drafted - prev.Drafted,
 					Accepted: cur.Accepted - prev.Accepted,
 					Emitted:  cur.Emitted - prev.Emitted,
-				}}, nil
+				}}
+				return nil
 			})
 			if mapErr != nil {
 				return nil, mapErr

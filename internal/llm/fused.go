@@ -7,7 +7,7 @@
 // weight image — the per-pass amortization LIA's §5 kernels live on.
 // Attention cannot stack (each sequence has its own KV cache, length
 // and positions), so it stays per-sequence and runs in parallel on the
-// runner pool using each sequence's own executor fork and scratch.
+// worker team using each sequence's own executor fork and scratch.
 package llm
 
 import (
@@ -16,7 +16,7 @@ import (
 	"math"
 
 	"github.com/lia-sim/lia/internal/model"
-	"github.com/lia-sim/lia/internal/runner"
+	"github.com/lia-sim/lia/internal/team"
 	"github.com/lia-sim/lia/internal/tensor"
 )
 
@@ -100,15 +100,11 @@ func (e *Executor) fusedLayer(ctx context.Context, li int, x tensor.Matrix, acti
 	qkv := tensor.AddBias(e.linear(li, model.QKVMapping, normed), w.BQKV)
 
 	ctxAll := tensor.New(x.Rows, cfg.DModel)
-	rows := make([]int, len(active))
-	for i := range rows {
-		rows[i] = i
-	}
-	if _, err := runner.Map(ctx, rows, func(_ context.Context, r int) (struct{}, error) {
+	team.Run(len(active), func(r int) {
 		s := active[r]
 		s.e.decodeAttnRow(li, qkv.Row(r), s.cache, ctxAll.Row(r))
-		return struct{}{}, nil
-	}); err != nil {
+	})
+	if err := ctx.Err(); err != nil { // the round was abandoned; its caller discards the batch
 		return tensor.Matrix{}, fmt.Errorf("llm: %w", err)
 	}
 
@@ -209,10 +205,11 @@ func (e *Executor) GenerateBatchFused(prompts [][]int, n int) ([][]int, error) {
 		return e.GenerateBatch(prompts, n)
 	}
 	ctx := context.Background()
-	seqs, err := runner.Map(ctx, prompts, func(_ context.Context, prompt []int) (*Sequence, error) {
-		return e.NewSequence(prompt, n)
-	})
-	if err != nil {
+	seqs := make([]*Sequence, len(prompts))
+	if err := team.RunErr(ctx, len(prompts), func(i int) (err error) {
+		seqs[i], err = e.NewSequence(prompts[i], n)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("llm: %w", err)
 	}
 	for {

@@ -28,7 +28,7 @@ import (
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/quant"
-	"github.com/lia-sim/lia/internal/runner"
+	"github.com/lia-sim/lia/internal/team"
 	"github.com/lia-sim/lia/internal/tensor"
 )
 
@@ -754,25 +754,18 @@ func (e *Executor) GenerateBatch(prompts [][]int, n int) ([][]int, error) {
 	if e.int8 == nil && e.Mem == nil && len(prompts) > 1 {
 		return e.GenerateBatchFused(prompts, n)
 	}
-	type seqResult struct {
-		tokens []int
-		stats  Stats
-	}
-	results, err := runner.Map(context.Background(), prompts, func(_ context.Context, prompt []int) (seqResult, error) {
+	out := make([][]int, len(prompts))
+	stats := make([]Stats, len(prompts))
+	if err := team.RunErr(context.Background(), len(prompts), func(i int) (err error) {
 		sub := e.fork()
-		tokens, err := sub.Generate(prompt, n)
-		if err != nil {
-			return seqResult{}, err
-		}
-		return seqResult{tokens: tokens, stats: sub.Stats}, nil
-	})
-	if err != nil {
+		out[i], err = sub.Generate(prompts[i], n)
+		stats[i] = sub.Stats
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("llm: %w", err)
 	}
-	out := make([][]int, len(prompts))
-	for i, r := range results {
-		out[i] = r.tokens
-		e.Stats.add(r.stats)
+	for _, st := range stats {
+		e.Stats.add(st)
 	}
 	return out, nil
 }

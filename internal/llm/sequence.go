@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/lia-sim/lia/internal/runner"
+	"github.com/lia-sim/lia/internal/team"
 )
 
 // Sequence is one in-flight generation: a forked executor (private Stats
@@ -128,7 +128,7 @@ func (s *Sequence) Release() {
 }
 
 // StepBatch advances every sequence one decode step in parallel on the
-// deterministic runner pool — one iteration of continuous batching. Each
+// worker team — one iteration of continuous batching. Each
 // sequence owns its executor fork and KV cache, so the only shared state
 // is the immutable packed-weight cache; results are bit-identical to
 // stepping the sequences one by one. Finished sequences are rejected,
@@ -138,11 +138,10 @@ func StepBatch(ctx context.Context, seqs []*Sequence) error {
 	if len(seqs) == 0 {
 		return fmt.Errorf("llm: empty step batch")
 	}
-	_, err := runner.Map(ctx, seqs, func(_ context.Context, s *Sequence) (struct{}, error) {
-		_, err := s.Step()
-		return struct{}{}, err
-	})
-	if err != nil {
+	if err := team.RunErr(ctx, len(seqs), func(i int) error {
+		_, err := seqs[i].Step()
+		return err
+	}); err != nil {
 		return fmt.Errorf("llm: %w", err)
 	}
 	return nil

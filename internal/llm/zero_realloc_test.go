@@ -1,7 +1,9 @@
 package llm
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
@@ -53,6 +55,69 @@ func TestDecodeStepAllocBudget(t *testing.T) {
 				t.Errorf("DecodeStep allocated %.0f/op under %s, budget %d", allocs, tc.name, decodeAllocBudget)
 			}
 		})
+	}
+}
+
+// fusedRoundMallocs is the parent commit's allocation count for one
+// batch-8 fused decode round on TinyConfig, all-AMX policy, measured the
+// way this test measures (runtime.MemStats.Mallocs over 100 rounds, at
+// the process's own GOMAXPROCS): 333 with one P, where runner.Map and
+// tensor.parallelRows took their sequential fast paths, 353 with two and
+// 363 with four, where they spawned goroutines in every layer. The team
+// measures 329, 340 and 341: the per-layer row-index slice is gone, and
+// each loop that does go to the team costs its closure plus one loop
+// header (FC1 at batch 8 sits exactly on the split threshold, so with
+// helpers present that is two loops a layer). testing.AllocsPerRun is
+// not the instrument because it pins GOMAXPROCS to 1 while it runs: that
+// hid the parent's spawns (it reads 333 there at any -cpu) but cannot
+// un-start the team's helpers (it reads 339).
+func fusedRoundMallocs() float64 {
+	if runtime.GOMAXPROCS(0) == 1 {
+		return 333
+	}
+	return 352
+}
+
+// TestFusedRoundSpawnsNothing pins the fused decode round to the
+// persistent worker team: a hundred batch-8 rounds leave the goroutine
+// count exactly where it was, and a round allocates no more than it did
+// when each layer spawned its own workers.
+func TestFusedRoundSpawnsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	m, err := NewRandom(TinyConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExecutor(m, core.FullCPU)
+	seqs := make([]*Sequence, 8)
+	for i := range seqs {
+		if seqs[i], err = e.NewSequence([]int{5 + i, 17, 42}, 120); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	round := func() {
+		if err := e.StepBatchFused(ctx, seqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm scratch buffers and weight caches
+
+	goroutines := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		round()
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Fatalf("round %d: %d goroutines, %d before the first round", i, n, goroutines)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.Mallocs-before.Mallocs) / rounds; got > fusedRoundMallocs() {
+		t.Errorf("fused round allocated %.1f objects, parent commit %.0f", got, fusedRoundMallocs())
 	}
 }
 

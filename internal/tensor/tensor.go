@@ -12,8 +12,8 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"github.com/lia-sim/lia/internal/team"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -93,41 +93,36 @@ func (m Matrix) Equal(other Matrix, tol float32) bool {
 	return true
 }
 
-// parallelRows runs fn over [0, rows) split across GOMAXPROCS workers.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
+// workers is the team MatMul and MatMulT partition onto. Production code
+// never reassigns it; tests pin other sizes.
+var workers = team.Default()
+
+// parallelRows runs fn over [0, rows), as row ranges claimed by the
+// worker team when the product (macsPerRow multiply-accumulates a row)
+// is worth splitting, inline otherwise. Ranges are a quarter of a
+// worker's even share, so a helper that joins late still finds rows and
+// a helper that never joins delays nobody.
+func parallelRows(rows, macsPerRow int, fn func(lo, hi int)) {
+	parts := min(rows, 4*workers.Size())
+	if workers.Size() == 1 || parts <= 1 || rows*macsPerRow < team.SplitMACs {
 		fn(0, rows)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	chunk := (rows + parts - 1) / parts
+	workers.Run((rows+chunk-1)/chunk, func(i int) {
+		fn(i*chunk, min((i+1)*chunk, rows))
+	})
 }
 
 // MatMul computes a·b (a is M×K, b is K×N) with float32 accumulation,
-// parallelized over output rows.
+// partitioned over output rows.
 func MatMul(a, b Matrix) Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
 	k, n := a.Cols, b.Cols
-	parallelRows(a.Rows, func(lo, hi int) {
+	parallelRows(a.Rows, k*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			orow := out.Row(i)
@@ -182,7 +177,7 @@ func MatMulT(a, b Matrix) Matrix {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Rows)
-	parallelRows(a.Rows, func(lo, hi int) {
+	parallelRows(a.Rows, a.Cols*b.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			orow := out.Row(i)
