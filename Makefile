@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-compare bench-functional bench-gateway bench-offload bench-prefix bench-smoke bench-chunked bench-quant bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
+.PHONY: check vet build test race bench bench-compare paper-parity bench-functional bench-gateway bench-offload bench-prefix bench-smoke bench-chunked bench-quant bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
 
 # check is the CI gate: vet, build everything, then the full test suite
 # under the race detector (the worker team, the runner pool and the
@@ -22,18 +22,26 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ .
 
+BASE ?= HEAD~1
+PAIRS ?= 10
+WORKLOAD ?= offline_tiers
+
+# with_base opens a recipe that compares against BASE: $$tmp is a scratch
+# directory holding a detached worktree of BASE at $$tmp/base, both removed
+# when the recipe's shell exits.
+define with_base
+tmp=$$(mktemp -d) && root=$$(pwd) && \
+	trap 'git worktree remove --force "$$tmp/base" 2> /dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --detach "$$tmp/base" $(BASE) > /dev/null
+endef
+
 # bench-compare is benchmark/README.md's paired protocol: build
 # ./benchmark at BASE (in a temporary git worktree) and at the working
 # tree, run PAIRS alternating pairs of WORKLOAD — odd pairs BASE first,
 # even pairs the working tree first, one seed per pair — and hand the two
 # report sets to -compare.
-BASE ?= HEAD~1
-PAIRS ?= 10
-WORKLOAD ?= offline_tiers
 bench-compare:
-	@tmp=$$(mktemp -d) && root=$$(pwd) && \
-	trap 'git worktree remove --force "$$tmp/base" 2> /dev/null; rm -rf "$$tmp"' EXIT && \
-	git worktree add --detach "$$tmp/base" $(BASE) > /dev/null && \
+	@$(with_base) && \
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench-before" ./benchmark) && \
 	$(GO) build -o "$$tmp/bench-after" ./benchmark && \
 	mkdir "$$tmp/before" "$$tmp/after" && \
@@ -43,6 +51,20 @@ bench-compare:
 		else run "$$root" after $$i && run "$$tmp/base" before $$i; fi || exit 1; \
 	done && \
 	$(GO) run ./benchmark -compare "$$tmp/before" "$$tmp/after"
+
+# paper-parity is artifacts-check's counterpart for the analytic half:
+# build ./cmd/lia-bench at BASE and at the working tree, run both
+# sequentially and cmp — a change to core, exec, sim or engine that moves
+# any paper table or figure by one byte fails here (≈1 s per side since
+# stage schedules are compiled; ≈20 s for a BASE older than that).
+paper-parity:
+	@$(with_base) && \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/lia-bench-before" ./cmd/lia-bench) && \
+	$(GO) build -o "$$tmp/lia-bench-after" ./cmd/lia-bench && \
+	"$$tmp/lia-bench-before" -j 1 > "$$tmp/before.txt" && \
+	"$$tmp/lia-bench-after" -j 1 > "$$tmp/after.txt" && \
+	cmp "$$tmp/before.txt" "$$tmp/after.txt" && \
+	echo "lia-bench output is byte-identical at $(BASE) and in the working tree ($$(wc -c < "$$tmp/after.txt") bytes)"
 
 # bench-functional runs the allocation-sensitive micro-benchmarks the
 # BENCH_functional.json baseline records (decode step, packed vs legacy

@@ -19,6 +19,7 @@ import (
 	"github.com/lia-sim/lia/internal/amx"
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/engine"
+	"github.com/lia-sim/lia/internal/exec"
 	"github.com/lia-sim/lia/internal/experiments"
 	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/kvpage"
@@ -177,6 +178,57 @@ func BenchmarkEngineOnline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r, err := engine.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = r
+	}
+}
+
+// BenchmarkEngineColdCell measures one uncached engine.Run of the
+// flagship what-if cell (LIA, OPT-175B on SPR-A100, B=1, 512→32): policy
+// selection, prefill, and the 32-step decode sequence.
+//
+// BenchmarkExecDecodeSequence is that cell's decode sequence alone: 32
+// steps over a 96-layer plan. Before stages were compiled every step
+// rebuilt a named 288-task schedule; now the graph is built once and each
+// step is two cost evaluations, 288 duration writes and one run.
+//
+// Reference guest (2 vCPUs, go1.24, -benchtime 200x -count 5, medians, both
+// sides in one session), parent commit 0f5c0ea → this change:
+//
+//	BenchmarkEngineColdCell      14.66 ms, 4.51 MB, 30,100 allocs → 0.506 ms, 145 kB, 63 allocs
+//	BenchmarkExecDecodeSequence  10.52 ms, 3.52 MB, 23,491 allocs → 0.206 ms,  18 kB,  8 allocs
+//	BenchmarkEngineOnline         6.95 ms, 2.21 MB, 16,077 allocs → 0.364 ms,  75 kB, 63 allocs
+func BenchmarkEngineColdCell(b *testing.B) {
+	cfg := engine.Config{
+		Framework:          engine.LIA,
+		System:             hw.SPRA100,
+		Model:              model.OPT175B,
+		Workload:           trace.Workload{Batch: 1, InputLen: 512, OutputLen: 32},
+		AssumeHostCapacity: true,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := engine.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = r
+	}
+}
+
+func BenchmarkExecDecodeSequence(b *testing.B) {
+	plan := exec.Plan{
+		Env:         core.NewEnv(hw.SPRA100, model.OPT175B),
+		Policy:      core.PartialCPU,
+		Layers:      model.OPT175B.Layers,
+		Overlap:     true,
+		MiniBatches: 1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := plan.RunDecodeSequence(1, 512, 32)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -66,71 +66,42 @@ func runLIA(cfg Config) (Result, error) {
 		prefillMB = 2
 	}
 
-	// Policy selection (C1): the Eq. (2) optimum seeds a small candidate
-	// set that is then costed on the actual execution back-end — the
-	// schedule with Optimization-1 pinning and Optimization-2 overlap —
-	// because overlap can hide transfer time the closed-form model counts
-	// in full. The decode policy depends only on B (§7.1), evaluated at
-	// the mid-run context length.
-	pickPolicy := func(stage model.Stage, l, mb int) (core.Policy, error) {
-		seed, _ := core.OptimizeOpts(env, stage, w.Batch, l, opt)
-		candidates := []core.Policy{seed, core.FullCPU, core.FullGPU, core.PartialCPU}
-		best := seed
-		var bestT units.Seconds = -1
-		for _, p := range candidates {
-			plan := exec.Plan{
-				Env:          env,
-				Policy:       p,
-				Opt:          opt,
-				Layers:       m.Layers,
-				PinnedLayers: gpuPlan.PinnedLayers,
-				Overlap:      overlap,
-				MiniBatches:  mb,
-			}
-			res, err := plan.RunStage(stage, w.Batch, l)
-			if err != nil {
-				return core.Policy{}, err
-			}
-			if bestT < 0 || res.Latency < bestT {
-				best, bestT = p, res.Latency
-			}
-		}
-		return best, nil
-	}
-	prefillPolicy, err := pickPolicy(model.Prefill, w.InputLen, prefillMB)
-	if err != nil {
-		return Result{}, err
-	}
-	decodePolicy, err := pickPolicy(model.Decode, w.InputLen+w.OutputLen/2, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.Ablation.ForcePolicy != nil {
-		prefillPolicy = *cfg.Ablation.ForcePolicy
-		decodePolicy = *cfg.Ablation.ForcePolicy
-	}
-	r.PrefillPolicy = prefillPolicy
-	r.DecodePolicy = decodePolicy
-
+	// The stage plans differ only in policy and mini-batch count: prefill
+	// splits the batch, decode never does (§5.2).
 	prefillPlan := exec.Plan{
 		Env:          env,
-		Policy:       prefillPolicy,
 		Opt:          opt,
 		Layers:       m.Layers,
 		PinnedLayers: gpuPlan.PinnedLayers,
 		Overlap:      overlap,
 		MiniBatches:  prefillMB,
 	}
-	pre, err := prefillPlan.RunStage(model.Prefill, w.Batch, w.InputLen)
+	decodePlan := prefillPlan
+	decodePlan.MiniBatches = 1
+
+	var pre exec.StageResult
+	var err error
+	if force := cfg.Ablation.ForcePolicy; force != nil {
+		// A forced policy leaves nothing to select.
+		prefillPlan.Policy, decodePlan.Policy = *force, *force
+		pre, err = prefillPlan.RunStage(model.Prefill, w.Batch, w.InputLen)
+	} else {
+		// Selecting the prefill policy runs the prefill stage under it. The
+		// decode policy depends only on B (§7.1), evaluated at the mid-run
+		// context length.
+		prefillPlan.Policy, pre, err = pickPolicy(prefillPlan, model.Prefill, w.Batch, w.InputLen)
+		if err == nil {
+			decodePlan.Policy, _, err = pickPolicy(decodePlan, model.Decode, w.Batch, w.InputLen+w.OutputLen/2)
+		}
+	}
 	if err != nil {
 		return Result{}, err
 	}
+	r.PrefillPolicy = prefillPlan.Policy
+	r.DecodePolicy = decodePlan.Policy
 	r.PrefillLatency = pre.Latency
 	r.Breakdown = Breakdown{CPU: pre.CPUBusy, GPU: pre.GPUBusy, Comm: pre.CommBusy}
 
-	decodePlan := prefillPlan
-	decodePlan.Policy = decodePolicy
-	decodePlan.MiniBatches = 1 // LIA never mini-batches decode (§5.2)
 	dec, err := decodePlan.RunDecodeSequence(w.Batch, w.InputLen, w.OutputLen)
 	if err != nil {
 		return Result{}, err
@@ -140,4 +111,42 @@ func runLIA(cfg Config) (Result, error) {
 	r.Breakdown.GPU += dec.GPUBusy
 	r.Breakdown.Comm += dec.CommBusy
 	return r, nil
+}
+
+// pickPolicy is policy selection (C1): the Eq. (2) optimum seeds a small
+// candidate set that is then costed on the actual execution back-end —
+// plan's schedule, with Optimization-1 pinning and Optimization-2 overlap
+// — because overlap can hide transfer time the closed-form model counts
+// in full. It returns the fastest candidate and the stage's timing under
+// it; plan.Policy is ignored.
+func pickPolicy(plan exec.Plan, stage model.Stage, b, l int) (core.Policy, exec.StageResult, error) {
+	seed, _ := core.OptimizeOpts(plan.Env, stage, b, l, plan.Opt)
+	var best core.Policy
+	var bestRes exec.StageResult
+	for i, p := range policyCandidates(seed) {
+		plan.Policy = p
+		res, err := plan.RunStage(stage, b, l)
+		if err != nil {
+			return core.Policy{}, exec.StageResult{}, err
+		}
+		if i == 0 || res.Latency < bestRes.Latency {
+			best, bestRes = p, res
+		}
+	}
+	return best, bestRes, nil
+}
+
+// policyCandidates lists the policies selection costs: the Eq. (2) seed,
+// then the three canonical policies it is checked against. The seed is
+// usually one of the three (small-batch decode seeds FullCPU, prefill
+// FullGPU) and is then costed once, in its first position, so ties
+// resolve as they would over the full list.
+func policyCandidates(seed core.Policy) []core.Policy {
+	candidates := []core.Policy{seed}
+	for _, p := range [...]core.Policy{core.FullCPU, core.FullGPU, core.PartialCPU} {
+		if p != seed {
+			candidates = append(candidates, p)
+		}
+	}
+	return candidates
 }

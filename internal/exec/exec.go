@@ -15,7 +15,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/model"
@@ -79,12 +78,18 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// layerCost aggregates one decoder layer's work into the three resources.
-type layerCost struct {
-	comm units.Seconds // PCIe loads + stores
-	cpu  units.Seconds // CPU-assigned sublayer compute
-	gpu  units.Seconds // GPU-assigned sublayer compute
-}
+// A layer's tasks are of three kinds. compile interns their resources in
+// this order, so a kind is also its sim.Resource.
+const (
+	kindXfer = iota // PCIe loads + stores
+	kindCPU         // CPU-assigned sublayer compute
+	kindGPU         // GPU-assigned sublayer compute
+)
+
+var kindResource = [...]string{ResPCIe, ResCPU, ResGPU}
+
+// layerCost aggregates one decoder layer's work by task kind.
+type layerCost [len(kindResource)]units.Seconds
 
 // costFor computes a streamed or pinned layer's resource costs.
 func (p Plan) costFor(stage model.Stage, pinned bool, b, l int) layerCost {
@@ -100,11 +105,11 @@ func (p Plan) costFor(stage model.Stage, pinned bool, b, l int) layerCost {
 	_, parts := core.LayerLatencyOpts(p.Env, stage, policy, b, l, opt)
 	var c layerCost
 	for _, br := range parts {
-		c.comm += br.Load + br.Store
+		c[kindXfer] += br.Load + br.Store
 		if br.OnCPU {
-			c.cpu += br.Compute
+			c[kindCPU] += br.Compute
 		} else {
-			c.gpu += br.Compute
+			c[kindGPU] += br.Compute
 		}
 	}
 	return c
@@ -127,6 +132,112 @@ func (r *StageResult) Add(o StageResult) {
 	r.CommBusy += o.CommBusy
 }
 
+// stageGraph is a plan's schedule compiled once: Figure 7's (Layers ×
+// mini-batch) topology, which depends on the plan alone, with the
+// durations left for run to write. It lives only as long as the call that
+// compiled it.
+type stageGraph struct {
+	plan    Plan
+	s       *sim.Schedule
+	penalty float64 // inflates per-mini-batch compute; 1 when the batch is whole
+}
+
+// compile builds p's task graph: layer after layer, a layer being its
+// transfer, then each mini-batch's CPU part and GPU part. p must be valid.
+func (p Plan) compile() *stageGraph {
+	g := &stageGraph{plan: p, s: sim.NewSchedule(), penalty: 1}
+	if p.MiniBatches > 1 {
+		g.penalty = p.MiniBatchPenalty
+		if g.penalty <= 0 {
+			g.penalty = DefaultMiniBatchPenalty
+		}
+	}
+	for _, name := range kindResource {
+		g.s.Resource(name)
+	}
+	// A layer is 1+2·MiniBatches tasks of at most two dependencies each.
+	tasks := p.Layers * (1 + 2*p.MiniBatches)
+	g.s.Grow(tasks, 2*tasks)
+	var prevCompute sim.Handle
+	for j := 0; j < p.Layers; j++ {
+		var xfer sim.Handle
+		if p.Overlap || j == 0 {
+			xfer = g.s.AddTask(kindXfer)
+		} else {
+			// Overlap disabled: the next layer's transfer waits for the
+			// previous layer's compute to finish.
+			xfer = g.s.AddTask(kindXfer, prevCompute)
+		}
+		// Per-mini-batch compute. Each mini-batch's CPU part feeds its GPU
+		// part, and mini-batches serialize within a layer (they contend for
+		// the same engines); their value is letting transfers for the next
+		// layer start earlier, which Overlap already provides.
+		for m := 0; m < p.MiniBatches; m++ {
+			var cpu sim.Handle
+			if j == 0 && m == 0 {
+				cpu = g.s.AddTask(kindCPU, xfer)
+			} else {
+				cpu = g.s.AddTask(kindCPU, xfer, prevCompute)
+			}
+			prevCompute = g.s.AddTask(kindGPU, cpu)
+		}
+	}
+	return g
+}
+
+// taskAt locates handle h in the layout compile produced.
+func (g *stageGraph) taskAt(h int) (layer, miniBatch, kind int) {
+	stride := 1 + 2*g.plan.MiniBatches
+	layer, k := h/stride, h%stride
+	if k == 0 {
+		return layer, 0, kindXfer
+	}
+	return layer, (k - 1) / 2, kindCPU + (k-1)%2 // CPU part, then GPU part
+}
+
+// run times one step on the compiled graph. All streamed layers of a step
+// cost the same and so do all pinned ones, so it prices those two classes,
+// writes them over the tasks and runs the schedule.
+func (g *stageGraph) run(stage model.Stage, b, l int) (StageResult, sim.Result, error) {
+	p := &g.plan
+	// A task's share of its layer's cost. The penalty models compute's
+	// sub-linear scaling with smaller batches — the reason LIA keeps decode
+	// whole-batch (§5.2).
+	perTask := func(pinned bool) layerCost {
+		c := p.costFor(stage, pinned, b, l)
+		c[kindCPU] = units.Seconds(float64(c[kindCPU]) / float64(p.MiniBatches) * g.penalty)
+		c[kindGPU] = units.Seconds(float64(c[kindGPU]) / float64(p.MiniBatches) * g.penalty)
+		return c
+	}
+	var streamed, pinned layerCost
+	if p.PinnedLayers < p.Layers {
+		streamed = perTask(false)
+	}
+	if p.PinnedLayers > 0 {
+		pinned = perTask(true)
+	}
+	for h := 0; h < g.s.Len(); h++ {
+		layer, _, kind := g.taskAt(h)
+		d := streamed[kind]
+		if layer < p.PinnedLayers {
+			d = pinned[kind]
+		}
+		if err := g.s.SetDuration(sim.Handle(h), d); err != nil {
+			return StageResult{}, sim.Result{}, fmt.Errorf("exec: %w", err)
+		}
+	}
+	res, err := g.s.Run()
+	if err != nil {
+		return StageResult{}, sim.Result{}, fmt.Errorf("exec: %w", err)
+	}
+	return StageResult{
+		Latency:  res.Makespan,
+		CPUBusy:  res.Busy(kindCPU),
+		GPUBusy:  res.Busy(kindGPU),
+		CommBusy: res.Busy(kindXfer),
+	}, res, nil
+}
+
 // RunStage executes one stage (a full prefill pass, or one decode step)
 // across all layers and returns its timing. b is the batch size; l is the
 // input length (prefill) or current context length (decode).
@@ -134,86 +245,24 @@ func (p Plan) RunStage(stage model.Stage, b, l int) (StageResult, error) {
 	if err := p.Validate(); err != nil {
 		return StageResult{}, err
 	}
-	s, err := p.buildSchedule(stage, b, l)
-	if err != nil {
-		return StageResult{}, err
-	}
-	res, err := s.Run()
-	if err != nil {
-		return StageResult{}, fmt.Errorf("exec: %w", err)
-	}
-	return StageResult{
-		Latency:  res.Makespan,
-		CPUBusy:  res.Busy[ResCPU],
-		GPUBusy:  res.Busy[ResGPU],
-		CommBusy: res.Busy[ResPCIe],
-	}, nil
-}
-
-// buildSchedule constructs the stage's task graph.
-func (p Plan) buildSchedule(stage model.Stage, b, l int) (*sim.Schedule, error) {
-	nMB := p.MiniBatches
-	if stage == model.Decode {
-		// LIA never mini-batches decode; FlexGen-style plans may.
-		if nMB < 1 {
-			nMB = 1
-		}
-	}
-	penalty := p.MiniBatchPenalty
-	if penalty <= 0 {
-		penalty = DefaultMiniBatchPenalty
-	}
-	if nMB == 1 {
-		penalty = 1
-	}
-
-	s := sim.NewSchedule()
-	prevComputeID := ""
-	for j := 0; j < p.Layers; j++ {
-		pinned := j < p.PinnedLayers
-		c := p.costFor(stage, pinned, b, l)
-
-		xferID := fmt.Sprintf("xfer-%d", j)
-		var xferDeps []string
-		if !p.Overlap && prevComputeID != "" {
-			// Overlap disabled: the next layer's transfer waits for the
-			// previous layer's compute to finish.
-			xferDeps = []string{prevComputeID}
-		}
-		s.MustAdd(sim.Task{ID: xferID, Resource: ResPCIe, Duration: c.comm, Deps: xferDeps})
-
-		// Per-mini-batch compute. Each mini-batch's CPU part feeds its GPU
-		// part, and mini-batches serialize within a layer (they contend for
-		// the same engines); their value is letting transfers for the next
-		// layer start earlier, which Overlap already provides. The penalty
-		// models compute's sub-linear scaling with smaller batches — the
-		// reason LIA keeps decode whole-batch (§5.2).
-		perMBcpu := units.Seconds(float64(c.cpu) / float64(nMB) * penalty)
-		perMBgpu := units.Seconds(float64(c.gpu) / float64(nMB) * penalty)
-		for m := 0; m < nMB; m++ {
-			cpuID := fmt.Sprintf("cpu-%d-%d", j, m)
-			gpuID := fmt.Sprintf("gpu-%d-%d", j, m)
-			cpuDeps := []string{xferID}
-			if m > 0 {
-				cpuDeps = append(cpuDeps, fmt.Sprintf("gpu-%d-%d", j, m-1))
-			} else if j > 0 {
-				cpuDeps = append(cpuDeps, prevComputeID)
-			}
-			s.MustAdd(sim.Task{ID: cpuID, Resource: ResCPU, Duration: perMBcpu, Deps: cpuDeps})
-			s.MustAdd(sim.Task{ID: gpuID, Resource: ResGPU, Duration: perMBgpu, Deps: []string{cpuID}})
-		}
-		prevComputeID = fmt.Sprintf("gpu-%d-%d", j, nMB-1)
-	}
-	return s, nil
+	r, _, err := p.compile().run(stage, b, l)
+	return r, err
 }
 
 // RunDecodeSequence executes `steps` decode iterations with the context
 // growing from startLen, summing their timings — the Gen stage of one
-// batch.
+// batch. The graph is compiled once and re-timed for every step.
 func (p Plan) RunDecodeSequence(b, startLen, steps int) (StageResult, error) {
 	var total StageResult
+	if steps <= 0 {
+		return total, nil
+	}
+	if err := p.Validate(); err != nil {
+		return StageResult{}, err
+	}
+	g := p.compile()
 	for t := 0; t < steps; t++ {
-		r, err := p.RunStage(model.Decode, b, startLen+t)
+		r, _, err := g.run(model.Decode, b, startLen+t)
 		if err != nil {
 			return StageResult{}, err
 		}
@@ -239,22 +288,19 @@ func (p Plan) TraceStage(stage model.Stage, b, l int) (StageResult, []TraceEntry
 	if err := p.Validate(); err != nil {
 		return StageResult{}, nil, err
 	}
-	s, err := p.buildSchedule(stage, b, l)
+	g := p.compile()
+	r, res, err := g.run(stage, b, l)
 	if err != nil {
 		return StageResult{}, nil, err
 	}
-	res, err := s.Run()
-	if err != nil {
-		return StageResult{}, nil, fmt.Errorf("exec: %w", err)
-	}
-	entries := make([]TraceEntry, 0, len(res.Start))
-	for id, start := range res.Start {
-		entries = append(entries, TraceEntry{
-			ID:       id,
-			Resource: resourceOf(id),
-			Start:    start,
-			Finish:   res.Finish[id],
-		})
+	entries := make([]TraceEntry, g.s.Len())
+	for h := range entries {
+		layer, miniBatch, kind := g.taskAt(h)
+		id := fmt.Sprintf("xfer-%d", layer)
+		if kind != kindXfer { // a compute task is named after its resource
+			id = fmt.Sprintf("%s-%d-%d", kindResource[kind], layer, miniBatch)
+		}
+		entries[h] = TraceEntry{id, kindResource[kind], res.Start(sim.Handle(h)), res.Finish(sim.Handle(h))}
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Start != entries[j].Start {
@@ -262,22 +308,5 @@ func (p Plan) TraceStage(stage model.Stage, b, l int) (StageResult, []TraceEntry
 		}
 		return entries[i].ID < entries[j].ID
 	})
-	return StageResult{
-		Latency:  res.Makespan,
-		CPUBusy:  res.Busy[ResCPU],
-		GPUBusy:  res.Busy[ResGPU],
-		CommBusy: res.Busy[ResPCIe],
-	}, entries, nil
-}
-
-// resourceOf recovers a task's resource from its ID prefix.
-func resourceOf(id string) string {
-	switch {
-	case strings.HasPrefix(id, "xfer-"):
-		return ResPCIe
-	case strings.HasPrefix(id, "cpu-"):
-		return ResCPU
-	default:
-		return ResGPU
-	}
+	return r, entries, nil
 }

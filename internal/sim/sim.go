@@ -10,17 +10,30 @@
 // starts when its resource is free AND all its dependencies have
 // finished. Time is continuous (units.Seconds); execution is fully
 // deterministic.
+//
+// The engine runs on dense integer handles, so a caller that times one
+// graph many times (package exec, once per decode step) builds it once
+// with AddTask, times it with SetDuration and runs it, again and again,
+// without allocating. Add and Task are a named front over the same engine.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/lia-sim/lia/internal/units"
 )
 
-// Task is one unit of work bound to a resource.
+// Handle identifies a task within its schedule: the i-th task added has
+// Handle i.
+type Handle int
+
+// Resource identifies a serial executor within its schedule: the i-th
+// distinct resource interned is Resource i.
+type Resource int
+
+// Task is one unit of work bound to a resource, by name.
 type Task struct {
 	// ID names the task uniquely within a schedule.
 	ID string
@@ -28,23 +41,98 @@ type Task struct {
 	Resource string
 	// Duration is the task's service time.
 	Duration units.Seconds
-	// Deps lists task IDs that must finish before this task starts.
+	// Deps lists task IDs that must finish before this task starts; an ID
+	// may name a task that is added later.
 	Deps []string
 }
 
-// Schedule is an ordered collection of tasks.
+type task struct {
+	dur, start, finish units.Seconds // finish < 0: not run yet
+	on                 Resource
+	depEnd             int // its dependencies end here in Schedule.deps, after the previous task's
+}
+
+type resource struct {
+	name       string
+	busy, free units.Seconds
+	stalled    bool // its FIFO head waits on a dependency in this pass
+}
+
+// namedDep is a dependency Add was given by name: deps[at] awaits the
+// handle of the task called dep.
+type namedDep struct {
+	at        int
+	task, dep string
+}
+
+// Schedule is an ordered collection of tasks. Handle order is submission
+// order, and so FIFO order on every resource.
 type Schedule struct {
-	tasks []Task
-	index map[string]int
+	tasks      []task
+	deps       []Handle
+	resources  []resource
+	index      map[string]Handle // the named front's task IDs
+	unresolved []namedDep
 }
 
 // NewSchedule returns an empty schedule.
-func NewSchedule() *Schedule {
-	return &Schedule{index: make(map[string]int)}
+func NewSchedule() *Schedule { return &Schedule{} }
+
+// Resource interns a resource name. A schedule has a handful of
+// resources, so this is a linear scan.
+func (s *Schedule) Resource(name string) Resource {
+	for r := range s.resources {
+		if s.resources[r].name == name {
+			return Resource(r)
+		}
+	}
+	s.resources = append(s.resources, resource{name: name})
+	return Resource(len(s.resources) - 1)
 }
 
-// Add appends a task. Duplicate IDs, empty IDs/resources, and negative
-// durations are rejected.
+// Grow reserves room for tasks more tasks with deps more dependencies
+// among them, for a builder that knows its graph's size.
+func (s *Schedule) Grow(tasks, deps int) {
+	s.tasks = slices.Grow(s.tasks, tasks)
+	s.deps = slices.Grow(s.deps, deps)
+}
+
+func validDuration(d units.Seconds) bool { return d >= 0 && !math.IsNaN(float64(d)) }
+
+// AddTask appends a task of zero duration to resource r's FIFO and
+// returns its handle; SetDuration times it. deps must be tasks already
+// added. A resource or dependency that is not of this schedule is the
+// caller's bug, and panics.
+func (s *Schedule) AddTask(r Resource, deps ...Handle) Handle {
+	h := Handle(len(s.tasks))
+	if r < 0 || int(r) >= len(s.resources) {
+		panic(fmt.Sprintf("sim: task %d is on unknown resource %d", h, r))
+	}
+	for _, dep := range deps {
+		if dep < 0 || dep >= h {
+			panic(fmt.Sprintf("sim: task %d depends on unknown task %d", h, dep))
+		}
+	}
+	s.deps = append(s.deps, deps...)
+	s.tasks = append(s.tasks, task{on: r, depEnd: len(s.deps)})
+	return h
+}
+
+// SetDuration times a task for the next Run, under Add's rule: negative
+// and NaN durations are rejected.
+func (s *Schedule) SetDuration(h Handle, d units.Seconds) error {
+	if h < 0 || int(h) >= len(s.tasks) {
+		return fmt.Errorf("sim: unknown task %d", h)
+	}
+	if !validDuration(d) {
+		return fmt.Errorf("sim: task %d has invalid duration %v", h, d)
+	}
+	s.tasks[h].dur = d
+	return nil
+}
+
+// Add appends a named task. Duplicate IDs, empty IDs/resources, and
+// negative durations are rejected.
 func (s *Schedule) Add(t Task) error {
 	if t.ID == "" {
 		return fmt.Errorf("sim: task with empty ID")
@@ -52,14 +140,24 @@ func (s *Schedule) Add(t Task) error {
 	if t.Resource == "" {
 		return fmt.Errorf("sim: task %s has no resource", t.ID)
 	}
-	if t.Duration < 0 || math.IsNaN(float64(t.Duration)) {
+	if !validDuration(t.Duration) {
 		return fmt.Errorf("sim: task %s has invalid duration %v", t.ID, t.Duration)
 	}
 	if _, dup := s.index[t.ID]; dup {
 		return fmt.Errorf("sim: duplicate task ID %s", t.ID)
 	}
-	s.index[t.ID] = len(s.tasks)
-	s.tasks = append(s.tasks, t)
+	h := s.AddTask(s.Resource(t.Resource))
+	s.tasks[h].dur = t.Duration
+	if s.index == nil {
+		s.index = make(map[string]Handle)
+	}
+	s.index[t.ID] = h
+	// Names may refer forward, so they become handles on the next Run.
+	for _, dep := range t.Deps {
+		s.unresolved = append(s.unresolved, namedDep{at: len(s.deps), task: t.ID, dep: dep})
+		s.deps = append(s.deps, -1)
+	}
+	s.tasks[h].depEnd = len(s.deps)
 	return nil
 }
 
@@ -74,153 +172,105 @@ func (s *Schedule) MustAdd(t Task) {
 // Len returns the number of tasks.
 func (s *Schedule) Len() int { return len(s.tasks) }
 
-// Result is the outcome of running a schedule.
+// Lookup returns the handle of the task Add registered under id.
+func (s *Schedule) Lookup(id string) (Handle, bool) {
+	h, ok := s.index[id]
+	return h, ok
+}
+
+// Result is the outcome of running a schedule. It reads the schedule's
+// own state, so it is valid until that schedule's next Run.
 type Result struct {
 	// Makespan is the finish time of the last task.
 	Makespan units.Seconds
-	// Start and Finish give each task's executed interval.
-	Start, Finish map[string]units.Seconds
-	// Busy accumulates each resource's total service time.
-	Busy map[string]units.Seconds
+	s        *Schedule
 }
 
+// Start is when task h started.
+func (r Result) Start(h Handle) units.Seconds { return r.s.tasks[h].start }
+
+// Finish is when task h finished.
+func (r Result) Finish(h Handle) units.Seconds { return r.s.tasks[h].finish }
+
+// Busy is a resource's total service time, summed in FIFO order.
+func (r Result) Busy(on Resource) units.Seconds { return r.s.resources[on].busy }
+
 // Utilization returns a resource's busy fraction of the makespan.
-func (r Result) Utilization(resource string) float64 {
+func (r Result) Utilization(on Resource) float64 {
 	if r.Makespan <= 0 {
 		return 0
 	}
-	return float64(r.Busy[resource]) / float64(r.Makespan)
+	return float64(r.Busy(on)) / float64(r.Makespan)
+}
+
+// resolve turns the dependencies Add was given by name into handles.
+func (s *Schedule) resolve() error {
+	for _, u := range s.unresolved {
+		h, ok := s.index[u.dep]
+		if !ok {
+			return fmt.Errorf("sim: task %s depends on unknown task %s", u.task, u.dep)
+		}
+		s.deps[u.at] = h
+	}
+	s.unresolved = s.unresolved[:0]
+	return nil
 }
 
 // Run executes the schedule. It returns an error for unknown dependencies
 // or dependency cycles.
 func (s *Schedule) Run() (Result, error) {
-	n := len(s.tasks)
-	res := Result{
-		Start:  make(map[string]units.Seconds, n),
-		Finish: make(map[string]units.Seconds, n),
-		Busy:   make(map[string]units.Seconds),
+	if err := s.resolve(); err != nil {
+		return Result{}, err
 	}
-	// Validate deps up front.
-	for _, t := range s.tasks {
-		for _, d := range t.Deps {
-			if _, ok := s.index[d]; !ok {
-				return Result{}, fmt.Errorf("sim: task %s depends on unknown task %s", t.ID, d)
-			}
+	for h := range s.tasks {
+		s.tasks[h].finish = -1
+	}
+	for r := range s.resources {
+		s.resources[r].busy, s.resources[r].free = 0, 0
+	}
+	// Each pass runs, in handle order, every task that can: one whose
+	// resource has run everything submitted before it and whose
+	// dependencies have finished. Dependencies that all point backward
+	// (anything built with AddTask) take one pass; names that refer forward
+	// cost further passes.
+	var makespan units.Seconds
+	for remaining := len(s.tasks); remaining > 0; {
+		before := remaining
+		for r := range s.resources {
+			s.resources[r].stalled = false
 		}
-	}
-
-	resourceFree := make(map[string]units.Seconds)
-	done := make([]bool, n)
-	// resourceQueue holds, per resource, the submission-ordered pending
-	// task indices; the head must run next to preserve FIFO semantics.
-	resourceQueue := make(map[string][]int)
-	resourceNames := make([]string, 0)
-	for i, t := range s.tasks {
-		if _, ok := resourceQueue[t.Resource]; !ok {
-			resourceNames = append(resourceNames, t.Resource)
-		}
-		resourceQueue[t.Resource] = append(resourceQueue[t.Resource], i)
-	}
-	sort.Strings(resourceNames)
-
-	depsFinish := func(t Task) (units.Seconds, bool) {
-		var latest units.Seconds
-		for _, d := range t.Deps {
-			di := s.index[d]
-			if !done[di] {
-				return 0, false
+		depStart := 0
+	tasks:
+		for h := range s.tasks {
+			t := &s.tasks[h]
+			r := &s.resources[t.on]
+			deps := s.deps[depStart:t.depEnd]
+			depStart = t.depEnd
+			if t.finish >= 0 || r.stalled {
+				continue
 			}
-			if f := res.Finish[d]; f > latest {
-				latest = f
-			}
-		}
-		return latest, true
-	}
-
-	completed := 0
-	for completed < n {
-		progressed := false
-		for _, rname := range resourceNames {
-			q := resourceQueue[rname]
-			for len(q) > 0 {
-				t := s.tasks[q[0]]
-				ready, ok := depsFinish(t)
-				if !ok {
-					break // FIFO head blocked; resource stalls
+			start := r.free
+			for _, dep := range deps {
+				f := s.tasks[dep].finish
+				if f < 0 {
+					r.stalled = true // FIFO head blocked; resource stalls
+					continue tasks
 				}
-				start := resourceFree[rname]
-				if ready > start {
-					start = ready
-				}
-				finish := start + t.Duration
-				res.Start[t.ID] = start
-				res.Finish[t.ID] = finish
-				res.Busy[rname] += t.Duration
-				resourceFree[rname] = finish
-				done[q[0]] = true
-				completed++
-				progressed = true
-				if finish > res.Makespan {
-					res.Makespan = finish
-				}
-				q = q[1:]
-			}
-			resourceQueue[rname] = q
-		}
-		if !progressed {
-			return Result{}, fmt.Errorf("sim: dependency cycle among remaining %d tasks", n-completed)
-		}
-	}
-	return res, nil
-}
-
-// CriticalPath returns the task IDs on one longest finish-time chain,
-// useful for explaining where a pipeline's time went.
-func (s *Schedule) CriticalPath(res Result) []string {
-	if len(s.tasks) == 0 {
-		return nil
-	}
-	// Find the task finishing last.
-	lastID := ""
-	var lastFinish units.Seconds = -1
-	for _, t := range s.tasks {
-		if f := res.Finish[t.ID]; f > lastFinish {
-			lastFinish = f
-			lastID = t.ID
-		}
-	}
-	var path []string
-	visited := make(map[string]bool)
-	for lastID != "" && !visited[lastID] {
-		visited[lastID] = true
-		path = append(path, lastID)
-		t := s.tasks[s.index[lastID]]
-		// Walk to the dependency (or same-resource predecessor) that gated
-		// this task's start.
-		next := ""
-		var nextFinish units.Seconds = -1
-		start := res.Start[t.ID]
-		for _, d := range t.Deps {
-			if f := res.Finish[d]; f == start && f > nextFinish {
-				next = d
-				nextFinish = f
-			}
-		}
-		if next == "" {
-			// Same-resource predecessor whose finish equals our start.
-			for _, o := range s.tasks {
-				if o.Resource == t.Resource && o.ID != t.ID && res.Finish[o.ID] == start {
-					next = o.ID
-					break
+				if f > start {
+					start = f
 				}
 			}
+			t.start, t.finish = start, start+t.dur
+			r.busy += t.dur
+			r.free = t.finish
+			if t.finish > makespan {
+				makespan = t.finish
+			}
+			remaining--
 		}
-		lastID = next
+		if remaining == before {
+			return Result{}, fmt.Errorf("sim: dependency cycle among remaining %d tasks", remaining)
+		}
 	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
+	return Result{Makespan: makespan, s: s}, nil
 }
