@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-compare paper-parity bench-functional bench-gateway bench-offload bench-prefix bench-smoke bench-chunked bench-quant bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
+.PHONY: check vet build test race bench microbench bench-compare paper-parity bench-smoke bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
 
 # check is the CI gate: vet, build everything, then the full test suite
 # under the race detector (the worker team, the runner pool and the
@@ -19,12 +19,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ .
-
 BASE ?= HEAD~1
 PAIRS ?= 10
 WORKLOAD ?= offline_tiers
+
+# bench is one run of the benchmark harness (benchmark/README.md) on
+# WORKLOAD: the only source of host-time numbers in this repository.
+# `go run ./benchmark -smoke` is its CI-sized cut (all four workloads, one
+# second each, correctness checks on).
+bench:
+	$(GO) run ./benchmark -workload $(WORKLOAD) -seed 1
+
+# microbench runs every root-package Go micro-benchmark once — a
+# does-it-still-run check and a profiling entry point, not a number to
+# quote (the harness's amx.*/tensor.*/llm.* per-layer rows are).
+microbench:
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ .
 
 # with_base opens a recipe that compares against BASE: $$tmp is a scratch
 # directory holding a detached worktree of BASE at $$tmp/base, both removed
@@ -66,36 +76,6 @@ paper-parity:
 	cmp "$$tmp/before.txt" "$$tmp/after.txt" && \
 	echo "lia-bench output is byte-identical at $(BASE) and in the working tree ($$(wc -c < "$$tmp/after.txt") bytes)"
 
-# bench-functional runs the allocation-sensitive micro-benchmarks the
-# BENCH_functional.json baseline records (decode step, packed vs legacy
-# AMX matmul, block-sparse skip, INT4 LUT-GEMV, single tile ops byte vs
-# decoded, parallel batch generation).
-bench-functional:
-	$(GO) test -bench='BenchmarkFunctionalDecodeStep|BenchmarkAMXMatmul|BenchmarkINT4LUTGEMV|BenchmarkFunctionalGenerateBatch|BenchmarkTDP' \
-		-benchmem -benchtime=2s -run=^$$ .
-
-# bench-gateway drives the live gateway with concurrent closed-loop
-# clients and records sustained req/s plus exact client-side TTFT
-# percentiles into BENCH_gateway.json.
-bench-gateway:
-	$(GO) run ./cmd/lia-serve -live-bench -bench-clients 8 -bench-seconds 3 \
-		-max-batch 8 -live-kv-tokens 256 -seed 1 > BENCH_gateway.json
-	@cat BENCH_gateway.json
-
-# bench-offload generates the same stream resident and tier-hosted
-# (DDR-streamed, CXL-streamed) and records the wall-clock and
-# virtual-clock decode latencies into BENCH_offload.json.
-bench-offload:
-	$(GO) run ./cmd/lia-serve -offload-bench -bench-tokens 32 -seed 1 > BENCH_offload.json
-	@cat BENCH_offload.json
-
-# bench-prefix replays a skewed hot-prefix trace with the prefix cache
-# off and on, checks the token streams stay bit-identical, and records
-# TTFT medians plus the analytic concurrency win into BENCH_prefix.json.
-bench-prefix:
-	$(GO) run ./cmd/lia-serve -prefix-bench -seed 1 > BENCH_prefix.json
-	@cat BENCH_prefix.json
-
 # bench-smoke runs the latency-ladder benchmarks (speculative decode,
 # chunked prefill, cross-sequence fused decode round) briefly under the
 # race detector — a CI-sized check that the three rungs stay runnable
@@ -103,20 +83,6 @@ bench-prefix:
 bench-smoke:
 	$(GO) test -race -bench='BenchmarkSpecDecode|BenchmarkChunkedPrefill|BenchmarkBatchedDecodeRound' \
 		-benchtime=100ms -run=^$$ .
-
-# bench-chunked replays a long-prompt + short-burst mix through the live
-# gateway with monolithic vs chunked prefill, checks bit-identity, and
-# reports short-request TTFT percentiles for both modes.
-bench-chunked:
-	$(GO) run ./cmd/lia-serve -chunked-bench -prefill-chunk 4 -seed 1
-
-# bench-quant decodes the same stream under the dense, block-sparse,
-# and INT4 LUT weight tiers and records per-tier decode speed, serving
-# footprint, and accuracy against the dense baseline into
-# BENCH_quant.json.
-bench-quant:
-	$(GO) run ./cmd/lia-serve -quant-bench -live-policy cpu -bench-tokens 64 -seed 1 > BENCH_quant.json
-	@cat BENCH_quant.json
 
 # bench-scenario runs the standing scenario-lab matrix (workload
 # scenarios × chaos fault plans, N seeded trials per cell with live
@@ -135,30 +101,39 @@ bench-fleet:
 	@cat BENCH_fleet.json
 
 # artifacts-check regenerates the two byte-reproducible virtual-clock
-# artifacts into a temp dir and compares them with the committed files:
-# any change to serve.Machine or its drivers that moves a simulated
-# number fails here (≈1 s each).
+# artifacts and compares them with the committed files: any change to
+# serve.Machine or its drivers that moves a simulated number fails here.
+# The scenario lab runs into a temp dir (≈1 s); the fleet half is the
+# internal/router test that pins router.ScaleStudy to BENCH_fleet.json
+# byte for byte, so `go test ./...` checks it too.
 artifacts-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/lia-serve -scenario -seed 1 2> /dev/null > "$$tmp/scenario.json" && \
 	cmp "$$tmp/scenario.json" BENCH_scenario.json && \
-	$(GO) run ./cmd/lia-serve -fleet-bench -seed 1 2> /dev/null > "$$tmp/fleet.json" && \
-	cmp "$$tmp/fleet.json" BENCH_fleet.json && \
+	$(GO) test -count=1 -run 'TestScaleStudyMatchesCommittedArtifact' ./internal/router > /dev/null && \
 	echo "BENCH_scenario.json and BENCH_fleet.json regenerate byte-identically"
 
-# fleet-smoke is the CI-sized cut of the fleet: the live 2-replica
-# lifecycle/failover suite, the 1-replica router-vs-bare-gateway
-# differential, and the fleet scenario legs, under the race detector.
+# fleet-smoke is the CI-sized cut of the fleet: all of internal/router
+# (the live 2-replica lifecycle/failover suite, the 1-replica
+# router-vs-bare-gateway differential, the placement and machine
+# properties, the scale-study artifact pin) and the fleet scenario legs,
+# under the race detector.
 fleet-smoke:
-	$(GO) test -race -run 'TestRouter|TestFleetReplay' -count=1 ./internal/router
+	$(GO) test -race -count=1 ./internal/router
 	$(GO) test -race -run 'TestFleetScenario' -count=1 ./internal/scenario
 
 # scenario-smoke is the CI-sized cut of the lab: the 2-scenario ×
-# 2-fault smoke matrix (2 trials per cell, one live leg each) plus the
-# byte-determinism contract, under the race detector.
+# 2-fault smoke matrix (2 trials per cell, one live leg each), the
+# byte-determinism contract and the cancel-storm chaos regression, under
+# the race detector; then a reduced lab run through the CLI must emit the
+# artifact's schema and all six cells of the standing matrix.
 scenario-smoke:
 	$(GO) test -race -run 'TestRunSmokeMatrix|TestExperimentBytesDeterministic|TestCancelStormLiveGateway' \
 		-count=1 ./internal/scenario
+	@out=$$($(GO) run ./cmd/lia-serve -scenario -scenario-trials 2 -seed 1 2> /dev/null) && \
+	echo "$$out" | grep -q '"schema": "lia-scenario/v1"' && \
+	test "$$(echo "$$out" | grep -c '"scenario":')" -eq 6 && \
+	echo "lia-serve -scenario -scenario-trials 2: schema lia-scenario/v1, 6 cells"
 
 # fuzz-smoke gives each native fuzz target a short budget — enough to
 # exercise the mutator without turning CI into a fuzz farm.

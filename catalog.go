@@ -1,6 +1,9 @@
 package lia
 
 import (
+	"fmt"
+	"strings"
+
 	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/model"
 )
@@ -62,6 +65,29 @@ func SystemByName(name string) (System, error) {
 		}
 	}
 	return System{}, errUnknownSystem(name)
+}
+
+// FrameworkByName looks up a framework by its name or a common alias,
+// case-insensitively: "LIA", "IPEX", "FlexGen", "PowerInfer", "MultiGPU"
+// (also "MultiGPU-TP8", "DGX") and "ZeRO" (also "ZeRO-Inference",
+// "DeepSpeed"). Every Framework's String() resolves to itself.
+func FrameworkByName(name string) (Framework, error) {
+	switch strings.ToLower(name) {
+	case "lia":
+		return LIA, nil
+	case "ipex":
+		return IPEX, nil
+	case "flexgen":
+		return FlexGen, nil
+	case "powerinfer":
+		return PowerInfer, nil
+	case "multigpu", "multigpu-tp8", "dgx":
+		return MultiGPU, nil
+	case "zero", "zero-inference", "deepspeed":
+		return ZeROInference, nil
+	default:
+		return 0, fmt.Errorf("lia: unknown framework %q (want LIA, IPEX, FlexGen, PowerInfer, MultiGPU or ZeRO)", name)
+	}
 }
 
 type errUnknownSystem string

@@ -1,188 +1,28 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
+	"io"
 
-	"github.com/lia-sim/lia/internal/gateway"
-	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/router"
-	"github.com/lia-sim/lia/internal/trace"
-	"github.com/lia-sim/lia/internal/units"
 )
 
-// fleetBenchCell is one (policy, mix, replica-count) measurement in
-// BENCH_fleet.json: the same saturating blend burst replayed through a
-// virtual fleet, with throughput and client TTFT percentiles.
-type fleetBenchCell struct {
-	Policy        string   `json:"policy"`
-	Mix           string   `json:"mix"`
-	Replicas      int      `json:"replicas"`
-	Devices       []string `json:"devices"`
-	Completed     int      `json:"completed"`
-	Shed          int      `json:"shed,omitempty"`
-	ThroughputRPS float64  `json:"throughput_rps"`
-	SpeedupVs1    float64  `json:"speedup_vs_1"`
-	TTFTP50Ms     float64  `json:"ttft_p50_ms"`
-	TTFTP99Ms     float64  `json:"ttft_p99_ms"`
-	MakespanS     float64  `json:"makespan_s"`
-}
-
-// fleetBenchReport is the BENCH_fleet.json payload.
-type fleetBenchReport struct {
-	Description string            `json:"description"`
-	Model       string            `json:"model"`
-	Requests    int               `json:"requests"`
-	CodeRatio   float64           `json:"code_ratio"`
-	MaxBatch    int               `json:"max_batch"`
-	KVTokens    int               `json:"kv_tokens_per_replica"`
-	Cells       []fleetBenchCell  `json:"cells"`
-	Summary     map[string]string `json:"summary"`
-}
-
-// fleetBenchDevice is one entry of the heterogeneous rotation: a system
-// plus an optional tensor-parallel shard count.
-type fleetBenchDevice struct {
-	label  string
-	system hw.System
-	tp     int
-}
-
-// runFleetBench replays one saturating burst of the mixed code/chat
-// blend through virtual fleets across the bench matrix — placement
-// policy (p2c vs round-robin) × replica count (1/2/4/8) × fleet mix
-// (homogeneous A100 vs a heterogeneous A100/H100/CPU-only/TP rotation)
-// — and prints throughput plus TTFT percentiles per cell as JSON (the
-// BENCH_fleet.json baseline). Every replica serves the same model; the
-// burst arrives faster than any fleet drains it, so throughput measures
-// fleet capacity and TTFT the queueing it buys down.
-func runFleetBench(modelName string, seed int64) error {
+// runFleetBench runs the fleet scale study (router.ScaleStudy) on the
+// named functional model and writes its JSON artifact — the
+// BENCH_fleet.json baseline, byte-for-byte reproducible from (model,
+// seed).
+func runFleetBench(w io.Writer, modelName string, seed int64) error {
 	cfg, err := liveModelConfig(modelName)
 	if err != nil {
 		return err
 	}
-	const (
-		nReqs     = 256
-		codeRatio = 0.5
-		maxBatch  = 8
-		kvTokens  = 2048
-	)
-	gen, err := trace.NewBlendGenerator(codeRatio, 8, 48, seed)
+	rep, err := router.ScaleStudy(cfg, seed)
 	if err != nil {
 		return err
 	}
-	// One shared request stream: every cell replays the identical burst,
-	// so the matrix axes are a controlled A/B. Arrivals ramp in far
-	// faster than even the 8-replica fleet drains them (saturation).
-	reqs := make([]gateway.ReplayRequest, nReqs)
-	for i, r := range gen.Batch(nReqs) {
-		out := r.OutputLen
-		if out > 48 {
-			out = 48
-		}
-		reqs[i] = gateway.ReplayRequest{
-			PromptLen: r.InputLen,
-			OutputLen: out,
-			Arrival:   units.Seconds(float64(i) * 0.005),
-		}
+	b, err := rep.JSON()
+	if err != nil {
+		return err
 	}
-
-	cpuOnly := hw.System{Name: "SPR-CPU", CPU: hw.SPR}
-	rotation := []fleetBenchDevice{
-		{label: "a100", system: hw.SPRA100},
-		{label: "h100", system: hw.SPRH100},
-		{label: "cpu-amx", system: cpuOnly},
-		{label: "a100-tp4", system: hw.DGXA100, tp: 4},
-	}
-	mixes := []struct {
-		name    string
-		devices func(n int) []fleetBenchDevice
-	}{
-		{"homogeneous", func(n int) []fleetBenchDevice {
-			out := make([]fleetBenchDevice, n)
-			for i := range out {
-				out[i] = rotation[0]
-			}
-			return out
-		}},
-		{"mixed", func(n int) []fleetBenchDevice {
-			out := make([]fleetBenchDevice, n)
-			for i := range out {
-				out[i] = rotation[i%len(rotation)]
-			}
-			return out
-		}},
-	}
-
-	rep := fleetBenchReport{
-		Description: "virtual fleet replay: one saturating 256-request code/chat blend burst placed across N replicas; p2c vs round-robin as the A/B axis, homogeneous (all SPR-A100) vs mixed (A100/H100/CPU-only-AMX/DGX-TP4 rotation) fleets",
-		Model:       cfg.Name,
-		Requests:    nReqs,
-		CodeRatio:   codeRatio,
-		MaxBatch:    maxBatch,
-		KVTokens:    kvTokens,
-		Summary:     map[string]string{},
-	}
-	base := map[string]float64{}
-	for _, policy := range []string{router.PolicyP2C, router.PolicyRoundRobin} {
-		for _, mix := range mixes {
-			for _, n := range []int{1, 2, 4, 8} {
-				devices := mix.devices(n)
-				replicas := make([]router.ReplayReplica, n)
-				labels := make([]string, n)
-				for i, d := range devices {
-					replicas[i] = router.ReplayReplica{
-						Name:       fmt.Sprintf("%s-%d", d.label, i),
-						System:     d.system,
-						TPWays:     d.tp,
-						MaxBatch:   maxBatch,
-						QueueDepth: nReqs,
-						KVTokens:   kvTokens,
-					}
-					labels[i] = d.label
-				}
-				res, err := router.FleetReplay(router.FleetConfig{
-					Policy:   policy,
-					Seed:     seed,
-					Model:    cfg,
-					Replicas: replicas,
-				}, reqs)
-				if err != nil {
-					return fmt.Errorf("fleet bench %s/%s/%d: %w", policy, mix.name, n, err)
-				}
-				cell := fleetBenchCell{
-					Policy:        policy,
-					Mix:           mix.name,
-					Replicas:      n,
-					Devices:       labels,
-					Completed:     res.Completed,
-					Shed:          res.Shed,
-					ThroughputRPS: res.ThroughputRPS,
-					TTFTP50Ms:     secMs(router.Percentile(res.TTFTs, 50)),
-					TTFTP99Ms:     secMs(router.Percentile(res.TTFTs, 99)),
-					MakespanS:     float64(res.Makespan),
-				}
-				key := policy + "/" + mix.name
-				if n == 1 {
-					base[key] = res.ThroughputRPS
-				}
-				if b := base[key]; b > 0 {
-					cell.SpeedupVs1 = res.ThroughputRPS / b
-				}
-				rep.Cells = append(rep.Cells, cell)
-			}
-		}
-	}
-
-	for _, c := range rep.Cells {
-		if c.Replicas == 4 {
-			rep.Summary[c.Policy+"/"+c.Mix+"/4-replica-speedup"] = fmt.Sprintf("%.2fx", c.SpeedupVs1)
-		}
-	}
-	rep.Summary["note"] = "mixed-fleet throughput is makespan-tail-bound by the CPU-only AMX replica (0.29x an A100): p2c's pressure signal steers load off the straggler once its queue builds, but placed work never migrates, so the slow node still sets the tail — the gap between p2c and round-robin in the mixed rows is the placement win"
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	_, err = w.Write(b)
+	return err
 }

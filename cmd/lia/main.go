@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/lia-sim/lia"
 	"github.com/lia-sim/lia/internal/core"
@@ -38,7 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	fw, err := parseFramework(*frameworkName)
+	fw, err := lia.FrameworkByName(*frameworkName)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,25 +136,6 @@ func printTrace(cfg lia.Config, res lia.Result) {
 	}
 	fmt.Println()
 	fmt.Print(report.Gantt(fmt.Sprintf("decode-step schedule, first %d layers, policy %s", layers, res.DecodePolicy), rows, 64))
-}
-
-func parseFramework(name string) (lia.Framework, error) {
-	switch strings.ToLower(name) {
-	case "lia":
-		return lia.LIA, nil
-	case "ipex":
-		return lia.IPEX, nil
-	case "flexgen":
-		return lia.FlexGen, nil
-	case "powerinfer":
-		return lia.PowerInfer, nil
-	case "multigpu", "multigpu-tp8", "dgx":
-		return lia.MultiGPU, nil
-	case "zero", "zero-inference", "deepspeed":
-		return lia.ZeROInference, nil
-	default:
-		return 0, fmt.Errorf("unknown framework %q", name)
-	}
 }
 
 func fatal(err error) {

@@ -177,26 +177,51 @@ func TestStatsAndWaste(t *testing.T) {
 // to what admission actually accepts: repeatedly admitting mean-length
 // sequences must place exactly MaxConcurrentSequences of them. (The
 // formula previously omitted the +1 headroom block CanAdmit charges,
-// so it overstated capacity.)
+// so it overstated capacity.) With a shared prefix the same must hold
+// when the prefix's whole blocks are held once (as the prefix tree holds
+// them) and every sequence is admitted over them: held is how many
+// blocks the formula's clamps leave shareable — a partial last block is
+// not, and a prefix never covers the whole sequence.
 func TestMaxConcurrentSequencesMatchesAdmission(t *testing.T) {
 	cases := []struct {
-		blocks, mean int
-		want         int
+		blocks, blockTokens, mean int
+		isolated                  int // MaxConcurrentSequences(mean)
+		shared, held              int
+		want                      int // MaxConcurrentSequencesShared(mean, shared)
 	}{
-		{blocks: 100, mean: 16, want: 50},  // 1+1 blocks per sequence
-		{blocks: 100, mean: 17, want: 33},  // 2+1 blocks per sequence
-		{blocks: 100, mean: 300, want: 5},  // 19+1 blocks per sequence
-		{blocks: 3, mean: 16, want: 1},     // the double-admit scenario
-		{blocks: 2, mean: 33, want: 0},     // cannot ever fit
-		{blocks: 100, mean: 0, want: 0},    // degenerate
+		{blocks: 100, blockTokens: 16, mean: 16, isolated: 50, want: 50}, // 1+1 blocks per sequence
+		{blocks: 100, blockTokens: 16, mean: 17, isolated: 33, want: 33}, // 2+1 blocks per sequence
+		{blocks: 100, blockTokens: 16, mean: 300, isolated: 5, want: 5},  // 19+1 blocks per sequence
+		{blocks: 3, blockTokens: 16, mean: 16, isolated: 1, want: 1},     // the double-admit scenario
+		{blocks: 2, blockTokens: 16, mean: 33, isolated: 0, want: 0},     // cannot ever fit
+		{blocks: 100, blockTokens: 16, mean: 0, isolated: 0, want: 0},    // degenerate
+		// The hot-prefix trace's capacity figure (EXPERIMENTS.md): a
+		// 512-token pool of 4-token blocks, 64-token mean sequences, a
+		// 48-token cached prefix — 16+1 blocks each isolated, (16−12)+1
+		// over 128−12 blocks shared.
+		{blocks: 128, blockTokens: 4, mean: 64, isolated: 7, shared: 48, held: 12, want: 23},
+		{blocks: 20, blockTokens: 16, mean: 48, isolated: 5, shared: 32, held: 2, want: 9},
+		{blocks: 20, blockTokens: 16, mean: 48, isolated: 5, shared: 40, held: 2, want: 9},     // partial last block not shareable
+		{blocks: 20, blockTokens: 16, mean: 48, isolated: 5, shared: 15, held: 0, want: 5},     // under one block: nothing to share
+		{blocks: 20, blockTokens: 16, mean: 48, isolated: 5, shared: -5, held: 0, want: 5},     // negative clamps to 0
+		{blocks: 100, blockTokens: 16, mean: 16, isolated: 50, shared: 100, held: 0, want: 50}, // shared ≥ mean clamps to mean−1
+		{blocks: 20, blockTokens: 16, mean: 32, isolated: 6, shared: 32, held: 1, want: 9},     // …which leaves one whole block of two
+		{blocks: 3, blockTokens: 16, mean: 48, isolated: 0, shared: 32, held: 2, want: 0},      // prefix fits, no sequence over it does
 	}
 	for _, c := range cases {
-		m, err := NewManager(units.Bytes(c.blocks)*16*units.KiB, 16, units.KiB)
-		if err != nil {
-			t.Fatal(err)
+		newPool := func() *Manager {
+			m, err := NewManager(units.Bytes(c.blocks*c.blockTokens)*units.KiB, c.blockTokens, units.KiB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
-		if got := m.MaxConcurrentSequences(c.mean); got != c.want {
-			t.Errorf("blocks=%d mean=%d: MaxConcurrentSequences=%d, want %d", c.blocks, c.mean, got, c.want)
+		m := newPool()
+		if got := m.MaxConcurrentSequences(c.mean); got != c.isolated {
+			t.Errorf("%+v: MaxConcurrentSequences=%d, want %d", c, got, c.isolated)
+		}
+		if got := m.MaxConcurrentSequencesShared(c.mean, c.shared); got != c.want {
+			t.Errorf("%+v: MaxConcurrentSequencesShared=%d, want %d", c, got, c.want)
 		}
 		if c.mean < 1 {
 			continue
@@ -204,12 +229,28 @@ func TestMaxConcurrentSequencesMatchesAdmission(t *testing.T) {
 		admitted := 0
 		for m.CanAdmit(c.mean) {
 			if err := m.Admit(admitted, c.mean); err != nil {
-				t.Fatalf("blocks=%d mean=%d: CanAdmit passed but Admit failed: %v", c.blocks, c.mean, err)
+				t.Fatalf("%+v: CanAdmit passed but Admit failed: %v", c, err)
+			}
+			admitted++
+		}
+		if admitted != c.isolated {
+			t.Errorf("%+v: admission placed %d sequences, formula says %d", c, admitted, c.isolated)
+		}
+
+		m = newPool()
+		prefix, err := m.AllocBlocks(c.held)
+		if err != nil {
+			t.Fatalf("%+v: holding the prefix: %v", c, err)
+		}
+		admitted = 0
+		for m.CanAdmitShared(c.mean, len(prefix)) {
+			if err := m.AdmitShared(admitted, c.mean, prefix); err != nil {
+				t.Fatalf("%+v: CanAdmitShared passed but AdmitShared failed: %v", c, err)
 			}
 			admitted++
 		}
 		if admitted != c.want {
-			t.Errorf("blocks=%d mean=%d: admission placed %d sequences, formula says %d", c.blocks, c.mean, admitted, c.want)
+			t.Errorf("%+v: admission over %d held prefix blocks placed %d sequences, formula says %d", c, c.held, admitted, c.want)
 		}
 	}
 }

@@ -77,6 +77,36 @@ func TestCatalogLookups(t *testing.T) {
 	}
 }
 
+func TestFrameworkByName(t *testing.T) {
+	cases := []struct {
+		name string
+		want lia.Framework
+	}{
+		{"LIA", lia.LIA}, {"lia", lia.LIA},
+		{"IPEX", lia.IPEX}, {"ipex", lia.IPEX},
+		{"FlexGen", lia.FlexGen}, {"flexgen", lia.FlexGen},
+		{"PowerInfer", lia.PowerInfer},
+		{"MultiGPU", lia.MultiGPU}, {"multigpu-tp8", lia.MultiGPU}, {"DGX", lia.MultiGPU},
+		{"ZeRO", lia.ZeROInference}, {"zero-inference", lia.ZeROInference}, {"DeepSpeed", lia.ZeROInference},
+	}
+	for _, c := range cases {
+		if got, err := lia.FrameworkByName(c.name); err != nil || got != c.want {
+			t.Errorf("FrameworkByName(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	// Every framework's printed name resolves to itself.
+	for _, fw := range []lia.Framework{lia.LIA, lia.IPEX, lia.FlexGen, lia.PowerInfer, lia.MultiGPU, lia.ZeROInference} {
+		if got, err := lia.FrameworkByName(fw.String()); err != nil || got != fw {
+			t.Errorf("FrameworkByName(%q) = %v, %v; want %v", fw.String(), got, err, fw)
+		}
+	}
+	for _, name := range []string{"", "vLLM", "lia ", "Framework(9)"} {
+		if _, err := lia.FrameworkByName(name); err == nil || !strings.Contains(err.Error(), "unknown framework") {
+			t.Errorf("FrameworkByName(%q): error %v, want unknown framework", name, err)
+		}
+	}
+}
+
 func TestCXLThroughAPI(t *testing.T) {
 	sys := lia.WithCXL(lia.SPRA100, 2)
 	res, err := lia.Run(lia.Config{
