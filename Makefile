@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench microbench bench-compare paper-parity bench-smoke bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
+.PHONY: check vet build test race loc bench microbench bench-compare paper-parity bench-smoke bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
 
 # check is the CI gate: vet, build everything, then the full test suite
 # under the race detector (the worker team, the runner pool and the
@@ -18,6 +18,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints non-test Go line counts the way ROADMAP.md and the issues'
+# acceptance lines count them (wc -l over every .go file that is not a
+# _test.go): the three packages the simplicity items name, then all of
+# internal/ + cmd/.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -n 1 | awk '{print $$1}'; }; \
+	for d in internal/amx internal/llm internal/quant; do printf '%-18s %6d\n' $$d $$(count $$d); done; \
+	printf '%-18s %6d\n' 'internal/ + cmd/' $$(count internal cmd)
 
 BASE ?= HEAD~1
 PAIRS ?= 10

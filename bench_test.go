@@ -717,7 +717,9 @@ func BenchmarkMultiGPUScaling(b *testing.B) {
 }
 
 // BenchmarkAMXMatmulINT8 measures the emulated TDPBUSD pipeline on a
-// 128³ product.
+// 128³ product whose right-hand operand is packed on every call — what a
+// caller that does not keep the prepacked image pays;
+// BenchmarkAMXMatmulINT8Packed is the same product with the image reused.
 func BenchmarkAMXMatmulINT8(b *testing.B) {
 	const n = 128
 	a := make([]uint8, n*n)
@@ -729,7 +731,11 @@ func BenchmarkAMXMatmulINT8(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(2*n*n + n*n*4))
 	for i := 0; i < b.N; i++ {
-		c, _, err := amx.MatmulINT8(a, bb, n, n, n)
+		w, err := amx.PrepackINT8(bb, n, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, _, err := amx.MatmulINT8Packed(a, n, w)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,20 +2,25 @@
 // Extensions: the eight tile registers (tmm0–tmm7), the tile
 // configuration state, and the TMUL dot-product instructions TDPBF16PS
 // (bfloat16 → float32 accumulate) and TDPBUSD (uint8 × int8 → int32
-// accumulate). It reproduces the architectural semantics — including the
-// VNNI operand layout and bfloat16 rounding — and keeps an instruction
-// cycle count so higher layers can reason about AMX throughput the same
-// way §4 of the paper does.
+// accumulate). It reproduces the VNNI operand layout, bfloat16 rounding,
+// the faults, and — exactly — TDPBUSD's integer arithmetic; TDPBF16PS
+// accumulates in the emulator's reference order (pairwise per k-pair, in
+// k order), whereas silicon measured on the reference guest sums even
+// and odd lanes in two chains and differs on ≈13.5% of outputs (ROADMAP
+// item 11). It keeps an instruction cycle count so higher layers can
+// reason about AMX throughput the same way §4 of the paper does.
 //
-// The blocked matmul drivers in matmul.go are the "kernel library" the
-// functional LLM engine (package llm) routes CPU-offloaded sublayers
+// The blocked matmul entry points in matmul.go are the "kernel library"
+// the functional LLM engine (package llm) routes CPU-offloaded sublayers
 // through, proving that the dataflow LIA's analytical model assumes is
-// executable end to end.
+// executable end to end. One driver (drive, pool.go) owns the output grid
+// and runs it over a block kernel; there are four, BF16 and INT8 each in
+// two tiers.
 //
-// The emulator is two-tier. The byte-accurate instructions (TDPBF16PS,
-// TDPBUSD, TileLoad/TileStore) reassemble every operand from the tile
-// file's bytes and are the semantic reference. The decoded fast path
-// (TDPBF16PSDecoded, TDPBUSDDecoded, the *Check tile ops) applies the
+// The byte-accurate tier (TDPBF16PS, TDPBUSD, TileLoad/TileStore)
+// reassembles every operand from the tile file's bytes and is the oracle
+// the other is tested against. The decoded fast path (TDPBF16PSDecoded,
+// TDPBUSDDecoded, the *Check tile ops) applies the
 // discipline real AMX kernel libraries apply on hardware — hoist format
 // conversion out of the MAC loop — to the emulator itself: operands are
 // decoded once (at prepack time for weights, once per call for

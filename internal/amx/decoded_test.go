@@ -402,17 +402,17 @@ func TestDecodedDriverMatchesByteDriverBF16(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm both drivers so the pooled units have the palette installed;
+		// Warm both kernels so the pooled units have the palette installed;
 		// otherwise a one-time Configure charge lands on whichever path
 		// happens to draw a cold unit.
-		if _, err := matmulBF16DriverBytes(make([]float32, s.m*s.n), a, s.m, byteW); err != nil {
+		if _, err := matmulBF16Driver(make([]float32, s.m*s.n), a, s.m, byteW); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := MatmulBF16Packed(a, s.m, decW); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]float32, s.m*s.n)
-		wantCycles, err := matmulBF16DriverBytes(want, a, s.m, byteW)
+		wantCycles, err := matmulBF16Driver(want, a, s.m, byteW)
 		if err != nil {
 			t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
 		}
@@ -479,6 +479,65 @@ func TestDecodedDriverMatchesByteDriverINT8(t *testing.T) {
 		if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
 			t.Fatalf("%dx%dx%d: cycles %d (byte) != %d (decoded)", s.m, s.k, s.n, wantCycles, gotCycles)
 		}
+	}
+}
+
+// TestDecodedTruncatedOperandFaultIdentity drops the last four bytes of
+// each right-hand image — the tail of the final (kb, cb) block's B load —
+// and requires the same wrapped ErrBounds from all four block kernels,
+// on the inline path and split over a team. BF16 k=64 and INT8 k=128 are
+// both two k-blocks of an n=128 operand, so the images have equal sizes
+// and even the byte counts in the message agree.
+func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
+	const n, kBlocks = 128, 2
+	for _, tc := range []struct {
+		name    string
+		m, team int
+	}{{"inline", 1, 1}, {"split", 64, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			useTeam(t, tc.team)
+			af, bf := matrices(tc.m, kBlocks*blockK, n, 0.5)
+			ai := make([]uint8, tc.m*kBlocks*blockKi8)
+			bi := make([]int8, kBlocks*blockKi8*n)
+			for i := range bi {
+				bi[i] = int8(i%251 - 125)
+			}
+			bfBytes, err := prepackBF16Bytes(bf, kBlocks*blockK, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bfDec, err := PrepackBF16(bf, kBlocks*blockK, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i8Bytes, err := prepackINT8Bytes(bi, kBlocks*blockKi8, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i8Dec, err := PrepackINT8(bi, kBlocks*blockKi8, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bfBytes.vnni = bfBytes.vnni[:len(bfBytes.vnni)-4]
+			bfDec.dec = bfDec.dec[:len(bfDec.dec)-2] // two bf16 lanes = four image bytes
+			i8Bytes.vnni = i8Bytes.vnni[:len(i8Bytes.vnni)-4]
+			i8Dec.dec = i8Dec.dec[:len(i8Dec.dec)-4]
+
+			kernels := []string{"bf16 bytes", "bf16 decoded", "int8 bytes", "int8 decoded"}
+			var errs [4]error
+			_, errs[0] = matmulBF16Driver(make([]float32, tc.m*n), af, tc.m, bfBytes)
+			_, errs[1] = matmulBF16Driver(make([]float32, tc.m*n), af, tc.m, bfDec)
+			_, _, errs[2] = matmulINT8Driver(ai, tc.m, i8Bytes)
+			_, _, errs[3] = matmulINT8Driver(ai, tc.m, i8Dec)
+			for i, err := range errs {
+				if !errors.Is(err, ErrBounds) {
+					t.Errorf("%s: error %v does not wrap ErrBounds", kernels[i], err)
+				}
+				if errText(err) != errText(errs[0]) {
+					t.Errorf("%s: %q, %s: %q", kernels[i], errText(err), kernels[0], errText(errs[0]))
+				}
+			}
+		})
 	}
 }
 

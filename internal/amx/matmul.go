@@ -1,6 +1,7 @@
 package amx
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -162,7 +163,7 @@ type Prepacked struct {
 	// operands built by prepackBF16Bytes (the oracle used in tests).
 	dec []float32
 	// zero is the sparse tier's zero-block bitmap (sparse.go), nil on
-	// dense operands. Both drivers skip a marked block's TileLoads + TDP.
+	// dense operands. drive skips a marked block's TileLoads + TDP.
 	zero *zeroBitmap
 }
 
@@ -198,12 +199,16 @@ func prepackBF16Bytes(b []float32, k, n int) (*Prepacked, error) {
 
 // MatmulBF16 computes C = A·B through the emulated AMX tile pipeline:
 // A is M×K, B is K×N, both row-major float32; inputs are rounded to
-// bfloat16 (as a BF16 kernel would read them) and accumulation is float32,
-// matching TDPBF16PS semantics exactly. It returns the M×N row-major
-// result and the total AMX cycles consumed.
+// bfloat16 (as a BF16 kernel would read them) and accumulation is float32
+// in the emulator's reference order (pairwise per k-pair, in k order);
+// silicon measured on the reference guest sums even and odd lanes in two
+// chains and differs on ≈13.5% of outputs — ROADMAP item 11. It returns
+// the M×N row-major result and the total AMX cycles consumed.
 //
-// B is packed into VNNI layout on every call; when B is a static weight,
-// prepack it once with PrepackBF16 and use MatmulBF16Packed instead.
+// This is the entry point for products whose right-hand operand changes
+// on every call (attention's Kᵀ and V): B's decoded view is built into
+// pooled scratch per call. A static weight is prepacked once with
+// PrepackBF16 and multiplied with MatmulBF16Packed.
 func MatmulBF16(a, b []float32, m, k, n int) ([]float32, uint64, error) {
 	if len(a) != m*k || len(b) != k*n {
 		return nil, 0, fmt.Errorf("amx: matmul operand sizes %d,%d do not match %dx%d · %dx%d", len(a), len(b), m, k, m, n)
@@ -267,188 +272,101 @@ func MatmulBF16PackedInto(dst, a []float32, m int, w *Prepacked) (uint64, error)
 	return matmulBF16Driver(dst, a, m, w)
 }
 
-// matmulBF16Driver routes a product to the decoded fast path when the
-// operand carries its decoded view (every production Prepacked does),
-// falling back to the byte-accurate oracle otherwise. Both paths share
-// the same blocking, team partition, fault checks and cycle
-// accounting, write the full m×N result into c, and produce
-// bit-identical results.
+// matmulBF16Driver packs A into pooled scratch and hands the product to
+// drive with the block kernel the operand's views allow: the decoded
+// kernel when it carries its decoded view (every production Prepacked
+// does), the byte oracle otherwise (operands built by prepackBF16Bytes,
+// in tests). Blocking, team partition, fault checks and cycle accounting
+// are drive's and therefore common; the full m×N result lands in c.
 func matmulBF16Driver(c, a []float32, m int, w *Prepacked) (uint64, error) {
-	if w.dec != nil {
-		return matmulBF16DriverDecoded(c, a, m, w)
-	}
-	return matmulBF16DriverBytes(c, a, m, w)
-}
-
-// matmulBF16DriverBytes packs A into pooled scratch and runs the output
-// grid — partitioned over the worker team when the product is large
-// enough to split, inline on the caller otherwise — moving every operand
-// through the tile file byte-for-byte: the instruction-level oracle the
-// decoded fast path is pinned against.
-func matmulBF16DriverBytes(c, a []float32, m int, w *Prepacked) (uint64, error) {
 	padM := ceilDiv(m, blockM) * blockM
-	aScratch := getScratch(padM * w.padK * 2)
-	defer putScratch(aScratch)
-	packedA := *aScratch
-	packBF16Into(packedA, a, m, w.K, padM, w.padK)
-
-	rowBlocks := padM / blockM
-	colBlocks := w.padN / blockN
 	kBlocks := w.padK / blockK
-
-	if splits(m, rowBlocks, colBlocks, kBlocks) {
-		return runTiled(matmulConfig, rowBlocks, colBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
-			return runRowBlock(pu.u, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockM*blockN*4], c, m, w.N, w.zero)
-		})
+	if w.dec == nil {
+		aScratch := getScratch(padM * w.padK * 2)
+		defer putScratch(aScratch)
+		packBF16Into(*aScratch, a, m, w.K, padM, w.padK)
+		return drive(matmulConfig, bf16Bytes{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
 	}
-	return runInline(matmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
-		return runRowBlock(pu.u, rb, 0, colBlocks, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockM*blockN*4], c, m, w.N, w.zero)
-	})
-}
-
-// matmulBF16DriverDecoded is the decoded-tile fast path: A is rounded
-// once per call into pooled float32 scratch (the same values decoding
-// the byte image would yield), the prepacked operand supplies its
-// decoded VNNI view, and blocks run TDPBF16PSDecoded over flat slices.
-// Blocking, partition, faults and cycle accounting mirror the byte
-// driver exactly.
-func matmulBF16DriverDecoded(c, a []float32, m int, w *Prepacked) (uint64, error) {
-	padM := ceilDiv(m, blockM) * blockM
+	// A is rounded once per call into float32 scratch — the same values
+	// decoding the byte image would yield.
 	aScratch := getScratchF32(padM * w.padK)
 	defer putScratchF32(aScratch)
-	decA := *aScratch
-	packBF16DecodedInto(decA, a, m, w.K, padM, w.padK)
-
-	rowBlocks := padM / blockM
-	colBlocks := w.padN / blockN
-	kBlocks := w.padK / blockK
-
-	if splits(m, rowBlocks, colBlocks, kBlocks) {
-		return runTiled(matmulConfig, rowBlocks, colBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
-			return runRowBlockDecoded(pu, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, decA, w.dec, c, m, w.N, w.zero)
-		})
-	}
-	return runInline(matmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
-		return runRowBlockDecoded(pu, rb, 0, colBlocks, kBlocks, w.padK, w.padN, decA, w.dec, c, m, w.N, w.zero)
-	})
+	packBF16DecodedInto(*aScratch, a, m, w.K, padM, w.padK)
+	return drive(matmulConfig, bf16Decoded{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
 }
 
-// runRowBlock computes column blocks [cbLo, cbHi) of one 16-row stripe
-// of the output. A non-nil zero bitmap (sparse operand) elides a marked
-// block's TileLoads and TDP — the same skips the decoded path takes, so
-// the two stay bit-identical.
-func runRowBlock(u *Unit, rb, cbLo, cbHi, kBlocks, padK, padN int, packedA, packedB, cTile []byte, c []float32, m, n int, zero *zeroBitmap) error {
-	aStride := padK * 2 // bytes per packed A row
-	bStride := padN * 4 // bytes per packed VNNI B row (pairs)
-	for cb := cbLo; cb < cbHi; cb++ {
-		if err := u.TileZero(tmmC); err != nil {
-			return err
-		}
-		for kb := 0; kb < kBlocks; kb++ {
-			if zero.skipBlock(cb, kb, kBlocks) {
-				continue
-			}
-			aOff := rb*blockM*aStride + kb*blockK*2
-			if err := u.TileLoad(tmmA, packedA[aOff:], aStride); err != nil {
-				return err
-			}
-			bOff := kb*(blockK/2)*bStride + cb*blockN*4
-			if err := u.TileLoad(tmmB, packedB[bOff:], bStride); err != nil {
-				return err
-			}
-			if err := u.TDPBF16PS(tmmC, tmmA, tmmB); err != nil {
-				return err
-			}
-		}
-		if err := u.TileStore(tmmC, cTile, blockN*4); err != nil {
-			return err
-		}
-		// Scatter the f32 tile into the unpadded result.
-		for r := 0; r < blockM; r++ {
-			row := rb*blockM + r
-			if row >= m {
-				break
-			}
-			for col := 0; col < blockN; col++ {
-				j := cb*blockN + col
-				if j >= n {
-					break
-				}
-				off := (r*blockN + col) * 4
-				bits := uint32(cTile[off]) | uint32(cTile[off+1])<<8 |
-					uint32(cTile[off+2])<<16 | uint32(cTile[off+3])<<24
-				c[row*n+j] = f32FromBits(bits)
-			}
-		}
-	}
-	return nil
+// bf16Bytes is the byte-accurate BF16 block kernel: every operand moves
+// through the tile file byte for byte (TileLoad, TDPBF16PS, TileStore) —
+// the instruction-level oracle bf16Decoded is pinned against.
+type bf16Bytes struct {
+	a []byte // padded bf16 image of A (packBF16Into)
+	w *Prepacked
 }
 
-// runRowBlockDecoded computes column blocks [cbLo, cbHi) of one 16-row
-// stripe of the output through the decoded entry points: the same
-// TileZero/TileLoad/TDP/TileStore
-// sequence as runRowBlock — with identical faults and cycle accounting
-// via the *Check variants — but the MAC loop reads flat pre-decoded
-// slices and the accumulator stays float32 end to end (a byte image of
-// the accumulator would round-trip losslessly anyway, so results are
-// bit-identical).
-func runRowBlockDecoded(pu *pooledUnit, rb, cbLo, cbHi, kBlocks, padK, padN int, decA, decB []float32, c []float32, m, n int, zero *zeroBitmap) error {
-	u := pu.u
-	cDec := pu.cDecF[:blockM*blockN]
-	// Rows of this stripe that carry real data; the rest of the tile is
-	// zero padding whose accumulator rows are never scattered, so the
-	// decoded MAC skips them (a GEMV otherwise pays 16 rows of host
-	// arithmetic for 1 row of output).
-	valid := m - rb*blockM
-	if valid > blockM {
-		valid = blockM
+func (k bf16Bytes) zero(pu *pooledUnit) error { return pu.u.TileZero(tmmC) }
+
+func (k bf16Bytes) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
+	aStride := k.w.padK * 2 // bytes per packed A row
+	bStride := k.w.padN * 4 // bytes per packed VNNI B row (pairs)
+	aOff := rb*blockM*aStride + kb*blockK*2
+	if err := pu.u.TileLoad(tmmA, k.a[aOff:], aStride); err != nil {
+		return err
 	}
-	aStrideB := padK * 2 // byte stride of the A image the byte path would load
-	bStrideB := padN * 4 // byte stride of the VNNI image the byte path would load
-	aBytes := 2 * len(decA)
-	bBytes := 2 * len(decB)
-	for cb := cbLo; cb < cbHi; cb++ {
-		if err := u.TileZeroCheck(tmmC); err != nil {
-			return err
-		}
-		clear(cDec)
-		for kb := 0; kb < kBlocks; kb++ {
-			if zero.skipBlock(cb, kb, kBlocks) {
-				continue
-			}
-			aOff := rb*blockM*padK + kb*blockK
-			if err := u.TileLoadCheck(tmmA, aBytes-2*aOff, aStrideB); err != nil {
-				return err
-			}
-			// The byte path loads the VNNI image at this offset; the bounds
-			// arithmetic is identical even though the decoded view is
-			// column-major.
-			bOffB := kb*(blockK/2)*bStrideB + cb*blockN*4
-			if err := u.TileLoadCheck(tmmB, bBytes-bOffB, bStrideB); err != nil {
-				return err
-			}
-			bOff := cb*blockN*padK + kb*blockK
-			if err := u.tdpBF16PSDecodedRows(tmmC, tmmA, tmmB, valid, cDec, blockN, decA[aOff:], padK, decB[bOff:], padK); err != nil {
-				return err
-			}
-		}
-		if err := u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4); err != nil {
-			return err
-		}
-		// Scatter the f32 accumulator into the unpadded result.
-		for r := 0; r < blockM; r++ {
-			row := rb*blockM + r
-			if row >= m {
-				break
-			}
-			cols := n - cb*blockN
-			if cols > blockN {
-				cols = blockN
-			}
-			copy(c[row*n+cb*blockN:row*n+cb*blockN+cols], cDec[r*blockN:r*blockN+cols])
-		}
+	bOff := kb*(blockK/2)*bStride + cb*blockN*4
+	if err := pu.u.TileLoad(tmmB, k.w.vnni[bOff:], bStride); err != nil {
+		return err
 	}
-	return nil
+	return pu.u.TDPBF16PS(tmmC, tmmA, tmmB)
+}
+
+func (k bf16Bytes) store(pu *pooledUnit) ([]float32, error) {
+	cTile := pu.cTile[:blockM*blockN*4]
+	if err := pu.u.TileStore(tmmC, cTile, blockN*4); err != nil {
+		return nil, err
+	}
+	acc := pu.cDecF[:]
+	for i := range acc {
+		acc[i] = f32FromBits(binary.LittleEndian.Uint32(cTile[4*i:]))
+	}
+	return acc, nil
+}
+
+// bf16Decoded is the decoded BF16 block kernel: the same TileZero /
+// TileLoad / TDP / TileStore sequence as bf16Bytes — identical faults and
+// cycle accounting via the *Check variants — but the MAC loop reads flat
+// pre-decoded slices and the accumulator stays float32 end to end (a
+// byte image of the accumulator would round-trip losslessly anyway, so
+// results are bit-identical).
+type bf16Decoded struct {
+	a []float32 // padded, bf16-pre-rounded A (packBF16DecodedInto)
+	w *Prepacked
+}
+
+func (k bf16Decoded) zero(pu *pooledUnit) error {
+	clear(pu.cDecF[:])
+	return pu.u.TileZeroCheck(tmmC)
+}
+
+func (k bf16Decoded) mac(pu *pooledUnit, rb, cb, kb, valid int) error {
+	padK := k.w.padK
+	bStrideB := k.w.padN * 4 // byte stride of the VNNI image the byte path would load
+	aOff := rb*blockM*padK + kb*blockK
+	if err := pu.u.TileLoadCheck(tmmA, 2*(len(k.a)-aOff), padK*2); err != nil {
+		return err
+	}
+	// The byte path loads the VNNI image at this offset; the bounds
+	// arithmetic is identical even though the decoded view is
+	// column-major.
+	bOffB := kb*(blockK/2)*bStrideB + cb*blockN*4
+	if err := pu.u.TileLoadCheck(tmmB, 2*len(k.w.dec)-bOffB, bStrideB); err != nil {
+		return err
+	}
+	bOff := cb*blockN*padK + kb*blockK
+	return pu.u.tdpBF16PSDecodedRows(tmmC, tmmA, tmmB, valid, pu.cDecF[:], blockN, k.a[aOff:], padK, k.w.dec[bOff:], padK)
+}
+
+func (k bf16Decoded) store(pu *pooledUnit) ([]float32, error) {
+	return pu.cDecF[:], pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4)
 }
 
 // ReferenceMatmulBF16 computes the same product with plain loops but

@@ -1,6 +1,7 @@
 package amx
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -124,7 +125,7 @@ type PrepackedINT8 struct {
 	// by prepackINT8Bytes (the byte-path oracle used in tests).
 	dec []int8
 	// zero is the sparse tier's zero-block bitmap (sparse.go), nil on
-	// dense operands. Both drivers skip a marked block's TileLoads + TDP.
+	// dense operands. drive skips a marked block's TileLoads + TDP.
 	zero *zeroBitmap
 }
 
@@ -156,32 +157,11 @@ func prepackINT8Bytes(b []int8, k, n int) (*PrepackedINT8, error) {
 	return &PrepackedINT8{K: k, N: n, padK: padK, padN: padN, vnni: PackS8VNNI(b, k, n, padK, padN)}, nil
 }
 
-// MatmulINT8 computes C = A·B through the emulated AMX INT8 pipeline:
-// A is M×K unsigned 8-bit, B is K×N signed 8-bit, C accumulates int32 —
-// exactly TDPBUSD's semantics. It returns the M×N row-major result and
-// the AMX cycles consumed.
-//
-// B is packed into VNNI layout on every call; when B is a static weight,
-// prepack it once with PrepackINT8 and use MatmulINT8Packed instead.
-func MatmulINT8(a []uint8, b []int8, m, k, n int) ([]int32, uint64, error) {
-	if len(a) != m*k || len(b) != k*n {
-		return nil, 0, fmt.Errorf("amx: int8 matmul operand sizes %d,%d do not match %dx%d · %dx%d", len(a), len(b), m, k, k, n)
-	}
-	if m <= 0 || k <= 0 || n <= 0 {
-		return nil, 0, fmt.Errorf("amx: int8 matmul dimensions must be positive, got %dx%dx%d", m, k, n)
-	}
-	padK := ceilDiv(k, blockKi8) * blockKi8
-	padN := ceilDiv(n, blockNi8) * blockNi8
-	bScratch := getScratchI8(padK * padN)
-	defer putScratchI8(bScratch)
-	packS8DecodedBInto(*bScratch, b, k, n, padK, padN)
-	w := PrepackedINT8{K: k, N: n, padK: padK, padN: padN, dec: *bScratch}
-	return matmulINT8Driver(a, m, &w)
-}
-
-// MatmulINT8Packed computes C = A·W for a prepacked right-hand operand,
-// skipping the per-call VNNI conversion; results match MatmulINT8 exactly
-// (integer arithmetic, layout-only packing).
+// MatmulINT8Packed computes C = A·W through the emulated AMX INT8
+// pipeline for a prepacked right-hand operand: A is M×K unsigned 8-bit,
+// W is K×N signed 8-bit, C accumulates int32 — exactly TDPBUSD's
+// semantics (integer arithmetic, layout-only packing). It returns the
+// M×N row-major result and the AMX cycles consumed.
 func MatmulINT8Packed(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
 	if w == nil {
 		return nil, 0, fmt.Errorf("amx: nil prepacked operand")
@@ -195,36 +175,27 @@ func MatmulINT8Packed(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 	return matmulINT8Driver(a, m, w)
 }
 
-// matmulINT8Driver packs A into pooled scratch and runs the output grid
-// — partitioned over the worker team when the product is large enough
-// to split, inline on the caller otherwise — routing to the decoded fast
-// path when the operand carries its decoded view (every production
-// PrepackedINT8 does). The unsigned A image needs no decoding — its
-// padded bytes are the lane values — so both paths share it.
+// matmulINT8Driver packs A into pooled scratch and hands the product to
+// drive with the decoded block kernel when the operand carries its
+// decoded view (every production PrepackedINT8 does) and the byte oracle
+// otherwise. The unsigned A image needs no decoding — its padded bytes
+// are the lane values — so both kernels share it.
 func matmulINT8Driver(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
 	padM := ceilDiv(m, blockMi8) * blockMi8
 	aScratch := getScratch(padM * w.padK)
 	defer putScratch(aScratch)
-	packedA := *aScratch
-	packU8Into(packedA, a, m, w.K, padM, w.padK)
+	packU8Into(*aScratch, a, m, w.K, padM, w.padK)
 
 	c := make([]int32, m*w.N)
-	rowBlocks := padM / blockMi8
-	colBlocks := w.padN / blockNi8
 	kBlocks := w.padK / blockKi8
-
 	var (
 		cycles uint64
 		err    error
 	)
-	if splits(m, rowBlocks, colBlocks, kBlocks) {
-		cycles, err = runTiled(int8MatmulConfig, rowBlocks, colBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
-			return runInt8Blocks(pu, rb, cbLo, cbHi, kBlocks, packedA, c, m, w)
-		})
+	if w.dec != nil {
+		cycles, err = drive(int8MatmulConfig, int8Decoded{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
 	} else {
-		cycles, err = runInline(int8MatmulConfig, rowBlocks, func(pu *pooledUnit, rb int) error {
-			return runInt8Blocks(pu, rb, 0, colBlocks, kBlocks, packedA, c, m, w)
-		})
+		cycles, err = drive(int8MatmulConfig, int8Bytes{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -232,125 +203,78 @@ func matmulINT8Driver(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 	return c, cycles, nil
 }
 
-// runInt8Blocks routes one chunk to the decoded or the byte row-block
-// kernel, whichever view the operand carries.
-func runInt8Blocks(pu *pooledUnit, rb, cbLo, cbHi, kBlocks int, packedA []byte, c []int32, m int, w *PrepackedINT8) error {
-	if w.dec != nil {
-		return runInt8RowBlockDecoded(pu, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, packedA, w.dec, c, m, w.N, w.zero)
-	}
-	return runInt8RowBlock(pu.u, rb, cbLo, cbHi, kBlocks, w.padK, w.padN, packedA, w.vnni, pu.cTile[:blockMi8*blockNi8*4], c, m, w.N, w.zero)
+// int8Bytes is the byte-accurate INT8 block kernel (TileLoad, TDPBUSD,
+// TileStore), the oracle int8Decoded is pinned against.
+type int8Bytes struct {
+	a []byte // padded u8 image of A (packU8Into)
+	w *PrepackedINT8
 }
 
-// runInt8RowBlock computes column blocks [cbLo, cbHi) of one 16-row
-// stripe of the INT8 output. A non-nil zero bitmap elides a marked
-// block's TileLoads and TDP; the integer skip is exact (a zero block
-// adds +0 to every lane).
-func runInt8RowBlock(u *Unit, rb, cbLo, cbHi, kBlocks, padK, padN int, packedA, packedB, cTile []byte, c []int32, m, n int, zero *zeroBitmap) error {
-	aStride := padK     // bytes per packed A row (u8)
-	bStride := padN * 4 // bytes per packed VNNI B row (quads)
-	for cb := cbLo; cb < cbHi; cb++ {
-		if err := u.TileZero(tmmC); err != nil {
-			return err
-		}
-		for kb := 0; kb < kBlocks; kb++ {
-			if zero.skipBlock(cb, kb, kBlocks) {
-				continue
-			}
-			aOff := rb*blockMi8*aStride + kb*blockKi8
-			if err := u.TileLoad(tmmA, packedA[aOff:], aStride); err != nil {
-				return err
-			}
-			bOff := kb*(blockKi8/4)*bStride + cb*blockNi8*4
-			if err := u.TileLoad(tmmB, packedB[bOff:], bStride); err != nil {
-				return err
-			}
-			if err := u.TDPBUSD(tmmC, tmmA, tmmB); err != nil {
-				return err
-			}
-		}
-		if err := u.TileStore(tmmC, cTile, blockNi8*4); err != nil {
-			return err
-		}
-		for r := 0; r < blockMi8; r++ {
-			row := rb*blockMi8 + r
-			if row >= m {
-				break
-			}
-			for col := 0; col < blockNi8; col++ {
-				j := cb*blockNi8 + col
-				if j >= n {
-					break
-				}
-				off := (r*blockNi8 + col) * 4
-				c[row*n+j] = int32(uint32(cTile[off]) | uint32(cTile[off+1])<<8 |
-					uint32(cTile[off+2])<<16 | uint32(cTile[off+3])<<24)
-			}
-		}
+func (k int8Bytes) zero(pu *pooledUnit) error { return pu.u.TileZero(tmmC) }
+
+func (k int8Bytes) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
+	aStride := k.w.padK     // bytes per packed A row (u8)
+	bStride := k.w.padN * 4 // bytes per packed VNNI B row (quads)
+	aOff := rb*blockMi8*aStride + kb*blockKi8
+	if err := pu.u.TileLoad(tmmA, k.a[aOff:], aStride); err != nil {
+		return err
 	}
-	return nil
+	bOff := kb*(blockKi8/4)*bStride + cb*blockNi8*4
+	if err := pu.u.TileLoad(tmmB, k.w.vnni[bOff:], bStride); err != nil {
+		return err
+	}
+	return pu.u.TDPBUSD(tmmC, tmmA, tmmB)
 }
 
-// runInt8RowBlockDecoded computes column blocks [cbLo, cbHi) of one
-// 16-row stripe of the INT8 output through the decoded entry points —
-// the TDPBUSD mirror of
-// runRowBlockDecoded: identical faults and cycle accounting via the
-// *Check variants, flat-slice MAC loop, int32 accumulator kept decoded
-// (its byte image round-trips losslessly, so results are bit-identical).
-func runInt8RowBlockDecoded(pu *pooledUnit, rb, cbLo, cbHi, kBlocks, padK, padN int, packedA []byte, decB []int8, c []int32, m, n int, zero *zeroBitmap) error {
-	u := pu.u
-	cDec := pu.cDecI[:blockMi8*blockNi8]
-	// Rows of this stripe carrying real data; the padding rows' MAC work
-	// is skipped (see runRowBlockDecoded).
-	valid := m - rb*blockMi8
-	if valid > blockMi8 {
-		valid = blockMi8
+func (k int8Bytes) store(pu *pooledUnit) ([]int32, error) {
+	cTile := pu.cTile[:blockMi8*blockNi8*4]
+	if err := pu.u.TileStore(tmmC, cTile, blockNi8*4); err != nil {
+		return nil, err
 	}
-	aStride := padK      // bytes per packed A row (u8)
-	bStrideB := padN * 4 // byte stride of the VNNI image the byte path would load
-	bBytes := len(decB)
-	for cb := cbLo; cb < cbHi; cb++ {
-		if err := u.TileZeroCheck(tmmC); err != nil {
-			return err
-		}
-		clear(cDec)
-		for kb := 0; kb < kBlocks; kb++ {
-			if zero.skipBlock(cb, kb, kBlocks) {
-				continue
-			}
-			aOff := rb*blockMi8*aStride + kb*blockKi8
-			if err := u.TileLoadCheck(tmmA, len(packedA)-aOff, aStride); err != nil {
-				return err
-			}
-			// Bounds arithmetic of the byte path's VNNI load, applied to the
-			// column-major decoded view's equal-sized backing.
-			bOffB := kb*(blockKi8/4)*bStrideB + cb*blockNi8*4
-			if err := u.TileLoadCheck(tmmB, bBytes-bOffB, bStrideB); err != nil {
-				return err
-			}
-			bOff := cb*blockNi8*padK + kb*blockKi8
-			if err := u.tdpBUSDDecodedRows(tmmC, tmmA, tmmB, valid, cDec, blockNi8, packedA[aOff:], aStride, decB[bOff:], padK); err != nil {
-				return err
-			}
-		}
-		if err := u.TileStoreCheck(tmmC, blockMi8*blockNi8*4, blockNi8*4); err != nil {
-			return err
-		}
-		for r := 0; r < blockMi8; r++ {
-			row := rb*blockMi8 + r
-			if row >= m {
-				break
-			}
-			cols := n - cb*blockNi8
-			if cols > blockNi8 {
-				cols = blockNi8
-			}
-			copy(c[row*n+cb*blockNi8:row*n+cb*blockNi8+cols], cDec[r*blockNi8:r*blockNi8+cols])
-		}
+	acc := pu.cDecI[:]
+	for i := range acc {
+		acc[i] = int32(binary.LittleEndian.Uint32(cTile[4*i:]))
 	}
-	return nil
+	return acc, nil
 }
 
-// ReferenceMatmulINT8 is the plain-loop reference for MatmulINT8.
+// int8Decoded is the decoded INT8 block kernel, the TDPBUSD mirror of
+// bf16Decoded: identical faults and cycle accounting via the *Check
+// variants, flat-slice MAC loop, int32 accumulator kept decoded (its byte
+// image round-trips losslessly, so results are bit-identical).
+type int8Decoded struct {
+	a []byte // padded u8 image of A, shared with the byte kernel
+	w *PrepackedINT8
+}
+
+func (k int8Decoded) zero(pu *pooledUnit) error {
+	clear(pu.cDecI[:])
+	return pu.u.TileZeroCheck(tmmC)
+}
+
+func (k int8Decoded) mac(pu *pooledUnit, rb, cb, kb, valid int) error {
+	padK := k.w.padK         // bytes per packed A row (u8)
+	bStrideB := k.w.padN * 4 // byte stride of the VNNI image the byte path would load
+	aOff := rb*blockMi8*padK + kb*blockKi8
+	if err := pu.u.TileLoadCheck(tmmA, len(k.a)-aOff, padK); err != nil {
+		return err
+	}
+	// Bounds arithmetic of the byte path's VNNI load, applied to the
+	// column-major decoded view's equal-sized backing.
+	bOffB := kb*(blockKi8/4)*bStrideB + cb*blockNi8*4
+	if err := pu.u.TileLoadCheck(tmmB, len(k.w.dec)-bOffB, bStrideB); err != nil {
+		return err
+	}
+	bOff := cb*blockNi8*padK + kb*blockKi8
+	return pu.u.tdpBUSDDecodedRows(tmmC, tmmA, tmmB, valid, pu.cDecI[:], blockNi8, k.a[aOff:], padK, k.w.dec[bOff:], padK)
+}
+
+func (k int8Decoded) store(pu *pooledUnit) ([]int32, error) {
+	return pu.cDecI[:], pu.u.TileStoreCheck(tmmC, blockMi8*blockNi8*4, blockNi8*4)
+}
+
+// ReferenceMatmulINT8 is the plain-loop reference for MatmulINT8Packed,
+// over the unpacked operands.
 func ReferenceMatmulINT8(a []uint8, b []int8, m, k, n int) []int32 {
 	c := make([]int32, m*n)
 	for i := 0; i < m; i++ {

@@ -6,11 +6,21 @@ import (
 	"testing/quick"
 )
 
+// matmulINT8 is the unpacked-operand form the tests below are written
+// against: prepack B, then run the one INT8 entry point.
+func matmulINT8(a []uint8, b []int8, m, k, n int) ([]int32, uint64, error) {
+	w, err := PrepackINT8(b, k, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	return MatmulINT8Packed(a, m, w)
+}
+
 func TestMatmulINT8SmallExact(t *testing.T) {
 	// 2×3 · 3×2 with hand-checked values.
 	a := []uint8{1, 2, 3, 4, 5, 6}
 	b := []int8{1, -1, 2, 0, -3, 4}
-	got, cycles, err := MatmulINT8(a, b, 2, 3, 2)
+	got, cycles, err := matmulINT8(a, b, 2, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +47,7 @@ func TestMatmulINT8MatchesReference(t *testing.T) {
 		for i := range b {
 			b[i] = int8(rng.Intn(256) - 128)
 		}
-		got, _, err := MatmulINT8(a, b, m, k, n)
+		got, _, err := matmulINT8(a, b, m, k, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +61,10 @@ func TestMatmulINT8MatchesReference(t *testing.T) {
 }
 
 func TestMatmulINT8RejectsBadSizes(t *testing.T) {
-	if _, _, err := MatmulINT8(make([]uint8, 3), make([]int8, 4), 2, 2, 2); err == nil {
+	if _, _, err := matmulINT8(make([]uint8, 3), make([]int8, 4), 2, 2, 2); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if _, _, err := MatmulINT8(nil, nil, 0, 1, 1); err == nil {
+	if _, _, err := matmulINT8(nil, nil, 0, 1, 1); err == nil {
 		t.Error("zero dimension accepted")
 	}
 }
@@ -78,7 +88,7 @@ func TestMatmulINT8RowSumProperty(t *testing.T) {
 		for i := range b {
 			b[i] = 1
 		}
-		got, _, err := MatmulINT8(a, b, m, k, 1)
+		got, _, err := matmulINT8(a, b, m, k, 1)
 		if err != nil {
 			return false
 		}
@@ -111,7 +121,7 @@ func TestINT8HalvesTDPCycles(t *testing.T) {
 	}
 	ai := make([]uint8, m*k)
 	bi := make([]int8, k*n)
-	_, int8Cycles, err := MatmulINT8(ai, bi, m, k, n)
+	_, int8Cycles, err := matmulINT8(ai, bi, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,6 +166,78 @@ func runInline(cfg TileConfig, rowBlocks int, run func(pu *pooledUnit, rb int) e
 	return pu.u.Cycles() - start, nil
 }
 
+// blockKernel is one way of computing a 16×16 output block of a blocked
+// product on a tile unit. The four values — BF16 and INT8, each as the
+// byte oracle and the decoded fast path — issue the same instruction
+// sequence with the same faults and cycles and differ only in how the
+// operands travel, so drive is written once.
+type blockKernel[C float32 | int32] interface {
+	// zero is TILEZERO on the accumulator tile.
+	zero(pu *pooledUnit) error
+	// mac is C(rb, cb) += A(rb, kb) · B(kb, cb): two TILELOADDs and one
+	// TDP. Only the stripe's first valid rows carry data; a kernel may
+	// elide the padding rows' host arithmetic, never their cycles.
+	mac(pu *pooledUnit, rb, cb, kb, valid int) error
+	// store is TILESTORED: the finished accumulator, row-major with stride
+	// blockN, valid until the unit's next zero.
+	store(pu *pooledUnit) ([]C, error)
+}
+
+// drive runs one blocked product C (m×n) over the grid of 16×16 output
+// blocks — partitioned over the worker team when the product is large
+// enough to split, inline on the caller otherwise — and returns the
+// emulated cycles consumed. The C tile is 16 rows of 16 32-bit lanes for
+// both element types, so blockM/blockN describe the INT8 grid too.
+func drive[C float32 | int32, K blockKernel[C]](cfg TileConfig, kern K, c []C, m, n, kBlocks int, zero *zeroBitmap) (uint64, error) {
+	rowBlocks := ceilDiv(m, blockM)
+	colBlocks := ceilDiv(n, blockN)
+	if splits(m, rowBlocks, colBlocks, kBlocks) {
+		return runTiled(cfg, rowBlocks, colBlocks, func(pu *pooledUnit, rb, cbLo, cbHi int) error {
+			return driveStripe(pu, kern, rb, cbLo, cbHi, kBlocks, c, m, n, zero)
+		})
+	}
+	return runInline(cfg, rowBlocks, func(pu *pooledUnit, rb int) error {
+		return driveStripe(pu, kern, rb, 0, colBlocks, kBlocks, c, m, n, zero)
+	})
+}
+
+// driveStripe computes column blocks [cbLo, cbHi) of one 16-row stripe of
+// the output. A non-nil zero bitmap (sparse operand) elides a marked
+// block's TileLoads and TDP for every kernel alike, which is what keeps
+// the byte and decoded kernels bit-identical on sparse operands. Not a
+// closure in drive: the team path's would escape and the inline path
+// must stay allocation-free.
+func driveStripe[C float32 | int32, K blockKernel[C]](pu *pooledUnit, kern K, rb, cbLo, cbHi, kBlocks int, c []C, m, n int, zero *zeroBitmap) error {
+	// Rows of this stripe that carry real data; the rest of the tile is
+	// zero padding whose accumulator rows are never scattered (a GEMV
+	// otherwise pays 16 rows of host arithmetic for 1 row of output).
+	valid := min(m-rb*blockM, blockM)
+	for cb := cbLo; cb < cbHi; cb++ {
+		if err := kern.zero(pu); err != nil {
+			return err
+		}
+		for kb := 0; kb < kBlocks; kb++ {
+			if zero.skipBlock(cb, kb, kBlocks) {
+				continue
+			}
+			if err := kern.mac(pu, rb, cb, kb, valid); err != nil {
+				return err
+			}
+		}
+		acc, err := kern.store(pu)
+		if err != nil {
+			return err
+		}
+		// Scatter the accumulator into the unpadded result.
+		cols := min(n-cb*blockN, blockN)
+		for r := 0; r < valid; r++ {
+			off := (rb*blockM+r)*n + cb*blockN
+			copy(c[off:off+cols], acc[r*blockN:r*blockN+cols])
+		}
+	}
+	return nil
+}
+
 // packScratch recycles operand pack buffers across matmul calls.
 var packScratch = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -183,13 +255,10 @@ func getScratch(n int) *[]byte {
 // putScratch returns a buffer obtained from getScratch.
 func putScratch(bp *[]byte) { packScratch.Put(bp) }
 
-// f32Scratch and i8Scratch recycle the decoded fast path's operand
-// buffers (pre-rounded A stripes, per-call decoded B views) across
-// matmul calls, mirroring packScratch for the byte images.
-var (
-	f32Scratch = sync.Pool{New: func() any { return new([]float32) }}
-	i8Scratch  = sync.Pool{New: func() any { return new([]int8) }}
-)
+// f32Scratch recycles the decoded fast path's float32 buffers
+// (pre-rounded A stripes, per-call decoded B views, LUT tables) across
+// calls, mirroring packScratch for the byte images.
+var f32Scratch = sync.Pool{New: func() any { return new([]float32) }}
 
 // getScratchF32 returns a length-n float32 buffer (contents unspecified;
 // the decoded pack routines overwrite every element including padding).
@@ -204,16 +273,3 @@ func getScratchF32(n int) *[]float32 {
 
 // putScratchF32 returns a buffer obtained from getScratchF32.
 func putScratchF32(bp *[]float32) { f32Scratch.Put(bp) }
-
-// getScratchI8 returns a length-n int8 buffer under the same contract.
-func getScratchI8(n int) *[]int8 {
-	bp := i8Scratch.Get().(*[]int8)
-	if cap(*bp) < n {
-		*bp = make([]int8, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-// putScratchI8 returns a buffer obtained from getScratchI8.
-func putScratchI8(bp *[]int8) { i8Scratch.Put(bp) }

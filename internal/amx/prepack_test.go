@@ -54,7 +54,9 @@ func TestPackedMatchesLegacyBF16(t *testing.T) {
 	}
 }
 
-// TestPackedMatchesLegacyINT8 is the TDPBUSD mirror of the BF16 test.
+// TestPackedMatchesLegacyINT8 is the TDPBUSD mirror of the BF16 test: a
+// reused prepacked image against a fresh prepack per product (the
+// unpacked-operand entry point this test was written against is gone).
 func TestPackedMatchesLegacyINT8(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
 		{1, 64, 16}, {16, 64, 16}, {33, 100, 20}, {64, 128, 64},
@@ -67,7 +69,7 @@ func TestPackedMatchesLegacyINT8(t *testing.T) {
 		for i := range b {
 			b[i] = int8(i%251 - 125)
 		}
-		want, _, err := MatmulINT8(a, b, s.m, s.k, s.n)
+		want, _, err := matmulINT8(a, b, s.m, s.k, s.n)
 		if err != nil {
 			t.Fatalf("%dx%dx%d legacy: %v", s.m, s.k, s.n, err)
 		}

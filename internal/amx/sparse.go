@@ -2,7 +2,7 @@ package amx
 
 // Sparse AMX tier (SparAMX-style): a prepacked right-hand operand can
 // carry a per-tile-block zero-block bitmap, built once at prepack time by
-// scanning the VNNI byte image. The matmul drivers then skip a zero
+// scanning the VNNI byte image. drive (pool.go) then skips a zero
 // (kb, cb) block outright — no TileLoads, no TDP — which is where the
 // cycles go: each skipped block saves 2·cyclesTileLoad + cyclesTDP while
 // the per-column-block TileZero/TileStore bookkeeping is unchanged.
@@ -20,7 +20,7 @@ package amx
 // token streams.
 
 // zeroBitmap marks which (kb, cb) tile blocks of a prepacked operand are
-// entirely zero. Bit index cb*kBlocks+kb matches the drivers' loop order.
+// entirely zero. Bit index cb*kBlocks+kb matches drive's loop order.
 type zeroBitmap struct {
 	bits []uint64
 	nz   int // nonzero blocks
@@ -42,20 +42,13 @@ func (z *zeroBitmap) skipBlock(cb, kb, kBlocks int) bool {
 	return z.skip(cb*kBlocks + kb)
 }
 
-// scanZeroBF16VNNI builds the bitmap for a BF16 VNNI image: block
-// (kb, cb) spans logical K rows [kb·blockK, (kb+1)·blockK) and columns
-// [cb·blockN, (cb+1)·blockN), i.e. VNNI pair-rows [kb·blockK/2, …) at
-// byte columns cb·blockN·4. A lane counts as zero when its bf16 bits are
-// ±0.0 (0x0000 or 0x8000) — see the tier note above for why -0.0 lanes
-// are skippable.
-func scanZeroBF16VNNI(vnni []byte, padK, padN int) *zeroBitmap {
-	kBlocks := padK / blockK
-	colBlocks := padN / blockN
+// scanZero builds the bitmap of a kBlocks × colBlocks operand from its
+// element type's block predicate.
+func scanZero(kBlocks, colBlocks int, blockZero func(kb, cb int) bool) *zeroBitmap {
 	z := newZeroBitmap(kBlocks * colBlocks)
-	bStride := padN * 4
 	for cb := 0; cb < colBlocks; cb++ {
 		for kb := 0; kb < kBlocks; kb++ {
-			if bf16BlockZero(vnni, kb, cb, bStride) {
+			if blockZero(kb, cb) {
 				z.set(cb*kBlocks + kb)
 			} else {
 				z.nz++
@@ -63,6 +56,16 @@ func scanZeroBF16VNNI(vnni []byte, padK, padN int) *zeroBitmap {
 		}
 	}
 	return z
+}
+
+// scanZeroBF16VNNI builds the bitmap for a BF16 VNNI image: block
+// (kb, cb) spans logical K rows [kb·blockK, (kb+1)·blockK) and columns
+// [cb·blockN, (cb+1)·blockN), i.e. VNNI pair-rows [kb·blockK/2, …) at
+// byte columns cb·blockN·4. A lane counts as zero when its bf16 bits are
+// ±0.0 (0x0000 or 0x8000) — see the tier note above for why -0.0 lanes
+// are skippable.
+func scanZeroBF16VNNI(vnni []byte, padK, padN int) *zeroBitmap {
+	return scanZero(padK/blockK, padN/blockN, func(kb, cb int) bool { return bf16BlockZero(vnni, kb, cb, padN*4) })
 }
 
 func bf16BlockZero(vnni []byte, kb, cb, bStride int) bool {
@@ -81,20 +84,7 @@ func bf16BlockZero(vnni []byte, kb, cb, bStride int) bool {
 
 // scanZeroINT8VNNI is the INT8 twin: a lane is zero iff its byte is 0.
 func scanZeroINT8VNNI(vnni []byte, padK, padN int) *zeroBitmap {
-	kBlocks := padK / blockKi8
-	colBlocks := padN / blockNi8
-	z := newZeroBitmap(kBlocks * colBlocks)
-	bStride := padN * 4
-	for cb := 0; cb < colBlocks; cb++ {
-		for kb := 0; kb < kBlocks; kb++ {
-			if int8BlockZero(vnni, kb, cb, bStride) {
-				z.set(cb*kBlocks + kb)
-			} else {
-				z.nz++
-			}
-		}
-	}
-	return z
+	return scanZero(padK/blockKi8, padN/blockNi8, func(kb, cb int) bool { return int8BlockZero(vnni, kb, cb, padN*4) })
 }
 
 func int8BlockZero(vnni []byte, kb, cb, bStride int) bool {

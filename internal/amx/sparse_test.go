@@ -3,6 +3,8 @@ package amx
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -165,6 +167,42 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 		}
 		if cySparse >= cyDense {
 			t.Fatalf("int8 sparse cycles %d not below dense %d", cySparse, cyDense)
+		}
+
+		// Byte-path oracle with the same bitmap takes the same skips:
+		// result and cycles (a cold unit may add one palette configure).
+		byteOp, err := prepackINT8Bytes(b, sh.k, sh.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byteOp.zero = scanZeroINT8VNNI(byteOp.vnni, byteOp.padK, byteOp.padN)
+		gotBytes, cyBytes, err := MatmulINT8Packed(a, sh.m, byteOp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotBytes, got) {
+			t.Fatalf("%v: int8 sparse byte oracle diverged from decoded", sh)
+		}
+		if diff := cycleDiff(cyBytes, cySparse); diff%cyclesConfig != 0 {
+			t.Fatalf("%v: cycles %d (byte) != %d (decoded)", sh, cyBytes, cySparse)
+		}
+
+		// The differential has teeth: mark one nonzero block of a copy of
+		// the oracle's bitmap as skippable and the comparison must fail.
+		z := &zeroBitmap{bits: slices.Clone(byteOp.zero.bits)}
+		flip := 0
+		for z.skip(flip) {
+			flip++
+		}
+		z.set(flip)
+		mutOp := *byteOp
+		mutOp.zero = z
+		gotMut, _, err := MatmulINT8Packed(a, sh.m, &mutOp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(gotMut, got) {
+			t.Fatalf("%v: skipping nonzero block %d left the product unchanged — the byte-vs-decoded comparison cannot fail", sh, flip)
 		}
 	}
 }

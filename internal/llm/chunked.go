@@ -35,7 +35,7 @@ func (e *Executor) NewSequenceChunked(prompt []int, n, chunk int, seed *KVSeed) 
 			len(prompt), n, e.Model.Cfg.MaxSeqLen)
 	}
 	cached := seed.Tokens()
-	if e.int8 != nil || chunk <= 0 || chunk >= len(prompt)-cached {
+	if e.tier.rowCoupled || chunk <= 0 || chunk >= len(prompt)-cached {
 		return e.NewSequenceFrom(prompt, n, seed)
 	}
 	if seed != nil {

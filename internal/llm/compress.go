@@ -1,9 +1,9 @@
-// Compressed weight tiers: the sparse AMX and INT4 LUT-GEMV serving
-// modes. Both follow EnableINT8's shape — quantize/prune every parameter
-// sublayer eagerly, then route linear() through the compressed kernel —
-// but unlike INT8 (whose per-pass activation scales couple stacked rows)
-// both tiers compute every output row from its own input row, so they
-// stay on the fused batch-decode path with no fallback.
+// Compressed weight tiers: the INT8, block-sparse and INT4 LUT-GEMV
+// serving modes. Each Enable* prunes/quantizes and prepacks every
+// parameter sublayer eagerly into a new tier of linearOps (tier.go). INT8's
+// per-pass activation scales couple stacked rows (tier.rowCoupled); the
+// sparse and INT4 kernels compute every output row from its own input
+// row, so they stay on the fused batch-decode path with no fallback.
 package llm
 
 import (
@@ -15,90 +15,16 @@ import (
 	"github.com/lia-sim/lia/internal/tensor"
 )
 
-// sparseWeight is one block-pruned parameter matrix in both routed
-// forms: the sparse-bitmap VNNI image the CPU route runs (zero tile
-// blocks skip their TileLoads and TDP) and the bf16-rounded pruned copy
-// the dense (GPU) route multiplies. Both are built once at enable time
-// and immutable afterwards, so forks share them.
-type sparseWeight struct {
-	pre   *amx.Prepacked
-	gpu   tensor.Matrix
-	k, n  int
-	stats quant.SparseStats
-}
-
-// sparseLayer holds one decoder layer's four pruned parameter matrices.
-type sparseLayer struct {
-	qkv, out, fc1, fc2 sparseWeight
-}
-
-// int4Layer caches one decoder layer's INT4 group-quantized matrices.
-type int4Layer struct {
-	wQKV, wOut, wFC1, wFC2 quant.WeightsINT4
-}
-
-// EnableSparse prunes every parameter-sublayer weight matrix to the
-// requested block-sparsity at the AMX tile granularity (lowest-magnitude
-// blocks first) and prepacks the sparse-bitmap images; subsequent passes
-// skip the zeroed blocks on the CPU route and multiply the same pruned
-// weights densely on the GPU route, so tokens are policy-invariant
-// exactly like the dense tier. Enabling replaces any other compressed
-// tier. Attention scoring (the KV cache) stays dense BF16.
-func (e *Executor) EnableSparse(sparsity float64) {
-	e.int8 = nil
-	e.int4 = nil
-	e.tp = nil
-	e.sparseInt8 = false
-	e.sparse = make([]sparseLayer, len(e.Model.Layers))
-	for i, w := range e.Model.Layers {
-		e.sparse[i] = sparseLayer{
-			qkv: pruneWeight(w.WQKV, sparsity),
-			out: pruneWeight(w.WOut, sparsity),
-			fc1: pruneWeight(w.WFC1, sparsity),
-			fc2: pruneWeight(w.WFC2, sparsity),
-		}
-	}
-}
-
-// pruneWeight builds one sparseWeight from a dense matrix.
-func pruneWeight(w tensor.Matrix, sparsity float64) sparseWeight {
-	pruned, stats := quant.PruneBlocks(w, sparsity)
-	pre, err := amx.PrepackBF16Sparse(pruned.Data, pruned.Rows, pruned.Cols)
-	if err != nil {
-		panic(fmt.Sprintf("llm: sparse prepack: %v", err))
-	}
-	gpu := pruned.Clone()
-	amx.RoundSlice(gpu.Data)
-	return sparseWeight{pre: pre, gpu: gpu, k: pruned.Rows, n: pruned.Cols, stats: stats}
-}
-
-// EnableINT4LUT quantizes every parameter-sublayer weight matrix to the
-// INT4 group format (group ≤ 0 selects quant.DefaultGroupINT4) and runs
-// those sublayers through the LUT-GEMV kernel regardless of policy —
-// like INT8, the compressed kernel replaces both routes. Enabling
-// replaces any other compressed tier.
-func (e *Executor) EnableINT4LUT(group int) {
-	e.int8 = nil
-	e.sparse = nil
-	e.tp = nil
-	e.sparseInt8 = false
-	e.int4 = make([]int4Layer, len(e.Model.Layers))
-	for i, w := range e.Model.Layers {
-		e.int4[i] = int4Layer{
-			wQKV: mustQuantizeINT4(w.WQKV, group),
-			wOut: mustQuantizeINT4(w.WOut, group),
-			wFC1: mustQuantizeINT4(w.WFC1, group),
-			wFC2: mustQuantizeINT4(w.WFC2, group),
-		}
-	}
-}
-
-func mustQuantizeINT4(w tensor.Matrix, group int) quant.WeightsINT4 {
-	q, err := quant.QuantizeINT4(w, group)
-	if err != nil {
-		panic(fmt.Sprintf("llm: int4 quantize: %v", err))
-	}
-	return q
+// EnableINT8 quantizes every parameter-sublayer weight matrix to INT8
+// with per-output-channel scales (and prepacks them into the VNNI tile
+// layout, once); subsequent forward passes run those sublayers through
+// the AMX TDPBUSD pipeline (W8A8). Attention scoring (the KV cache) stays
+// BF16, matching the §6 observation that it is the precision- and
+// bandwidth-sensitive path. Enabling replaces any other tier.
+func (e *Executor) EnableINT8() {
+	e.tier = newTier(e.Model, tierINT8, true, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+		return &int8Op{w: quant.QuantizeWeights(w)}
+	})
 }
 
 // EnableSparseINT8 combines block pruning with INT8 quantization: every
@@ -110,99 +36,118 @@ func mustQuantizeINT4(w tensor.Matrix, group int) quant.WeightsINT4 {
 // bit-identical to dense INT8 compute over the same pruned weights.
 // Enabling replaces any other compressed tier.
 func (e *Executor) EnableSparseINT8(sparsity float64) {
-	e.sparse = nil
-	e.int4 = nil
-	e.tp = nil
-	e.sparseInt8 = true
-	e.int8 = make([]quantizedLayer, len(e.Model.Layers))
-	for i, w := range e.Model.Layers {
-		qkv, _ := quant.QuantizeWeightsSparse(w.WQKV, sparsity)
-		out, _ := quant.QuantizeWeightsSparse(w.WOut, sparsity)
-		fc1, _ := quant.QuantizeWeightsSparse(w.WFC1, sparsity)
-		fc2, _ := quant.QuantizeWeightsSparse(w.WFC2, sparsity)
-		e.int8[i] = quantizedLayer{wQKV: qkv, wOut: out, wFC1: fc1, wFC2: fc2}
-	}
+	e.tier = newTier(e.Model, tierSparseINT8, true, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+		q, _ := quant.QuantizeWeightsSparse(w, sparsity)
+		return &int8Op{w: q, sparse: true}
+	})
 }
 
-// SparseINT8 reports whether the block-pruned INT8 tier is on.
-func (e *Executor) SparseINT8() bool { return e.int8 != nil && e.sparseInt8 }
-
-// Sparse reports whether the block-sparse tier is on.
-func (e *Executor) Sparse() bool { return e.sparse != nil }
-
-// INT4 reports whether the INT4 LUT tier is on.
-func (e *Executor) INT4() bool { return e.int4 != nil }
-
-// QuantTier names the active weight tier for metrics and bench labels.
-func (e *Executor) QuantTier() string {
-	switch {
-	case e.int8 != nil && e.sparseInt8:
-		return "sparse-int8"
-	case e.int8 != nil:
-		return "int8"
-	case e.int4 != nil:
-		return "int4lut"
-	case e.sparse != nil:
-		return "sparse"
-	}
-	return "dense"
+// int8Op is one INT8 parameter matrix; sparse marks the block-pruned
+// variant whose prepacked image carries a zero-block bitmap.
+type int8Op struct {
+	w      quant.Weights
+	sparse bool
 }
 
-// linearSparse is linear()'s sparse-tier body: policy-routed like the
-// dense path, but the CPU route runs the sparse-bitmap image (skipping
-// zero blocks) and the GPU route multiplies the pruned rounded copy.
-func (e *Executor) linearSparse(li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
-	sl := &e.sparse[li]
-	var sw *sparseWeight
-	switch s {
-	case model.QKVMapping:
-		sw = &sl.qkv
-	case model.OutProjection:
-		sw = &sl.out
-	case model.FC1:
-		sw = &sl.fc1
-	case model.FC2:
-		sw = &sl.fc2
-	default:
-		panic(fmt.Sprintf("llm: %s is not a parameter sublayer", s))
+func (o *int8Op) apply(e *Executor, _ int, _ model.Sublayer, x tensor.Matrix) tensor.Matrix {
+	out, cycles, err := quant.Linear(x, o.w)
+	if err != nil {
+		panic(fmt.Sprintf("llm: int8 linear: %v", err))
 	}
-	if x.Cols != sw.k {
-		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, sw.k, sw.n))
-	}
-	if e.Policy.OnCPU(s) {
-		out, cycles, err := amx.MatmulBF16Packed(x.Data, x.Rows, sw.pre)
-		if err != nil {
-			panic(fmt.Sprintf("llm: sparse AMX matmul: %v", err))
-		}
-		nz, total := sw.pre.BlockStats()
-		e.Stats.CPUMatmuls++
+	e.Stats.Int8Matmuls++
+	e.Stats.AMXCycles += cycles
+	if o.sparse {
+		zero, _ := o.blocks()
 		e.Stats.SparseMatmuls++
-		e.Stats.SparseBlocksSkipped += uint64(total - nz)
-		e.Stats.AMXCycles += cycles
-		return tensor.FromSlice(x.Rows, sw.n, out)
+		e.Stats.SparseBlocksSkipped += uint64(zero)
 	}
-	e.Stats.GPUMatmuls++
-	amx.RoundSlice(x.Data)
-	return tensor.MatMul(x, sw.gpu)
+	return out
 }
 
-// linearINT4 is linear()'s INT4-LUT body.
-func (e *Executor) linearINT4(li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
-	q := &e.int4[li]
-	var qw *quant.WeightsINT4
-	switch s {
-	case model.QKVMapping:
-		qw = &q.wQKV
-	case model.OutProjection:
-		qw = &q.wOut
-	case model.FC1:
-		qw = &q.wFC1
-	case model.FC2:
-		qw = &q.wFC2
-	default:
-		panic(fmt.Sprintf("llm: %s is not a parameter sublayer", s))
+// footprint prices the packed format with its side tables; the sparse
+// variant ships only the nonzero blocks' payload plus the bitmap.
+func (o *int8Op) footprint() int64 {
+	if o.sparse {
+		return int64(o.w.FootprintSparse())
 	}
-	out, cycles, err := quant.LinearINT4LUT(x, *qw)
+	return int64(o.w.Footprint())
+}
+
+func (o *int8Op) blocks() (zero, total int) {
+	nz, total := o.w.BlockStats()
+	return total - nz, total
+}
+
+// EnableSparse prunes every parameter-sublayer weight matrix to the
+// requested block-sparsity at the AMX tile granularity (lowest-magnitude
+// blocks first) and prepacks the sparse-bitmap images; subsequent passes
+// skip the zeroed blocks on the CPU route and multiply the same pruned
+// weights densely on the GPU route, so tokens are policy-invariant
+// exactly like the dense tier. Enabling replaces any other compressed
+// tier. Attention scoring (the KV cache) stays dense BF16.
+func (e *Executor) EnableSparse(sparsity float64) {
+	e.tier = newTier(e.Model, tierSparse, false, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+		pruned, _ := quant.PruneBlocks(w, sparsity)
+		pre, err := amx.PrepackBF16Sparse(pruned.Data, pruned.Rows, pruned.Cols)
+		if err != nil {
+			panic(fmt.Sprintf("llm: sparse prepack: %v", err))
+		}
+		amx.RoundSlice(pruned.Data)
+		return &sparseOp{pre: pre, gpu: pruned}
+	})
+}
+
+// sparseOp is one block-pruned parameter matrix in both routed forms:
+// the sparse-bitmap VNNI image the CPU route runs (zero tile blocks skip
+// their TileLoads and TDP) and the bf16-rounded pruned copy the dense
+// (GPU) route multiplies. Both are built once at enable time and
+// immutable afterwards, so forks share them.
+type sparseOp struct {
+	pre *amx.Prepacked
+	gpu tensor.Matrix
+}
+
+func (o *sparseOp) apply(e *Executor, _ int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
+	if !e.Policy.OnCPU(s) {
+		return e.denseBF16(s, x, o.gpu)
+	}
+	zero, _ := o.blocks()
+	e.Stats.SparseMatmuls++
+	e.Stats.SparseBlocksSkipped += uint64(zero)
+	return e.amxBF16(s, x, o.pre)
+}
+
+// footprint prices the compressed nonzero-block BF16 payload plus bitmap.
+func (o *sparseOp) footprint() int64 {
+	zero, total := o.blocks()
+	return int64(quant.SparseFootprint(o.pre.K, o.pre.N, quant.SparseStats{ZeroBlocks: zero, TotalBlocks: total}))
+}
+
+func (o *sparseOp) blocks() (zero, total int) {
+	nz, total := o.pre.BlockStats()
+	return total - nz, total
+}
+
+// EnableINT4LUT quantizes every parameter-sublayer weight matrix to the
+// INT4 group format (group ≤ 0 selects quant.DefaultGroupINT4) and runs
+// those sublayers through the LUT-GEMV kernel regardless of policy —
+// like INT8, the compressed kernel replaces both routes. Enabling
+// replaces any other compressed tier.
+func (e *Executor) EnableINT4LUT(group int) {
+	e.tier = newTier(e.Model, tierINT4, false, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+		q, err := quant.QuantizeINT4(w, group)
+		if err != nil {
+			panic(fmt.Sprintf("llm: int4 quantize: %v", err))
+		}
+		return &int4Op{w: q}
+	})
+}
+
+// int4Op is one INT4 group-quantized parameter matrix.
+type int4Op struct{ w quant.WeightsINT4 }
+
+func (o *int4Op) apply(e *Executor, _ int, _ model.Sublayer, x tensor.Matrix) tensor.Matrix {
+	out, cycles, err := quant.LinearINT4LUT(x, o.w)
 	if err != nil {
 		panic(fmt.Sprintf("llm: int4 linear: %v", err))
 	}
@@ -210,6 +155,24 @@ func (e *Executor) linearINT4(li int, s model.Sublayer, x tensor.Matrix) tensor.
 	e.Stats.AMXCycles += cycles
 	return out
 }
+
+func (o *int4Op) footprint() int64          { return int64(o.w.Footprint()) }
+func (o *int4Op) blocks() (zero, total int) { return 0, 0 }
+
+// INT8 reports whether quantized mode is on (either INT8 tier).
+func (e *Executor) INT8() bool { return e.tier.name == tierINT8 || e.tier.name == tierSparseINT8 }
+
+// SparseINT8 reports whether the block-pruned INT8 tier is on.
+func (e *Executor) SparseINT8() bool { return e.tier.name == tierSparseINT8 }
+
+// Sparse reports whether the block-sparse tier is on.
+func (e *Executor) Sparse() bool { return e.tier.name == tierSparse }
+
+// INT4 reports whether the INT4 LUT tier is on.
+func (e *Executor) INT4() bool { return e.tier.name == tierINT4 }
+
+// QuantTier names the active weight tier for metrics and bench labels.
+func (e *Executor) QuantTier() string { return e.tier.name }
 
 // WeightFootprint returns the serving footprint in bytes of the active
 // weight tier across every decoder layer's parameter matrices — the
@@ -220,61 +183,24 @@ func (e *Executor) linearINT4(li int, s model.Sublayer, x tensor.Matrix) tensor.
 // embedding is excluded: it stays dense in every tier.
 func (e *Executor) WeightFootprint() int64 {
 	var total int64
-	for li := range e.Model.Layers {
-		switch {
-		case e.int8 != nil && e.sparseInt8:
-			q := &e.int8[li]
-			for _, w := range []*quant.Weights{&q.wQKV, &q.wOut, &q.wFC1, &q.wFC2} {
-				total += int64(w.FootprintSparse())
-			}
-		case e.int8 != nil:
-			q := &e.int8[li]
-			total += int64(q.wQKV.Footprint() + q.wOut.Footprint() + q.wFC1.Footprint() + q.wFC2.Footprint())
-		case e.int4 != nil:
-			q := &e.int4[li]
-			total += int64(q.wQKV.Footprint() + q.wOut.Footprint() + q.wFC1.Footprint() + q.wFC2.Footprint())
-		case e.sparse != nil:
-			sl := &e.sparse[li]
-			for _, sw := range []*sparseWeight{&sl.qkv, &sl.out, &sl.fc1, &sl.fc2} {
-				total += int64(quant.SparseFootprint(sw.k, sw.n, sw.stats))
-			}
-		default:
-			w := &e.Model.Layers[li]
-			for _, m := range []tensor.Matrix{w.WQKV, w.WOut, w.WFC1, w.WFC2} {
-				total += int64(2 * m.Rows * m.Cols)
-			}
-		}
-	}
+	e.tier.each(func(op linearOp) { total += op.footprint() })
 	return total
 }
 
 // SparseSkipFraction reports the aggregate zero-block fraction across
 // the sparse tier's weights (0 when neither sparse tier is on) — the
 // measured sparsity the analytic model's (1 − s) scaling is calibrated
-// against. Covers both the BF16 block-sparse tier and the block-pruned
+// against, read from the prepacked images' bitmaps: the thing the kernel
+// skips by. Covers both the BF16 block-sparse tier and the block-pruned
 // INT8 tier.
 func (e *Executor) SparseSkipFraction() float64 {
 	var zero, total int
-	switch {
-	case e.sparse != nil:
-		for li := range e.sparse {
-			sl := &e.sparse[li]
-			for _, sw := range []*sparseWeight{&sl.qkv, &sl.out, &sl.fc1, &sl.fc2} {
-				zero += sw.stats.ZeroBlocks
-				total += sw.stats.TotalBlocks
-			}
-		}
-	case e.int8 != nil && e.sparseInt8:
-		for li := range e.int8 {
-			q := &e.int8[li]
-			for _, w := range []*quant.Weights{&q.wQKV, &q.wOut, &q.wFC1, &q.wFC2} {
-				nz, tot := w.BlockStats()
-				zero += tot - nz
-				total += tot
-			}
-		}
-	}
-	if total == 0 {
+	e.tier.each(func(op linearOp) {
+		z, t := op.blocks()
+		zero += z
+		total += t
+	})
+	if zero == 0 {
 		return 0
 	}
 	return float64(zero) / float64(total)

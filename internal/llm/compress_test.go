@@ -2,9 +2,11 @@ package llm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
+	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/quant"
 	"github.com/lia-sim/lia/internal/tensor"
 )
@@ -200,21 +202,76 @@ func TestCompressedTiersStayOnFusedPath(t *testing.T) {
 }
 
 // Enabling a tier replaces any other: the executor never runs two
-// compressed formats at once.
+// formats at once. Over every ordered pair of tiers, an executor switched
+// from one to the other is indistinguishable from a fresh executor on the
+// target — tokens, name, footprint, skip fraction, TP ways — its forks
+// share the one tier value, and tensor parallelism still refuses to start
+// from a compressed tier. (Dense appears only as a source: nothing
+// switches back to it.)
 func TestCompressedTiersMutuallyExclusive(t *testing.T) {
-	e := NewExecutor(tinyModel(t), core.FullGPU)
-	e.EnableINT8()
-	e.EnableSparse(0.25)
-	if e.INT8() || e.INT4() || !e.Sparse() {
-		t.Fatal("EnableSparse must clear other tiers")
+	m := tinyModel(t)
+	prompt := []int{3, 14, 15, 92}
+	type flags struct{ int8, sparseInt8, sparse, int4, tp bool }
+	tiers := []struct {
+		name   string
+		enable func(*Executor) error
+		flags  flags
+	}{
+		{"dense", nil, flags{}},
+		{"sparse", func(e *Executor) error { e.EnableSparse(0.5); return nil }, flags{sparse: true}},
+		{"int8", func(e *Executor) error { e.EnableINT8(); return nil }, flags{int8: true}},
+		{"sparse-int8", func(e *Executor) error { e.EnableSparseINT8(0.5); return nil }, flags{int8: true, sparseInt8: true}},
+		{"int4lut", func(e *Executor) error { e.EnableINT4LUT(0); return nil }, flags{int4: true}},
+		{"tp2", func(e *Executor) error { return e.EnableTP(2, hw.NVLink3) }, flags{tp: true}},
 	}
-	e.EnableINT4LUT(0)
-	if e.INT8() || e.Sparse() || !e.INT4() {
-		t.Fatal("EnableINT4LUT must clear other tiers")
-	}
-	e.EnableINT8()
-	if e.Sparse() || e.INT4() || !e.INT8() {
-		t.Fatal("EnableINT8 must clear other tiers")
+	for _, from := range tiers {
+		for _, to := range tiers[1:] {
+			e := NewExecutor(m, core.PartialCPU)
+			if from.enable != nil {
+				if err := from.enable(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := e.tier
+			err := to.enable(e)
+			compressed := from.flags != (flags{}) && !from.flags.tp
+			if to.flags.tp && compressed {
+				if err == nil || e.tier != before || e.TP() {
+					t.Errorf("%s → %s: TP must refuse a compressed tier and leave it in place (err %v)", from.name, to.name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s → %s: %v", from.name, to.name, err)
+			}
+			want := NewExecutor(m, core.PartialCPU)
+			if err := to.enable(want); err != nil {
+				t.Fatal(err)
+			}
+			if got := (flags{e.INT8(), e.SparseINT8(), e.Sparse(), e.INT4(), e.TP()}); got != to.flags {
+				t.Errorf("%s → %s: tier predicates %+v, want %+v", from.name, to.name, got, to.flags)
+			}
+			if e.QuantTier() != want.QuantTier() || e.WeightFootprint() != want.WeightFootprint() ||
+				e.SparseSkipFraction() != want.SparseSkipFraction() || e.TPWays() != want.TPWays() {
+				t.Errorf("%s → %s: (%s, %d B, skip %v, %d ways), fresh executor (%s, %d B, skip %v, %d ways)", from.name, to.name,
+					e.QuantTier(), e.WeightFootprint(), e.SparseSkipFraction(), e.TPWays(),
+					want.QuantTier(), want.WeightFootprint(), want.SparseSkipFraction(), want.TPWays())
+			}
+			if e.fork().tier != e.tier {
+				t.Errorf("%s → %s: fork does not share the tier", from.name, to.name)
+			}
+			got, err := e.Generate(prompt, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := want.Generate(prompt, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, ref) {
+				t.Errorf("%s → %s: tokens %v, fresh executor %v", from.name, to.name, got, ref)
+			}
+		}
 	}
 }
 

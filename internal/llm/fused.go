@@ -13,9 +13,7 @@ package llm
 import (
 	"context"
 	"fmt"
-	"math"
 
-	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/team"
 	"github.com/lia-sim/lia/internal/tensor"
 )
@@ -40,7 +38,7 @@ func (e *Executor) StepBatchFused(ctx context.Context, seqs []*Sequence) error {
 	if len(seqs) == 0 {
 		return fmt.Errorf("llm: empty step batch")
 	}
-	if e.int8 != nil || e.Mem != nil || len(seqs) == 1 {
+	if e.tier.rowCoupled || e.Mem != nil || len(seqs) == 1 {
 		return StepBatch(ctx, seqs)
 	}
 	// Emit phase, preserving Step's error contract for finished or
@@ -88,108 +86,25 @@ func (e *Executor) decodeRoundFused(ctx context.Context, active []*Sequence) err
 }
 
 // fusedLayer is forwardLayer for one stacked decode round: the
-// parameter sublayers run over all B rows at once on the parent
-// executor (whose Stats then count one dispatch per sublayer, not B),
-// the per-sequence attention block runs on each sequence's fork in
-// parallel, writing disjoint rows of the shared context matrix.
+// parameter sublayers (projectQKV, finishLayer) run over all B rows at
+// once on the parent executor (whose Stats then count one dispatch per
+// sublayer, not B); attend runs per sequence in parallel, each on its
+// own fork with a one-row view of the stacked qkv — operation for
+// operation what a solo DecodeStep performs (no causal mask: a decode row
+// attends to everything) — writing its row of the shared context matrix.
 func (e *Executor) fusedLayer(ctx context.Context, li int, x tensor.Matrix, active []*Sequence) (tensor.Matrix, error) {
-	cfg := e.Model.Cfg
-	w := e.Model.Layers[li]
-
-	normed := tensor.LayerNorm(x, w.LN1Gain, w.LN1Bias, 1e-5)
-	qkv := tensor.AddBias(e.linear(li, model.QKVMapping, normed), w.BQKV)
-
-	ctxAll := tensor.New(x.Rows, cfg.DModel)
+	qkv := e.projectQKV(li, x)
+	ctxAll := tensor.New(x.Rows, e.Model.Cfg.DModel)
 	team.Run(len(active), func(r int) {
 		s := active[r]
-		s.e.decodeAttnRow(li, qkv.Row(r), s.cache, ctxAll.Row(r))
+		qkvRow := tensor.FromSlice(1, qkv.Cols, qkv.Row(r))
+		ctxRow := tensor.FromSlice(1, ctxAll.Cols, ctxAll.Row(r))
+		s.e.attend(li, qkvRow, s.cache, false, ctxRow)
 	})
 	if err := ctx.Err(); err != nil { // the round was abandoned; its caller discards the batch
 		return tensor.Matrix{}, fmt.Errorf("llm: %w", err)
 	}
-
-	attnOut := tensor.AddBias(e.linear(li, model.OutProjection, ctxAll), w.BOut)
-	x = tensor.Add(x, attnOut)
-
-	normed2 := tensor.LayerNorm(x, w.LN2Gain, w.LN2Bias, 1e-5)
-	h1 := tensor.AddBias(e.linear(li, model.FC1, normed2), w.BFC1)
-	if cfg.GatedFFN {
-		gate := tensor.SiLU(h1.SliceCols(0, cfg.DFF))
-		up := h1.SliceCols(cfg.DFF, 2*cfg.DFF)
-		h1 = tensor.MulElem(gate, up)
-	} else {
-		h1 = tensor.ReLU(h1)
-	}
-	h2 := tensor.AddBias(e.linear(li, model.FC2, h1), w.BFC2)
-	return tensor.Add(x, h2), nil
-}
-
-// decodeAttnRow is forwardLayer's attention block for one decode row:
-// the sequence's freshly projected qkv row is split, rotated by its own
-// absolute position, appended to its cache and scored against it head
-// by head — operation-for-operation what a solo DecodeStep performs,
-// on the fork's scratch and dispatch counters (e here is the
-// sequence's fork).
-func (e *Executor) decodeAttnRow(li int, qkvRow []float32, cache *KVCache, ctxRow []float32) {
-	cfg := e.Model.Cfg
-	d := cfg.DModel
-	nh := cfg.Heads
-	dh := cfg.HeadDim()
-	kvDim := cfg.KVDim()
-	groups := nh / cfg.KVHeads
-
-	q := tensor.New(1, d)
-	copy(q.Data, qkvRow[:d])
-	k := tensor.New(1, kvDim)
-	copy(k.Data, qkvRow[d:d+kvDim])
-	v := tensor.New(1, kvDim)
-	copy(v.Data, qkvRow[d+kvDim:d+2*kvDim])
-
-	past := cache.K[li].Rows
-	if cfg.RoPE {
-		e.applyRoPECached(q, dh, past)
-		e.applyRoPECached(k, dh, past)
-	}
-	cache.Append(li, k, v)
-	fullV := cache.V[li]
-	seen := fullV.Rows
-
-	invSqrt := float32(1 / math.Sqrt(float64(dh)))
-	if cap(e.khT) < dh*seen {
-		e.khT = make([]float32, dh*cache.capRows)
-	}
-	if cap(e.qhBuf) < groups*dh {
-		e.qhBuf = make([]float32, groups*dh)
-	}
-	if cap(e.vhBuf) < seen*dh {
-		e.vhBuf = make([]float32, cache.capRows*dh)
-	}
-	// Same KV-head fusion as forwardLayer: the group's query rows stack
-	// into one operand, one Q·Kᵀ and one probs·V per KV head (no causal
-	// mask — a decode row attends to everything).
-	for kvHead := 0; kvHead < cfg.KVHeads; kvHead++ {
-		qh := tensor.FromSlice(groups, dh, e.qhBuf[:groups*dh])
-		for g := 0; g < groups; g++ {
-			h := kvHead*groups + g
-			copy(qh.Row(g), q.Row(0)[h*dh:(h+1)*dh])
-		}
-		vh := tensor.FromSlice(seen, dh, e.vhBuf[:seen*dh])
-		for r := 0; r < seen; r++ {
-			copy(vh.Row(r), fullV.Row(r)[kvHead*dh:(kvHead+1)*dh])
-		}
-		khT := tensor.FromSlice(dh, seen, e.khT[:dh*seen])
-		kt := cache.kT[li]
-		for i := 0; i < dh; i++ {
-			copy(khT.Row(i), kt.Row(kvHead*dh + i)[:seen])
-		}
-		scores := tensor.Scale(e.matmul(model.QKT, qh, khT), invSqrt)
-		tensor.SoftmaxRows(scores)
-		ctxH := e.matmul(model.SV, scores, vh)
-		for g := 0; g < groups; g++ {
-			h := kvHead*groups + g
-			copy(ctxRow[h*dh:(h+1)*dh], ctxH.Row(g))
-		}
-	}
+	return e.finishLayer(li, x, ctxAll), nil
 }
 
 // GenerateBatchFused is GenerateBatch through the fused decode rounds:
@@ -201,7 +116,7 @@ func (e *Executor) GenerateBatchFused(prompts [][]int, n int) ([][]int, error) {
 	if len(prompts) == 0 {
 		return nil, fmt.Errorf("llm: empty batch")
 	}
-	if e.int8 != nil || e.Mem != nil {
+	if e.tier.rowCoupled || e.Mem != nil {
 		return e.GenerateBatch(prompts, n)
 	}
 	ctx := context.Background()

@@ -27,7 +27,6 @@ import (
 	"github.com/lia-sim/lia/internal/amx"
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/model"
-	"github.com/lia-sim/lia/internal/quant"
 	"github.com/lia-sim/lia/internal/team"
 	"github.com/lia-sim/lia/internal/tensor"
 )
@@ -203,36 +202,10 @@ func (s *Stats) add(o Stats) {
 	s.AMXCycles += o.AMXCycles
 }
 
-// quantizedLayer caches one decoder layer's INT8 parameter matrices.
-type quantizedLayer struct {
-	wQKV, wOut, wFC1, wFC2 quant.Weights
-}
-
-// packedWeight caches the two static-layout conversions of one parameter
-// matrix: the prepacked AMX operand (VNNI tile image plus the decoded
-// column-major view amx's fast-path TMUL tier reads, both built by one
-// PrepackBF16 call) and the BF16-rounded copy for the dense (GPU) route.
-// Each is built at most once per executor — the per-weight cost a real
-// AMX kernel amortizes — and is immutable afterwards, so batch sequences
-// share it concurrently.
-type packedWeight struct {
-	cpuOnce sync.Once
-	cpu     *amx.Prepacked
-	gpuOnce sync.Once
-	gpu     tensor.Matrix
-}
-
-// layerWeightCache holds the packed forms of one layer's four parameter
-// sublayers.
-type layerWeightCache struct {
-	qkv, out, fc1, fc2 packedWeight
-}
-
 // sharedState is the executor state that forked batch sequences reuse
-// concurrently: lazily-built weight caches, the RoPE angle tables, and
-// the pack-count instrumentation.
+// concurrently besides the weight tier: the RoPE angle tables, the cache
+// ID counter and the pack-count instrumentation.
 type sharedState struct {
-	packed []layerWeightCache
 	// packs counts static-weight layout conversions (VNNI packs plus
 	// BF16 roundings); tests assert it stays bounded by the weight count
 	// no matter how many tokens are generated.
@@ -267,19 +240,11 @@ type Executor struct {
 	// pass holds the active pass's hooks; a fork runs one pass at a time
 	// on one goroutine, so no synchronization is needed.
 	pass PassHooks
-	// int8 holds pre-quantized parameter weights when INT8 mode is on;
-	// sparse and int4 hold the block-sparse and INT4-LUT tiers (at most
-	// one of the three is non-nil — Enable* clears the others).
-	// sparseInt8 marks the int8 tier as the block-pruned variant whose
-	// prepacked image carries a zero-block bitmap (EnableSparseINT8).
-	int8       []quantizedLayer
-	sparseInt8 bool
-	sparse     []sparseLayer
-	int4       []int4Layer
-	// tp holds the tensor-parallel sharding when EnableTP is on
-	// (mutually exclusive with the compressed tiers).
-	tp *tpState
-	// shared holds the packed-weight caches and RoPE tables, common to
+	// tier is the active weight format — one linearOp per (layer,
+	// parameter sublayer), see tier.go. NewExecutor builds the dense BF16
+	// tier; an Enable* call replaces it whole; forks share it by pointer.
+	tier *tier
+	// shared holds the RoPE tables and family-wide counters, common to
 	// every fork of this executor.
 	shared *sharedState
 	// khT, qhBuf and vhBuf are per-sequence scratch for the per-head
@@ -289,157 +254,33 @@ type Executor struct {
 	khT, qhBuf, vhBuf []float32
 }
 
-// NewExecutor wires a model to a policy.
+// NewExecutor wires a model to a policy on the dense BF16 tier, whose
+// weights are packed lazily, per route, by the first pass that needs them.
 func NewExecutor(m *Model, p core.Policy) *Executor {
-	return &Executor{Model: m, Policy: p, shared: &sharedState{packed: make([]layerWeightCache, len(m.Layers))}}
+	return &Executor{Model: m, Policy: p, tier: newTier(m, tierDense, false, newDenseOp), shared: &sharedState{}}
 }
 
-// sharedState returns the fork-shared state, creating it for executors
-// built as bare struct literals.
-func (e *Executor) sharedState() *sharedState {
-	if e.shared == nil {
-		e.shared = &sharedState{packed: make([]layerWeightCache, len(e.Model.Layers))}
-	}
-	return e.shared
-}
-
-// fork returns a child executor sharing the model, packed-weight caches
-// and quantized weights, with private Stats and scratch — the unit of
+// fork returns a child executor sharing the model, the weight tier and
+// the family state, with private Stats and scratch — the unit of
 // parallelism for GenerateBatch.
 func (e *Executor) fork() *Executor {
-	return &Executor{Model: e.Model, Policy: e.Policy, Mem: e.Mem, int8: e.int8, sparseInt8: e.sparseInt8, sparse: e.sparse, int4: e.int4, tp: e.tp, shared: e.sharedState()}
+	return &Executor{Model: e.Model, Policy: e.Policy, Mem: e.Mem, tier: e.tier, shared: e.shared}
 }
 
 // WeightPacks reports how many static-weight layout conversions (VNNI
 // packs + BF16 roundings) the executor has performed. It is bounded by
 // the number of distinct (layer, sublayer, route) combinations, never by
 // the number of tokens generated.
-func (e *Executor) WeightPacks() int64 { return e.sharedState().packs.Load() }
+func (e *Executor) WeightPacks() int64 { return e.shared.packs.Load() }
 
-// EnableINT8 quantizes every parameter-sublayer weight matrix to INT8
-// with per-output-channel scales (and prepacks them into the VNNI tile
-// layout, once); subsequent forward passes run those sublayers through
-// the AMX TDPBUSD pipeline (W8A8). Attention scoring (the KV cache) stays
-// BF16, matching the §6 observation that it is the precision- and
-// bandwidth-sensitive path.
-func (e *Executor) EnableINT8() {
-	e.sparse = nil
-	e.int4 = nil
-	e.tp = nil
-	e.sparseInt8 = false
-	e.int8 = make([]quantizedLayer, len(e.Model.Layers))
-	for i, w := range e.Model.Layers {
-		e.int8[i] = quantizedLayer{
-			wQKV: quant.QuantizeWeights(w.WQKV),
-			wOut: quant.QuantizeWeights(w.WOut),
-			wFC1: quant.QuantizeWeights(w.WFC1),
-			wFC2: quant.QuantizeWeights(w.WFC2),
-		}
-	}
-}
-
-// INT8 reports whether quantized mode is on.
-func (e *Executor) INT8() bool { return e.int8 != nil }
-
-// weightFor maps a parameter sublayer to its weight matrix and cache slot.
-func (e *Executor) weightFor(li int, s model.Sublayer) (tensor.Matrix, *packedWeight) {
-	w := &e.Model.Layers[li]
-	c := &e.sharedState().packed[li]
-	switch s {
-	case model.QKVMapping:
-		return w.WQKV, &c.qkv
-	case model.OutProjection:
-		return w.WOut, &c.out
-	case model.FC1:
-		return w.WFC1, &c.fc1
-	case model.FC2:
-		return w.WFC2, &c.fc2
-	}
-	panic(fmt.Sprintf("llm: %s is not a parameter sublayer", s))
-}
-
-// linear computes x·W for a parameter sublayer of layer li, through the
-// INT8 pipeline when enabled, else through the policy-routed BF16 path
-// with the per-executor packed/rounded weight cache. x must be freshly
-// computed by the caller (the dense route rounds it to bfloat16 in
-// place, exactly the rounding the seed applied to a clone).
+// linear computes x·W for a parameter sublayer of layer li through the
+// active tier's op for that weight. x must be freshly computed by the
+// caller (the dense route rounds it to bfloat16 in place).
 func (e *Executor) linear(li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
 	if e.pass != nil {
 		e.pass.WeightAccess(li, s)
 	}
-	if e.tp != nil {
-		return e.linearTP(li, s, x)
-	}
-	if e.int8 != nil {
-		q := &e.int8[li]
-		var qw *quant.Weights
-		switch s {
-		case model.QKVMapping:
-			qw = &q.wQKV
-		case model.OutProjection:
-			qw = &q.wOut
-		case model.FC1:
-			qw = &q.wFC1
-		case model.FC2:
-			qw = &q.wFC2
-		}
-		if qw != nil {
-			out, cycles, err := quant.Linear(x, *qw)
-			if err != nil {
-				panic(fmt.Sprintf("llm: int8 linear: %v", err))
-			}
-			e.Stats.Int8Matmuls++
-			e.Stats.AMXCycles += cycles
-			if e.sparseInt8 {
-				nz, total := qw.BlockStats()
-				e.Stats.SparseMatmuls++
-				e.Stats.SparseBlocksSkipped += uint64(total - nz)
-			}
-			return out
-		}
-	}
-	if e.int4 != nil {
-		return e.linearINT4(li, s, x)
-	}
-	if e.sparse != nil {
-		return e.linearSparse(li, s, x)
-	}
-	w, cached := e.weightFor(li, s)
-	if x.Cols != w.Rows {
-		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.Rows, w.Cols))
-	}
-	if e.Policy.OnCPU(s) {
-		cached.cpuOnce.Do(func() {
-			pre, err := amx.PrepackBF16(w.Data, w.Rows, w.Cols)
-			if err != nil {
-				panic(fmt.Sprintf("llm: prepack %s: %v", s, err))
-			}
-			cached.cpu = pre
-			e.sharedState().packs.Add(1)
-			if e.pass != nil {
-				e.pass.WeightPacked(li, s)
-			}
-		})
-		out, cycles, err := amx.MatmulBF16Packed(x.Data, x.Rows, cached.cpu)
-		if err != nil {
-			panic(fmt.Sprintf("llm: AMX matmul: %v", err))
-		}
-		e.Stats.CPUMatmuls++
-		e.Stats.AMXCycles += cycles
-		return tensor.FromSlice(x.Rows, w.Cols, out)
-	}
-	cached.gpuOnce.Do(func() {
-		g := w.Clone()
-		amx.RoundSlice(g.Data)
-		cached.gpu = g
-		e.sharedState().packs.Add(1)
-		if e.pass != nil {
-			e.pass.WeightPacked(li, s)
-		}
-	})
-	e.Stats.GPUMatmuls++
-	amx.RoundSlice(x.Data)
-	return tensor.MatMul(x, cached.gpu)
+	return e.tier.ops[li][s].apply(e, li, s, x)
 }
 
 // matmul dispatches C = A·B for the attention sublayers, whose operands
@@ -468,22 +309,42 @@ func (e *Executor) matmul(s model.Sublayer, a, b tensor.Matrix) tensor.Matrix {
 
 // forwardLayer runs one decoder layer over the hidden states x
 // (rows × d), reading `past` cached positions and appending the new K/V
-// rows to the cache. mask enables causal masking (prefill).
+// rows to the cache. mask enables causal masking (prefill). The body is
+// three steps — projectQKV, attend, finishLayer — which a fused decode
+// round (fused.go) calls with the batch stacked around a per-sequence
+// attend.
 func (e *Executor) forwardLayer(li int, x tensor.Matrix, cache *KVCache, mask bool) tensor.Matrix {
 	if e.pass != nil {
 		e.pass.LayerStart(li)
 	}
+	qkv := e.projectQKV(li, x)
+	ctx := tensor.New(x.Rows, e.Model.Cfg.DModel)
+	e.attend(li, qkv, cache, mask, ctx)
+	return e.finishLayer(li, x, ctx)
+}
+
+// projectQKV is sublayer 1: the QKV mapping with the pre-attention
+// layer norm fused in.
+func (e *Executor) projectQKV(li int, x tensor.Matrix) tensor.Matrix {
+	w := &e.Model.Layers[li]
+	normed := tensor.LayerNorm(x, w.LN1Gain, w.LN1Bias, 1e-5)
+	return tensor.AddBias(e.linear(li, model.QKVMapping, normed), w.BQKV)
+}
+
+// attend is sublayers 2+3 for one sequence: qkv's freshly projected rows
+// are split, rotated by their absolute positions, appended to the cache
+// and scored against it head by head; row r's context lands in ctx's row
+// r. e is the executor that owns the cache's sequence — its scratch and
+// dispatch counters are the ones used — so a fused round hands each
+// sequence's fork a one-row view of the stacked qkv and ctx.
+func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, ctx tensor.Matrix) {
 	cfg := e.Model.Cfg
-	w := e.Model.Layers[li]
 	d := cfg.DModel
-	nh := cfg.Heads
 	dh := cfg.HeadDim()
 	kvDim := cfg.KVDim()
-	groups := nh / cfg.KVHeads // query heads per KV head (1 for MHA)
+	groups := cfg.Heads / cfg.KVHeads // query heads per KV head (1 for MHA)
+	rows := qkv.Rows
 
-	// Sublayer 1: QKV mapping (pre-LN fused in).
-	normed := tensor.LayerNorm(x, w.LN1Gain, w.LN1Bias, 1e-5)
-	qkv := tensor.AddBias(e.linear(li, model.QKVMapping, normed), w.BQKV)
 	q := qkv.SliceCols(0, d)
 	k := qkv.SliceCols(d, d+kvDim)
 	v := qkv.SliceCols(d+kvDim, d+2*kvDim)
@@ -496,29 +357,27 @@ func (e *Executor) forwardLayer(li int, x tensor.Matrix, cache *KVCache, mask bo
 		e.applyRoPECached(k, dh, past)
 	}
 	cache.Append(li, k, v)
-	fullK := cache.K[li]
 	fullV := cache.V[li]
-	seen := fullK.Rows
+	seen := fullV.Rows
 	if e.pass != nil {
-		e.pass.KVWrite(li, k.Rows)
+		e.pass.KVWrite(li, rows)
 		e.pass.KVRead(li, seen)
 	}
 
-	// Sublayers 2+3, fused per KV head: the `groups` query heads sharing
-	// one KV head stack vertically into a single (groups·rows × dh)
-	// operand, so Q·Kᵀ and probs·V each dispatch once per KV head instead
-	// of once per query head (2·KVHeads attention GEMMs per layer). Every
-	// kernel on this path computes each output row from its own input row
-	// — the AMX tile blocks zero-pad, the dense route rounds elementwise
-	// and dots row-by-row — so the stacked results are bit-identical to
-	// the per-head dispatches they replace.
-	ctx := tensor.New(x.Rows, d)
+	// Fused per KV head: the `groups` query heads sharing one KV head
+	// stack vertically into a single (groups·rows × dh) operand, so Q·Kᵀ
+	// and probs·V each dispatch once per KV head instead of once per query
+	// head (2·KVHeads attention GEMMs per layer). Every kernel on this
+	// path computes each output row from its own input row — the AMX tile
+	// blocks zero-pad, the dense route rounds elementwise and dots
+	// row-by-row — so the stacked results are bit-identical to the
+	// per-head dispatches they replace.
 	invSqrt := float32(1 / math.Sqrt(float64(dh)))
 	if cap(e.khT) < dh*seen {
 		e.khT = make([]float32, dh*cache.capRows)
 	}
-	if cap(e.qhBuf) < groups*x.Rows*dh {
-		e.qhBuf = make([]float32, groups*x.Rows*dh)
+	if cap(e.qhBuf) < groups*rows*dh {
+		e.qhBuf = make([]float32, groups*rows*dh)
 	}
 	if cap(e.vhBuf) < seen*dh {
 		e.vhBuf = make([]float32, cache.capRows*dh)
@@ -527,11 +386,11 @@ func (e *Executor) forwardLayer(li int, x tensor.Matrix, cache *KVCache, mask bo
 		// Stage the group's query slices into scratch, stacked by head
 		// (copies are required regardless because the dense route rounds
 		// operands in place and q/fullV must stay pristine).
-		qh := tensor.FromSlice(groups*x.Rows, dh, e.qhBuf[:groups*x.Rows*dh])
+		qh := tensor.FromSlice(groups*rows, dh, e.qhBuf[:groups*rows*dh])
 		for g := 0; g < groups; g++ {
 			h := kvHead*groups + g
-			for r := 0; r < x.Rows; r++ {
-				copy(qh.Row(g*x.Rows+r), q.Row(r)[h*dh:(h+1)*dh])
+			for r := 0; r < rows; r++ {
+				copy(qh.Row(g*rows+r), q.Row(r)[h*dh:(h+1)*dh])
 			}
 		}
 		vh := tensor.FromSlice(seen, dh, e.vhBuf[:seen*dh])
@@ -553,7 +412,7 @@ func (e *Executor) forwardLayer(li int, x tensor.Matrix, cache *KVCache, mask bo
 			// of head g, so the causal mask applies per sub-block — the
 			// stacked row index must not leak into the diagonal offset.
 			for g := 0; g < groups; g++ {
-				sub := tensor.FromSlice(x.Rows, seen, scores.Data[g*x.Rows*seen:(g+1)*x.Rows*seen])
+				sub := tensor.FromSlice(rows, seen, scores.Data[g*rows*seen:(g+1)*rows*seen])
 				tensor.CausalMask(sub, past)
 			}
 		}
@@ -561,19 +420,22 @@ func (e *Executor) forwardLayer(li int, x tensor.Matrix, cache *KVCache, mask bo
 		ctxH := e.matmul(model.SV, scores, vh)
 		for g := 0; g < groups; g++ {
 			h := kvHead*groups + g
-			for r := 0; r < ctx.Rows; r++ {
-				copy(ctx.Row(r)[h*dh:(h+1)*dh], ctxH.Row(g*x.Rows+r))
+			for r := 0; r < rows; r++ {
+				copy(ctx.Row(r)[h*dh:(h+1)*dh], ctxH.Row(g*rows+r))
 			}
 		}
 	}
+}
 
-	// Sublayer 4: output projection + residual.
+// finishLayer is sublayers 4–6: the output projection and its residual,
+// then the FFN (pre-LN fused) with the architecture's activation —
+// SwiGLU gating for gated models, ReLU for OPT — and its residual.
+func (e *Executor) finishLayer(li int, x, ctx tensor.Matrix) tensor.Matrix {
+	cfg := e.Model.Cfg
+	w := &e.Model.Layers[li]
 	attnOut := tensor.AddBias(e.linear(li, model.OutProjection, ctx), w.BOut)
 	x = tensor.Add(x, attnOut)
 
-	// Sublayers 5+6: FFN (pre-LN fused) with the architecture's
-	// activation — SwiGLU gating for gated models, ReLU for OPT — then
-	// the residual.
 	normed2 := tensor.LayerNorm(x, w.LN2Gain, w.LN2Bias, 1e-5)
 	h1 := tensor.AddBias(e.linear(li, model.FC1, normed2), w.BFC1)
 	if cfg.GatedFFN {
@@ -637,7 +499,7 @@ func (e *Executor) NewCache() *KVCache {
 		c.kT = append(c.kT, tensor.New(kvDim, capRows))
 	}
 	if e.Mem != nil {
-		c.id = e.sharedState().cacheIDs.Add(1)
+		c.id = e.shared.cacheIDs.Add(1)
 		e.Mem.CacheCreated(c.id, capRows)
 	}
 	return c
@@ -751,7 +613,7 @@ func (e *Executor) GenerateBatch(prompts [][]int, n int) ([][]int, error) {
 	if len(prompts) == 0 {
 		return nil, fmt.Errorf("llm: empty batch")
 	}
-	if e.int8 == nil && e.Mem == nil && len(prompts) > 1 {
+	if !e.tier.rowCoupled && e.Mem == nil && len(prompts) > 1 {
 		return e.GenerateBatchFused(prompts, n)
 	}
 	out := make([][]int, len(prompts))
@@ -774,7 +636,7 @@ func (e *Executor) GenerateBatch(prompts [][]int, n int) ([][]int, error) {
 // them on first use (once per executor; the seed recomputed
 // math.Pow + math.Sincos per element per step).
 func (e *Executor) ropeTables() (sin, cos []float64) {
-	sh := e.sharedState()
+	sh := e.shared
 	sh.ropeOnce.Do(func() {
 		const base = 10000.0
 		cfg := e.Model.Cfg

@@ -87,7 +87,7 @@ func (s *KVSeed) validate(layers, kvDim int) error {
 // leave no last-position logits to return.
 func (e *Executor) PrefillFrom(prompt []int, seed *KVSeed) (tensor.Matrix, *KVCache, error) {
 	cached := seed.Tokens()
-	if cached == 0 || e.int8 != nil {
+	if cached == 0 || e.tier.rowCoupled {
 		return e.Prefill(prompt)
 	}
 	if len(prompt) == 0 {

@@ -135,7 +135,7 @@ func (s *Sequence) EnableSpec(draft *Executor, gamma int) error {
 	if dcfg.MaxSeqLen < tcfg.MaxSeqLen {
 		return fmt.Errorf("llm: draft max sequence %d < target %d", dcfg.MaxSeqLen, tcfg.MaxSeqLen)
 	}
-	if s.e.int8 != nil || draft.int8 != nil {
+	if s.e.tier.rowCoupled || draft.tier.rowCoupled {
 		return fmt.Errorf("llm: speculative decoding requires the BF16 path (INT8 activation scales are per-pass)")
 	}
 	if s.e.Mem != nil || draft.Mem != nil {
@@ -279,7 +279,7 @@ func (e *Executor) SpecGenerate(prompt []int, n int, draft *Executor, gamma int)
 	if gamma < 1 {
 		return nil, SpecStats{}, fmt.Errorf("llm: speculative depth γ must be ≥1, got %d", gamma)
 	}
-	if e.int8 != nil || draft.int8 != nil || e.Mem != nil || draft.Mem != nil {
+	if e.tier.rowCoupled || draft.tier.rowCoupled || e.Mem != nil || draft.Mem != nil {
 		out, err := e.Generate(prompt, n)
 		return out, SpecStats{}, err
 	}

@@ -1,0 +1,163 @@
+// A weight tier is a value. LIA's unit of decision is the sublayer —
+// one GEMM whose cost depends on where it runs and in what format its
+// weights arrive — so each (layer, parameter sublayer) holds one linearOp:
+// its weights in the form their kernel consumes, plus how to multiply by
+// them. Executor.linear is hook + lookup + call; which format serves is a
+// property of the operand, not a second forward path.
+package llm
+
+import (
+	"fmt"
+	"sync"
+
+	"github.com/lia-sim/lia/internal/amx"
+	"github.com/lia-sim/lia/internal/model"
+	"github.com/lia-sim/lia/internal/tensor"
+)
+
+// linearOp is one parameter sublayer's weights in one tier.
+type linearOp interface {
+	// apply computes x·W on e — the calling fork, whose policy routes the
+	// product and whose pass hooks and Stats observe it. x must be freshly
+	// computed by the caller (the dense route rounds it to bfloat16 in
+	// place, exactly the rounding the seed applied to a clone).
+	apply(e *Executor, li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix
+	// footprint is the serving footprint in bytes (see WeightFootprint).
+	footprint() int64
+	// blocks reports the (zero, total) tile blocks of the image the kernel
+	// skips by; (0, 0) for formats with no bitmap.
+	blocks() (zero, total int)
+}
+
+// Tier names, as QuantTier reports them.
+const (
+	tierDense      = "dense"
+	tierSparse     = "sparse"
+	tierINT8       = "int8"
+	tierSparseINT8 = "sparse-int8"
+	tierINT4       = "int4lut"
+)
+
+// tier is an executor family's active weight format: immutable once
+// built, shared by every fork by pointer, replaced whole by Enable*.
+type tier struct {
+	name string
+	// rowCoupled marks kernels whose output row depends on which other
+	// rows share the call (INT8's per-pass activation scales): stacked
+	// decode rounds, prefix-seeded and chunked prefill, and speculative
+	// verification all require row independence and fall back without it.
+	rowCoupled bool
+	// ops is indexed [layer][sublayer]; the attention sublayers' slots
+	// stay nil.
+	ops [][model.NumSublayers]linearOp
+	// tp is the tensor-parallel ledger when the ops are TP combinators.
+	tp *tpState
+}
+
+// newTier builds every layer's four ops in model.Sublayers() order — QKV,
+// out, FC1, FC2, an array and never a map range — so a tier's
+// prune/quantize/prepack sequence is fixed.
+func newTier(m *Model, name string, rowCoupled bool, build func(s model.Sublayer, w tensor.Matrix) linearOp) *tier {
+	t := &tier{name: name, rowCoupled: rowCoupled, ops: make([][model.NumSublayers]linearOp, len(m.Layers))}
+	for li := range m.Layers {
+		l := &m.Layers[li]
+		for _, p := range [...]struct {
+			s model.Sublayer
+			w tensor.Matrix
+		}{{model.QKVMapping, l.WQKV}, {model.OutProjection, l.WOut}, {model.FC1, l.WFC1}, {model.FC2, l.WFC2}} {
+			t.ops[li][p.s] = build(p.s, p.w)
+		}
+	}
+	return t
+}
+
+// each visits every op in layer, then sublayer order.
+func (t *tier) each(fn func(linearOp)) {
+	for li := range t.ops {
+		for _, op := range t.ops[li] {
+			if op != nil {
+				fn(op)
+			}
+		}
+	}
+}
+
+// denseOp is the BF16 tier's op: the weight matrix and its two
+// static-layout conversions — the prepacked AMX operand (VNNI tile image
+// plus the decoded column-major view amx's fast-path TMUL tier reads,
+// both built by one PrepackBF16 call) and the BF16-rounded copy for the
+// dense (GPU) route. Each is built at most once per executor family, on
+// the first pass that routes there — the per-weight cost a real AMX
+// kernel amortizes — and is immutable afterwards, so batch sequences
+// share it concurrently.
+type denseOp struct {
+	w       tensor.Matrix
+	cpuOnce sync.Once
+	cpu     *amx.Prepacked
+	gpuOnce sync.Once
+	gpu     tensor.Matrix
+}
+
+func newDenseOp(_ model.Sublayer, w tensor.Matrix) linearOp { return &denseOp{w: w} }
+
+func (d *denseOp) apply(e *Executor, li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
+	if e.Policy.OnCPU(s) {
+		d.cpuOnce.Do(func() {
+			pre, err := amx.PrepackBF16(d.w.Data, d.w.Rows, d.w.Cols)
+			if err != nil {
+				panic(fmt.Sprintf("llm: prepack %s: %v", s, err))
+			}
+			d.cpu = pre
+			e.weightPacked(li, s)
+		})
+		return e.amxBF16(s, x, d.cpu)
+	}
+	d.gpuOnce.Do(func() {
+		d.gpu = d.w.Clone()
+		amx.RoundSlice(d.gpu.Data)
+		e.weightPacked(li, s)
+	})
+	return e.denseBF16(s, x, d.gpu)
+}
+
+// footprint prices the BF16 image a deployment ships: 2 bytes per element.
+func (d *denseOp) footprint() int64 { return int64(2 * d.w.Rows * d.w.Cols) }
+
+func (d *denseOp) blocks() (zero, total int) { return 0, 0 }
+
+// weightPacked counts one static-weight layout conversion and tells the
+// pass's memory host.
+func (e *Executor) weightPacked(li int, s model.Sublayer) {
+	e.shared.packs.Add(1)
+	if e.pass != nil {
+		e.pass.WeightPacked(li, s)
+	}
+}
+
+// amxBF16 is the CPU route of a BF16 parameter sublayer: x through the
+// emulated tile pipeline against a prepacked (dense or sparse-bitmap)
+// image.
+func (e *Executor) amxBF16(s model.Sublayer, x tensor.Matrix, w *amx.Prepacked) tensor.Matrix {
+	if x.Cols != w.K {
+		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.K, w.N))
+	}
+	out, cycles, err := amx.MatmulBF16Packed(x.Data, x.Rows, w)
+	if err != nil {
+		panic(fmt.Sprintf("llm: AMX matmul: %v", err))
+	}
+	e.Stats.CPUMatmuls++
+	e.Stats.AMXCycles += cycles
+	return tensor.FromSlice(x.Rows, w.N, out)
+}
+
+// denseBF16 is the GPU route: x rounded to bfloat16 in place (the
+// rounding a GPU tensor core applies; idempotent, so a TP combinator may
+// repeat it per shard) times a pre-rounded weight.
+func (e *Executor) denseBF16(s model.Sublayer, x, w tensor.Matrix) tensor.Matrix {
+	if x.Cols != w.Rows {
+		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.Rows, w.Cols))
+	}
+	e.Stats.GPUMatmuls++
+	amx.RoundSlice(x.Data)
+	return tensor.MatMul(x, w)
+}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/lia-sim/lia/internal/amx"
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/model"
@@ -37,34 +36,28 @@ type colSpan struct {
 	width int
 }
 
-// tpShard is one rank's slice of a parameter matrix: the materialized
-// column slice, where its columns land in the full output, and the
-// per-route packed forms (built lazily, shared by forks — same
-// lifecycle as the dense tier's packedWeight).
+// tpShard is one rank's slice of a parameter matrix: a dense op over the
+// materialized column slice (packed lazily per route and shared by forks,
+// exactly like an unsharded weight) and where its columns land in the
+// full output.
 type tpShard struct {
-	w     tensor.Matrix
+	op    *denseOp
 	spans []colSpan
-	cache packedWeight
 }
 
-// tpSublayer is one parameter sublayer split across the ranks.
-type tpSublayer struct {
+// tpOp is the tensor-parallel combinator: one parameter sublayer split
+// across the ranks, each shard an ordinary dense op.
+type tpOp struct {
+	tp     *tpState
 	shards []tpShard
 	fullN  int
 }
 
-// tpLayer holds one decoder layer's four sharded parameter sublayers.
-type tpLayer struct {
-	qkv, out, fc1, fc2 tpSublayer
-}
-
-// tpState is the executor-family-wide tensor-parallel state: the sharded
-// weights plus the virtual communication clock. Forks share it; the
-// comm counters are atomic.
+// tpState is the executor-family-wide tensor-parallel ledger: the
+// virtual communication clock. Forks share it; the counters are atomic.
 type tpState struct {
-	ways   int
-	peer   hw.LinkSpec
-	layers []tpLayer
+	ways int
+	peer hw.LinkSpec
 
 	allReduces atomic.Int64
 	commPs     atomic.Int64 // virtual comm time in picoseconds (integer, so accumulation is exact and race-free)
@@ -94,7 +87,7 @@ func (e *Executor) EnableTP(ways int, peer hw.LinkSpec) error {
 	if ways < 2 {
 		return fmt.Errorf("llm: tensor parallelism needs ≥2 ways, got %d", ways)
 	}
-	if e.int8 != nil || e.sparse != nil || e.int4 != nil {
+	if e.tier.name != tierDense {
 		return fmt.Errorf("llm: tensor parallelism requires the dense BF16 tier (got %s)", e.QuantTier())
 	}
 	if e.Mem != nil {
@@ -106,40 +99,41 @@ func (e *Executor) EnableTP(ways int, peer hw.LinkSpec) error {
 	if cfg.DFF%ways != 0 || cfg.DModel%ways != 0 {
 		return fmt.Errorf("llm: DFF %d / DModel %d not divisible by %d ways", cfg.DFF, cfg.DModel, ways)
 	}
-	tp := &tpState{ways: ways, peer: peer, layers: make([]tpLayer, len(e.Model.Layers))}
-	for li, w := range e.Model.Layers {
-		tp.layers[li] = tpLayer{
-			qkv: shardQKV(w.WQKV, cfg, ways),
-			out: shardCols(w.WOut, ways),
-			fc1: shardFC1(w.WFC1, cfg, ways),
-			fc2: shardCols(w.WFC2, ways),
+	tp := &tpState{ways: ways, peer: peer}
+	t := newTier(e.Model, tierDense, false, func(s model.Sublayer, w tensor.Matrix) linearOp {
+		op := &tpOp{tp: tp, fullN: w.Cols, shards: make([]tpShard, ways)}
+		for r := range op.shards {
+			op.shards[r] = materializeShard(w, tpSpans(s, cfg, w.Cols, ways, r))
 		}
-	}
-	e.tp = tp
+		return op
+	})
+	t.tp = tp
+	e.tier = t
 	return nil
 }
 
 // TP reports whether tensor-parallel mode is on.
-func (e *Executor) TP() bool { return e.tp != nil }
+func (e *Executor) TP() bool { return e.tier.tp != nil }
 
 // TPWays returns the shard count (0 when TP is off).
 func (e *Executor) TPWays() int {
-	if e.tp == nil {
+	if e.tier.tp == nil {
 		return 0
 	}
-	return e.tp.ways
+	return e.tier.tp.ways
 }
 
 // TPStats returns the virtual communication ledger, aggregated across
 // every fork of the executor family.
 func (e *Executor) TPStats() TPStats {
-	if e.tp == nil {
+	tp := e.tier.tp
+	if tp == nil {
 		return TPStats{}
 	}
 	return TPStats{
-		Ways:       e.tp.ways,
-		AllReduces: e.tp.allReduces.Load(),
-		Comm:       units.Seconds(float64(e.tp.commPs.Load()) * 1e-12),
+		Ways:       tp.ways,
+		AllReduces: tp.allReduces.Load(),
+		Comm:       units.Seconds(float64(tp.commPs.Load()) * 1e-12),
 	}
 }
 
@@ -160,89 +154,58 @@ func materializeShard(w tensor.Matrix, spans []colSpan) tpShard {
 			off += sp.width
 		}
 	}
-	return tpShard{w: m, spans: spans}
+	return tpShard{op: &denseOp{w: m}, spans: spans}
 }
 
-// shardCols splits a matrix into `ways` contiguous column slices — the
-// out-projection and FC2 sharding (column-parallel over the model
-// width).
-func shardCols(w tensor.Matrix, ways int) tpSublayer {
-	per := w.Cols / ways
-	sub := tpSublayer{fullN: w.Cols, shards: make([]tpShard, ways)}
-	for s := 0; s < ways; s++ {
-		width := per
-		if s == ways-1 {
-			width = w.Cols - s*per // absorb any remainder (none when ways divides)
-		}
-		sub.shards[s] = materializeShard(w, []colSpan{{dst: s * per, width: width}})
-	}
-	return sub
-}
-
-// shardQKV splits the fused QKV projection by attention heads: rank s
-// owns query heads [s·H/w, (s+1)·H/w) and the matching KV heads, so its
-// shard is up to three column ranges of the fused matrix (Q, K, V
-// segments).
-func shardQKV(w tensor.Matrix, cfg model.Config, ways int) tpSublayer {
-	d := cfg.DModel
-	dh := cfg.HeadDim()
-	kvDim := cfg.KVDim()
-	qPer := cfg.Heads / ways * dh
-	kvPer := cfg.KVHeads / ways * dh
-	sub := tpSublayer{fullN: w.Cols, shards: make([]tpShard, ways)}
-	for s := 0; s < ways; s++ {
-		spans := []colSpan{
-			{dst: s * qPer, width: qPer},             // query heads
-			{dst: d + s*kvPer, width: kvPer},         // key heads
-			{dst: d + kvDim + s*kvPer, width: kvPer}, // value heads
-		}
-		sub.shards[s] = materializeShard(w, spans)
-	}
-	return sub
-}
-
-// shardFC1 splits FC1 over the FFN hidden width. Gated models pair each
-// rank's gate columns with its up columns so the elementwise SwiGLU
-// stays rank-local in a real deployment; here the gather reassembles the
-// full h1 before the activation, which computes the identical values.
-func shardFC1(w tensor.Matrix, cfg model.Config, ways int) tpSublayer {
-	per := cfg.DFF / ways
-	sub := tpSublayer{fullN: w.Cols, shards: make([]tpShard, ways)}
-	for s := 0; s < ways; s++ {
-		spans := []colSpan{{dst: s * per, width: per}}
-		if cfg.GatedFFN {
-			spans = append(spans, colSpan{dst: cfg.DFF + s*per, width: per})
-		}
-		sub.shards[s] = materializeShard(w, spans)
-	}
-	return sub
-}
-
-// linearTP is linear()'s tensor-parallel body: each rank's shard runs
-// through the same policy-routed kernel the unsharded path uses, and the
-// rank outputs are gathered (concatenated) back into the full output
-// matrix. After the two residual-producing projections the virtual comm
-// clock charges the analytic ring all-reduce on the hidden states.
-func (e *Executor) linearTP(li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
-	tp := e.tp
-	l := &tp.layers[li]
-	var sub *tpSublayer
+// tpSpans is the sharding table: the columns of sublayer s's full output
+// (cols wide) that rank r of `ways` owns.
+//
+// The fused QKV projection splits by attention heads — rank r owns query
+// heads [r·H/w, (r+1)·H/w) and the matching KV heads, so its shard is
+// three column ranges of the fused matrix (Q, K, V segments). FC1 splits
+// over the FFN hidden width; gated models pair each rank's gate columns
+// with its up columns so the elementwise SwiGLU stays rank-local in a
+// real deployment (here the gather reassembles the full h1 before the
+// activation, which computes the identical values). The out-projection
+// and FC2 are column-parallel over the model width: contiguous slices.
+func tpSpans(s model.Sublayer, cfg model.Config, cols, ways, r int) []colSpan {
 	switch s {
 	case model.QKVMapping:
-		sub = &l.qkv
-	case model.OutProjection:
-		sub = &l.out
+		d, dh := cfg.DModel, cfg.HeadDim()
+		qPer := cfg.Heads / ways * dh
+		kvPer := cfg.KVHeads / ways * dh
+		return []colSpan{
+			{dst: r * qPer, width: qPer},                   // query heads
+			{dst: d + r*kvPer, width: kvPer},               // key heads
+			{dst: d + cfg.KVDim() + r*kvPer, width: kvPer}, // value heads
+		}
 	case model.FC1:
-		sub = &l.fc1
-	case model.FC2:
-		sub = &l.fc2
-	default:
-		panic(fmt.Sprintf("llm: %s is not a parameter sublayer", s))
+		per := cfg.DFF / ways
+		spans := []colSpan{{dst: r * per, width: per}}
+		if cfg.GatedFFN {
+			spans = append(spans, colSpan{dst: cfg.DFF + r*per, width: per})
+		}
+		return spans
 	}
-	out := tensor.New(x.Rows, sub.fullN)
-	for si := range sub.shards {
-		sh := &sub.shards[si]
-		part := e.runTPShard(s, sh, x)
+	per := cols / ways
+	width := per
+	if r == ways-1 {
+		width = cols - r*per // absorb any remainder (none when ways divides)
+	}
+	return []colSpan{{dst: r * per, width: width}}
+}
+
+// apply runs each rank's shard through the same policy-routed dense op
+// the unsharded path uses and gathers (concatenates) the rank outputs
+// back into the full output matrix. The dense route's in-place bfloat16
+// rounding of x is idempotent, so repeating it per rank leaves later
+// ranks' inputs identical to the unsharded call's. After the two
+// residual-producing projections the virtual comm clock charges the
+// analytic ring all-reduce on the hidden states.
+func (o *tpOp) apply(e *Executor, li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
+	out := tensor.New(x.Rows, o.fullN)
+	for _, sh := range o.shards {
+		part := sh.op.apply(e, li, s, x)
 		off := 0
 		for _, sp := range sh.spans {
 			for r := 0; r < part.Rows; r++ {
@@ -253,46 +216,20 @@ func (e *Executor) linearTP(li int, s model.Sublayer, x tensor.Matrix) tensor.Ma
 	}
 	if s == model.OutProjection || s == model.FC2 {
 		bytes := units.Bytes(x.Rows * e.Model.Cfg.DModel * e.Model.Cfg.BytesPerParam)
-		t := core.TPAllReduceTime(tp.ways, tp.peer, bytes)
-		tp.allReduces.Add(1)
-		tp.commPs.Add(int64(float64(t) * 1e12))
+		t := core.TPAllReduceTime(o.tp.ways, o.tp.peer, bytes)
+		o.tp.allReduces.Add(1)
+		o.tp.commPs.Add(int64(float64(t) * 1e12))
 	}
 	return out
 }
 
-// runTPShard dispatches one rank's shard through the policy-routed
-// kernel — the exact dense-tier body of linear(), against the shard's
-// own packed cache. The dense route's in-place bfloat16 rounding of x is
-// idempotent, so repeating it per rank leaves later ranks' inputs
-// identical to the unsharded call's.
-func (e *Executor) runTPShard(s model.Sublayer, sh *tpShard, x tensor.Matrix) tensor.Matrix {
-	if x.Cols != sh.w.Rows {
-		panic(fmt.Sprintf("llm: %s TP shard shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, sh.w.Rows, sh.w.Cols))
+// footprint is the shards' sum — the unsharded BF16 image, since the
+// ranks partition its columns.
+func (o *tpOp) footprint() (total int64) {
+	for _, sh := range o.shards {
+		total += sh.op.footprint()
 	}
-	if e.Policy.OnCPU(s) {
-		sh.cache.cpuOnce.Do(func() {
-			pre, err := amx.PrepackBF16(sh.w.Data, sh.w.Rows, sh.w.Cols)
-			if err != nil {
-				panic(fmt.Sprintf("llm: TP prepack %s: %v", s, err))
-			}
-			sh.cache.cpu = pre
-			e.sharedState().packs.Add(1)
-		})
-		out, cycles, err := amx.MatmulBF16Packed(x.Data, x.Rows, sh.cache.cpu)
-		if err != nil {
-			panic(fmt.Sprintf("llm: TP AMX matmul: %v", err))
-		}
-		e.Stats.CPUMatmuls++
-		e.Stats.AMXCycles += cycles
-		return tensor.FromSlice(x.Rows, sh.w.Cols, out)
-	}
-	sh.cache.gpuOnce.Do(func() {
-		g := sh.w.Clone()
-		amx.RoundSlice(g.Data)
-		sh.cache.gpu = g
-		e.sharedState().packs.Add(1)
-	})
-	e.Stats.GPUMatmuls++
-	amx.RoundSlice(x.Data)
-	return tensor.MatMul(x, sh.cache.gpu)
+	return total
 }
+
+func (o *tpOp) blocks() (zero, total int) { return 0, 0 }

@@ -158,7 +158,7 @@ func TestTPForkSharesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := e.fork()
-	if sub.tp != e.tp {
+	if sub.tier != e.tier {
 		t.Fatal("fork must share the TP state")
 	}
 	if _, err := sub.Generate([]int{1, 2}, 4); err != nil {

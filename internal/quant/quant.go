@@ -36,8 +36,7 @@ type Weights struct {
 	// Linear never re-packs the static operand: the VNNI tile image plus
 	// the decoded column-major lane view amx's fast path consumes
 	// (PrepackINT8 builds both; packing is layout-only, so results are
-	// unchanged). Nil for hand-built Weights, which fall back to the
-	// per-call packing path.
+	// unchanged). Nil only for hand-built Weights, which Linear rejects.
 	pre *amx.PrepackedINT8
 }
 
@@ -231,17 +230,11 @@ func Linear(x tensor.Matrix, w Weights) (tensor.Matrix, uint64, error) {
 	if x.Cols != w.K {
 		return tensor.Matrix{}, 0, fmt.Errorf("quant: linear shape mismatch %dx%d · %dx%d", x.Rows, x.Cols, w.K, w.N)
 	}
-	qx := QuantizeActivations(x)
-	var (
-		acc    []int32
-		cycles uint64
-		err    error
-	)
-	if w.pre != nil {
-		acc, cycles, err = amx.MatmulINT8Packed(qx.Q, qx.M, w.pre)
-	} else {
-		acc, cycles, err = amx.MatmulINT8(qx.Q, w.Q, qx.M, qx.K, w.N)
+	if w.pre == nil {
+		return tensor.Matrix{}, 0, fmt.Errorf("quant: int8 weights missing prepacked image (use QuantizeWeights)")
 	}
+	qx := QuantizeActivations(x)
+	acc, cycles, err := amx.MatmulINT8Packed(qx.Q, qx.M, w.pre)
 	if err != nil {
 		return tensor.Matrix{}, 0, err
 	}

@@ -113,6 +113,10 @@ func TestLinearShapeMismatch(t *testing.T) {
 	if _, _, err := Linear(tensor.New(2, 3), QuantizeWeights(tensor.New(4, 2))); err == nil {
 		t.Error("shape mismatch accepted")
 	}
+	// Same rule as LinearINT4LUT: a hand-built value has no prepacked image.
+	if _, _, err := Linear(tensor.New(2, 4), Weights{K: 4, N: 2, Q: make([]int8, 8)}); err == nil {
+		t.Error("missing prepacked image accepted")
+	}
 }
 
 // Property: quantizing, dequantizing and re-quantizing weights is stable
