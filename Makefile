@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race loc bench microbench bench-compare paper-parity bench-smoke bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
+.PHONY: check vet cross-vet build test race loc bench microbench bench-compare paper-parity bench-smoke bench-scenario bench-fleet artifacts-check scenario-smoke fleet-smoke fuzz-smoke
 
 # check is the CI gate: vet, build everything, then the full test suite
 # under the race detector (the worker team, the runner pool and the
@@ -9,6 +9,15 @@ check: vet build race
 
 vet:
 	$(GO) vet ./...
+
+# cross-vet checks the tree on targets with no AMX file (internal/amx's
+# hw_other.go stub serves them) and without cgo, so the stub cannot rot
+# on a host that always builds hw_linux_amd64.{go,s}.
+cross-vet:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./...
+	GOOS=windows GOARCH=amd64 $(GO) vet ./...
+	CGO_ENABLED=0 $(GO) build ./...
 
 build:
 	$(GO) build ./...

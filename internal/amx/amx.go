@@ -14,8 +14,10 @@
 // the functional LLM engine (package llm) routes CPU-offloaded sublayers
 // through, proving that the dataflow LIA's analytical model assumes is
 // executable end to end. One driver (drive, pool.go) owns the output grid
-// and runs it over a block kernel; there are four, BF16 and INT8 each in
-// two tiers.
+// and runs it over a block kernel; there are five, BF16 and INT8 each in
+// two emulated tiers, and INT8 on the host's tile unit (int8HW) wherever
+// CPUID and the kernel grant it — TDPBUSD's integer arithmetic is exact,
+// so silicon and emulator agree bit for bit and the drivers prefer it.
 //
 // The byte-accurate tier (TDPBF16PS, TDPBUSD, TileLoad/TileStore)
 // reassembles every operand from the tile file's bytes and is the oracle
@@ -358,6 +360,21 @@ func tdpINT8Shapes(td, ta, tb *tile) (m, n, kQuads int, err error) {
 		return 0, 0, 0, fmt.Errorf("amx: TDPBUSD operand shapes incompatible: %w", ErrShape)
 	}
 	return m, n, kQuads, nil
+}
+
+// tdpBUSDCheck is TDPBUSD's fault-and-cycles-only counterpart, for the
+// hardware kernel, which issues the instruction itself: the same tile
+// resolution and shape checks, the same error text, the same cycles.
+func (u *Unit) tdpBUSDCheck(dst, a, b int) error {
+	td, ta, tb, err := u.tdpTiles(dst, a, b)
+	if err != nil {
+		return err
+	}
+	if _, _, _, err := tdpINT8Shapes(td, ta, tb); err != nil {
+		return err
+	}
+	u.cycles += cyclesTDP
+	return nil
 }
 
 // TDPBUSD executes dst += a × b with a holding unsigned 8-bit quads

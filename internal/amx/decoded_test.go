@@ -1,6 +1,7 @@
 package amx
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -122,85 +123,93 @@ func runBF16Pair(t *testing.T, m, n, kPairs int, cImg, aImg, bImg []byte) (byteC
 	return byteC, decC, byteCycles, decCycles
 }
 
-// runINT8Pair is the TDPBUSD mirror of runBF16Pair.
-func runINT8Pair(t *testing.T, m, n, kQuads int, cImg, aImg, bImg []byte) (byteC, decC []byte, byteCycles, decCycles uint64) {
+// int8Kernels are the INT8 block kernels. matmulINT8Driver runs only the
+// one int8KernelFor picks on this host, so every INT8 differential names
+// each kernel explicitly.
+var int8Kernels = []struct {
+	name string
+	kern int8Kernel
+}{{"bytes", int8KernelBytes}, {"decoded", int8KernelDecoded}, {"hw", int8KernelHW}}
+
+// needKernel skips t when kern cannot run on this host.
+func needKernel(t *testing.T, kern int8Kernel) {
 	t.Helper()
+	if kern == int8KernelHW && !hwAvailable {
+		t.Skip("no AMX")
+	}
+}
+
+// runINT8Tile executes one C(m×n) += A·B tile op from the given operand
+// images on kernel kern and returns the C image and the cycles charged:
+// the byte oracle moves the images through the tile file; the decoded
+// path pre-decodes them the way the packers do (A row-major lanes, B
+// column-major lanes); the hardware path runs the *Check ops and then
+// one tdpbusdChain over the images themselves.
+func runINT8Tile(t *testing.T, kern int8Kernel, m, n, kQuads int, cImg, aImg, bImg []byte) (cOut []byte, cycles uint64) {
+	t.Helper()
+	u := NewUnit()
 	cfg := int8TileConfig(m, n, kQuads)
+	if err := u.Configure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	start := u.Cycles()
+	cOut = make([]byte, m*n*4)
+	if kern == int8KernelBytes {
+		must(t, u.TileLoad(tmmC, cImg, n*4))
+		must(t, u.TileLoad(tmmA, aImg, kQuads*4))
+		must(t, u.TileLoad(tmmB, bImg, n*4))
+		must(t, u.TDPBUSD(tmmC, tmmA, tmmB))
+		must(t, u.TileStore(tmmC, cOut, n*4))
+		return cOut, u.Cycles() - start
+	}
 
-	ub := NewUnit()
-	if err := ub.Configure(cfg); err != nil {
-		t.Fatal(err)
+	must(t, u.TileLoadCheck(tmmC, len(cImg), n*4))
+	must(t, u.TileLoadCheck(tmmA, len(aImg), kQuads*4))
+	must(t, u.TileLoadCheck(tmmB, len(bImg), n*4))
+	c := make([]int32, m*n)
+	for i := range c {
+		c[i] = int32(binary.LittleEndian.Uint32(cImg[4*i:]))
 	}
-	start := ub.Cycles()
-	if err := ub.TileLoad(tmmC, cImg, n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ub.TileLoad(tmmA, aImg, kQuads*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ub.TileLoad(tmmB, bImg, n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ub.TDPBUSD(tmmC, tmmA, tmmB); err != nil {
-		t.Fatal(err)
-	}
-	byteC = make([]byte, m*n*4)
-	if err := ub.TileStore(tmmC, byteC, n*4); err != nil {
-		t.Fatal(err)
-	}
-	byteCycles = ub.Cycles() - start
-
-	lanes := 4 * kQuads
-	cDec := make([]int32, m*n)
-	for i := range cDec {
-		off := i * 4
-		cDec[i] = int32(uint32(cImg[off]) | uint32(cImg[off+1])<<8 |
-			uint32(cImg[off+2])<<16 | uint32(cImg[off+3])<<24)
-	}
-	aDec := make([]uint8, m*lanes)
-	for i := 0; i < m; i++ {
-		copy(aDec[i*lanes:(i+1)*lanes], aImg[i*kQuads*4:])
-	}
-	bCols := make([]int8, n*lanes)
-	for j := 0; j < n; j++ {
-		for q := 0; q < kQuads; q++ {
-			off := q*n*4 + j*4
-			for l := 0; l < 4; l++ {
-				bCols[j*lanes+4*q+l] = int8(bImg[off+l])
+	if kern == int8KernelDecoded {
+		lanes := 4 * kQuads
+		aDec := make([]uint8, m*lanes)
+		for i := 0; i < m; i++ {
+			copy(aDec[i*lanes:(i+1)*lanes], aImg[i*kQuads*4:])
+		}
+		bCols := make([]int8, n*lanes)
+		for j := 0; j < n; j++ {
+			for q := 0; q < kQuads; q++ {
+				off := q*n*4 + j*4
+				for l := 0; l < 4; l++ {
+					bCols[j*lanes+4*q+l] = int8(bImg[off+l])
+				}
 			}
 		}
+		must(t, u.TDPBUSDDecoded(tmmC, tmmA, tmmB, c, n, aDec, lanes, bCols, lanes))
+	} else {
+		must(t, u.tdpBUSDCheck(tmmC, tmmA, tmmB))
+		// The chain starts from TILEZERO; the oracle's C image is its
+		// starting accumulator, and wrapping int32 addition is
+		// associative, so adding it afterwards is the same sum.
+		hw := hwConfig(cfg)
+		sum := make([]int32, m*n)
+		tdpbusdChain(&hw, &sum[0], uintptr(n*4), &aImg[0], uintptr(kQuads*4), &bImg[0], uintptr(n*4), &[2]uintptr{}, 1)
+		for i := range c {
+			c[i] += sum[i]
+		}
 	}
+	must(t, u.TileStoreCheck(tmmC, m*n*4, n*4))
+	for i, v := range c {
+		binary.LittleEndian.PutUint32(cOut[4*i:], uint32(v))
+	}
+	return cOut, u.Cycles() - start
+}
 
-	ud := NewUnit()
-	if err := ud.Configure(cfg); err != nil {
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
 		t.Fatal(err)
 	}
-	start = ud.Cycles()
-	if err := ud.TileLoadCheck(tmmC, len(cImg), n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TileLoadCheck(tmmA, len(aImg), kQuads*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TileLoadCheck(tmmB, len(bImg), n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TDPBUSDDecoded(tmmC, tmmA, tmmB, cDec, n, aDec, lanes, bCols, lanes); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TileStoreCheck(tmmC, m*n*4, n*4); err != nil {
-		t.Fatal(err)
-	}
-	decCycles = ud.Cycles() - start
-	decC = make([]byte, m*n*4)
-	for i := range cDec {
-		bits := uint32(cDec[i])
-		decC[i*4] = byte(bits)
-		decC[i*4+1] = byte(bits >> 8)
-		decC[i*4+2] = byte(bits >> 16)
-		decC[i*4+3] = byte(bits >> 24)
-	}
-	return byteC, decC, byteCycles, decCycles
 }
 
 // fillPattern fills dst with a deterministic byte stream that cycles
@@ -281,26 +290,33 @@ func TestDecodedBF16ExhaustiveShapes(t *testing.T) {
 	}
 }
 
-// TestDecodedINT8ExhaustiveShapes is the TDPBUSD mirror.
+// TestDecodedINT8ExhaustiveShapes is the TDPBUSD mirror, run for the
+// decoded and the hardware kernel alike.
 func TestDecodedINT8ExhaustiveShapes(t *testing.T) {
-	for m := 1; m <= MaxRows; m++ {
-		for n := 1; n <= MaxColBytes/4; n++ {
-			for kQuads := 1; kQuads <= MaxColBytes/4; kQuads++ {
-				cImg := make([]byte, m*n*4)
-				aImg := make([]byte, m*kQuads*4)
-				bImg := make([]byte, kQuads*n*4)
-				fillPattern(cImg, byte(m+3))
-				fillPattern(aImg, byte(n+59))
-				fillPattern(bImg, byte(kQuads+113))
-				byteC, decC, bc, dc := runINT8Pair(t, m, n, kQuads, cImg, aImg, bImg)
-				if !reflect.DeepEqual(byteC, decC) {
-					t.Fatalf("m=%d n=%d kQuads=%d: decoded C image diverges from byte path", m, n, kQuads)
-				}
-				if bc != dc {
-					t.Fatalf("m=%d n=%d kQuads=%d: cycles %d (byte) != %d (decoded)", m, n, kQuads, bc, dc)
+	for _, k := range int8Kernels[1:] {
+		t.Run(k.name, func(t *testing.T) {
+			needKernel(t, k.kern)
+			for m := 1; m <= MaxRows; m++ {
+				for n := 1; n <= MaxColBytes/4; n++ {
+					for kQuads := 1; kQuads <= MaxColBytes/4; kQuads++ {
+						cImg := make([]byte, m*n*4)
+						aImg := make([]byte, m*kQuads*4)
+						bImg := make([]byte, kQuads*n*4)
+						fillPattern(cImg, byte(m+3))
+						fillPattern(aImg, byte(n+59))
+						fillPattern(bImg, byte(kQuads+113))
+						byteC, bc := runINT8Tile(t, int8KernelBytes, m, n, kQuads, cImg, aImg, bImg)
+						gotC, gc := runINT8Tile(t, k.kern, m, n, kQuads, cImg, aImg, bImg)
+						if !reflect.DeepEqual(byteC, gotC) {
+							t.Fatalf("m=%d n=%d kQuads=%d: %s C image diverges from byte path", m, n, kQuads, k.name)
+						}
+						if bc != gc {
+							t.Fatalf("m=%d n=%d kQuads=%d: cycles %d (byte) != %d (%s)", m, n, kQuads, bc, gc, k.name)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -342,7 +358,8 @@ func FuzzDecodedBF16Equivalence(f *testing.F) {
 	})
 }
 
-// FuzzDecodedINT8Equivalence is the TDPBUSD mirror of the BF16 fuzzer.
+// FuzzDecodedINT8Equivalence is the TDPBUSD mirror of the BF16 fuzzer,
+// pinning the decoded and the hardware kernel to the byte oracle.
 func FuzzDecodedINT8Equivalence(f *testing.F) {
 	f.Add(uint8(16), uint8(16), uint8(16), []byte{0x80, 0x7F, 0xFF, 0x01})
 	f.Add(uint8(3), uint8(2), uint8(7), []byte{0xFF})
@@ -364,12 +381,18 @@ func FuzzDecodedINT8Equivalence(f *testing.F) {
 		grab(cImg, 0)
 		grab(aImg, 1)
 		grab(bImg, 2)
-		byteC, decC, bc, dc := runINT8Pair(t, m, n, kQuads, cImg, aImg, bImg)
-		if !reflect.DeepEqual(byteC, decC) {
-			t.Fatalf("m=%d n=%d kQuads=%d: decoded C image diverges from byte path", m, n, kQuads)
-		}
-		if bc != dc {
-			t.Fatalf("m=%d n=%d kQuads=%d: cycle mismatch %d != %d", m, n, kQuads, bc, dc)
+		byteC, bc := runINT8Tile(t, int8KernelBytes, m, n, kQuads, cImg, aImg, bImg)
+		for _, k := range int8Kernels[1:] {
+			t.Run(k.name, func(t *testing.T) {
+				needKernel(t, k.kern)
+				gotC, gc := runINT8Tile(t, k.kern, m, n, kQuads, cImg, aImg, bImg)
+				if !reflect.DeepEqual(byteC, gotC) {
+					t.Fatalf("m=%d n=%d kQuads=%d: %s C image diverges from byte path", m, n, kQuads, k.name)
+				}
+				if bc != gc {
+					t.Fatalf("m=%d n=%d kQuads=%d: cycle mismatch %d != %d (%s)", m, n, kQuads, bc, gc, k.name)
+				}
+			})
 		}
 	})
 }
@@ -437,57 +460,66 @@ func TestDecodedDriverMatchesByteDriverBF16(t *testing.T) {
 	}
 }
 
-// TestDecodedDriverMatchesByteDriverINT8 is the INT8 driver-level pin.
+// TestDecodedDriverMatchesByteDriverINT8 is the INT8 driver-level pin:
+// the byte oracle over a byte-only operand against every kernel over a
+// production one.
 func TestDecodedDriverMatchesByteDriverINT8(t *testing.T) {
-	for _, s := range []struct{ m, k, n int }{
-		{1, 64, 16}, {16, 64, 16}, {33, 100, 20}, {64, 128, 64},
-	} {
-		a := make([]uint8, s.m*s.k)
-		b := make([]int8, s.k*s.n)
-		for i := range a {
-			a[i] = uint8(i*29 + 7)
-		}
-		for i := range b {
-			b[i] = int8(i%255 - 127)
-		}
-		byteW, err := prepackINT8Bytes(b, s.k, s.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decW, err := PrepackINT8(b, s.k, s.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := matmulINT8Driver(a, s.m, byteW); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := MatmulINT8Packed(a, s.m, decW); err != nil {
-			t.Fatal(err)
-		}
-		want, wantCycles, err := matmulINT8Driver(a, s.m, byteW)
-		if err != nil {
-			t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
-		}
-		got, gotCycles, err := MatmulINT8Packed(a, s.m, decW)
-		if err != nil {
-			t.Fatalf("%dx%dx%d decoded driver: %v", s.m, s.k, s.n, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%dx%dx%d: decoded result diverges from byte driver", s.m, s.k, s.n)
-		}
-		// Same Configure-charge tolerance as the BF16 driver test.
-		if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
-			t.Fatalf("%dx%dx%d: cycles %d (byte) != %d (decoded)", s.m, s.k, s.n, wantCycles, gotCycles)
-		}
+	for _, k := range int8Kernels {
+		t.Run(k.name, func(t *testing.T) {
+			needKernel(t, k.kern)
+			for _, s := range []struct{ m, k, n int }{
+				{1, 64, 16}, {16, 64, 16}, {33, 100, 20}, {64, 128, 64},
+			} {
+				a := make([]uint8, s.m*s.k)
+				b := make([]int8, s.k*s.n)
+				for i := range a {
+					a[i] = uint8(i*29 + 7)
+				}
+				for i := range b {
+					b[i] = int8(i%255 - 127)
+				}
+				byteW, err := prepackINT8Bytes(b, s.k, s.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := PrepackINT8(b, s.k, s.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := matmulINT8On(int8KernelBytes, a, s.m, byteW); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := matmulINT8On(k.kern, a, s.m, w); err != nil {
+					t.Fatal(err)
+				}
+				want, wantCycles, err := matmulINT8On(int8KernelBytes, a, s.m, byteW)
+				if err != nil {
+					t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
+				}
+				got, gotCycles, err := matmulINT8On(k.kern, a, s.m, w)
+				if err != nil {
+					t.Fatalf("%dx%dx%d %s driver: %v", s.m, s.k, s.n, k.name, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%dx%dx%d: %s result diverges from byte driver", s.m, s.k, s.n, k.name)
+				}
+				// Same Configure-charge tolerance as the BF16 driver test.
+				if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
+					t.Fatalf("%dx%dx%d: cycles %d (byte) != %d (%s)", s.m, s.k, s.n, wantCycles, gotCycles, k.name)
+				}
+			}
+		})
 	}
 }
 
 // TestDecodedTruncatedOperandFaultIdentity drops the last four bytes of
 // each right-hand image — the tail of the final (kb, cb) block's B load —
-// and requires the same wrapped ErrBounds from all four block kernels,
+// and requires the same wrapped ErrBounds from all five block kernels,
 // on the inline path and split over a team. BF16 k=64 and INT8 k=128 are
 // both two k-blocks of an n=128 operand, so the images have equal sizes
-// and even the byte counts in the message agree.
+// and even the byte counts in the message agree. The hardware kernel is
+// given a short VNNI image, the bytes it reads; its decoded view is
+// intact.
 func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
 	const n, kBlocks = 128, 2
 	for _, tc := range []struct {
@@ -518,17 +550,22 @@ func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			i8HW, err := PrepackINT8(bi, kBlocks*blockKi8, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			bfBytes.vnni = bfBytes.vnni[:len(bfBytes.vnni)-4]
 			bfDec.dec = bfDec.dec[:len(bfDec.dec)-2] // two bf16 lanes = four image bytes
 			i8Bytes.vnni = i8Bytes.vnni[:len(i8Bytes.vnni)-4]
 			i8Dec.dec = i8Dec.dec[:len(i8Dec.dec)-4]
+			i8HW.vnni = i8HW.vnni[:len(i8HW.vnni)-4]
 
 			kernels := []string{"bf16 bytes", "bf16 decoded", "int8 bytes", "int8 decoded"}
 			var errs [4]error
 			_, errs[0] = matmulBF16Driver(make([]float32, tc.m*n), af, tc.m, bfBytes)
 			_, errs[1] = matmulBF16Driver(make([]float32, tc.m*n), af, tc.m, bfDec)
-			_, _, errs[2] = matmulINT8Driver(ai, tc.m, i8Bytes)
-			_, _, errs[3] = matmulINT8Driver(ai, tc.m, i8Dec)
+			_, _, errs[2] = matmulINT8On(int8KernelBytes, ai, tc.m, i8Bytes)
+			_, _, errs[3] = matmulINT8On(int8KernelDecoded, ai, tc.m, i8Dec)
 			for i, err := range errs {
 				if !errors.Is(err, ErrBounds) {
 					t.Errorf("%s: error %v does not wrap ErrBounds", kernels[i], err)
@@ -537,6 +574,16 @@ func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
 					t.Errorf("%s: %q, %s: %q", kernels[i], errText(err), kernels[0], errText(errs[0]))
 				}
 			}
+			t.Run("int8 hw", func(t *testing.T) {
+				needKernel(t, int8KernelHW)
+				_, _, err := matmulINT8On(int8KernelHW, ai, tc.m, i8HW)
+				if !errors.Is(err, ErrBounds) {
+					t.Errorf("error %v does not wrap ErrBounds", err)
+				}
+				if errText(err) != errText(errs[0]) {
+					t.Errorf("%q, %s: %q", errText(err), kernels[0], errText(errs[0]))
+				}
+			})
 		})
 	}
 }
@@ -616,10 +663,18 @@ func TestDecodedFaultIdentity(t *testing.T) {
 		}
 
 		ub, ud = tc.mk(), tc.mk()
+		uh := tc.mk()
+		ch0 := uh.Cycles()
 		errByte = ub.TDPBUSD(tc.d, tc.a, tc.b)
 		errDec = ud.TDPBUSDDecoded(tc.d, tc.a, tc.b, cI, 4, aU, 8, bS, 8)
 		if errText(errByte) != errText(errDec) {
 			t.Errorf("int8 %s: byte %q != decoded %q", tc.name, errText(errByte), errText(errDec))
+		}
+		if errHW := uh.tdpBUSDCheck(tc.d, tc.a, tc.b); errText(errByte) != errText(errHW) {
+			t.Errorf("int8 %s: byte %q != hardware check %q", tc.name, errText(errByte), errText(errHW))
+		}
+		if uh.Cycles() != ch0 {
+			t.Errorf("int8 %s: hardware check fault advanced the cycle counter", tc.name)
 		}
 	}
 }

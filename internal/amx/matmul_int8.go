@@ -175,12 +175,41 @@ func MatmulINT8Packed(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 	return matmulINT8Driver(a, m, w)
 }
 
-// matmulINT8Driver packs A into pooled scratch and hands the product to
-// drive with the decoded block kernel when the operand carries its
-// decoded view (every production PrepackedINT8 does) and the byte oracle
-// otherwise. The unsigned A image needs no decoding — its padded bytes
-// are the lane values — so both kernels share it.
+// int8Kernel names one of the three INT8 block kernels.
+type int8Kernel uint8
+
+const (
+	int8KernelBytes   int8Kernel = iota // int8Bytes, the oracle
+	int8KernelDecoded                   // int8Decoded, the emulator's fast path
+	int8KernelHW                        // int8HW, the host's tile unit
+)
+
+// int8KernelFor is the one place the INT8 block kernel is chosen:
+// silicon when the host grants it (it reads the VNNI image every operand
+// carries), else the decoded emulator when w carries its decoded view
+// (every production PrepackedINT8 does), else the byte oracle. All three
+// produce the same results, faults and cycles, so the choice is
+// invisible above this package.
+func int8KernelFor(w *PrepackedINT8) int8Kernel {
+	switch {
+	case hwAvailable:
+		return int8KernelHW
+	case w.dec != nil:
+		return int8KernelDecoded
+	}
+	return int8KernelBytes
+}
+
+// matmulINT8Driver runs the product on the kernel int8KernelFor picks.
 func matmulINT8Driver(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
+	return matmulINT8On(int8KernelFor(w), a, m, w)
+}
+
+// matmulINT8On packs A into pooled scratch and hands the product to drive
+// with kernel kern. The unsigned A image needs no decoding — its padded
+// bytes are the lane values and the tile unit's layout — so every kernel
+// shares it.
+func matmulINT8On(kern int8Kernel, a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
 	padM := ceilDiv(m, blockMi8) * blockMi8
 	aScratch := getScratch(padM * w.padK)
 	defer putScratch(aScratch)
@@ -192,9 +221,12 @@ func matmulINT8Driver(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 		cycles uint64
 		err    error
 	)
-	if w.dec != nil {
+	switch kern {
+	case int8KernelHW:
+		cycles, err = drive(int8MatmulConfig, int8HW{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
+	case int8KernelDecoded:
 		cycles, err = drive(int8MatmulConfig, int8Decoded{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
-	} else {
+	default:
 		cycles, err = drive(int8MatmulConfig, int8Bytes{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
 	}
 	if err != nil {
@@ -271,6 +303,71 @@ func (k int8Decoded) mac(pu *pooledUnit, rb, cb, kb, valid int) error {
 
 func (k int8Decoded) store(pu *pooledUnit) ([]int32, error) {
 	return pu.cDecI[:], pu.u.TileStoreCheck(tmmC, blockMi8*blockNi8*4, blockNi8*4)
+}
+
+// int8HW is the INT8 block kernel on the host's tile unit. Its zero, mac
+// and store run exactly the decoded kernel's *Check ops — so faults and
+// cycles are the emulator's, and cycles stay modelled — with every load
+// validated against the bytes the instruction reads: the padded A image
+// and the VNNI image of B, not the decoded view. mac only queues the
+// validated block; store issues the block's whole k-chain in one
+// tdpbusdChain call into pu.cDecI. TDPBUSD's integer arithmetic is exact,
+// so results are bit-identical to the emulator's.
+type int8HW struct {
+	a []byte // padded u8 image of A, shared with the other kernels
+	w *PrepackedINT8
+}
+
+func (k int8HW) zero(pu *pooledUnit) error {
+	clear(pu.cDecI[:])
+	pu.hwOffs = pu.hwOffs[:0]
+	return pu.u.TileZeroCheck(tmmC)
+}
+
+func (k int8HW) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
+	aStride := k.w.padK     // bytes per packed A row (u8)
+	bStride := k.w.padN * 4 // bytes per packed VNNI B row (quads)
+	aOff := rb*blockMi8*aStride + kb*blockKi8
+	if err := pu.u.TileLoadCheck(tmmA, len(k.a)-aOff, aStride); err != nil {
+		return err
+	}
+	bOff := kb*(blockKi8/4)*bStride + cb*blockNi8*4
+	if err := pu.u.TileLoadCheck(tmmB, len(k.w.vnni)-bOff, bStride); err != nil {
+		return err
+	}
+	if err := pu.u.tdpBUSDCheck(tmmC, tmmA, tmmB); err != nil {
+		return err
+	}
+	pu.hwOffs = append(pu.hwOffs, [2]uintptr{uintptr(aOff), uintptr(bOff)})
+	return nil
+}
+
+func (k int8HW) store(pu *pooledUnit) ([]int32, error) {
+	if err := pu.u.TileStoreCheck(tmmC, blockMi8*blockNi8*4, blockNi8*4); err != nil {
+		return nil, err
+	}
+	// A block whose every k-block the bitmap skipped is zero already.
+	if n := len(pu.hwOffs); n > 0 {
+		tdpbusdChain(&pu.hwCfg, &pu.cDecI[0], blockNi8*4, &k.a[0], uintptr(k.w.padK),
+			&k.w.vnni[0], uintptr(k.w.padN*4), &pu.hwOffs[0], n)
+	}
+	return pu.cDecI[:], nil
+}
+
+// hwTileCfg is LDTILECFG's 64-byte memory operand: byte 0 the palette
+// (1), bytes 16–47 each tile's bytes per row as uint16, bytes 48–63 each
+// tile's rows; unused tiles and reserved bytes zero.
+type hwTileCfg [64]byte
+
+// hwConfig encodes cfg for LDTILECFG. cfg has passed Configure's checks,
+// so the encoded palette is one the instruction accepts.
+func hwConfig(cfg TileConfig) (b hwTileCfg) {
+	b[0] = 1
+	for i, sh := range cfg.Tiles {
+		binary.LittleEndian.PutUint16(b[16+2*i:], uint16(sh.ColBytes))
+		b[48+i] = byte(sh.Rows)
+	}
+	return b
 }
 
 // ReferenceMatmulINT8 is the plain-loop reference for MatmulINT8Packed,

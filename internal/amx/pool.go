@@ -42,13 +42,20 @@ func splits(m, rowBlocks, colBlocks, kBlocks int) bool {
 // last-installed tile palette (so reconfiguration only happens when the
 // geometry changes), a C-tile staging buffer for the byte path, and the
 // decoded fast path's flat C accumulators (float32 for
-// TDPBF16PSDecoded, int32 for TDPBUSDDecoded).
+// TDPBF16PSDecoded, int32 for TDPBUSDDecoded and the hardware kernel),
+// and the hardware kernel's palette encoding and queued k-chain.
 type pooledUnit struct {
 	u     *Unit
 	cfg   TileConfig
 	cTile [MaxRows * MaxColBytes]byte
 	cDecF [blockM * blockN]float32
 	cDecI [blockMi8 * blockNi8]int32
+	// hwCfg is cfg encoded for LDTILECFG: the hardware kernel loads
+	// exactly the palette its checks ran against.
+	hwCfg hwTileCfg
+	// hwOffs holds the (A, B) byte offsets of the current block's
+	// validated k-blocks; it grows once per unit and is reused.
+	hwOffs [][2]uintptr
 }
 
 // ensure installs cfg unless it is already the active palette.
@@ -60,6 +67,7 @@ func (w *pooledUnit) ensure(cfg TileConfig) error {
 		return err
 	}
 	w.cfg = cfg
+	w.hwCfg = hwConfig(cfg)
 	return nil
 }
 
@@ -167,10 +175,11 @@ func runInline(cfg TileConfig, rowBlocks int, run func(pu *pooledUnit, rb int) e
 }
 
 // blockKernel is one way of computing a 16×16 output block of a blocked
-// product on a tile unit. The four values — BF16 and INT8, each as the
-// byte oracle and the decoded fast path — issue the same instruction
-// sequence with the same faults and cycles and differ only in how the
-// operands travel, so drive is written once.
+// product on a tile unit. The five values — BF16 and INT8, each as the
+// byte oracle and the decoded fast path, and INT8 on the host's tile
+// unit — issue the same instruction sequence with the same faults and
+// cycles and differ only in how the operands travel and where the MACs
+// run, so drive is written once.
 type blockKernel[C float32 | int32] interface {
 	// zero is TILEZERO on the accumulator tile.
 	zero(pu *pooledUnit) error

@@ -118,92 +118,95 @@ func TestSparsePrepackMatchesDenseBF16(t *testing.T) {
 	}
 }
 
+// TestSparsePrepackMatchesDenseINT8 runs every INT8 kernel on the dense
+// and the bitmap-skipping form of one pruned operand, and pins each
+// kernel's sparse product to the byte oracle's.
 func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, sh := range []struct{ m, k, n int }{{1, 128, 48}, {7, 64, 32}, {20, 192, 64}} {
-		kb := ceilDiv(sh.k, blockKi8)
-		cb := ceilDiv(sh.n, blockNi8)
-		total := kb * cb
-		zero := make(map[int]bool)
-		for i := 0; i < total/2; i++ {
-			zero[i*31%total] = true
-		}
-		b := make([]int8, sh.k*sh.n)
-		for r := 0; r < sh.k; r++ {
-			for c := 0; c < sh.n; c++ {
-				if !zero[(c/blockNi8)*kb+r/blockKi8] {
-					b[r*sh.n+c] = int8(rng.Intn(255) - 127)
+	for _, kern := range int8Kernels {
+		t.Run(kern.name, func(t *testing.T) {
+			needKernel(t, kern.kern)
+			run := func(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64) {
+				t.Helper()
+				c, cycles, err := matmulINT8On(kern.kern, a, m, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c, cycles
+			}
+			rng := rand.New(rand.NewSource(13))
+			for _, sh := range []struct{ m, k, n int }{{1, 128, 48}, {7, 64, 32}, {20, 192, 64}} {
+				kb := ceilDiv(sh.k, blockKi8)
+				cb := ceilDiv(sh.n, blockNi8)
+				total := kb * cb
+				zero := make(map[int]bool)
+				for i := 0; i < total/2; i++ {
+					zero[i*31%total] = true
+				}
+				b := make([]int8, sh.k*sh.n)
+				for r := 0; r < sh.k; r++ {
+					for c := 0; c < sh.n; c++ {
+						if !zero[(c/blockNi8)*kb+r/blockKi8] {
+							b[r*sh.n+c] = int8(rng.Intn(255) - 127)
+						}
+					}
+				}
+				a := make([]uint8, sh.m*sh.k)
+				for i := range a {
+					a[i] = uint8(rng.Intn(256))
+				}
+				dense, err := PrepackINT8(b, sh.k, sh.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sparse, err := PrepackINT8Sparse(b, sh.k, sh.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := run(a, sh.m, dense)
+				got, cySparse := run(a, sh.m, sparse)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("int8 sparse diverged at %d: %d vs %d", i, got[i], want[i])
+					}
+				}
+				if _, cyDense := run(a, sh.m, dense); cySparse >= cyDense {
+					t.Fatalf("int8 sparse cycles %d not below dense %d", cySparse, cyDense)
+				}
+
+				// Byte-path oracle with the same bitmap takes the same skips:
+				// result and cycles (a cold unit may add one palette configure).
+				byteOp, err := prepackINT8Bytes(b, sh.k, sh.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byteOp.zero = scanZeroINT8VNNI(byteOp.vnni, byteOp.padK, byteOp.padN)
+				gotBytes, cyBytes, err := matmulINT8On(int8KernelBytes, a, sh.m, byteOp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotBytes, got) {
+					t.Fatalf("%v: int8 sparse byte oracle diverged from %s", sh, kern.name)
+				}
+				if diff := cycleDiff(cyBytes, cySparse); diff%cyclesConfig != 0 {
+					t.Fatalf("%v: cycles %d (byte) != %d (%s)", sh, cyBytes, cySparse, kern.name)
+				}
+
+				// The differential has teeth: mark one nonzero block of a copy
+				// of the bitmap as skippable and this kernel's product must
+				// change.
+				z := &zeroBitmap{bits: slices.Clone(sparse.zero.bits)}
+				flip := 0
+				for z.skip(flip) {
+					flip++
+				}
+				z.set(flip)
+				mutOp := *sparse
+				mutOp.zero = z
+				if gotMut, _ := run(a, sh.m, &mutOp); reflect.DeepEqual(gotMut, got) {
+					t.Fatalf("%v: skipping nonzero block %d left the %s product unchanged — the comparison cannot fail", sh, flip, kern.name)
 				}
 			}
-		}
-		a := make([]uint8, sh.m*sh.k)
-		for i := range a {
-			a[i] = uint8(rng.Intn(256))
-		}
-		dense, err := PrepackINT8(b, sh.k, sh.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, err := PrepackINT8Sparse(b, sh.k, sh.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := MatmulINT8Packed(a, sh.m, dense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, cySparse, err := MatmulINT8Packed(a, sh.m, sparse)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("int8 sparse diverged at %d: %d vs %d", i, got[i], want[i])
-			}
-		}
-		_, cyDense, err := MatmulINT8Packed(a, sh.m, dense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cySparse >= cyDense {
-			t.Fatalf("int8 sparse cycles %d not below dense %d", cySparse, cyDense)
-		}
-
-		// Byte-path oracle with the same bitmap takes the same skips:
-		// result and cycles (a cold unit may add one palette configure).
-		byteOp, err := prepackINT8Bytes(b, sh.k, sh.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byteOp.zero = scanZeroINT8VNNI(byteOp.vnni, byteOp.padK, byteOp.padN)
-		gotBytes, cyBytes, err := MatmulINT8Packed(a, sh.m, byteOp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotBytes, got) {
-			t.Fatalf("%v: int8 sparse byte oracle diverged from decoded", sh)
-		}
-		if diff := cycleDiff(cyBytes, cySparse); diff%cyclesConfig != 0 {
-			t.Fatalf("%v: cycles %d (byte) != %d (decoded)", sh, cyBytes, cySparse)
-		}
-
-		// The differential has teeth: mark one nonzero block of a copy of
-		// the oracle's bitmap as skippable and the comparison must fail.
-		z := &zeroBitmap{bits: slices.Clone(byteOp.zero.bits)}
-		flip := 0
-		for z.skip(flip) {
-			flip++
-		}
-		z.set(flip)
-		mutOp := *byteOp
-		mutOp.zero = z
-		gotMut, _, err := MatmulINT8Packed(a, sh.m, &mutOp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reflect.DeepEqual(gotMut, got) {
-			t.Fatalf("%v: skipping nonzero block %d left the product unchanged — the byte-vs-decoded comparison cannot fail", sh, flip)
-		}
+		})
 	}
 }
 

@@ -117,7 +117,8 @@ func TestPartitionInvarianceBF16(t *testing.T) {
 	}
 }
 
-// TestPartitionInvarianceINT8 is the TDPBUSD twin.
+// TestPartitionInvarianceINT8 is the TDPBUSD twin, for every INT8
+// kernel: each must give the byte oracle's result at every team size.
 func TestPartitionInvarianceINT8(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, kn := range partitionKNs {
@@ -152,22 +153,27 @@ func TestPartitionInvarianceINT8(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/m%d/k%dn%d/team%d", name, m, k, n, size), func(t *testing.T) {
 						useTeam(t, size)
 						seedUnits(t, size, int8MatmulConfig)
-						for rep := 0; rep < 3; rep++ {
-							got, cycles, err := MatmulINT8Packed(a, m, w)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if cycles != w.PredictCycles(m) {
-								t.Fatalf("m=%d k=%d n=%d size %d: %d cycles, model %d", m, k, n, size, cycles, w.PredictCycles(m))
-							}
-							if want == nil {
-								want = got
-							}
-							for i := range want {
-								if got[i] != want[i] {
-									t.Fatalf("m=%d k=%d n=%d size %d: element %d = %d, want %d", m, k, n, size, i, got[i], want[i])
+						for _, kern := range int8Kernels {
+							t.Run(kern.name, func(t *testing.T) {
+								needKernel(t, kern.kern)
+								for rep := 0; rep < 3; rep++ {
+									got, cycles, err := matmulINT8On(kern.kern, a, m, w)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if cycles != w.PredictCycles(m) {
+										t.Fatalf("m=%d k=%d n=%d size %d: %d cycles, model %d", m, k, n, size, cycles, w.PredictCycles(m))
+									}
+									if want == nil {
+										want = got
+									}
+									for i := range want {
+										if got[i] != want[i] {
+											t.Fatalf("m=%d k=%d n=%d size %d: element %d = %d, want %d", m, k, n, size, i, got[i], want[i])
+										}
+									}
 								}
-							}
+							})
 						}
 					})
 				}

@@ -2,8 +2,9 @@
 // functional engine and the quantized-deployment studies: symmetric
 // per-output-channel weight quantization, asymmetric per-tensor
 // activation quantization, and a fused Linear that runs the integer
-// product through the emulated AMX TDPBUSD pipeline and dequantizes with
-// the zero-point correction.
+// product through AMX TDPBUSD — the host's tile unit where it has one,
+// the emulator elsewhere — and dequantizes with the zero-point
+// correction.
 //
 // The paper positions quantization as the orthogonal compression
 // alternative to offloading (§1: even 4-bit OPT-175B still needs two
@@ -16,6 +17,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/lia-sim/lia/internal/amx"
 	"github.com/lia-sim/lia/internal/tensor"
@@ -238,16 +240,32 @@ func Linear(x tensor.Matrix, w Weights) (tensor.Matrix, uint64, error) {
 	if err != nil {
 		return tensor.Matrix{}, 0, err
 	}
+	// s_x·s_j once per column: Go evaluates s_x·s_j·v left to right and
+	// there is no add to fuse, so hoisting the first product rounds exactly
+	// as the per-element expression did.
+	fp := colFactors.Get().(*[]float32)
+	if cap(*fp) < w.N {
+		*fp = make([]float32, w.N)
+	}
+	factor := (*fp)[:w.N]
+	for j, s := range w.ColScales {
+		factor[j] = qx.Scale * s
+	}
 	out := tensor.New(x.Rows, w.N)
 	zx := int32(qx.Zero)
 	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < w.N; j++ {
-			corrected := acc[i*w.N+j] - zx*w.ColSums[j]
-			out.Set(i, j, qx.Scale*w.ColScales[j]*float32(corrected))
+		row := out.Row(i)
+		accRow := acc[i*w.N : (i+1)*w.N]
+		for j := range row {
+			row[j] = factor[j] * float32(accRow[j]-zx*w.ColSums[j])
 		}
 	}
+	colFactors.Put(fp)
 	return out, cycles, nil
 }
+
+// colFactors recycles Linear's per-column dequantisation factors.
+var colFactors = sync.Pool{New: func() any { return new([]float32) }}
 
 // MaxAbsError returns the largest absolute elementwise difference between
 // two equally-shaped matrices — the quantization-error metric tests use.
