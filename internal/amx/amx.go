@@ -3,21 +3,21 @@
 // configuration state, and the TMUL dot-product instructions TDPBF16PS
 // (bfloat16 → float32 accumulate) and TDPBUSD (uint8 × int8 → int32
 // accumulate). It reproduces the VNNI operand layout, bfloat16 rounding,
-// the faults, and — exactly — TDPBUSD's integer arithmetic; TDPBF16PS
-// accumulates in the emulator's reference order (pairwise per k-pair, in
-// k order), whereas silicon measured on the reference guest sums even
-// and odd lanes in two chains and differs on ≈13.5% of outputs (ROADMAP
-// item 11). It keeps an instruction cycle count so higher layers can
-// reason about AMX throughput the same way §4 of the paper does.
+// the faults, and — exactly — both instructions' arithmetic: TDPBUSD's
+// integers, and TDPBF16PS in the host tile unit's own accumulation order
+// and rounding (two float32 chains over the even and odd lanes, FMA-like
+// lane updates, DAZ and FTZ; bf16Dot in bf16.go). It keeps an
+// instruction cycle count so higher layers can reason about AMX
+// throughput the same way §4 of the paper does.
 //
 // The blocked matmul entry points in matmul.go are the "kernel library"
 // the functional LLM engine (package llm) routes CPU-offloaded sublayers
 // through, proving that the dataflow LIA's analytical model assumes is
 // executable end to end. One driver (drive, pool.go) owns the output grid
-// and runs it over a block kernel; there are five, BF16 and INT8 each in
-// two emulated tiers, and INT8 on the host's tile unit (int8HW) wherever
-// CPUID and the kernel grant it — TDPBUSD's integer arithmetic is exact,
-// so silicon and emulator agree bit for bit and the drivers prefer it.
+// and runs it over a block kernel; there are six, BF16 and INT8 each as
+// two emulated tiers and on the host's tile unit (bf16HW, int8HW)
+// wherever CPUID and the kernel grant it. Silicon and emulator agree bit
+// for bit, so the drivers prefer silicon.
 //
 // The byte-accurate tier (TDPBF16PS, TDPBUSD, TileLoad/TileStore)
 // reassembles every operand from the tile file's bytes and is the oracle
@@ -315,13 +315,14 @@ func tdpBF16Shapes(td, ta, tb *tile) (m, n, kPairs int, err error) {
 
 // TDPBF16PS executes dst += a × b where a holds bfloat16 pairs
 // (M rows × 2K values), b holds the VNNI-packed right operand
-// (K rows × N bfloat16 pairs), and dst accumulates float32 (M rows × N).
+// (K rows × N bfloat16 pairs), and dst accumulates float32 (M rows × N)
+// in the tile unit's order and rounding (bf16Dot).
 //
 // VNNI layout: row r of b contains, for each output column n, the pair
 // (B[2r][n], B[2r+1][n]) of the logical (2K × N) matrix.
 //
 // This is the byte-accurate oracle: every operand value is reassembled
-// from the tile file's bytes on every multiply. The decoded fast path
+// from the tile file's bytes on every instruction. The decoded fast path
 // (TDPBF16PSDecoded) runs the same accumulation over pre-decoded flat
 // slices; a fuzz + exhaustive-shape suite pins the two bit-for-bit.
 func (u *Unit) TDPBF16PS(dst, a, b int) error {
@@ -333,18 +334,32 @@ func (u *Unit) TDPBF16PS(dst, a, b int) error {
 	if err != nil {
 		return err
 	}
+	var aLanes, bLanes [2 * MaxColBytes / 4]float32
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			acc := td.readF32(i, j)
-			for k := 0; k < kPairs; k++ {
-				a0 := ta.readBF16(i, 2*k).Float32()
-				a1 := ta.readBF16(i, 2*k+1).Float32()
-				b0 := tb.readBF16(k, 2*j).Float32()
-				b1 := tb.readBF16(k, 2*j+1).Float32()
-				acc += a0*b0 + a1*b1
-			}
-			td.writeF32(i, j, acc)
+		for l := range 2 * kPairs {
+			aLanes[l] = ta.readBF16(i, l).Float32()
 		}
+		for j := 0; j < n; j++ {
+			for k := 0; k < kPairs; k++ {
+				bLanes[2*k] = tb.readBF16(k, 2*j).Float32()
+				bLanes[2*k+1] = tb.readBF16(k, 2*j+1).Float32()
+			}
+			td.writeF32(i, j, bf16Dot(td.readF32(i, j), aLanes[:2*kPairs], bLanes[:2*kPairs]))
+		}
+	}
+	u.cycles += cyclesTDP
+	return nil
+}
+
+// tdpBF16Check is TDPBF16PS's fault-and-cycles-only counterpart, for the
+// hardware kernel, as tdpBUSDCheck is TDPBUSD's.
+func (u *Unit) tdpBF16Check(dst, a, b int) error {
+	td, ta, tb, err := u.tdpTiles(dst, a, b)
+	if err != nil {
+		return err
+	}
+	if _, _, _, err := tdpBF16Shapes(td, ta, tb); err != nil {
+		return err
 	}
 	u.cycles += cyclesTDP
 	return nil
@@ -424,10 +439,19 @@ func (u *Unit) TDPBUSD(dst, a, b int) error {
 //     (B[2p][j], B[2p+1][j]) pair the byte path reads from packed row p.
 //
 // Configuration and shape faults, trip counts, cycle accounting and the
-// m/n/k accumulation order are identical to TDPBF16PS, so results are
-// bit-for-bit the same; only the operand transport differs.
+// numerics are TDPBF16PS's, so results are bit-for-bit the same; only
+// the operand transport differs.
 func (u *Unit) TDPBF16PSDecoded(dst, a, b int, cDec []float32, cStride int, aDec []float32, aStride int, bCols []float32, bColStride int) error {
-	return u.tdpBF16PSDecodedRows(dst, a, b, MaxRows, cDec, cStride, aDec, aStride, bCols, bColStride)
+	// Plain float32 arithmetic is exact only from an accumulator on the
+	// 2^-126 grid (zero, or normal with a quantum of at least 2^-126).
+	fast := bf16Fast(spanOf(aDec), spanOf(bCols))
+	for _, c := range cDec {
+		if e := uint8(f32Bits(c) >> 23); c != 0 && (e < 127-103 || e == 0xFF) {
+			fast = false
+			break
+		}
+	}
+	return u.tdpBF16PSDecodedRows(dst, a, b, MaxRows, fast, cDec, cStride, aDec, aStride, bCols, bColStride)
 }
 
 // tdpBF16PSDecodedRows is TDPBF16PSDecoded with the MAC loop bounded to
@@ -439,7 +463,11 @@ func (u *Unit) TDPBF16PSDecoded(dst, a, b int, cDec []float32, cStride int, aDec
 // cycle accounting are those of the full instruction — the modeled AMX
 // unit still pays for the whole tile; only the emulation's host-side
 // arithmetic is elided.
-func (u *Unit) tdpBF16PSDecodedRows(dst, a, b, rows int, cDec []float32, cStride int, aDec []float32, aStride int, bCols []float32, bColStride int) error {
+//
+// fast selects plain float32 arithmetic, which the caller has shown to
+// equal bf16Dot for these operands (bf16Fast); otherwise every lane goes
+// through bf16Dot.
+func (u *Unit) tdpBF16PSDecodedRows(dst, a, b, rows int, fast bool, cDec []float32, cStride int, aDec []float32, aStride int, bCols []float32, bColStride int) error {
 	td, ta, tb, err := u.tdpTiles(dst, a, b)
 	if err != nil {
 		return err
@@ -469,35 +497,38 @@ func (u *Unit) tdpBF16PSDecodedRows(dst, a, b, rows int, cDec []float32, cStride
 	for i := 0; i < m; i++ {
 		arow := aDec[i*aStride : i*aStride+lanes]
 		crow := cDec[i*cStride : i*cStride+n]
-		// Each output element is a serial float32 add chain — the byte
-		// path's exact sequence acc += a0·b0 + a1·b1 per pair, in k order,
-		// cannot be reassociated — so single-column walks are bound by add
-		// latency. Register-blocking four columns per k-walk interleaves
-		// four *independent* chains (each still in its original order) and
-		// reuses every A load fourfold.
 		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := bCols[j*bColStride : j*bColStride+lanes]
-			b1 := bCols[(j+1)*bColStride : (j+1)*bColStride+lanes]
-			b2 := bCols[(j+2)*bColStride : (j+2)*bColStride+lanes]
-			b3 := bCols[(j+3)*bColStride : (j+3)*bColStride+lanes]
-			acc0, acc1, acc2, acc3 := crow[j], crow[j+1], crow[j+2], crow[j+3]
-			for k := 0; k < lanes; k += 2 {
-				a0, a1 := arow[k], arow[k+1]
-				acc0 += a0*b0[k] + a1*b0[k+1]
-				acc1 += a0*b1[k] + a1*b1[k+1]
-				acc2 += a0*b2[k] + a1*b2[k+1]
-				acc3 += a0*b3[k] + a1*b3[k+1]
+		if fast {
+			// Register-blocking four columns per k-walk runs eight
+			// independent chains (E and O of each) and reuses every A load
+			// fourfold; each chain is still summed in its own order.
+			// The columns are resliced to len(arow) and pair p read as
+			// (k-1, k) so the compiler proves every index in bounds.
+			for ; j+4 <= n; j += 4 {
+				b0 := bCols[j*bColStride:][:len(arow)]
+				b1 := bCols[(j+1)*bColStride:][:len(arow)]
+				b2 := bCols[(j+2)*bColStride:][:len(arow)]
+				b3 := bCols[(j+3)*bColStride:][:len(arow)]
+				var e0, o0, e1, o1, e2, o2, e3, o3 float32
+				for k := 1; k < len(arow); k += 2 {
+					a0, a1 := arow[k-1], arow[k]
+					e0 += a0 * b0[k-1]
+					o0 += a1 * b0[k]
+					e1 += a0 * b1[k-1]
+					o1 += a1 * b1[k]
+					e2 += a0 * b2[k-1]
+					o2 += a1 * b2[k]
+					e3 += a0 * b3[k-1]
+					o3 += a1 * b3[k]
+				}
+				crow[j] += e0 + o0
+				crow[j+1] += e1 + o1
+				crow[j+2] += e2 + o2
+				crow[j+3] += e3 + o3
 			}
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = acc0, acc1, acc2, acc3
 		}
 		for ; j < n; j++ {
-			bcol := bCols[j*bColStride : j*bColStride+lanes]
-			acc := crow[j]
-			for k := 0; k < lanes; k += 2 {
-				acc += arow[k]*bcol[k] + arow[k+1]*bcol[k+1]
-			}
-			crow[j] = acc
+			crow[j] = bf16Dot(crow[j], arow, bCols[j*bColStride:j*bColStride+lanes])
 		}
 	}
 	u.cycles += cyclesTDP

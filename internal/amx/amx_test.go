@@ -2,6 +2,7 @@ package amx
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -247,14 +248,7 @@ func TestMatmulMatchesReferenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ReferenceMatmulBF16(a, b, m, k, n)
-		for i := range want {
-			diff := math.Abs(float64(got[i] - want[i]))
-			scale := math.Max(1, math.Abs(float64(want[i])))
-			if diff/scale > 1e-5 {
-				t.Fatalf("%dx%dx%d: C[%d] = %v, want %v", m, k, n, i, got[i], want[i])
-			}
-		}
+		sameBitsF32(t, got, ReferenceMatmulBF16(a, b, m, k, n), fmt.Sprintf("%dx%dx%d", m, k, n))
 	}
 }
 

@@ -32,109 +32,86 @@ func int8TileConfig(m, n, kQuads int) TileConfig {
 	return cfg
 }
 
-// runBF16Pair executes one tile op through the byte oracle and the decoded
-// fast path from identical operand images and returns the two C images as
-// raw bytes plus the per-unit cycle deltas. The operand bytes are arbitrary
-// bit patterns, so NaNs (quiet and signaling payloads), infinities and
-// denormals flow through both paths.
-func runBF16Pair(t *testing.T, m, n, kPairs int, cImg, aImg, bImg []byte) (byteC, decC []byte, byteCycles, decCycles uint64) {
+// runBF16Tile executes one C(m×n) += A(m×2k)·B tile op from the given
+// operand images on kernel kern and returns the C image and the cycles
+// charged — runINT8Tile's BF16 twin. The operand bytes are arbitrary bit
+// patterns, so NaNs (quiet and signaling payloads), infinities and
+// denormals flow through every kernel.
+func runBF16Tile(t *testing.T, kern kernel, m, n, kPairs int, cImg, aImg, bImg []byte) (cOut []byte, cycles uint64) {
 	t.Helper()
+	u := NewUnit()
 	cfg := bf16TileConfig(m, n, kPairs)
+	must(t, u.Configure(cfg))
+	start := u.Cycles()
+	cOut = make([]byte, m*n*4)
+	if kern == kernelBytes {
+		must(t, u.TileLoad(tmmC, cImg, n*4))
+		must(t, u.TileLoad(tmmA, aImg, kPairs*4))
+		must(t, u.TileLoad(tmmB, bImg, n*4))
+		must(t, u.TDPBF16PS(tmmC, tmmA, tmmB))
+		must(t, u.TileStore(tmmC, cOut, n*4))
+		return cOut, u.Cycles() - start
+	}
 
-	ub := NewUnit()
-	if err := ub.Configure(cfg); err != nil {
-		t.Fatal(err)
+	must(t, u.TileLoadCheck(tmmC, len(cImg), n*4))
+	must(t, u.TileLoadCheck(tmmA, len(aImg), kPairs*4))
+	must(t, u.TileLoadCheck(tmmB, len(bImg), n*4))
+	c := make([]float32, m*n)
+	for i := range c {
+		c[i] = f32FromBits(binary.LittleEndian.Uint32(cImg[4*i:]))
 	}
-	start := ub.Cycles()
-	if err := ub.TileLoad(tmmC, cImg, n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ub.TileLoad(tmmA, aImg, kPairs*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ub.TileLoad(tmmB, bImg, n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ub.TDPBF16PS(tmmC, tmmA, tmmB); err != nil {
-		t.Fatal(err)
-	}
-	byteC = make([]byte, m*n*4)
-	if err := ub.TileStore(tmmC, byteC, n*4); err != nil {
-		t.Fatal(err)
-	}
-	byteCycles = ub.Cycles() - start
-
-	// Decoded path: pre-decode the same images exactly the way the packers
-	// do — A row-major lanes, B column-major lanes, C as float32 bits.
-	lanes := 2 * kPairs
-	cDec := make([]float32, m*n)
-	for i := 0; i < m; i++ {
+	if kern == kernelDecoded {
+		// Pre-decode the images exactly the way the packers do: A
+		// row-major lanes, B column-major lanes.
+		lanes := 2 * kPairs
+		aDec := make([]float32, m*lanes)
+		for i := 0; i < m; i++ {
+			for l := 0; l < lanes; l++ {
+				off := i*kPairs*4 + l*2
+				aDec[i*lanes+l] = BF16FromBytes(aImg[off], aImg[off+1]).Float32()
+			}
+		}
+		bCols := make([]float32, n*lanes)
 		for j := 0; j < n; j++ {
-			off := (i*n + j) * 4
-			cDec[i*n+j] = f32FromBits(uint32(cImg[off]) | uint32(cImg[off+1])<<8 |
-				uint32(cImg[off+2])<<16 | uint32(cImg[off+3])<<24)
+			for p := 0; p < kPairs; p++ {
+				off := p*n*4 + j*4
+				bCols[j*lanes+2*p] = BF16FromBytes(bImg[off], bImg[off+1]).Float32()
+				bCols[j*lanes+2*p+1] = BF16FromBytes(bImg[off+2], bImg[off+3]).Float32()
+			}
+		}
+		must(t, u.TDPBF16PSDecoded(tmmC, tmmA, tmmB, c, n, aDec, lanes, bCols, lanes))
+	} else {
+		must(t, u.tdpBF16Check(tmmC, tmmA, tmmB))
+		// The chain starts from TILEZERO, so silicon returns +0 + (E + O):
+		// E + O itself, except that a -0 sum comes back +0. The C image
+		// is added to it in the model's rounding, which is the oracle's
+		// result unless both C and E + O are -0.
+		hw := hwConfig(cfg)
+		sum := make([]float32, m*n)
+		tdpbf16psChain(&hw, &sum[0], uintptr(n*4), &aImg[0], uintptr(kPairs*4), &bImg[0], uintptr(n*4), &[2]uintptr{}, 1)
+		for i := range c {
+			c[i] = bf16Add(c[i], sum[i])
 		}
 	}
-	aDec := make([]float32, m*lanes)
-	for i := 0; i < m; i++ {
-		for l := 0; l < lanes; l++ {
-			off := i*kPairs*4 + l*2
-			aDec[i*lanes+l] = BF16FromBytes(aImg[off], aImg[off+1]).Float32()
-		}
+	must(t, u.TileStoreCheck(tmmC, m*n*4, n*4))
+	for i, v := range c {
+		binary.LittleEndian.PutUint32(cOut[4*i:], f32Bits(v))
 	}
-	bCols := make([]float32, n*lanes)
-	for j := 0; j < n; j++ {
-		for p := 0; p < kPairs; p++ {
-			off := p*n*4 + j*4
-			bCols[j*lanes+2*p] = BF16FromBytes(bImg[off], bImg[off+1]).Float32()
-			bCols[j*lanes+2*p+1] = BF16FromBytes(bImg[off+2], bImg[off+3]).Float32()
-		}
-	}
-
-	ud := NewUnit()
-	if err := ud.Configure(cfg); err != nil {
-		t.Fatal(err)
-	}
-	start = ud.Cycles()
-	if err := ud.TileLoadCheck(tmmC, len(cImg), n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TileLoadCheck(tmmA, len(aImg), kPairs*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TileLoadCheck(tmmB, len(bImg), n*4); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TDPBF16PSDecoded(tmmC, tmmA, tmmB, cDec, n, aDec, lanes, bCols, lanes); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.TileStoreCheck(tmmC, m*n*4, n*4); err != nil {
-		t.Fatal(err)
-	}
-	decCycles = ud.Cycles() - start
-	decC = make([]byte, m*n*4)
-	for i := range cDec {
-		bits := f32Bits(cDec[i])
-		decC[i*4] = byte(bits)
-		decC[i*4+1] = byte(bits >> 8)
-		decC[i*4+2] = byte(bits >> 16)
-		decC[i*4+3] = byte(bits >> 24)
-	}
-	return byteC, decC, byteCycles, decCycles
+	return cOut, u.Cycles() - start
 }
 
-// int8Kernels are the INT8 block kernels. matmulINT8Driver runs only the
-// one int8KernelFor picks on this host, so every INT8 differential names
-// each kernel explicitly.
-var int8Kernels = []struct {
+// kernels are the block kernels of either element type. The drivers run
+// only the one bf16KernelFor / int8KernelFor picks on this host, so every
+// differential names each kernel explicitly.
+var kernels = []struct {
 	name string
-	kern int8Kernel
-}{{"bytes", int8KernelBytes}, {"decoded", int8KernelDecoded}, {"hw", int8KernelHW}}
+	kern kernel
+}{{"bytes", kernelBytes}, {"decoded", kernelDecoded}, {"hw", kernelHW}}
 
 // needKernel skips t when kern cannot run on this host.
-func needKernel(t *testing.T, kern int8Kernel) {
+func needKernel(t *testing.T, kern kernel) {
 	t.Helper()
-	if kern == int8KernelHW && !hwAvailable {
+	if kern == kernelHW && !hwAvailable {
 		t.Skip("no AMX")
 	}
 }
@@ -145,7 +122,7 @@ func needKernel(t *testing.T, kern int8Kernel) {
 // path pre-decodes them the way the packers do (A row-major lanes, B
 // column-major lanes); the hardware path runs the *Check ops and then
 // one tdpbusdChain over the images themselves.
-func runINT8Tile(t *testing.T, kern int8Kernel, m, n, kQuads int, cImg, aImg, bImg []byte) (cOut []byte, cycles uint64) {
+func runINT8Tile(t *testing.T, kern kernel, m, n, kQuads int, cImg, aImg, bImg []byte) (cOut []byte, cycles uint64) {
 	t.Helper()
 	u := NewUnit()
 	cfg := int8TileConfig(m, n, kQuads)
@@ -154,7 +131,7 @@ func runINT8Tile(t *testing.T, kern int8Kernel, m, n, kQuads int, cImg, aImg, bI
 	}
 	start := u.Cycles()
 	cOut = make([]byte, m*n*4)
-	if kern == int8KernelBytes {
+	if kern == kernelBytes {
 		must(t, u.TileLoad(tmmC, cImg, n*4))
 		must(t, u.TileLoad(tmmA, aImg, kQuads*4))
 		must(t, u.TileLoad(tmmB, bImg, n*4))
@@ -170,7 +147,7 @@ func runINT8Tile(t *testing.T, kern int8Kernel, m, n, kQuads int, cImg, aImg, bI
 	for i := range c {
 		c[i] = int32(binary.LittleEndian.Uint32(cImg[4*i:]))
 	}
-	if kern == int8KernelDecoded {
+	if kern == kernelDecoded {
 		lanes := 4 * kQuads
 		aDec := make([]uint8, m*lanes)
 		for i := 0; i < m; i++ {
@@ -228,13 +205,13 @@ func isNaNBits(bits uint32) bool {
 }
 
 // sameF32Word compares two float32 bit patterns under the emulator's
-// equivalence contract: bitwise equal, or both NaN. Which NaN *payload* an
-// FP op with NaN inputs produces depends on machine operand order, which
-// the Go compiler is free to commute differently per build (-race changes
-// codegen); IEEE 754 and the Go spec both leave payload propagation
-// unspecified, so payloads are the one thing the tiers cannot pin.
-// NaN-ness, infinity signs, signed zeros, denormals and every finite bit
-// are still required to match exactly.
+// equivalence contract: bitwise equal, or both NaN. The BF16 kernels pick
+// NaN payloads explicitly (bf16Dot), but the plain float32 arithmetic
+// bf16Fast admits can still mint one from ∞−∞ after an overflow, and the
+// default NaN that yields is the host FPU's (0xFFC00000 on x86, the tile
+// unit's too; 0x7FC00000 on arm64). NaN-ness, infinity signs, signed
+// zeros, denormals and every finite bit are still required to match
+// exactly.
 func sameF32Word(a, b uint32) bool {
 	return a == b || (isNaNBits(a) && isNaNBits(b))
 }
@@ -265,35 +242,42 @@ func f32ImagesEqual(a, b []byte) bool {
 
 // TestDecodedBF16ExhaustiveShapes runs every configurable tile geometry
 // (m, n, kPairs ∈ 1..16, with n and kPairs capped by the 64-byte row)
-// through both tiers and requires bit-identical C images (modulo NaN
-// payload) and identical cycle counts. The operand bytes include
-// NaN/Inf/denormal bf16 patterns by construction (all byte values occur).
+// through the decoded and the hardware kernel and requires the byte
+// oracle's C image (modulo NaN payload) and cycle count. The operand
+// bytes include NaN/Inf/denormal bf16 patterns by construction (all byte
+// values occur).
 func TestDecodedBF16ExhaustiveShapes(t *testing.T) {
-	for m := 1; m <= MaxRows; m++ {
-		for n := 1; n <= MaxColBytes/4; n++ {
-			for kPairs := 1; kPairs <= MaxColBytes/4; kPairs++ {
-				cImg := make([]byte, m*n*4)
-				aImg := make([]byte, m*kPairs*4)
-				bImg := make([]byte, kPairs*n*4)
-				fillPattern(cImg, byte(m))
-				fillPattern(aImg, byte(n+37))
-				fillPattern(bImg, byte(kPairs+81))
-				byteC, decC, bc, dc := runBF16Pair(t, m, n, kPairs, cImg, aImg, bImg)
-				if !f32ImagesEqual(byteC, decC) {
-					t.Fatalf("m=%d n=%d kPairs=%d: decoded C image diverges from byte path", m, n, kPairs)
-				}
-				if bc != dc {
-					t.Fatalf("m=%d n=%d kPairs=%d: cycles %d (byte) != %d (decoded)", m, n, kPairs, bc, dc)
+	for _, k := range kernels[1:] {
+		t.Run(k.name, func(t *testing.T) {
+			needKernel(t, k.kern)
+			for m := 1; m <= MaxRows; m++ {
+				for n := 1; n <= MaxColBytes/4; n++ {
+					for kPairs := 1; kPairs <= MaxColBytes/4; kPairs++ {
+						cImg := make([]byte, m*n*4)
+						aImg := make([]byte, m*kPairs*4)
+						bImg := make([]byte, kPairs*n*4)
+						fillPattern(cImg, byte(m))
+						fillPattern(aImg, byte(n+37))
+						fillPattern(bImg, byte(kPairs+81))
+						byteC, bc := runBF16Tile(t, kernelBytes, m, n, kPairs, cImg, aImg, bImg)
+						gotC, gc := runBF16Tile(t, k.kern, m, n, kPairs, cImg, aImg, bImg)
+						if !f32ImagesEqual(byteC, gotC) {
+							t.Fatalf("m=%d n=%d kPairs=%d: %s C image diverges from byte path", m, n, kPairs, k.name)
+						}
+						if bc != gc {
+							t.Fatalf("m=%d n=%d kPairs=%d: cycles %d (byte) != %d (%s)", m, n, kPairs, bc, gc, k.name)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestDecodedINT8ExhaustiveShapes is the TDPBUSD mirror, run for the
 // decoded and the hardware kernel alike.
 func TestDecodedINT8ExhaustiveShapes(t *testing.T) {
-	for _, k := range int8Kernels[1:] {
+	for _, k := range kernels[1:] {
 		t.Run(k.name, func(t *testing.T) {
 			needKernel(t, k.kern)
 			for m := 1; m <= MaxRows; m++ {
@@ -305,7 +289,7 @@ func TestDecodedINT8ExhaustiveShapes(t *testing.T) {
 						fillPattern(cImg, byte(m+3))
 						fillPattern(aImg, byte(n+59))
 						fillPattern(bImg, byte(kQuads+113))
-						byteC, bc := runINT8Tile(t, int8KernelBytes, m, n, kQuads, cImg, aImg, bImg)
+						byteC, bc := runINT8Tile(t, kernelBytes, m, n, kQuads, cImg, aImg, bImg)
 						gotC, gc := runINT8Tile(t, k.kern, m, n, kQuads, cImg, aImg, bImg)
 						if !reflect.DeepEqual(byteC, gotC) {
 							t.Fatalf("m=%d n=%d kQuads=%d: %s C image diverges from byte path", m, n, kQuads, k.name)
@@ -321,10 +305,11 @@ func TestDecodedINT8ExhaustiveShapes(t *testing.T) {
 }
 
 // FuzzDecodedBF16Equivalence feeds arbitrary operand bit patterns and
-// geometry through both tiers. Because operands are raw bytes the corpus
-// naturally exercises quiet/signaling NaN payloads, infinities and
-// denormals; any accumulation-order or decode divergence shows up as a
-// byte mismatch in the C image.
+// geometry through the byte oracle and, as sub-tests, the decoded and the
+// hardware kernel. Because operands are raw bytes the corpus naturally
+// exercises quiet/signaling NaN payloads, infinities and denormals; any
+// accumulation-order or decode divergence shows up as a byte mismatch in
+// the C image.
 func FuzzDecodedBF16Equivalence(f *testing.F) {
 	f.Add(uint8(16), uint8(16), uint8(16), []byte{0x01, 0x80, 0x7F, 0xFF, 0x00, 0x80, 0x01, 0x00})
 	f.Add(uint8(1), uint8(1), uint8(1), []byte{0xC0, 0x7F})             // quiet NaN bf16
@@ -348,12 +333,18 @@ func FuzzDecodedBF16Equivalence(f *testing.F) {
 		grab(cImg, 0)
 		grab(aImg, 1)
 		grab(bImg, 2)
-		byteC, decC, bc, dc := runBF16Pair(t, m, n, kPairs, cImg, aImg, bImg)
-		if !f32ImagesEqual(byteC, decC) {
-			t.Fatalf("m=%d n=%d kPairs=%d: decoded C image diverges from byte path", m, n, kPairs)
-		}
-		if bc != dc {
-			t.Fatalf("m=%d n=%d kPairs=%d: cycle mismatch %d != %d", m, n, kPairs, bc, dc)
+		byteC, bc := runBF16Tile(t, kernelBytes, m, n, kPairs, cImg, aImg, bImg)
+		for _, k := range kernels[1:] {
+			t.Run(k.name, func(t *testing.T) {
+				needKernel(t, k.kern)
+				gotC, gc := runBF16Tile(t, k.kern, m, n, kPairs, cImg, aImg, bImg)
+				if !f32ImagesEqual(byteC, gotC) {
+					t.Fatalf("m=%d n=%d kPairs=%d: %s C image diverges from byte path", m, n, kPairs, k.name)
+				}
+				if bc != gc {
+					t.Fatalf("m=%d n=%d kPairs=%d: cycle mismatch %d != %d (%s)", m, n, kPairs, bc, gc, k.name)
+				}
+			})
 		}
 	})
 }
@@ -381,8 +372,8 @@ func FuzzDecodedINT8Equivalence(f *testing.F) {
 		grab(cImg, 0)
 		grab(aImg, 1)
 		grab(bImg, 2)
-		byteC, bc := runINT8Tile(t, int8KernelBytes, m, n, kQuads, cImg, aImg, bImg)
-		for _, k := range int8Kernels[1:] {
+		byteC, bc := runINT8Tile(t, kernelBytes, m, n, kQuads, cImg, aImg, bImg)
+		for _, k := range kernels[1:] {
 			t.Run(k.name, func(t *testing.T) {
 				needKernel(t, k.kern)
 				gotC, gc := runINT8Tile(t, k.kern, m, n, kQuads, cImg, aImg, bImg)
@@ -397,66 +388,75 @@ func FuzzDecodedINT8Equivalence(f *testing.F) {
 	})
 }
 
-// TestDecodedDriverMatchesByteDriverBF16 pins the full decoded BF16 driver
-// (pack → blocking → worker pool → scatter) against the byte-path driver
-// bit for bit — including NaN and Inf activations — and requires cycle
-// parity. Comparison is on float32 bits modulo NaN payload (sameF32Word).
+// TestDecodedDriverMatchesByteDriverBF16 pins every BF16 kernel's full
+// driver (pack → blocking → worker team → scatter) against the byte
+// oracle's over a byte-only operand, bit for bit — including NaN and Inf
+// activations — and requires cycle parity. Comparison is on float32 bits
+// modulo NaN payload (sameF32Word).
 func TestDecodedDriverMatchesByteDriverBF16(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, s := range []struct{ m, k, n int }{
-		{1, 64, 64}, {16, 32, 16}, {33, 48, 20}, {5, 129, 3}, {64, 64, 128},
-	} {
-		a, b := matrices(s.m, s.k, s.n, 0.5)
-		// Inject special values: the byte and decoded paths must agree on
-		// NaN propagation and signed-infinity arithmetic, not just finite data.
-		a[0] = float32(math.NaN())
-		a[len(a)-1] = float32(math.Inf(1))
-		b[0] = float32(math.Inf(-1))
-		b[len(b)-1] = math.Float32frombits(0x00000001) // denormal
-		for i := 0; i < 5; i++ {
-			a[rng.Intn(len(a))] = float32(math.NaN())
-		}
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			needKernel(t, k.kern)
+			rng := rand.New(rand.NewSource(11))
+			for _, s := range []struct{ m, k, n int }{
+				{1, 64, 64}, {16, 32, 16}, {33, 48, 20}, {5, 129, 3}, {64, 64, 128},
+			} {
+				a, b := matrices(s.m, s.k, s.n, 0.5)
+				// Inject special values: the kernels must agree on NaN
+				// propagation and signed-infinity arithmetic, not just finite
+				// data.
+				a[0] = float32(math.NaN())
+				a[len(a)-1] = float32(math.Inf(1))
+				b[0] = float32(math.Inf(-1))
+				b[len(b)-1] = math.Float32frombits(0x00000001) // denormal
+				for i := 0; i < 5; i++ {
+					a[rng.Intn(len(a))] = float32(math.NaN())
+				}
 
-		byteW, err := prepackBF16Bytes(b, s.k, s.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decW, err := PrepackBF16(b, s.k, s.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm both kernels so the pooled units have the palette installed;
-		// otherwise a one-time Configure charge lands on whichever path
-		// happens to draw a cold unit.
-		if _, err := matmulBF16Driver(make([]float32, s.m*s.n), a, s.m, byteW); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := MatmulBF16Packed(a, s.m, decW); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]float32, s.m*s.n)
-		wantCycles, err := matmulBF16Driver(want, a, s.m, byteW)
-		if err != nil {
-			t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
-		}
-		got, gotCycles, err := MatmulBF16Packed(a, s.m, decW)
-		if err != nil {
-			t.Fatalf("%dx%dx%d decoded driver: %v", s.m, s.k, s.n, err)
-		}
-		for i := range want {
-			if !sameF32Word(f32Bits(want[i]), f32Bits(got[i])) {
-				t.Fatalf("%dx%dx%d: C[%d] bits %08x (byte) != %08x (decoded)",
-					s.m, s.k, s.n, i, f32Bits(want[i]), f32Bits(got[i]))
+				byteW, err := prepackBF16(b, s.k, s.n, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := prepackBF16(b, s.k, s.n, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float32, s.m*s.n)
+				got := make([]float32, s.m*s.n)
+				// Warm both kernels so the pooled units have the palette
+				// installed; otherwise a one-time Configure charge lands on
+				// whichever path happens to draw a cold unit.
+				if _, err := matmulBF16On(kernelBytes, want, a, s.m, byteW); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := matmulBF16On(k.kern, got, a, s.m, w); err != nil {
+					t.Fatal(err)
+				}
+				wantCycles, err := matmulBF16On(kernelBytes, want, a, s.m, byteW)
+				if err != nil {
+					t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
+				}
+				gotCycles, err := matmulBF16On(k.kern, got, a, s.m, w)
+				if err != nil {
+					t.Fatalf("%dx%dx%d %s driver: %v", s.m, s.k, s.n, k.name, err)
+				}
+				for i := range want {
+					if !sameF32Word(f32Bits(want[i]), f32Bits(got[i])) {
+						t.Fatalf("%dx%dx%d: C[%d] bits %08x (byte) != %08x (%s)",
+							s.m, s.k, s.n, i, f32Bits(want[i]), f32Bits(got[i]), k.name)
+					}
+				}
+				// Instruction-level cycle parity is pinned exhaustively at the
+				// tile level; at the driver level the pooled units' palette
+				// warm-up depends on team scheduling (and sync.Pool is
+				// randomized under -race), so a driver may draw a cold unit and
+				// pay one extra Configure. Allow exactly Configure-charge
+				// multiples, nothing else.
+				if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
+					t.Fatalf("%dx%dx%d: cycles %d (byte) != %d (%s)", s.m, s.k, s.n, wantCycles, gotCycles, k.name)
+				}
 			}
-		}
-		// Instruction-level cycle parity is pinned exhaustively at the tile
-		// level; at the driver level the pooled units' palette warm-up
-		// depends on pool-worker scheduling (and sync.Pool is randomized
-		// under -race), so a driver may draw a cold unit and pay one extra
-		// Configure. Allow exactly Configure-charge multiples, nothing else.
-		if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
-			t.Fatalf("%dx%dx%d: cycles %d (byte) != %d (decoded)", s.m, s.k, s.n, wantCycles, gotCycles)
-		}
+		})
 	}
 }
 
@@ -464,7 +464,7 @@ func TestDecodedDriverMatchesByteDriverBF16(t *testing.T) {
 // the byte oracle over a byte-only operand against every kernel over a
 // production one.
 func TestDecodedDriverMatchesByteDriverINT8(t *testing.T) {
-	for _, k := range int8Kernels {
+	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			needKernel(t, k.kern)
 			for _, s := range []struct{ m, k, n int }{
@@ -478,21 +478,21 @@ func TestDecodedDriverMatchesByteDriverINT8(t *testing.T) {
 				for i := range b {
 					b[i] = int8(i%255 - 127)
 				}
-				byteW, err := prepackINT8Bytes(b, s.k, s.n)
+				byteW, err := prepackINT8(b, s.k, s.n, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				w, err := PrepackINT8(b, s.k, s.n)
+				w, err := prepackINT8(b, s.k, s.n, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := matmulINT8On(int8KernelBytes, a, s.m, byteW); err != nil {
+				if _, _, err := matmulINT8On(kernelBytes, a, s.m, byteW); err != nil {
 					t.Fatal(err)
 				}
 				if _, _, err := matmulINT8On(k.kern, a, s.m, w); err != nil {
 					t.Fatal(err)
 				}
-				want, wantCycles, err := matmulINT8On(int8KernelBytes, a, s.m, byteW)
+				want, wantCycles, err := matmulINT8On(kernelBytes, a, s.m, byteW)
 				if err != nil {
 					t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
 				}
@@ -514,12 +514,12 @@ func TestDecodedDriverMatchesByteDriverINT8(t *testing.T) {
 
 // TestDecodedTruncatedOperandFaultIdentity drops the last four bytes of
 // each right-hand image — the tail of the final (kb, cb) block's B load —
-// and requires the same wrapped ErrBounds from all five block kernels,
+// and requires the same wrapped ErrBounds from all six block kernels,
 // on the inline path and split over a team. BF16 k=64 and INT8 k=128 are
 // both two k-blocks of an n=128 operand, so the images have equal sizes
-// and even the byte counts in the message agree. The hardware kernel is
-// given a short VNNI image, the bytes it reads; its decoded view is
-// intact.
+// and even the byte counts in the message agree. A hardware kernel is
+// given a short VNNI image, the bytes it reads; a decoded one a short
+// decoded view.
 func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
 	const n, kBlocks = 128, 2
 	for _, tc := range []struct {
@@ -534,56 +534,67 @@ func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
 			for i := range bi {
 				bi[i] = int8(i%251 - 125)
 			}
-			bfBytes, err := prepackBF16Bytes(bf, kBlocks*blockK, n)
-			if err != nil {
-				t.Fatal(err)
+			bfW := func(decoded bool) *Prepacked {
+				w, err := prepackBF16(bf, kBlocks*blockK, n, decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
 			}
-			bfDec, err := PrepackBF16(bf, kBlocks*blockK, n)
-			if err != nil {
-				t.Fatal(err)
+			i8W := func(decoded bool) *PrepackedINT8 {
+				w, err := prepackINT8(bi, kBlocks*blockKi8, n, decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
 			}
-			i8Bytes, err := prepackINT8Bytes(bi, kBlocks*blockKi8, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i8Dec, err := PrepackINT8(bi, kBlocks*blockKi8, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i8HW, err := PrepackINT8(bi, kBlocks*blockKi8, n)
-			if err != nil {
-				t.Fatal(err)
-			}
+			bfBytes, bfDec, bfHW := bfW(false), bfW(true), bfW(false)
+			i8Bytes, i8Dec, i8HW := i8W(false), i8W(true), i8W(false)
 			bfBytes.vnni = bfBytes.vnni[:len(bfBytes.vnni)-4]
 			bfDec.dec = bfDec.dec[:len(bfDec.dec)-2] // two bf16 lanes = four image bytes
+			bfHW.vnni = bfHW.vnni[:len(bfHW.vnni)-4]
 			i8Bytes.vnni = i8Bytes.vnni[:len(i8Bytes.vnni)-4]
 			i8Dec.dec = i8Dec.dec[:len(i8Dec.dec)-4]
 			i8HW.vnni = i8HW.vnni[:len(i8HW.vnni)-4]
 
-			kernels := []string{"bf16 bytes", "bf16 decoded", "int8 bytes", "int8 decoded"}
+			names := []string{"bf16 bytes", "bf16 decoded", "int8 bytes", "int8 decoded"}
 			var errs [4]error
-			_, errs[0] = matmulBF16Driver(make([]float32, tc.m*n), af, tc.m, bfBytes)
-			_, errs[1] = matmulBF16Driver(make([]float32, tc.m*n), af, tc.m, bfDec)
-			_, _, errs[2] = matmulINT8On(int8KernelBytes, ai, tc.m, i8Bytes)
-			_, _, errs[3] = matmulINT8On(int8KernelDecoded, ai, tc.m, i8Dec)
+			_, errs[0] = matmulBF16On(kernelBytes, make([]float32, tc.m*n), af, tc.m, bfBytes)
+			_, errs[1] = matmulBF16On(kernelDecoded, make([]float32, tc.m*n), af, tc.m, bfDec)
+			_, _, errs[2] = matmulINT8On(kernelBytes, ai, tc.m, i8Bytes)
+			_, _, errs[3] = matmulINT8On(kernelDecoded, ai, tc.m, i8Dec)
 			for i, err := range errs {
 				if !errors.Is(err, ErrBounds) {
-					t.Errorf("%s: error %v does not wrap ErrBounds", kernels[i], err)
+					t.Errorf("%s: error %v does not wrap ErrBounds", names[i], err)
 				}
 				if errText(err) != errText(errs[0]) {
-					t.Errorf("%s: %q, %s: %q", kernels[i], errText(err), kernels[0], errText(errs[0]))
+					t.Errorf("%s: %q, %s: %q", names[i], errText(err), names[0], errText(errs[0]))
 				}
 			}
-			t.Run("int8 hw", func(t *testing.T) {
-				needKernel(t, int8KernelHW)
-				_, _, err := matmulINT8On(int8KernelHW, ai, tc.m, i8HW)
-				if !errors.Is(err, ErrBounds) {
-					t.Errorf("error %v does not wrap ErrBounds", err)
-				}
-				if errText(err) != errText(errs[0]) {
-					t.Errorf("%q, %s: %q", errText(err), kernels[0], errText(errs[0]))
-				}
-			})
+			for _, hw := range []struct {
+				name string
+				run  func() error
+			}{
+				{"bf16 hw", func() error {
+					_, err := matmulBF16On(kernelHW, make([]float32, tc.m*n), af, tc.m, bfHW)
+					return err
+				}},
+				{"int8 hw", func() error {
+					_, _, err := matmulINT8On(kernelHW, ai, tc.m, i8HW)
+					return err
+				}},
+			} {
+				t.Run(hw.name, func(t *testing.T) {
+					needKernel(t, kernelHW)
+					err := hw.run()
+					if !errors.Is(err, ErrBounds) {
+						t.Errorf("error %v does not wrap ErrBounds", err)
+					}
+					if errText(err) != errText(errs[0]) {
+						t.Errorf("%q, %s: %q", errText(err), names[0], errText(errs[0]))
+					}
+				})
+			}
 		})
 	}
 }
@@ -650,6 +661,8 @@ func TestDecodedFaultIdentity(t *testing.T) {
 	for _, tc := range cases {
 		ub, ud := tc.mk(), tc.mk()
 		cb0, cd0 := ub.Cycles(), ud.Cycles()
+		uh := tc.mk()
+		ch0 := uh.Cycles()
 		errByte := ub.TDPBF16PS(tc.d, tc.a, tc.b)
 		errDec := ud.TDPBF16PSDecoded(tc.d, tc.a, tc.b, cDec, 4, aDec, 8, bCols, 8)
 		if errText(errByte) != errText(errDec) {
@@ -658,13 +671,16 @@ func TestDecodedFaultIdentity(t *testing.T) {
 		if !errors.Is(errDec, tc.wantErrIs) {
 			t.Errorf("bf16 %s: decoded error %v, want %v", tc.name, errDec, tc.wantErrIs)
 		}
-		if ub.Cycles() != cb0 || ud.Cycles() != cd0 {
+		if errHW := uh.tdpBF16Check(tc.d, tc.a, tc.b); errText(errByte) != errText(errHW) {
+			t.Errorf("bf16 %s: byte %q != hardware check %q", tc.name, errText(errByte), errText(errHW))
+		}
+		if ub.Cycles() != cb0 || ud.Cycles() != cd0 || uh.Cycles() != ch0 {
 			t.Errorf("bf16 %s: fault advanced cycle counter", tc.name)
 		}
 
 		ub, ud = tc.mk(), tc.mk()
-		uh := tc.mk()
-		ch0 := uh.Cycles()
+		uh = tc.mk()
+		ch0 = uh.Cycles()
 		errByte = ub.TDPBUSD(tc.d, tc.a, tc.b)
 		errDec = ud.TDPBUSDDecoded(tc.d, tc.a, tc.b, cI, 4, aU, 8, bS, 8)
 		if errText(errByte) != errText(errDec) {

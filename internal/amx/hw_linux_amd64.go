@@ -2,7 +2,7 @@ package amx
 
 import "syscall"
 
-// hwAvailable reports whether this process may issue AMX INT8 tile
+// hwAvailable reports whether this process may issue AMX tile
 // instructions: the CPU advertises AMX-BF16, AMX-TILE and AMX-INT8
 // (CPUID.(7,0).EDX bits 22, 24 and 25) and the kernel grants the
 // XTILEDATA state component (arch_prctl(ARCH_REQ_XCOMP_PERM, 18) == 0).
@@ -45,3 +45,11 @@ func xinuse() uint64
 //
 //go:noescape
 func tdpbusdChain(cfg *hwTileCfg, c *int32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
+
+// tdpbf16psChain is tdpbusdChain with tdpbf16ps as the dot product: a
+// holds bf16 pairs, b their VNNI-packed right operand, c float32. The
+// same contract holds: everything validated by the caller, tile state
+// INIT on return.
+//
+//go:noescape
+func tdpbf16psChain(cfg *hwTileCfg, c *float32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)

@@ -1,10 +1,55 @@
 #include "textflag.h"
 
 // The tile instructions are spelled as BYTE sequences because the Go
-// assembler has no AMX mnemonics. Encodings are ROADMAP item 10's table
+// assembler has no AMX mnemonics. Each carries its mnemonic beside it
 // (VEX; tmm0 = C, tmm1 = A, tmm2 = B); the B load's SIB byte names DI as
 // the stride register instead of SI (0x3A for 0x32) so the two operands
 // can have different strides.
+
+// TDP_CHAIN is the body the two chains share, over the frame of their
+// common Go signature: ldtilecfg cfg · tilezero tmm0 · n × (tileloadd
+// tmm1 · tileloadd tmm2 · TDP) · tilestored tmm0 · tilerelease, where
+// TDP is one dot-product instruction, tmm0 += tmm1·tmm2.
+#define TDP_CHAIN(TDP) \
+	MOVQ cfg+0(FP), AX \
+	MOVQ a+24(FP), R8 \
+	MOVQ aStride+32(FP), SI \
+	MOVQ b+40(FP), R9 \
+	MOVQ bStride+48(FP), DI \
+	MOVQ offs+56(FP), R10 \
+	MOVQ n+64(FP), R11 \
+	/* ldtilecfg (AX) */ \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x00 \
+	/* tilezero tmm0 */ \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC0 \
+	TESTQ R11, R11 \
+	JZ    store \
+loop: \
+	MOVQ 0(R10), CX \
+	ADDQ R8, CX \
+	MOVQ 8(R10), DX \
+	ADDQ R9, DX \
+	/* tileloadd (CX)(SI*1), tmm1 */ \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x0C; BYTE $0x31 \
+	/* tileloadd (DX)(DI*1), tmm2 */ \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x14; BYTE $0x3A \
+	TDP \
+	ADDQ $16, R10 \
+	DECQ R11 \
+	JNZ  loop \
+store: \
+	MOVQ c+8(FP), BX \
+	MOVQ cStride+16(FP), SI \
+	/* tilestored tmm0, (BX)(SI*1) */ \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x04; BYTE $0x33 \
+	/* tilerelease */ \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0 \
+	RET
+
+// tdpbusd tmm0 += tmm1 (u8) · tmm2 (s8)
+#define TDPBUSD BYTE $0xC4; BYTE $0xE2; BYTE $0x69; BYTE $0x5E; BYTE $0xC1
+// tdpbf16ps tmm0 += tmm1 (bf16) · tmm2 (bf16)
+#define TDPBF16PS BYTE $0xC4; BYTE $0xE2; BYTE $0x6A; BYTE $0x5C; BYTE $0xC1
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -28,41 +73,8 @@ TEXT ·xinuse(SB), NOSPLIT, $0-8
 
 // func tdpbusdChain(cfg *hwTileCfg, c *int32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
 TEXT ·tdpbusdChain(SB), NOSPLIT, $0-72
-	MOVQ cfg+0(FP), AX
-	MOVQ a+24(FP), R8
-	MOVQ aStride+32(FP), SI
-	MOVQ b+40(FP), R9
-	MOVQ bStride+48(FP), DI
-	MOVQ offs+56(FP), R10
-	MOVQ n+64(FP), R11
+	TDP_CHAIN(TDPBUSD)
 
-	// ldtilecfg (AX)
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x00
-	// tilezero tmm0
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC0
-	TESTQ R11, R11
-	JZ    store
-
-loop:
-	MOVQ 0(R10), CX
-	ADDQ R8, CX
-	MOVQ 8(R10), DX
-	ADDQ R9, DX
-	// tileloadd (CX)(SI*1), tmm1
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x0C; BYTE $0x31
-	// tileloadd (DX)(DI*1), tmm2
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x4B; BYTE $0x14; BYTE $0x3A
-	// tdpbusd tmm0 += tmm1 (u8) · tmm2 (s8)
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x69; BYTE $0x5E; BYTE $0xC1
-	ADDQ $16, R10
-	DECQ R11
-	JNZ  loop
-
-store:
-	MOVQ c+8(FP), BX
-	MOVQ cStride+16(FP), SI
-	// tilestored tmm0, (BX)(SI*1)
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x04; BYTE $0x33
-	// tilerelease
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0
-	RET
+// func tdpbf16psChain(cfg *hwTileCfg, c *float32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
+TEXT ·tdpbf16psChain(SB), NOSPLIT, $0-72
+	TDP_CHAIN(TDPBF16PS)

@@ -7,13 +7,14 @@ import (
 )
 
 // TestHWTileStateINITAfterReturn reads XINUSE (XGETBV with ECX = 1) on
-// the thread that just ran the hardware kernel, after every product of a
-// mixed-shape set, and requires TILECFG (bit 17) and TILEDATA (bit 18)
-// clear: a chain that returned without TILERELEASE would leave them set
-// (on the reference guest, ldtilecfg · tilezero alone reads 0x60202), and
-// the next goroutine scheduled on the thread would inherit live tiles.
+// the thread that just ran a hardware kernel, after every INT8 and BF16
+// product of a mixed-shape set, and requires TILECFG (bit 17) and
+// TILEDATA (bit 18) clear: a chain that returned without TILERELEASE
+// would leave them set (on the reference guest, ldtilecfg · tilezero
+// alone reads 0x60202), and the next goroutine scheduled on the thread
+// would inherit live tiles.
 func TestHWTileStateINITAfterReturn(t *testing.T) {
-	needKernel(t, int8KernelHW)
+	needKernel(t, kernelHW)
 	if eax, _, _, _ := cpuid(0xD, 1); eax&(1<<2) == 0 {
 		t.Skip("CPU cannot report XINUSE (no XGETBV with ECX=1)")
 	}
@@ -39,12 +40,24 @@ func TestHWTileStateINITAfterReturn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		af := randF32(rng, s.m*s.k)
+		wf, err := PrepackBF16(randF32(rng, s.k*s.n), s.k, s.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf := make([]float32, s.m*s.n)
 		for rep := 0; rep < 20; rep++ {
-			if _, _, err := matmulINT8On(int8KernelHW, a, s.m, w); err != nil {
+			if _, _, err := matmulINT8On(kernelHW, a, s.m, w); err != nil {
 				t.Fatal(err)
 			}
 			if in := xinuse(); in&(tileCfg|tileData) != 0 {
-				t.Fatalf("m=%d k=%d n=%d: tile state in use after return: XINUSE %#x", s.m, s.k, s.n, in)
+				t.Fatalf("int8 m=%d k=%d n=%d: tile state in use after return: XINUSE %#x", s.m, s.k, s.n, in)
+			}
+			if _, err := matmulBF16On(kernelHW, cf, af, s.m, wf); err != nil {
+				t.Fatal(err)
+			}
+			if in := xinuse(); in&(tileCfg|tileData) != 0 {
+				t.Fatalf("bf16 m=%d k=%d n=%d: tile state in use after return: XINUSE %#x", s.m, s.k, s.n, in)
 			}
 		}
 	}

@@ -2,10 +2,14 @@
 
 package amx
 
-// hwAvailable is false off linux/amd64: the INT8 drivers fall back to
-// the decoded emulator there.
+// hwAvailable is false off linux/amd64: the drivers fall back to the
+// decoded emulator there.
 const hwAvailable = false
 
 func tdpbusdChain(cfg *hwTileCfg, c *int32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int) {
+	panic("amx: no hardware tile unit on this platform")
+}
+
+func tdpbf16psChain(cfg *hwTileCfg, c *float32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int) {
 	panic("amx: no hardware tile unit on this platform")
 }

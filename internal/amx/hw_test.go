@@ -11,24 +11,20 @@ import (
 )
 
 // TestHWStressMatchesReference is the Go-runtime safety oracle for the
-// hardware kernel: ≥10k INT8 products of mixed shapes — some inline, some
-// split over every helper of a four-worker team — run at GOMAXPROCS=4
-// from two callers while other goroutines loop on runtime.GC and on
-// preemption-heavy busy work, so signals land and goroutines migrate
-// between products. Every product must equal ReferenceMatmulINT8: tile
-// data lost to a signal or a thread switch would show up as a wrong
-// element.
+// hardware kernels: ≥10k INT8 and BF16 products of mixed shapes — some
+// inline, some split over every helper of a four-worker team — run at
+// GOMAXPROCS=4 from two callers while other goroutines loop on runtime.GC
+// and on preemption-heavy busy work, so signals land and goroutines
+// migrate between products. Every product must equal its reference
+// (ReferenceMatmulINT8, ReferenceMatmulBF16) bit for bit: tile data lost
+// to a signal or a thread switch would show up as a wrong element.
 func TestHWStressMatchesReference(t *testing.T) {
-	needKernel(t, int8KernelHW)
+	needKernel(t, kernelHW)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	useTeam(t, 4)
 
-	type product struct {
-		m    int
-		a    []uint8
-		w    *PrepackedINT8
-		want []int32
-	}
+	// A product runs once on the hardware kernel and reports a mismatch.
+	type product func() error
 	rng := rand.New(rand.NewSource(53))
 	var products []product
 	split := 0
@@ -43,13 +39,35 @@ func TestHWStressMatchesReference(t *testing.T) {
 		for i := range a {
 			a[i] = uint8(rng.Intn(256))
 		}
+		want := ReferenceMatmulINT8(a, b, s.m, s.k, s.n)
 		for _, prepack := range []func([]int8, int, int) (*PrepackedINT8, error){PrepackINT8, PrepackINT8Sparse} {
 			w, err := prepack(b, s.k, s.n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			products = append(products, product{s.m, a, w, ReferenceMatmulINT8(a, b, s.m, s.k, s.n)})
+			products = append(products, func() error {
+				got, _, err := matmulINT8On(kernelHW, a, s.m, w)
+				if err == nil && !reflect.DeepEqual(got, want) {
+					err = fmt.Errorf("int8 m=%d k=%d n=%d differs from ReferenceMatmulINT8", s.m, s.k, s.n)
+				}
+				return err
+			})
 		}
+
+		af, bf := randF32(rng, s.m*s.k), randF32(rng, s.k*s.n)
+		wantF := ReferenceMatmulBF16(af, bf, s.m, s.k, s.n)
+		w, err := PrepackBF16(bf, s.k, s.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		products = append(products, func() error {
+			got := make([]float32, s.m*s.n)
+			_, err := matmulBF16On(kernelHW, got, af, s.m, w)
+			if err == nil && !reflect.DeepEqual(got, wantF) {
+				err = fmt.Errorf("bf16 m=%d k=%d n=%d differs from ReferenceMatmulBF16", s.m, s.k, s.n)
+			}
+			return err
+		})
 		if splits(s.m, ceilDiv(s.m, blockMi8), ceilDiv(s.n, blockNi8), ceilDiv(s.k, blockKi8)) {
 			split++
 		}
@@ -91,13 +109,8 @@ func TestHWStressMatchesReference(t *testing.T) {
 		go func() {
 			defer callers.Done()
 			for i := 0; i < perCaller; i++ {
-				p := products[(i+c)%len(products)]
-				got, _, err := matmulINT8On(int8KernelHW, p.a, p.m, p.w)
-				if err == nil && !reflect.DeepEqual(got, p.want) {
-					err = fmt.Errorf("product %d (m=%d k=%d n=%d) differs from ReferenceMatmulINT8", i, p.m, p.w.K, p.w.N)
-				}
-				if err != nil {
-					errs <- err
+				if err := products[(i+c)%len(products)](); err != nil {
+					errs <- fmt.Errorf("product %d: %w", i, err)
 					return
 				}
 			}

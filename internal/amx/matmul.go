@@ -59,17 +59,21 @@ func packBF16Into(dst []byte, src []float32, rows, cols, padRows, padCols int) {
 // of src into dst — the decoded twin of packBF16Into: element (r, c)
 // lands at dst[r*padCols+c] holding RoundFloat32(src[r][c]), which is
 // bit-identical to decoding the byte image's bf16 lane. Padding is
-// zeroed, the payload written once.
-func packBF16DecodedInto(dst []float32, src []float32, rows, cols, padRows, padCols int) {
+// zeroed, the payload written once. It returns the payload's span.
+func packBF16DecodedInto(dst []float32, src []float32, rows, cols, padRows, padCols int) bf16Span {
+	span := emptySpan
 	for r := 0; r < rows; r++ {
 		srow := src[r*cols : r*cols+cols]
 		drow := dst[r*padCols : (r+1)*padCols]
 		for c, f := range srow {
-			drow[c] = RoundFloat32(f)
+			v := RoundFloat32(f)
+			drow[c] = v
+			span = span.with(v)
 		}
 		clear(drow[cols:])
 	}
 	clear(dst[rows*padCols : padRows*padCols])
+	return span
 }
 
 // PackBF16VNNI converts a row-major float32 matrix (rows × cols) into the
@@ -101,27 +105,29 @@ func packBF16VNNIInto(dst []byte, src []float32, rows, cols, padRows, padCols in
 			continue
 		}
 		row0 := src[r0*cols : r0*cols+cols]
+		var row1 []float32 // nil for an odd trailing row: its pairs' second lanes are padding
 		if r1 < rows {
-			row1 := src[r1*cols : r1*cols+cols]
-			for c := 0; c < cols; c++ {
-				v0 := BF16FromFloat32(row0[c])
-				v1 := BF16FromFloat32(row1[c])
-				drow[c*4] = byte(v0)
-				drow[c*4+1] = byte(v0 >> 8)
-				drow[c*4+2] = byte(v1)
-				drow[c*4+3] = byte(v1 >> 8)
-			}
-		} else {
-			// Odd trailing row: the second lane of every pair is padding.
-			for c := 0; c < cols; c++ {
-				v0 := BF16FromFloat32(row0[c])
-				drow[c*4] = byte(v0)
-				drow[c*4+1] = byte(v0 >> 8)
-				drow[c*4+2] = 0
-				drow[c*4+3] = 0
-			}
+			row1 = src[r1*cols : r1*cols+cols]
 		}
+		vnniPairRow(drow[:cols*4], row0, row1)
 		clear(drow[cols*4:]) // padding columns
+	}
+}
+
+// vnniPairRow writes the bf16 pair (row0[c], row1[c]) of every column c
+// into drow[4c:4c+4], one little-endian word per pair; a nil row1 packs
+// zero second lanes. It is packBF16VNNIInto's inner loop, kept apart so
+// its few live values stay in registers.
+func vnniPairRow(drow []byte, row0, row1 []float32) {
+	if row1 == nil {
+		for c, f := range row0 {
+			binary.LittleEndian.PutUint32(drow[4*c:], uint32(BF16FromFloat32(f)))
+		}
+		return
+	}
+	row1 = row1[:len(row0)]
+	for c, f := range row0 {
+		binary.LittleEndian.PutUint32(drow[4*c:], uint32(BF16FromFloat32(f))|uint32(BF16FromFloat32(row1[c]))<<16)
 	}
 }
 
@@ -131,16 +137,28 @@ func packBF16VNNIInto(dst []byte, src []float32, rows, cols, padRows, padCols in
 // slice dst[c*padRows:] then holds exactly the lane sequence the byte
 // path reads from the VNNI image for output column c — pair p at
 // elements (2p, 2p+1) — but contiguously, so the decoded MAC loop is a
-// flat dot product.
-func packBF16DecodedBInto(dst []float32, src []float32, rows, cols, padRows, padCols int) {
+// flat dot product. It returns the payload's span.
+func packBF16DecodedBInto(dst []float32, src []float32, rows, cols, padRows, padCols int) bf16Span {
+	span := emptySpan
 	for c := 0; c < cols; c++ {
 		dcol := dst[c*padRows : (c+1)*padRows]
-		for r := 0; r < rows; r++ {
-			dcol[r] = RoundFloat32(src[r*cols+c])
-		}
+		span = roundStrided(dcol[:rows], src[c:], cols, span)
 		clear(dcol[rows:])
 	}
 	clear(dst[cols*padRows : padCols*padRows])
+	return span
+}
+
+// roundStrided sets dst[r] = RoundFloat32(src[r*stride]) for every r and
+// returns span widened by those values. It is packBF16DecodedBInto's
+// inner loop, kept apart so its few live values stay in registers.
+func roundStrided(dst, src []float32, stride int, span bf16Span) bf16Span {
+	for r, i := 0, 0; r < len(dst); r, i = r+1, i+stride {
+		v := RoundFloat32(src[i])
+		dst[r] = v
+		span = span.with(v)
+	}
+	return span
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -159,33 +177,29 @@ type Prepacked struct {
 	// dec is the decoded view of the VNNI image: the same bf16-rounded
 	// values as float32, column-major (column c's padK lanes at
 	// dec[c*padK:]), built once at prepack time so the decoded fast path
-	// never reassembles an operand from bytes. Nil only on byte-path-only
-	// operands built by prepackBF16Bytes (the oracle used in tests).
-	dec []float32
+	// never reassembles an operand from bytes. Built only where the
+	// decoded kernel can be chosen (see prepackBF16); span is its span.
+	dec  []float32
+	span bf16Span
 	// zero is the sparse tier's zero-block bitmap (sparse.go), nil on
 	// dense operands. drive skips a marked block's TileLoads + TDP.
 	zero *zeroBitmap
 }
 
 // PrepackBF16 packs a row-major float32 matrix (k × n) for reuse as the
-// right-hand operand of MatmulBF16Packed, building both the VNNI byte
-// image (the byte-accurate oracle's operand) and its decoded float32
-// view (the fast path's).
+// right-hand operand of MatmulBF16Packed: the VNNI byte image the tile
+// unit and the byte-accurate oracle read, plus, on hosts without the tile
+// unit, the decoded float32 view the emulator's fast path reads.
 func PrepackBF16(b []float32, k, n int) (*Prepacked, error) {
-	w, err := prepackBF16Bytes(b, k, n)
-	if err != nil {
-		return nil, err
-	}
-	w.dec = make([]float32, w.padN*w.padK)
-	packBF16DecodedBInto(w.dec, b, k, n, w.padK, w.padN)
-	return w, nil
+	return prepackBF16(b, k, n, !hwAvailable)
 }
 
-// prepackBF16Bytes builds a Prepacked with only the VNNI byte image —
-// the operand form the byte-path oracle driver consumes. Production
-// callers go through PrepackBF16; tests use this to pin the decoded
-// fast path against the byte path.
-func prepackBF16Bytes(b []float32, k, n int) (*Prepacked, error) {
+// prepackBF16 builds the VNNI image and, when decoded is set, the decoded
+// view. Production callers build the view only where bf16KernelFor can
+// pick the decoded kernel; tests set decoded to run that kernel on any
+// host, or clear it for an operand only the byte oracle (or silicon) can
+// read.
+func prepackBF16(b []float32, k, n int, decoded bool) (*Prepacked, error) {
 	if len(b) != k*n {
 		return nil, fmt.Errorf("amx: prepack operand size %d does not match %dx%d", len(b), k, n)
 	}
@@ -194,21 +208,27 @@ func prepackBF16Bytes(b []float32, k, n int) (*Prepacked, error) {
 	}
 	padK := ceilDiv(k, blockK) * blockK
 	padN := ceilDiv(n, blockN) * blockN
-	return &Prepacked{K: k, N: n, padK: padK, padN: padN, vnni: PackBF16VNNI(b, k, n, padK, padN)}, nil
+	w := &Prepacked{K: k, N: n, padK: padK, padN: padN, vnni: PackBF16VNNI(b, k, n, padK, padN)}
+	if decoded {
+		w.dec = make([]float32, padN*padK)
+		w.span = packBF16DecodedBInto(w.dec, b, k, n, padK, padN)
+	}
+	return w, nil
 }
 
 // MatmulBF16 computes C = A·B through the emulated AMX tile pipeline:
 // A is M×K, B is K×N, both row-major float32; inputs are rounded to
 // bfloat16 (as a BF16 kernel would read them) and accumulation is float32
-// in the emulator's reference order (pairwise per k-pair, in k order);
-// silicon measured on the reference guest sums even and odd lanes in two
-// chains and differs on ≈13.5% of outputs — ROADMAP item 11. It returns
-// the M×N row-major result and the total AMX cycles consumed.
+// in the tile unit's own order and rounding (bf16Dot), so the result is
+// the one silicon computes. It returns the M×N row-major result and the
+// total AMX cycles consumed.
 //
 // This is the entry point for products whose right-hand operand changes
-// on every call (attention's Kᵀ and V): B's decoded view is built into
-// pooled scratch per call. A static weight is prepacked once with
-// PrepackBF16 and multiplied with MatmulBF16Packed.
+// on every call (attention's Kᵀ and V): B is packed into pooled scratch
+// per call, as the view bf16KernelFor will pick — the VNNI image where
+// the host grants the tile unit, the decoded view elsewhere. A static
+// weight is prepacked once with PrepackBF16 and multiplied with
+// MatmulBF16Packed.
 func MatmulBF16(a, b []float32, m, k, n int) ([]float32, uint64, error) {
 	if len(a) != m*k || len(b) != k*n {
 		return nil, 0, fmt.Errorf("amx: matmul operand sizes %d,%d do not match %dx%d · %dx%d", len(a), len(b), m, k, m, n)
@@ -218,10 +238,18 @@ func MatmulBF16(a, b []float32, m, k, n int) ([]float32, uint64, error) {
 	}
 	padK := ceilDiv(k, blockK) * blockK
 	padN := ceilDiv(n, blockN) * blockN
-	bScratch := getScratchF32(padK * padN)
-	defer putScratchF32(bScratch)
-	packBF16DecodedBInto(*bScratch, b, k, n, padK, padN)
-	w := Prepacked{K: k, N: n, padK: padK, padN: padN, dec: *bScratch}
+	w := Prepacked{K: k, N: n, padK: padK, padN: padN}
+	if hwAvailable {
+		img := getScratch(padK * padN * 2)
+		defer putScratch(img)
+		packBF16VNNIInto(*img, b, k, n, padK, padN)
+		w.vnni = *img
+	} else {
+		dec := getScratchF32(padK * padN)
+		defer putScratchF32(dec)
+		w.dec = *dec
+		w.span = packBF16DecodedBInto(w.dec, b, k, n, padK, padN)
+	}
 	c := make([]float32, m*n)
 	cycles, err := matmulBF16Driver(c, a, m, &w)
 	if err != nil {
@@ -272,27 +300,49 @@ func MatmulBF16PackedInto(dst, a []float32, m int, w *Prepacked) (uint64, error)
 	return matmulBF16Driver(dst, a, m, w)
 }
 
-// matmulBF16Driver packs A into pooled scratch and hands the product to
-// drive with the block kernel the operand's views allow: the decoded
-// kernel when it carries its decoded view (every production Prepacked
-// does), the byte oracle otherwise (operands built by prepackBF16Bytes,
-// in tests). Blocking, team partition, fault checks and cycle accounting
-// are drive's and therefore common; the full m×N result lands in c.
+// bf16KernelFor is the one place the BF16 block kernel is chosen: the
+// tile unit when the host grants it and w carries the VNNI image it
+// reads (every operand built there does), else the decoded emulator when
+// w carries its decoded view (every operand built off AMX hosts does),
+// else the byte oracle. All three produce the same results, faults and
+// cycles, so the choice is invisible above this package.
+func bf16KernelFor(w *Prepacked) kernel {
+	switch {
+	case hwAvailable && w.vnni != nil:
+		return kernelHW
+	case w.dec != nil:
+		return kernelDecoded
+	}
+	return kernelBytes
+}
+
+// matmulBF16Driver runs the product on the kernel bf16KernelFor picks.
 func matmulBF16Driver(c, a []float32, m int, w *Prepacked) (uint64, error) {
+	return matmulBF16On(bf16KernelFor(w), c, a, m, w)
+}
+
+// matmulBF16On packs A into pooled scratch in the form kernel kern reads
+// and hands the product to drive. Blocking, team partition, fault checks
+// and cycle accounting are drive's and therefore common; the full m×N
+// result lands in c.
+func matmulBF16On(kern kernel, c, a []float32, m int, w *Prepacked) (uint64, error) {
 	padM := ceilDiv(m, blockM) * blockM
 	kBlocks := w.padK / blockK
-	if w.dec == nil {
-		aScratch := getScratch(padM * w.padK * 2)
-		defer putScratch(aScratch)
-		packBF16Into(*aScratch, a, m, w.K, padM, w.padK)
-		return drive(matmulConfig, bf16Bytes{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
+	if kern == kernelDecoded {
+		// A is rounded once per call into float32 scratch — the same
+		// values decoding the byte image would yield.
+		aScratch := getScratchF32(padM * w.padK)
+		defer putScratchF32(aScratch)
+		span := packBF16DecodedInto(*aScratch, a, m, w.K, padM, w.padK)
+		return drive(matmulConfig, bf16Decoded{a: *aScratch, w: w, fast: bf16Fast(span, w.span)}, c, m, w.N, kBlocks, w.zero)
 	}
-	// A is rounded once per call into float32 scratch — the same values
-	// decoding the byte image would yield.
-	aScratch := getScratchF32(padM * w.padK)
-	defer putScratchF32(aScratch)
-	packBF16DecodedInto(*aScratch, a, m, w.K, padM, w.padK)
-	return drive(matmulConfig, bf16Decoded{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
+	aScratch := getScratch(padM * w.padK * 2)
+	defer putScratch(aScratch)
+	packBF16Into(*aScratch, a, m, w.K, padM, w.padK)
+	if kern == kernelHW {
+		return drive(matmulConfig, bf16HW{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
+	}
+	return drive(matmulConfig, bf16Bytes{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
 }
 
 // bf16Bytes is the byte-accurate BF16 block kernel: every operand moves
@@ -336,10 +386,12 @@ func (k bf16Bytes) store(pu *pooledUnit) ([]float32, error) {
 // cycle accounting via the *Check variants — but the MAC loop reads flat
 // pre-decoded slices and the accumulator stays float32 end to end (a
 // byte image of the accumulator would round-trip losslessly anyway, so
-// results are bit-identical).
+// results are bit-identical). fast is bf16Fast of the two operands: the
+// accumulator starts at +0 for every block, so it may run plain float32.
 type bf16Decoded struct {
-	a []float32 // padded, bf16-pre-rounded A (packBF16DecodedInto)
-	w *Prepacked
+	a    []float32 // padded, bf16-pre-rounded A (packBF16DecodedInto)
+	w    *Prepacked
+	fast bool
 }
 
 func (k bf16Decoded) zero(pu *pooledUnit) error {
@@ -362,31 +414,78 @@ func (k bf16Decoded) mac(pu *pooledUnit, rb, cb, kb, valid int) error {
 		return err
 	}
 	bOff := cb*blockN*padK + kb*blockK
-	return pu.u.tdpBF16PSDecodedRows(tmmC, tmmA, tmmB, valid, pu.cDecF[:], blockN, k.a[aOff:], padK, k.w.dec[bOff:], padK)
+	return pu.u.tdpBF16PSDecodedRows(tmmC, tmmA, tmmB, valid, k.fast, pu.cDecF[:], blockN, k.a[aOff:], padK, k.w.dec[bOff:], padK)
 }
 
 func (k bf16Decoded) store(pu *pooledUnit) ([]float32, error) {
 	return pu.cDecF[:], pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4)
 }
 
+// bf16HW is the BF16 block kernel on the host's tile unit, int8HW's twin:
+// zero, mac and store run the emulator's *Check ops — faults and modelled
+// cycles are the emulator's — with every load validated against the bytes
+// the instruction reads (the padded bf16 image of A, the VNNI image of
+// B); mac queues the validated block and store issues the block's k-chain
+// in one tdpbf16psChain call into pu.cDecF. The emulator computes in the
+// tile unit's order and rounding, so results are bit-identical to it.
+type bf16HW struct {
+	a []byte // padded bf16 image of A (packBF16Into), shared with bf16Bytes
+	w *Prepacked
+}
+
+func (k bf16HW) zero(pu *pooledUnit) error {
+	clear(pu.cDecF[:])
+	pu.hwOffs = pu.hwOffs[:0]
+	return pu.u.TileZeroCheck(tmmC)
+}
+
+func (k bf16HW) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
+	aStride := k.w.padK * 2 // bytes per packed A row
+	bStride := k.w.padN * 4 // bytes per packed VNNI B row (pairs)
+	aOff := rb*blockM*aStride + kb*blockK*2
+	if err := pu.u.TileLoadCheck(tmmA, len(k.a)-aOff, aStride); err != nil {
+		return err
+	}
+	bOff := kb*(blockK/2)*bStride + cb*blockN*4
+	if err := pu.u.TileLoadCheck(tmmB, len(k.w.vnni)-bOff, bStride); err != nil {
+		return err
+	}
+	if err := pu.u.tdpBF16Check(tmmC, tmmA, tmmB); err != nil {
+		return err
+	}
+	pu.hwOffs = append(pu.hwOffs, [2]uintptr{uintptr(aOff), uintptr(bOff)})
+	return nil
+}
+
+func (k bf16HW) store(pu *pooledUnit) ([]float32, error) {
+	if err := pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4); err != nil {
+		return nil, err
+	}
+	// A block whose every k-block the bitmap skipped is zero already.
+	if n := len(pu.hwOffs); n > 0 {
+		tdpbf16psChain(&pu.hwCfg, &pu.cDecF[0], blockN*4, &k.a[0], uintptr(k.w.padK*2),
+			&k.w.vnni[0], uintptr(k.w.padN*4), &pu.hwOffs[0], n)
+	}
+	return pu.cDecF[:], nil
+}
+
 // ReferenceMatmulBF16 computes the same product with plain loops but
-// identical numerics (bf16-rounded inputs, f32 accumulation in the same
-// k-order). Tests compare the tile pipeline against it bit-for-bit.
+// identical numerics: bf16-rounded inputs and, per 32-lane k-block (one
+// TDPBF16PS), bf16Dot. Tests compare the tile pipeline against it
+// bit-for-bit.
 func ReferenceMatmulBF16(a, b []float32, m, k, n int) []float32 {
-	ar := make([]float32, len(a))
-	for i, v := range a {
-		ar[i] = RoundFloat32(v)
-	}
-	br := make([]float32, len(b))
-	for i, v := range b {
-		br[i] = RoundFloat32(v)
-	}
 	c := make([]float32, m*n)
+	var aL, bL [blockK]float32
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var acc float32
-			for kk := 0; kk < k; kk++ {
-				acc += ar[i*k+kk] * br[kk*n+j]
+			for k0 := 0; k0 < k; k0 += blockK {
+				aL, bL = [blockK]float32{}, [blockK]float32{}
+				for l := 0; l < blockK && k0+l < k; l++ {
+					aL[l] = RoundFloat32(a[i*k+k0+l])
+					bL[l] = RoundFloat32(b[(k0+l)*n+j])
+				}
+				acc = bf16Dot(acc, aL[:], bL[:])
 			}
 			c[i*n+j] = acc
 		}

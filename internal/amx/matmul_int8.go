@@ -121,8 +121,8 @@ type PrepackedINT8 struct {
 	vnni       []byte
 	// dec is the decoded view of the VNNI image: the signed lanes
 	// column-major (column c's padK lanes at dec[c*padK:]), built once at
-	// prepack time for the decoded fast path. Nil only on operands built
-	// by prepackINT8Bytes (the byte-path oracle used in tests).
+	// prepack time for the decoded fast path, and only where that kernel
+	// can be chosen (see prepackINT8).
 	dec []int8
 	// zero is the sparse tier's zero-block bitmap (sparse.go), nil on
 	// dense operands. drive skips a marked block's TileLoads + TDP.
@@ -130,22 +130,15 @@ type PrepackedINT8 struct {
 }
 
 // PrepackINT8 packs a row-major int8 matrix (k × n) for reuse as the
-// right-hand operand of MatmulINT8Packed, building both the VNNI byte
-// image and its decoded column-major view.
+// right-hand operand of MatmulINT8Packed: the VNNI byte image, plus its
+// decoded column-major view on hosts without the tile unit.
 func PrepackINT8(b []int8, k, n int) (*PrepackedINT8, error) {
-	w, err := prepackINT8Bytes(b, k, n)
-	if err != nil {
-		return nil, err
-	}
-	w.dec = make([]int8, w.padN*w.padK)
-	packS8DecodedBInto(w.dec, b, k, n, w.padK, w.padN)
-	return w, nil
+	return prepackINT8(b, k, n, !hwAvailable)
 }
 
-// prepackINT8Bytes builds a PrepackedINT8 with only the VNNI byte image
-// for the byte-path oracle driver; tests use it to pin the decoded fast
-// path against the byte path.
-func prepackINT8Bytes(b []int8, k, n int) (*PrepackedINT8, error) {
+// prepackINT8 is prepackBF16's INT8 twin: the VNNI image always, the
+// decoded view when decoded is set.
+func prepackINT8(b []int8, k, n int, decoded bool) (*PrepackedINT8, error) {
 	if len(b) != k*n {
 		return nil, fmt.Errorf("amx: int8 prepack operand size %d does not match %dx%d", len(b), k, n)
 	}
@@ -154,7 +147,12 @@ func prepackINT8Bytes(b []int8, k, n int) (*PrepackedINT8, error) {
 	}
 	padK := ceilDiv(k, blockKi8) * blockKi8
 	padN := ceilDiv(n, blockNi8) * blockNi8
-	return &PrepackedINT8{K: k, N: n, padK: padK, padN: padN, vnni: PackS8VNNI(b, k, n, padK, padN)}, nil
+	w := &PrepackedINT8{K: k, N: n, padK: padK, padN: padN, vnni: PackS8VNNI(b, k, n, padK, padN)}
+	if decoded {
+		w.dec = make([]int8, padN*padK)
+		packS8DecodedBInto(w.dec, b, k, n, padK, padN)
+	}
+	return w, nil
 }
 
 // MatmulINT8Packed computes C = A·W through the emulated AMX INT8
@@ -175,29 +173,20 @@ func MatmulINT8Packed(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 	return matmulINT8Driver(a, m, w)
 }
 
-// int8Kernel names one of the three INT8 block kernels.
-type int8Kernel uint8
-
-const (
-	int8KernelBytes   int8Kernel = iota // int8Bytes, the oracle
-	int8KernelDecoded                   // int8Decoded, the emulator's fast path
-	int8KernelHW                        // int8HW, the host's tile unit
-)
-
 // int8KernelFor is the one place the INT8 block kernel is chosen:
 // silicon when the host grants it (it reads the VNNI image every operand
 // carries), else the decoded emulator when w carries its decoded view
-// (every production PrepackedINT8 does), else the byte oracle. All three
-// produce the same results, faults and cycles, so the choice is
+// (every PrepackedINT8 built off AMX hosts does), else the byte oracle.
+// All three produce the same results, faults and cycles, so the choice is
 // invisible above this package.
-func int8KernelFor(w *PrepackedINT8) int8Kernel {
+func int8KernelFor(w *PrepackedINT8) kernel {
 	switch {
 	case hwAvailable:
-		return int8KernelHW
+		return kernelHW
 	case w.dec != nil:
-		return int8KernelDecoded
+		return kernelDecoded
 	}
-	return int8KernelBytes
+	return kernelBytes
 }
 
 // matmulINT8Driver runs the product on the kernel int8KernelFor picks.
@@ -209,7 +198,7 @@ func matmulINT8Driver(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, erro
 // with kernel kern. The unsigned A image needs no decoding — its padded
 // bytes are the lane values and the tile unit's layout — so every kernel
 // shares it.
-func matmulINT8On(kern int8Kernel, a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
+func matmulINT8On(kern kernel, a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
 	padM := ceilDiv(m, blockMi8) * blockMi8
 	aScratch := getScratch(padM * w.padK)
 	defer putScratch(aScratch)
@@ -222,9 +211,9 @@ func matmulINT8On(kern int8Kernel, a []uint8, m int, w *PrepackedINT8) ([]int32,
 		err    error
 	)
 	switch kern {
-	case int8KernelHW:
+	case kernelHW:
 		cycles, err = drive(int8MatmulConfig, int8HW{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
-	case int8KernelDecoded:
+	case kernelDecoded:
 		cycles, err = drive(int8MatmulConfig, int8Decoded{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
 	default:
 		cycles, err = drive(int8MatmulConfig, int8Bytes{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)

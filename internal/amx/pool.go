@@ -40,10 +40,10 @@ func splits(m, rowBlocks, colBlocks, kBlocks int) bool {
 
 // pooledUnit is one emulated core's persistent state: a Unit, the
 // last-installed tile palette (so reconfiguration only happens when the
-// geometry changes), a C-tile staging buffer for the byte path, and the
-// decoded fast path's flat C accumulators (float32 for
-// TDPBF16PSDecoded, int32 for TDPBUSDDecoded and the hardware kernel),
-// and the hardware kernel's palette encoding and queued k-chain.
+// geometry changes), a C-tile staging buffer for the byte path, the
+// flat C accumulators of the decoded and hardware kernels (float32 for
+// BF16, int32 for INT8), and the hardware kernels' palette encoding and
+// queued k-chain.
 type pooledUnit struct {
 	u     *Unit
 	cfg   TileConfig
@@ -174,12 +174,21 @@ func runInline(cfg TileConfig, rowBlocks int, run func(pu *pooledUnit, rb int) e
 	return pu.u.Cycles() - start, nil
 }
 
+// kernel names one of the three block kernels of an element type.
+type kernel uint8
+
+const (
+	kernelBytes   kernel = iota // bf16Bytes / int8Bytes, the oracle
+	kernelDecoded               // bf16Decoded / int8Decoded, the emulator's fast path
+	kernelHW                    // bf16HW / int8HW, the host's tile unit
+)
+
 // blockKernel is one way of computing a 16×16 output block of a blocked
-// product on a tile unit. The five values — BF16 and INT8, each as the
-// byte oracle and the decoded fast path, and INT8 on the host's tile
-// unit — issue the same instruction sequence with the same faults and
-// cycles and differ only in how the operands travel and where the MACs
-// run, so drive is written once.
+// product on a tile unit. The six values — BF16 and INT8, each as the
+// byte oracle, the decoded fast path and the host's tile unit — issue the
+// same instruction sequence with the same faults and cycles and differ
+// only in how the operands travel and where the MACs run, so drive is
+// written once.
 type blockKernel[C float32 | int32] interface {
 	// zero is TILEZERO on the accumulator tile.
 	zero(pu *pooledUnit) error

@@ -49,72 +49,88 @@ func sameF32ZeroTolerant(t *testing.T, got, want []float32, label string) {
 	}
 }
 
+// TestSparsePrepackMatchesDenseBF16 runs every BF16 kernel on the dense
+// and the bitmap-skipping form of block-sparse operands: each kernel's
+// sparse product equals its dense one (±0.0-tolerant) and the byte
+// oracle's sparse product bit for bit, and skipping a nonzero block
+// changes it.
 func TestSparsePrepackMatchesDenseBF16(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	shapes := []struct{ m, k, n int }{
-		{1, 64, 48},   // decode GEMV, padded N
-		{1, 96, 64},   // ragged K
-		{5, 64, 64},   // partial row block
-		{33, 128, 80}, // multi row block
-	}
-	for _, sh := range shapes {
-		kb := ceilDiv(sh.k, blockK)
-		cb := ceilDiv(sh.n, blockN)
-		for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			zero := make(map[int]bool)
-			total := kb * cb
-			for i := 0; i < int(frac*float64(total)); i++ {
-				zero[i*7919%total] = true
+	for _, kern := range kernels {
+		t.Run(kern.name, func(t *testing.T) {
+			needKernel(t, kern.kern)
+			run := func(a []float32, m int, w *Prepacked, k kernel) []float32 {
+				t.Helper()
+				c := make([]float32, m*w.N)
+				if _, err := matmulBF16On(k, c, a, m, w); err != nil {
+					t.Fatal(err)
+				}
+				return c
 			}
-			b := blockSparseBF16(rng, sh.k, sh.n, func(kbi, cbi int) bool { return zero[cbi*kb+kbi] })
-			a := make([]float32, sh.m*sh.k)
-			for i := range a {
-				a[i] = float32(rng.NormFloat64())
+			rng := rand.New(rand.NewSource(11))
+			shapes := []struct{ m, k, n int }{
+				{1, 64, 48},   // decode GEMV, padded N
+				{1, 96, 64},   // ragged K
+				{5, 64, 64},   // partial row block
+				{33, 128, 80}, // multi row block
 			}
+			for _, sh := range shapes {
+				kb := ceilDiv(sh.k, blockK)
+				cb := ceilDiv(sh.n, blockN)
+				for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
+					zero := make(map[int]bool)
+					total := kb * cb
+					for i := 0; i < int(frac*float64(total)); i++ {
+						zero[i*7919%total] = true
+					}
+					b := blockSparseBF16(rng, sh.k, sh.n, func(kbi, cbi int) bool { return zero[cbi*kb+kbi] })
+					a := make([]float32, sh.m*sh.k)
+					for i := range a {
+						a[i] = float32(rng.NormFloat64())
+					}
 
-			dense, err := PrepackBF16(b, sh.k, sh.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparse, err := PrepackBF16Sparse(b, sh.k, sh.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nz, tot := sparse.BlockStats()
-			if tot != total {
-				t.Fatalf("total blocks %d, want %d", tot, total)
-			}
-			if tot-nz < len(zero) {
-				// >=: a random nonzero block could still round to all-zero bf16 — not with +0.25 offset.
-				t.Fatalf("sparsity %.2f: %d zero blocks found, want >= %d", frac, tot-nz, len(zero))
-			}
+					dense, err := prepackBF16(b, sh.k, sh.n, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sparse, err := prepackBF16(b, sh.k, sh.n, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sparse.zero = scanZeroBF16VNNI(sparse.vnni, sparse.padK, sparse.padN)
+					nz, tot := sparse.BlockStats()
+					if tot != total {
+						t.Fatalf("total blocks %d, want %d", tot, total)
+					}
+					if tot-nz < len(zero) {
+						// >=: a random nonzero block could still round to all-zero bf16 — not with +0.25 offset.
+						t.Fatalf("sparsity %.2f: %d zero blocks found, want >= %d", frac, tot-nz, len(zero))
+					}
 
-			want, _, err := MatmulBF16Packed(a, sh.m, dense)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := MatmulBF16Packed(a, sh.m, sparse)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameF32ZeroTolerant(t, got, want, "sparse decoded vs dense")
+					got := run(a, sh.m, sparse, kern.kern)
+					sameF32ZeroTolerant(t, got, run(a, sh.m, dense, kern.kern), "sparse vs dense")
+					// The byte oracle with the same bitmap takes the same skips.
+					sameBitsF32(t, got, run(a, sh.m, sparse, kernelBytes), "sparse vs sparse byte oracle")
 
-			// Byte-path oracle with the same bitmap takes the same skips.
-			byteOp, err := prepackBF16Bytes(b, sh.k, sh.n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			byteOp.zero = scanZeroBF16VNNI(byteOp.vnni, byteOp.padK, byteOp.padN)
-			gotBytes, _, err := MatmulBF16Packed(a, sh.m, byteOp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(gotBytes[i]) {
-					t.Fatalf("sparse byte oracle diverged from decoded at %d: %g vs %g", i, gotBytes[i], got[i])
+					// The differential has teeth: mark one nonzero block of a
+					// copy of the bitmap as skippable and this kernel's product
+					// must change.
+					if nz == 0 {
+						continue
+					}
+					z := &zeroBitmap{bits: slices.Clone(sparse.zero.bits)}
+					flip := 0
+					for z.skip(flip) {
+						flip++
+					}
+					z.set(flip)
+					mutOp := *sparse
+					mutOp.zero = z
+					if reflect.DeepEqual(run(a, sh.m, &mutOp, kern.kern), got) {
+						t.Fatalf("%v: skipping nonzero block %d left the %s product unchanged — the comparison cannot fail", sh, flip, kern.name)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -122,7 +138,7 @@ func TestSparsePrepackMatchesDenseBF16(t *testing.T) {
 // and the bitmap-skipping form of one pruned operand, and pins each
 // kernel's sparse product to the byte oracle's.
 func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
-	for _, kern := range int8Kernels {
+	for _, kern := range kernels {
 		t.Run(kern.name, func(t *testing.T) {
 			needKernel(t, kern.kern)
 			run := func(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64) {
@@ -154,14 +170,15 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 				for i := range a {
 					a[i] = uint8(rng.Intn(256))
 				}
-				dense, err := PrepackINT8(b, sh.k, sh.n)
+				dense, err := prepackINT8(b, sh.k, sh.n, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sparse, err := PrepackINT8Sparse(b, sh.k, sh.n)
+				sparse, err := prepackINT8(b, sh.k, sh.n, true)
 				if err != nil {
 					t.Fatal(err)
 				}
+				sparse.zero = scanZeroINT8VNNI(sparse.vnni, sparse.padK, sparse.padN)
 				want, _ := run(a, sh.m, dense)
 				got, cySparse := run(a, sh.m, sparse)
 				for i := range got {
@@ -175,12 +192,12 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 
 				// Byte-path oracle with the same bitmap takes the same skips:
 				// result and cycles (a cold unit may add one palette configure).
-				byteOp, err := prepackINT8Bytes(b, sh.k, sh.n)
+				byteOp, err := prepackINT8(b, sh.k, sh.n, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				byteOp.zero = scanZeroINT8VNNI(byteOp.vnni, byteOp.padK, byteOp.padN)
-				gotBytes, cyBytes, err := matmulINT8On(int8KernelBytes, a, sh.m, byteOp)
+				gotBytes, cyBytes, err := matmulINT8On(kernelBytes, a, sh.m, byteOp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -375,7 +392,7 @@ func FuzzSparsePrepack(f *testing.F) {
 		}
 		sameF32ZeroTolerant(t, got, want, "fuzz sparse vs dense")
 
-		byteOp, err := prepackBF16Bytes(b, k, n)
+		byteOp, err := prepackBF16(b, k, n, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,19 +75,21 @@ var (
 
 // TestPartitionInvarianceBF16: dense and 50%-block-sparse operands give
 // bit-identical results and identical cycles at every team size, and the
-// cycles are PredictCycles(m).
+// cycles are PredictCycles(m) — for every BF16 kernel, each giving the
+// byte oracle's result.
 func TestPartitionInvarianceBF16(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, kn := range partitionKNs {
 		k, n := kn[0], kn[1]
-		dense, err := PrepackBF16(randF32(rng, k*n), k, n)
+		dense, err := prepackBF16(randF32(rng, k*n), k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := PrepackBF16Sparse(blockSparseBF16(rng, k, n, func(kb, cb int) bool { return (kb+cb)%2 == 0 }), k, n)
+		sparse, err := prepackBF16(blockSparseBF16(rng, k, n, func(kb, cb int) bool { return (kb+cb)%2 == 0 }), k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sparse.zero = scanZeroBF16VNNI(sparse.vnni, sparse.padK, sparse.padN)
 		for _, m := range partitionMs {
 			a := randF32(rng, m*k)
 			for name, w := range map[string]*Prepacked{"dense": dense, "sparse": sparse} {
@@ -96,19 +98,24 @@ func TestPartitionInvarianceBF16(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/m%d/k%dn%d/team%d", name, m, k, n, size), func(t *testing.T) {
 						useTeam(t, size)
 						seedUnits(t, size, matmulConfig)
-						got := make([]float32, m*n)
-						for rep := 0; rep < 3; rep++ {
-							cycles, err := MatmulBF16PackedInto(got, a, m, w)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if cycles != w.PredictCycles(m) {
-								t.Fatalf("m=%d k=%d n=%d size %d: %d cycles, model %d", m, k, n, size, cycles, w.PredictCycles(m))
-							}
-							if want == nil {
-								want = append(want, got...)
-							}
-							sameBitsF32(t, got, want, "vs team size 1")
+						for _, kern := range kernels {
+							t.Run(kern.name, func(t *testing.T) {
+								needKernel(t, kern.kern)
+								got := make([]float32, m*n)
+								for rep := 0; rep < 3; rep++ {
+									cycles, err := matmulBF16On(kern.kern, got, a, m, w)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if cycles != w.PredictCycles(m) {
+										t.Fatalf("m=%d k=%d n=%d size %d: %d cycles, model %d", m, k, n, size, cycles, w.PredictCycles(m))
+									}
+									if want == nil {
+										want = append(want, got...)
+									}
+									sameBitsF32(t, got, want, "vs the byte oracle at team size 1")
+								}
+							})
 						}
 					})
 				}
@@ -131,14 +138,15 @@ func TestPartitionInvarianceINT8(t *testing.T) {
 				bs[i] = b[i]
 			}
 		}
-		dense, err := PrepackINT8(b, k, n)
+		dense, err := prepackINT8(b, k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := PrepackINT8Sparse(bs, k, n)
+		sparse, err := prepackINT8(bs, k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sparse.zero = scanZeroINT8VNNI(sparse.vnni, sparse.padK, sparse.padN)
 		if nz, total := sparse.BlockStats(); nz == total {
 			t.Fatalf("k=%d n=%d: sparse operand has no zero block", k, n)
 		}
@@ -153,7 +161,7 @@ func TestPartitionInvarianceINT8(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/m%d/k%dn%d/team%d", name, m, k, n, size), func(t *testing.T) {
 						useTeam(t, size)
 						seedUnits(t, size, int8MatmulConfig)
-						for _, kern := range int8Kernels {
+						for _, kern := range kernels {
 							t.Run(kern.name, func(t *testing.T) {
 								needKernel(t, kern.kern)
 								for rep := 0; rep < 3; rep++ {
