@@ -236,7 +236,10 @@ func BenchmarkExecDecodeSequence(b *testing.B) {
 	}
 }
 
-// BenchmarkAMXMatmul measures the emulated tile pipeline on a 128³ GEMM.
+// BenchmarkAMXMatmul measures the BF16 tile pipeline on a 128³ GEMM
+// whose right-hand operand is packed on every call — what a caller that
+// does not keep the prepacked image pays; BenchmarkAMXMatmulPacked is the
+// same product with the image reused.
 func BenchmarkAMXMatmul(b *testing.B) {
 	const n = 128
 	a := make([]float32, n*n)
@@ -248,7 +251,11 @@ func BenchmarkAMXMatmul(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(3 * n * n * 4))
 	for i := 0; i < b.N; i++ {
-		c, _, err := amx.MatmulBF16(a, bb, n, n, n)
+		w, err := amx.PrepackBF16(bb, n, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, _, err := amx.MatmulBF16Packed(a, n, w)
 		if err != nil {
 			b.Fatal(err)
 		}

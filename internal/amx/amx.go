@@ -25,8 +25,9 @@
 // TDPBUSDDecoded, the *Check tile ops) applies the
 // discipline real AMX kernel libraries apply on hardware — hoist format
 // conversion out of the MAC loop — to the emulator itself: operands are
-// decoded once (at prepack time for weights, once per call for
-// activations) and the inner loops run over flat slices. Faults, cycle
+// decoded once (at prepack time for weights, at append time for a KV
+// cache's growing operands, once per call for activations) and the inner
+// loops run over flat slices. Faults, cycle
 // accounting, accumulation order and therefore results are identical;
 // a fuzz + exhaustive-shape suite pins the two tiers bit-for-bit.
 package amx

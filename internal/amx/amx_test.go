@@ -217,7 +217,7 @@ func TestMatmulExactSmallIntegers(t *testing.T) {
 	for i := range b {
 		b[i] = float32((i*3 + 1) % 7)
 	}
-	got, cycles, err := MatmulBF16(a, b, m, k, n)
+	got, cycles, err := matmulBF16(a, b, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMatmulMatchesReferenceRandom(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float32()*2 - 1
 		}
-		got, _, err := MatmulBF16(a, b, m, k, n)
+		got, _, err := matmulBF16(a, b, m, k, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,10 +253,10 @@ func TestMatmulMatchesReferenceRandom(t *testing.T) {
 }
 
 func TestMatmulRejectsBadSizes(t *testing.T) {
-	if _, _, err := MatmulBF16(make([]float32, 3), make([]float32, 4), 2, 2, 2); err == nil {
+	if _, _, err := matmulBF16(make([]float32, 3), make([]float32, 4), 2, 2, 2); err == nil {
 		t.Error("expected size mismatch error")
 	}
-	if _, _, err := MatmulBF16(nil, nil, 0, 2, 2); err == nil {
+	if _, _, err := matmulBF16(nil, nil, 0, 2, 2); err == nil {
 		t.Error("expected dimension error")
 	}
 }
@@ -289,7 +289,7 @@ func TestMatmulIdentityProperty(t *testing.T) {
 	for i := 0; i < k; i++ {
 		eye[i*k+i] = 1
 	}
-	got, _, err := MatmulBF16(a, eye, m, k, k)
+	got, _, err := matmulBF16(a, eye, m, k, k)
 	if err != nil {
 		t.Fatal(err)
 	}

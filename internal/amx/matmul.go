@@ -167,20 +167,25 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // VNNI tile layout. Building it is the per-weight cost LIA's §5 kernels
 // amortize: every MatmulBF16Packed call afterwards streams activations
 // through the same immutable image, so the steady state never re-packs.
-// Packing is layout-only — the stored values are the same bf16 roundings
-// MatmulBF16 produces per call, so results are bit-identical.
+// Packing is layout-only — the stored values are the BF16FromFloat32
+// roundings of the matrix, and the kernels read nothing else.
 type Prepacked struct {
 	// K and N are the logical dimensions of the packed matrix.
-	K, N       int
+	K, N int
+	// padK is K padded to a k-block; padN is the VNNI image's row width in
+	// columns (N padded to a column block here, a Growing operand's
+	// capacity there).
 	padK, padN int
 	vnni       []byte
 	// dec is the decoded view of the VNNI image: the same bf16-rounded
-	// values as float32, column-major (column c's padK lanes at
-	// dec[c*padK:]), built once at prepack time so the decoded fast path
-	// never reassembles an operand from bytes. Built only where the
-	// decoded kernel can be chosen (see prepackBF16); span is its span.
-	dec  []float32
-	span bf16Span
+	// values as float32, column-major (column c's lanes at
+	// dec[c*decStride:], decStride = padK here), built once at prepack
+	// time so the decoded fast path never reassembles an operand from
+	// bytes. Built only where the decoded kernel can be chosen (see
+	// prepackBF16); span is its span.
+	dec       []float32
+	decStride int
+	span      bf16Span
 	// zero is the sparse tier's zero-block bitmap (sparse.go), nil on
 	// dense operands. drive skips a marked block's TileLoads + TDP.
 	zero *zeroBitmap
@@ -211,68 +216,24 @@ func prepackBF16(b []float32, k, n int, decoded bool) (*Prepacked, error) {
 	w := &Prepacked{K: k, N: n, padK: padK, padN: padN, vnni: PackBF16VNNI(b, k, n, padK, padN)}
 	if decoded {
 		w.dec = make([]float32, padN*padK)
+		w.decStride = padK
 		w.span = packBF16DecodedBInto(w.dec, b, k, n, padK, padN)
 	}
 	return w, nil
 }
 
-// MatmulBF16 computes C = A·B through the emulated AMX tile pipeline:
-// A is M×K, B is K×N, both row-major float32; inputs are rounded to
-// bfloat16 (as a BF16 kernel would read them) and accumulation is float32
-// in the tile unit's own order and rounding (bf16Dot), so the result is
-// the one silicon computes. It returns the M×N row-major result and the
-// total AMX cycles consumed.
-//
-// This is the entry point for products whose right-hand operand changes
-// on every call (attention's Kᵀ and V): B is packed into pooled scratch
-// per call, as the view bf16KernelFor will pick — the VNNI image where
-// the host grants the tile unit, the decoded view elsewhere. A static
-// weight is prepacked once with PrepackBF16 and multiplied with
-// MatmulBF16Packed.
-func MatmulBF16(a, b []float32, m, k, n int) ([]float32, uint64, error) {
-	if len(a) != m*k || len(b) != k*n {
-		return nil, 0, fmt.Errorf("amx: matmul operand sizes %d,%d do not match %dx%d · %dx%d", len(a), len(b), m, k, m, n)
-	}
-	if m <= 0 || k <= 0 || n <= 0 {
-		return nil, 0, fmt.Errorf("amx: matmul dimensions must be positive, got %dx%dx%d", m, k, n)
-	}
-	padK := ceilDiv(k, blockK) * blockK
-	padN := ceilDiv(n, blockN) * blockN
-	w := Prepacked{K: k, N: n, padK: padK, padN: padN}
-	if hwAvailable {
-		img := getScratch(padK * padN * 2)
-		defer putScratch(img)
-		packBF16VNNIInto(*img, b, k, n, padK, padN)
-		w.vnni = *img
-	} else {
-		dec := getScratchF32(padK * padN)
-		defer putScratchF32(dec)
-		w.dec = *dec
-		w.span = packBF16DecodedBInto(w.dec, b, k, n, padK, padN)
-	}
-	c := make([]float32, m*n)
-	cycles, err := matmulBF16Driver(c, a, m, &w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, cycles, nil
-}
-
-// MatmulBF16Packed computes C = A·W for a prepacked right-hand operand,
-// skipping the per-call VNNI conversion. A is M×K row-major float32; the
-// result and cycle accounting match MatmulBF16(a, w, m, k, n) bit for bit.
+// MatmulBF16Packed computes C = A·W through the AMX tile pipeline for a
+// prepacked right-hand operand: A is M×K row-major float32, rounded to
+// bfloat16 as a BF16 kernel reads it, and accumulation is float32 in the
+// tile unit's own order and rounding (bf16Dot), so the result is the one
+// silicon computes. It returns the M×N row-major result and the AMX
+// cycles consumed.
 func MatmulBF16Packed(a []float32, m int, w *Prepacked) ([]float32, uint64, error) {
 	if w == nil {
 		return nil, 0, fmt.Errorf("amx: nil prepacked operand")
 	}
-	if len(a) != m*w.K {
-		return nil, 0, fmt.Errorf("amx: matmul operand size %d does not match %dx%d", len(a), m, w.K)
-	}
-	if m <= 0 {
-		return nil, 0, fmt.Errorf("amx: matmul rows must be positive, got %d", m)
-	}
-	c := make([]float32, m*w.N)
-	cycles, err := matmulBF16Driver(c, a, m, w)
+	c := make([]float32, max(m, 0)*w.N)
+	cycles, err := matmulBF16Into(c, a, m, w)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -288,6 +249,13 @@ func MatmulBF16PackedInto(dst, a []float32, m int, w *Prepacked) (uint64, error)
 	if w == nil {
 		return 0, fmt.Errorf("amx: nil prepacked operand")
 	}
+	return matmulBF16Into(dst, a, m, w)
+}
+
+// matmulBF16Into is the destination-reusing product behind
+// MatmulBF16PackedInto and MatmulBF16GrowingInto: it checks the shapes
+// against w's logical K × N and runs the driver.
+func matmulBF16Into(dst, a []float32, m int, w *Prepacked) (uint64, error) {
 	if len(a) != m*w.K {
 		return 0, fmt.Errorf("amx: matmul operand size %d does not match %dx%d", len(a), m, w.K)
 	}
@@ -413,8 +381,8 @@ func (k bf16Decoded) mac(pu *pooledUnit, rb, cb, kb, valid int) error {
 	if err := pu.u.TileLoadCheck(tmmB, 2*len(k.w.dec)-bOffB, bStrideB); err != nil {
 		return err
 	}
-	bOff := cb*blockN*padK + kb*blockK
-	return pu.u.tdpBF16PSDecodedRows(tmmC, tmmA, tmmB, valid, k.fast, pu.cDecF[:], blockN, k.a[aOff:], padK, k.w.dec[bOff:], padK)
+	bOff := cb*blockN*k.w.decStride + kb*blockK
+	return pu.u.tdpBF16PSDecodedRows(tmmC, tmmA, tmmB, valid, k.fast, pu.cDecF[:], blockN, k.a[aOff:], padK, k.w.dec[bOff:], k.w.decStride)
 }
 
 func (k bf16Decoded) store(pu *pooledUnit) ([]float32, error) {

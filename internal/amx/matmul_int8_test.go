@@ -115,7 +115,7 @@ func TestINT8HalvesTDPCycles(t *testing.T) {
 	const m, k, n = 32, 128, 32
 	af := make([]float32, m*k)
 	bf := make([]float32, k*n)
-	_, bf16Cycles, err := MatmulBF16(af, bf, m, k, n)
+	_, bf16Cycles, err := matmulBF16(af, bf, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,20 @@ func matrices(m, k, n int, seed float32) (a, b []float32) {
 	return a, b
 }
 
-// TestPackedMatchesLegacyBF16 requires MatmulBF16Packed over a prepacked
-// operand to reproduce MatmulBF16 bit for bit, including awkward
+// matmulBF16 is the unpacked-operand form the BF16 tests are written
+// against: prepack B, then run MatmulBF16Packed (matmulINT8 is its INT8
+// twin).
+func matmulBF16(a, b []float32, m, k, n int) ([]float32, uint64, error) {
+	w, err := PrepackBF16(b, k, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	return MatmulBF16Packed(a, m, w)
+}
+
+// TestPackedMatchesLegacyBF16 requires a reused prepacked operand to
+// reproduce a fresh prepack per product bit for bit (the per-call-packing
+// entry point this test was written against is gone), including awkward
 // non-multiple-of-tile shapes and the m=1 decode shape.
 func TestPackedMatchesLegacyBF16(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
@@ -30,7 +42,7 @@ func TestPackedMatchesLegacyBF16(t *testing.T) {
 		{64, 64, 128}, // multiple row blocks → worker pool
 	} {
 		a, b := matrices(s.m, s.k, s.n, 0.25)
-		want, _, err := MatmulBF16(a, b, s.m, s.k, s.n)
+		want, _, err := matmulBF16(a, b, s.m, s.k, s.n)
 		if err != nil {
 			t.Fatalf("%dx%dx%d legacy: %v", s.m, s.k, s.n, err)
 		}
@@ -44,7 +56,7 @@ func TestPackedMatchesLegacyBF16(t *testing.T) {
 				t.Fatalf("%dx%dx%d packed: %v", s.m, s.k, s.n, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%dx%dx%d rep %d: packed result diverges from legacy", s.m, s.k, s.n, rep)
+				t.Fatalf("%dx%dx%d rep %d: reused image diverges from a fresh one", s.m, s.k, s.n, rep)
 			}
 		}
 		ref := ReferenceMatmulBF16(a, b, s.m, s.k, s.n)
@@ -100,10 +112,10 @@ func TestScratchReuseNoStaleData(t *testing.T) {
 	small, smallB := matrices(3, 10, 5, 2)
 	wantSmall := ReferenceMatmulBF16(small, smallB, 3, 10, 5)
 	for rep := 0; rep < 4; rep++ {
-		if _, _, err := MatmulBF16(big, bigB, 48, 96, 48); err != nil {
+		if _, _, err := matmulBF16(big, bigB, 48, 96, 48); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := MatmulBF16(small, smallB, 3, 10, 5)
+		got, _, err := matmulBF16(small, smallB, 3, 10, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,12 @@
 // — is executable end to end, and that the offloading decision never
 // changes the computed tokens (the policy-invariance property the paper's
 // correctness implicitly rests on). The executor mirrors what LIA's §5
-// kernels amortize: static weights are packed (VNNI image + decoded view
-// for amx's fast-path TMUL tier) or rounded (BF16) once per executor and
-// the KV cache grows in place, so the steady-state decode loop is free of
-// repacking, of quadratic copying, and of per-multiply operand decoding.
+// kernels amortize: static weights are packed (the VNNI tile image, or
+// amx's decoded view on hosts without the tile unit) or rounded (BF16)
+// once per executor, and the KV cache grows in place, keeping attention's
+// Kᵀ and V in the layout each route's kernel reads, so the steady-state
+// decode loop is free of repacking, of quadratic copying, and of
+// per-multiply operand decoding.
 package llm
 
 import (
@@ -131,17 +133,25 @@ func NewRandom(cfg model.Config, seed int64) (*Model, error) {
 // KVCache stores per-layer key and value matrices, preallocated to the
 // model's maximum sequence length and grown row-wise in place as decoding
 // proceeds (the seed implementation re-copied the whole cache every step
-// via Concat — quadratic in context length).
+// via Concat — quadratic in context length). Beside the rows it keeps the
+// layouts attention's routes read, each built from the rows on the first
+// pass that needs it and kept current by Append: the dense Q·Kᵀ route's
+// transposed mirror, and the AMX routes' per-KV-head tile images of Kᵀ
+// and V. A cache holds only the layouts its policy reads.
 type KVCache struct {
 	// K and V are indexed by layer; each is (seen × KVDim), a view over a
 	// backing array with MaxSeqLen rows of capacity.
 	K, V []tensor.Matrix
-	// kT mirrors K transposed: kT[li] is (KVDim × capRows) whose first
-	// Len() columns are valid. It is updated incrementally on Append so
-	// attention never re-materializes Kᵀ from scratch.
+	// kT mirrors K transposed for the dense Q·Kᵀ route: kT[li] is
+	// (KVDim × capRows) whose first Len() columns are valid, or empty
+	// until that route first reads layer li.
 	kT []tensor.Matrix
-	// capRows is the backing capacity in rows.
-	capRows int
+	// kImg and vImg hold, per layer and KV head, the B operands of the AMX
+	// routes: Kᵀ for Q·Kᵀ and V for P·V, nil until that route first reads
+	// the layer.
+	kImg, vImg [][]*amx.Growing
+	// heads is the KV head count; capRows is the backing capacity in rows.
+	heads, capRows int
 	// id identifies the cache to a MemHost (0 when no host is attached).
 	id int64
 }
@@ -157,18 +167,88 @@ func (c *KVCache) Len() int {
 	return c.K[0].Rows
 }
 
-// Append adds freshly projected K/V rows for layer li, writing the key
-// values into the transposed mirror as columns. Rows land in place; the
-// executor's position checks guarantee the capacity is never exceeded.
+// Append adds freshly projected K/V rows for layer li and writes them into
+// every layout the layer has built: the key values as mirror columns, and
+// each head's slice of a row as one position of that head's images. Rows
+// land in place; the executor's position checks guarantee the capacity is
+// never exceeded.
 func (c *KVCache) Append(li int, k, v tensor.Matrix) {
 	past := c.K[li].Rows
 	c.K[li] = c.K[li].AppendRows(k)
 	c.V[li] = c.V[li].AppendRows(v)
+	if c.kT[li].Data != nil {
+		c.mirror(li, k, past)
+	}
+	appendHeads(c.kImg[li], k)
+	appendHeads(c.vImg[li], v)
+}
+
+// mirror writes k's rows into layer li's transposed mirror as columns
+// past, past+1, ….
+func (c *KVCache) mirror(li int, k tensor.Matrix, past int) {
 	kt := c.kT[li]
 	for r := 0; r < k.Rows; r++ {
-		row := k.Row(r)
-		for col, val := range row {
+		for col, val := range k.Row(r) {
 			kt.Data[col*c.capRows+past+r] = val
+		}
+	}
+}
+
+// keyMirror returns layer li's transposed mirror, building it from the
+// cached rows on first use.
+func (c *KVCache) keyMirror(li int) tensor.Matrix {
+	if c.kT[li].Data == nil {
+		c.kT[li] = tensor.New(c.K[li].Cols, c.capRows)
+		c.mirror(li, c.K[li], 0)
+	}
+	return c.kT[li]
+}
+
+// keyImages returns layer li's per-head Kᵀ images, building them from the
+// cached rows on first use.
+func (c *KVCache) keyImages(li int) []*amx.Growing {
+	if c.kImg[li] == nil {
+		c.kImg[li] = c.headImages(c.K[li], amx.NewGrowingCols)
+	}
+	return c.kImg[li]
+}
+
+// valueImages returns layer li's per-head V images, building them from
+// the cached rows on first use.
+func (c *KVCache) valueImages(li int) []*amx.Growing {
+	if c.vImg[li] == nil {
+		c.vImg[li] = c.headImages(c.V[li], amx.NewGrowingRows)
+	}
+	return c.vImg[li]
+}
+
+// headImages builds one image per KV head with build, holding rows.
+func (c *KVCache) headImages(rows tensor.Matrix, build func(width, capacity int) (*amx.Growing, error)) []*amx.Growing {
+	imgs := make([]*amx.Growing, c.heads)
+	for h := range imgs {
+		g, err := build(rows.Cols/c.heads, c.capRows)
+		if err != nil {
+			panic(fmt.Sprintf("llm: KV cache image: %v", err))
+		}
+		imgs[h] = g
+	}
+	appendHeads(imgs, rows)
+	return imgs
+}
+
+// appendHeads appends every row of m to the per-head images, head h
+// taking the row's h-th slice; a layer with no images takes nothing.
+func appendHeads(imgs []*amx.Growing, m tensor.Matrix) {
+	if len(imgs) == 0 {
+		return
+	}
+	dh := m.Cols / len(imgs)
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		for h, g := range imgs {
+			if err := g.Append(row[h*dh : (h+1)*dh]); err != nil {
+				panic(fmt.Sprintf("llm: KV cache append: %v", err))
+			}
 		}
 	}
 }
@@ -247,11 +327,11 @@ type Executor struct {
 	// shared holds the RoPE tables and family-wide counters, common to
 	// every fork of this executor.
 	shared *sharedState
-	// khT, qhBuf and vhBuf are per-sequence scratch for the per-head
-	// operands staged each attention step (key transpose, query slice,
-	// value slice); staging into reused buffers keeps the decode loop off
-	// the allocator.
-	khT, qhBuf, vhBuf []float32
+	// Per-sequence attention scratch, reused across steps to keep the
+	// decode loop off the allocator: qhBuf holds the staged query slices,
+	// khT and vhBuf the dense route's staged Kᵀ and V, scoreBuf and ctxBuf
+	// the AMX route's Q·Kᵀ and P·V results.
+	qhBuf, khT, vhBuf, scoreBuf, ctxBuf []float32
 }
 
 // NewExecutor wires a model to a policy on the dense BF16 tier, whose
@@ -281,30 +361,6 @@ func (e *Executor) linear(li int, s model.Sublayer, x tensor.Matrix) tensor.Matr
 		e.pass.WeightAccess(li, s)
 	}
 	return e.tier.ops[li][s].apply(e, li, s, x)
-}
-
-// matmul dispatches C = A·B for the attention sublayers, whose operands
-// both change every step: the emulated AMX tile pipeline when the policy
-// places the sublayer on the CPU, the dense kernel (with the same BF16
-// input rounding a GPU tensor core applies) otherwise. Both operands must
-// be freshly materialized per call — the dense route rounds them in place.
-func (e *Executor) matmul(s model.Sublayer, a, b tensor.Matrix) tensor.Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if e.Policy.OnCPU(s) {
-		out, cycles, err := amx.MatmulBF16(a.Data, b.Data, a.Rows, a.Cols, b.Cols)
-		if err != nil {
-			panic(fmt.Sprintf("llm: AMX matmul: %v", err))
-		}
-		e.Stats.CPUMatmuls++
-		e.Stats.AMXCycles += cycles
-		return tensor.FromSlice(a.Rows, b.Cols, out)
-	}
-	e.Stats.GPUMatmuls++
-	amx.RoundSlice(a.Data)
-	amx.RoundSlice(b.Data)
-	return tensor.MatMul(a, b)
 }
 
 // forwardLayer runs one decoder layer over the hidden states x
@@ -357,8 +413,7 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, 
 		e.applyRoPECached(k, dh, past)
 	}
 	cache.Append(li, k, v)
-	fullV := cache.V[li]
-	seen := fullV.Rows
+	seen := cache.Len()
 	if e.pass != nil {
 		e.pass.KVWrite(li, rows)
 		e.pass.KVRead(li, seen)
@@ -373,40 +428,18 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, 
 	// row-by-row — so the stacked results are bit-identical to the
 	// per-head dispatches they replace.
 	invSqrt := float32(1 / math.Sqrt(float64(dh)))
-	if cap(e.khT) < dh*seen {
-		e.khT = make([]float32, dh*cache.capRows)
-	}
-	if cap(e.qhBuf) < groups*rows*dh {
-		e.qhBuf = make([]float32, groups*rows*dh)
-	}
-	if cap(e.vhBuf) < seen*dh {
-		e.vhBuf = make([]float32, cache.capRows*dh)
-	}
+	qh := tensor.FromSlice(groups*rows, dh, fit(&e.qhBuf, groups*rows*dh, groups*rows*dh))
 	for kvHead := 0; kvHead < cfg.KVHeads; kvHead++ {
 		// Stage the group's query slices into scratch, stacked by head
-		// (copies are required regardless because the dense route rounds
-		// operands in place and q/fullV must stay pristine).
-		qh := tensor.FromSlice(groups*rows, dh, e.qhBuf[:groups*rows*dh])
+		// (a copy either route needs: the dense route rounds its operands
+		// in place and q must stay pristine).
 		for g := 0; g < groups; g++ {
 			h := kvHead*groups + g
 			for r := 0; r < rows; r++ {
 				copy(qh.Row(g*rows+r), q.Row(r)[h*dh:(h+1)*dh])
 			}
 		}
-		vh := tensor.FromSlice(seen, dh, e.vhBuf[:seen*dh])
-		for r := 0; r < seen; r++ {
-			copy(vh.Row(r), fullV.Row(r)[kvHead*dh:(kvHead+1)*dh])
-		}
-
-		// Q·Kᵀ through the policy-routed kernel. The transpose is staged
-		// from the cache's incrementally-updated mirror (scratch-backed,
-		// rebuilt per KV head because the dense route rounds it in place).
-		khT := tensor.FromSlice(dh, seen, e.khT[:dh*seen])
-		kt := cache.kT[li]
-		for i := 0; i < dh; i++ {
-			copy(khT.Row(i), kt.Row(kvHead*dh + i)[:seen])
-		}
-		scores := tensor.Scale(e.matmul(model.QKT, qh, khT), invSqrt)
+		scores := tensor.Scale(e.scoreKeys(li, kvHead, qh, cache), invSqrt)
 		if mask {
 			// Row g·rows+r of the stacked scores is query position past+r
 			// of head g, so the causal mask applies per sub-block — the
@@ -417,7 +450,7 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, 
 			}
 		}
 		tensor.SoftmaxRows(scores)
-		ctxH := e.matmul(model.SV, scores, vh)
+		ctxH := e.weighValues(li, kvHead, scores, cache)
 		for g := 0; g < groups; g++ {
 			h := kvHead*groups + g
 			for r := 0; r < rows; r++ {
@@ -425,6 +458,57 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, 
 			}
 		}
 	}
+}
+
+// scoreKeys is sublayer 2, Q·Kᵀ, for one KV head: the stacked queries qh
+// (m × dh) against the head's cached keys, routed by the policy. The AMX
+// route multiplies the cache's Kᵀ tile image in place; the dense route
+// stages Kᵀ from the transposed mirror into scratch, since it rounds its
+// operands in place.
+func (e *Executor) scoreKeys(li, head int, qh tensor.Matrix, cache *KVCache) tensor.Matrix {
+	seen := cache.Len()
+	if e.Policy.OnCPU(model.QKT) {
+		out := tensor.FromSlice(qh.Rows, seen, fit(&e.scoreBuf, qh.Rows*seen, qh.Rows*cache.capRows))
+		e.tallyAMX(amx.MatmulBF16GrowingInto(out.Data, qh.Data, qh.Rows, cache.keyImages(li)[head]))
+		return out
+	}
+	dh := qh.Cols
+	khT := tensor.FromSlice(dh, seen, fit(&e.khT, dh*seen, dh*cache.capRows))
+	kt := cache.keyMirror(li)
+	for i := 0; i < dh; i++ {
+		copy(khT.Row(i), kt.Row(head*dh + i)[:seen])
+	}
+	amx.RoundSlice(khT.Data)
+	return e.denseBF16(model.QKT, qh, khT)
+}
+
+// weighValues is sublayer 3, P·V, for one KV head: the probabilities
+// (m × seen) against the head's cached values — the cache's V tile image
+// on the AMX route, a staged copy of the V rows on the dense route.
+func (e *Executor) weighValues(li, head int, probs tensor.Matrix, cache *KVCache) tensor.Matrix {
+	dh := e.Model.Cfg.HeadDim()
+	if e.Policy.OnCPU(model.SV) {
+		out := tensor.FromSlice(probs.Rows, dh, fit(&e.ctxBuf, probs.Rows*dh, probs.Rows*dh))
+		e.tallyAMX(amx.MatmulBF16GrowingInto(out.Data, probs.Data, probs.Rows, cache.valueImages(li)[head]))
+		return out
+	}
+	seen := probs.Cols
+	vh := tensor.FromSlice(seen, dh, fit(&e.vhBuf, seen*dh, cache.capRows*dh))
+	for r := 0; r < seen; r++ {
+		copy(vh.Row(r), cache.V[li].Row(r)[head*dh:(head+1)*dh])
+	}
+	amx.RoundSlice(vh.Data)
+	return e.denseBF16(model.SV, probs, vh)
+}
+
+// fit returns *buf resliced to n values, first replacing it with room
+// values when it is too small: attention sizes room by the cache's
+// capacity, so a context that grows a row per step reuses one buffer.
+func fit(buf *[]float32, n, room int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, room)
+	}
+	return (*buf)[:n]
 }
 
 // finishLayer is sublayers 4–6: the output projection and its residual,
@@ -488,15 +572,22 @@ func (e *Executor) logits(x tensor.Matrix) tensor.Matrix {
 
 // NewCache returns an empty KV cache for the model, preallocated to
 // MaxSeqLen rows per layer so decode-time appends never reallocate or
-// copy existing entries.
+// copy existing entries. Attention's derived layouts are allocated later,
+// by the first pass that reads them.
 func (e *Executor) NewCache() *KVCache {
-	kvDim := e.Model.Cfg.KVDim()
-	capRows := e.Model.Cfg.MaxSeqLen
-	c := &KVCache{capRows: capRows}
+	cfg := e.Model.Cfg
+	kvDim := cfg.KVDim()
+	capRows := cfg.MaxSeqLen
+	layers := len(e.Model.Layers)
+	c := &KVCache{
+		kT:    make([]tensor.Matrix, layers),
+		kImg:  make([][]*amx.Growing, layers),
+		vImg:  make([][]*amx.Growing, layers),
+		heads: cfg.KVHeads, capRows: capRows,
+	}
 	for range e.Model.Layers {
 		c.K = append(c.K, tensor.NewWithCap(0, kvDim, capRows))
 		c.V = append(c.V, tensor.NewWithCap(0, kvDim, capRows))
-		c.kT = append(c.kT, tensor.New(kvDim, capRows))
 	}
 	if e.Mem != nil {
 		c.id = e.shared.cacheIDs.Add(1)

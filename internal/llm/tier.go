@@ -142,12 +142,18 @@ func (e *Executor) amxBF16(s model.Sublayer, x tensor.Matrix, w *amx.Prepacked) 
 		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.K, w.N))
 	}
 	out, cycles, err := amx.MatmulBF16Packed(x.Data, x.Rows, w)
+	e.tallyAMX(cycles, err)
+	return tensor.FromSlice(x.Rows, w.N, out)
+}
+
+// tallyAMX counts one BF16 product on the tile pipeline and its cycles.
+// An error, which the executor's own shapes rule out, is fatal.
+func (e *Executor) tallyAMX(cycles uint64, err error) {
 	if err != nil {
 		panic(fmt.Sprintf("llm: AMX matmul: %v", err))
 	}
 	e.Stats.CPUMatmuls++
 	e.Stats.AMXCycles += cycles
-	return tensor.FromSlice(x.Rows, w.N, out)
 }
 
 // denseBF16 is the GPU route: x rounded to bfloat16 in place (the

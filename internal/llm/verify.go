@@ -11,10 +11,13 @@ import (
 // verifier's rejection path: proposed tokens past the accepted prefix
 // had their K/V rows appended by the verify pass and must be discarded
 // before the next round. Row counts shrink in place (the backing arrays
-// keep their capacity, so later Appends still land without copying);
-// the kT mirror's columns beyond n go stale, which is harmless because
-// attention reads only the first Len() columns and the next Append
-// overwrites exactly the stale region.
+// keep their capacity, so later Appends still land without copying).
+// The transposed mirror's columns beyond n go stale, which is harmless:
+// the dense route reads only the first Len() columns and the next Append
+// overwrites exactly the stale region. The tile images are different —
+// P·V reads V up to its next k-block boundary, where a stale ∞ lane
+// times the probabilities' zero padding is NaN — so their lanes at and
+// past n are zeroed (amx.Growing.Truncate).
 //
 // Truncate is not signalled to an attached MemHost — the speculative
 // path is gated to run without one (see EnableSpec).
@@ -29,6 +32,12 @@ func (c *KVCache) Truncate(n int) {
 		cols := c.K[li].Cols
 		c.K[li] = tensor.FromSlice(n, cols, c.K[li].Data[:n*cols])
 		c.V[li] = tensor.FromSlice(n, cols, c.V[li].Data[:n*cols])
+		for _, g := range c.kImg[li] {
+			g.Truncate(n)
+		}
+		for _, g := range c.vImg[li] {
+			g.Truncate(n)
+		}
 	}
 }
 
