@@ -92,8 +92,8 @@ func (s *Sequence) AdvancePrefill() (bool, error) {
 	if s.prefillPos < len(s.prompt) {
 		return false, nil
 	}
-	// Last chunk: only now is the LM head worth paying for.
-	logits := s.e.logits(x)
-	s.pending = logits.ArgmaxRow(logits.Rows - 1)
+	// Last chunk: only now is the LM head worth paying for, and only for
+	// the prompt's last position.
+	s.pending = s.e.logits(lastRow(x)).ArgmaxRow(0)
 	return true, nil
 }

@@ -283,13 +283,18 @@ func (s *Stats) add(o Stats) {
 }
 
 // sharedState is the executor state that forked batch sequences reuse
-// concurrently besides the weight tier: the RoPE angle tables, the cache
-// ID counter and the pack-count instrumentation.
+// concurrently besides the weight tier: the LM head, the RoPE angle
+// tables, the cache ID counter and the pack-count instrumentation.
 type sharedState struct {
-	// packs counts static-weight layout conversions (VNNI packs plus
-	// BF16 roundings); tests assert it stays bounded by the weight count
-	// no matter how many tokens are generated.
+	// packs counts static-weight layout conversions (VNNI packs, BF16
+	// roundings and the head's transpose); tests assert it stays bounded
+	// by the weight count no matter how many tokens are generated.
 	packs atomic.Int64
+
+	headOnce sync.Once
+	// head is the tied embedding transposed (d × vocab float32), the
+	// right operand logits multiplies by; see Executor.head.
+	head tensor.Matrix
 
 	// cacheIDs issues MemHost cache identifiers, unique across every fork
 	// of the executor family (IDs start at 1; 0 means "no host").
@@ -564,10 +569,39 @@ func (e *Executor) embedRow(dst []float32, tok, pos int) error {
 	return nil
 }
 
-// logits projects hidden states onto the (tied) vocabulary.
+// logits projects hidden states onto the (tied) vocabulary: the final
+// layer norm, then tensor.MatMul by the head (d × vocab). It equals the
+// dot product of each row with each embedding row bit for bit: MatMul adds
+// the same terms in the same k order from a +0 start, and each term it
+// skips for a zero coefficient is ±0 for a finite embedding, which cannot
+// change a sum that started at +0.
 func (e *Executor) logits(x tensor.Matrix) tensor.Matrix {
 	normed := tensor.LayerNorm(x, e.Model.FinalGain, e.Model.FinalBias, 1e-5)
-	return tensor.MatMulT(normed, e.Model.Embed)
+	return tensor.MatMul(normed, e.head())
+}
+
+// head returns the LM head's right operand, the tied embedding transposed
+// to d × vocab, building it on first use — once per executor family, and
+// counted in WeightPacks like the sublayers' conversions.
+func (e *Executor) head() tensor.Matrix {
+	s := e.shared
+	s.headOnce.Do(func() {
+		emb := e.Model.Embed
+		s.head = tensor.New(emb.Cols, emb.Rows)
+		for v := 0; v < emb.Rows; v++ {
+			for c, x := range emb.Row(v) {
+				s.head.Data[c*emb.Rows+v] = x
+			}
+		}
+		s.packs.Add(1)
+	})
+	return s.head
+}
+
+// lastRow is x's last row as a one-row view: prefill projects only the
+// position whose successor it predicts.
+func lastRow(x tensor.Matrix) tensor.Matrix {
+	return tensor.FromSlice(1, x.Cols, x.Row(x.Rows-1))
 }
 
 // NewCache returns an empty KV cache for the model, preallocated to
@@ -637,7 +671,7 @@ func (e *Executor) Prefill(prompt []int) (tensor.Matrix, *KVCache, error) {
 		x = e.forwardLayer(li, x, cache, true)
 	}
 	e.endPass()
-	return e.logits(x), cache, nil
+	return e.logits(lastRow(x)), cache, nil
 }
 
 // DecodeStep runs the Gen stage for one token, extending the cache.

@@ -2,9 +2,12 @@ package llm
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
+	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/tensor"
 )
 
@@ -49,8 +52,10 @@ func TestPrefillShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if logits.Rows != 4 || logits.Cols != m.Cfg.VocabSize {
-		t.Errorf("logits shape %dx%d", logits.Rows, logits.Cols)
+	// The LM head covers the last position only: its successor is the one
+	// token prefill predicts.
+	if logits.Rows != 1 || logits.Cols != m.Cfg.VocabSize {
+		t.Errorf("logits shape %dx%d, want 1x%d", logits.Rows, logits.Cols, m.Cfg.VocabSize)
 	}
 	if cache.Len() != 4 {
 		t.Errorf("cache length %d, want 4", cache.Len())
@@ -207,25 +212,28 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestCausalityOfPrefill: changing a later prompt token must not affect
-// earlier positions' logits (causal masking works).
+// earlier positions (causal masking works) — every layer's cached K and V
+// rows of positions 0 and 1 stay bit-equal.
 func TestCausalityOfPrefill(t *testing.T) {
 	m := tinyModel(t)
 	e := NewExecutor(m, core.FullGPU)
-	l1, _, err := e.Prefill([]int{10, 20, 30})
+	_, c1, err := e.Prefill([]int{10, 20, 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, _, err := e.Prefill([]int{10, 20, 99})
+	_, c2, err := e.Prefill([]int{10, 20, 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := 0; c < l1.Cols; c++ {
-		if l1.At(0, c) != l2.At(0, c) {
-			t.Fatalf("position 0 logits changed with a future token")
+	for li := range m.Layers {
+		for pos := 0; pos < 2; pos++ {
+			if !reflect.DeepEqual(c1.K[li].Row(pos), c2.K[li].Row(pos)) || !reflect.DeepEqual(c1.V[li].Row(pos), c2.V[li].Row(pos)) {
+				t.Fatalf("layer %d position %d K/V changed with a future token", li, pos)
+			}
 		}
-		if l1.At(1, c) != l2.At(1, c) {
-			t.Fatalf("position 1 logits changed with a future token")
-		}
+	}
+	if reflect.DeepEqual(c1.K[0].Row(2), c2.K[0].Row(2)) {
+		t.Fatal("the changed token's own K row did not move")
 	}
 }
 
@@ -542,5 +550,61 @@ func TestRoPEPositionsMatter(t *testing.T) {
 	}
 	if same {
 		t.Fatal("reordering the prompt should change the logits under RoPE")
+	}
+}
+
+// seedHead is the LM head as tensor.MatMulT computed it before the head
+// went through tensor.MatMul: per output element one float32 accumulator
+// from +0 over the whole row, in k order, zero coefficients included.
+func seedHead(normed, embed tensor.Matrix) tensor.Matrix {
+	out := tensor.New(normed.Rows, embed.Rows)
+	for i := 0; i < normed.Rows; i++ {
+		arow := normed.Row(i)
+		for j := 0; j < embed.Rows; j++ {
+			brow := embed.Row(j)
+			var acc float32
+			for kk, av := range arow {
+				acc += av * brow[kk]
+			}
+			out.Set(i, j, acc)
+		}
+	}
+	return out
+}
+
+// TestLogitsMatchSeedHead: the head through tensor.MatMul by the
+// transposed embedding equals the seed's dot products bit for bit on
+// every model shape the repository runs, including a constant row (whose
+// normed row is all zeros) and rows with exact zeros in them.
+func TestLogitsMatchSeedHead(t *testing.T) {
+	benchSmall := model.Config{
+		Name: "bench-small", Layers: 2, DModel: 128, Heads: 4, KVHeads: 4,
+		DFF: 512, VocabSize: 256, MaxSeqLen: 256, BytesPerParam: 2, Experts: 1,
+	}
+	for _, cfg := range []model.Config{TinyConfig(), TinyLlamaConfig(), benchSmall} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			m, err := NewRandom(cfg, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(30))
+			x := tensor.New(8, cfg.DModel)
+			for i := range x.Data {
+				x.Data[i] = float32(rng.NormFloat64())
+			}
+			for c := range x.Row(0) {
+				x.Set(0, c, 0.5) // normalises to all zeros
+			}
+			for c := range x.Row(1) {
+				x.Set(1, c, float32(c%3-1)) // mean 0: a third of the row normalises to 0
+			}
+			got := NewExecutor(m, core.FullGPU).logits(x)
+			want := seedHead(tensor.LayerNorm(x, m.FinalGain, m.FinalBias, 1e-5), m.Embed)
+			for i, w := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+					t.Fatalf("logit %d = %g, seed head %g", i, got.Data[i], w)
+				}
+			}
+		})
 	}
 }

@@ -119,7 +119,7 @@ func (e *Executor) PrefillFrom(prompt []int, seed *KVSeed) (tensor.Matrix, *KVCa
 		x = e.forwardLayer(li, x, cache, true)
 	}
 	e.endPass()
-	return e.logits(x), cache, nil
+	return e.logits(lastRow(x)), cache, nil
 }
 
 // ExportKV deep-copies cache rows [from, to) into a standalone segment —

@@ -83,13 +83,13 @@ func (t *tier) each(fn func(linearOp)) {
 }
 
 // denseOp is the BF16 tier's op: the weight matrix and its two
-// static-layout conversions — the prepacked AMX operand (VNNI tile image
-// plus the decoded column-major view amx's fast-path TMUL tier reads,
-// both built by one PrepackBF16 call) and the BF16-rounded copy for the
-// dense (GPU) route. Each is built at most once per executor family, on
-// the first pass that routes there — the per-weight cost a real AMX
-// kernel amortizes — and is immutable afterwards, so batch sequences
-// share it concurrently.
+// static-layout conversions — the prepacked AMX operand (the VNNI tile
+// image, plus the decoded column-major view amx's fast-path TMUL tier
+// reads on hosts without the tile unit, built by one PrepackBF16 call)
+// and the BF16-rounded copy for the dense (GPU) route. Each is built at
+// most once per executor family, on the first pass that routes there —
+// the per-weight cost a real AMX kernel amortizes — and is immutable
+// afterwards, so batch sequences share it concurrently.
 type denseOp struct {
 	w       tensor.Matrix
 	cpuOnce sync.Once

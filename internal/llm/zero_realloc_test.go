@@ -18,9 +18,11 @@ import (
 // PartialCPU while attention's AMX route still packed Kᵀ and V per call;
 // multiplying the KV cache's tile images into scratch took the two
 // AMX-attention policies to 28 and 36 (two allocations fewer per
-// attention product: the per-call operand header and the output). Four
-// of slack each, so a per-step pack or output regression (16 products a
-// step here) cannot slip by.
+// attention product: the per-call operand header and the output). The
+// dense route's AVX2 row kernel and the LM head through MatMul left all
+// three at 68, 28 and 36: MatMul's nonzero-coefficient grouping
+// allocates nothing. Four of slack each, so a per-step pack or output
+// regression (16 products a step here) cannot slip by.
 var decodeAllocBudget = map[string]float64{"FullGPU": 72, "FullCPU": 32, "PartialCPU": 40}
 
 // TestDecodeStepAllocBudget pins the steady-state decode loop's
@@ -73,7 +75,8 @@ func TestDecodeStepAllocBudget(t *testing.T) {
 // split threshold, so with helpers present that is two loops a layer).
 // Attention on the KV cache's tile images then dropped the 256 per-call
 // operand headers and outputs of a round's 128 attention products: 73,
-// 83 and 84. The bounds leave a few allocations of slack over those.
+// 83 and 84, unchanged by the AVX2 row kernel and the head through
+// MatMul. The bounds leave a few allocations of slack over those.
 // testing.AllocsPerRun is not the instrument because it pins GOMAXPROCS
 // to 1 while it runs, which cannot un-start the team's helpers.
 func fusedRoundMallocs() float64 {
@@ -129,39 +132,45 @@ func TestFusedRoundSpawnsNothing(t *testing.T) {
 // TestWeightPacksBounded proves each static weight is packed or rounded
 // at most once per executor: the pack count settles after the first
 // forward pass and never moves again, no matter how many tokens are
-// generated or how many sequences fork the executor.
+// generated or how many sequences fork the executor. The first pass is a
+// batch, so its forks race to build every conversion and the LM head
+// (under -race the detector watches them do it), and each is still built
+// once.
 func TestWeightPacksBounded(t *testing.T) {
 	m, err := NewRandom(TinyConfig(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 4 parameter sublayers per layer, one conversion each, plus the head.
+	want := int64(4*m.Cfg.Layers + 1)
 	for _, tc := range []struct {
 		name   string
 		policy core.Policy
-		want   int64 // 4 parameter sublayers per layer, one conversion each
 	}{
-		{"FullGPU", core.FullGPU, int64(4 * m.Cfg.Layers)},
-		{"FullCPU", core.FullCPU, int64(4 * m.Cfg.Layers)},
-		{"PartialCPU", core.PartialCPU, int64(4 * m.Cfg.Layers)},
+		{"FullGPU", core.FullGPU},
+		{"FullCPU", core.FullCPU},
+		{"PartialCPU", core.PartialCPU},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewExecutor(m, tc.policy)
 			if got := e.WeightPacks(); got != 0 {
 				t.Fatalf("fresh executor reports %d packs", got)
 			}
+			if _, err := e.GenerateBatch([][]int{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, 6); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.WeightPacks(); got != want {
+				t.Fatalf("%s packed %d weights, want %d", tc.name, got, want)
+			}
+			// More tokens, more sequences: the count must not move.
 			if _, err := e.Generate([]int{5, 17, 42}, 8); err != nil {
 				t.Fatal(err)
 			}
-			after := e.WeightPacks()
-			if after != tc.want {
-				t.Fatalf("%s packed %d weights, want %d", tc.name, after, tc.want)
-			}
-			// More tokens, more sequences: the count must not move.
 			if _, err := e.GenerateBatch([][]int{{1, 2}, {3, 4}, {5, 6}}, 6); err != nil {
 				t.Fatal(err)
 			}
-			if got := e.WeightPacks(); got != after {
-				t.Errorf("pack count moved %d -> %d across further generation", after, got)
+			if got := e.WeightPacks(); got != want {
+				t.Errorf("pack count moved %d -> %d across further generation", want, got)
 			}
 		})
 	}

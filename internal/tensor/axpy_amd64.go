@@ -1,0 +1,45 @@
+package tensor
+
+// useAVX2 reports whether axpy4/axpy1 may run their assembly bodies: the
+// CPU has AVX (CPUID.1:ECX bit 28) and AVX2 (CPUID.(7,0):EBX bit 5), and
+// the OS saves YMM state across context switches — CPUID.1:ECX OSXSAVE
+// (bit 27), checked before XGETBV may execute, and XCR0 bits 1 (SSE) and
+// 2 (AVX) set. Production code never reassigns it; tests turn it off to
+// run the Go loop on every lane.
+var useAVX2 = probeAVX2()
+
+func probeAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	const xmmYmmState = 1<<1 | 1<<2
+	if xcr0()&xmmYmmState != xmmYmmState {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// cpuid executes CPUID with EAX = eaxArg, ECX = ecxArg.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xcr0 returns the low half of XCR0 (XGETBV with ECX = 0). Valid only
+// where CPUID.1:ECX OSXSAVE is set.
+func xcr0() uint32
+
+// axpy4AVX2 is axpy4 over lanes [0, n), n a positive multiple of 8, with
+// o and b0…b3 pointing at the first lane of slices at least n long. It
+// checks nothing and runs VZEROUPPER before returning.
+//
+//go:noescape
+func axpy4AVX2(o, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int)
+
+// axpy1AVX2 is axpy1 over lanes [0, n) under axpy4AVX2's contract.
+//
+//go:noescape
+func axpy1AVX2(o, b *float32, a float32, n int)

@@ -1,0 +1,15 @@
+//go:build !amd64
+
+package tensor
+
+// useAVX2 is false off amd64: axpy4 and axpy1 run the Go loop on every
+// lane. It is a variable so the tests that turn it off build everywhere.
+var useAVX2 = false
+
+func axpy4AVX2(o, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int) {
+	panic("tensor: no AVX2 row kernel on this platform")
+}
+
+func axpy1AVX2(o, b *float32, a float32, n int) {
+	panic("tensor: no AVX2 row kernel on this platform")
+}

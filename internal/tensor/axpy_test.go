@@ -1,0 +1,261 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// seedMatMul, seedAxpyTail and seedMatMulT are MatMul, its zero-skip tail
+// and MatMulT as they stood before the row kernel, kept verbatim as the
+// oracles the kernel differentials compare against.
+func seedMatMul(a, b Matrix) Matrix {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := New(a.Rows, b.Cols)
+	k, n := a.Cols, b.Cols
+	parallelRows(a.Rows, k*n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			orow := out.Row(i)
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
+				if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+					seedAxpyTail(orow, arow[kk:kk+4], b.Data[kk*n:], n)
+					continue
+				}
+				b0 := b.Data[kk*n : kk*n+n]
+				b1 := b.Data[(kk+1)*n : (kk+1)*n+n]
+				b2 := b.Data[(kk+2)*n : (kk+2)*n+n]
+				b3 := b.Data[(kk+3)*n : (kk+3)*n+n]
+				for j := range orow {
+					orow[j] = orow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				}
+			}
+			if kk < k {
+				seedAxpyTail(orow, arow[kk:k], b.Data[kk*n:], n)
+			}
+		}
+	})
+	return out
+}
+
+func seedAxpyTail(orow, coeffs, bData []float32, n int) {
+	for kk, av := range coeffs {
+		if av == 0 {
+			continue
+		}
+		brow := bData[kk*n : kk*n+n]
+		for j, bv := range brow {
+			orow[j] += av * bv
+		}
+	}
+}
+
+func seedMatMulT(a, b Matrix) Matrix {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := New(a.Rows, b.Rows)
+	parallelRows(a.Rows, a.Cols*b.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			orow := out.Row(i)
+			for j := 0; j < b.Rows; j++ {
+				brow := b.Row(j)
+				var acc float32
+				for kk, av := range arow {
+					acc += av * brow[kk]
+				}
+				orow[j] = acc
+			}
+		}
+	})
+	return out
+}
+
+// specials are the values the differentials plant in both operands:
+// signed zeros, infinities, NaN, subnormals and magnitudes whose products
+// overflow.
+var specials = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	1e-40, -3e-42, math.SmallestNonzeroFloat32, 3e38, -3e38, 1, -1,
+}
+
+// fill draws v's elements: a zero with probability zeros, a special with
+// probability 0.05, otherwise a normal float32 scaled by a random power
+// of ten.
+func fill(rng *rand.Rand, v []float32, zeros float64) {
+	for i := range v {
+		switch p := rng.Float64(); {
+		case p < zeros:
+			v[i] = 0
+		case p < zeros+0.05:
+			v[i] = specials[rng.Intn(len(specials))]
+		default:
+			v[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+		}
+	}
+}
+
+// sameFloats fails t unless got and want agree on every non-NaN value bit
+// for bit and are NaN in exactly the same places (NaN sign and payload
+// depend on operand order inside the FPU, which neither kernel pins).
+func sameFloats(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if gNaN, wNaN := math.IsNaN(float64(g)), math.IsNaN(float64(w)); gNaN || wNaN {
+			if gNaN != wNaN {
+				t.Fatalf("%s: element %d = %g, want %g", what, i, g, w)
+			}
+			continue
+		}
+		if math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("%s: element %d = %g (%#08x), want %g (%#08x)", what, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
+// withoutAVX2 runs fn with the row kernel's assembly turned off.
+func withoutAVX2(fn func()) {
+	saved := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = saved }()
+	fn()
+}
+
+// kernels runs fn as one sub-test per path the row kernel can take: the
+// AVX2 assembly (skipped where the host lacks it) and the Go loop alone.
+func kernels(t *testing.T, fn func(t *testing.T)) {
+	t.Run("avx2", func(t *testing.T) {
+		if !useAVX2 {
+			t.Skip("no AVX2 on this host")
+		}
+		fn(t)
+	})
+	t.Run("go", func(t *testing.T) { withoutAVX2(func() { fn(t) }) })
+}
+
+// TestAxpyAssemblyMatchesGoLoop pins axpy4 and axpy1 to their Go loop for
+// every row length 1…70 — below one vector, and around and between the
+// 8- and 16-lane steps — with specials in the coefficients, the rows and
+// the accumulator.
+func TestAxpyAssemblyMatchesGoLoop(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 on this host: axpy4 and axpy1 are the Go loop alone")
+	}
+	rng := rand.New(rand.NewSource(30))
+	for n := 1; n <= 70; n++ {
+		for trial := 0; trial < 20; trial++ {
+			o := make([]float32, n)
+			fill(rng, o, 0.2)
+			var bs [4][]float32
+			for i := range bs {
+				bs[i] = make([]float32, n)
+				fill(rng, bs[i], 0.2)
+			}
+			var as [4]float32
+			fill(rng, as[:], 0)
+
+			got4, want4 := append([]float32(nil), o...), append([]float32(nil), o...)
+			axpy4(got4, as[0], as[1], as[2], as[3], bs[0], bs[1], bs[2], bs[3])
+			withoutAVX2(func() { axpy4(want4, as[0], as[1], as[2], as[3], bs[0], bs[1], bs[2], bs[3]) })
+			sameFloats(t, fmt.Sprintf("axpy4 n=%d trial %d", n, trial), got4, want4)
+
+			got1, want1 := append([]float32(nil), o...), append([]float32(nil), o...)
+			axpy1(got1, as[0], bs[0])
+			withoutAVX2(func() { axpy1(want1, as[0], bs[0]) })
+			sameFloats(t, fmt.Sprintf("axpy1 n=%d trial %d", n, trial), got1, want1)
+		}
+	}
+}
+
+// TestAxpyRejectsShortOperand: the assembly checks nothing, so a row
+// shorter than the output must panic before it runs — even one whose
+// capacity would let a reslice past its length succeed.
+func TestAxpyRejectsShortOperand(t *testing.T) {
+	o, short := make([]float32, 16), make([]float32, 15, 16)
+	for _, call := range []func(){
+		func() { axpy4(o, 1, 1, 1, 1, o, o, short, o) },
+		func() { axpy1(o, 1, short) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("short operand accepted")
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestMatMulMatchesSeed: the nonzero-coefficient grouping adds exactly the
+// terms the seed's MatMul added, in the same order, on both kernel paths —
+// random shapes with 40% zero coefficients and specials in both operands,
+// plus rows that are all zero, four-groups that are all zero, and NaN
+// coefficients.
+func TestMatMulMatchesSeed(t *testing.T) {
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 600; trial++ {
+			m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(70)
+			a, b := New(m, k), New(k, n)
+			fill(rng, a.Data, 0.4)
+			fill(rng, b.Data, 0.1)
+			switch trial % 4 {
+			case 1: // an all-zero row
+				clear(a.Row(rng.Intn(m)))
+			case 2: // an all-zero aligned four-group in every row
+				if k >= 4 {
+					g := 4 * rng.Intn(k/4)
+					for i := 0; i < m; i++ {
+						clear(a.Row(i)[g : g+4])
+					}
+				}
+			case 3: // NaN coefficients
+				for i := 0; i < 1+m/4; i++ {
+					a.Data[rng.Intn(len(a.Data))] = float32(math.NaN())
+				}
+			}
+			sameFloats(t, fmt.Sprintf("MatMul %dx%dx%d trial %d", m, k, n, trial), MatMul(a, b).Data, seedMatMul(a, b).Data)
+		}
+	})
+}
+
+// TestMatMulTMatchesMatMul: the LM head's equivalence. MatMul by an
+// explicit transpose equals the seed's MatMulT bit for bit when the
+// transposed operand is finite: MatMul adds the same products in the same
+// k order from a +0 start, and each term it skips for a zero coefficient
+// is ±0, which cannot change a sum that started at +0.
+func TestMatMulTMatchesMatMul(t *testing.T) {
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for trial := 0; trial < 200; trial++ {
+			m, k, n := 1+rng.Intn(9), 1+rng.Intn(70), 1+rng.Intn(70)
+			a, b := New(m, k), New(n, k) // b is used transposed
+			fill(rng, a.Data, 0.3)
+			for i := range b.Data {
+				switch p := rng.Float64(); {
+				case p < 0.1:
+					b.Data[i] = specials[rng.Intn(2)] // +0 or -0
+				case p < 0.15:
+					b.Data[i] = 1e-40
+				default:
+					b.Data[i] = float32(rng.NormFloat64())
+				}
+			}
+			bt := New(k, n)
+			for r := 0; r < b.Rows; r++ {
+				for c := 0; c < b.Cols; c++ {
+					bt.Set(c, r, b.At(r, c))
+				}
+			}
+			sameFloats(t, fmt.Sprintf("head %dx%dx%d trial %d", m, k, n, trial), MatMul(a, bt).Data, seedMatMulT(a, b).Data)
+		}
+	})
+}

@@ -1,12 +1,14 @@
 // Package tensor provides the dense float32 linear algebra the functional
-// LLM engine (package llm) is built on: row-major matrices, cache-blocked
-// parallel GEMM, the attention primitives (softmax, scaling, causal
-// masking), layer normalization, and the activation functions OPT-style
-// transformers use.
+// LLM engine (package llm) is built on: row-major matrices, a GEMM
+// partitioned over output rows onto the worker team whose inner loop is
+// one row primitive (axpy4, in AVX2 assembly where the host has it), the
+// attention primitives (softmax, scaling, causal masking), layer
+// normalization, and the activation functions OPT-style transformers use.
 //
 // This is the "GPU kernel library" counterpart to package amx's tile
-// pipeline: sublayers a policy places on the GPU run through these
-// kernels, while CPU-offloaded sublayers run through the AMX emulator.
+// pipeline: sublayers a policy places on the GPU, and the LM head, run
+// through these kernels, while CPU-offloaded sublayers run through the
+// AMX emulator.
 package tensor
 
 import (
@@ -93,7 +95,7 @@ func (m Matrix) Equal(other Matrix, tol float32) bool {
 	return true
 }
 
-// workers is the team MatMul and MatMulT partition onto. Production code
+// workers is the team MatMul partitions onto. Production code
 // never reassigns it; tests pin other sizes.
 var workers = team.Default()
 
@@ -121,77 +123,38 @@ func MatMul(a, b Matrix) Matrix {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	k, n := a.Cols, b.Cols
-	parallelRows(a.Rows, k*n, func(lo, hi int) {
+	parallelRows(a.Rows, a.Cols*b.Cols, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			// Four k-rows per pass amortize the orow load/store fourfold.
-			// orow[j] + p0 + p1 + p2 + p3 evaluates left to right with each
-			// float32 add rounded, exactly the scalar loop's sequence; any
-			// zero coefficient drops to the scalar tail so the zero-skip
-			// (and its effect on ±0/NaN propagation) is preserved verbatim.
-			kk := 0
-			for ; kk+4 <= k; kk += 4 {
-				a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-				if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-					matmulAxpyTail(orow, arow[kk:kk+4], b.Data[kk*n:], n)
-					continue
-				}
-				b0 := b.Data[kk*n : kk*n+n]
-				b1 := b.Data[(kk+1)*n : (kk+1)*n+n]
-				b2 := b.Data[(kk+2)*n : (kk+2)*n+n]
-				b3 := b.Data[(kk+3)*n : (kk+3)*n+n]
-				for j := range orow {
-					orow[j] = orow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			if kk < k {
-				matmulAxpyTail(orow, arow[kk:k], b.Data[kk*n:], n)
-			}
+			matmulRow(out.Row(i), a.Row(i), b)
 		}
 	})
 	return out
 }
 
-// matmulAxpyTail accumulates the given k-rows one at a time with the
-// zero-skip — the scalar inner loop MatMul's unrolled pass falls back to
-// for its remainder and for coefficient groups containing zeros.
-func matmulAxpyTail(orow, coeffs, bData []float32, n int) {
-	for kk, av := range coeffs {
+// matmulRow accumulates arow·b into orow. Each output element is orow[j]
+// plus the terms arow[k]·b[k][j] of the row's nonzero coefficients, added
+// one at a time in k order, each product and sum rounded; zero
+// coefficients are skipped, which is what lets FC2 behind ReLU skip half
+// its k-rows. The nonzero coefficients stream into groups of four for
+// axpy4, whose left-to-right sum is that same sequence of additions, and
+// the last one to three go through axpy1.
+func matmulRow(orow, arow []float32, b Matrix) {
+	var ks [4]int
+	g := 0
+	for k, av := range arow {
 		if av == 0 {
 			continue
 		}
-		brow := bData[kk*n : kk*n+n]
-		for j, bv := range brow {
-			orow[j] += av * bv
+		ks[g] = k
+		if g++; g == 4 {
+			axpy4(orow, arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]],
+				b.Row(ks[0]), b.Row(ks[1]), b.Row(ks[2]), b.Row(ks[3]))
+			g = 0
 		}
 	}
-}
-
-// MatMulT computes a·bᵀ (a is M×K, b is N×K). Transposed weights keep the
-// inner loop sequential for both operands, the layout attention scoring
-// uses (Q·Kᵀ).
-func MatMulT(a, b Matrix) Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	for _, k := range ks[:g] {
+		axpy1(orow, arow[k], b.Row(k))
 	}
-	out := New(a.Rows, b.Rows)
-	parallelRows(a.Rows, a.Cols*b.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var acc float32
-				for kk, av := range arow {
-					acc += av * brow[kk]
-				}
-				orow[j] = acc
-			}
-		}
-	})
-	return out
 }
 
 // Add returns a + b elementwise.

@@ -39,30 +39,6 @@ func TestMatMulKnownValues(t *testing.T) {
 	}
 }
 
-func TestMatMulTMatchesMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := New(7, 11)
-	b := New(5, 11) // will be used transposed
-	for i := range a.Data {
-		a.Data[i] = rng.Float32()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.Float32()
-	}
-	// Build explicit transpose of b.
-	bt := New(11, 5)
-	for r := 0; r < b.Rows; r++ {
-		for c := 0; c < b.Cols; c++ {
-			bt.Set(c, r, b.At(r, c))
-		}
-	}
-	got := MatMulT(a, b)
-	want := MatMul(a, bt)
-	if !got.Equal(want, 1e-5) {
-		t.Error("MatMulT disagrees with MatMul on transposed operand")
-	}
-}
-
 func TestMatMulShapePanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
