@@ -4,15 +4,20 @@ import (
 	"fmt"
 
 	"github.com/lia-sim/lia/internal/team"
+	"github.com/lia-sim/lia/internal/tensor"
 )
 
-// INT4 LUT-GEMV tier (SAIL-style): the decode path's single-row GEMV
-// replaces inner-loop multiplies with table lookups. For each activation
-// element x[k] the kernel precomputes the 16 products x[k]·(c−8) for
-// every nibble code c once; walking a weight column is then a gather of
-// precomputed partial products plus adds, with one multiply per (group,
-// column) to apply the group scale. The weight never gets dequantized —
-// its nibbles index the table directly.
+// INT4 LUT-GEMV tier (SAIL-style): the decode path's single-row GEMV over
+// 4-bit group-quantized weights. SAIL, whose SRAM compute has no
+// multiplier, precomputes for each activation element x[k] the 16
+// products x[k]·(c−8), one per nibble code c, and resolves every weight
+// by a table lookup. Each table entry is one float32 product rounded
+// once, so this kernel computes the entry a weight would look up in a
+// vector register instead — the weight value c−8 widened exactly to
+// float32, one multiply — and adds it where the lookup's result went:
+// the same terms in the same order, the same bits (DESIGN.md §12). The
+// cycles model (PredictCycles) prices SAIL's table design, the one
+// model.QuantSpec's analytic tier describes.
 //
 // Numerics (the tier's documented tolerance): y[j] = Σ_g s(g,j) · Σ_{k∈g}
 // x[k]·(q[k][j]−8), i.e. the group scale is factored out of the inner
@@ -27,21 +32,22 @@ const (
 )
 
 // PrepackedINT4 is a right-hand INT4 group-quantized GEMV operand in the
-// LUT kernel's runtime layout: nibble codes unpacked one-per-byte and
-// transposed column-major (column j's K codes contiguous, like the dense
-// operands' decoded views), group scales bf16-pre-rounded to float32,
-// also column-major. The storage-format footprint (packed nibbles + 2-byte
-// scales) is what internal/quant accounts; this image is compute scratch.
+// kernel's runtime layout, K-major like the storage format: the weight
+// values code−8 one per byte as row-major K×N int8 (row k is the row
+// activation element k scales), and the group scales bf16-pre-rounded to
+// float32, row-major groups×N. The storage-format footprint (packed
+// nibbles + 2-byte scales) is what internal/quant accounts; this image is
+// compute scratch.
 type PrepackedINT4 struct {
 	// K and N are the logical dimensions, Group the quantization group
 	// length along K (the last group may be short).
 	K, N, Group int
 	groups      int // ceilDiv(K, Group)
-	codes       []uint8
+	q           []int8
 	scales      []float32
 }
 
-// PrepackINT4LUT builds the LUT kernel's operand from row-major nibble
+// PrepackINT4LUT builds the INT4 kernel's operand from row-major nibble
 // codes (k×n, each 0..15 encoding the signed weight code−8) and row-major
 // group scales (ceil(k/group)×n float32; they are bf16-rounded here, the
 // precision the storage format keeps).
@@ -60,27 +66,22 @@ func PrepackINT4LUT(codes []uint8, k, n, group int, scales []float32) (*Prepacke
 		return nil, fmt.Errorf("amx: int4 prepack scale count %d does not match %d groups x %d cols", len(scales), groups, n)
 	}
 	w := &PrepackedINT4{K: k, N: n, Group: group, groups: groups,
-		codes: make([]uint8, k*n), scales: make([]float32, groups*n)}
-	for j := 0; j < n; j++ {
-		col := w.codes[j*k : (j+1)*k]
-		for r := 0; r < k; r++ {
-			c := codes[r*n+j]
-			if c > 15 {
-				return nil, fmt.Errorf("amx: int4 code %d at (%d,%d) out of nibble range", c, r, j)
-			}
-			col[r] = c
+		q: make([]int8, k*n), scales: make([]float32, groups*n)}
+	for i, c := range codes {
+		if c > 15 {
+			return nil, fmt.Errorf("amx: int4 code %d at (%d,%d) out of nibble range", c, i/n, i%n)
 		}
-		scol := w.scales[j*groups : (j+1)*groups]
-		for g := 0; g < groups; g++ {
-			scol[g] = RoundFloat32(scales[g*n+j])
-		}
+		w.q[i] = int8(c) - 8
+	}
+	for i, s := range scales {
+		w.scales[i] = RoundFloat32(s)
 	}
 	return w, nil
 }
 
 // GEMV4LUT computes y = x·W (x is m×K row-major float32, bf16-rounded on
-// read like every kernel here) through the lookup-table path and returns
-// the m×N result plus the modeled cycles.
+// read like every kernel here) through the INT4 kernel and returns the
+// m×N result plus the modeled cycles.
 func (w *PrepackedINT4) GEMV4LUT(x []float32, m int) ([]float32, uint64, error) {
 	y := make([]float32, m*w.N)
 	cycles, err := w.GEMV4LUTInto(y, x, m)
@@ -102,49 +103,38 @@ func (w *PrepackedINT4) GEMV4LUTInto(dst, x []float32, m int) (uint64, error) {
 	if len(dst) != m*w.N {
 		return 0, fmt.Errorf("amx: int4 gemv destination size %d does not match %dx%d", len(dst), m, w.N)
 	}
-	// Activation rows are independent (each builds its own table), so a
+	// Activation rows are independent (each has its own scratch), so a
 	// multi-row call with enough work splits by row across the team.
 	if m > 1 && m*w.K*w.N >= team.SplitMACs {
-		workers.Run(m, func(i int) { w.lutRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K]) })
+		workers.Run(m, func(i int) { w.gemvRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K]) })
 	} else {
 		for i := 0; i < m; i++ {
-			w.lutRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K])
+			w.gemvRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K])
 		}
 	}
 	return uint64(m) * w.PredictCycles(1), nil
 }
 
-// lutRow computes one activation row's outputs with table scratch of
-// its own, so rows can run on different workers.
-func (w *PrepackedINT4) lutRow(out, row []float32) {
-	lutBuf := getScratchF32(w.K * 16)
-	defer putScratchF32(lutBuf)
-	lut := *lutBuf
-	// Table build: 16 partial products per activation element.
-	for k, v := range row {
-		xr := RoundFloat32(v)
-		t := lut[k*16 : k*16+16]
-		for c := range t {
-			t[c] = xr * float32(c-8)
+// gemvRow computes one activation row's outputs with scratch of its own
+// (the bf16-rounded row and one group sum per column), so rows can run on
+// different workers. Per group the sums start at +0 and gain
+// xr[k]·float32(q[k][j]) for the group's nonzero xr[k] in k order (a
+// skipped term would add ±0 to a sum that is never −0); out starts at +0
+// and gains s(g,j)·sum[j] group by group.
+func (w *PrepackedINT4) gemvRow(out, row []float32) {
+	buf := getScratchF32(w.K + w.N)
+	defer putScratchF32(buf)
+	xr, gs := (*buf)[:w.K], (*buf)[w.K:]
+	copy(xr, row)
+	RoundSlice(xr)
+	clear(out)
+	for g := 0; g < w.groups; g++ {
+		lo, hi := g*w.Group, min((g+1)*w.Group, w.K)
+		clear(gs)
+		tensor.MatMulRowInt8(gs, xr[lo:hi], w.q[lo*w.N:hi*w.N])
+		for j, s := range w.scales[g*w.N : (g+1)*w.N] {
+			out[j] = out[j] + float32(s*gs[j])
 		}
-	}
-	for j := 0; j < w.N; j++ {
-		col := w.codes[j*w.K : (j+1)*w.K]
-		scol := w.scales[j*w.groups : (j+1)*w.groups]
-		var acc float32
-		for g := 0; g < w.groups; g++ {
-			lo := g * w.Group
-			hi := lo + w.Group
-			if hi > w.K {
-				hi = w.K
-			}
-			var gs float32
-			for k := lo; k < hi; k++ {
-				gs += lut[k*16+int(col[k])]
-			}
-			acc += scol[g] * gs
-		}
-		out[j] = acc
 	}
 }
 

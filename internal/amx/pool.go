@@ -274,8 +274,8 @@ func getScratch(n int) *[]byte {
 func putScratch(bp *[]byte) { packScratch.Put(bp) }
 
 // f32Scratch recycles the decoded fast path's float32 buffers
-// (pre-rounded A stripes, LUT tables) across calls, mirroring
-// packScratch for the byte images.
+// (pre-rounded A stripes, the INT4 kernel's rounded rows and group sums)
+// across calls, mirroring packScratch for the byte images.
 var f32Scratch = sync.Pool{New: func() any { return new([]float32) }}
 
 // getScratchF32 returns a length-n float32 buffer (contents unspecified;

@@ -151,6 +151,58 @@ func TestINT4TierTracksDequantizedReference(t *testing.T) {
 	}
 }
 
+// TestINT4TokensPinned pins the INT4 tier's greedy tokens exactly: the
+// expected tokens are constants captured from the table-lookup kernel
+// the vector kernel replaced, so a kernel that moves any output by one
+// ulp fails here even where the tolerance suites above still pass. A
+// short last group (group 24 over K = 64) runs beside the default. The
+// fused batch and per-sequence Generate must both produce them.
+func TestINT4TokensPinned(t *testing.T) {
+	m, err := NewRandom(TinyConfig(), 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompts := [][]int{{5, 17, 42}, {1, 2, 3, 4, 5, 6}, {99}, {7, 7, 7, 7}}
+	for _, tc := range []struct {
+		group int
+		want  [][]int
+	}{
+		{0, [][]int{
+			{78, 78, 78, 78, 78, 78, 78, 78, 78, 78, 78, 78},
+			{99, 99, 99, 99, 99, 99, 99, 99, 99, 63, 63, 63},
+			{99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99},
+			{7, 7, 7, 7, 63, 63, 63, 63, 63, 63, 63, 63},
+		}},
+		{24, [][]int{
+			{78, 78, 78, 78, 78, 78, 78, 78, 78, 78, 78, 78},
+			{6, 10, 10, 63, 63, 63, 63, 63, 63, 63, 63, 63},
+			{99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99, 99},
+			{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7},
+		}},
+	} {
+		e := NewExecutor(m, core.PartialCPU)
+		e.EnableINT4LUT(tc.group)
+		fused, err := e.GenerateBatch(prompts, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range prompts {
+			solo := NewExecutor(m, core.PartialCPU)
+			solo.EnableINT4LUT(tc.group)
+			got, err := solo.Generate(p, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(fused[i], got) {
+				t.Errorf("group %d seq %d: fused %v, solo %v", tc.group, i, fused[i], got)
+			}
+			if !slices.Equal(got, tc.want[i]) {
+				t.Errorf("group %d seq %d: tokens %v, pinned %v", tc.group, i, got, tc.want[i])
+			}
+		}
+	}
+}
+
 // INT4 storage is at most half of INT8 storage for the same weights —
 // the ISSUE's footprint acceptance bound, on real executor weights.
 func TestINT4FootprintHalfOfINT8(t *testing.T) {

@@ -144,9 +144,11 @@ func (w WeightsINT4) Bytes() int { return len(w.Codes) + 2*len(w.Scales) }
 // the INT4 twin of Weights.Footprint.
 func (w WeightsINT4) Footprint() int { return w.Bytes() }
 
-// LinearINT4LUT computes y = x·W through the LUT-GEMV kernel (table
-// lookups instead of inner-loop multiplies; see amx.PrepackedINT4 for
-// the numeric contract) and returns the result plus modeled cycles.
+// LinearINT4LUT computes y = x·W through the INT4 GEMV kernel — SAIL's
+// lookup-table GEMV with each table entry computed in a vector register
+// instead of looked up, bit for bit the same; see amx.PrepackedINT4 for
+// the numeric contract — and returns the result plus the modeled cycles
+// of the table design.
 func LinearINT4LUT(x tensor.Matrix, w WeightsINT4) (tensor.Matrix, uint64, error) {
 	if x.Cols != w.K {
 		return tensor.Matrix{}, 0, fmt.Errorf("quant: int4 linear shape mismatch %dx%d · %dx%d", x.Rows, x.Cols, w.K, w.N)

@@ -1,16 +1,33 @@
 package tensor
 
-// axpy4 is the row primitive under MatMul:
+// The row primitives under MatMul and MatMulRowInt8 are
 //
-//	o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
+//	axpy4: o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
+//	axpy1: o[j] = o[j] + a·b[j]
 //
 // for every j < len(o), each product and each sum rounded to float32 in
-// exactly that left-to-right order. On amd64 hosts with AVX2 the first
-// len(o) &^ 7 lanes run in assembly (axpy4AVX2: VMULPS then VADDPS, never
-// a fused multiply-add, so each lane rounds as MULSS/ADDSS do); the loop
-// below does the rest, and all of it elsewhere. The assembly checks
-// nothing, so every operand is checked against len(o) here first.
-func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
+// exactly that left-to-right order. The b rows hold float32, or int8 that
+// widens to float32 exactly, so a product rounds once either way. On
+// amd64 hosts with AVX2 the first len(o) &^ 7 lanes run in assembly
+// (VMULPS then VADDPS, never a fused multiply-add, so each lane rounds as
+// MULSS/ADDSS do; the int8 bodies widen each row first with VPMOVSXBD and
+// VCVTDQ2PS); the Go loop does the rest, and all of it elsewhere. The
+// assembly checks nothing, so every operand is checked against len(o)
+// here first.
+
+// rowKernel holds the assembly bodies axpy4 and axpy1 run for one
+// right-operand element type.
+type rowKernel[E float32 | int8] struct {
+	four func(o *float32, b0, b1, b2, b3 *E, a0, a1, a2, a3 float32, n int)
+	one  func(o *float32, b *E, a float32, n int)
+}
+
+var (
+	f32Rows = rowKernel[float32]{axpy4AVX2, axpy1AVX2}
+	i8Rows  = rowKernel[int8]{axpy4i8AVX2, axpy1i8AVX2}
+)
+
+func (rk rowKernel[E]) axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []E) {
 	n := len(o)
 	if len(b0) < n || len(b1) < n || len(b2) < n || len(b3) < n {
 		panic("tensor: axpy operand shorter than its output row")
@@ -19,19 +36,19 @@ func axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 	j := 0
 	if useAVX2 && n >= 8 {
 		j = n &^ 7
-		axpy4AVX2(&o[0], &b0[0], &b1[0], &b2[0], &b3[0], a0, a1, a2, a3, j)
+		rk.four(&o[0], &b0[0], &b1[0], &b2[0], &b3[0], a0, a1, a2, a3, j)
 	}
-	// The float32 conversions forbid the compiler a fused multiply-add
-	// (the language allows one where a product feeds a sum directly), so
-	// this loop rounds like the assembly under every GOARCH and GOAMD64.
+	// The float32 conversions of the products forbid the compiler a fused
+	// multiply-add (the language allows one where a product feeds a sum
+	// directly), so this loop rounds like the assembly under every GOARCH
+	// and GOAMD64.
 	for ; j < n; j++ {
-		o[j] = o[j] + float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
+		o[j] = o[j] + float32(a0*float32(b0[j])) + float32(a1*float32(b1[j])) +
+			float32(a2*float32(b2[j])) + float32(a3*float32(b3[j]))
 	}
 }
 
-// axpy1 is axpy4's one-term form, o[j] = o[j] + a·b[j], under the same
-// contract.
-func axpy1(o []float32, a float32, b []float32) {
+func (rk rowKernel[E]) axpy1(o []float32, a float32, b []E) {
 	n := len(o)
 	if len(b) < n {
 		panic("tensor: axpy operand shorter than its output row")
@@ -40,9 +57,37 @@ func axpy1(o []float32, a float32, b []float32) {
 	j := 0
 	if useAVX2 && n >= 8 {
 		j = n &^ 7
-		axpy1AVX2(&o[0], &b[0], a, j)
+		rk.one(&o[0], &b[0], a, j)
 	}
 	for ; j < n; j++ {
-		o[j] = o[j] + float32(a*b[j])
+		o[j] = o[j] + float32(a*float32(b[j]))
+	}
+}
+
+// matmulRow accumulates arow·B into orow, B being the len(arow)×len(orow)
+// row-major matrix b. Each output element is orow[j] plus the terms
+// arow[k]·B[k][j] of the row's nonzero coefficients, added one at a time
+// in k order, each product and sum rounded; zero coefficients are
+// skipped, which is what lets FC2 behind ReLU skip half its k-rows. The
+// nonzero coefficients stream into groups of four for axpy4, whose
+// left-to-right sum is that same sequence of additions, and the last one
+// to three go through axpy1.
+func (rk rowKernel[E]) matmulRow(orow, arow []float32, b []E) {
+	n := len(orow)
+	var ks [4]int
+	g := 0
+	for k, av := range arow {
+		if av == 0 {
+			continue
+		}
+		ks[g] = k
+		if g++; g == 4 {
+			rk.axpy4(orow, arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]],
+				b[ks[0]*n:], b[ks[1]*n:], b[ks[2]*n:], b[ks[3]*n:])
+			g = 0
+		}
+	}
+	for _, k := range ks[:g] {
+		rk.axpy1(orow, arow[k], b[k*n:])
 	}
 }

@@ -43,3 +43,14 @@ func axpy4AVX2(o, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int)
 //
 //go:noescape
 func axpy1AVX2(o, b *float32, a float32, n int)
+
+// axpy4i8AVX2 is axpy4AVX2 over int8 rows, each group of eight lanes
+// widened exactly to float32 (VPMOVSXBD, VCVTDQ2PS) before its VMULPS.
+//
+//go:noescape
+func axpy4i8AVX2(o *float32, b0, b1, b2, b3 *int8, a0, a1, a2, a3 float32, n int)
+
+// axpy1i8AVX2 is axpy1AVX2 over an int8 row, widened the same way.
+//
+//go:noescape
+func axpy1i8AVX2(o *float32, b *int8, a float32, n int)

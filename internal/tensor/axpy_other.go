@@ -13,3 +13,11 @@ func axpy4AVX2(o, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int) {
 func axpy1AVX2(o, b *float32, a float32, n int) {
 	panic("tensor: no AVX2 row kernel on this platform")
 }
+
+func axpy4i8AVX2(o *float32, b0, b1, b2, b3 *int8, a0, a1, a2, a3 float32, n int) {
+	panic("tensor: no AVX2 row kernel on this platform")
+}
+
+func axpy1i8AVX2(o *float32, b *int8, a float32, n int) {
+	panic("tensor: no AVX2 row kernel on this platform")
+}

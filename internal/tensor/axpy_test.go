@@ -160,28 +160,68 @@ func TestAxpyAssemblyMatchesGoLoop(t *testing.T) {
 			}
 			var as [4]float32
 			fill(rng, as[:], 0)
+			checkAxpy(t, fmt.Sprintf("n=%d trial %d", n, trial), f32Rows, o, as, bs)
+		}
+	}
+}
 
-			got4, want4 := append([]float32(nil), o...), append([]float32(nil), o...)
-			axpy4(got4, as[0], as[1], as[2], as[3], bs[0], bs[1], bs[2], bs[3])
-			withoutAVX2(func() { axpy4(want4, as[0], as[1], as[2], as[3], bs[0], bs[1], bs[2], bs[3]) })
-			sameFloats(t, fmt.Sprintf("axpy4 n=%d trial %d", n, trial), got4, want4)
+// checkAxpy runs rk's axpy4 and axpy1 on copies of o with the assembly on
+// and off and requires the two to agree.
+func checkAxpy[E float32 | int8](t *testing.T, what string, rk rowKernel[E], o []float32, as [4]float32, bs [4][]E) {
+	t.Helper()
+	got4, want4 := append([]float32(nil), o...), append([]float32(nil), o...)
+	rk.axpy4(got4, as[0], as[1], as[2], as[3], bs[0], bs[1], bs[2], bs[3])
+	withoutAVX2(func() { rk.axpy4(want4, as[0], as[1], as[2], as[3], bs[0], bs[1], bs[2], bs[3]) })
+	sameFloats(t, "axpy4 "+what, got4, want4)
 
-			got1, want1 := append([]float32(nil), o...), append([]float32(nil), o...)
-			axpy1(got1, as[0], bs[0])
-			withoutAVX2(func() { axpy1(want1, as[0], bs[0]) })
-			sameFloats(t, fmt.Sprintf("axpy1 n=%d trial %d", n, trial), got1, want1)
+	got1, want1 := append([]float32(nil), o...), append([]float32(nil), o...)
+	rk.axpy1(got1, as[0], bs[0])
+	withoutAVX2(func() { rk.axpy1(want1, as[0], bs[0]) })
+	sameFloats(t, "axpy1 "+what, got1, want1)
+}
+
+// TestAxpyInt8AssemblyMatchesGoLoop is TestAxpyAssemblyMatchesGoLoop for
+// the int8 rows: every row length 1…70, the rows counting through every
+// int8 value at every length, specials in the coefficients and the
+// accumulator.
+func TestAxpyInt8AssemblyMatchesGoLoop(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 on this host: the int8 axpy4 and axpy1 are the Go loop alone")
+	}
+	rng := rand.New(rand.NewSource(31))
+	for n := 1; n <= 70; n++ {
+		v := rng.Intn(256)
+		for trial := 0; trial < max(20, (256+4*n-1)/(4*n)); trial++ {
+			o := make([]float32, n)
+			fill(rng, o, 0.2)
+			var bs [4][]int8
+			for i := range bs {
+				bs[i] = make([]int8, n)
+				for j := range bs[i] {
+					bs[i][j] = int8(v)
+					v++
+				}
+			}
+			var as [4]float32
+			fill(rng, as[:], 0)
+			checkAxpy(t, fmt.Sprintf("int8 n=%d trial %d", n, trial), i8Rows, o, as, bs)
 		}
 	}
 }
 
 // TestAxpyRejectsShortOperand: the assembly checks nothing, so a row
 // shorter than the output must panic before it runs — even one whose
-// capacity would let a reslice past its length succeed.
+// capacity would let a reslice past its length succeed — and
+// MatMulRowInt8 refuses an operand that is not len(arow)×len(orow).
 func TestAxpyRejectsShortOperand(t *testing.T) {
 	o, short := make([]float32, 16), make([]float32, 15, 16)
+	b8, short8 := make([]int8, 16), make([]int8, 15, 16)
 	for _, call := range []func(){
-		func() { axpy4(o, 1, 1, 1, 1, o, o, short, o) },
-		func() { axpy1(o, 1, short) },
+		func() { f32Rows.axpy4(o, 1, 1, 1, 1, o, o, short, o) },
+		func() { f32Rows.axpy1(o, 1, short) },
+		func() { i8Rows.axpy4(o, 1, 1, 1, 1, b8, b8, b8, short8) },
+		func() { i8Rows.axpy1(o, 1, short8) },
+		func() { MatMulRowInt8(o, o[:2], make([]int8, 31, 32)) },
 	} {
 		func() {
 			defer func() {
@@ -256,6 +296,31 @@ func TestMatMulTMatchesMatMul(t *testing.T) {
 				}
 			}
 			sameFloats(t, fmt.Sprintf("head %dx%dx%d trial %d", m, k, n, trial), MatMul(a, bt).Data, seedMatMulT(a, b).Data)
+		}
+	})
+}
+
+// TestMatMulRowInt8MatchesMatMul: MatMulRowInt8 is MatMul's row loop over
+// an int8 operand, so it equals that loop over the operand widened to
+// float32 bit for bit — 40% zero coefficients of either sign, specials in
+// the coefficients and in accumulators that do not start at zero.
+func TestMatMulRowInt8MatchesMatMul(t *testing.T) {
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(32))
+		for trial := 0; trial < 400; trial++ {
+			k, n := 1+rng.Intn(70), 1+rng.Intn(70)
+			a, b8, b := make([]float32, k), make([]int8, k*n), make([]float32, k*n)
+			fill(rng, a, 0.4)
+			for i := range b8 {
+				b8[i] = int8(rng.Intn(256))
+				b[i] = float32(b8[i])
+			}
+			got := make([]float32, n)
+			fill(rng, got, 0.3)
+			want := append([]float32(nil), got...)
+			MatMulRowInt8(got, a, b8)
+			f32Rows.matmulRow(want, a, b)
+			sameFloats(t, fmt.Sprintf("MatMulRowInt8 %dx%d trial %d", k, n, trial), got, want)
 		}
 	})
 }

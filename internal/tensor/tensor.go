@@ -125,36 +125,24 @@ func MatMul(a, b Matrix) Matrix {
 	out := New(a.Rows, b.Cols)
 	parallelRows(a.Rows, a.Cols*b.Cols, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			matmulRow(out.Row(i), a.Row(i), b)
+			f32Rows.matmulRow(out.Row(i), a.Row(i), b.Data)
 		}
 	})
 	return out
 }
 
-// matmulRow accumulates arow·b into orow. Each output element is orow[j]
-// plus the terms arow[k]·b[k][j] of the row's nonzero coefficients, added
-// one at a time in k order, each product and sum rounded; zero
-// coefficients are skipped, which is what lets FC2 behind ReLU skip half
-// its k-rows. The nonzero coefficients stream into groups of four for
-// axpy4, whose left-to-right sum is that same sequence of additions, and
-// the last one to three go through axpy1.
-func matmulRow(orow, arow []float32, b Matrix) {
-	var ks [4]int
-	g := 0
-	for k, av := range arow {
-		if av == 0 {
-			continue
-		}
-		ks[g] = k
-		if g++; g == 4 {
-			axpy4(orow, arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]],
-				b.Row(ks[0]), b.Row(ks[1]), b.Row(ks[2]), b.Row(ks[3]))
-			g = 0
-		}
+// MatMulRowInt8 accumulates arow·B into orow, where B is the
+// len(arow)×len(orow) row-major int8 matrix b: MatMul's row loop over an
+// int8 right operand. Each orow[j] gains the terms arow[k]·float32(B[k][j])
+// of arow's nonzero coefficients, added one at a time in k order, each
+// product and sum rounded to float32 (the widening is exact, so a term
+// rounds once, like a float32 product). Zero coefficients, of either
+// sign, are skipped.
+func MatMulRowInt8(orow, arow []float32, b []int8) {
+	if len(b) != len(arow)*len(orow) {
+		panic(fmt.Sprintf("tensor: int8 row operand holds %d values, not %dx%d", len(b), len(arow), len(orow)))
 	}
-	for _, k := range ks[:g] {
-		axpy1(orow, arow[k], b.Row(k))
-	}
+	i8Rows.matmulRow(orow, arow, b)
 }
 
 // Add returns a + b elementwise.
