@@ -102,3 +102,90 @@ func TestKVCacheLayoutsFollowPolicy(t *testing.T) {
 		})
 	}
 }
+
+// TestKVCacheRowsAreBF16 pins what the cache stores, over the same four
+// policies: after prefill, decode, Truncate and a PrefillFrom resume,
+// every K and V element and every valid mirror element is its own
+// bfloat16 rounding and the mirror is K transposed; and Append rounds its
+// own copy, leaving the caller's rows as they were.
+func TestKVCacheRowsAreBF16(t *testing.T) {
+	m, err := NewRandom(TinyConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var svOnly core.Policy
+	svOnly[model.SV] = true
+	prompt := []int{5, 17, 42, 9, 63}
+	for _, tc := range []struct {
+		name   string
+		policy core.Policy
+	}{{"FullGPU", core.FullGPU}, {"FullCPU", core.FullCPU}, {"PartialCPU", core.PartialCPU}, {"SVOnly", svOnly}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewExecutor(m, tc.policy)
+			_, cache, err := e.Prefill(prompt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBF16Cache(t, "prefill", cache)
+			for _, tok := range []int{9, 11} {
+				if _, err := e.DecodeStep(cache, tok); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkBF16Cache(t, "decode", cache)
+			cache.Truncate(len(prompt) + 1)
+			checkBF16Cache(t, "truncate", cache)
+
+			seg, err := e.ExportKV(cache, 0, len(prompt)-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, resumed, err := e.PrefillFrom(prompt, &KVSeed{Segments: []KVSegment{seg}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBF16Cache(t, "resume", resumed)
+
+			k, v := tensor.New(2, m.Cfg.KVDim()), tensor.New(2, m.Cfg.KVDim())
+			for i := range k.Data {
+				k.Data[i], v.Data[i] = 1+float32(i)/3, -1-float32(i)/7
+			}
+			wantK, wantV := k.Clone(), v.Clone()
+			for li := range m.Layers {
+				resumed.Append(li, k, v)
+			}
+			if !reflect.DeepEqual(k.Data, wantK.Data) || !reflect.DeepEqual(v.Data, wantV.Data) {
+				t.Error("Append modified the caller's rows")
+			}
+			checkBF16Cache(t, "append", resumed)
+		})
+	}
+}
+
+// checkBF16Cache fails t unless every cached K/V value and every mirror
+// column below Len() is bfloat16-exact and the mirror equals K transposed.
+func checkBF16Cache(t *testing.T, when string, c *KVCache) {
+	t.Helper()
+	bf16 := func(x float32) bool { return math.Float32bits(amx.RoundFloat32(x)) == math.Float32bits(x) }
+	for li := range c.K {
+		for _, rows := range []tensor.Matrix{c.K[li], c.V[li]} {
+			for i, x := range rows.Data {
+				if !bf16(x) {
+					t.Fatalf("%s: layer %d element %d = %g is not bfloat16", when, li, i, x)
+				}
+			}
+		}
+		kt := c.kT[li]
+		if kt.Data == nil {
+			continue
+		}
+		for col := 0; col < kt.Rows; col++ {
+			for r := 0; r < c.Len(); r++ {
+				x := kt.At(col, r)
+				if !bf16(x) || math.Float32bits(x) != math.Float32bits(c.K[li].At(r, col)) {
+					t.Fatalf("%s: layer %d mirror (%d, %d) = %g, K holds %g", when, li, col, r, x, c.K[li].At(r, col))
+				}
+			}
+		}
+	}
+}

@@ -133,11 +133,12 @@ func NewRandom(cfg model.Config, seed int64) (*Model, error) {
 // KVCache stores per-layer key and value matrices, preallocated to the
 // model's maximum sequence length and grown row-wise in place as decoding
 // proceeds (the seed implementation re-copied the whole cache every step
-// via Concat — quadratic in context length). Beside the rows it keeps the
-// layouts attention's routes read, each built from the rows on the first
-// pass that needs it and kept current by Append: the dense Q·Kᵀ route's
-// transposed mirror, and the AMX routes' per-KV-head tile images of Kᵀ
-// and V. A cache holds only the layouts its policy reads.
+// via Concat — quadratic in context length), holding BF16-rounded rows as
+// a BF16 KV cache does. Beside the rows it keeps the layouts attention's
+// routes read, each built from the rows on the first pass that needs it
+// and kept current by Append: the dense Q·Kᵀ route's transposed mirror,
+// and the AMX routes' per-KV-head tile images of Kᵀ and V. A cache holds
+// only the layouts its policy reads.
 type KVCache struct {
 	// K and V are indexed by layer; each is (seen × KVDim), a view over a
 	// backing array with MaxSeqLen rows of capacity.
@@ -167,15 +168,17 @@ func (c *KVCache) Len() int {
 	return c.K[0].Rows
 }
 
-// Append adds freshly projected K/V rows for layer li and writes them into
-// every layout the layer has built: the key values as mirror columns, and
-// each head's slice of a row as one position of that head's images. Rows
-// land in place; the executor's position checks guarantee the capacity is
-// never exceeded.
+// Append adds K/V rows for layer li, rounds them to bfloat16 in the
+// cache's own storage (k and v stay as they are), and writes the rounded
+// rows into every layout the layer has built: keys as mirror columns, each
+// head's slice of a row as one position of that head's images. The
+// executor's position checks guarantee the capacity is never exceeded.
 func (c *KVCache) Append(li int, k, v tensor.Matrix) {
 	past := c.K[li].Rows
 	c.K[li] = c.K[li].AppendRows(k)
 	c.V[li] = c.V[li].AppendRows(v)
+	k = tensor.FromSlice(k.Rows, k.Cols, amx.RoundSlice(c.K[li].Data[past*k.Cols:]))
+	v = tensor.FromSlice(v.Rows, v.Cols, amx.RoundSlice(c.V[li].Data[past*v.Cols:]))
 	if c.kT[li].Data != nil {
 		c.mirror(li, k, past)
 	}
@@ -334,9 +337,8 @@ type Executor struct {
 	shared *sharedState
 	// Per-sequence attention scratch, reused across steps to keep the
 	// decode loop off the allocator: qhBuf holds the staged query slices,
-	// khT and vhBuf the dense route's staged Kᵀ and V, scoreBuf and ctxBuf
-	// the AMX route's Q·Kᵀ and P·V results.
-	qhBuf, khT, vhBuf, scoreBuf, ctxBuf []float32
+	// scoreBuf and ctxBuf the Q·Kᵀ and P·V results of either route.
+	qhBuf, scoreBuf, ctxBuf []float32
 }
 
 // NewExecutor wires a model to a policy on the dense BF16 tier, whose
@@ -468,42 +470,32 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, 
 // scoreKeys is sublayer 2, Q·Kᵀ, for one KV head: the stacked queries qh
 // (m × dh) against the head's cached keys, routed by the policy. The AMX
 // route multiplies the cache's Kᵀ tile image in place; the dense route
-// stages Kᵀ from the transposed mirror into scratch, since it rounds its
-// operands in place.
+// multiplies the head's dh rows of the transposed mirror in place, their
+// first seen columns at the mirror's row stride. Both write into scratch.
 func (e *Executor) scoreKeys(li, head int, qh tensor.Matrix, cache *KVCache) tensor.Matrix {
 	seen := cache.Len()
+	out := fit(&e.scoreBuf, qh.Rows*seen, qh.Rows*cache.capRows)
 	if e.Policy.OnCPU(model.QKT) {
-		out := tensor.FromSlice(qh.Rows, seen, fit(&e.scoreBuf, qh.Rows*seen, qh.Rows*cache.capRows))
-		e.tallyAMX(amx.MatmulBF16GrowingInto(out.Data, qh.Data, qh.Rows, cache.keyImages(li)[head]))
-		return out
+		e.tallyAMX(amx.MatmulBF16GrowingInto(out, qh.Data, qh.Rows, cache.keyImages(li)[head]))
+		return tensor.FromSlice(qh.Rows, seen, out)
 	}
-	dh := qh.Cols
-	khT := tensor.FromSlice(dh, seen, fit(&e.khT, dh*seen, dh*cache.capRows))
 	kt := cache.keyMirror(li)
-	for i := 0; i < dh; i++ {
-		copy(khT.Row(i), kt.Row(head*dh + i)[:seen])
-	}
-	amx.RoundSlice(khT.Data)
-	return e.denseBF16(model.QKT, qh, khT)
+	return e.denseBF16Into(out, qh, kt.Data[head*qh.Cols*kt.Cols:], kt.Cols, seen)
 }
 
 // weighValues is sublayer 3, P·V, for one KV head: the probabilities
-// (m × seen) against the head's cached values — the cache's V tile image
-// on the AMX route, a staged copy of the V rows on the dense route.
+// (m × seen) against the head's cached values, into scratch — the cache's
+// V tile image on the AMX route, the head's columns of the cached V rows,
+// in place, on the dense route.
 func (e *Executor) weighValues(li, head int, probs tensor.Matrix, cache *KVCache) tensor.Matrix {
 	dh := e.Model.Cfg.HeadDim()
+	out := fit(&e.ctxBuf, probs.Rows*dh, probs.Rows*dh)
 	if e.Policy.OnCPU(model.SV) {
-		out := tensor.FromSlice(probs.Rows, dh, fit(&e.ctxBuf, probs.Rows*dh, probs.Rows*dh))
-		e.tallyAMX(amx.MatmulBF16GrowingInto(out.Data, probs.Data, probs.Rows, cache.valueImages(li)[head]))
-		return out
+		e.tallyAMX(amx.MatmulBF16GrowingInto(out, probs.Data, probs.Rows, cache.valueImages(li)[head]))
+		return tensor.FromSlice(probs.Rows, dh, out)
 	}
-	seen := probs.Cols
-	vh := tensor.FromSlice(seen, dh, fit(&e.vhBuf, seen*dh, cache.capRows*dh))
-	for r := 0; r < seen; r++ {
-		copy(vh.Row(r), cache.V[li].Row(r)[head*dh:(head+1)*dh])
-	}
-	amx.RoundSlice(vh.Data)
-	return e.denseBF16(model.SV, probs, vh)
+	v := cache.V[li]
+	return e.denseBF16Into(out, probs, v.Data[head*dh:], v.Cols, dh)
 }
 
 // fit returns *buf resliced to n values, first replacing it with room

@@ -163,7 +163,13 @@ func (e *Executor) denseBF16(s model.Sublayer, x, w tensor.Matrix) tensor.Matrix
 	if x.Cols != w.Rows {
 		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.Rows, w.Cols))
 	}
+	return e.denseBF16Into(make([]float32, x.Rows*w.Cols), x, w.Data, w.Cols, w.Cols)
+}
+
+// denseBF16Into is denseBF16 into out, its operand strided in place as
+// tensor.MatMulInto reads it: attention's route over the KV cache.
+func (e *Executor) denseBF16Into(out []float32, x tensor.Matrix, b []float32, ld, n int) tensor.Matrix {
 	e.Stats.GPUMatmuls++
 	amx.RoundSlice(x.Data)
-	return tensor.MatMul(x, w)
+	return tensor.MatMulInto(out, x, b, ld, n)
 }

@@ -64,16 +64,15 @@ func (rk rowKernel[E]) axpy1(o []float32, a float32, b []E) {
 	}
 }
 
-// matmulRow accumulates arow·B into orow, B being the len(arow)×len(orow)
-// row-major matrix b. Each output element is orow[j] plus the terms
-// arow[k]·B[k][j] of the row's nonzero coefficients, added one at a time
-// in k order, each product and sum rounded; zero coefficients are
-// skipped, which is what lets FC2 behind ReLU skip half its k-rows. The
-// nonzero coefficients stream into groups of four for axpy4, whose
-// left-to-right sum is that same sequence of additions, and the last one
-// to three go through axpy1.
-func (rk rowKernel[E]) matmulRow(orow, arow []float32, b []E) {
-	n := len(orow)
+// matmulRow accumulates arow·B into orow, B being len(arow) rows of
+// len(orow) values, row k starting at b[k*ld]. Each output element is
+// orow[j] plus the terms arow[k]·B[k][j] of the row's nonzero
+// coefficients, added one at a time in k order, each product and sum
+// rounded; zero coefficients are skipped, which is what lets FC2 behind
+// ReLU skip half its k-rows. The nonzero coefficients stream into groups
+// of four for axpy4, whose left-to-right sum is that same sequence of
+// additions, and the last one to three go through axpy1.
+func (rk rowKernel[E]) matmulRow(orow, arow []float32, b []E, ld int) {
 	var ks [4]int
 	g := 0
 	for k, av := range arow {
@@ -83,11 +82,11 @@ func (rk rowKernel[E]) matmulRow(orow, arow []float32, b []E) {
 		ks[g] = k
 		if g++; g == 4 {
 			rk.axpy4(orow, arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]],
-				b[ks[0]*n:], b[ks[1]*n:], b[ks[2]*n:], b[ks[3]*n:])
+				b[ks[0]*ld:], b[ks[1]*ld:], b[ks[2]*ld:], b[ks[3]*ld:])
 			g = 0
 		}
 	}
 	for _, k := range ks[:g] {
-		rk.axpy1(orow, arow[k], b[k*n:])
+		rk.axpy1(orow, arow[k], b[k*ld:])
 	}
 }

@@ -319,8 +319,82 @@ func TestMatMulRowInt8MatchesMatMul(t *testing.T) {
 			fill(rng, got, 0.3)
 			want := append([]float32(nil), got...)
 			MatMulRowInt8(got, a, b8)
-			f32Rows.matmulRow(want, a, b)
+			f32Rows.matmulRow(want, a, b, n)
 			sameFloats(t, fmt.Sprintf("MatMulRowInt8 %dx%d trial %d", k, n, trial), got, want)
 		}
 	})
+}
+
+// nans returns n NaNs: an output MatMulInto must overwrite, or a sentinel
+// showing it was never touched.
+func nans(n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = float32(math.NaN())
+	}
+	return out
+}
+
+// TestMatMulIntoMatchesMatMul: the strided product equals MatMul over the
+// same B copied out densely, on both kernel paths — random shapes up to
+// 20 × 70 × 70, row strides n, n+1, n+7 and 3n, 40% zero coefficients and
+// specials in both operands, and the values between B's rows set to NaN
+// so a misplaced row cannot go unseen — and it overwrites an output that
+// starts as NaN.
+func TestMatMulIntoMatchesMatMul(t *testing.T) {
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		for trial := 0; trial < 600; trial++ {
+			m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(70)
+			ld := []int{n, n + 1, n + 7, 3 * n}[trial%4]
+			a, dense := New(m, k), New(k, n)
+			fill(rng, a.Data, 0.4)
+			fill(rng, dense.Data, 0.1)
+			b := nans((k-1)*ld + n)
+			for r := 0; r < k; r++ {
+				copy(b[r*ld:], dense.Row(r))
+			}
+			out := nans(m * n)
+			got := MatMulInto(out, a, b, ld, n)
+			if got.Rows != m || got.Cols != n || &got.Data[0] != &out[0] {
+				t.Fatalf("trial %d: MatMulInto returned %dx%d not over out", trial, got.Rows, got.Cols)
+			}
+			sameFloats(t, fmt.Sprintf("MatMulInto %dx%dx%d ld %d trial %d", m, k, n, ld, trial), out, MatMul(a, dense).Data)
+		}
+	})
+}
+
+// TestMatMulIntoRejectsBadOperands: a B one value short of its last row —
+// even one whose capacity would let a reslice through — and an output of
+// the wrong length panic before any row runs: the output keeps its NaNs.
+func TestMatMulIntoRejectsBadOperands(t *testing.T) {
+	const m, k, n, ld = 3, 5, 16, 20
+	a := New(m, k)
+	for i := range a.Data {
+		a.Data[i] = 1
+	}
+	full := make([]float32, (k-1)*ld+n)
+	for _, tc := range []struct {
+		name   string
+		out, b []float32
+	}{
+		{"short B", nans(m * n), full[:len(full)-1]},
+		{"long out", nans(m*n + 1), full},
+		{"short out", nans(m*n - 1), full},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", tc.name)
+				}
+				for i, v := range tc.out {
+					if !math.IsNaN(float64(v)) {
+						t.Errorf("%s: output element %d written before the check", tc.name, i)
+						return
+					}
+				}
+			}()
+			MatMulInto(tc.out, a, tc.b, ld, n)
+		}()
+	}
 }

@@ -122,13 +122,28 @@ func MatMul(a, b Matrix) Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
-	parallelRows(a.Rows, a.Cols*b.Cols, func(lo, hi int) {
+	return MatMulInto(make([]float32, a.Rows*b.Cols), a, b.Data, b.Cols, b.Cols)
+}
+
+// MatMulInto computes a·B into out and returns out as the a.Rows×n
+// product, where B is a.Cols rows of n values and row k starts at
+// b[k*ld] — so a product reads a band of a wider matrix, such as one
+// head's columns of the KV cache, where it lies. out is cleared first and
+// must hold exactly a.Rows×n values; b must reach the end of B's last
+// row. Both are checked before any row runs.
+func MatMulInto(out []float32, a Matrix, b []float32, ld, n int) Matrix {
+	if n < 0 || ld < n || len(out) != a.Rows*n || len(b) < (a.Cols-1)*ld+n {
+		panic(fmt.Sprintf("tensor: strided matmul of %dx%d by %d rows of %d (stride %d) from %d values into %d",
+			a.Rows, a.Cols, a.Cols, n, ld, len(b), len(out)))
+	}
+	clear(out)
+	o := FromSlice(a.Rows, n, out)
+	parallelRows(a.Rows, a.Cols*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			f32Rows.matmulRow(out.Row(i), a.Row(i), b.Data)
+			f32Rows.matmulRow(o.Row(i), a.Row(i), b, ld)
 		}
 	})
-	return out
+	return o
 }
 
 // MatMulRowInt8 accumulates arow·B into orow, where B is the
@@ -142,7 +157,7 @@ func MatMulRowInt8(orow, arow []float32, b []int8) {
 	if len(b) != len(arow)*len(orow) {
 		panic(fmt.Sprintf("tensor: int8 row operand holds %d values, not %dx%d", len(b), len(arow), len(orow)))
 	}
-	i8Rows.matmulRow(orow, arow, b)
+	i8Rows.matmulRow(orow, arow, b, len(orow))
 }
 
 // Add returns a + b elementwise.
