@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/lia-sim/lia/internal/batchpolicy"
-	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/kvpage"
 	"github.com/lia-sim/lia/internal/kvprefix"
 	"github.com/lia-sim/lia/internal/llm"
@@ -101,12 +100,6 @@ type Config struct {
 	// QuantGroup is the int4lut tier's group length (default
 	// quant.DefaultGroupINT4).
 	QuantGroup int
-	// TPWays, when ≥2, shards the executor tensor-parallel across that
-	// many virtual GPUs over an NVLink3 fabric (llm.EnableTP): one
-	// replica serving as a multi-GPU node. Tokens stay bit-identical;
-	// the executor's TPStats ledger prices the virtual all-reduces.
-	// Requires the dense BF16 tier. 0 (off) by default.
-	TPWays int
 	// OnEvent, when set, observes every scheduler event the batcher
 	// sees (admissions, preemptions, evictions, removals) after the
 	// gateway's own counters update. The router's differential tests
@@ -175,16 +168,6 @@ func (c Config) Validate() error {
 	}
 	if c.QuantGroup < 0 {
 		return fmt.Errorf("gateway: QuantGroup must be ≥0, got %d", c.QuantGroup)
-	}
-	if c.TPWays < 0 || c.TPWays == 1 {
-		return fmt.Errorf("gateway: TPWays must be 0 (off) or ≥2, got %d", c.TPWays)
-	}
-	if c.TPWays >= 2 {
-		switch c.Quant {
-		case "", "dense":
-		default:
-			return fmt.Errorf("gateway: tensor parallelism requires the dense tier, got %q", c.Quant)
-		}
 	}
 	return nil
 }
@@ -263,11 +246,6 @@ func New(exec *llm.Executor, cfg Config) (*Gateway, error) {
 		exec.EnableINT8()
 	case "sparse-int8":
 		exec.EnableSparseINT8(cfg.QuantSparsity)
-	}
-	if cfg.TPWays >= 2 {
-		if err := exec.EnableTP(cfg.TPWays, hw.NVLink3); err != nil {
-			return nil, err
-		}
 	}
 	var pool *kvpage.Manager
 	if cfg.KVBudget > 0 {

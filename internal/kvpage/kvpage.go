@@ -108,13 +108,6 @@ func (m *Manager) CanAdmitShared(promptTokens, sharedBlocks int) bool {
 	return need <= len(m.freeBlocks)
 }
 
-// CanEverAdmit reports whether a prompt of the given length could be
-// admitted into a fully drained pool — the shed test serving admission
-// runs before queueing work that no amount of waiting can place.
-func (m *Manager) CanEverAdmit(promptTokens int) bool {
-	return m.blocksFor(promptTokens)+1 <= m.totalBlocks
-}
-
 // Admit allocates blocks for a new sequence's prompt, including the one
 // headroom block CanAdmit charges, so an admitted sequence is guaranteed
 // its first block-boundary extension. (Before this reservation, CanAdmit

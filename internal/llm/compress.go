@@ -22,7 +22,7 @@ import (
 // BF16, matching the §6 observation that it is the precision- and
 // bandwidth-sensitive path. Enabling replaces any other tier.
 func (e *Executor) EnableINT8() {
-	e.tier = newTier(e.Model, tierINT8, true, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+	e.tier = newTier(e.Model, tierINT8, true, func(w tensor.Matrix) linearOp {
 		return &int8Op{w: quant.QuantizeWeights(w)}
 	})
 }
@@ -36,7 +36,7 @@ func (e *Executor) EnableINT8() {
 // bit-identical to dense INT8 compute over the same pruned weights.
 // Enabling replaces any other compressed tier.
 func (e *Executor) EnableSparseINT8(sparsity float64) {
-	e.tier = newTier(e.Model, tierSparseINT8, true, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+	e.tier = newTier(e.Model, tierSparseINT8, true, func(w tensor.Matrix) linearOp {
 		q, _ := quant.QuantizeWeightsSparse(w, sparsity)
 		return &int8Op{w: q, sparse: true}
 	})
@@ -86,7 +86,7 @@ func (o *int8Op) blocks() (zero, total int) {
 // exactly like the dense tier. Enabling replaces any other compressed
 // tier. Attention scoring (the KV cache) stays dense BF16.
 func (e *Executor) EnableSparse(sparsity float64) {
-	e.tier = newTier(e.Model, tierSparse, false, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+	e.tier = newTier(e.Model, tierSparse, false, func(w tensor.Matrix) linearOp {
 		pruned, _ := quant.PruneBlocks(w, sparsity)
 		pre, err := amx.PrepackBF16Sparse(pruned.Data, pruned.Rows, pruned.Cols)
 		if err != nil {
@@ -134,7 +134,7 @@ func (o *sparseOp) blocks() (zero, total int) {
 // like INT8, the compressed kernel replaces both routes. Enabling
 // replaces any other compressed tier.
 func (e *Executor) EnableINT4LUT(group int) {
-	e.tier = newTier(e.Model, tierINT4, false, func(_ model.Sublayer, w tensor.Matrix) linearOp {
+	e.tier = newTier(e.Model, tierINT4, false, func(w tensor.Matrix) linearOp {
 		q, err := quant.QuantizeINT4(w, group)
 		if err != nil {
 			panic(fmt.Sprintf("llm: int4 quantize: %v", err))

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
-	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/quant"
 	"github.com/lia-sim/lia/internal/tensor"
 )
@@ -256,14 +255,13 @@ func TestCompressedTiersStayOnFusedPath(t *testing.T) {
 // Enabling a tier replaces any other: the executor never runs two
 // formats at once. Over every ordered pair of tiers, an executor switched
 // from one to the other is indistinguishable from a fresh executor on the
-// target — tokens, name, footprint, skip fraction, TP ways — its forks
-// share the one tier value, and tensor parallelism still refuses to start
-// from a compressed tier. (Dense appears only as a source: nothing
-// switches back to it.)
+// target — tokens, name, footprint, skip fraction — and its forks share
+// the one tier value. (Dense appears only as a source: nothing switches
+// back to it.)
 func TestCompressedTiersMutuallyExclusive(t *testing.T) {
 	m := tinyModel(t)
 	prompt := []int{3, 14, 15, 92}
-	type flags struct{ int8, sparseInt8, sparse, int4, tp bool }
+	type flags struct{ int8, sparseInt8, sparse, int4 bool }
 	tiers := []struct {
 		name   string
 		enable func(*Executor) error
@@ -274,7 +272,6 @@ func TestCompressedTiersMutuallyExclusive(t *testing.T) {
 		{"int8", func(e *Executor) error { e.EnableINT8(); return nil }, flags{int8: true}},
 		{"sparse-int8", func(e *Executor) error { e.EnableSparseINT8(0.5); return nil }, flags{int8: true, sparseInt8: true}},
 		{"int4lut", func(e *Executor) error { e.EnableINT4LUT(0); return nil }, flags{int4: true}},
-		{"tp2", func(e *Executor) error { return e.EnableTP(2, hw.NVLink3) }, flags{tp: true}},
 	}
 	for _, from := range tiers {
 		for _, to := range tiers[1:] {
@@ -284,15 +281,7 @@ func TestCompressedTiersMutuallyExclusive(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			before := e.tier
 			err := to.enable(e)
-			compressed := from.flags != (flags{}) && !from.flags.tp
-			if to.flags.tp && compressed {
-				if err == nil || e.tier != before || e.TP() {
-					t.Errorf("%s → %s: TP must refuse a compressed tier and leave it in place (err %v)", from.name, to.name, err)
-				}
-				continue
-			}
 			if err != nil {
 				t.Fatalf("%s → %s: %v", from.name, to.name, err)
 			}
@@ -300,14 +289,14 @@ func TestCompressedTiersMutuallyExclusive(t *testing.T) {
 			if err := to.enable(want); err != nil {
 				t.Fatal(err)
 			}
-			if got := (flags{e.INT8(), e.SparseINT8(), e.Sparse(), e.INT4(), e.TP()}); got != to.flags {
+			if got := (flags{e.INT8(), e.SparseINT8(), e.Sparse(), e.INT4()}); got != to.flags {
 				t.Errorf("%s → %s: tier predicates %+v, want %+v", from.name, to.name, got, to.flags)
 			}
 			if e.QuantTier() != want.QuantTier() || e.WeightFootprint() != want.WeightFootprint() ||
-				e.SparseSkipFraction() != want.SparseSkipFraction() || e.TPWays() != want.TPWays() {
-				t.Errorf("%s → %s: (%s, %d B, skip %v, %d ways), fresh executor (%s, %d B, skip %v, %d ways)", from.name, to.name,
-					e.QuantTier(), e.WeightFootprint(), e.SparseSkipFraction(), e.TPWays(),
-					want.QuantTier(), want.WeightFootprint(), want.SparseSkipFraction(), want.TPWays())
+				e.SparseSkipFraction() != want.SparseSkipFraction() {
+				t.Errorf("%s → %s: (%s, %d B, skip %v), fresh executor (%s, %d B, skip %v)", from.name, to.name,
+					e.QuantTier(), e.WeightFootprint(), e.SparseSkipFraction(),
+					want.QuantTier(), want.WeightFootprint(), want.SparseSkipFraction())
 			}
 			if e.fork().tier != e.tier {
 				t.Errorf("%s → %s: fork does not share the tier", from.name, to.name)

@@ -104,9 +104,6 @@ func (s *Sequence) Emitted() int { return len(s.out) }
 // Target returns how many tokens the sequence will emit in total.
 func (s *Sequence) Target() int { return s.target }
 
-// ContextLen returns the KV cache's current length.
-func (s *Sequence) ContextLen() int { return s.cache.Len() }
-
 // Stats returns the fork's dispatch counters (prefill plus all steps so
 // far).
 func (s *Sequence) Stats() Stats { return s.e.Stats }

@@ -50,14 +50,12 @@ type tier struct {
 	// ops is indexed [layer][sublayer]; the attention sublayers' slots
 	// stay nil.
 	ops [][model.NumSublayers]linearOp
-	// tp is the tensor-parallel ledger when the ops are TP combinators.
-	tp *tpState
 }
 
 // newTier builds every layer's four ops in model.Sublayers() order — QKV,
 // out, FC1, FC2, an array and never a map range — so a tier's
 // prune/quantize/prepack sequence is fixed.
-func newTier(m *Model, name string, rowCoupled bool, build func(s model.Sublayer, w tensor.Matrix) linearOp) *tier {
+func newTier(m *Model, name string, rowCoupled bool, build func(w tensor.Matrix) linearOp) *tier {
 	t := &tier{name: name, rowCoupled: rowCoupled, ops: make([][model.NumSublayers]linearOp, len(m.Layers))}
 	for li := range m.Layers {
 		l := &m.Layers[li]
@@ -65,7 +63,7 @@ func newTier(m *Model, name string, rowCoupled bool, build func(s model.Sublayer
 			s model.Sublayer
 			w tensor.Matrix
 		}{{model.QKVMapping, l.WQKV}, {model.OutProjection, l.WOut}, {model.FC1, l.WFC1}, {model.FC2, l.WFC2}} {
-			t.ops[li][p.s] = build(p.s, p.w)
+			t.ops[li][p.s] = build(p.w)
 		}
 	}
 	return t
@@ -98,7 +96,7 @@ type denseOp struct {
 	gpu     tensor.Matrix
 }
 
-func newDenseOp(_ model.Sublayer, w tensor.Matrix) linearOp { return &denseOp{w: w} }
+func newDenseOp(w tensor.Matrix) linearOp { return &denseOp{w: w} }
 
 func (d *denseOp) apply(e *Executor, li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
 	if e.Policy.OnCPU(s) {
@@ -157,8 +155,7 @@ func (e *Executor) tallyAMX(cycles uint64, err error) {
 }
 
 // denseBF16 is the GPU route: x rounded to bfloat16 in place (the
-// rounding a GPU tensor core applies; idempotent, so a TP combinator may
-// repeat it per shard) times a pre-rounded weight.
+// rounding a GPU tensor core applies) times a pre-rounded weight.
 func (e *Executor) denseBF16(s model.Sublayer, x, w tensor.Matrix) tensor.Matrix {
 	if x.Cols != w.Rows {
 		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.Rows, w.Cols))

@@ -485,13 +485,6 @@ func (c Config) ActivationBytes(b, l int, stage Stage) units.Bytes {
 	return units.Bytes(c.elem() * rows * (c.DModel + c.ffnFC1Width()))
 }
 
-// WorkingSetBytes returns the peak memory needed to hold one decoder
-// layer's parameters plus its activations and KV slice — the amount a
-// memory-offloading framework must stage on the GPU per layer.
-func (c Config) WorkingSetBytes(b, l int, stage Stage) units.Bytes {
-	return c.LayerParamBytes() + c.ActivationBytes(b, l, stage) + c.KVBytesPerLayer(b, l)
-}
-
 // TotalFootprint returns the paper's headline memory requirement: all
 // parameters plus KV cache and activations for the batch (e.g. ~1.4 TB
 // for OPT-175B at B=1024, L=256).

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/gateway"
 	"github.com/lia-sim/lia/internal/hw"
 	"github.com/lia-sim/lia/internal/llm"
@@ -332,6 +333,62 @@ func TestFleetReplayHeterogeneousFleet(t *testing.T) {
 	p50, p99 := Percentile(res.TTFTs, 50), Percentile(res.TTFTs, 99)
 	if p50 <= 0 || p99 < p50 {
 		t.Errorf("TTFT percentiles implausible: p50 %v, p99 %v", p50, p99)
+	}
+}
+
+// replicaCosts is the one tensor-parallel model: a TP replica computes
+// `ways`× faster and every round pays two core.TPAllReduceTime ring
+// all-reduces per decoder layer on the batch's hidden states, over the
+// system's peer link or NVLink3 when the system has none. Ways 0 and 1
+// pay nothing. The slow link lifts the all-reduce above its latency
+// floor, so the row pins which fabric is priced.
+func TestReplicaCostsTPAllReduce(t *testing.T) {
+	cfg := llm.TinyConfig()
+	slow := hw.DGXA100
+	slow.GPU.PeerLink = hw.LinkSpec{Name: "slow", BW: units.MBps / 10, Setup: units.Microsecond}
+	for _, tc := range []struct {
+		name string
+		sys  hw.System
+		ways int
+		peer hw.LinkSpec // the fabric the all-reduces ride
+	}{
+		{"dgx-tp0", hw.DGXA100, 0, hw.NVLink3},
+		{"dgx-tp1", hw.DGXA100, 1, hw.NVLink3},
+		{"dgx-tp4", hw.DGXA100, 4, hw.NVLink3},
+		{"slow-peer-tp2", slow, 2, slow.GPU.PeerLink},
+		{"no-peer-tp2", hw.SPRA100, 2, hw.NVLink3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			speed := float64(tc.sys.GPU.PeakHalf) / float64(hw.A100.PeakHalf)
+			if tc.ways >= 2 {
+				speed *= float64(tc.ways)
+			}
+			if got := deviceSpeed(tc.sys, tc.ways); got != speed {
+				t.Fatalf("deviceSpeed = %v, want %v", got, speed)
+			}
+			c := replicaCosts(ReplayReplica{System: tc.sys, TPWays: tc.ways}, cfg)
+			for _, b := range []int{1, 3, 8} {
+				var comm units.Seconds
+				if tc.ways >= 2 {
+					bytes := units.Bytes(b * cfg.DModel * cfg.BytesPerParam)
+					comm = units.Seconds(2*cfg.Layers) * core.TPAllReduceTime(tc.ways, tc.peer, bytes)
+				}
+				prefill, err := c.Prefill(b, 24)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := units.Seconds(float64(b*24)*serve.RoundPrefillTokenCost/speed) + comm; prefill != want {
+					t.Errorf("b=%d: prefill %v, want %v", b, prefill, want)
+				}
+				decode, err := c.Decode(b, 40)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := units.Seconds((float64(b)*serve.RoundDecodeSeqCost+40*serve.RoundDecodeCtxCost)/speed) + comm; decode != want {
+					t.Errorf("b=%d: decode %v, want %v", b, decode, want)
+				}
+			}
+		})
 	}
 }
 
