@@ -14,8 +14,9 @@ vet:
 # hw_other.go stub serves them) and without cgo, so the stub cannot rot
 # on a host that always builds hw_linux_amd64.{go,s}. windows/amd64 also
 # vets internal/tensor's AVX2 row kernels (axpy_amd64.{go,s}: the float32
-# pair under MatMul and the int8 pair under MatMulRowInt8, which the INT4
-# tier runs) off linux, and the two arm64 targets its axpy_other.go stub.
+# bodies under MatMul and the int8 ones under MatMulInt8Into, which the
+# INT4 tier runs) off linux, and the two arm64 targets its axpy_other.go
+# stub.
 cross-vet:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...

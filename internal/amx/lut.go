@@ -103,37 +103,46 @@ func (w *PrepackedINT4) GEMV4LUTInto(dst, x []float32, m int) (uint64, error) {
 	if len(dst) != m*w.N {
 		return 0, fmt.Errorf("amx: int4 gemv destination size %d does not match %dx%d", len(dst), m, w.N)
 	}
-	// Activation rows are independent (each has its own scratch), so a
-	// multi-row call with enough work splits by row across the team.
-	if m > 1 && m*w.K*w.N >= team.SplitMACs {
-		workers.Run(m, func(i int) { w.gemvRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K]) })
+	// Rows share the team in tensor's units — whole four-row blocks, then
+	// the rows they leave — each with scratch of its own, so a multi-row
+	// call with enough work splits and every block still shares its
+	// weight loads.
+	units := tensor.RowUnits(m)
+	if units > 1 && m*w.K*w.N >= team.SplitMACs {
+		workers.Run(units, func(u int) {
+			lo, hi := tensor.UnitRow(m, u), tensor.UnitRow(m, u+1)
+			w.gemvRows(dst[lo*w.N:hi*w.N], x[lo*w.K:hi*w.K], hi-lo)
+		})
 	} else {
-		for i := 0; i < m; i++ {
-			w.gemvRow(dst[i*w.N:(i+1)*w.N], x[i*w.K:(i+1)*w.K])
-		}
+		w.gemvRows(dst, x, m)
 	}
 	return uint64(m) * w.PredictCycles(1), nil
 }
 
-// gemvRow computes one activation row's outputs with scratch of its own
-// (the bf16-rounded row and one group sum per column), so rows can run on
-// different workers. Per group the sums start at +0 and gain
-// xr[k]·float32(q[k][j]) for the group's nonzero xr[k] in k order (a
-// skipped term would add ±0 to a sum that is never −0); out starts at +0
-// and gains s(g,j)·sum[j] group by group.
-func (w *PrepackedINT4) gemvRow(out, row []float32) {
-	buf := getScratchF32(w.K + w.N)
+// gemvRows computes m activation rows' outputs with scratch of its own
+// (the bf16-rounded rows and one group sum per row and column), so row
+// ranges can run on different workers. Per group the sums start at +0
+// and gain xr[i][k]·float32(q[k][j]) in k order through
+// tensor.MatMulInt8Into, four rows per pass over the group's codes (the
+// zero coefficients' terms are ±0, which cannot change a sum that is
+// never −0, so a row's sums do not depend on the rows beside it); out
+// starts at +0 and gains s(g,j)·sum[i][j] group by group.
+func (w *PrepackedINT4) gemvRows(out, x []float32, m int) {
+	buf := getScratchF32(m * (w.K + w.N))
 	defer putScratchF32(buf)
-	xr, gs := (*buf)[:w.K], (*buf)[w.K:]
-	copy(xr, row)
+	xr, gs := (*buf)[:m*w.K], (*buf)[m*w.K:]
+	copy(xr, x)
 	RoundSlice(xr)
 	clear(out)
 	for g := 0; g < w.groups; g++ {
 		lo, hi := g*w.Group, min((g+1)*w.Group, w.K)
-		clear(gs)
-		tensor.MatMulRowInt8(gs, xr[lo:hi], w.q[lo*w.N:hi*w.N])
-		for j, s := range w.scales[g*w.N : (g+1)*w.N] {
-			out[j] = out[j] + float32(s*gs[j])
+		tensor.MatMulInt8Into(gs, m, hi-lo, w.N, xr[lo:], w.K, w.q[lo*w.N:hi*w.N])
+		scales := w.scales[g*w.N : (g+1)*w.N]
+		for i := 0; i < m; i++ {
+			orow, srow := out[i*w.N:(i+1)*w.N], gs[i*w.N:(i+1)*w.N]
+			for j, s := range scales {
+				orow[j] = orow[j] + float32(s*srow[j])
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // tensorAVX2 is internal/tensor's AVX2 probe. The "go" sub-tests turn it
-// off so tensor.MatMulRowInt8 runs its Go loop on every lane.
+// off so tensor.MatMulInt8Into runs its Go loop on every lane.
 //
 //go:linkname tensorAVX2 github.com/lia-sim/lia/internal/tensor.useAVX2
 var tensorAVX2 bool
@@ -84,8 +84,9 @@ var int4Specials = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float3
 // and n 1…70 (below one vector and off the 8-lane step), groups of 1, 3,
 // 7, 32 and 128 and groups of at least k, activations 30% zero (±0 and
 // subnormals that round to zero) and ±∞, NaN and 3e38 in the activations
-// and the scales. The avx2 sub-test runs tensor's assembly, the go
-// sub-test its Go loop.
+// and the scales; then m 4…9, so rows run as four-row blocks, with half
+// the activations zero as behind a ReLU. The avx2 sub-test runs tensor's
+// assembly, the go sub-test its Go loop.
 func TestINT4KernelMatchesSeedLUT(t *testing.T) {
 	for _, path := range []struct {
 		name string
@@ -102,13 +103,20 @@ func TestINT4KernelMatchesSeedLUT(t *testing.T) {
 			for trial := 0; trial < 1500; trial++ {
 				k, n, m := 1+rng.Intn(300), 1+rng.Intn(70), 1+rng.Intn(3)
 				group := []int{1, 3, 7, 32, 128, k, k + 1 + rng.Intn(64)}[trial%7]
-				checkINT4AgainstSeed(t, rng, fmt.Sprintf("trial %d: %dx%dx%d g=%d", trial, m, k, n, group), m, k, n, group)
+				checkINT4AgainstSeed(t, rng, fmt.Sprintf("trial %d: %dx%dx%d g=%d", trial, m, k, n, group), m, k, n, group, 0)
+			}
+			for trial := 0; trial < 300; trial++ {
+				k, n, m := 1+rng.Intn(300), 1+rng.Intn(70), 4+rng.Intn(6)
+				group := []int{1, 3, 7, 32, 128, k, k + 1 + rng.Intn(64)}[trial%7]
+				checkINT4AgainstSeed(t, rng, fmt.Sprintf("block trial %d: %dx%dx%d g=%d", trial, m, k, n, group), m, k, n, group, 0.5)
 			}
 		})
 	}
 }
 
-func checkINT4AgainstSeed(t *testing.T, rng *rand.Rand, what string, m, k, n, group int) {
+// checkINT4AgainstSeed draws an operand and m activation rows, a share
+// relu of them then set to +0, and compares GEMV4LUTInto with the seed.
+func checkINT4AgainstSeed(t *testing.T, rng *rand.Rand, what string, m, k, n, group int, relu float64) {
 	t.Helper()
 	groups := ceilDiv(k, group)
 	codes := make([]uint8, k*n)
@@ -135,6 +143,9 @@ func checkINT4AgainstSeed(t *testing.T, rng *rand.Rand, what string, m, k, n, gr
 			x[i] = int4Specials[rng.Intn(len(int4Specials))]
 		default:
 			x[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2)))
+		}
+		if relu > 0 && rng.Float64() < relu {
+			x[i] = 0
 		}
 	}
 	w, err := PrepackINT4LUT(codes, k, n, group, scales)

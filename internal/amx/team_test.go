@@ -190,8 +190,11 @@ func TestPartitionInvarianceINT8(t *testing.T) {
 	}
 }
 
-// TestPartitionInvarianceLUT: the INT4 LUT kernel splits activation rows
-// (m ≥ 2, enough work); results and modeled cycles do not depend on it.
+// TestPartitionInvarianceLUT: the INT4 LUT kernel shares four-row blocks
+// and the rows they leave out to the team (m ≥ 2, enough work); results
+// and modeled cycles do not depend on it. Half the activations are zero,
+// of either sign, as behind a ReLU: a block adds the ±0 terms a lone row
+// skips, so every row must equal that row computed alone.
 func TestPartitionInvarianceLUT(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, kn := range partitionKNs {
@@ -212,7 +215,19 @@ func TestPartitionInvarianceLUT(t *testing.T) {
 		}
 		for _, m := range partitionMs {
 			x := randF32(rng, m*k)
-			var want []float32
+			for i := range x {
+				if p := rng.Float64(); p < 0.25 {
+					x[i] = 0
+				} else if p < 0.5 {
+					x[i] = float32(math.Copysign(0, -1))
+				}
+			}
+			alone := make([]float32, m*n)
+			for i := 0; i < m; i++ {
+				if _, err := w.GEMV4LUTInto(alone[i*n:(i+1)*n], x[i*k:(i+1)*k], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, size := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("m%d/k%dn%d/team%d", m, k, n, size), func(t *testing.T) {
 					useTeam(t, size)
@@ -224,10 +239,7 @@ func TestPartitionInvarianceLUT(t *testing.T) {
 					if cycles != w.PredictCycles(m) {
 						t.Fatalf("%d cycles, model %d", cycles, w.PredictCycles(m))
 					}
-					if want == nil {
-						want = got
-					}
-					sameBitsF32(t, got, want, "vs team size 1")
+					sameBitsF32(t, got, alone, "vs rows alone")
 				})
 			}
 		}

@@ -28,7 +28,9 @@ import (
 // routes accumulate each output element over its own row in a fixed
 // k-order no matter which other rows share the call (the AMX tile
 // blocks zero-pad unused rows; the dense route rounds elementwise and
-// dots row-by-row). The invariance tests pin this against StepBatch.
+// runs four rows per pass over the weights, adding each row's terms in
+// k order exactly as that row alone would). The invariance tests pin
+// this against StepBatch.
 //
 // INT8 mode (per-pass activation scales would couple the stacked rows)
 // and attached memory hosts (pass windows are per-cache) fall back to

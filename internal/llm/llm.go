@@ -431,9 +431,10 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, 
 	// and probs·V each dispatch once per KV head instead of once per query
 	// head (2·KVHeads attention GEMMs per layer). Every kernel on this
 	// path computes each output row from its own input row — the AMX tile
-	// blocks zero-pad, the dense route rounds elementwise and dots
-	// row-by-row — so the stacked results are bit-identical to the
-	// per-head dispatches they replace.
+	// blocks zero-pad, the dense route rounds elementwise and adds each
+	// row's terms in k order whether the row runs alone or in a four-row
+	// block — so the stacked results are bit-identical to the per-head
+	// dispatches they replace.
 	invSqrt := float32(1 / math.Sqrt(float64(dh)))
 	qh := tensor.FromSlice(groups*rows, dh, fit(&e.qhBuf, groups*rows*dh, groups*rows*dh))
 	for kvHead := 0; kvHead < cfg.KVHeads; kvHead++ {

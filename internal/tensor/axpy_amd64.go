@@ -1,11 +1,11 @@
 package tensor
 
-// useAVX2 reports whether axpy4/axpy1 may run their assembly bodies: the
-// CPU has AVX (CPUID.1:ECX bit 28) and AVX2 (CPUID.(7,0):EBX bit 5), and
-// the OS saves YMM state across context switches — CPUID.1:ECX OSXSAVE
-// (bit 27), checked before XGETBV may execute, and XCR0 bits 1 (SSE) and
-// 2 (AVX) set. Production code never reassigns it; tests turn it off to
-// run the Go loop on every lane.
+// useAVX2 reports whether axpy4, axpy1 and rows4 may run their assembly
+// bodies: the CPU has AVX (CPUID.1:ECX bit 28) and AVX2 (CPUID.(7,0):EBX
+// bit 5), and the OS saves YMM state across context switches —
+// CPUID.1:ECX OSXSAVE (bit 27), checked before XGETBV may execute, and
+// XCR0 bits 1 (SSE) and 2 (AVX) set. Production code never reassigns it;
+// tests turn it off to run the Go loop on every lane.
 var useAVX2 = probeAVX2()
 
 func probeAVX2() bool {
@@ -54,3 +54,18 @@ func axpy4i8AVX2(o *float32, b0, b1, b2, b3 *int8, a0, a1, a2, a3 float32, n int
 //
 //go:noescape
 func axpy1i8AVX2(o *float32, b *int8, a float32, n int)
+
+// rows4AVX2 is rows4 over lanes [0, n), n a positive multiple of 8: it
+// adds, to the four output rows at o (ldo values apart), the terms
+// a[r][kk]·B[kk][j] of the 4×k coefficients at a (rows lda apart) in kk
+// order, B's row kk starting ldb values after row kk−1; k ≥ 1. It checks
+// nothing and runs VZEROUPPER before returning.
+//
+//go:noescape
+func rows4AVX2(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int)
+
+// rows4i8AVX2 is rows4AVX2 over an int8 B, each eight codes widened once
+// (VPMOVSXBD, VCVTDQ2PS) for all four rows; ldb counts codes.
+//
+//go:noescape
+func rows4i8AVX2(o *float32, ldo int, a *float32, lda int, b *int8, ldb, k, n int)

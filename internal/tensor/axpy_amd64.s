@@ -213,3 +213,199 @@ axpy1i8last8:
 axpy1i8done:
 	VZEROUPPER
 	RET
+
+// The four-row bodies keep a 4-row × 16-lane strip of o in Y0…Y7 (row r
+// in Y(2r):Y(2r+1)) across every k, so the strip is loaded and stored
+// once, and each k loads B's lanes once into Y8:Y9 for all four rows.
+// Per row the coefficient is broadcast into Y10 and its two products land
+// in Y11:Y12 before their adds: one VMULPS then one VADDPS per term,
+// terms in k order, as in the row kernels. DI points at o's strip (row 0),
+// DX at B's (row 0), SI at the coefficients' row 0; R8 and R12 are 1 and 3
+// rows of o in bytes, R9 and R13 1 and 3 rows of coefficients, R10 one
+// row of B, R11 the end of coefficient row 0, CX the end of the part of
+// o's row 0 that whole 16-lane strips cover. AX and BX walk the
+// coefficients and B along k.
+
+// COEF16(A, L, H) adds the coefficient at A times B's lanes Y8:Y9 to L:H.
+#define COEF16(A, L, H) \
+	VBROADCASTSS A, Y10 \
+	VMULPS       Y8, Y10, Y11 \
+	VMULPS       Y9, Y10, Y12 \
+	VADDPS       Y11, L, L \
+	VADDPS       Y12, H, H
+
+// COEF8(A, L) adds the coefficient at A times B's lanes Y8 to L.
+#define COEF8(A, L) \
+	VBROADCASTSS A, Y10 \
+	VMULPS       Y8, Y10, Y11 \
+	VADDPS       Y11, L, L
+
+// BLOCK4_16 adds B's lanes Y8:Y9 times the four rows' coefficients at
+// AX to the 16-lane strip, BLOCK4_8 B's lanes Y8 to the 8-lane one.
+#define BLOCK4_16 \
+	COEF16((AX), Y0, Y1) \
+	COEF16((AX)(R9*1), Y2, Y3) \
+	COEF16((AX)(R9*2), Y4, Y5) \
+	COEF16((AX)(R13*1), Y6, Y7)
+
+#define BLOCK4_8 \
+	COEF8((AX), Y0) \
+	COEF8((AX)(R9*1), Y2) \
+	COEF8((AX)(R9*2), Y4) \
+	COEF8((AX)(R13*1), Y6)
+
+// LOADO16/STOREO16 move the 16-lane strip between o and Y0…Y7,
+// LOADO8/STOREO8 the 8-lane one between o and Y0, Y2, Y4, Y6.
+#define LOADO16 \
+	VMOVUPS (DI), Y0 \
+	VMOVUPS 32(DI), Y1 \
+	VMOVUPS (DI)(R8*1), Y2 \
+	VMOVUPS 32(DI)(R8*1), Y3 \
+	VMOVUPS (DI)(R8*2), Y4 \
+	VMOVUPS 32(DI)(R8*2), Y5 \
+	VMOVUPS (DI)(R12*1), Y6 \
+	VMOVUPS 32(DI)(R12*1), Y7
+
+#define STOREO16 \
+	VMOVUPS Y0, (DI) \
+	VMOVUPS Y1, 32(DI) \
+	VMOVUPS Y2, (DI)(R8*1) \
+	VMOVUPS Y3, 32(DI)(R8*1) \
+	VMOVUPS Y4, (DI)(R8*2) \
+	VMOVUPS Y5, 32(DI)(R8*2) \
+	VMOVUPS Y6, (DI)(R12*1) \
+	VMOVUPS Y7, 32(DI)(R12*1)
+
+#define LOADO8 \
+	VMOVUPS (DI), Y0 \
+	VMOVUPS (DI)(R8*1), Y2 \
+	VMOVUPS (DI)(R8*2), Y4 \
+	VMOVUPS (DI)(R12*1), Y6
+
+#define STOREO8 \
+	VMOVUPS Y0, (DI) \
+	VMOVUPS Y2, (DI)(R8*1) \
+	VMOVUPS Y4, (DI)(R8*2) \
+	VMOVUPS Y6, (DI)(R12*1)
+
+// func rows4AVX2(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int)
+TEXT ·rows4AVX2(SB), NOSPLIT, $0-64
+	MOVQ  o+0(FP), DI
+	MOVQ  ldo+8(FP), R8
+	SHLQ  $2, R8
+	LEAQ  (R8)(R8*2), R12
+	MOVQ  a+16(FP), SI
+	MOVQ  lda+24(FP), R9
+	SHLQ  $2, R9
+	LEAQ  (R9)(R9*2), R13
+	MOVQ  b+32(FP), DX
+	MOVQ  ldb+40(FP), R10
+	SHLQ  $2, R10
+	MOVQ  k+48(FP), R11
+	LEAQ  (SI)(R11*4), R11
+	MOVQ  n+56(FP), CX
+	ANDQ $-16, CX
+	JZ   rows4last8
+	LEAQ (DI)(CX*4), CX
+
+rows4strip16:
+	LOADO16
+	MOVQ SI, AX
+	MOVQ DX, BX
+
+rows4k16:
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	BLOCK4_16
+	ADDQ    $4, AX
+	ADDQ    R10, BX
+	CMPQ    AX, R11
+	JB      rows4k16
+	STOREO16
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	CMPQ    DI, CX
+	JB      rows4strip16
+
+rows4last8:
+	MOVQ n+56(FP), CX
+	ANDQ $8, CX
+	JZ   rows4done
+	LOADO8
+	MOVQ SI, AX
+	MOVQ DX, BX
+
+rows4k8:
+	VMOVUPS (BX), Y8
+	BLOCK4_8
+	ADDQ    $4, AX
+	ADDQ    R10, BX
+	CMPQ    AX, R11
+	JB      rows4k8
+	STOREO8
+
+rows4done:
+	VZEROUPPER
+	RET
+
+// func rows4i8AVX2(o *float32, ldo int, a *float32, lda int, b *int8, ldb, k, n int)
+TEXT ·rows4i8AVX2(SB), NOSPLIT, $0-64
+	MOVQ  o+0(FP), DI
+	MOVQ  ldo+8(FP), R8
+	SHLQ  $2, R8
+	LEAQ  (R8)(R8*2), R12
+	MOVQ  a+16(FP), SI
+	MOVQ  lda+24(FP), R9
+	SHLQ  $2, R9
+	LEAQ  (R9)(R9*2), R13
+	MOVQ  b+32(FP), DX
+	MOVQ  ldb+40(FP), R10
+	MOVQ  k+48(FP), R11
+	LEAQ  (SI)(R11*4), R11
+	MOVQ  n+56(FP), CX
+	ANDQ $-16, CX
+	JZ   rows4i8last8
+	LEAQ (DI)(CX*4), CX
+
+rows4i8strip16:
+	LOADO16
+	MOVQ SI, AX
+	MOVQ DX, BX
+
+rows4i8k16:
+	VPMOVSXBD (BX), Y8
+	VPMOVSXBD 8(BX), Y9
+	VCVTDQ2PS Y8, Y8
+	VCVTDQ2PS Y9, Y9
+	BLOCK4_16
+	ADDQ      $4, AX
+	ADDQ      R10, BX
+	CMPQ      AX, R11
+	JB        rows4i8k16
+	STOREO16
+	ADDQ      $64, DI
+	ADDQ      $16, DX
+	CMPQ      DI, CX
+	JB        rows4i8strip16
+
+rows4i8last8:
+	MOVQ n+56(FP), CX
+	ANDQ $8, CX
+	JZ   rows4i8done
+	LOADO8
+	MOVQ SI, AX
+	MOVQ DX, BX
+
+rows4i8k8:
+	VPMOVSXBD (BX), Y8
+	VCVTDQ2PS Y8, Y8
+	BLOCK4_8
+	ADDQ      $4, AX
+	ADDQ      R10, BX
+	CMPQ      AX, R11
+	JB        rows4i8k8
+	STOREO8
+
+rows4i8done:
+	VZEROUPPER
+	RET

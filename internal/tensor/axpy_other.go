@@ -2,8 +2,9 @@
 
 package tensor
 
-// useAVX2 is false off amd64: axpy4 and axpy1 run the Go loop on every
-// lane. It is a variable so the tests that turn it off build everywhere.
+// useAVX2 is false off amd64: axpy4, axpy1 and rows4 run the Go loop on
+// every lane. It is a variable so the tests that turn it off build
+// everywhere.
 var useAVX2 = false
 
 func axpy4AVX2(o, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int) {
@@ -19,5 +20,13 @@ func axpy4i8AVX2(o *float32, b0, b1, b2, b3 *int8, a0, a1, a2, a3 float32, n int
 }
 
 func axpy1i8AVX2(o *float32, b *int8, a float32, n int) {
+	panic("tensor: no AVX2 row kernel on this platform")
+}
+
+func rows4AVX2(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int) {
+	panic("tensor: no AVX2 row kernel on this platform")
+}
+
+func rows4i8AVX2(o *float32, ldo int, a *float32, lda int, b *int8, ldb, k, n int) {
 	panic("tensor: no AVX2 row kernel on this platform")
 }

@@ -212,7 +212,7 @@ func TestAxpyInt8AssemblyMatchesGoLoop(t *testing.T) {
 // TestAxpyRejectsShortOperand: the assembly checks nothing, so a row
 // shorter than the output must panic before it runs — even one whose
 // capacity would let a reslice past its length succeed — and
-// MatMulRowInt8 refuses an operand that is not len(arow)×len(orow).
+// MatMulInt8Into refuses an operand that is not k×n.
 func TestAxpyRejectsShortOperand(t *testing.T) {
 	o, short := make([]float32, 16), make([]float32, 15, 16)
 	b8, short8 := make([]int8, 16), make([]int8, 15, 16)
@@ -221,7 +221,7 @@ func TestAxpyRejectsShortOperand(t *testing.T) {
 		func() { f32Rows.axpy1(o, 1, short) },
 		func() { i8Rows.axpy4(o, 1, 1, 1, 1, b8, b8, b8, short8) },
 		func() { i8Rows.axpy1(o, 1, short8) },
-		func() { MatMulRowInt8(o, o[:2], make([]int8, 31, 32)) },
+		func() { MatMulInt8Into(o, 1, 2, 16, o[:2], 2, make([]int8, 31, 32)) },
 	} {
 		func() {
 			defer func() {
@@ -300,29 +300,127 @@ func TestMatMulTMatchesMatMul(t *testing.T) {
 	})
 }
 
-// TestMatMulRowInt8MatchesMatMul: MatMulRowInt8 is MatMul's row loop over
-// an int8 operand, so it equals that loop over the operand widened to
-// float32 bit for bit — 40% zero coefficients of either sign, specials in
-// the coefficients and in accumulators that do not start at zero.
-func TestMatMulRowInt8MatchesMatMul(t *testing.T) {
+// TestMatMulInt8IntoMatchesMatMul: MatMulInt8Into is MatMulInto's kernel
+// over an int8 operand, so it equals MatMulInto over the operand widened
+// to float32 bit for bit — m 1…20 (every remainder a four-row block
+// leaves), coefficients read at strides k and k+3, 40% zero coefficients
+// of either sign (which its blocks add as ±0 terms and MatMulInto's skip)
+// and specials in the rest — and it overwrites an output that starts as
+// NaN.
+func TestMatMulInt8IntoMatchesMatMul(t *testing.T) {
 	kernels(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(32))
 		for trial := 0; trial < 400; trial++ {
-			k, n := 1+rng.Intn(70), 1+rng.Intn(70)
-			a, b8, b := make([]float32, k), make([]int8, k*n), make([]float32, k*n)
-			fill(rng, a, 0.4)
+			m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(70)
+			lda := k + 3*(trial%2)
+			a, b8, b := New(m, k), make([]int8, k*n), make([]float32, k*n)
+			fill(rng, a.Data, 0.4)
 			for i := range b8 {
 				b8[i] = int8(rng.Intn(256))
 				b[i] = float32(b8[i])
 			}
-			got := make([]float32, n)
-			fill(rng, got, 0.3)
-			want := append([]float32(nil), got...)
-			MatMulRowInt8(got, a, b8)
-			f32Rows.matmulRow(want, a, b, n)
-			sameFloats(t, fmt.Sprintf("MatMulRowInt8 %dx%d trial %d", k, n, trial), got, want)
+			strided := nans((m-1)*lda + k)
+			for i := 0; i < m; i++ {
+				copy(strided[i*lda:], a.Row(i))
+			}
+			got := nans(m * n)
+			MatMulInt8Into(got, m, k, n, strided, lda, b8)
+			sameFloats(t, fmt.Sprintf("MatMulInt8Into %dx%dx%d lda %d trial %d", m, k, n, lda, trial), got, MatMul(a, FromSlice(k, n, b)).Data)
 		}
 	})
+}
+
+// TestMatMulIntoBlocksMatchSeed: the four-row body adds every term of a
+// block, so MatMulInto must give a block to it only when the seed would
+// skip none of them. Against the seed's GEMM on both kernel paths — m
+// 1…20, k and n 1…70, row strides n, n+1, n+7 and 3n — in three
+// coefficient regimes: no zeros (every block takes the body), exactly one
+// zero per block (none does, and B's row under that zero holds ∞, NaN,
+// −0 and subnormals, whose products with it would be NaN or −0), and 40%
+// zeros; specials throughout B.
+func TestMatMulIntoBlocksMatchSeed(t *testing.T) {
+	hostile := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		float32(math.Copysign(0, -1)), 1e-40, -3e-42}
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(34))
+		for trial := 0; trial < 900; trial++ {
+			m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(70)
+			ld := []int{n, n + 1, n + 7, 3 * n}[trial%4]
+			regime := trial / 4 % 3
+			a, dense := New(m, k), New(k, n)
+			fill(rng, dense.Data, 0.1)
+			if regime == 2 {
+				fill(rng, a.Data, 0.4)
+			} else {
+				fill(rng, a.Data, 0)
+				for i, v := range a.Data {
+					if v == 0 {
+						a.Data[i] = 1
+					}
+				}
+			}
+			if regime == 1 {
+				for i := 0; i < m; i += 4 {
+					r, kk := i+rng.Intn(min(4, m-i)), rng.Intn(k)
+					a.Set(r, kk, specials[rng.Intn(2)]) // +0 or −0
+					for j := range dense.Row(kk) {
+						dense.Set(kk, j, hostile[rng.Intn(len(hostile))])
+					}
+				}
+			}
+			b := nans((k-1)*ld + n)
+			for r := 0; r < k; r++ {
+				copy(b[r*ld:], dense.Row(r))
+			}
+			out := nans(m * n)
+			MatMulInto(out, a, b, ld, n)
+			sameFloats(t, fmt.Sprintf("MatMulInto %dx%dx%d ld %d regime %d trial %d", m, k, n, ld, regime, trial),
+				out, seedMatMul(a, dense).Data)
+		}
+	})
+}
+
+// TestRows4RejectsShortOperand: the four-row bodies check nothing, so an
+// output, coefficient block or B one value short of what the body would
+// reach — even one whose capacity would let a reslice through — panics
+// before the assembly runs: the output keeps its NaNs.
+func TestRows4RejectsShortOperand(t *testing.T) {
+	const lda, ldb, k, n = 7, 24, 5, 16
+	oLen, aLen, bLen := 4*n, 3*lda+k, (k-1)*ldb+n
+	a := make([]float32, aLen, aLen+1)
+	for i := range a {
+		a[i] = 1
+	}
+	b, b8 := make([]float32, bLen, bLen+1), make([]int8, bLen, bLen+1)
+	for _, tc := range []struct {
+		name string
+		call func(o []float32)
+	}{
+		{"f32 short out", func(o []float32) { f32Rows.rows4(o[:oLen-1], a, lda, b, ldb, k, n) }},
+		{"f32 short coefficients", func(o []float32) { f32Rows.rows4(o, a[:aLen-1], lda, b, ldb, k, n) }},
+		{"f32 short B", func(o []float32) { f32Rows.rows4(o, a, lda, b[:bLen-1], ldb, k, n) }},
+		{"f32 stride below n", func(o []float32) { f32Rows.rows4(o, a, lda, b, n-1, k, n) }},
+		{"int8 short out", func(o []float32) { i8Rows.rows4(o[:oLen-1], a, lda, b8, ldb, k, n) }},
+		{"int8 short coefficients", func(o []float32) { i8Rows.rows4(o, a[:aLen-1], lda, b8, ldb, k, n) }},
+		{"int8 short B", func(o []float32) { i8Rows.rows4(o, a, lda, b8[:bLen-1], ldb, k, n) }},
+		{"int8 no k", func(o []float32) { i8Rows.rows4(o, a, lda, b8, ldb, 0, n) }},
+	} {
+		o := nans(oLen)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", tc.name)
+				}
+			}()
+			tc.call(o)
+		}()
+		for i, v := range o {
+			if !math.IsNaN(float64(v)) {
+				t.Errorf("%s: output element %d written before the check", tc.name, i)
+				break
+			}
+		}
+	}
 }
 
 // nans returns n NaNs: an output MatMulInto must overwrite, or a sentinel

@@ -1,8 +1,9 @@
 // Package tensor provides the dense float32 linear algebra the functional
 // LLM engine (package llm) is built on: row-major matrices, a GEMM
-// partitioned over output rows onto the worker team whose inner loop is
-// one row primitive (axpy4, in AVX2 assembly where the host has it), the
-// attention primitives (softmax, scaling, causal masking), layer
+// partitioned onto the worker team in four-row blocks whose inner loop is
+// one four-row body (rows4, in AVX2 assembly where the host has it: each
+// load of the right operand feeds four output rows), the attention
+// primitives (softmax, scaling, causal masking), layer
 // normalization, and the activation functions OPT-style transformers use.
 //
 // This is the "GPU kernel library" counterpart to package amx's tile
@@ -99,22 +100,33 @@ func (m Matrix) Equal(other Matrix, tol float32) bool {
 // never reassigns it; tests pin other sizes.
 var workers = team.Default()
 
-// parallelRows runs fn over [0, rows), as row ranges claimed by the
-// worker team when the product (macsPerRow multiply-accumulates a row)
+// parallelRows runs fn over [0, units), as unit ranges claimed by the
+// worker team when the product (macsPerUnit multiply-accumulates a unit)
 // is worth splitting, inline otherwise. Ranges are a quarter of a
-// worker's even share, so a helper that joins late still finds rows and
+// worker's even share, so a helper that joins late still finds units and
 // a helper that never joins delays nobody.
-func parallelRows(rows, macsPerRow int, fn func(lo, hi int)) {
-	parts := min(rows, 4*workers.Size())
-	if workers.Size() == 1 || parts <= 1 || rows*macsPerRow < team.SplitMACs {
-		fn(0, rows)
+func parallelRows(units, macsPerUnit int, fn func(lo, hi int)) {
+	parts := min(units, 4*workers.Size())
+	if workers.Size() == 1 || parts <= 1 || units*macsPerUnit < team.SplitMACs {
+		fn(0, units)
 		return
 	}
-	chunk := (rows + parts - 1) / parts
-	workers.Run((rows+chunk-1)/chunk, func(i int) {
-		fn(i*chunk, min((i+1)*chunk, rows))
+	chunk := (units + parts - 1) / parts
+	workers.Run((units+chunk-1)/chunk, func(i int) {
+		fn(i*chunk, min((i+1)*chunk, units))
 	})
 }
+
+// RowUnits is how many units m output rows split into when a team
+// shares them out: m/4 whole four-row blocks, then the m%4 rows the
+// blocks leave, one unit each. Units [lo, hi) are rows
+// [UnitRow(m, lo), UnitRow(m, hi)), so a range starts on a block boundary
+// and the row kernel blocks it as it would the whole.
+func RowUnits(m int) int { return m/4 + m%4 }
+
+// UnitRow is the first row of unit u of m rows (m itself for u =
+// RowUnits(m)).
+func UnitRow(m, u int) int { return 4*u - 3*max(u-m/4, 0) }
 
 // MatMul computes a·b (a is M×K, b is K×N) with float32 accumulation,
 // partitioned over output rows.
@@ -130,34 +142,42 @@ func MatMul(a, b Matrix) Matrix {
 // b[k*ld] — so a product reads a band of a wider matrix, such as one
 // head's columns of the KV cache, where it lies. out is cleared first and
 // must hold exactly a.Rows×n values; b must reach the end of B's last
-// row. Both are checked before any row runs.
+// row. Both are checked before any row runs. The team shares out
+// RowUnits(a.Rows) units, each four-row block or leftover row computed by
+// one worker in one call, so the result does not depend on the split.
 func MatMulInto(out []float32, a Matrix, b []float32, ld, n int) Matrix {
 	if n < 0 || ld < n || len(out) != a.Rows*n || len(b) < (a.Cols-1)*ld+n {
 		panic(fmt.Sprintf("tensor: strided matmul of %dx%d by %d rows of %d (stride %d) from %d values into %d",
 			a.Rows, a.Cols, a.Cols, n, ld, len(b), len(out)))
 	}
 	clear(out)
-	o := FromSlice(a.Rows, n, out)
-	parallelRows(a.Rows, a.Cols*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f32Rows.matmulRow(o.Row(i), a.Row(i), b, ld)
-		}
-	})
-	return o
+	m, k := a.Rows, a.Cols
+	if units := RowUnits(m); units > 0 {
+		parallelRows(units, (m*k*n+units-1)/units, func(lo, hi int) {
+			r0, r1 := UnitRow(m, lo), UnitRow(m, hi)
+			f32Rows.matmulRows(out[r0*n:r1*n], a.Data[r0*k:], k, r1-r0, k, b, ld, n)
+		})
+	}
+	return FromSlice(m, n, out)
 }
 
-// MatMulRowInt8 accumulates arow·B into orow, where B is the
-// len(arow)×len(orow) row-major int8 matrix b: MatMul's row loop over an
-// int8 right operand. Each orow[j] gains the terms arow[k]·float32(B[k][j])
-// of arow's nonzero coefficients, added one at a time in k order, each
-// product and sum rounded to float32 (the widening is exact, so a term
-// rounds once, like a float32 product). Zero coefficients, of either
-// sign, are skipped.
-func MatMulRowInt8(orow, arow []float32, b []int8) {
-	if len(b) != len(arow)*len(orow) {
-		panic(fmt.Sprintf("tensor: int8 row operand holds %d values, not %dx%d", len(b), len(arow), len(orow)))
+// MatMulInt8Into computes A·B into out on the calling goroutine, where A
+// is m rows of k coefficients, row i starting at a[i*lda], and B is the
+// k×n row-major int8 matrix b: MatMulInto's kernel over an int8 right
+// operand. out is cleared first and must hold exactly m×n values. Each
+// output element is the sum, from +0, of the terms a[i][kk]·float32(B[kk][j])
+// in kk order, each product and sum rounded to float32 (the widening is
+// exact, so a term rounds once, like a float32 product). B is finite, so
+// a zero coefficient's term is ±0 and whether it is added cannot change
+// a bit. Every operand is checked before any row runs.
+func MatMulInt8Into(out []float32, m, k, n int, a []float32, lda int, b []int8) {
+	if m < 0 || k < 0 || n < 0 || lda < k || len(out) != m*n || len(b) != k*n ||
+		(m > 0 && len(a) < (m-1)*lda+k) {
+		panic(fmt.Sprintf("tensor: int8 matmul of %dx%d (stride %d) from %d values by %d int8 values into %d",
+			m, k, lda, len(a), len(b), len(out)))
 	}
-	i8Rows.matmulRow(orow, arow, b, len(orow))
+	clear(out)
+	i8Rows.matmulRows(out, a, lda, m, k, b, n, n)
 }
 
 // Add returns a + b elementwise.
