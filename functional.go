@@ -67,7 +67,10 @@ func LoadModel(path string) (*FunctionalModel, error) {
 // FunctionalSequence is an in-flight generation on a FunctionalExecutor:
 // cache-resumed decode via Step, chunked prefill via AdvancePrefill
 // (NewSequenceChunked), speculative rounds via EnableSpec/SpecStep, and
-// cross-sequence fused rounds via FunctionalExecutor.StepBatchFused.
+// cross-sequence fused rounds via FunctionalExecutor.StepBatchFused. All
+// of them, like the executor's Prefill, DecodeStep and VerifyStep, run
+// the same one forward pass over per-sequence spans; they differ only in
+// how many sequences share a pass and how many tokens each brings.
 type FunctionalSequence = llm.Sequence
 
 // SpecDecodeStats counts a speculative-decoding run's rounds, drafted,

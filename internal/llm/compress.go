@@ -162,15 +162,6 @@ func (o *int4Op) blocks() (zero, total int) { return 0, 0 }
 // INT8 reports whether quantized mode is on (either INT8 tier).
 func (e *Executor) INT8() bool { return e.tier.name == tierINT8 || e.tier.name == tierSparseINT8 }
 
-// SparseINT8 reports whether the block-pruned INT8 tier is on.
-func (e *Executor) SparseINT8() bool { return e.tier.name == tierSparseINT8 }
-
-// Sparse reports whether the block-sparse tier is on.
-func (e *Executor) Sparse() bool { return e.tier.name == tierSparse }
-
-// INT4 reports whether the INT4 LUT tier is on.
-func (e *Executor) INT4() bool { return e.tier.name == tierINT4 }
-
 // QuantTier names the active weight tier for metrics and bench labels.
 func (e *Executor) QuantTier() string { return e.tier.name }
 

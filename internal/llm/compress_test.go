@@ -40,7 +40,7 @@ func TestSparseTierBitIdenticalToDenseOnPrunedWeights(t *testing.T) {
 		}
 		e := NewExecutor(m, p)
 		e.EnableSparse(sparsity)
-		if !e.Sparse() || e.QuantTier() != "sparse" {
+		if e.QuantTier() != "sparse" {
 			t.Fatal("sparse tier not reported")
 		}
 		got, err := e.Generate(prompt, 12)
@@ -105,7 +105,7 @@ func TestINT4TierTracksDequantizedReference(t *testing.T) {
 
 	e := NewExecutor(m, core.FullGPU)
 	e.EnableINT4LUT(0)
-	if !e.INT4() || e.QuantTier() != "int4lut" {
+	if e.QuantTier() != "int4lut" {
 		t.Fatal("int4 tier not reported")
 	}
 	got, _, err := e.Prefill(prompt)
@@ -238,7 +238,7 @@ func TestCompressedTiersStayOnFusedPath(t *testing.T) {
 		}
 		e := NewExecutor(m, core.PartialCPU)
 		on(e)
-		got, err := e.GenerateBatchFused(prompts, 8)
+		got, err := e.GenerateBatch(prompts, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,17 +261,16 @@ func TestCompressedTiersStayOnFusedPath(t *testing.T) {
 func TestCompressedTiersMutuallyExclusive(t *testing.T) {
 	m := tinyModel(t)
 	prompt := []int{3, 14, 15, 92}
-	type flags struct{ int8, sparseInt8, sparse, int4 bool }
 	tiers := []struct {
 		name   string
 		enable func(*Executor) error
-		flags  flags
+		int8   bool
 	}{
-		{"dense", nil, flags{}},
-		{"sparse", func(e *Executor) error { e.EnableSparse(0.5); return nil }, flags{sparse: true}},
-		{"int8", func(e *Executor) error { e.EnableINT8(); return nil }, flags{int8: true}},
-		{"sparse-int8", func(e *Executor) error { e.EnableSparseINT8(0.5); return nil }, flags{int8: true, sparseInt8: true}},
-		{"int4lut", func(e *Executor) error { e.EnableINT4LUT(0); return nil }, flags{int4: true}},
+		{"dense", nil, false},
+		{"sparse", func(e *Executor) error { e.EnableSparse(0.5); return nil }, false},
+		{"int8", func(e *Executor) error { e.EnableINT8(); return nil }, true},
+		{"sparse-int8", func(e *Executor) error { e.EnableSparseINT8(0.5); return nil }, true},
+		{"int4lut", func(e *Executor) error { e.EnableINT4LUT(0); return nil }, false},
 	}
 	for _, from := range tiers {
 		for _, to := range tiers[1:] {
@@ -289,8 +288,8 @@ func TestCompressedTiersMutuallyExclusive(t *testing.T) {
 			if err := to.enable(want); err != nil {
 				t.Fatal(err)
 			}
-			if got := (flags{e.INT8(), e.SparseINT8(), e.Sparse(), e.INT4()}); got != to.flags {
-				t.Errorf("%s → %s: tier predicates %+v, want %+v", from.name, to.name, got, to.flags)
+			if e.QuantTier() != to.name || e.INT8() != to.int8 {
+				t.Errorf("%s → %s: tier %q (INT8 %v), want %q (INT8 %v)", from.name, to.name, e.QuantTier(), e.INT8(), to.name, to.int8)
 			}
 			if e.QuantTier() != want.QuantTier() || e.WeightFootprint() != want.WeightFootprint() ||
 				e.SparseSkipFraction() != want.SparseSkipFraction() {

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
+	"github.com/lia-sim/lia/internal/model"
+	"github.com/lia-sim/lia/internal/tensor"
 )
 
 // loadGolden reads the pinned 256-case corpus (policy × precision ×
@@ -365,8 +367,8 @@ func TestChunkedStepGuards(t *testing.T) {
 	if done, err := s.AdvancePrefill(); err != nil || done {
 		t.Fatalf("first chunk: done=%v err=%v", done, err)
 	}
-	if s.PrefillPos() != 2 {
-		t.Fatalf("prefill pos %d after one chunk of 2", s.PrefillPos())
+	if s.prefillPos != 2 {
+		t.Fatalf("prefill pos %d after one chunk of 2", s.prefillPos)
 	}
 	for s.Prefilling() {
 		if _, err := s.AdvancePrefill(); err != nil {
@@ -405,8 +407,8 @@ func TestChunkedWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PrefillPos() != 3 {
-		t.Fatalf("seeded chunked sequence starts at %d, want 3", s.PrefillPos())
+	if s.prefillPos != 3 {
+		t.Fatalf("seeded chunked sequence starts at %d, want 3", s.prefillPos)
 	}
 	for s.Prefilling() {
 		if _, err := s.AdvancePrefill(); err != nil {
@@ -423,6 +425,65 @@ func TestChunkedWithSeed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("seeded chunked tokens diverged:\n got %v\nwant %v", out, want)
+	}
+}
+
+// TestForwardSpansMatchSolo: spans of different lengths over caches of
+// different lengths, sharing one multi-span pass, each get the hidden
+// states and cache rows their own one-span pass gives them — the fused
+// round's property for spans of more than one token, which locates each
+// span's rows in the stacked pass.
+func TestForwardSpansMatchSolo(t *testing.T) {
+	ctx := context.Background()
+	prompts := [][]int{{1, 2, 3, 4}, {50, 60}, {7, 8, 9, 10, 11, 12}}
+	cached := []int{1, 0, 3}
+	for _, a := range goldenArchs(t) {
+		for _, p := range []core.Policy{core.FullGPU, core.FullCPU, core.PartialCPU} {
+			e := NewExecutor(a.m, p)
+			// spansFor prefills each prompt's cached head alone and returns
+			// spans over the rest.
+			spansFor := func() []span {
+				spans := make([]span, len(prompts))
+				for i, pr := range prompts {
+					sub := e.fork()
+					spans[i] = span{sub, sub.NewCache(), pr[cached[i]:]}
+					if cached[i] > 0 {
+						if _, err := sub.forward(ctx, model.Prefill, span{sub, spans[i].cache, pr[:cached[i]]}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return spans
+			}
+			solo := spansFor()
+			var want []tensor.Matrix
+			for _, sp := range solo {
+				x, err := sp.e.forward(ctx, model.Prefill, sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, x)
+			}
+			stacked := spansFor()
+			x, err := e.forward(ctx, model.Prefill, stacked...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := 0
+			for i, sp := range stacked {
+				hi := lo + len(sp.tokens)
+				if !reflect.DeepEqual(rowRange(x, lo, hi).Data, want[i].Data) {
+					t.Errorf("%s/%s span %d: hidden states diverged from its solo pass", a.name, p, i)
+				}
+				for li := range a.m.Layers {
+					if !reflect.DeepEqual(sp.cache.K[li].Data, solo[i].cache.K[li].Data) ||
+						!reflect.DeepEqual(sp.cache.V[li].Data, solo[i].cache.V[li].Data) {
+						t.Errorf("%s/%s span %d layer %d: cache rows diverged from its solo pass", a.name, p, i, li)
+					}
+				}
+				lo = hi
+			}
+		}
 	}
 }
 
@@ -491,7 +552,7 @@ func TestGenerateBatchFusedGolden(t *testing.T) {
 	for _, a := range goldenArchs(t) {
 		for _, p := range []core.Policy{core.FullGPU, core.FullCPU, core.PartialCPU, core.MoEPartial} {
 			e := NewExecutor(a.m, p)
-			outs, err := e.GenerateBatchFused([][]int{a.prompt, a.prompt, a.prompt}, 12)
+			outs, err := e.GenerateBatch([][]int{a.prompt, a.prompt, a.prompt}, 12)
 			if err != nil {
 				t.Fatal(err)
 			}

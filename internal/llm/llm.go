@@ -339,6 +339,10 @@ type Executor struct {
 	// decode loop off the allocator: qhBuf holds the staged query slices,
 	// scoreBuf and ctxBuf the Q·Kᵀ and P·V results of either route.
 	qhBuf, scoreBuf, ctxBuf []float32
+	// Per-pass scratch, for the same reason: spans holds a multi-span
+	// pass's spans for its attention loop, tok DecodeStep's one token.
+	spans []span
+	tok   [1]int
 }
 
 // NewExecutor wires a model to a policy on the dense BF16 tier, whose
@@ -370,22 +374,6 @@ func (e *Executor) linear(li int, s model.Sublayer, x tensor.Matrix) tensor.Matr
 	return e.tier.ops[li][s].apply(e, li, s, x)
 }
 
-// forwardLayer runs one decoder layer over the hidden states x
-// (rows × d), reading `past` cached positions and appending the new K/V
-// rows to the cache. mask enables causal masking (prefill). The body is
-// three steps — projectQKV, attend, finishLayer — which a fused decode
-// round (fused.go) calls with the batch stacked around a per-sequence
-// attend.
-func (e *Executor) forwardLayer(li int, x tensor.Matrix, cache *KVCache, mask bool) tensor.Matrix {
-	if e.pass != nil {
-		e.pass.LayerStart(li)
-	}
-	qkv := e.projectQKV(li, x)
-	ctx := tensor.New(x.Rows, e.Model.Cfg.DModel)
-	e.attend(li, qkv, cache, mask, ctx)
-	return e.finishLayer(li, x, ctx)
-}
-
 // projectQKV is sublayer 1: the QKV mapping with the pre-attention
 // layer norm fused in.
 func (e *Executor) projectQKV(li int, x tensor.Matrix) tensor.Matrix {
@@ -396,11 +384,12 @@ func (e *Executor) projectQKV(li int, x tensor.Matrix) tensor.Matrix {
 
 // attend is sublayers 2+3 for one sequence: qkv's freshly projected rows
 // are split, rotated by their absolute positions, appended to the cache
-// and scored against it head by head; row r's context lands in ctx's row
-// r. e is the executor that owns the cache's sequence — its scratch and
-// dispatch counters are the ones used — so a fused round hands each
-// sequence's fork a one-row view of the stacked qkv and ctx.
-func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, ctx tensor.Matrix) {
+// and scored against it head by head under the causal mask; row r's
+// context lands in ctx's row r. e is the executor that owns the cache's
+// sequence — its scratch and dispatch counters are the ones used — so a
+// multi-span pass hands each sequence's fork a view of its rows of the
+// stacked qkv and ctx.
+func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.Matrix) {
 	cfg := e.Model.Cfg
 	d := cfg.DModel
 	dh := cfg.HeadDim()
@@ -448,14 +437,12 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, mask bool, 
 			}
 		}
 		scores := tensor.Scale(e.scoreKeys(li, kvHead, qh, cache), invSqrt)
-		if mask {
-			// Row g·rows+r of the stacked scores is query position past+r
-			// of head g, so the causal mask applies per sub-block — the
-			// stacked row index must not leak into the diagonal offset.
-			for g := 0; g < groups; g++ {
-				sub := tensor.FromSlice(rows, seen, scores.Data[g*rows*seen:(g+1)*rows*seen])
-				tensor.CausalMask(sub, past)
-			}
+		// Row g·rows+r of the stacked scores is query position past+r of
+		// head g, so the causal mask applies per sub-block — the stacked
+		// row index must not leak into the diagonal offset. A one-row pass
+		// masks nothing: its row attends to all past+1 = seen positions.
+		for g := 0; g < groups; g++ {
+			tensor.CausalMask(rowRange(scores, g*rows, (g+1)*rows), past)
 		}
 		tensor.SoftmaxRows(scores)
 		ctxH := e.weighValues(li, kvHead, scores, cache)
@@ -531,20 +518,8 @@ func (e *Executor) finishLayer(li int, x, ctx tensor.Matrix) tensor.Matrix {
 	return tensor.Add(x, h2)
 }
 
-// embed builds the hidden states for token IDs starting at position pos.
-func (e *Executor) embed(tokens []int, pos int) (tensor.Matrix, error) {
-	x := tensor.New(len(tokens), e.Model.Cfg.DModel)
-	for i, tok := range tokens {
-		if err := e.embedRow(x.Row(i), tok, pos+i); err != nil {
-			return tensor.Matrix{}, err
-		}
-	}
-	return x, nil
-}
-
 // embedRow writes one token's embedding at absolute position pos into
-// dst (length DModel) — the row primitive embed and the fused decode
-// round share.
+// dst (length DModel).
 func (e *Executor) embedRow(dst []float32, tok, pos int) error {
 	cfg := e.Model.Cfg
 	if tok < 0 || tok >= cfg.VocabSize {
@@ -591,10 +566,9 @@ func (e *Executor) head() tensor.Matrix {
 	return s.head
 }
 
-// lastRow is x's last row as a one-row view: prefill projects only the
-// position whose successor it predicts.
-func lastRow(x tensor.Matrix) tensor.Matrix {
-	return tensor.FromSlice(1, x.Cols, x.Row(x.Rows-1))
+// rowRange is rows [lo, hi) of x as a view.
+func rowRange(x tensor.Matrix, lo, hi int) tensor.Matrix {
+	return tensor.FromSlice(hi-lo, x.Cols, x.Data[lo*x.Cols:hi*x.Cols])
 }
 
 // NewCache returns an empty KV cache for the model, preallocated to
@@ -633,14 +607,7 @@ func (e *Executor) RetireCache(c *KVCache) {
 	}
 }
 
-// beginPass opens a MemHost observation window for one forward pass.
-func (e *Executor) beginPass(cache *KVCache, stage model.Stage, rows, past int) {
-	if e.Mem != nil {
-		e.pass = e.Mem.BeginPass(cache.id, stage, rows, past)
-	}
-}
-
-// endPass closes the observation window opened by beginPass.
+// endPass closes the observation window forward opened.
 func (e *Executor) endPass() {
 	if e.pass != nil {
 		e.pass.EndPass()
@@ -651,35 +618,14 @@ func (e *Executor) endPass() {
 // Prefill runs the Sum stage over a prompt, returning the logits of its
 // last position and the populated KV cache.
 func (e *Executor) Prefill(prompt []int) (tensor.Matrix, *KVCache, error) {
-	if len(prompt) == 0 {
-		return tensor.Matrix{}, nil, fmt.Errorf("llm: empty prompt")
-	}
-	x, err := e.embed(prompt, 0)
-	if err != nil {
-		return tensor.Matrix{}, nil, err
-	}
-	cache := e.NewCache()
-	e.beginPass(cache, model.Prefill, len(prompt), 0)
-	for li := range e.Model.Layers {
-		x = e.forwardLayer(li, x, cache, true)
-	}
-	e.endPass()
-	return e.logits(lastRow(x)), cache, nil
+	return e.PrefillFrom(prompt, nil)
 }
 
-// DecodeStep runs the Gen stage for one token, extending the cache.
+// DecodeStep runs the Gen stage for one token, extending the cache: a
+// one-row VerifyStep.
 func (e *Executor) DecodeStep(cache *KVCache, token int) (tensor.Matrix, error) {
-	past := cache.Len()
-	x, err := e.embed([]int{token}, past)
-	if err != nil {
-		return tensor.Matrix{}, err
-	}
-	e.beginPass(cache, model.Decode, 1, past)
-	for li := range e.Model.Layers {
-		x = e.forwardLayer(li, x, cache, false)
-	}
-	e.endPass()
-	return e.logits(x), nil
+	e.tok[0] = token
+	return e.VerifyStep(cache, e.tok[:])
 }
 
 // Generate greedily decodes n tokens after the prompt.
@@ -722,30 +668,58 @@ func TinyLlamaConfig() model.Config {
 // align with prompts and are bit-identical to sequential generation. Call
 // EnableINT8 (if wanted) before GenerateBatch, not concurrently with it.
 //
-// On the BF16 path without a memory host, decode rounds run through the
-// cross-sequence batched GEMM (StepBatchFused): the batch's parameter
-// sublayers stack into one matmul per sublayer while attention runs
-// per-sequence in parallel. INT8 and hosted runs keep the fully
-// per-sequence parallel path. Tokens are bit-identical either way.
+// On a row-independent tier without a memory host, prompts prefill in
+// parallel and every decode iteration advances the whole batch through
+// one fused round (StepBatchFused): the batch's parameter sublayers stack
+// into one matmul per sublayer while attention runs per sequence in
+// parallel. INT8 and hosted runs, and single prompts, run each sequence's
+// Generate on its own fork in parallel instead. Tokens are bit-identical
+// either way; only the dispatch shape changes.
 func (e *Executor) GenerateBatch(prompts [][]int, n int) ([][]int, error) {
 	if len(prompts) == 0 {
 		return nil, fmt.Errorf("llm: empty batch")
 	}
-	if !e.tier.rowCoupled && e.Mem == nil && len(prompts) > 1 {
-		return e.GenerateBatchFused(prompts, n)
-	}
+	ctx := context.Background()
 	out := make([][]int, len(prompts))
-	stats := make([]Stats, len(prompts))
-	if err := team.RunErr(context.Background(), len(prompts), func(i int) (err error) {
-		sub := e.fork()
-		out[i], err = sub.Generate(prompts[i], n)
-		stats[i] = sub.Stats
+	if e.tier.rowCoupled || e.Mem != nil || len(prompts) == 1 {
+		stats := make([]Stats, len(prompts))
+		if err := team.RunErr(ctx, len(prompts), func(i int) (err error) {
+			sub := e.fork()
+			out[i], err = sub.Generate(prompts[i], n)
+			stats[i] = sub.Stats
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("llm: %w", err)
+		}
+		for _, st := range stats {
+			e.Stats.add(st)
+		}
+		return out, nil
+	}
+	seqs := make([]*Sequence, len(prompts))
+	if err := team.RunErr(ctx, len(prompts), func(i int) (err error) {
+		seqs[i], err = e.NewSequence(prompts[i], n)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("llm: %w", err)
 	}
-	for _, st := range stats {
-		e.Stats.add(st)
+	for {
+		live := seqs[:0:0]
+		for _, s := range seqs {
+			if !s.Done() {
+				live = append(live, s)
+			}
+		}
+		if len(live) == 0 {
+			break
+		}
+		if err := e.StepBatchFused(ctx, live); err != nil {
+			return nil, err
+		}
+	}
+	for i, s := range seqs {
+		out[i] = s.Output()
+		e.Stats.add(s.e.Stats)
 	}
 	return out, nil
 }

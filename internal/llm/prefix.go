@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/lia-sim/lia/internal/model"
@@ -74,52 +75,63 @@ func (s *KVSeed) validate(layers, kvDim int) error {
 // prefill would, and RoPE rotates by absolute position — so skipping the
 // prefix changes no suffix value. Differential tests pin this.
 //
-// INT8 mode falls back to a full prefill: activation quantization is
-// per-tensor (quant.QuantizeActivations takes the min/max over every row
-// in the pass), so each row's quantized value depends on which other rows
-// share its pass — a seeded suffix would see different scales than the
-// full prompt did and diverge. The prefix cache still provides its
-// capacity win there (shared blocks are still counted once); only the
-// compute skip is BF16-only.
+// INT8 mode validates the seed like every tier, then drops it and
+// prefills the whole prompt: activation quantization is per-tensor
+// (quant.QuantizeActivations takes the min/max over every row in the
+// pass), so each row's quantized value depends on which other rows share
+// its pass — a seeded suffix would see different scales than the full
+// prompt did and diverge. The prefix cache still provides its capacity
+// win there (shared blocks are still counted once); only the compute skip
+// is BF16-only.
 //
 // A nil or empty seed is exactly Prefill. The seed must be strictly
 // shorter than the prompt — resuming with nothing left to compute would
 // leave no last-position logits to return.
 func (e *Executor) PrefillFrom(prompt []int, seed *KVSeed) (tensor.Matrix, *KVCache, error) {
-	cached := seed.Tokens()
-	if cached == 0 || e.tier.rowCoupled {
-		return e.Prefill(prompt)
-	}
-	if len(prompt) == 0 {
-		return tensor.Matrix{}, nil, fmt.Errorf("llm: empty prompt")
-	}
-	if cached >= len(prompt) {
-		return tensor.Matrix{}, nil, fmt.Errorf("llm: seed covers %d of %d prompt tokens — nothing left to prefill",
-			cached, len(prompt))
-	}
-	cfg := e.Model.Cfg
-	if cached > cfg.MaxSeqLen {
-		return tensor.Matrix{}, nil, fmt.Errorf("llm: seed length %d exceeds max sequence length %d", cached, cfg.MaxSeqLen)
-	}
-	if err := seed.validate(len(e.Model.Layers), cfg.KVDim()); err != nil {
-		return tensor.Matrix{}, nil, err
-	}
-	x, err := e.embed(prompt[cached:], cached)
+	cache, cached, err := e.seeded(prompt, seed)
 	if err != nil {
 		return tensor.Matrix{}, nil, err
 	}
+	x, err := e.forward(context.TODO(), model.Prefill, span{e, cache, prompt[cached:]})
+	if err != nil {
+		e.RetireCache(cache)
+		return tensor.Matrix{}, nil, err
+	}
+	return e.logits(rowRange(x, x.Rows-1, x.Rows)), cache, nil
+}
+
+// seeded validates seed against the prompt and the model, then returns a
+// fresh cache holding the seed's rows and how many prompt positions they
+// cover — the first step of every prefill. A row-coupled tier drops a
+// valid seed (see PrefillFrom): its cache starts empty.
+func (e *Executor) seeded(prompt []int, seed *KVSeed) (*KVCache, int, error) {
+	if len(prompt) == 0 {
+		return nil, 0, fmt.Errorf("llm: empty prompt")
+	}
+	cfg := e.Model.Cfg
+	cached := seed.Tokens()
+	if cached > 0 {
+		if cached >= len(prompt) {
+			return nil, 0, fmt.Errorf("llm: seed covers %d of %d prompt tokens — nothing left to prefill",
+				cached, len(prompt))
+		}
+		if cached > cfg.MaxSeqLen {
+			return nil, 0, fmt.Errorf("llm: seed length %d exceeds max sequence length %d", cached, cfg.MaxSeqLen)
+		}
+		if err := seed.validate(len(e.Model.Layers), cfg.KVDim()); err != nil {
+			return nil, 0, err
+		}
+	}
 	cache := e.NewCache()
+	if cached == 0 || e.tier.rowCoupled {
+		return cache, 0, nil
+	}
 	for _, seg := range seed.Segments {
 		for li := range e.Model.Layers {
 			cache.Append(li, seg.K[li], seg.V[li])
 		}
 	}
-	e.beginPass(cache, model.Prefill, len(prompt)-cached, cached)
-	for li := range e.Model.Layers {
-		x = e.forwardLayer(li, x, cache, true)
-	}
-	e.endPass()
-	return e.logits(lastRow(x)), cache, nil
+	return cache, cached, nil
 }
 
 // ExportKV deep-copies cache rows [from, to) into a standalone segment —
@@ -147,30 +159,10 @@ func (e *Executor) ExportKV(c *KVCache, from, to int) (KVSegment, error) {
 }
 
 // NewSequenceFrom is NewSequence resuming from a cached KV prefix (see
-// PrefillFrom for the exact semantics, including the INT8 fallback). The
+// PrefillFrom for the exact semantics, including the INT8 rule). The
 // emitted tokens are bit-identical to NewSequence(prompt, n).
 func (e *Executor) NewSequenceFrom(prompt []int, n int, seed *KVSeed) (*Sequence, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("llm: sequence must emit at least one token, got %d", n)
-	}
-	if len(prompt)+n-1 > e.Model.Cfg.MaxSeqLen {
-		return nil, fmt.Errorf("llm: prompt %d + %d generated tokens exceeds max sequence length %d",
-			len(prompt), n, e.Model.Cfg.MaxSeqLen)
-	}
-	sub := e.fork()
-	logits, cache, err := sub.PrefillFrom(prompt, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Sequence{
-		e:          sub,
-		cache:      cache,
-		pending:    logits.ArgmaxRow(logits.Rows - 1),
-		out:        make([]int, 0, n),
-		target:     n,
-		prompt:     prompt,
-		prefillPos: len(prompt),
-	}, nil
+	return e.NewSequenceChunked(prompt, n, 0, seed)
 }
 
 // ExportKV deep-copies the sequence's cache rows [from, to) (the

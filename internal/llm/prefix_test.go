@@ -169,29 +169,36 @@ func TestPrefillFromValidation(t *testing.T) {
 	if _, _, err := e.PrefillFrom(nil, nil); err == nil {
 		t.Error("empty prompt accepted")
 	}
-	// A seed covering the whole prompt leaves nothing to compute.
+	// Every tier validates a seed the same way: INT8 drops a valid seed
+	// (it prefills the whole prompt) but rejects an invalid one.
+	e8 := NewExecutor(m, core.FullGPU)
+	e8.EnableINT8()
 	whole := seedFor(t, e, append(prompt, 3), len(prompt))
-	if _, _, err := e.PrefillFrom(prompt, whole); err == nil {
-		t.Error("seed covering the whole prompt accepted")
-	}
-	// Shape mismatches are rejected.
 	bad := &KVSeed{Segments: []KVSegment{{
 		K: []tensor.Matrix{tensor.New(2, 3)},
 		V: []tensor.Matrix{tensor.New(2, 3)},
 	}}}
-	if _, _, err := e.PrefillFrom(prompt, bad); err == nil {
-		t.Error("seed with wrong layer count accepted")
-	}
 	wrongWidth := &KVSeed{Segments: []KVSegment{{
 		K: []tensor.Matrix{tensor.New(2, 3), tensor.New(2, 3)},
 		V: []tensor.Matrix{tensor.New(2, 3), tensor.New(2, 3)},
 	}}}
-	if _, _, err := e.PrefillFrom(prompt, wrongWidth); err == nil {
-		t.Error("seed with wrong KV width accepted")
+	for _, ex := range []struct {
+		tier string
+		e    *Executor
+	}{{"bf16", e}, {"int8", e8}} {
+		// A seed covering the whole prompt leaves nothing to compute.
+		if _, _, err := ex.e.PrefillFrom(prompt, whole); err == nil {
+			t.Errorf("%s: seed covering the whole prompt accepted", ex.tier)
+		}
+		// Shape mismatches are rejected.
+		if _, _, err := ex.e.PrefillFrom(prompt, bad); err == nil {
+			t.Errorf("%s: seed with wrong layer count accepted", ex.tier)
+		}
+		if _, _, err := ex.e.PrefillFrom(prompt, wrongWidth); err == nil {
+			t.Errorf("%s: seed with wrong KV width accepted", ex.tier)
+		}
 	}
-	// INT8 mode silently falls back to a full prefill and still works.
-	e8 := NewExecutor(m, core.FullGPU)
-	e8.EnableINT8()
+	// INT8 mode drops a valid seed for a full prefill and still works.
 	if _, cache, err := e8.PrefillFrom(prompt, full); err != nil || cache.Len() != len(prompt) {
 		t.Fatalf("int8 fallback: cache=%v err=%v", cache.Len(), err)
 	}

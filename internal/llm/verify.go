@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/lia-sim/lia/internal/model"
@@ -41,36 +42,13 @@ func (c *KVCache) Truncate(n int) {
 	}
 }
 
-// extend runs one cache-resumed, causally-masked multi-row forward pass
-// over tokens (placed at the positions right after the cache's current
-// contents), appends their K/V rows, and returns the final hidden
-// states. It is the shared primitive under Prefill-style resumption:
-// VerifyStep layers the LM head on top, chunked prefill calls it once
-// per chunk (skipping the head until the last chunk).
-func (e *Executor) extend(cache *KVCache, tokens []int, stage model.Stage) (tensor.Matrix, error) {
-	past := cache.Len()
-	x, err := e.embed(tokens, past)
-	if err != nil {
-		return tensor.Matrix{}, err
-	}
-	e.beginPass(cache, stage, len(tokens), past)
-	for li := range e.Model.Layers {
-		x = e.forwardLayer(li, x, cache, true)
-	}
-	e.endPass()
-	return x, nil
-}
-
 // VerifyStep scores len(tokens) consecutive positions in one
 // cache-resumed pass — Prefill's multi-row causal masking applied
 // mid-stream. Row i of the returned logits is bit-identical (on the
 // BF16 path) to the logits DecodeStep would return after feeding
-// tokens[:i+1] one by one: the AMX and dense kernels compute each
-// output row from its input row alone, LayerNorm/softmax/bias/
-// activations are row-wise, the causal mask restricts row i to exactly
-// the positions sequential decode sees, and RoPE rotates by absolute
-// position. That equivalence is what makes greedy speculative
-// acceptance exact (Sequence.SpecStep) and chunked prefill lossless
+// tokens[:i+1] one by one, for the reasons forward gives. That
+// equivalence is what makes greedy speculative acceptance exact
+// (Sequence.SpecStep) and chunked prefill lossless
 // (Sequence.AdvancePrefill).
 //
 // The pass appends all len(tokens) K/V rows; callers that keep only a
@@ -87,7 +65,7 @@ func (e *Executor) VerifyStep(cache *KVCache, tokens []int) (tensor.Matrix, erro
 	if len(tokens) == 0 {
 		return tensor.Matrix{}, fmt.Errorf("llm: empty verify batch")
 	}
-	x, err := e.extend(cache, tokens, model.Decode)
+	x, err := e.forward(context.TODO(), model.Decode, span{e, cache, tokens})
 	if err != nil {
 		return tensor.Matrix{}, err
 	}
