@@ -255,7 +255,8 @@ func BenchmarkAMXMatmul(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, _, err := amx.MatmulBF16Packed(a, n, w)
+		c := make([]float32, n*n)
+		_, err = amx.MatmulBF16PackedInto(c, a, n, w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,8 +282,8 @@ func BenchmarkAMXMatmulPacked(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(3 * n * n * 4))
 	for i := 0; i < b.N; i++ {
-		c, _, err := amx.MatmulBF16Packed(a, n, pre)
-		if err != nil {
+		c := make([]float32, n*n)
+		if _, err := amx.MatmulBF16PackedInto(c, a, n, pre); err != nil {
 			b.Fatal(err)
 		}
 		sink = c
@@ -309,8 +310,8 @@ func BenchmarkAMXMatmulSparse(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(3 * n * n * 4))
 	for i := 0; i < b.N; i++ {
-		c, _, err := amx.MatmulBF16Packed(a, n, pre)
-		if err != nil {
+		c := make([]float32, n*n)
+		if _, err := amx.MatmulBF16PackedInto(c, a, n, pre); err != nil {
 			b.Fatal(err)
 		}
 		sink = c
@@ -336,8 +337,8 @@ func BenchmarkINT4LUTGEMV(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(n*4 + q.Bytes() + n*4))
 	for i := 0; i < b.N; i++ {
-		c, _, err := quant.LinearINT4LUT(x, q)
-		if err != nil {
+		c := tensor.New(1, n)
+		if _, err := quant.LinearINT4LUT(c, x, q); err != nil {
 			b.Fatal(err)
 		}
 		sink = c.Data

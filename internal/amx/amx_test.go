@@ -299,3 +299,52 @@ func TestMatmulIdentityProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundSliceMatchesBF16FromFloat32 pins RoundSlice — the vector
+// body where the host has AVX2, the Go loop on tail lanes and without
+// it — to the scalar round trip BF16FromFloat32(f).Float32() bit for
+// bit, NaN payloads included: every one of the 2¹⁶ high halves under
+// the low halves that decide rounding (zero, one, just below, at and
+// just above the tie, all ones), over the whole slice and over every
+// length 1…70 from every offset mod 8.
+func TestRoundSliceMatchesBF16FromFloat32(t *testing.T) {
+	lows := []uint32{0, 1, 0x7fff, 0x8000, 0x8001, 0xffff}
+	in := make([]float32, 0, len(lows)<<16)
+	for hi := uint32(0); hi < 1<<16; hi++ {
+		for _, lo := range lows {
+			in = append(in, math.Float32frombits(hi<<16|lo))
+		}
+	}
+	want := make([]float32, len(in))
+	for i, v := range in {
+		want[i] = BF16FromFloat32(v).Float32()
+	}
+	for _, avx2 := range []bool{true, false} {
+		t.Run(fmt.Sprintf("avx2=%v", avx2), func(t *testing.T) {
+			if avx2 && !tensorAVX2 {
+				t.Skip("no AVX2 on this host")
+			}
+			saved := tensorAVX2
+			tensorAVX2 = avx2
+			defer func() { tensorAVX2 = saved }()
+			check := func(what string, got, want []float32) {
+				t.Helper()
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s: element %d (%#08x) rounds to %#08x, want %#08x",
+							what, i, math.Float32bits(in[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+			}
+			got := RoundSlice(append([]float32(nil), in...))
+			check("whole slice", got, want)
+			for n := 1; n <= 70; n++ {
+				for off := 0; off < 8; off++ {
+					lo := off*len(in)/8 + n
+					got := RoundSlice(append([]float32(nil), in[lo:lo+n]...))
+					check(fmt.Sprintf("n=%d off=%d", n, off), got, want[lo:lo+n])
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,10 @@
 package amx
 
-import "math"
+import (
+	"math"
+
+	"github.com/lia-sim/lia/internal/tensor"
+)
 
 // BF16 is a bfloat16 value: the top 16 bits of an IEEE-754 float32.
 type BF16 uint16
@@ -37,11 +41,10 @@ func RoundFloat32(f float32) float32 {
 }
 
 // RoundSlice rounds every element of xs through bfloat16 in place and
-// returns xs.
+// returns xs: RoundFloat32 per element, in one vector pass where the host
+// has AVX2 (tensor.RoundBF16).
 func RoundSlice(xs []float32) []float32 {
-	for i, v := range xs {
-		xs[i] = RoundFloat32(v)
-	}
+	tensor.RoundBF16(xs)
 	return xs
 }
 

@@ -18,7 +18,7 @@ import (
 // The stored lanes are the BF16FromFloat32 roundings a per-call pack of
 // the same matrix produces, and a product runs the logical k × n through
 // drive, so results, faults and cycles are those of PrepackBF16 +
-// MatmulBF16Packed over the same matrix. Only the image's strides differ:
+// MatmulBF16PackedInto over the same matrix. Only the image's strides differ:
 // they are fixed by the capacity, not the length.
 type Growing struct {
 	// w is the operand as the block kernels read it. K × N is the matrix
@@ -159,5 +159,5 @@ func MatmulBF16GrowingInto(dst, a []float32, m int, g *Growing) (uint64, error) 
 	if g.Len() == 0 {
 		return 0, fmt.Errorf("amx: matmul over an empty growing operand")
 	}
-	return matmulBF16Into(dst, a, m, &g.w)
+	return MatmulBF16PackedInto(dst, a, m, &g.w)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // This file pins the growing operand to the prepacked one: the same lanes
-// for the matrix built so far, and products equal to MatmulBF16Packed in
+// for the matrix built so far, and products equal to MatmulBF16PackedInto in
 // bits and cycles, on every BF16 kernel and along both growth axes.
 
 // growAxes are the two kinds of growing operand: P·V's V gains rows, Q·Kᵀ's
@@ -81,7 +81,7 @@ func sameLanes(t *testing.T, g *Growing, pre *Prepacked, label string) {
 // TestGrowingMatchesPrepacked appends positions one at a time and, at
 // lengths on both sides of every block boundary and at capacity, requires
 // the image to hold PrepackBF16's lanes for the same matrix and products
-// to equal MatmulBF16Packed over it in bits and cycles — per kernel, per
+// to equal MatmulBF16PackedInto over it in bits and cycles — per kernel, per
 // growth axis, for a GEMV and a two-stripe product.
 func TestGrowingMatchesPrepacked(t *testing.T) {
 	for _, geo := range []struct{ width, capacity int }{{24, 40}, {32, 64}} {

@@ -79,20 +79,10 @@ func PrepackINT4LUT(codes []uint8, k, n, group int, scales []float32) (*Prepacke
 	return w, nil
 }
 
-// GEMV4LUT computes y = x·W (x is m×K row-major float32, bf16-rounded on
-// read like every kernel here) through the INT4 kernel and returns the
-// m×N result plus the modeled cycles.
-func (w *PrepackedINT4) GEMV4LUT(x []float32, m int) ([]float32, uint64, error) {
-	y := make([]float32, m*w.N)
-	cycles, err := w.GEMV4LUTInto(y, x, m)
-	if err != nil {
-		return nil, 0, err
-	}
-	return y, cycles, nil
-}
-
-// GEMV4LUTInto is GEMV4LUT writing into a caller-owned destination
-// (len must be exactly m×N).
+// GEMV4LUTInto computes dst = x·W (x is m×K row-major float32,
+// bf16-rounded on read like every kernel here, dst the caller's m×N,
+// every element overwritten) through the INT4 kernel and returns the
+// modeled cycles.
 func (w *PrepackedINT4) GEMV4LUTInto(dst, x []float32, m int) (uint64, error) {
 	if m <= 0 {
 		return 0, fmt.Errorf("amx: int4 gemv rows must be positive, got %d", m)

@@ -165,7 +165,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Prepacked is a right-hand BF16 GEMM operand converted once into the
 // VNNI tile layout. Building it is the per-weight cost LIA's §5 kernels
-// amortize: every MatmulBF16Packed call afterwards streams activations
+// amortize: every MatmulBF16PackedInto call afterwards streams activations
 // through the same immutable image, so the steady state never re-packs.
 // Packing is layout-only — the stored values are the BF16FromFloat32
 // roundings of the matrix, and the kernels read nothing else.
@@ -192,7 +192,7 @@ type Prepacked struct {
 }
 
 // PrepackBF16 packs a row-major float32 matrix (k × n) for reuse as the
-// right-hand operand of MatmulBF16Packed: the VNNI byte image the tile
+// right-hand operand of MatmulBF16PackedInto: the VNNI byte image the tile
 // unit and the byte-accurate oracle read, plus, on hosts without the tile
 // unit, the decoded float32 view the emulator's fast path reads.
 func PrepackBF16(b []float32, k, n int) (*Prepacked, error) {
@@ -222,40 +222,17 @@ func prepackBF16(b []float32, k, n int, decoded bool) (*Prepacked, error) {
 	return w, nil
 }
 
-// MatmulBF16Packed computes C = A·W through the AMX tile pipeline for a
-// prepacked right-hand operand: A is M×K row-major float32, rounded to
-// bfloat16 as a BF16 kernel reads it, and accumulation is float32 in the
-// tile unit's own order and rounding (bf16Dot), so the result is the one
-// silicon computes. It returns the M×N row-major result and the AMX
-// cycles consumed.
-func MatmulBF16Packed(a []float32, m int, w *Prepacked) ([]float32, uint64, error) {
-	if w == nil {
-		return nil, 0, fmt.Errorf("amx: nil prepacked operand")
-	}
-	c := make([]float32, max(m, 0)*w.N)
-	cycles, err := matmulBF16Into(c, a, m, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, cycles, nil
-}
-
-// MatmulBF16PackedInto is MatmulBF16Packed writing into a caller-owned
-// destination (len must be exactly m×W.N) instead of allocating one —
-// the steady-state entry point for decode loops that reuse an output
-// ring across rounds. Every element of dst is overwritten; results and
-// cycle accounting are bit-identical to MatmulBF16Packed.
+// MatmulBF16PackedInto computes dst = A·W through the AMX tile pipeline
+// for a prepacked right-hand operand: A is m×K row-major float32, rounded
+// to bfloat16 as a BF16 kernel reads it, and accumulation is float32 in
+// the tile unit's own order and rounding (bf16Dot), so the result is the
+// one silicon computes. dst is the caller's m×N row-major destination
+// (its length must be exactly m×W.N), every element overwritten; it
+// returns the AMX cycles consumed.
 func MatmulBF16PackedInto(dst, a []float32, m int, w *Prepacked) (uint64, error) {
 	if w == nil {
 		return 0, fmt.Errorf("amx: nil prepacked operand")
 	}
-	return matmulBF16Into(dst, a, m, w)
-}
-
-// matmulBF16Into is the destination-reusing product behind
-// MatmulBF16PackedInto and MatmulBF16GrowingInto: it checks the shapes
-// against w's logical K × N and runs the driver.
-func matmulBF16Into(dst, a []float32, m int, w *Prepacked) (uint64, error) {
 	if len(a) != m*w.K {
 		return 0, fmt.Errorf("amx: matmul operand size %d does not match %dx%d", len(a), m, w.K)
 	}

@@ -19,14 +19,24 @@ func matrices(m, k, n int, seed float32) (a, b []float32) {
 }
 
 // matmulBF16 is the unpacked-operand form the BF16 tests are written
-// against: prepack B, then run MatmulBF16Packed (matmulINT8 is its INT8
+// against: prepack B, then run matmulPacked (matmulINT8 is its INT8
 // twin).
 func matmulBF16(a, b []float32, m, k, n int) ([]float32, uint64, error) {
 	w, err := PrepackBF16(b, k, n)
 	if err != nil {
 		return nil, 0, err
 	}
-	return MatmulBF16Packed(a, m, w)
+	return matmulPacked(a, m, w)
+}
+
+// matmulPacked runs MatmulBF16PackedInto into a fresh m×N destination.
+func matmulPacked(a []float32, m int, w *Prepacked) ([]float32, uint64, error) {
+	var c []float32
+	if w != nil && m > 0 {
+		c = make([]float32, m*w.N)
+	}
+	cycles, err := MatmulBF16PackedInto(c, a, m, w)
+	return c, cycles, err
 }
 
 // TestPackedMatchesLegacyBF16 requires a reused prepacked operand to
@@ -51,7 +61,7 @@ func TestPackedMatchesLegacyBF16(t *testing.T) {
 			t.Fatalf("%dx%dx%d prepack: %v", s.m, s.k, s.n, err)
 		}
 		for rep := 0; rep < 3; rep++ { // reuse must not drift
-			got, _, err := MatmulBF16Packed(a, s.m, pre)
+			got, _, err := matmulPacked(a, s.m, pre)
 			if err != nil {
 				t.Fatalf("%dx%dx%d packed: %v", s.m, s.k, s.n, err)
 			}
@@ -133,14 +143,14 @@ func TestPrepackValidation(t *testing.T) {
 	if _, err := PrepackBF16(nil, 0, 3); err == nil {
 		t.Error("zero dimension accepted")
 	}
-	if _, _, err := MatmulBF16Packed(make([]float32, 4), 2, nil); err == nil {
+	if _, _, err := matmulPacked(make([]float32, 4), 2, nil); err == nil {
 		t.Error("nil prepacked operand accepted")
 	}
 	pre, err := PrepackBF16(make([]float32, 6), 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MatmulBF16Packed(make([]float32, 3), 1, pre); err == nil {
+	if _, _, err := matmulPacked(make([]float32, 3), 1, pre); err == nil {
 		t.Error("mismatched activation width accepted")
 	}
 	if _, err := PrepackINT8(make([]int8, 5), 2, 3); err == nil {
@@ -151,13 +161,14 @@ func TestPrepackValidation(t *testing.T) {
 	}
 }
 
-// TestMatmulBF16PackedInto pins the destination-reusing entry point
-// against the allocating one: identical bits across shapes (including
-// multi-row-block stacked-decode shapes), matching cycles modulo palette
-// reconfiguration (a pooled unit that already carries the matmul config
-// skips the LDTILECFG charge, so back-to-back calls may differ by a
-// multiple of cyclesConfig — same tolerance as the decoded-parity suite),
-// full overwrite of a dirty destination, and size validation.
+// TestMatmulBF16PackedInto pins a product into a dirty destination
+// against one into a fresh, zeroed one: identical bits across shapes
+// (including multi-row-block stacked-decode shapes), matching cycles
+// modulo palette reconfiguration (a pooled unit that already carries the
+// matmul config skips the LDTILECFG charge, so back-to-back calls may
+// differ by a multiple of cyclesConfig — same tolerance as the
+// decoded-parity suite), full overwrite of a dirty destination, and size
+// validation.
 func TestMatmulBF16PackedInto(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
 		{1, 64, 64},   // decode GEMV
@@ -170,7 +181,7 @@ func TestMatmulBF16PackedInto(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantCycles, err := MatmulBF16Packed(a, s.m, pre)
+		want, wantCycles, err := matmulPacked(a, s.m, pre)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +194,7 @@ func TestMatmulBF16PackedInto(t *testing.T) {
 			t.Fatalf("%dx%dx%d into: %v", s.m, s.k, s.n, err)
 		}
 		if !reflect.DeepEqual(want, dst) {
-			t.Fatalf("%dx%dx%d: Into result diverges from allocating path", s.m, s.k, s.n)
+			t.Fatalf("%dx%dx%d: result into a dirty destination diverges", s.m, s.k, s.n)
 		}
 		if diff := cycleDiff(cycles, wantCycles); diff%cyclesConfig != 0 {
 			t.Fatalf("%dx%dx%d: Into cycles %d != %d", s.m, s.k, s.n, cycles, wantCycles)

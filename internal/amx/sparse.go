@@ -100,7 +100,7 @@ func int8BlockZero(vnni []byte, kb, cb, bStride int) bool {
 }
 
 // PrepackBF16Sparse is PrepackBF16 plus the zero-block bitmap: the
-// returned operand runs through the same MatmulBF16Packed entry points
+// returned operand runs through the same MatmulBF16PackedInto entry point
 // but skips zero (kb, cb) tile blocks entirely. Prepack cost is one extra
 // scan of the VNNI image.
 func PrepackBF16Sparse(b []float32, k, n int) (*Prepacked, error) {
@@ -151,7 +151,7 @@ func BlockShapeBF16() (k, n int) { return blockK, blockN }
 func BlockShapeINT8() (k, n int) { return blockKi8, blockNi8 }
 
 // PredictCycles returns the steady-state AMX cycles one
-// MatmulBF16Packed call with m activation rows consumes once the tile
+// MatmulBF16PackedInto call with m activation rows consumes once the tile
 // palette is installed (a cold unit adds cyclesConfig once): per 16-row
 // stripe every column block pays TileZero + TileStore and every nonzero
 // (kb, cb) block pays two TileLoads and one TDP. This is the calibrated

@@ -259,7 +259,7 @@ func TestSparseCyclesModelExact(t *testing.T) {
 			// Two calls: the second is guaranteed warm only when the caller
 			// unit survives the pool round-trip, so accept the configure term.
 			for call := 0; call < 2; call++ {
-				_, cy, err := MatmulBF16Packed(am, m, w)
+				_, cy, err := matmulPacked(am, m, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,11 +307,11 @@ func TestSparseDecodeFaster(t *testing.T) {
 	}
 	var cyS, cyD uint64
 	for call := 0; call < 2; call++ { // second call is palette-warm
-		_, cyS, err = MatmulBF16Packed(a, 1, sparse)
+		_, cyS, err = matmulPacked(a, 1, sparse)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cyD, err = MatmulBF16Packed(a, 1, dense)
+		_, cyD, err = matmulPacked(a, 1, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,11 +382,11 @@ func FuzzSparsePrepack(f *testing.F) {
 		if total != kBlocks*colBlocks || total-nz < planted {
 			t.Fatalf("block stats nz=%d total=%d, planted %d zero of %d", nz, total, planted, kBlocks*colBlocks)
 		}
-		want, _, err := MatmulBF16Packed(a, m, dense)
+		want, _, err := matmulPacked(a, m, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := MatmulBF16Packed(a, m, sparse)
+		got, _, err := matmulPacked(a, m, sparse)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func FuzzSparsePrepack(f *testing.F) {
 		if bnz, btot := byteOp.BlockStats(); bnz != nz || btot != total {
 			t.Fatalf("byte-image bitmap (%d/%d) disagrees with decoded (%d/%d)", bnz, btot, nz, total)
 		}
-		gotBytes, _, err := MatmulBF16Packed(a, m, byteOp)
+		gotBytes, _, err := matmulPacked(a, m, byteOp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +435,8 @@ func TestLUTGEMVMatchesDequantizedReference(t *testing.T) {
 		for i := range x {
 			x[i] = float32(rng.NormFloat64())
 		}
-		got, cycles, err := w.GEMV4LUT(x, sh.m)
+		got := make([]float32, sh.m*sh.n)
+		cycles, err := w.GEMV4LUTInto(got, x, sh.m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestSparseSpeedupCalibratedAgainstKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, denseCycles, err := amx.MatmulBF16Packed(x, rows, densePre)
+	denseCycles, err := amx.MatmulBF16PackedInto(make([]float32, rows*n), x, rows, densePre)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSparseSpeedupCalibratedAgainstKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sparseCycles, err := amx.MatmulBF16Packed(x, rows, sparsePre)
+	sparseCycles, err := amx.MatmulBF16PackedInto(make([]float32, rows*n), x, rows, sparsePre)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,15 @@ func (s *Sequence) Prefilling() bool { return s.prefillPos < len(s.prompt) }
 // causal pass, reporting true once the prompt is fully prefilled (the
 // call that finishes also computes the first pending token, so TTFT is
 // the moment AdvancePrefill first returns true). Calling it on a ready
-// sequence is a no-op returning true.
+// sequence is a no-op returning true. The fork lets go of the chunk-sized
+// workspace before returning: a sequence between passes — decoding in
+// fused rounds, where its fork only attends, or waiting for its turn —
+// keeps no prompt-sized buffer.
 func (s *Sequence) AdvancePrefill() (bool, error) {
 	if !s.Prefilling() {
 		return true, nil
 	}
+	defer func() { s.e.ws = workspace{} }()
 	end := min(s.prefillPos+s.chunk, len(s.prompt))
 	x, err := s.e.forward(context.TODO(), model.Prefill, span{s.e, s.cache, s.prompt[s.prefillPos:end]})
 	if err != nil {

@@ -49,10 +49,10 @@ type int8Op struct {
 	sparse bool
 }
 
-func (o *int8Op) apply(e *Executor, _ int, _ model.Sublayer, x tensor.Matrix) tensor.Matrix {
-	out, cycles, err := quant.Linear(x, o.w)
+func (o *int8Op) apply(e *Executor, _ int, _ model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error) {
+	cycles, err := quant.Linear(dst, x, o.w)
 	if err != nil {
-		panic(fmt.Sprintf("llm: int8 linear: %v", err))
+		return dst, fmt.Errorf("llm: int8 linear: %w", err)
 	}
 	e.Stats.Int8Matmuls++
 	e.Stats.AMXCycles += cycles
@@ -61,7 +61,7 @@ func (o *int8Op) apply(e *Executor, _ int, _ model.Sublayer, x tensor.Matrix) te
 		e.Stats.SparseMatmuls++
 		e.Stats.SparseBlocksSkipped += uint64(zero)
 	}
-	return out
+	return dst, nil
 }
 
 // footprint prices the packed format with its side tables; the sparse
@@ -107,14 +107,14 @@ type sparseOp struct {
 	gpu tensor.Matrix
 }
 
-func (o *sparseOp) apply(e *Executor, _ int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
+func (o *sparseOp) apply(e *Executor, _ int, s model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error) {
 	if !e.Policy.OnCPU(s) {
-		return e.denseBF16(s, x, o.gpu)
+		return e.denseBF16(s, x, o.gpu, dst)
 	}
 	zero, _ := o.blocks()
 	e.Stats.SparseMatmuls++
 	e.Stats.SparseBlocksSkipped += uint64(zero)
-	return e.amxBF16(s, x, o.pre)
+	return dst, e.tallyAMX(amx.MatmulBF16PackedInto(dst.Data, x.Data, x.Rows, o.pre))
 }
 
 // footprint prices the compressed nonzero-block BF16 payload plus bitmap.
@@ -146,14 +146,14 @@ func (e *Executor) EnableINT4LUT(group int) {
 // int4Op is one INT4 group-quantized parameter matrix.
 type int4Op struct{ w quant.WeightsINT4 }
 
-func (o *int4Op) apply(e *Executor, _ int, _ model.Sublayer, x tensor.Matrix) tensor.Matrix {
-	out, cycles, err := quant.LinearINT4LUT(x, o.w)
+func (o *int4Op) apply(e *Executor, _ int, _ model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error) {
+	cycles, err := quant.LinearINT4LUT(dst, x, o.w)
 	if err != nil {
-		panic(fmt.Sprintf("llm: int4 linear: %v", err))
+		return dst, fmt.Errorf("llm: int4 linear: %w", err)
 	}
 	e.Stats.Int4Matmuls++
 	e.Stats.AMXCycles += cycles
-	return out
+	return dst, nil
 }
 
 func (o *int4Op) footprint() int64          { return int64(o.w.Footprint()) }

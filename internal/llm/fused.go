@@ -34,12 +34,14 @@ type span struct {
 
 // forward runs the layer stack once over every span's tokens, appends
 // their K/V rows to the spans' caches, and returns the final hidden
-// states — the spans' rows stacked in order — for the caller's head.
-// projectQKV and finishLayer run on e over all rows at once; attend runs
-// per span, causally masked. A one-span pass runs inside one MemHost
-// window on e, closed before forward returns and so before the head; a
-// multi-span pass opens none (windows are per cache) and gives up, with
-// its caches part-extended, once ctx is done.
+// states — the spans' rows stacked in order, in e's workspace — for the
+// caller's head. projectQKV and finishLayer run on e over all rows at
+// once; attend runs per span, causally masked. A one-span pass runs
+// inside one MemHost window on e, closed before forward returns and so
+// before the head; a multi-span pass opens none (windows are per cache).
+// A sublayer whose shapes do not fit its weight fails the pass, and a
+// multi-span pass also gives up once ctx is done; either leaves the
+// caches part-extended.
 //
 // Per-element results do not depend on how rows are stacked: every
 // kernel on the path computes each output row from its input row alone —
@@ -58,7 +60,7 @@ func (e *Executor) forward(ctx context.Context, stage model.Stage, spans ...span
 		rows += len(sp.tokens)
 	}
 	d := e.Model.Cfg.DModel
-	x := tensor.New(rows, d)
+	x := mat(&e.ws.x, rows, d)
 	r := 0
 	for _, sp := range spans {
 		for i, tok := range sp.tokens {
@@ -82,25 +84,30 @@ func (e *Executor) forward(ctx context.Context, stage model.Stage, spans ...span
 		if e.pass != nil {
 			e.pass.LayerStart(li)
 		}
-		qkv := e.projectQKV(li, x)
-		att := tensor.New(rows, d)
-		if len(spans) == 1 {
-			spans[0].e.attend(li, qkv, spans[0].cache, att)
-		} else {
-			team.Run(len(e.spans), func(i int) {
-				lo := 0
-				for _, sp := range e.spans[:i] {
-					lo += len(sp.tokens)
-				}
-				sp := e.spans[i]
-				hi := lo + len(sp.tokens)
-				sp.e.attend(li, rowRange(qkv, lo, hi), sp.cache, rowRange(att, lo, hi))
-			})
-			if err := ctx.Err(); err != nil { // the round was abandoned; its caller discards the batch
-				return tensor.Matrix{}, fmt.Errorf("llm: %w", err)
-			}
+		qkv, err := e.projectQKV(li, x)
+		if err != nil {
+			return tensor.Matrix{}, err
 		}
-		x = e.finishLayer(li, x, att)
+		att := mat(&e.ws.att, rows, d)
+		if len(spans) == 1 {
+			err = spans[0].e.attend(li, qkv, spans[0].cache, att)
+		} else if err = team.RunErr(ctx, len(e.spans), func(i int) error {
+			lo := 0
+			for _, sp := range e.spans[:i] {
+				lo += len(sp.tokens)
+			}
+			sp := e.spans[i]
+			hi := lo + len(sp.tokens)
+			return sp.e.attend(li, rowRange(qkv, lo, hi), sp.cache, rowRange(att, lo, hi))
+		}); err != nil { // a failed or abandoned round; its caller discards the batch
+			err = fmt.Errorf("llm: %w", err)
+		}
+		if err != nil {
+			return tensor.Matrix{}, err
+		}
+		if err := e.finishLayer(li, x, att); err != nil {
+			return tensor.Matrix{}, err
+		}
 	}
 	return x, nil
 }
@@ -125,8 +132,8 @@ func (e *Executor) StepBatchFused(ctx context.Context, seqs []*Sequence) error {
 		return StepBatch(ctx, seqs)
 	}
 	// Emit phase, preserving Step's error contract for finished or
-	// still-prefilling members.
-	spans := make([]span, 0, len(seqs))
+	// still-prefilling members. The spans go straight into e's scratch.
+	spans := e.spans[:0]
 	for _, s := range seqs {
 		if s.Prefilling() {
 			return fmt.Errorf("llm: sequence is still prefilling (%d/%d prompt tokens)", s.prefillPos, len(s.prompt))
@@ -139,6 +146,8 @@ func (e *Executor) StepBatchFused(ctx context.Context, seqs []*Sequence) error {
 			spans = append(spans, span{s.e, s.cache, s.out[len(s.out)-1:]})
 		}
 	}
+	e.spans = spans
+	defer clear(spans)
 	if len(spans) == 0 {
 		return nil
 	}

@@ -157,7 +157,7 @@ func TestPassWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		for li := range m.Layers {
-			cache.Append(li, seg.K[li], seg.V[li])
+			cache.Append(li, seg.Tokens(), seg.K[li].Data, seg.V[li].Data, seg.K[li].Cols)
 		}
 		if _, err := e.DecodeStep(cache, prompt[4]); err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ func TestKVCacheTruncateClearsImages(t *testing.T) {
 	}
 	bad.Data[0] = float32(math.NaN())
 	for li := range m.Layers {
-		cache.Append(li, bad, bad)
+		cache.Append(li, bad.Rows, bad.Data, bad.Data, bad.Cols)
 	}
 	cache.Truncate(len(prompt))
 	for li := range m.Layers {
@@ -152,7 +152,7 @@ func TestKVCacheRowsAreBF16(t *testing.T) {
 			}
 			wantK, wantV := k.Clone(), v.Clone()
 			for li := range m.Layers {
-				resumed.Append(li, k, v)
+				resumed.Append(li, k.Rows, k.Data, v.Data, k.Cols)
 			}
 			if !reflect.DeepEqual(k.Data, wantK.Data) || !reflect.DeepEqual(v.Data, wantV.Data) {
 				t.Error("Append modified the caller's rows")

@@ -168,22 +168,29 @@ func (c *KVCache) Len() int {
 	return c.K[0].Rows
 }
 
-// Append adds K/V rows for layer li, rounds them to bfloat16 in the
-// cache's own storage (k and v stay as they are), and writes the rounded
-// rows into every layout the layer has built: keys as mirror columns, each
-// head's slice of a row as one position of that head's images. The
-// executor's position checks guarantee the capacity is never exceeded.
-func (c *KVCache) Append(li int, k, v tensor.Matrix) {
-	past := c.K[li].Rows
-	c.K[li] = c.K[li].AppendRows(k)
-	c.V[li] = c.V[li].AppendRows(v)
-	k = tensor.FromSlice(k.Rows, k.Cols, amx.RoundSlice(c.K[li].Data[past*k.Cols:]))
-	v = tensor.FromSlice(v.Rows, v.Cols, amx.RoundSlice(c.V[li].Data[past*v.Cols:]))
-	if c.kT[li].Data != nil {
-		c.mirror(li, k, past)
+// Append adds rows K/V rows for layer li — row r of K is the KVDim values
+// at k[r*ld], of V those at v[r*ld], so a band of wider rows such as the
+// projected qkv rows is read where it lies — rounds them to bfloat16 in
+// the cache's own storage (k and v stay as they are), and writes the
+// rounded rows into every layout the layer has built: keys as mirror
+// columns, each head's slice of a row as one position of that head's
+// images. The executor's position checks guarantee the capacity is never
+// exceeded.
+func (c *KVCache) Append(li, rows int, k, v []float32, ld int) {
+	past, cols := c.K[li].Rows, c.K[li].Cols
+	kd, vd := c.K[li].Data[:(past+rows)*cols], c.V[li].Data[:(past+rows)*cols]
+	for r := 0; r < rows; r++ {
+		copy(kd[(past+r)*cols:(past+r+1)*cols], k[r*ld:r*ld+cols])
+		copy(vd[(past+r)*cols:(past+r+1)*cols], v[r*ld:r*ld+cols])
 	}
-	appendHeads(c.kImg[li], k)
-	appendHeads(c.vImg[li], v)
+	c.K[li], c.V[li] = tensor.FromSlice(past+rows, cols, kd), tensor.FromSlice(past+rows, cols, vd)
+	kNew := tensor.FromSlice(rows, cols, amx.RoundSlice(kd[past*cols:]))
+	vNew := tensor.FromSlice(rows, cols, amx.RoundSlice(vd[past*cols:]))
+	if c.kT[li].Data != nil {
+		c.mirror(li, kNew, past)
+	}
+	appendHeads(c.kImg[li], kNew)
+	appendHeads(c.vImg[li], vNew)
 }
 
 // mirror writes k's rows into layer li's transposed mirror as columns
@@ -335,6 +342,8 @@ type Executor struct {
 	// shared holds the RoPE tables and family-wide counters, common to
 	// every fork of this executor.
 	shared *sharedState
+	// ws is the pass workspace every sublayer of a pass writes into.
+	ws workspace
 	// Per-sequence attention scratch, reused across steps to keep the
 	// decode loop off the allocator: qhBuf holds the staged query slices,
 	// scoreBuf and ctxBuf the Q·Kᵀ and P·V results of either route.
@@ -343,6 +352,19 @@ type Executor struct {
 	// pass's spans for its attention loop, tok DecodeStep's one token.
 	spans []span
 	tok   [1]int
+}
+
+// workspace holds one pass's activations — the hidden rows x (which take
+// both residuals in place), the normed rows, the QKV projection (its
+// column bands are Q, K and V), attention's context, FC1's output, the
+// gated activation, and the out-projection's and FC2's result — each
+// sized to the pass's rows through fit and overwritten by its kernel, so
+// a steady decode loop allocates nothing per product (DESIGN.md §18).
+type workspace struct{ x, normed, qkv, att, h1, act, out []float32 }
+
+// mat returns buf, through fit, as a rows × cols matrix.
+func mat(buf *[]float32, rows, cols int) tensor.Matrix {
+	return tensor.FromSlice(rows, cols, fit(buf, rows*cols, rows*cols))
 }
 
 // NewExecutor wires a model to a policy on the dense BF16 tier, whose
@@ -364,32 +386,37 @@ func (e *Executor) fork() *Executor {
 // the number of tokens generated.
 func (e *Executor) WeightPacks() int64 { return e.shared.packs.Load() }
 
-// linear computes x·W for a parameter sublayer of layer li through the
-// active tier's op for that weight. x must be freshly computed by the
-// caller (the dense route rounds it to bfloat16 in place).
-func (e *Executor) linear(li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
+// linear computes x·W into dst for a parameter sublayer of layer li
+// through the active tier's op for that weight. x must be freshly
+// computed by the caller (the dense route rounds it to bfloat16 in place).
+func (e *Executor) linear(li int, s model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error) {
 	if e.pass != nil {
 		e.pass.WeightAccess(li, s)
 	}
-	return e.tier.ops[li][s].apply(e, li, s, x)
+	return e.tier.ops[li][s].apply(e, li, s, x, dst)
 }
 
 // projectQKV is sublayer 1: the QKV mapping with the pre-attention
 // layer norm fused in.
-func (e *Executor) projectQKV(li int, x tensor.Matrix) tensor.Matrix {
+func (e *Executor) projectQKV(li int, x tensor.Matrix) (tensor.Matrix, error) {
 	w := &e.Model.Layers[li]
-	normed := tensor.LayerNorm(x, w.LN1Gain, w.LN1Bias, 1e-5)
-	return tensor.AddBias(e.linear(li, model.QKVMapping, normed), w.BQKV)
+	normed := tensor.LayerNorm(mat(&e.ws.normed, x.Rows, x.Cols), x, w.LN1Gain, w.LN1Bias, 1e-5)
+	qkv, err := e.linear(li, model.QKVMapping, normed, mat(&e.ws.qkv, x.Rows, len(w.BQKV)))
+	if err != nil {
+		return qkv, err
+	}
+	return tensor.AddBias(qkv, w.BQKV), nil
 }
 
 // attend is sublayers 2+3 for one sequence: qkv's freshly projected rows
-// are split, rotated by their absolute positions, appended to the cache
-// and scored against it head by head under the causal mask; row r's
-// context lands in ctx's row r. e is the executor that owns the cache's
-// sequence — its scratch and dispatch counters are the ones used — so a
-// multi-span pass hands each sequence's fork a view of its rows of the
-// stacked qkv and ctx.
-func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.Matrix) {
+// — Q, K and V are its column bands, used where they lie — are rotated
+// by their absolute positions, appended to the cache and scored
+// against it head by head under the causal mask; row r's context lands
+// in ctx's row r. e is the executor that owns the cache's sequence — its
+// scratch and dispatch counters are the ones used — so a multi-span pass
+// hands each sequence's fork a view of its rows of the stacked qkv and
+// ctx.
+func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.Matrix) error {
 	cfg := e.Model.Cfg
 	d := cfg.DModel
 	dh := cfg.HeadDim()
@@ -397,18 +424,14 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.
 	groups := cfg.Heads / cfg.KVHeads // query heads per KV head (1 for MHA)
 	rows := qkv.Rows
 
-	q := qkv.SliceCols(0, d)
-	k := qkv.SliceCols(d, d+kvDim)
-	v := qkv.SliceCols(d+kvDim, d+2*kvDim)
-
-	// Rotary embeddings rotate the fresh queries and keys by their
-	// absolute positions before the keys are cached (Llama-family models).
+	// Rotary embeddings rotate the fresh queries and keys — the first
+	// Heads + KVHeads heads of each row — by their absolute positions
+	// before the keys are cached (Llama-family models).
 	past := cache.K[li].Rows
 	if cfg.RoPE {
-		e.applyRoPECached(q, dh, past)
-		e.applyRoPECached(k, dh, past)
+		e.applyRoPECached(qkv, d+kvDim, dh, past)
 	}
-	cache.Append(li, k, v)
+	cache.Append(li, rows, qkv.Data[d:], qkv.Data[d+kvDim:], qkv.Cols)
 	seen := cache.Len()
 	if e.pass != nil {
 		e.pass.KVWrite(li, rows)
@@ -427,16 +450,19 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.
 	invSqrt := float32(1 / math.Sqrt(float64(dh)))
 	qh := tensor.FromSlice(groups*rows, dh, fit(&e.qhBuf, groups*rows*dh, groups*rows*dh))
 	for kvHead := 0; kvHead < cfg.KVHeads; kvHead++ {
-		// Stage the group's query slices into scratch, stacked by head
-		// (a copy either route needs: the dense route rounds its operands
-		// in place and q must stay pristine).
+		// Stage the group's query slices into scratch, stacked by head:
+		// the one operand both routes read.
 		for g := 0; g < groups; g++ {
 			h := kvHead*groups + g
 			for r := 0; r < rows; r++ {
-				copy(qh.Row(g*rows+r), q.Row(r)[h*dh:(h+1)*dh])
+				copy(qh.Row(g*rows+r), qkv.Row(r)[h*dh:(h+1)*dh])
 			}
 		}
-		scores := tensor.Scale(e.scoreKeys(li, kvHead, qh, cache), invSqrt)
+		scores, err := e.scoreKeys(li, kvHead, qh, cache)
+		if err != nil {
+			return err
+		}
+		tensor.Scale(scores, invSqrt)
 		// Row g·rows+r of the stacked scores is query position past+r of
 		// head g, so the causal mask applies per sub-block — the stacked
 		// row index must not leak into the diagonal offset. A one-row pass
@@ -445,7 +471,10 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.
 			tensor.CausalMask(rowRange(scores, g*rows, (g+1)*rows), past)
 		}
 		tensor.SoftmaxRows(scores)
-		ctxH := e.weighValues(li, kvHead, scores, cache)
+		ctxH, err := e.weighValues(li, kvHead, scores, cache)
+		if err != nil {
+			return err
+		}
 		for g := 0; g < groups; g++ {
 			h := kvHead*groups + g
 			for r := 0; r < rows; r++ {
@@ -453,6 +482,7 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.
 			}
 		}
 	}
+	return nil
 }
 
 // scoreKeys is sublayer 2, Q·Kᵀ, for one KV head: the stacked queries qh
@@ -460,30 +490,30 @@ func (e *Executor) attend(li int, qkv tensor.Matrix, cache *KVCache, ctx tensor.
 // route multiplies the cache's Kᵀ tile image in place; the dense route
 // multiplies the head's dh rows of the transposed mirror in place, their
 // first seen columns at the mirror's row stride. Both write into scratch.
-func (e *Executor) scoreKeys(li, head int, qh tensor.Matrix, cache *KVCache) tensor.Matrix {
+func (e *Executor) scoreKeys(li, head int, qh tensor.Matrix, cache *KVCache) (tensor.Matrix, error) {
 	seen := cache.Len()
 	out := fit(&e.scoreBuf, qh.Rows*seen, qh.Rows*cache.capRows)
 	if e.Policy.OnCPU(model.QKT) {
-		e.tallyAMX(amx.MatmulBF16GrowingInto(out, qh.Data, qh.Rows, cache.keyImages(li)[head]))
-		return tensor.FromSlice(qh.Rows, seen, out)
+		err := e.tallyAMX(amx.MatmulBF16GrowingInto(out, qh.Data, qh.Rows, cache.keyImages(li)[head]))
+		return tensor.FromSlice(qh.Rows, seen, out), err
 	}
 	kt := cache.keyMirror(li)
-	return e.denseBF16Into(out, qh, kt.Data[head*qh.Cols*kt.Cols:], kt.Cols, seen)
+	return e.denseBF16Into(out, qh, kt.Data[head*qh.Cols*kt.Cols:], kt.Cols, seen), nil
 }
 
 // weighValues is sublayer 3, P·V, for one KV head: the probabilities
 // (m × seen) against the head's cached values, into scratch — the cache's
 // V tile image on the AMX route, the head's columns of the cached V rows,
 // in place, on the dense route.
-func (e *Executor) weighValues(li, head int, probs tensor.Matrix, cache *KVCache) tensor.Matrix {
+func (e *Executor) weighValues(li, head int, probs tensor.Matrix, cache *KVCache) (tensor.Matrix, error) {
 	dh := e.Model.Cfg.HeadDim()
 	out := fit(&e.ctxBuf, probs.Rows*dh, probs.Rows*dh)
 	if e.Policy.OnCPU(model.SV) {
-		e.tallyAMX(amx.MatmulBF16GrowingInto(out, probs.Data, probs.Rows, cache.valueImages(li)[head]))
-		return tensor.FromSlice(probs.Rows, dh, out)
+		err := e.tallyAMX(amx.MatmulBF16GrowingInto(out, probs.Data, probs.Rows, cache.valueImages(li)[head]))
+		return tensor.FromSlice(probs.Rows, dh, out), err
 	}
 	v := cache.V[li]
-	return e.denseBF16Into(out, probs, v.Data[head*dh:], v.Cols, dh)
+	return e.denseBF16Into(out, probs, v.Data[head*dh:], v.Cols, dh), nil
 }
 
 // fit returns *buf resliced to n values, first replacing it with room
@@ -496,26 +526,34 @@ func fit(buf *[]float32, n, room int) []float32 {
 	return (*buf)[:n]
 }
 
-// finishLayer is sublayers 4–6: the output projection and its residual,
-// then the FFN (pre-LN fused) with the architecture's activation —
-// SwiGLU gating for gated models, ReLU for OPT — and its residual.
-func (e *Executor) finishLayer(li int, x, ctx tensor.Matrix) tensor.Matrix {
+// finishLayer is sublayers 4–6 on x in place: the output projection
+// and its residual, then the FFN (pre-LN fused) with the architecture's
+// activation — SwiGLU gating for gated models, ReLU for OPT — and its
+// residual. Each sublayer's bias and what follows it is one pass.
+func (e *Executor) finishLayer(li int, x, ctx tensor.Matrix) error {
 	cfg := e.Model.Cfg
 	w := &e.Model.Layers[li]
-	attnOut := tensor.AddBias(e.linear(li, model.OutProjection, ctx), w.BOut)
-	x = tensor.Add(x, attnOut)
-
-	normed2 := tensor.LayerNorm(x, w.LN2Gain, w.LN2Bias, 1e-5)
-	h1 := tensor.AddBias(e.linear(li, model.FC1, normed2), w.BFC1)
-	if cfg.GatedFFN {
-		gate := tensor.SiLU(h1.SliceCols(0, cfg.DFF))
-		up := h1.SliceCols(cfg.DFF, 2*cfg.DFF)
-		h1 = tensor.MulElem(gate, up)
-	} else {
-		h1 = tensor.ReLU(h1)
+	out, err := e.linear(li, model.OutProjection, ctx, mat(&e.ws.out, x.Rows, x.Cols))
+	if err != nil {
+		return err
 	}
-	h2 := tensor.AddBias(e.linear(li, model.FC2, h1), w.BFC2)
-	return tensor.Add(x, h2)
+	tensor.AddBiasResidual(x, out, w.BOut)
+
+	normed := tensor.LayerNorm(mat(&e.ws.normed, x.Rows, x.Cols), x, w.LN2Gain, w.LN2Bias, 1e-5)
+	h1, err := e.linear(li, model.FC1, normed, mat(&e.ws.h1, x.Rows, len(w.BFC1)))
+	if err != nil {
+		return err
+	}
+	if cfg.GatedFFN {
+		h1 = tensor.SwiGLU(mat(&e.ws.act, x.Rows, cfg.DFF), tensor.AddBias(h1, w.BFC1))
+	} else {
+		tensor.AddBiasReLU(h1, w.BFC1)
+	}
+	if _, err := e.linear(li, model.FC2, h1, out); err != nil {
+		return err
+	}
+	tensor.AddBiasResidual(x, out, w.BFC2)
+	return nil
 }
 
 // embedRow writes one token's embedding at absolute position pos into
@@ -544,7 +582,7 @@ func (e *Executor) embedRow(dst []float32, tok, pos int) error {
 // skips for a zero coefficient is ±0 for a finite embedding, which cannot
 // change a sum that started at +0.
 func (e *Executor) logits(x tensor.Matrix) tensor.Matrix {
-	normed := tensor.LayerNorm(x, e.Model.FinalGain, e.Model.FinalBias, 1e-5)
+	normed := tensor.LayerNorm(mat(&e.ws.normed, x.Rows, x.Cols), x, e.Model.FinalGain, e.Model.FinalBias, 1e-5)
 	return tensor.MatMul(normed, e.head())
 }
 
@@ -748,14 +786,14 @@ func (e *Executor) ropeTables() (sin, cos []float64) {
 	return sh.ropeSin, sh.ropeCos
 }
 
-// applyRoPECached rotates each row's per-head (even, odd) pairs by the
-// row's absolute position using the precomputed tables. The angles (and
-// therefore the rotated values) are bit-identical to the reference
-// applyRoPE — tests enforce it.
-func (e *Executor) applyRoPECached(m tensor.Matrix, dh, startPos int) {
+// applyRoPECached rotates the per-head (even, odd) pairs of each row's
+// first cols columns by the row's absolute position using the
+// precomputed tables. The angles (and therefore the rotated values) are
+// bit-identical to the reference applyRoPE — tests enforce it.
+func (e *Executor) applyRoPECached(m tensor.Matrix, cols, dh, startPos int) {
 	sinT, cosT := e.ropeTables()
 	half := dh / 2
-	heads := m.Cols / dh
+	heads := cols / dh
 	for r := 0; r < m.Rows; r++ {
 		tab := (startPos + r) * half
 		row := m.Row(r)

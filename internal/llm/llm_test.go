@@ -599,7 +599,7 @@ func TestLogitsMatchSeedHead(t *testing.T) {
 				x.Set(1, c, float32(c%3-1)) // mean 0: a third of the row normalises to 0
 			}
 			got := NewExecutor(m, core.FullGPU).logits(x)
-			want := seedHead(tensor.LayerNorm(x, m.FinalGain, m.FinalBias, 1e-5), m.Embed)
+			want := seedHead(tensor.LayerNorm(tensor.New(x.Rows, x.Cols), x, m.FinalGain, m.FinalBias, 1e-5), m.Embed)
 			for i, w := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
 					t.Fatalf("logit %d = %g, seed head %g", i, got.Data[i], w)

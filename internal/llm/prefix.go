@@ -128,7 +128,7 @@ func (e *Executor) seeded(prompt []int, seed *KVSeed) (*KVCache, int, error) {
 	}
 	for _, seg := range seed.Segments {
 		for li := range e.Model.Layers {
-			cache.Append(li, seg.K[li], seg.V[li])
+			cache.Append(li, seg.Tokens(), seg.K[li].Data, seg.V[li].Data, seg.K[li].Cols)
 		}
 	}
 	return cache, cached, nil

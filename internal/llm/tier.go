@@ -17,11 +17,13 @@ import (
 
 // linearOp is one parameter sublayer's weights in one tier.
 type linearOp interface {
-	// apply computes x·W on e — the calling fork, whose policy routes the
-	// product and whose pass hooks and Stats observe it. x must be freshly
-	// computed by the caller (the dense route rounds it to bfloat16 in
-	// place, exactly the rounding the seed applied to a clone).
-	apply(e *Executor, li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix
+	// apply computes x·W into dst, every element overwritten, on e — the
+	// calling fork, whose policy routes the product and whose pass hooks
+	// and Stats observe it — and returns dst, or an error when the shapes
+	// do not fit the weight. x must be freshly computed by the caller (the
+	// dense route rounds it to bfloat16 in place, exactly the rounding the
+	// seed applied to a clone).
+	apply(e *Executor, li int, s model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error)
 	// footprint is the serving footprint in bytes (see WeightFootprint).
 	footprint() int64
 	// blocks reports the (zero, total) tile blocks of the image the kernel
@@ -92,30 +94,31 @@ type denseOp struct {
 	w       tensor.Matrix
 	cpuOnce sync.Once
 	cpu     *amx.Prepacked
+	cpuErr  error
 	gpuOnce sync.Once
 	gpu     tensor.Matrix
 }
 
 func newDenseOp(w tensor.Matrix) linearOp { return &denseOp{w: w} }
 
-func (d *denseOp) apply(e *Executor, li int, s model.Sublayer, x tensor.Matrix) tensor.Matrix {
+func (d *denseOp) apply(e *Executor, li int, s model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error) {
 	if e.Policy.OnCPU(s) {
 		d.cpuOnce.Do(func() {
-			pre, err := amx.PrepackBF16(d.w.Data, d.w.Rows, d.w.Cols)
-			if err != nil {
-				panic(fmt.Sprintf("llm: prepack %s: %v", s, err))
+			if d.cpu, d.cpuErr = amx.PrepackBF16(d.w.Data, d.w.Rows, d.w.Cols); d.cpuErr == nil {
+				e.weightPacked(li, s)
 			}
-			d.cpu = pre
-			e.weightPacked(li, s)
 		})
-		return e.amxBF16(s, x, d.cpu)
+		if d.cpuErr != nil {
+			return dst, fmt.Errorf("llm: prepack %s: %w", s, d.cpuErr)
+		}
+		return dst, e.tallyAMX(amx.MatmulBF16PackedInto(dst.Data, x.Data, x.Rows, d.cpu))
 	}
 	d.gpuOnce.Do(func() {
 		d.gpu = d.w.Clone()
 		amx.RoundSlice(d.gpu.Data)
 		e.weightPacked(li, s)
 	})
-	return e.denseBF16(s, x, d.gpu)
+	return e.denseBF16(s, x, d.gpu, dst)
 }
 
 // footprint prices the BF16 image a deployment ships: 2 bytes per element.
@@ -132,35 +135,27 @@ func (e *Executor) weightPacked(li int, s model.Sublayer) {
 	}
 }
 
-// amxBF16 is the CPU route of a BF16 parameter sublayer: x through the
-// emulated tile pipeline against a prepacked (dense or sparse-bitmap)
-// image.
-func (e *Executor) amxBF16(s model.Sublayer, x tensor.Matrix, w *amx.Prepacked) tensor.Matrix {
-	if x.Cols != w.K {
-		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.K, w.N))
-	}
-	out, cycles, err := amx.MatmulBF16Packed(x.Data, x.Rows, w)
-	e.tallyAMX(cycles, err)
-	return tensor.FromSlice(x.Rows, w.N, out)
-}
-
-// tallyAMX counts one BF16 product on the tile pipeline and its cycles.
-// An error, which the executor's own shapes rule out, is fatal.
-func (e *Executor) tallyAMX(cycles uint64, err error) {
+// tallyAMX counts one BF16 product on the tile pipeline — the CPU route,
+// x through the emulated tile pipeline against a prepacked (dense or
+// sparse-bitmap) image or a KV-cache image — and its cycles, or returns
+// the product's error: a shape that does not fit the weight.
+func (e *Executor) tallyAMX(cycles uint64, err error) error {
 	if err != nil {
-		panic(fmt.Sprintf("llm: AMX matmul: %v", err))
+		return fmt.Errorf("llm: AMX matmul: %w", err)
 	}
 	e.Stats.CPUMatmuls++
 	e.Stats.AMXCycles += cycles
+	return nil
 }
 
 // denseBF16 is the GPU route: x rounded to bfloat16 in place (the
-// rounding a GPU tensor core applies) times a pre-rounded weight.
-func (e *Executor) denseBF16(s model.Sublayer, x, w tensor.Matrix) tensor.Matrix {
-	if x.Cols != w.Rows {
-		panic(fmt.Sprintf("llm: %s matmul shape mismatch %dx%d · %dx%d", s, x.Rows, x.Cols, w.Rows, w.Cols))
+// rounding a GPU tensor core applies) times a pre-rounded weight, into dst.
+func (e *Executor) denseBF16(s model.Sublayer, x, w, dst tensor.Matrix) (tensor.Matrix, error) {
+	if x.Cols != w.Rows || dst.Rows != x.Rows || dst.Cols != w.Cols {
+		return dst, fmt.Errorf("llm: %s matmul shape mismatch %dx%d · %dx%d into %dx%d",
+			s, x.Rows, x.Cols, w.Rows, w.Cols, dst.Rows, dst.Cols)
 	}
-	return e.denseBF16Into(make([]float32, x.Rows*w.Cols), x, w.Data, w.Cols, w.Cols)
+	return e.denseBF16Into(dst.Data, x, w.Data, w.Cols, w.Cols), nil
 }
 
 // denseBF16Into is denseBF16 into out, its operand strided in place as

@@ -57,7 +57,7 @@ func QuantizeINT4(w tensor.Matrix, group int) (WeightsINT4, error) {
 		Codes:  make([]uint8, (k*n+1)/2),
 		Scales: make([]uint16, groups*n),
 	}
-	codes := make([]uint8, k*n)   // unpacked, for the amx image
+	codes := make([]uint8, k*n) // unpacked, for the amx image
 	scales := make([]float32, groups*n)
 	for j := 0; j < n; j++ {
 		for g := 0; g < groups; g++ {
@@ -144,22 +144,17 @@ func (w WeightsINT4) Bytes() int { return len(w.Codes) + 2*len(w.Scales) }
 // the INT4 twin of Weights.Footprint.
 func (w WeightsINT4) Footprint() int { return w.Bytes() }
 
-// LinearINT4LUT computes y = x·W through the INT4 GEMV kernel — SAIL's
-// lookup-table GEMV with each table entry computed in a vector register
-// instead of looked up, bit for bit the same; see amx.PrepackedINT4 for
-// the numeric contract — and returns the result plus the modeled cycles
-// of the table design.
-func LinearINT4LUT(x tensor.Matrix, w WeightsINT4) (tensor.Matrix, uint64, error) {
-	if x.Cols != w.K {
-		return tensor.Matrix{}, 0, fmt.Errorf("quant: int4 linear shape mismatch %dx%d · %dx%d", x.Rows, x.Cols, w.K, w.N)
+// LinearINT4LUT computes y = x·W into dst (x.Rows × N, every element
+// overwritten) through the INT4 GEMV kernel — SAIL's lookup-table GEMV
+// with each table entry computed in a vector register instead of looked
+// up, bit for bit the same; see amx.PrepackedINT4 for the numeric
+// contract — and returns the modeled cycles of the table design.
+func LinearINT4LUT(dst, x tensor.Matrix, w WeightsINT4) (uint64, error) {
+	if x.Cols != w.K || dst.Rows != x.Rows || dst.Cols != w.N {
+		return 0, fmt.Errorf("quant: int4 linear shape mismatch %dx%d · %dx%d into %dx%d", x.Rows, x.Cols, w.K, w.N, dst.Rows, dst.Cols)
 	}
 	if w.pre == nil {
-		return tensor.Matrix{}, 0, fmt.Errorf("quant: int4 weights missing prepacked image (use QuantizeINT4)")
+		return 0, fmt.Errorf("quant: int4 weights missing prepacked image (use QuantizeINT4)")
 	}
-	out := tensor.New(x.Rows, w.N)
-	cycles, err := w.pre.GEMV4LUTInto(out.Data, x.Data, x.Rows)
-	if err != nil {
-		return tensor.Matrix{}, 0, err
-	}
-	return out, cycles, nil
+	return w.pre.GEMV4LUTInto(dst.Data, x.Data, x.Rows)
 }

@@ -78,7 +78,8 @@ func TestLinearINT4LUTMatchesDequantizedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, cycles, err := LinearINT4LUT(x, qw)
+	got := tensor.New(x.Rows, w.Cols)
+	cycles, err := LinearINT4LUT(got, x, qw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +105,13 @@ func TestLinearINT4LUTShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LinearINT4LUT(tensor.New(2, 7), qw); err == nil {
+	if _, err := LinearINT4LUT(tensor.New(2, 4), tensor.New(2, 7), qw); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	if _, _, err := LinearINT4LUT(tensor.New(2, 8), WeightsINT4{K: 8, N: 4, Group: 4}); err == nil {
+	if _, err := LinearINT4LUT(tensor.New(2, 5), tensor.New(2, 8), qw); err == nil {
+		t.Error("destination shape mismatch accepted")
+	}
+	if _, err := LinearINT4LUT(tensor.New(2, 4), tensor.New(2, 8), WeightsINT4{K: 8, N: 4, Group: 4}); err == nil {
 		t.Error("missing prepacked image accepted")
 	}
 }

@@ -221,24 +221,25 @@ func (a Activations) Dequantize() tensor.Matrix {
 	return out
 }
 
-// Linear computes y = x·W using the AMX INT8 pipeline: x is quantized to
-// uint8, the integer product runs through TDPBUSD, and the result is
-// dequantized with the zero-point correction
+// Linear computes y = x·W into dst (x.Rows × N, every element
+// overwritten) using the AMX INT8 pipeline: x is quantized to uint8, the
+// integer product runs through TDPBUSD, and the result is dequantized
+// with the zero-point correction
 //
 //	y[i][j] = s_x · s_j · (Σ_k q_x[i][k]·q_w[k][j] − z_x · Σ_k q_w[k][j]).
 //
-// It returns the float32 result and the AMX cycles consumed.
-func Linear(x tensor.Matrix, w Weights) (tensor.Matrix, uint64, error) {
-	if x.Cols != w.K {
-		return tensor.Matrix{}, 0, fmt.Errorf("quant: linear shape mismatch %dx%d · %dx%d", x.Rows, x.Cols, w.K, w.N)
+// It returns the AMX cycles consumed.
+func Linear(dst, x tensor.Matrix, w Weights) (uint64, error) {
+	if x.Cols != w.K || dst.Rows != x.Rows || dst.Cols != w.N {
+		return 0, fmt.Errorf("quant: linear shape mismatch %dx%d · %dx%d into %dx%d", x.Rows, x.Cols, w.K, w.N, dst.Rows, dst.Cols)
 	}
 	if w.pre == nil {
-		return tensor.Matrix{}, 0, fmt.Errorf("quant: int8 weights missing prepacked image (use QuantizeWeights)")
+		return 0, fmt.Errorf("quant: int8 weights missing prepacked image (use QuantizeWeights)")
 	}
 	qx := QuantizeActivations(x)
 	acc, cycles, err := amx.MatmulINT8Packed(qx.Q, qx.M, w.pre)
 	if err != nil {
-		return tensor.Matrix{}, 0, err
+		return 0, err
 	}
 	// s_x·s_j once per column: Go evaluates s_x·s_j·v left to right and
 	// there is no add to fuse, so hoisting the first product rounds exactly
@@ -251,17 +252,16 @@ func Linear(x tensor.Matrix, w Weights) (tensor.Matrix, uint64, error) {
 	for j, s := range w.ColScales {
 		factor[j] = qx.Scale * s
 	}
-	out := tensor.New(x.Rows, w.N)
 	zx := int32(qx.Zero)
 	for i := 0; i < x.Rows; i++ {
-		row := out.Row(i)
+		row := dst.Row(i)
 		accRow := acc[i*w.N : (i+1)*w.N]
 		for j := range row {
 			row[j] = factor[j] * float32(accRow[j]-zx*w.ColSums[j])
 		}
 	}
 	colFactors.Put(fp)
-	return out, cycles, nil
+	return cycles, nil
 }
 
 // colFactors recycles Linear's per-column dequantisation factors.

@@ -91,7 +91,8 @@ func TestLinearMatchesFloatMatmul(t *testing.T) {
 	w := randomMatrix(33, 11, 0.1, 5)
 	want := tensor.MatMul(x, w)
 	qw := QuantizeWeights(w)
-	got, cycles, err := Linear(x, qw)
+	got := tensor.New(x.Rows, w.Cols)
+	cycles, err := Linear(got, x, qw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,14 @@ func TestLinearMatchesFloatMatmul(t *testing.T) {
 }
 
 func TestLinearShapeMismatch(t *testing.T) {
-	if _, _, err := Linear(tensor.New(2, 3), QuantizeWeights(tensor.New(4, 2))); err == nil {
+	if _, err := Linear(tensor.New(2, 2), tensor.New(2, 3), QuantizeWeights(tensor.New(4, 2))); err == nil {
 		t.Error("shape mismatch accepted")
 	}
+	if _, err := Linear(tensor.New(2, 3), tensor.New(2, 4), QuantizeWeights(tensor.New(4, 2))); err == nil {
+		t.Error("destination shape mismatch accepted")
+	}
 	// Same rule as LinearINT4LUT: a hand-built value has no prepacked image.
-	if _, _, err := Linear(tensor.New(2, 4), Weights{K: 4, N: 2, Q: make([]int8, 8)}); err == nil {
+	if _, err := Linear(tensor.New(2, 2), tensor.New(2, 4), Weights{K: 4, N: 2, Q: make([]int8, 8)}); err == nil {
 		t.Error("missing prepacked image accepted")
 	}
 }

@@ -9,17 +9,13 @@ func TestNewWithCapGrowsInPlace(t *testing.T) {
 	}
 	base := &m.Data[:1][0]
 	for r := 0; r < 8; r++ {
-		row := New(1, 4)
-		for c := range row.Data {
-			row.Data[c] = float32(r*4 + c)
+		m = FromSlice(r+1, 4, m.Data[:(r+1)*4])
+		for c := range m.Row(r) {
+			m.Set(r, c, float32(r*4+c))
 		}
-		m = m.AppendRows(row)
 		if &m.Data[0] != base {
-			t.Fatalf("append reallocated backing array at row %d", r)
+			t.Fatalf("growth reallocated backing array at row %d", r)
 		}
-	}
-	if m.Rows != 8 {
-		t.Fatalf("rows = %d, want 8", m.Rows)
 	}
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 4; c++ {
@@ -30,22 +26,6 @@ func TestNewWithCapGrowsInPlace(t *testing.T) {
 	}
 }
 
-func TestAppendRowsMatchesConcat(t *testing.T) {
-	a := New(3, 5)
-	b := New(2, 5)
-	for i := range a.Data {
-		a.Data[i] = float32(i)
-	}
-	for i := range b.Data {
-		b.Data[i] = float32(100 + i)
-	}
-	want := Concat(a, b)
-	got := a.Clone().AppendRows(b)
-	if !got.Equal(want, 0) {
-		t.Fatal("AppendRows result differs from Concat")
-	}
-}
-
 func TestNewWithCapValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -53,13 +33,4 @@ func TestNewWithCapValidation(t *testing.T) {
 		}
 	}()
 	NewWithCap(4, 2, 3)
-}
-
-func TestAppendRowsShapeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("column mismatch accepted")
-		}
-	}()
-	New(1, 3).AppendRows(New(1, 4))
 }

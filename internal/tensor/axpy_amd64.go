@@ -1,7 +1,7 @@
 package tensor
 
-// useAVX2 reports whether axpy4, axpy1 and rows4 may run their assembly
-// bodies: the CPU has AVX (CPUID.1:ECX bit 28) and AVX2 (CPUID.(7,0):EBX
+// useAVX2 reports whether the row kernels and the elementwise tails may
+// run their assembly bodies: the CPU has AVX (CPUID.1:ECX bit 28) and AVX2 (CPUID.(7,0):EBX
 // bit 5), and the OS saves YMM state across context switches —
 // CPUID.1:ECX OSXSAVE (bit 27), checked before XGETBV may execute, and
 // XCR0 bits 1 (SSE) and 2 (AVX) set. Production code never reassigns it;
@@ -69,3 +69,21 @@ func rows4AVX2(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n i
 //
 //go:noescape
 func rows4i8AVX2(o *float32, ldo int, a *float32, lda int, b *int8, ldb, k, n int)
+
+// addBiasAVX2 (o = p + b), addBiasReLUAVX2 (o = max(0, p + b)),
+// addBiasResidualAVX2 (o = o + (p + b)) and roundBF16AVX2 are the tails
+// of tail.go over lanes [0, n), n a positive multiple of 8, each operand
+// pointing at the first lane of a slice at least n long (o may be p).
+// They check nothing and run VZEROUPPER before returning.
+//
+//go:noescape
+func addBiasAVX2(o, p, b *float32, n int)
+
+//go:noescape
+func addBiasReLUAVX2(o, p, b *float32, n int)
+
+//go:noescape
+func addBiasResidualAVX2(o, p, b *float32, n int)
+
+//go:noescape
+func roundBF16AVX2(x *float32, n int)

@@ -409,3 +409,107 @@ rows4i8k8:
 rows4i8done:
 	VZEROUPPER
 	RET
+
+// The tail kernels walk eight lanes at a time with AX the byte offset
+// into every row and CX the row length in bytes; o is DI, p SI and b BX.
+// Each lane's arithmetic is the scalar expression's (tail.go).
+
+// func addBiasAVX2(o, p, b *float32, n int)
+TEXT ·addBiasAVX2(SB), NOSPLIT, $0-32
+	MOVQ o+0(FP), DI
+	MOVQ p+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+
+biasloop:
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS  (BX)(AX*1), Y0, Y0 // p + b
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JB      biasloop
+	VZEROUPPER
+	RET
+
+// func addBiasReLUAVX2(o, p, b *float32, n int)
+TEXT ·addBiasReLUAVX2(SB), NOSPLIT, $0-32
+	MOVQ o+0(FP), DI
+	MOVQ p+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+	VXORPS Y15, Y15, Y15
+
+reluloop:
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS  (BX)(AX*1), Y0, Y0
+	VMAXPS  Y0, Y15, Y0        // zero > v ? zero : v
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JB      reluloop
+	VZEROUPPER
+	RET
+
+// func addBiasResidualAVX2(o, p, b *float32, n int)
+TEXT ·addBiasResidualAVX2(SB), NOSPLIT, $0-32
+	MOVQ o+0(FP), DI
+	MOVQ p+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	SHLQ $2, CX
+	XORQ AX, AX
+
+residualloop:
+	VMOVUPS (SI)(AX*1), Y1
+	VADDPS  (BX)(AX*1), Y1, Y1 // p + b
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS  Y1, Y0, Y0         // o + (p + b)
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JB      residualloop
+	VZEROUPPER
+	RET
+
+// roundconst holds roundBF16AVX2's four lane constants: the kept half's
+// low bit, the rounding bias, the quiet bit and the kept-half mask. They
+// are broadcast from memory: moving them in through a general register
+// takes a legacy-SSE MOVQ, and that one instruction among VEX ones made
+// the kernel three times slower on a 1,024-lane slice.
+DATA roundconst<>+0(SB)/4, $1
+DATA roundconst<>+4(SB)/4, $0x7fff
+DATA roundconst<>+8(SB)/4, $0x00400000
+DATA roundconst<>+12(SB)/4, $0xffff0000
+GLOBL roundconst<>(SB), RODATA|NOPTR, $16
+
+// func roundBF16AVX2(x *float32, n int)
+TEXT ·roundBF16AVX2(SB), NOSPLIT, $0-16
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHLQ         $2, CX
+	XORQ         AX, AX
+	VPBROADCASTD roundconst<>+0(SB), Y12
+	VPBROADCASTD roundconst<>+4(SB), Y13
+	VPBROADCASTD roundconst<>+8(SB), Y14
+	VPBROADCASTD roundconst<>+12(SB), Y15
+
+roundloop:
+	VMOVUPS   (DI)(AX*1), Y0
+	VPSRLD    $16, Y0, Y1
+	VPAND     Y12, Y1, Y1      // the kept half's low bit
+	VPADDD    Y13, Y1, Y1
+	VPADDD    Y0, Y1, Y1       // bits + 0x7fff + low bit
+	VPOR      Y14, Y0, Y2      // NaN: quietened instead
+	VCMPPS    $3, Y0, Y0, Y3   // unordered: the NaN lanes
+	VBLENDVPS Y3, Y2, Y1, Y1
+	VPAND     Y15, Y1, Y1
+	VMOVUPS   Y1, (DI)(AX*1)
+	ADDQ      $32, AX
+	CMPQ      AX, CX
+	JB        roundloop
+	VZEROUPPER
+	RET

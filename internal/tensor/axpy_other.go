@@ -2,8 +2,8 @@
 
 package tensor
 
-// useAVX2 is false off amd64: axpy4, axpy1 and rows4 run the Go loop on
-// every lane. It is a variable so the tests that turn it off build
+// useAVX2 is false off amd64: the row kernels and the elementwise tails
+// run the Go loop on every lane. It is a variable so the tests that turn it off build
 // everywhere.
 var useAVX2 = false
 
@@ -29,4 +29,20 @@ func rows4AVX2(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n i
 
 func rows4i8AVX2(o *float32, ldo int, a *float32, lda int, b *int8, ldb, k, n int) {
 	panic("tensor: no AVX2 row kernel on this platform")
+}
+
+func addBiasAVX2(o, p, b *float32, n int) {
+	panic("tensor: no AVX2 tail kernel on this platform")
+}
+
+func addBiasReLUAVX2(o, p, b *float32, n int) {
+	panic("tensor: no AVX2 tail kernel on this platform")
+}
+
+func addBiasResidualAVX2(o, p, b *float32, n int) {
+	panic("tensor: no AVX2 tail kernel on this platform")
+}
+
+func roundBF16AVX2(x *float32, n int) {
+	panic("tensor: no AVX2 tail kernel on this platform")
 }

@@ -459,6 +459,9 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 			}
 			sameFloats(t, fmt.Sprintf("MatMulInto %dx%dx%d ld %d trial %d", m, k, n, ld, trial), out, MatMul(a, dense).Data)
 		}
+		if got := MatMulInto(nil, New(0, 3), make([]float32, 6), 2, 2); got.Rows != 0 || got.Cols != 2 {
+			t.Fatalf("zero-row product is %dx%d", got.Rows, got.Cols)
+		}
 	})
 }
 

@@ -1,0 +1,94 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+)
+
+// A sublayer's elementwise tail — its bias, then ReLU or the residual —
+// and the BF16 rounding of an operand are one pass over each row: on
+// amd64 hosts with AVX2 the first n &^ 7 lanes run in assembly
+// (axpy_amd64.s) and the Go loop does the rest, and all of it elsewhere.
+// Each lane's result is the scalar expression's bit for bit:
+//
+//   - bias: one VADDPS, o + b;
+//   - bias + ReLU: then VMAXPS with zero as its first source, which
+//     returns the second — the lane — unless zero is greater, so NaN
+//     and −0 pass through exactly as `if v < 0 { v = 0 }` leaves them;
+//   - bias + residual: two VADDPS, x + (p + b) in that order;
+//   - BF16 rounding: integer round-to-nearest-even on the bits,
+//     bits + 0x7fff + (bits>>16 & 1) with the low half then cleared, and
+//     a NaN lane (VCMPPS unordered) blended to its own bits with the quiet
+//     bit set instead — amx.BF16FromFloat32's two cases.
+
+// AddBias adds the row vector bias to every row of m in place and returns m.
+func AddBias(m Matrix, bias []float32) Matrix {
+	return tail(m, m, bias, addBiasAVX2, func(_, p, b float32) float32 { return p + b })
+}
+
+// AddBiasReLU adds bias to every row of m and applies max(0, x), in place,
+// and returns m: OPT's FC1 tail.
+func AddBiasReLU(m Matrix, bias []float32) Matrix {
+	return tail(m, m, bias, addBiasReLUAVX2, func(_, p, b float32) float32 {
+		v := p + b
+		if v < 0 {
+			v = 0
+		}
+		return v
+	})
+}
+
+// AddBiasResidual adds p plus the row vector bias to x in place,
+// x + (p + bias) per element, and returns x: a sublayer's biased output
+// joining the residual stream.
+func AddBiasResidual(x, p Matrix, bias []float32) Matrix {
+	return tail(x, p, bias, addBiasResidualAVX2, func(x, p, b float32) float32 { return x + (p + b) })
+}
+
+// tail sets every element of x to lane(x, p, bias) of its lane, p a
+// matrix of x's shape and bias one row: asm on each row's first
+// vectorLanes lanes, lane on the rest.
+func tail(x, p Matrix, bias []float32, asm func(o, p, b *float32, n int), lane func(x, p, b float32) float32) Matrix {
+	if len(bias) != x.Cols || p.Rows != x.Rows || p.Cols != x.Cols {
+		panic(fmt.Sprintf("tensor: elementwise tail of %dx%d and %dx%d with bias %d", x.Rows, x.Cols, p.Rows, p.Cols, len(bias)))
+	}
+	for r := 0; r < x.Rows; r++ {
+		o, pr := x.Row(r), p.Row(r)
+		j := vectorLanes(len(o))
+		if j > 0 {
+			asm(&o[0], &pr[0], &bias[0], j)
+		}
+		for ; j < len(o); j++ {
+			o[j] = lane(o[j], pr[j], bias[j])
+		}
+	}
+	return x
+}
+
+// RoundBF16 rounds every element of xs through bfloat16 in place —
+// round-to-nearest-even, NaN kept NaN — the rounding a BF16 store or a
+// tensor core applies (amx.RoundSlice).
+func RoundBF16(xs []float32) {
+	j := vectorLanes(len(xs))
+	if j > 0 {
+		roundBF16AVX2(&xs[0], j)
+	}
+	for ; j < len(xs); j++ {
+		b := math.Float32bits(xs[j])
+		if xs[j] != xs[j] {
+			b |= 0x00400000
+		} else {
+			b += 0x7fff + b>>16&1
+		}
+		xs[j] = math.Float32frombits(b &^ 0xffff)
+	}
+}
+
+// vectorLanes is how many leading lanes of an n-lane row the assembly
+// takes: n &^ 7 with AVX2, none without.
+func vectorLanes(n int) int {
+	if useAVX2 {
+		return n &^ 7
+	}
+	return 0
+}

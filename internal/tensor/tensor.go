@@ -36,25 +36,13 @@ func New(rows, cols int) Matrix {
 }
 
 // NewWithCap returns a zeroed rows×cols matrix whose backing array can
-// hold capRows rows, so AppendRows grows it in place up to that capacity
-// — the KV-cache preallocation hook.
+// hold capRows rows, so reslicing Data grows it in place up to that
+// capacity — the KV-cache preallocation hook.
 func NewWithCap(rows, cols, capRows int) Matrix {
 	if rows < 0 || cols < 0 || capRows < rows {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d (cap %d)", rows, cols, capRows))
 	}
 	return Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols, capRows*cols)}
-}
-
-// AppendRows returns m extended by src's rows. When m's backing array has
-// capacity the existing rows are not copied (amortized O(src) instead of
-// the O(m+src) a Concat pays every call).
-func (m Matrix) AppendRows(src Matrix) Matrix {
-	if m.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: append cols %d != %d", src.Cols, m.Cols))
-	}
-	m.Data = append(m.Data, src.Data...)
-	m.Rows += src.Rows
-	return m
 }
 
 // FromSlice wraps data (length rows×cols) without copying.
@@ -101,20 +89,27 @@ func (m Matrix) Equal(other Matrix, tol float32) bool {
 var workers = team.Default()
 
 // parallelRows runs fn over [0, units), as unit ranges claimed by the
-// worker team when the product (macsPerUnit multiply-accumulates a unit)
-// is worth splitting, inline otherwise. Ranges are a quarter of a
-// worker's even share, so a helper that joins late still finds units and
-// a helper that never joins delays nobody.
+// worker team when splits says the product (macsPerUnit
+// multiply-accumulates a unit) is worth it, inline otherwise. Ranges are
+// a quarter of a worker's even share, so a helper that joins late still
+// finds units and a helper that never joins delays nobody.
 func parallelRows(units, macsPerUnit int, fn func(lo, hi int)) {
-	parts := min(units, 4*workers.Size())
-	if workers.Size() == 1 || parts <= 1 || units*macsPerUnit < team.SplitMACs {
+	if !splits(units, macsPerUnit) {
 		fn(0, units)
 		return
 	}
+	parts := min(units, 4*workers.Size())
 	chunk := (units + parts - 1) / parts
 	workers.Run((units+chunk-1)/chunk, func(i int) {
 		fn(i*chunk, min((i+1)*chunk, units))
 	})
+}
+
+// splits reports whether parallelRows hands a product of units units,
+// macsPerUnit multiply-accumulates each, to the team; a caller that would
+// build a closure only to have it run inline asks first.
+func splits(units, macsPerUnit int) bool {
+	return workers.Size() > 1 && units > 1 && units*macsPerUnit >= team.SplitMACs
 }
 
 // RowUnits is how many units m output rows split into when a team
@@ -152,11 +147,13 @@ func MatMulInto(out []float32, a Matrix, b []float32, ld, n int) Matrix {
 	}
 	clear(out)
 	m, k := a.Rows, a.Cols
-	if units := RowUnits(m); units > 0 {
+	if units := RowUnits(m); units > 0 && splits(units, (m*k*n+units-1)/units) {
 		parallelRows(units, (m*k*n+units-1)/units, func(lo, hi int) {
 			r0, r1 := UnitRow(m, lo), UnitRow(m, hi)
 			f32Rows.matmulRows(out[r0*n:r1*n], a.Data[r0*k:], k, r1-r0, k, b, ld, n)
 		})
+	} else {
+		f32Rows.matmulRows(out, a.Data, k, m, k, b, ld, n)
 	}
 	return FromSlice(m, n, out)
 }
@@ -178,32 +175,6 @@ func MatMulInt8Into(out []float32, m, k, n int, a []float32, lda int, b []int8) 
 	}
 	clear(out)
 	i8Rows.matmulRows(out, a, lda, m, k, b, n, n)
-}
-
-// Add returns a + b elementwise.
-func Add(a, b Matrix) Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: add shape mismatch %dx%d + %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v + b.Data[i]
-	}
-	return out
-}
-
-// AddBias adds the row vector bias to every row of m in place and returns m.
-func AddBias(m Matrix, bias []float32) Matrix {
-	if len(bias) != m.Cols {
-		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, b := range bias {
-			row[c] += b
-		}
-	}
-	return m
 }
 
 // Scale multiplies every element by s in place and returns m.
@@ -242,9 +213,9 @@ func SoftmaxRows(m Matrix) Matrix {
 }
 
 // CausalMask sets entries above the diagonal offset to -Inf so softmax
-// zeroes them: row i may attend to columns ≤ i+offset. Used during prefill
-// where scores are (L × L); during decode the single query row attends to
-// everything, so no mask is needed.
+// zeroes them: row i may attend to columns ≤ i+offset. Every pass runs
+// it; a one-row decode pass whose row sees the whole cache
+// (offset = cols − 1) masks nothing.
 func CausalMask(scores Matrix, offset int) Matrix {
 	negInf := float32(math.Inf(-1))
 	for r := 0; r < scores.Rows; r++ {
@@ -256,13 +227,15 @@ func CausalMask(scores Matrix, offset int) Matrix {
 	return scores
 }
 
-// LayerNorm normalizes each row to zero mean and unit variance, then
-// applies the learned gain and bias. eps guards the variance.
-func LayerNorm(m Matrix, gain, bias []float32, eps float32) Matrix {
-	if len(gain) != m.Cols || len(bias) != m.Cols {
-		panic(fmt.Sprintf("tensor: layernorm params %d,%d != cols %d", len(gain), len(bias), m.Cols))
+// LayerNorm writes each row of m, normalized to zero mean and unit
+// variance and then scaled by the learned gain and shifted by bias, into
+// dst's row and returns dst (dst has m's shape and may not overlap it).
+// eps guards the variance.
+func LayerNorm(dst, m Matrix, gain, bias []float32, eps float32) Matrix {
+	if len(gain) != m.Cols || len(bias) != m.Cols || dst.Rows != m.Rows || dst.Cols != m.Cols {
+		panic(fmt.Sprintf("tensor: layernorm of %dx%d into %dx%d with params %d,%d",
+			m.Rows, m.Cols, dst.Rows, dst.Cols, len(gain), len(bias)))
 	}
-	out := New(m.Rows, m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		row := m.Row(r)
 		var mean float32
@@ -277,22 +250,12 @@ func LayerNorm(m Matrix, gain, bias []float32, eps float32) Matrix {
 		}
 		variance /= float32(m.Cols)
 		inv := 1 / float32(math.Sqrt(float64(variance+eps)))
-		orow := out.Row(r)
+		orow := dst.Row(r)
 		for c, v := range row {
 			orow[c] = (v-mean)*inv*gain[c] + bias[c]
 		}
 	}
-	return out
-}
-
-// ReLU applies max(0, x) in place and returns m (OPT's FFN activation).
-func ReLU(m Matrix) Matrix {
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
-	}
-	return m
+	return dst
 }
 
 // GELU applies the tanh-approximated Gaussian error linear unit in place
@@ -326,27 +289,20 @@ func MulElem(a, b Matrix) Matrix {
 	return a
 }
 
-// Concat stacks a on top of b (matching column counts).
-func Concat(a, b Matrix) Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: concat cols %d != %d", a.Cols, b.Cols))
+// SwiGLU writes SiLU(gate)·up into dst and returns it, gate and up being
+// the first and second halves of h's columns (the gated FFN's activation,
+// with SiLU's and MulElem's arithmetic).
+func SwiGLU(dst, h Matrix) Matrix {
+	half := dst.Cols
+	if h.Rows != dst.Rows || h.Cols != 2*half {
+		panic(fmt.Sprintf("tensor: swiglu of %dx%d into %dx%d", h.Rows, h.Cols, dst.Rows, dst.Cols))
 	}
-	out := New(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
-// SliceCols returns columns [lo, hi) as a copy.
-func (m Matrix) SliceCols(lo, hi int) Matrix {
-	if lo < 0 || hi > m.Cols || lo > hi {
-		panic(fmt.Sprintf("tensor: column slice [%d,%d) of %d cols", lo, hi, m.Cols))
+	for r := 0; r < h.Rows; r++ {
+		gate := FromSlice(1, half, dst.Row(r))
+		copy(gate.Data, h.Row(r)[:half])
+		MulElem(SiLU(gate), FromSlice(1, half, h.Row(r)[half:]))
 	}
-	out := New(m.Rows, hi-lo)
-	for r := 0; r < m.Rows; r++ {
-		copy(out.Row(r), m.Row(r)[lo:hi])
-	}
-	return out
+	return dst
 }
 
 // ArgmaxRow returns the column index of the maximum value in row r.

@@ -51,8 +51,8 @@ func TestMatMulShapePanic(t *testing.T) {
 func TestAddAndBias(t *testing.T) {
 	a := FromSlice(1, 3, []float32{1, 2, 3})
 	b := FromSlice(1, 3, []float32{10, 20, 30})
-	if got := Add(a, b); got.Data[2] != 33 {
-		t.Errorf("Add = %v", got.Data)
+	if got := AddBiasResidual(a, b, []float32{100, 200, 300}); got.Data[2] != 333 || a.Data[0] != 111 {
+		t.Errorf("AddBiasResidual = %v", got.Data)
 	}
 	m := FromSlice(2, 2, []float32{0, 0, 1, 1})
 	AddBias(m, []float32{5, 6})
@@ -114,7 +114,7 @@ func TestLayerNorm(t *testing.T) {
 	m := FromSlice(1, 4, []float32{1, 2, 3, 4})
 	gain := []float32{1, 1, 1, 1}
 	bias := []float32{0, 0, 0, 0}
-	out := LayerNorm(m, gain, bias, 1e-5)
+	out := LayerNorm(New(1, 4), m, gain, bias, 1e-5)
 	var mean, variance float32
 	for _, v := range out.Data {
 		mean += v
@@ -134,9 +134,9 @@ func TestLayerNorm(t *testing.T) {
 
 func TestReLUAndGELU(t *testing.T) {
 	m := FromSlice(1, 3, []float32{-1, 0, 2})
-	ReLU(m)
-	if m.Data[0] != 0 || m.Data[2] != 2 {
-		t.Errorf("ReLU = %v", m.Data)
+	AddBiasReLU(m, []float32{0, -1, 1})
+	if m.Data[0] != 0 || m.Data[1] != 0 || m.Data[2] != 3 {
+		t.Errorf("AddBiasReLU = %v", m.Data)
 	}
 	g := FromSlice(1, 2, []float32{0, 10})
 	GELU(g)
@@ -145,19 +145,6 @@ func TestReLUAndGELU(t *testing.T) {
 	}
 	if math.Abs(float64(g.Data[1])-10) > 1e-3 {
 		t.Errorf("GELU(10) = %v, want ≈10", g.Data[1])
-	}
-}
-
-func TestConcatAndSliceCols(t *testing.T) {
-	a := FromSlice(1, 2, []float32{1, 2})
-	b := FromSlice(2, 2, []float32{3, 4, 5, 6})
-	c := Concat(a, b)
-	if c.Rows != 3 || c.At(2, 1) != 6 {
-		t.Errorf("Concat = %+v", c)
-	}
-	s := c.SliceCols(1, 2)
-	if s.Cols != 1 || s.At(0, 0) != 2 || s.At(2, 0) != 6 {
-		t.Errorf("SliceCols = %+v", s)
 	}
 }
 
