@@ -116,10 +116,10 @@ type KV interface {
 // poolKV adapts the plain paged pool to the KV interface.
 type poolKV struct{ m *kvpage.Manager }
 
-func (p poolKV) CanAdmit(it Item) bool        { return p.m.CanAdmit(it.PromptLen) }
+func (p poolKV) CanAdmit(it Item) bool          { return p.m.CanAdmit(it.PromptLen) }
 func (p poolKV) Admit(seqID int, it Item) error { return p.m.Admit(seqID, it.PromptLen) }
-func (p poolKV) Extend(seqID int) error       { return p.m.Extend(seqID) }
-func (p poolKV) Release(seqID int) error      { return p.m.Release(seqID) }
+func (p poolKV) Extend(seqID int) error         { return p.m.Extend(seqID) }
+func (p poolKV) Release(seqID int) error        { return p.m.Release(seqID) }
 
 // Scheduler owns the continuous-batching state: the running batch, the
 // requeue list of preempted work (served before new arrivals), and the

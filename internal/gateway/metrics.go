@@ -130,17 +130,17 @@ type Snapshot struct {
 	// context was canceled or their deadline passed — the cancel-storm
 	// signal the scenario harness asserts on (every reap also counts as a
 	// Canceled outcome once the client is answered).
-	Reaped uint64
-	PrefillChunks                                 uint64
-	SpecRounds, SpecDrafted                       uint64
-	SpecAccepted, SpecEmitted                     uint64
+	Reaped                    uint64
+	PrefillChunks             uint64
+	SpecRounds, SpecDrafted   uint64
+	SpecAccepted, SpecEmitted uint64
 	// QuantTier and WeightFootprintBytes describe the executor's active
 	// weight tier (immutable after New).
-	QuantTier            string
-	WeightFootprintBytes uint64
-	QueueWaitMean, QueueWaitP99                   time.Duration
-	TTFTMean, TTFTP50, TTFTP99                    time.Duration
-	PerTokenMean                                  time.Duration
+	QuantTier                   string
+	WeightFootprintBytes        uint64
+	QueueWaitMean, QueueWaitP99 time.Duration
+	TTFTMean, TTFTP50, TTFTP99  time.Duration
+	PerTokenMean                time.Duration
 }
 
 func (m *metrics) snapshot() Snapshot {

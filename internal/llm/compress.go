@@ -92,19 +92,19 @@ func (e *Executor) EnableSparse(sparsity float64) {
 		if err != nil {
 			panic(fmt.Sprintf("llm: sparse prepack: %v", err))
 		}
-		amx.RoundSlice(pruned.Data)
-		return &sparseOp{pre: pre, gpu: pruned}
+		return &sparseOp{pre: pre, gpu: tensor.RoundedBF16(pruned)}
 	})
 }
 
 // sparseOp is one block-pruned parameter matrix in both routed forms:
 // the sparse-bitmap VNNI image the CPU route runs (zero tile blocks skip
 // their TileLoads and TDP) and the bf16-rounded pruned copy the dense
-// (GPU) route multiplies. Both are built once at enable time and
-// immutable afterwards, so forks share them.
+// (GPU) route multiplies (tensor.RoundedBF16, like denseOp's). Both are
+// built once at enable time and immutable afterwards, so forks share
+// them.
 type sparseOp struct {
 	pre *amx.Prepacked
-	gpu tensor.Matrix
+	gpu tensor.Operand
 }
 
 func (o *sparseOp) apply(e *Executor, _ int, s model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error) {

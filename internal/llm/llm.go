@@ -498,7 +498,7 @@ func (e *Executor) scoreKeys(li, head int, qh tensor.Matrix, cache *KVCache) (te
 		return tensor.FromSlice(qh.Rows, seen, out), err
 	}
 	kt := cache.keyMirror(li)
-	return e.denseBF16Into(out, qh, kt.Data[head*qh.Cols*kt.Cols:], kt.Cols, seen), nil
+	return e.denseBF16Into(out, qh, tensor.Band(kt.Data[head*qh.Cols*kt.Cols:], qh.Cols, seen, kt.Cols)), nil
 }
 
 // weighValues is sublayer 3, P·V, for one KV head: the probabilities
@@ -513,7 +513,7 @@ func (e *Executor) weighValues(li, head int, probs tensor.Matrix, cache *KVCache
 		return tensor.FromSlice(probs.Rows, dh, out), err
 	}
 	v := cache.V[li]
-	return e.denseBF16Into(out, probs, v.Data[head*dh:], v.Cols, dh), nil
+	return e.denseBF16Into(out, probs, tensor.Band(v.Data[head*dh:], probs.Cols, dh, v.Cols)), nil
 }
 
 // fit returns *buf resliced to n values, first replacing it with room

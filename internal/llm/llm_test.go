@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/lia-sim/lia/internal/amx"
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/tensor"
@@ -603,6 +604,68 @@ func TestLogitsMatchSeedHead(t *testing.T) {
 			for i, w := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
 					t.Fatalf("logit %d = %g, seed head %g", i, got.Data[i], w)
+				}
+			}
+		})
+	}
+}
+
+// TestGPUWeightNotFiniteKeepsSkip: the dense route adds a zero
+// coefficient's term only over a weight proven finite after rounding. A
+// weight with NaN, or with a finite value just below MaxFloat32 that BF16
+// rounding carries to +Inf, under a k-row whose ReLU coefficient is zero
+// in every row must keep the zero-skipping path: FC2's output equals the
+// per-row seed, which skips that row, bit for bit, and holds no NaN. The
+// finite weight is the control: every block takes the four-row body.
+func TestGPUWeightNotFiniteKeepsSkip(t *testing.T) {
+	m := tinyModel(t)
+	cfg := m.Cfg
+	for _, tc := range []struct {
+		name  string
+		plant float32
+	}{
+		{"finite", 0},
+		{"nan", float32(math.NaN())},
+		{"rounds to inf", math.MaxFloat32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			w := m.Layers[0].WFC2.Clone()
+			const dead = 3 // the k-row every ReLU coefficient zeroes
+			if tc.plant != 0 {
+				w.Set(dead, 5, tc.plant)
+			}
+			x := tensor.New(8, cfg.DFF)
+			for i := range x.Data {
+				x.Data[i] = max(0, float32(rng.NormFloat64()))
+			}
+			for r := 0; r < x.Rows; r++ {
+				x.Set(r, dead, 0)
+			}
+
+			wr, xr := w.Clone(), x.Clone()
+			amx.RoundSlice(wr.Data)
+			amx.RoundSlice(xr.Data)
+			want := tensor.New(x.Rows, cfg.DModel)
+			for r := 0; r < x.Rows; r++ {
+				for j := range want.Row(r) {
+					var acc float32
+					for k, a := range xr.Row(r) {
+						if a != 0 {
+							acc = acc + float32(a*wr.At(k, j))
+						}
+					}
+					want.Set(r, j, acc)
+				}
+			}
+
+			got := tensor.New(x.Rows, cfg.DModel)
+			if _, err := newDenseOp(w).apply(NewExecutor(m, core.FullGPU), 0, model.FC2, x, got); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got.Data {
+				if math.IsNaN(float64(v)) || math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("output %d = %g, per-row seed %g", i, v, want.Data[i])
 				}
 			}
 		})

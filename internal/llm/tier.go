@@ -86,7 +86,9 @@ func (t *tier) each(fn func(linearOp)) {
 // static-layout conversions — the prepacked AMX operand (the VNNI tile
 // image, plus the decoded column-major view amx's fast-path TMUL tier
 // reads on hosts without the tile unit, built by one PrepackBF16 call)
-// and the BF16-rounded copy for the dense (GPU) route. Each is built at
+// and the BF16-rounded copy for the dense (GPU) route (tensor.RoundedBF16,
+// which proves it finite where it is, so FC2's ReLU zeros take the
+// four-row body instead of the row-by-row skip). Each is built at
 // most once per executor family, on the first pass that routes there —
 // the per-weight cost a real AMX kernel amortizes — and is immutable
 // afterwards, so batch sequences share it concurrently.
@@ -96,7 +98,7 @@ type denseOp struct {
 	cpu     *amx.Prepacked
 	cpuErr  error
 	gpuOnce sync.Once
-	gpu     tensor.Matrix
+	gpu     tensor.Operand
 }
 
 func newDenseOp(w tensor.Matrix) linearOp { return &denseOp{w: w} }
@@ -114,8 +116,7 @@ func (d *denseOp) apply(e *Executor, li int, s model.Sublayer, x, dst tensor.Mat
 		return dst, e.tallyAMX(amx.MatmulBF16PackedInto(dst.Data, x.Data, x.Rows, d.cpu))
 	}
 	d.gpuOnce.Do(func() {
-		d.gpu = d.w.Clone()
-		amx.RoundSlice(d.gpu.Data)
+		d.gpu = tensor.RoundedBF16(d.w)
 		e.weightPacked(li, s)
 	})
 	return e.denseBF16(s, x, d.gpu, dst)
@@ -150,18 +151,19 @@ func (e *Executor) tallyAMX(cycles uint64, err error) error {
 
 // denseBF16 is the GPU route: x rounded to bfloat16 in place (the
 // rounding a GPU tensor core applies) times a pre-rounded weight, into dst.
-func (e *Executor) denseBF16(s model.Sublayer, x, w, dst tensor.Matrix) (tensor.Matrix, error) {
-	if x.Cols != w.Rows || dst.Rows != x.Rows || dst.Cols != w.Cols {
+func (e *Executor) denseBF16(s model.Sublayer, x tensor.Matrix, w tensor.Operand, dst tensor.Matrix) (tensor.Matrix, error) {
+	if x.Cols != w.Rows() || dst.Rows != x.Rows || dst.Cols != w.Cols() {
 		return dst, fmt.Errorf("llm: %s matmul shape mismatch %dx%d · %dx%d into %dx%d",
-			s, x.Rows, x.Cols, w.Rows, w.Cols, dst.Rows, dst.Cols)
+			s, x.Rows, x.Cols, w.Rows(), w.Cols(), dst.Rows, dst.Cols)
 	}
-	return e.denseBF16Into(dst.Data, x, w.Data, w.Cols, w.Cols), nil
+	return e.denseBF16Into(dst.Data, x, w), nil
 }
 
-// denseBF16Into is denseBF16 into out, its operand strided in place as
-// tensor.MatMulInto reads it: attention's route over the KV cache.
-func (e *Executor) denseBF16Into(out []float32, x tensor.Matrix, b []float32, ld, n int) tensor.Matrix {
+// denseBF16Into is denseBF16 into out for an operand whose shape the
+// caller guarantees: attention's route over a band of the KV cache, read
+// in place.
+func (e *Executor) denseBF16Into(out []float32, x tensor.Matrix, b tensor.Operand) tensor.Matrix {
 	e.Stats.GPUMatmuls++
 	amx.RoundSlice(x.Data)
-	return tensor.MatMulInto(out, x, b, ld, n)
+	return tensor.MatMulInto(out, x, b)
 }

@@ -208,8 +208,8 @@ func TestShapeMismatchFailsPass(t *testing.T) {
 	}{
 		{"dense/gpu", core.FullGPU, newDenseOp(bad), "shape mismatch"},
 		{"dense/amx", core.FullCPU, newDenseOp(bad), "AMX matmul"},
-		{"sparse/amx", core.FullCPU, &sparseOp{pre: sparse, gpu: bad}, "AMX matmul"},
-		{"sparse/gpu", core.FullGPU, &sparseOp{pre: sparse, gpu: bad}, "shape mismatch"},
+		{"sparse/amx", core.FullCPU, &sparseOp{pre: sparse, gpu: tensor.RoundedBF16(bad)}, "AMX matmul"},
+		{"sparse/gpu", core.FullGPU, &sparseOp{pre: sparse, gpu: tensor.RoundedBF16(bad)}, "shape mismatch"},
 		{"int8", core.FullCPU, &int8Op{w: quant.QuantizeWeights(bad)}, "int8 linear"},
 		{"int4", core.FullCPU, &int4Op{w: int4}, "int4 linear"},
 	} {

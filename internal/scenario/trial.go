@@ -242,18 +242,18 @@ func virtualCosts(cell Cell) (*serve.StepCosts, *offload.XferEngine, error) {
 // statistics (deterministic from the seed) plus, when the trial ran the
 // live leg, its invariant verdicts.
 type TrialResult struct {
-	Seed      int64   `json:"seed"`
-	Requests  int     `json:"requests"`
-	Completed int     `json:"completed"`
-	Shed      int     `json:"shed"`
-	Canceled  int     `json:"canceled"`
-	Preempted int     `json:"preempted"`
+	Seed      int64 `json:"seed"`
+	Requests  int   `json:"requests"`
+	Completed int   `json:"completed"`
+	Shed      int   `json:"shed"`
+	Canceled  int   `json:"canceled"`
+	Preempted int   `json:"preempted"`
 	// Failovers counts requests re-placed off a killed replica (fleet
 	// scenarios only).
 	Failovers int `json:"failovers,omitempty"`
 	Attained  int `json:"attained"` // completed within the scenario SLO
 
-	TTFTP50    float64 `json:"ttft_p50_s"`    // over requests that produced a first token
+	TTFTP50    float64 `json:"ttft_p50_s"` // over requests that produced a first token
 	TTFTP99    float64 `json:"ttft_p99_s"`
 	LatencyP50 float64 `json:"latency_p50_s"` // arrival → finish, completed requests
 	LatencyP99 float64 `json:"latency_p99_s"`

@@ -9,27 +9,29 @@ package tensor
 // for every lane j, each product and each sum rounded to float32 in
 // exactly that left-to-right order. B holds float32, or int8 that widens
 // to float32 exactly, so a product rounds once either way. rows4 is the
-// four-row body: it keeps a 4-row × 16-lane strip in registers across
+// four-row body: it keeps a strip of four rows' lanes in registers across
 // every k, so each load of B feeds four rows. On amd64 hosts with AVX2
 // the first n &^ 7 lanes run in assembly (VMULPS then VADDPS, never a
 // fused multiply-add, so each lane rounds as MULSS/ADDSS do; the int8
-// bodies widen B first with VPMOVSXBD and VCVTDQ2PS); the Go loop does
-// the rest, and all of it elsewhere. The assembly checks nothing, so
-// every operand's reach is checked here first.
+// bodies widen B first with VPMOVSXBD and VCVTDQ2PS), and where the host
+// also has AVX-512 the float32 rows4 runs those lanes 32 at a time in
+// 512-bit registers with the same instructions in the same order; the Go
+// loop does the rest, and all of it elsewhere. The assembly checks
+// nothing, so every operand's reach is checked here first.
 
 // rowKernel holds the assembly bodies axpy4, axpy1 and rows4 run for one
-// right-operand element type. finite says B's values are all finite, so
-// a zero coefficient's term is ±0 and a block need not skip it.
+// right-operand element type; wide is rows4's 512-bit body, nil where
+// there is none.
 type rowKernel[E float32 | int8] struct {
-	four   func(o *float32, b0, b1, b2, b3 *E, a0, a1, a2, a3 float32, n int)
-	one    func(o *float32, b *E, a float32, n int)
-	block  func(o *float32, ldo int, a *float32, lda int, b *E, ldb, k, n int)
-	finite bool
+	four  func(o *float32, b0, b1, b2, b3 *E, a0, a1, a2, a3 float32, n int)
+	one   func(o *float32, b *E, a float32, n int)
+	block func(o *float32, ldo int, a *float32, lda int, b *E, ldb, k, n int)
+	wide  func(o *float32, ldo int, a *float32, lda int, b *E, ldb, k, n int)
 }
 
 var (
-	f32Rows = rowKernel[float32]{axpy4AVX2, axpy1AVX2, rows4AVX2, false}
-	i8Rows  = rowKernel[int8]{axpy4i8AVX2, axpy1i8AVX2, rows4i8AVX2, true}
+	f32Rows = rowKernel[float32]{axpy4AVX2, axpy1AVX2, rows4AVX2, rows4AVX512}
+	i8Rows  = rowKernel[int8]{axpy4i8AVX2, axpy1i8AVX2, rows4i8AVX2, nil}
 )
 
 func (rk rowKernel[E]) axpy4(o []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []E) {
@@ -110,7 +112,11 @@ func (rk rowKernel[E]) rows4(o, a []float32, lda int, b []E, ldb, k, n int) {
 	j := 0
 	if useAVX2 && n >= 8 {
 		j = n &^ 7
-		rk.block(&o[0], n, &a[0], lda, &b[0], ldb, k, j)
+		body := rk.block
+		if useAVX512 && rk.wide != nil {
+			body = rk.wide
+		}
+		body(&o[0], n, &a[0], lda, &b[0], ldb, k, j)
 	}
 	// Lane by lane, the four rows' sums stay in registers across k.
 	a0, a1, a2, a3 := a[:k], a[lda:lda+k], a[2*lda:2*lda+k], a[3*lda:3*lda+k]
@@ -130,13 +136,23 @@ func (rk rowKernel[E]) rows4(o, a []float32, lda int, b []E, ldb, k, n int) {
 // matmulRows accumulates rows [0, m) of A·B into o, row i of A being
 // a[i*lda : i*lda+k] and of the output o[i*n : i*n+n], B as in rows4.
 // Rows go four at a time through rows4 and the last m%4 one at a time
-// through matmulRow. Over float32 a block takes rows4 only when none of
-// its coefficients is zero — otherwise its rows skip the zeros' terms
-// one by one, which an Inf or NaN in B would not forgive; over int8 every
-// block takes it. Either way each row gets matmulRow's bits.
-func (rk rowKernel[E]) matmulRows(o, a []float32, lda, m, k int, b []E, ldb, n int) {
+// through matmulRow. Each row gets matmulRow's bits either way. finite
+// says every value of B is finite; then every block takes rows4, whose
+// zero-coefficient terms change nothing:
+//
+//   - 0 · b is ±0 for every finite b;
+//   - the output starts at +0 (MatMulInto clears it), and under
+//     round-to-nearest-even a sum is −0 only when both addends are, so
+//     from +0 a row's sum is never −0;
+//   - x + ±0 is x for every x but −0, so adding a ±0 term is the identity
+//     and rows4 gives the bits matmulRow gets by skipping it.
+//
+// Over a B not known finite a block takes rows4 only when none of its
+// coefficients is zero, because a zero's term over ∞ or NaN is NaN, which
+// matmulRow's skip never adds.
+func (rk rowKernel[E]) matmulRows(o, a []float32, lda, m, k int, b []E, ldb, n int, finite bool) {
 	for i := 0; i < m; i += 4 {
-		if m-i >= 4 && k > 0 && (rk.finite || nonzero(a[i*lda:], lda, k)) {
+		if m-i >= 4 && k > 0 && (finite || nonzero(a[i*lda:], lda, k)) {
 			rk.rows4(o[i*n:], a[i*lda:], lda, b, ldb, k, n)
 			continue
 		}

@@ -25,6 +25,22 @@ func probeAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// useAVX512 reports whether rows4 may run its 512-bit body: useAVX2
+// holds, the CPU has AVX512F (CPUID.(7,0):EBX bit 16), and the OS saves
+// the opmask and ZMM state — XCR0 bits 5, 6 and 7. Like useAVX2 it is
+// chosen once here; tests turn it off to run the AVX2 body.
+var useAVX512 = useAVX2 && probeAVX512()
+
+func probeAVX512() bool {
+	const zmmState = 1<<5 | 1<<6 | 1<<7
+	if xcr0()&zmmState != zmmState {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
+}
+
 // cpuid executes CPUID with EAX = eaxArg, ECX = ecxArg.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -63,6 +79,14 @@ func axpy1i8AVX2(o *float32, b *int8, a float32, n int)
 //
 //go:noescape
 func rows4AVX2(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int)
+
+// rows4AVX512 is rows4AVX2 in 512-bit registers: 32-lane strips, then a
+// 16- and an 8-lane remainder, each lane's terms the same instructions in
+// the same operand order, so its bits are rows4AVX2's. It runs
+// VZEROUPPER before returning.
+//
+//go:noescape
+func rows4AVX512(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int)
 
 // rows4i8AVX2 is rows4AVX2 over an int8 B, each eight codes widened once
 // (VPMOVSXBD, VCVTDQ2PS) for all four rows; ldb counts codes.

@@ -348,6 +348,150 @@ rows4done:
 	VZEROUPPER
 	RET
 
+// The 512-bit body keeps a 4-row × 32-lane strip of o in Z0…Z7 (row r in
+// Z(2r):Z(2r+1)), B's lanes in Z8:Z9, the broadcast coefficient in Z10
+// and its products in Z11:Z12 — the AVX2 body's registers at twice the
+// width, the same instructions in the same operand order. The registers
+// that walk the operands are the AVX2 body's, CX now the end of the part
+// of o's row 0 that whole 32-lane strips cover.
+
+// COEF32(A, L, H) adds the coefficient at A times B's lanes Z8:Z9 to L:H,
+// ZCOEF16(A, L) the coefficient at A times B's lanes Z8 to L.
+#define COEF32(A, L, H) \
+	VBROADCASTSS A, Z10 \
+	VMULPS       Z8, Z10, Z11 \
+	VMULPS       Z9, Z10, Z12 \
+	VADDPS       Z11, L, L \
+	VADDPS       Z12, H, H
+
+#define ZCOEF16(A, L) \
+	VBROADCASTSS A, Z10 \
+	VMULPS       Z8, Z10, Z11 \
+	VADDPS       Z11, L, L
+
+#define BLOCK4_32 \
+	COEF32((AX), Z0, Z1) \
+	COEF32((AX)(R9*1), Z2, Z3) \
+	COEF32((AX)(R9*2), Z4, Z5) \
+	COEF32((AX)(R13*1), Z6, Z7)
+
+#define ZBLOCK4_16 \
+	ZCOEF16((AX), Z0) \
+	ZCOEF16((AX)(R9*1), Z2) \
+	ZCOEF16((AX)(R9*2), Z4) \
+	ZCOEF16((AX)(R13*1), Z6)
+
+#define LOADO32 \
+	VMOVUPS (DI), Z0 \
+	VMOVUPS 64(DI), Z1 \
+	VMOVUPS (DI)(R8*1), Z2 \
+	VMOVUPS 64(DI)(R8*1), Z3 \
+	VMOVUPS (DI)(R8*2), Z4 \
+	VMOVUPS 64(DI)(R8*2), Z5 \
+	VMOVUPS (DI)(R12*1), Z6 \
+	VMOVUPS 64(DI)(R12*1), Z7
+
+#define STOREO32 \
+	VMOVUPS Z0, (DI) \
+	VMOVUPS Z1, 64(DI) \
+	VMOVUPS Z2, (DI)(R8*1) \
+	VMOVUPS Z3, 64(DI)(R8*1) \
+	VMOVUPS Z4, (DI)(R8*2) \
+	VMOVUPS Z5, 64(DI)(R8*2) \
+	VMOVUPS Z6, (DI)(R12*1) \
+	VMOVUPS Z7, 64(DI)(R12*1)
+
+#define ZLOADO16 \
+	VMOVUPS (DI), Z0 \
+	VMOVUPS (DI)(R8*1), Z2 \
+	VMOVUPS (DI)(R8*2), Z4 \
+	VMOVUPS (DI)(R12*1), Z6
+
+#define ZSTOREO16 \
+	VMOVUPS Z0, (DI) \
+	VMOVUPS Z2, (DI)(R8*1) \
+	VMOVUPS Z4, (DI)(R8*2) \
+	VMOVUPS Z6, (DI)(R12*1)
+
+// func rows4AVX512(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int)
+TEXT ·rows4AVX512(SB), NOSPLIT, $0-64
+	MOVQ  o+0(FP), DI
+	MOVQ  ldo+8(FP), R8
+	SHLQ  $2, R8
+	LEAQ  (R8)(R8*2), R12
+	MOVQ  a+16(FP), SI
+	MOVQ  lda+24(FP), R9
+	SHLQ  $2, R9
+	LEAQ  (R9)(R9*2), R13
+	MOVQ  b+32(FP), DX
+	MOVQ  ldb+40(FP), R10
+	SHLQ  $2, R10
+	MOVQ  k+48(FP), R11
+	LEAQ  (SI)(R11*4), R11
+	MOVQ  n+56(FP), CX
+	ANDQ $-32, CX
+	JZ   wide4last16
+	LEAQ (DI)(CX*4), CX
+
+wide4strip32:
+	LOADO32
+	MOVQ SI, AX
+	MOVQ DX, BX
+
+wide4k32:
+	VMOVUPS (BX), Z8
+	VMOVUPS 64(BX), Z9
+	BLOCK4_32
+	ADDQ    $4, AX
+	ADDQ    R10, BX
+	CMPQ    AX, R11
+	JB      wide4k32
+	STOREO32
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	CMPQ    DI, CX
+	JB      wide4strip32
+
+wide4last16:
+	MOVQ n+56(FP), CX
+	ANDQ $16, CX
+	JZ   wide4last8
+	ZLOADO16
+	MOVQ SI, AX
+	MOVQ DX, BX
+
+wide4k16:
+	VMOVUPS (BX), Z8
+	ZBLOCK4_16
+	ADDQ    $4, AX
+	ADDQ    R10, BX
+	CMPQ    AX, R11
+	JB      wide4k16
+	ZSTOREO16
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+
+wide4last8:
+	MOVQ n+56(FP), CX
+	ANDQ $8, CX
+	JZ   wide4done
+	LOADO8
+	MOVQ SI, AX
+	MOVQ DX, BX
+
+wide4k8:
+	VMOVUPS (BX), Y8
+	BLOCK4_8
+	ADDQ    $4, AX
+	ADDQ    R10, BX
+	CMPQ    AX, R11
+	JB      wide4k8
+	STOREO8
+
+wide4done:
+	VZEROUPPER
+	RET
+
 // func rows4i8AVX2(o *float32, ldo int, a *float32, lda int, b *int8, ldb, k, n int)
 TEXT ·rows4i8AVX2(SB), NOSPLIT, $0-64
 	MOVQ  o+0(FP), DI

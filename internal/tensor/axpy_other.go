@@ -7,6 +7,9 @@ package tensor
 // everywhere.
 var useAVX2 = false
 
+// useAVX512 is false off amd64, like useAVX2.
+var useAVX512 = false
+
 func axpy4AVX2(o, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int) {
 	panic("tensor: no AVX2 row kernel on this platform")
 }
@@ -25,6 +28,10 @@ func axpy1i8AVX2(o *float32, b *int8, a float32, n int) {
 
 func rows4AVX2(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int) {
 	panic("tensor: no AVX2 row kernel on this platform")
+}
+
+func rows4AVX512(o *float32, ldo int, a *float32, lda int, b *float32, ldb, k, n int) {
+	panic("tensor: no AVX-512 row kernel on this platform")
 }
 
 func rows4i8AVX2(o *float32, ldo int, a *float32, lda int, b *int8, ldb, k, n int) {

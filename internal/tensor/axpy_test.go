@@ -128,14 +128,30 @@ func withoutAVX2(fn func()) {
 	fn()
 }
 
+// withoutAVX512 runs fn with rows4's 512-bit body turned off, so the
+// AVX2 body runs where the host has it.
+func withoutAVX512(fn func()) {
+	saved := useAVX512
+	useAVX512 = false
+	defer func() { useAVX512 = saved }()
+	fn()
+}
+
 // kernels runs fn as one sub-test per path the row kernel can take: the
-// AVX2 assembly (skipped where the host lacks it) and the Go loop alone.
+// AVX-512 and AVX2 assembly (each skipped where the host lacks it) and
+// the Go loop alone.
 func kernels(t *testing.T, fn func(t *testing.T)) {
+	t.Run("avx512", func(t *testing.T) {
+		if !useAVX512 {
+			t.Skip("no AVX-512 on this host")
+		}
+		fn(t)
+	})
 	t.Run("avx2", func(t *testing.T) {
 		if !useAVX2 {
 			t.Skip("no AVX2 on this host")
 		}
-		fn(t)
+		withoutAVX512(func() { fn(t) })
 	})
 	t.Run("go", func(t *testing.T) { withoutAVX2(func() { fn(t) }) })
 }
@@ -332,8 +348,9 @@ func TestMatMulInt8IntoMatchesMatMul(t *testing.T) {
 
 // TestMatMulIntoBlocksMatchSeed: the four-row body adds every term of a
 // block, so MatMulInto must give a block to it only when the seed would
-// skip none of them. Against the seed's GEMM on both kernel paths — m
-// 1…20, k and n 1…70, row strides n, n+1, n+7 and 3n — in three
+// skip none of them. Against the seed's GEMM on every kernel path — m
+// 1…20, k 1…70, n 1…130 (the 512-bit body's 32-lane strips and its 8-,
+// 16- and 24-lane remainders), row strides n, n+1, n+7 and 3n — in three
 // coefficient regimes: no zeros (every block takes the body), exactly one
 // zero per block (none does, and B's row under that zero holds ∞, NaN,
 // −0 and subnormals, whose products with it would be NaN or −0), and 40%
@@ -344,7 +361,7 @@ func TestMatMulIntoBlocksMatchSeed(t *testing.T) {
 	kernels(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(34))
 		for trial := 0; trial < 900; trial++ {
-			m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(70)
+			m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(130)
 			ld := []int{n, n + 1, n + 7, 3 * n}[trial%4]
 			regime := trial / 4 % 3
 			a, dense := New(m, k), New(k, n)
@@ -373,7 +390,7 @@ func TestMatMulIntoBlocksMatchSeed(t *testing.T) {
 				copy(b[r*ld:], dense.Row(r))
 			}
 			out := nans(m * n)
-			MatMulInto(out, a, b, ld, n)
+			MatMulInto(out, a, Band(b, k, n, ld))
 			sameFloats(t, fmt.Sprintf("MatMulInto %dx%dx%d ld %d regime %d trial %d", m, k, n, ld, regime, trial),
 				out, seedMatMul(a, dense).Data)
 		}
@@ -383,8 +400,13 @@ func TestMatMulIntoBlocksMatchSeed(t *testing.T) {
 // TestRows4RejectsShortOperand: the four-row bodies check nothing, so an
 // output, coefficient block or B one value short of what the body would
 // reach — even one whose capacity would let a reslice through — panics
-// before the assembly runs: the output keeps its NaNs.
+// before the assembly runs, on every kernel path: the output keeps its
+// NaNs.
 func TestRows4RejectsShortOperand(t *testing.T) {
+	kernels(t, rows4RejectsShortOperand)
+}
+
+func rows4RejectsShortOperand(t *testing.T) {
 	const lda, ldb, k, n = 7, 24, 5, 16
 	oLen, aLen, bLen := 4*n, 3*lda+k, (k-1)*ldb+n
 	a := make([]float32, aLen, aLen+1)
@@ -453,21 +475,22 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 				copy(b[r*ld:], dense.Row(r))
 			}
 			out := nans(m * n)
-			got := MatMulInto(out, a, b, ld, n)
+			got := MatMulInto(out, a, Band(b, k, n, ld))
 			if got.Rows != m || got.Cols != n || &got.Data[0] != &out[0] {
 				t.Fatalf("trial %d: MatMulInto returned %dx%d not over out", trial, got.Rows, got.Cols)
 			}
 			sameFloats(t, fmt.Sprintf("MatMulInto %dx%dx%d ld %d trial %d", m, k, n, ld, trial), out, MatMul(a, dense).Data)
 		}
-		if got := MatMulInto(nil, New(0, 3), make([]float32, 6), 2, 2); got.Rows != 0 || got.Cols != 2 {
+		if got := MatMulInto(nil, New(0, 3), Band(make([]float32, 6), 3, 2, 2)); got.Rows != 0 || got.Cols != 2 {
 			t.Fatalf("zero-row product is %dx%d", got.Rows, got.Cols)
 		}
 	})
 }
 
 // TestMatMulIntoRejectsBadOperands: a B one value short of its last row —
-// even one whose capacity would let a reslice through — and an output of
-// the wrong length panic before any row runs: the output keeps its NaNs.
+// even one whose capacity would let a reslice through — a B with a row
+// fewer than a has coefficients, and an output of the wrong length panic
+// before any row runs: the output keeps its NaNs.
 func TestMatMulIntoRejectsBadOperands(t *testing.T) {
 	const m, k, n, ld = 3, 5, 16, 20
 	a := New(m, k)
@@ -478,10 +501,12 @@ func TestMatMulIntoRejectsBadOperands(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		out, b []float32
+		rows   int
 	}{
-		{"short B", nans(m * n), full[:len(full)-1]},
-		{"long out", nans(m*n + 1), full},
-		{"short out", nans(m*n - 1), full},
+		{"short B", nans(m * n), full[:len(full)-1], k},
+		{"B rows below k", nans(m * n), full, k - 1},
+		{"long out", nans(m*n + 1), full, k},
+		{"short out", nans(m*n - 1), full, k},
 	} {
 		func() {
 			defer func() {
@@ -495,7 +520,85 @@ func TestMatMulIntoRejectsBadOperands(t *testing.T) {
 					}
 				}
 			}()
-			MatMulInto(tc.out, a, tc.b, ld, n)
+			MatMulInto(tc.out, a, Band(tc.b, tc.rows, n, ld))
 		}()
+	}
+}
+
+// TestMatMulIntoFiniteOperandMatchesSeed: over an operand RoundedBF16
+// proves finite every four-row block takes the body, zero coefficients
+// included, and must still give the seed's bits, which skip their terms —
+// on every kernel path, m 1…20, k 1…70, n 1…130, 40% zero coefficients
+// of either sign and specials in the coefficients. A weight whose
+// rounding reaches ∞ or NaN — a finite value just below MaxFloat32 that
+// rounding carries to +∞ among them — is not proven, and its ∞ and NaN
+// under zero coefficients stay out of the output.
+func TestMatMulIntoFiniteOperandMatchesSeed(t *testing.T) {
+	hostile := []float32{float32(math.Inf(1)), float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32}
+	kernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(35))
+		for trial := 0; trial < 600; trial++ {
+			m, k, n := 1+rng.Intn(20), 1+rng.Intn(70), 1+rng.Intn(130)
+			a, w := New(m, k), New(k, n)
+			fill(rng, a.Data, 0.4)
+			for i := range w.Data {
+				w.Data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+			}
+			planted := trial%2 == 1
+			if planted {
+				kk := rng.Intn(k)
+				for i := 0; i < m; i++ {
+					a.Set(i, kk, specials[rng.Intn(2)]) // +0 or −0
+				}
+				w.Set(kk, rng.Intn(n), hostile[rng.Intn(len(hostile))])
+			}
+			b := RoundedBF16(w)
+			if b.finite == planted {
+				t.Fatalf("trial %d: operand proven finite = %v with a non-finite value planted = %v", trial, b.finite, planted)
+			}
+			rounded := w.Clone()
+			RoundBF16(rounded.Data)
+			sameFloats(t, fmt.Sprintf("RoundedBF16 trial %d", trial), b.data, rounded.Data)
+			out := nans(m * n)
+			MatMulInto(out, a, b)
+			sameFloats(t, fmt.Sprintf("MatMulInto %dx%dx%d finite %v trial %d", m, k, n, b.finite, trial),
+				out, seedMatMul(a, rounded).Data)
+		}
+	})
+}
+
+// BenchmarkRows4 reports the four-row body's rate in GMAC/s (4·k·n
+// multiply-accumulates a call) on its AVX-512 and AVX2 bodies, for the
+// bench-small model's product shapes k × n and one whose B fits in L1:
+//
+//	go test ./internal/tensor -run '^$' -bench Rows4
+func BenchmarkRows4(b *testing.B) {
+	for _, sh := range []struct{ k, n int }{{128, 384}, {128, 128}, {128, 512}, {512, 128}, {128, 256}, {32, 64}} {
+		for _, leg := range []struct {
+			name string
+			wide bool
+		}{{"avx512", true}, {"avx2", false}} {
+			b.Run(fmt.Sprintf("%dx%d/%s", sh.k, sh.n, leg.name), func(b *testing.B) {
+				if !useAVX2 || leg.wide && !useAVX512 {
+					b.Skip("no " + leg.name + " on this host")
+				}
+				saved := useAVX512
+				useAVX512 = leg.wide
+				defer func() { useAVX512 = saved }()
+				rng := rand.New(rand.NewSource(1))
+				o, a, w := make([]float32, 4*sh.n), make([]float32, 4*sh.k), make([]float32, sh.k*sh.n)
+				for i := range a {
+					a[i] = float32(rng.NormFloat64())
+				}
+				for i := range w {
+					w[i] = float32(rng.NormFloat64())
+				}
+				b.ResetTimer()
+				for range b.N {
+					f32Rows.rows4(o, a, sh.k, w, sh.n, sh.k, sh.n)
+				}
+				b.ReportMetric(float64(4*sh.k*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
 	}
 }

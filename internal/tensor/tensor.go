@@ -1,9 +1,9 @@
 // Package tensor provides the dense float32 linear algebra the functional
 // LLM engine (package llm) is built on: row-major matrices, a GEMM
 // partitioned onto the worker team in four-row blocks whose inner loop is
-// one four-row body (rows4, in AVX2 assembly where the host has it: each
-// load of the right operand feeds four output rows), the attention
-// primitives (softmax, scaling, causal masking), layer
+// one four-row body (rows4, in AVX-512 or AVX2 assembly where the host
+// has it: each load of the right operand feeds four output rows), the
+// attention primitives (softmax, scaling, causal masking), layer
 // normalization, and the activation functions OPT-style transformers use.
 //
 // This is the "GPU kernel library" counterpart to package amx's tile
@@ -129,31 +129,68 @@ func MatMul(a, b Matrix) Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	return MatMulInto(make([]float32, a.Rows*b.Cols), a, b.Data, b.Cols, b.Cols)
+	return MatMulInto(make([]float32, a.Rows*b.Cols), a, Band(b.Data, b.Rows, b.Cols, b.Cols))
 }
 
+// Operand is MatMulInto's right operand B, read in place: k rows of n
+// values, row kk starting at data[kk*ld]. Band builds one over any
+// values; RoundedBF16 builds one that is proven finite.
+type Operand struct {
+	data     []float32
+	k, n, ld int
+	finite   bool
+}
+
+// Band returns the operand whose row kk is b[kk*ld : kk*ld+n], kk < k —
+// a band of a wider matrix, such as one head's columns of the KV cache.
+// It claims nothing about the values; MatMulInto checks the reach.
+func Band(b []float32, k, n, ld int) Operand { return Operand{data: b, k: k, n: n, ld: ld} }
+
+// RoundedBF16 returns a copy of w rounded through bfloat16 (RoundBF16) as
+// an operand, marked finite when every rounded value is. The check
+// follows the rounding because rounding can carry a finite value past
+// MaxFloat32 to +Inf.
+func RoundedBF16(w Matrix) Operand {
+	data := append([]float32(nil), w.Data...)
+	RoundBF16(data)
+	finite := true
+	for _, v := range data {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			finite = false
+			break
+		}
+	}
+	return Operand{data: data, k: w.Rows, n: w.Cols, ld: w.Cols, finite: finite}
+}
+
+// Rows and Cols give B's logical shape, k × n.
+func (b Operand) Rows() int { return b.k }
+func (b Operand) Cols() int { return b.n }
+
 // MatMulInto computes a·B into out and returns out as the a.Rows×n
-// product, where B is a.Cols rows of n values and row k starts at
-// b[k*ld] — so a product reads a band of a wider matrix, such as one
-// head's columns of the KV cache, where it lies. out is cleared first and
-// must hold exactly a.Rows×n values; b must reach the end of B's last
-// row. Both are checked before any row runs. The team shares out
-// RowUnits(a.Rows) units, each four-row block or leftover row computed by
-// one worker in one call, so the result does not depend on the split.
-func MatMulInto(out []float32, a Matrix, b []float32, ld, n int) Matrix {
-	if n < 0 || ld < n || len(out) != a.Rows*n || len(b) < (a.Cols-1)*ld+n {
+// product. B must have a.Cols rows, its stride must be at least n and its
+// values must reach the end of its last row; out is cleared first and
+// must hold exactly a.Rows×n values. All of it is checked before any row
+// runs. Zero coefficients' terms are skipped, so an ∞ or NaN in B under a
+// zero coefficient does not reach the output; over an operand proven
+// finite they are added instead, which changes no bit (matmulRows). The
+// team shares out RowUnits(a.Rows) units, each four-row block or leftover
+// row computed by one worker in one call, so the result does not depend
+// on the split.
+func MatMulInto(out []float32, a Matrix, b Operand) Matrix {
+	m, k, n, ld := a.Rows, a.Cols, b.n, b.ld
+	if b.k != k || n < 0 || ld < n || len(out) != m*n || len(b.data) < (k-1)*ld+n {
 		panic(fmt.Sprintf("tensor: strided matmul of %dx%d by %d rows of %d (stride %d) from %d values into %d",
-			a.Rows, a.Cols, a.Cols, n, ld, len(b), len(out)))
+			m, k, b.k, n, ld, len(b.data), len(out)))
 	}
 	clear(out)
-	m, k := a.Rows, a.Cols
 	if units := RowUnits(m); units > 0 && splits(units, (m*k*n+units-1)/units) {
 		parallelRows(units, (m*k*n+units-1)/units, func(lo, hi int) {
 			r0, r1 := UnitRow(m, lo), UnitRow(m, hi)
-			f32Rows.matmulRows(out[r0*n:r1*n], a.Data[r0*k:], k, r1-r0, k, b, ld, n)
+			f32Rows.matmulRows(out[r0*n:r1*n], a.Data[r0*k:], k, r1-r0, k, b.data, ld, n, b.finite)
 		})
 	} else {
-		f32Rows.matmulRows(out, a.Data, k, m, k, b, ld, n)
+		f32Rows.matmulRows(out, a.Data, k, m, k, b.data, ld, n, b.finite)
 	}
 	return FromSlice(m, n, out)
 }
@@ -174,7 +211,7 @@ func MatMulInt8Into(out []float32, m, k, n int, a []float32, lda int, b []int8) 
 			m, k, lda, len(a), len(b), len(out)))
 	}
 	clear(out)
-	i8Rows.matmulRows(out, a, lda, m, k, b, n, n)
+	i8Rows.matmulRows(out, a, lda, m, k, b, n, n, true)
 }
 
 // Scale multiplies every element by s in place and returns m.
@@ -256,17 +293,6 @@ func LayerNorm(dst, m Matrix, gain, bias []float32, eps float32) Matrix {
 		}
 	}
 	return dst
-}
-
-// GELU applies the tanh-approximated Gaussian error linear unit in place
-// and returns m (used by GPT/Llama-style models).
-func GELU(m Matrix) Matrix {
-	const c = 0.7978845608028654 // sqrt(2/π)
-	for i, v := range m.Data {
-		x := float64(v)
-		m.Data[i] = float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
-	}
-	return m
 }
 
 // SiLU applies x·sigmoid(x) in place and returns m (the gated-FFN
