@@ -14,15 +14,15 @@
 // the functional LLM engine (package llm) routes CPU-offloaded sublayers
 // through, proving that the dataflow LIA's analytical model assumes is
 // executable end to end. One driver (drive, pool.go) owns the output grid
-// and runs it over a block kernel; there are six, BF16 and INT8 each as
-// two emulated tiers and on the host's tile unit (bf16HW, int8HW)
-// wherever CPUID and the kernel grant it. Silicon and emulator agree bit
-// for bit, so the drivers prefer silicon.
+// and runs it over a block kernel (kernels.go); there are three, each
+// written once for BF16 and INT8: two emulated tiers and the host's tile
+// unit (hwKernel) wherever CPUID and the kernel grant it. Silicon and
+// emulator agree bit for bit, so the drivers prefer silicon.
 //
 // The byte-accurate tier (TDPBF16PS, TDPBUSD, TileLoad/TileStore)
 // reassembles every operand from the tile file's bytes and is the oracle
-// the other is tested against. The decoded fast path (TDPBF16PSDecoded,
-// TDPBUSDDecoded, the *Check tile ops) applies the
+// the other is tested against. The decoded fast path (the *DecodedRows
+// instructions, the *Check tile ops) applies the
 // discipline real AMX kernel libraries apply on hardware — hoist format
 // conversion out of the MAC loop — to the emulator itself: operands are
 // decoded once (at prepack time for weights, at append time for a KV
@@ -324,7 +324,7 @@ func tdpBF16Shapes(td, ta, tb *tile) (m, n, kPairs int, err error) {
 //
 // This is the byte-accurate oracle: every operand value is reassembled
 // from the tile file's bytes on every instruction. The decoded fast path
-// (TDPBF16PSDecoded) runs the same accumulation over pre-decoded flat
+// (tdpBF16PSDecodedRows) runs the same accumulation over pre-decoded flat
 // slices; a fuzz + exhaustive-shape suite pins the two bit-for-bit.
 func (u *Unit) TDPBF16PS(dst, a, b int) error {
 	td, ta, tb, err := u.tdpTiles(dst, a, b)
@@ -352,20 +352,6 @@ func (u *Unit) TDPBF16PS(dst, a, b int) error {
 	return nil
 }
 
-// tdpBF16Check is TDPBF16PS's fault-and-cycles-only counterpart, for the
-// hardware kernel, as tdpBUSDCheck is TDPBUSD's.
-func (u *Unit) tdpBF16Check(dst, a, b int) error {
-	td, ta, tb, err := u.tdpTiles(dst, a, b)
-	if err != nil {
-		return err
-	}
-	if _, _, _, err := tdpBF16Shapes(td, ta, tb); err != nil {
-		return err
-	}
-	u.cycles += cyclesTDP
-	return nil
-}
-
 // tdpINT8Shapes validates the configured geometry for TDPBUSD, shared
 // by the byte and decoded entry points.
 func tdpINT8Shapes(td, ta, tb *tile) (m, n, kQuads int, err error) {
@@ -378,15 +364,21 @@ func tdpINT8Shapes(td, ta, tb *tile) (m, n, kQuads int, err error) {
 	return m, n, kQuads, nil
 }
 
-// tdpBUSDCheck is TDPBUSD's fault-and-cycles-only counterpart, for the
-// hardware kernel, which issues the instruction itself: the same tile
-// resolution and shape checks, the same error text, the same cycles.
-func (u *Unit) tdpBUSDCheck(dst, a, b int) error {
+// tdpCheck is the fault-and-cycles-only counterpart of TDPBUSD when busd
+// is set and of TDPBF16PS otherwise, for the hardware kernel, which
+// issues the instruction itself: the same tile resolution and shape
+// checks, the same error text, the same cycles.
+func (u *Unit) tdpCheck(busd bool, dst, a, b int) error {
 	td, ta, tb, err := u.tdpTiles(dst, a, b)
 	if err != nil {
 		return err
 	}
-	if _, _, _, err := tdpINT8Shapes(td, ta, tb); err != nil {
+	if busd {
+		_, _, _, err = tdpINT8Shapes(td, ta, tb)
+	} else {
+		_, _, _, err = tdpBF16Shapes(td, ta, tb)
+	}
+	if err != nil {
 		return err
 	}
 	u.cycles += cyclesTDP
@@ -396,8 +388,8 @@ func (u *Unit) tdpBUSDCheck(dst, a, b int) error {
 // TDPBUSD executes dst += a × b with a holding unsigned 8-bit quads
 // (M rows × 4K values), b holding the VNNI-packed signed 8-bit right
 // operand (K rows × N quads), and dst accumulating int32 (M rows × N).
-// Like TDPBF16PS it is the byte-accurate oracle; TDPBUSDDecoded is the
-// flat-slice fast path pinned to it bit-for-bit.
+// Like TDPBF16PS it is the byte-accurate oracle; tdpBUSDDecodedRows is
+// the flat-slice fast path pinned to it bit-for-bit.
 func (u *Unit) TDPBUSD(dst, a, b int) error {
 	td, ta, tb, err := u.tdpTiles(dst, a, b)
 	if err != nil {
@@ -424,7 +416,7 @@ func (u *Unit) TDPBUSD(dst, a, b int) error {
 	return nil
 }
 
-// TDPBF16PSDecoded executes TDPBF16PS's accumulation over pre-decoded
+// tdpBF16PSDecodedRows executes TDPBF16PS's accumulation over pre-decoded
 // operands — the fast path real AMX kernel libraries model: format
 // conversion is hoisted out of the MAC loop, which runs over flat
 // float32 slices with hoisted row subslices and no per-element byte
@@ -442,21 +434,9 @@ func (u *Unit) TDPBUSD(dst, a, b int) error {
 // Configuration and shape faults, trip counts, cycle accounting and the
 // numerics are TDPBF16PS's, so results are bit-for-bit the same; only
 // the operand transport differs.
-func (u *Unit) TDPBF16PSDecoded(dst, a, b int, cDec []float32, cStride int, aDec []float32, aStride int, bCols []float32, bColStride int) error {
-	// Plain float32 arithmetic is exact only from an accumulator on the
-	// 2^-126 grid (zero, or normal with a quantum of at least 2^-126).
-	fast := bf16Fast(spanOf(aDec), spanOf(bCols))
-	for _, c := range cDec {
-		if e := uint8(f32Bits(c) >> 23); c != 0 && (e < 127-103 || e == 0xFF) {
-			fast = false
-			break
-		}
-	}
-	return u.tdpBF16PSDecodedRows(dst, a, b, MaxRows, fast, cDec, cStride, aDec, aStride, bCols, bColStride)
-}
-
-// tdpBF16PSDecodedRows is TDPBF16PSDecoded with the MAC loop bounded to
-// the first rows tile rows. The matmul drivers use it to skip A rows
+//
+// The MAC loop is bounded to the first rows tile rows. The matmul
+// drivers use that to skip A rows
 // that are pure zero padding (a GEMV pads 1 real row to a 16-row tile):
 // a zero A row contributes only zero adds to its accumulator row, and
 // the drivers never scatter those rows into the result, so skipping
@@ -536,22 +516,15 @@ func (u *Unit) tdpBF16PSDecodedRows(dst, a, b, rows int, fast bool, cDec []float
 	return nil
 }
 
-// TDPBUSDDecoded executes TDPBUSD's accumulation over pre-decoded
-// operands, mirroring TDPBF16PSDecoded: aDec holds tile a's unsigned
-// lanes row-major (4·kQuads per row), bCols tile b's signed lanes
-// column-major (output column j's 4·kQuads lanes, in k order, at
-// bCols[j*bColStride:]), cDec the int32 accumulator. Faults, cycles and
-// results are identical to TDPBUSD.
-func (u *Unit) TDPBUSDDecoded(dst, a, b int, cDec []int32, cStride int, aDec []uint8, aStride int, bCols []int8, bColStride int) error {
-	return u.tdpBUSDDecodedRows(dst, a, b, MaxRows, cDec, cStride, aDec, aStride, bCols, bColStride)
-}
-
-// tdpBUSDDecodedRows bounds TDPBUSDDecoded's MAC loop to the first rows
-// tile rows, the INT8 twin of tdpBF16PSDecodedRows: callers guarantee
-// the elided rows are zero padding whose accumulator rows are never
-// scattered, and faults and cycle accounting stay those of the full
-// instruction.
-func (u *Unit) tdpBUSDDecodedRows(dst, a, b, rows int, cDec []int32, cStride int, aDec []uint8, aStride int, bCols []int8, bColStride int) error {
+// tdpBUSDDecodedRows executes TDPBUSD's accumulation over pre-decoded
+// operands, the INT8 twin of tdpBF16PSDecodedRows: aDec holds tile a's
+// unsigned lanes row-major (4·kQuads per row), bCols tile b's signed
+// lanes column-major (output column j's 4·kQuads lanes, in k order, at
+// bCols[j*bColStride:]), cDec the int32 accumulator, and the MAC loop
+// runs over the first rows tile rows. Faults, cycles and results are
+// TDPBUSD's. Integer sums are exact in any order, so it takes no fast
+// flag's proof; the unnamed parameter keeps its signature the BF16 one.
+func (u *Unit) tdpBUSDDecodedRows(dst, a, b, rows int, _ bool, cDec []int32, cStride int, aDec []uint8, aStride int, bCols []int8, bColStride int) error {
 	td, ta, tb, err := u.tdpTiles(dst, a, b)
 	if err != nil {
 		return err

@@ -147,7 +147,9 @@ func TestTDPBF16PSSingleTile(t *testing.T) {
 	if err := u.TileZero(tmmC); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.TileLoad(tmmA, PackBF16(a, 2, 4, 2, 4), 8); err != nil {
+	aImg := make([]byte, 2*4*2)
+	packBF16Into(aImg, a, 2, 4, 2, 4)
+	if err := u.TileLoad(tmmA, aImg, 8); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.TileLoad(tmmB, PackBF16VNNI(b, 4, 2, 4, 2), 8); err != nil {

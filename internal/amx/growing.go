@@ -9,7 +9,7 @@ import (
 // time: attention's Kᵀ, the B operand of Q·Kᵀ, gains a column per cached
 // token, and V, the B operand of P·V, gains a row. It holds what
 // PrepackBF16 would build for the matrix so far, in the one layout
-// bf16KernelFor reads from it — the VNNI image where the host grants the
+// kernelFor reads from it — the VNNI image where the host grants the
 // tile unit, the column-major decoded view elsewhere — preallocated to a
 // capacity. Append writes only the new position's lanes, and
 // MatmulBF16GrowingInto multiplies the image in place, so a product over

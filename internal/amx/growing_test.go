@@ -107,7 +107,7 @@ func TestGrowingMatchesPrepacked(t *testing.T) {
 							}
 						}
 						b, k, nn := growMatrix(pos, axis.byRows)
-						pre, err := prepackBF16(b, k, nn, decoded)
+						pre, err := prepack(b, k, nn, decoded)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -116,11 +116,11 @@ func TestGrowingMatchesPrepacked(t *testing.T) {
 						for _, m := range []int{1, 17} {
 							a := randF32(rng, m*k)
 							want, got := make([]float32, m*nn), make([]float32, m*nn)
-							wantCycles, err := matmulBF16On(kern.kern, want, a, m, pre)
+							wantCycles, err := matmulOn(kern.kern, want, a, m, pre)
 							if err != nil {
 								t.Fatal(err)
 							}
-							gotCycles, err := matmulBF16On(kern.kern, got, a, m, &g.w)
+							gotCycles, err := matmulOn(kern.kern, got, a, m, &g.w)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -138,7 +138,7 @@ func TestGrowingMatchesPrepacked(t *testing.T) {
 
 // TestGrowingEntryPoint runs the production pair — NewGrowingRows/Cols
 // and MatmulBF16GrowingInto — against PrepackBF16 + MatmulBF16PackedInto,
-// on whichever kernel bf16KernelFor picks on this host.
+// on whichever kernel kernelFor picks on this host.
 func TestGrowingEntryPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const width, capacity, length, m = 32, 48, 37, 2
@@ -163,8 +163,8 @@ func TestGrowingEntryPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bf16KernelFor(&g.w) != bf16KernelFor(pre) {
-			t.Fatalf("%s: growing operand runs kernel %d, prepacked %d", axis.name, bf16KernelFor(&g.w), bf16KernelFor(pre))
+		if kernelFor(&g.w) != kernelFor(pre) {
+			t.Fatalf("%s: growing operand runs kernel %d, prepacked %d", axis.name, kernelFor(&g.w), kernelFor(pre))
 		}
 		a := randF32(rng, m*k)
 		want, got := make([]float32, m*n), make([]float32, m*n)
@@ -260,7 +260,7 @@ func TestGrowingShortImageFaultIdentity(t *testing.T) {
 			t.Run(axis.name+"/"+kern.name, func(t *testing.T) {
 				needKernel(t, kern.kern)
 				decoded := kern.kern == kernelDecoded
-				pre, err := prepackBF16(bf, k, n, decoded)
+				pre, err := prepack(bf, k, n, decoded)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,8 +292,8 @@ func TestGrowingShortImageFaultIdentity(t *testing.T) {
 						w.vnni = w.vnni[:len(w.vnni)-4]
 					}
 				}
-				_, want := matmulBF16On(kern.kern, make([]float32, m*n), af, m, pre)
-				_, got := matmulBF16On(kern.kern, make([]float32, m*n), af, m, &g.w)
+				_, want := matmulOn(kern.kern, make([]float32, m*n), af, m, pre)
+				_, got := matmulOn(kern.kern, make([]float32, m*n), af, m, &g.w)
 				if !errors.Is(got, ErrBounds) || errText(got) != errText(want) {
 					t.Fatalf("growing: %q, prepacked: %q", errText(got), errText(want))
 				}

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // The tile instructions are spelled as BYTE sequences because the Go

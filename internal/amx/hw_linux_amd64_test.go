@@ -1,3 +1,5 @@
+//go:build !purego
+
 package amx
 
 import (
@@ -53,7 +55,7 @@ func TestHWTileStateINITAfterReturn(t *testing.T) {
 			if in := xinuse(); in&(tileCfg|tileData) != 0 {
 				t.Fatalf("int8 m=%d k=%d n=%d: tile state in use after return: XINUSE %#x", s.m, s.k, s.n, in)
 			}
-			if _, err := matmulBF16On(kernelHW, cf, af, s.m, wf); err != nil {
+			if _, err := matmulOn(kernelHW, cf, af, s.m, wf); err != nil {
 				t.Fatal(err)
 			}
 			if in := xinuse(); in&(tileCfg|tileData) != 0 {

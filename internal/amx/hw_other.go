@@ -1,9 +1,9 @@
-//go:build !linux || !amd64
+//go:build purego || !linux || !amd64
 
 package amx
 
-// hwAvailable is false off linux/amd64: the drivers fall back to the
-// decoded emulator there.
+// hwAvailable is false off linux/amd64 and under the purego build tag:
+// the drivers fall back to the decoded emulator there.
 const hwAvailable = false
 
 func tdpbusdChain(cfg *hwTileCfg, c *int32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int) {

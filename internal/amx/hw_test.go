@@ -62,13 +62,13 @@ func TestHWStressMatchesReference(t *testing.T) {
 		}
 		products = append(products, func() error {
 			got := make([]float32, s.m*s.n)
-			_, err := matmulBF16On(kernelHW, got, af, s.m, w)
+			_, err := matmulOn(kernelHW, got, af, s.m, w)
 			if err == nil && !reflect.DeepEqual(got, wantF) {
 				err = fmt.Errorf("bf16 m=%d k=%d n=%d differs from ReferenceMatmulBF16", s.m, s.k, s.n)
 			}
 			return err
 		})
-		if splits(s.m, ceilDiv(s.m, blockMi8), ceilDiv(s.n, blockNi8), ceilDiv(s.k, blockKi8)) {
+		if splits(s.m, ceilDiv(s.m, blockM), ceilDiv(s.n, blockN), ceilDiv(s.k, blockKi8)) {
 			split++
 		}
 	}

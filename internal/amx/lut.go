@@ -118,8 +118,8 @@ func (w *PrepackedINT4) GEMV4LUTInto(dst, x []float32, m int) (uint64, error) {
 // never −0, so a row's sums do not depend on the rows beside it); out
 // starts at +0 and gains s(g,j)·sum[i][j] group by group.
 func (w *PrepackedINT4) gemvRows(out, x []float32, m int) {
-	buf := getScratchF32(m * (w.K + w.N))
-	defer putScratchF32(buf)
+	buf := f32Scratch.get(m * (w.K + w.N))
+	defer f32Scratch.put(buf)
 	xr, gs := (*buf)[:m*w.K], (*buf)[m*w.K:]
 	copy(xr, x)
 	RoundSlice(xr)

@@ -43,8 +43,8 @@ func seedPrepackINT4(codes []uint8, k, n, group int, scales []float32) *seedINT4
 // lutRow computes one activation row's outputs with table scratch of
 // its own, so rows can run on different workers.
 func (w *seedINT4) lutRow(out, row []float32) {
-	lutBuf := getScratchF32(w.K * 16)
-	defer putScratchF32(lutBuf)
+	lutBuf := f32Scratch.get(w.K * 16)
+	defer f32Scratch.put(lutBuf)
 	lut := *lutBuf
 	// Table build: 16 partial products per activation element.
 	for k, v := range row {

@@ -5,13 +5,14 @@ import (
 	"fmt"
 )
 
-// Tile-blocking geometry for BF16 matmul: each TDPBF16PS consumes a
-// 16×32 bf16 A block and a 32×16 bf16 B block (VNNI-packed into 16 rows)
-// and accumulates into a 16×16 float32 C block.
+// Tile-blocking geometry: each TDPBF16PS consumes a 16×32 bf16 A block
+// and a 32×16 bf16 B block (VNNI-packed into 16 rows), each TDPBUSD a
+// 16×64 u8 A block and a 64×16 s8 B block (16 rows of quads); both
+// accumulate into a 16×16 block of 32-bit lanes.
 const (
 	blockM = MaxRows         // 16 output rows per tile
 	blockK = MaxColBytes / 2 // 32 bf16 values per A row
-	blockN = MaxColBytes / 4 // 16 float32 outputs per C row
+	blockN = MaxColBytes / 4 // 16 32-bit outputs per C row
 )
 
 // tmm register roles used by the driver.
@@ -21,21 +22,13 @@ const (
 	tmmB = 2
 )
 
-// matmulConfig is the tile palette the driver installs: C is 16×64B
-// (16×16 f32), A is 16×64B (16×32 bf16), B is 16×64B (VNNI 32×16 bf16).
+// matmulConfig is the tile palette the driver installs for both
+// instructions: C, A and B are each 16 rows of 64 bytes.
 var matmulConfig = TileConfig{Tiles: [NumTiles]TileShape{
 	tmmC: {Rows: blockM, ColBytes: MaxColBytes},
 	tmmA: {Rows: blockM, ColBytes: MaxColBytes},
-	tmmB: {Rows: blockK / 2, ColBytes: MaxColBytes},
+	tmmB: {Rows: MaxRows, ColBytes: MaxColBytes},
 }}
-
-// PackBF16 converts a row-major float32 matrix (rows × cols) into a
-// row-major bf16 byte buffer padded to padRows × padCols values.
-func PackBF16(src []float32, rows, cols, padRows, padCols int) []byte {
-	out := make([]byte, padRows*padCols*2)
-	packBF16Into(out, src, rows, cols, padRows, padCols)
-	return out
-}
 
 // packBF16Into writes the padded bf16 image of src into dst, overwriting
 // every byte (dst may carry stale data from a previous use). Only the
@@ -163,13 +156,15 @@ func roundStrided(dst, src []float32, stride int, span bf16Span) bf16Span {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// Prepacked is a right-hand BF16 GEMM operand converted once into the
-// VNNI tile layout. Building it is the per-weight cost LIA's §5 kernels
-// amortize: every MatmulBF16PackedInto call afterwards streams activations
+// operand is a right-hand GEMM operand converted once into the tile
+// unit's VNNI layout. Building it is the per-weight cost LIA's §5
+// kernels amortize: every product afterwards streams activations
 // through the same immutable image, so the steady state never re-packs.
-// Packing is layout-only — the stored values are the BF16FromFloat32
-// roundings of the matrix, and the kernels read nothing else.
-type Prepacked struct {
+// Packing is layout-only — the stored values are the matrix's lanes
+// (BF16FromFloat32 roundings for TDPBF16PS, the int8 values themselves
+// for TDPBUSD), and the kernels read nothing else. E is the decoded
+// lane type; Prepacked and PrepackedINT8 are its two instances.
+type operand[E float32 | int8] struct {
 	// K and N are the logical dimensions of the packed matrix.
 	K, N int
 	// padK is K padded to a k-block; padN is the VNNI image's row width in
@@ -177,13 +172,12 @@ type Prepacked struct {
 	// capacity there).
 	padK, padN int
 	vnni       []byte
-	// dec is the decoded view of the VNNI image: the same bf16-rounded
-	// values as float32, column-major (column c's lanes at
-	// dec[c*decStride:], decStride = padK here), built once at prepack
-	// time so the decoded fast path never reassembles an operand from
-	// bytes. Built only where the decoded kernel can be chosen (see
-	// prepackBF16); span is its span.
-	dec       []float32
+	// dec is the decoded view of the VNNI image: the same lanes, decoded,
+	// column-major (column c's lanes at dec[c*decStride:], decStride =
+	// padK here), built once at prepack time so the decoded fast path never
+	// reassembles an operand from bytes. Built only where the decoded
+	// kernel can be chosen (see prepack); span is its span (BF16 only).
+	dec       []E
 	decStride int
 	span      bf16Span
 	// zero is the sparse tier's zero-block bitmap (sparse.go), nil on
@@ -191,33 +185,83 @@ type Prepacked struct {
 	zero *zeroBitmap
 }
 
+// Prepacked is a right-hand BF16 operand, for MatmulBF16PackedInto.
+type Prepacked = operand[float32]
+
+// PrepackedINT8 is a right-hand signed 8-bit operand in TDPBUSD's 4-way
+// VNNI layout, for MatmulINT8PackedInto.
+type PrepackedINT8 = operand[int8]
+
+// laneType is what an operand's element type decides outside the
+// instruction: how wide a lane is in the tile images, which of its bits
+// make it nonzero, and how the right operand is packed.
+type laneType[E float32 | int8] struct {
+	name  string // error-message prefix
+	bytes int    // per lane in the tile images: 2 (bf16) or 1 (int8)
+	// nonzero masks eight image bytes down to the bits that make their
+	// lanes nonzero: all of an int8's, all but a bf16's sign (see sparse.go).
+	nonzero uint64
+	// vnni packs the right operand's VNNI image; decoded its column-major
+	// decoded view, returning the view's span.
+	vnni    func(src []E, rows, cols, padRows, padCols int) []byte
+	decoded func(dst, src []E, rows, cols, padRows, padCols int) bf16Span
+}
+
+var (
+	bf16Lanes = laneType[float32]{"", 2, 0x7FFF7FFF7FFF7FFF, PackBF16VNNI, packBF16DecodedBInto}
+	int8Lanes = laneType[int8]{"int8 ", 1, ^uint64(0), PackS8VNNI,
+		func(dst, src []int8, rows, cols, padRows, padCols int) bf16Span {
+			packS8DecodedBInto(dst, src, rows, cols, padRows, padCols)
+			return bf16Span{}
+		}}
+)
+
+// lanesOf returns E's laneType.
+func lanesOf[E float32 | int8]() *laneType[E] {
+	if l, ok := any(&bf16Lanes).(*laneType[E]); ok {
+		return l
+	}
+	return any(&int8Lanes).(*laneType[E])
+}
+
+// kBlocks is the operand's k-block count: one block is 64 bytes of every
+// A row and 16 VNNI rows of B for both element types.
+func (w *operand[E]) kBlocks() int { return w.padK * lanesOf[E]().bytes / MaxColBytes }
+
 // PrepackBF16 packs a row-major float32 matrix (k × n) for reuse as the
 // right-hand operand of MatmulBF16PackedInto: the VNNI byte image the tile
 // unit and the byte-accurate oracle read, plus, on hosts without the tile
 // unit, the decoded float32 view the emulator's fast path reads.
 func PrepackBF16(b []float32, k, n int) (*Prepacked, error) {
-	return prepackBF16(b, k, n, !hwAvailable)
+	return prepack(b, k, n, !hwAvailable)
 }
 
-// prepackBF16 builds the VNNI image and, when decoded is set, the decoded
-// view. Production callers build the view only where bf16KernelFor can
-// pick the decoded kernel; tests set decoded to run that kernel on any
-// host, or clear it for an operand only the byte oracle (or silicon) can
-// read.
-func prepackBF16(b []float32, k, n int, decoded bool) (*Prepacked, error) {
+// PrepackINT8 packs a row-major int8 matrix (k × n) for reuse as the
+// right-hand operand of MatmulINT8PackedInto: the VNNI byte image, plus
+// its decoded column-major view on hosts without the tile unit.
+func PrepackINT8(b []int8, k, n int) (*PrepackedINT8, error) {
+	return prepack(b, k, n, !hwAvailable)
+}
+
+// prepack builds the VNNI image and, when decoded is set, the decoded
+// view. Production callers build the view only where kernelFor can pick
+// the decoded kernel; tests set decoded to run that kernel on any host,
+// or clear it for an operand only the byte oracle (or silicon) can read.
+func prepack[E float32 | int8](b []E, k, n int, decoded bool) (*operand[E], error) {
+	l := lanesOf[E]()
 	if len(b) != k*n {
-		return nil, fmt.Errorf("amx: prepack operand size %d does not match %dx%d", len(b), k, n)
+		return nil, fmt.Errorf("amx: %sprepack operand size %d does not match %dx%d", l.name, len(b), k, n)
 	}
 	if k <= 0 || n <= 0 {
-		return nil, fmt.Errorf("amx: prepack dimensions must be positive, got %dx%d", k, n)
+		return nil, fmt.Errorf("amx: %sprepack dimensions must be positive, got %dx%d", l.name, k, n)
 	}
-	padK := ceilDiv(k, blockK) * blockK
+	blockLanes := MaxColBytes / l.bytes
+	padK := ceilDiv(k, blockLanes) * blockLanes
 	padN := ceilDiv(n, blockN) * blockN
-	w := &Prepacked{K: k, N: n, padK: padK, padN: padN, vnni: PackBF16VNNI(b, k, n, padK, padN)}
+	w := &operand[E]{K: k, N: n, padK: padK, padN: padN, vnni: l.vnni(b, k, n, padK, padN)}
 	if decoded {
-		w.dec = make([]float32, padN*padK)
-		w.decStride = padK
-		w.span = packBF16DecodedBInto(w.dec, b, k, n, padK, padN)
+		w.dec, w.decStride = make([]E, padN*padK), padK
+		w.span = l.decoded(w.dec, b, k, n, padK, padN)
 	}
 	return w, nil
 }
@@ -230,28 +274,57 @@ func prepackBF16(b []float32, k, n int, decoded bool) (*Prepacked, error) {
 // (its length must be exactly m×W.N), every element overwritten; it
 // returns the AMX cycles consumed.
 func MatmulBF16PackedInto(dst, a []float32, m int, w *Prepacked) (uint64, error) {
+	return matmulInto(dst, a, m, w)
+}
+
+// MatmulINT8PackedInto computes dst = A·W through the AMX INT8 pipeline
+// for a prepacked right-hand operand: A is m×K unsigned 8-bit, W is K×N
+// signed 8-bit, and dst (exactly m×N, every element overwritten)
+// accumulates int32 — TDPBUSD's semantics (integer arithmetic,
+// layout-only packing). It returns the AMX cycles consumed.
+func MatmulINT8PackedInto(dst []int32, a []uint8, m int, w *PrepackedINT8) (uint64, error) {
+	return matmulInto(dst, a, m, w)
+}
+
+// MatmulINT8Packed is MatmulINT8PackedInto into a new m×N result.
+func MatmulINT8Packed(a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
+	var c []int32
+	if w != nil && m > 0 {
+		c = make([]int32, m*w.N)
+	}
+	cycles, err := MatmulINT8PackedInto(c, a, m, w)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, cycles, nil
+}
+
+// matmulInto validates an m-row product against w and runs it on the
+// kernel kernelFor picks.
+func matmulInto[A float32 | uint8, E float32 | int8, C float32 | int32](c []C, a []A, m int, w *operand[E]) (uint64, error) {
 	if w == nil {
 		return 0, fmt.Errorf("amx: nil prepacked operand")
 	}
+	name := lanesOf[E]().name
 	if len(a) != m*w.K {
-		return 0, fmt.Errorf("amx: matmul operand size %d does not match %dx%d", len(a), m, w.K)
+		return 0, fmt.Errorf("amx: %smatmul operand size %d does not match %dx%d", name, len(a), m, w.K)
 	}
 	if m <= 0 {
-		return 0, fmt.Errorf("amx: matmul rows must be positive, got %d", m)
+		return 0, fmt.Errorf("amx: %smatmul rows must be positive, got %d", name, m)
 	}
-	if len(dst) != m*w.N {
-		return 0, fmt.Errorf("amx: matmul destination size %d does not match %dx%d", len(dst), m, w.N)
+	if len(c) != m*w.N {
+		return 0, fmt.Errorf("amx: %smatmul destination size %d does not match %dx%d", name, len(c), m, w.N)
 	}
-	return matmulBF16Driver(dst, a, m, w)
+	return matmulOn(kernelFor(w), c, a, m, w)
 }
 
-// bf16KernelFor is the one place the BF16 block kernel is chosen: the
-// tile unit when the host grants it and w carries the VNNI image it
-// reads (every operand built there does), else the decoded emulator when
-// w carries its decoded view (every operand built off AMX hosts does),
-// else the byte oracle. All three produce the same results, faults and
-// cycles, so the choice is invisible above this package.
-func bf16KernelFor(w *Prepacked) kernel {
+// kernelFor is the one place a block kernel is chosen, for both element
+// types: the tile unit when the host grants it and w carries the VNNI
+// image it reads (every operand built there does), else the decoded
+// emulator when w carries its decoded view (every operand built off AMX
+// hosts does), else the byte oracle. All three produce the same results,
+// faults and cycles, so the choice is invisible above this package.
+func kernelFor[E float32 | int8](w *operand[E]) kernel {
 	switch {
 	case hwAvailable && w.vnni != nil:
 		return kernelHW
@@ -261,157 +334,30 @@ func bf16KernelFor(w *Prepacked) kernel {
 	return kernelBytes
 }
 
-// matmulBF16Driver runs the product on the kernel bf16KernelFor picks.
-func matmulBF16Driver(c, a []float32, m int, w *Prepacked) (uint64, error) {
-	return matmulBF16On(bf16KernelFor(w), c, a, m, w)
-}
-
-// matmulBF16On packs A into pooled scratch in the form kernel kern reads
-// and hands the product to drive. Blocking, team partition, fault checks
-// and cycle accounting are drive's and therefore common; the full m×N
-// result lands in c.
-func matmulBF16On(kern kernel, c, a []float32, m int, w *Prepacked) (uint64, error) {
+// matmulOn packs A into pooled scratch in the form kernel kern reads and
+// hands the product to drive. Blocking, team partition, fault checks and
+// cycle accounting are drive's and therefore common; the full m×N result
+// lands in c.
+func matmulOn[A float32 | uint8, E float32 | int8, C float32 | int32](kern kernel, c []C, a []A, m int, w *operand[E]) (uint64, error) {
+	lane := lanesOf[E]().bytes
+	p := product[A, E, C]{t: tmulOf[A, E, C](), w: w, lane: lane, aStride: w.padK * lane, bStride: w.padN * 4}
 	padM := ceilDiv(m, blockM) * blockM
-	kBlocks := w.padK / blockK
+	kBlocks := w.kBlocks()
 	if kern == kernelDecoded {
-		// A is rounded once per call into float32 scratch — the same
-		// values decoding the byte image would yield.
-		aScratch := getScratchF32(padM * w.padK)
-		defer putScratchF32(aScratch)
-		span := packBF16DecodedInto(*aScratch, a, m, w.K, padM, w.padK)
-		return drive(matmulConfig, bf16Decoded{a: *aScratch, w: w, fast: bf16Fast(span, w.span)}, c, m, w.N, kBlocks, w.zero)
+		// A is decoded once per call into scratch: for BF16 the rounded
+		// float32 lanes decoding the byte image would yield.
+		lanes := p.t.scratch.get(padM * w.padK)
+		defer p.t.scratch.put(lanes)
+		span := p.t.decodeA(*lanes, a, m, w.K, padM, w.padK)
+		return drive(matmulConfig, decodedKernel[A, E, C]{p, *lanes, bf16Fast(span, w.span)}, c, m, w.N, kBlocks, w.zero)
 	}
-	aScratch := getScratch(padM * w.padK * 2)
-	defer putScratch(aScratch)
-	packBF16Into(*aScratch, a, m, w.K, padM, w.padK)
+	img := byteScratch.get(padM * p.aStride)
+	defer byteScratch.put(img)
+	p.t.packA(*img, a, m, w.K, padM, w.padK)
 	if kern == kernelHW {
-		return drive(matmulConfig, bf16HW{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
+		return drive(matmulConfig, hwKernel[A, E, C]{p, *img}, c, m, w.N, kBlocks, w.zero)
 	}
-	return drive(matmulConfig, bf16Bytes{a: *aScratch, w: w}, c, m, w.N, kBlocks, w.zero)
-}
-
-// bf16Bytes is the byte-accurate BF16 block kernel: every operand moves
-// through the tile file byte for byte (TileLoad, TDPBF16PS, TileStore) —
-// the instruction-level oracle bf16Decoded is pinned against.
-type bf16Bytes struct {
-	a []byte // padded bf16 image of A (packBF16Into)
-	w *Prepacked
-}
-
-func (k bf16Bytes) zero(pu *pooledUnit) error { return pu.u.TileZero(tmmC) }
-
-func (k bf16Bytes) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
-	aStride := k.w.padK * 2 // bytes per packed A row
-	bStride := k.w.padN * 4 // bytes per packed VNNI B row (pairs)
-	aOff := rb*blockM*aStride + kb*blockK*2
-	if err := pu.u.TileLoad(tmmA, k.a[aOff:], aStride); err != nil {
-		return err
-	}
-	bOff := kb*(blockK/2)*bStride + cb*blockN*4
-	if err := pu.u.TileLoad(tmmB, k.w.vnni[bOff:], bStride); err != nil {
-		return err
-	}
-	return pu.u.TDPBF16PS(tmmC, tmmA, tmmB)
-}
-
-func (k bf16Bytes) store(pu *pooledUnit) ([]float32, error) {
-	cTile := pu.cTile[:blockM*blockN*4]
-	if err := pu.u.TileStore(tmmC, cTile, blockN*4); err != nil {
-		return nil, err
-	}
-	acc := pu.cDecF[:]
-	for i := range acc {
-		acc[i] = f32FromBits(binary.LittleEndian.Uint32(cTile[4*i:]))
-	}
-	return acc, nil
-}
-
-// bf16Decoded is the decoded BF16 block kernel: the same TileZero /
-// TileLoad / TDP / TileStore sequence as bf16Bytes — identical faults and
-// cycle accounting via the *Check variants — but the MAC loop reads flat
-// pre-decoded slices and the accumulator stays float32 end to end (a
-// byte image of the accumulator would round-trip losslessly anyway, so
-// results are bit-identical). fast is bf16Fast of the two operands: the
-// accumulator starts at +0 for every block, so it may run plain float32.
-type bf16Decoded struct {
-	a    []float32 // padded, bf16-pre-rounded A (packBF16DecodedInto)
-	w    *Prepacked
-	fast bool
-}
-
-func (k bf16Decoded) zero(pu *pooledUnit) error {
-	clear(pu.cDecF[:])
-	return pu.u.TileZeroCheck(tmmC)
-}
-
-func (k bf16Decoded) mac(pu *pooledUnit, rb, cb, kb, valid int) error {
-	padK := k.w.padK
-	bStrideB := k.w.padN * 4 // byte stride of the VNNI image the byte path would load
-	aOff := rb*blockM*padK + kb*blockK
-	if err := pu.u.TileLoadCheck(tmmA, 2*(len(k.a)-aOff), padK*2); err != nil {
-		return err
-	}
-	// The byte path loads the VNNI image at this offset; the bounds
-	// arithmetic is identical even though the decoded view is
-	// column-major.
-	bOffB := kb*(blockK/2)*bStrideB + cb*blockN*4
-	if err := pu.u.TileLoadCheck(tmmB, 2*len(k.w.dec)-bOffB, bStrideB); err != nil {
-		return err
-	}
-	bOff := cb*blockN*k.w.decStride + kb*blockK
-	return pu.u.tdpBF16PSDecodedRows(tmmC, tmmA, tmmB, valid, k.fast, pu.cDecF[:], blockN, k.a[aOff:], padK, k.w.dec[bOff:], k.w.decStride)
-}
-
-func (k bf16Decoded) store(pu *pooledUnit) ([]float32, error) {
-	return pu.cDecF[:], pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4)
-}
-
-// bf16HW is the BF16 block kernel on the host's tile unit, int8HW's twin:
-// zero, mac and store run the emulator's *Check ops — faults and modelled
-// cycles are the emulator's — with every load validated against the bytes
-// the instruction reads (the padded bf16 image of A, the VNNI image of
-// B); mac queues the validated block and store issues the block's k-chain
-// in one tdpbf16psChain call into pu.cDecF. The emulator computes in the
-// tile unit's order and rounding, so results are bit-identical to it.
-type bf16HW struct {
-	a []byte // padded bf16 image of A (packBF16Into), shared with bf16Bytes
-	w *Prepacked
-}
-
-func (k bf16HW) zero(pu *pooledUnit) error {
-	clear(pu.cDecF[:])
-	pu.hwOffs = pu.hwOffs[:0]
-	return pu.u.TileZeroCheck(tmmC)
-}
-
-func (k bf16HW) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
-	aStride := k.w.padK * 2 // bytes per packed A row
-	bStride := k.w.padN * 4 // bytes per packed VNNI B row (pairs)
-	aOff := rb*blockM*aStride + kb*blockK*2
-	if err := pu.u.TileLoadCheck(tmmA, len(k.a)-aOff, aStride); err != nil {
-		return err
-	}
-	bOff := kb*(blockK/2)*bStride + cb*blockN*4
-	if err := pu.u.TileLoadCheck(tmmB, len(k.w.vnni)-bOff, bStride); err != nil {
-		return err
-	}
-	if err := pu.u.tdpBF16Check(tmmC, tmmA, tmmB); err != nil {
-		return err
-	}
-	pu.hwOffs = append(pu.hwOffs, [2]uintptr{uintptr(aOff), uintptr(bOff)})
-	return nil
-}
-
-func (k bf16HW) store(pu *pooledUnit) ([]float32, error) {
-	if err := pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4); err != nil {
-		return nil, err
-	}
-	// A block whose every k-block the bitmap skipped is zero already.
-	if n := len(pu.hwOffs); n > 0 {
-		tdpbf16psChain(&pu.hwCfg, &pu.cDecF[0], blockN*4, &k.a[0], uintptr(k.w.padK*2),
-			&k.w.vnni[0], uintptr(k.w.padN*4), &pu.hwOffs[0], n)
-	}
-	return pu.cDecF[:], nil
+	return drive(matmulConfig, bytesKernel[A, E, C]{p, *img}, c, m, w.N, kBlocks, w.zero)
 }
 
 // ReferenceMatmulBF16 computes the same product with plain loops but

@@ -16,6 +16,16 @@ func matmulINT8(a []uint8, b []int8, m, k, n int) ([]int32, uint64, error) {
 	return MatmulINT8Packed(a, m, w)
 }
 
+// matmulINT8On runs an INT8 product on kernel kern into a new m×N result.
+func matmulINT8On(kern kernel, a []uint8, m int, w *PrepackedINT8) ([]int32, uint64, error) {
+	c := make([]int32, m*w.N)
+	cycles, err := matmulOn(kern, c, a, m, w)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, cycles, nil
+}
+
 func TestMatmulINT8SmallExact(t *testing.T) {
 	// 2×3 · 3×2 with hand-checked values.
 	a := []uint8{1, 2, 3, 4, 5, 6}

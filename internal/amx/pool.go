@@ -49,7 +49,7 @@ type pooledUnit struct {
 	cfg   TileConfig
 	cTile [MaxRows * MaxColBytes]byte
 	cDecF [blockM * blockN]float32
-	cDecI [blockMi8 * blockNi8]int32
+	cDecI [blockM * blockN]int32
 	// hwCfg is cfg encoded for LDTILECFG: the hardware kernel loads
 	// exactly the palette its checks ran against.
 	hwCfg hwTileCfg
@@ -174,21 +174,21 @@ func runInline(cfg TileConfig, rowBlocks int, run func(pu *pooledUnit, rb int) e
 	return pu.u.Cycles() - start, nil
 }
 
-// kernel names one of the three block kernels of an element type.
+// kernel names one of the three block kernels (kernels.go).
 type kernel uint8
 
 const (
-	kernelBytes   kernel = iota // bf16Bytes / int8Bytes, the oracle
-	kernelDecoded               // bf16Decoded / int8Decoded, the emulator's fast path
-	kernelHW                    // bf16HW / int8HW, the host's tile unit
+	kernelBytes   kernel = iota // bytesKernel, the oracle
+	kernelDecoded               // decodedKernel, the emulator's fast path
+	kernelHW                    // hwKernel, the host's tile unit
 )
 
 // blockKernel is one way of computing a 16×16 output block of a blocked
-// product on a tile unit. The six values — BF16 and INT8, each as the
-// byte oracle, the decoded fast path and the host's tile unit — issue the
-// same instruction sequence with the same faults and cycles and differ
-// only in how the operands travel and where the MACs run, so drive is
-// written once.
+// product on a tile unit. The three kernels — the byte oracle, the
+// decoded fast path and the host's tile unit, each instantiated for BF16
+// and INT8 — issue the same instruction sequence with the same faults
+// and cycles and differ only in how the operands travel and where the
+// MACs run, so drive is written once.
 type blockKernel[C float32 | int32] interface {
 	// zero is TILEZERO on the accumulator tile.
 	zero(pu *pooledUnit) error
@@ -256,38 +256,30 @@ func driveStripe[C float32 | int32, K blockKernel[C]](pu *pooledUnit, kern K, rb
 	return nil
 }
 
-// packScratch recycles operand pack buffers across matmul calls.
-var packScratch = sync.Pool{New: func() any { return new([]byte) }}
+// scratchPool recycles one kind of operand buffer across matmul calls.
+type scratchPool[T any] struct{ p sync.Pool }
 
-// getScratch returns a length-n byte buffer (contents unspecified; the
-// pack routines overwrite every byte including padding).
-func getScratch(n int) *[]byte {
-	bp := packScratch.Get().(*[]byte)
+// byteScratch holds the tile images of A; f32Scratch the decoded BF16
+// path's float32 buffers (pre-rounded A stripes, the INT4 kernel's
+// rounded rows and group sums).
+var (
+	byteScratch scratchPool[byte]
+	f32Scratch  scratchPool[float32]
+)
+
+// get returns a length-n buffer (contents unspecified; the pack routines
+// overwrite every element including padding).
+func (s *scratchPool[T]) get(n int) *[]T {
+	bp, _ := s.p.Get().(*[]T)
+	if bp == nil {
+		bp = new([]T)
+	}
 	if cap(*bp) < n {
-		*bp = make([]byte, n)
+		*bp = make([]T, n)
 	}
 	*bp = (*bp)[:n]
 	return bp
 }
 
-// putScratch returns a buffer obtained from getScratch.
-func putScratch(bp *[]byte) { packScratch.Put(bp) }
-
-// f32Scratch recycles the decoded fast path's float32 buffers
-// (pre-rounded A stripes, the INT4 kernel's rounded rows and group sums)
-// across calls, mirroring packScratch for the byte images.
-var f32Scratch = sync.Pool{New: func() any { return new([]float32) }}
-
-// getScratchF32 returns a length-n float32 buffer (contents unspecified;
-// the decoded pack routines overwrite every element including padding).
-func getScratchF32(n int) *[]float32 {
-	bp := f32Scratch.Get().(*[]float32)
-	if cap(*bp) < n {
-		*bp = make([]float32, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-// putScratchF32 returns a buffer obtained from getScratchF32.
-func putScratchF32(bp *[]float32) { f32Scratch.Put(bp) }
+// put returns a buffer obtained from get.
+func (s *scratchPool[T]) put(bp *[]T) { s.p.Put(bp) }

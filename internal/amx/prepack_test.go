@@ -222,3 +222,128 @@ func TestMatmulBF16PackedInto(t *testing.T) {
 		t.Error("nil operand accepted")
 	}
 }
+
+// TestMatmulINT8PackedInto is TestMatmulBF16PackedInto's INT8 twin: a
+// product into a poisoned destination equals MatmulINT8Packed's fresh
+// result, and mis-sized operands are refused.
+func TestMatmulINT8PackedInto(t *testing.T) {
+	for _, s := range []struct{ m, k, n int }{
+		{1, 64, 16}, {8, 100, 20}, {33, 129, 3}, {64, 128, 64},
+	} {
+		a := make([]uint8, s.m*s.k)
+		b := make([]int8, s.k*s.n)
+		for i := range a {
+			a[i] = uint8(i*29 + 7)
+		}
+		for i := range b {
+			b[i] = int8(i%255 - 127)
+		}
+		pre, err := PrepackINT8(b, s.k, s.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := MatmulINT8Packed(a, s.m, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]int32, s.m*s.n)
+		for i := range dst {
+			dst[i] = -1 << 31 // poison: every element must be overwritten
+		}
+		if _, err := MatmulINT8PackedInto(dst, a, s.m, pre); err != nil {
+			t.Fatalf("%dx%dx%d into: %v", s.m, s.k, s.n, err)
+		}
+		if !reflect.DeepEqual(want, dst) {
+			t.Fatalf("%dx%dx%d: result into a dirty destination diverges", s.m, s.k, s.n)
+		}
+	}
+
+	pre, err := PrepackINT8(make([]int8, 64*16), 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := make([]uint8, 4*64)
+	for _, tc := range []struct {
+		name string
+		dst  []int32
+		a    []uint8
+		m    int
+	}{
+		{"short destination", make([]int32, 4*16-1), a, 4},
+		{"oversized destination", make([]int32, 4*16+1), a, 4},
+		{"short A", make([]int32, 4*16), a[:1], 4},
+		{"zero rows", nil, nil, 0},
+	} {
+		if _, err := MatmulINT8PackedInto(tc.dst, tc.a, tc.m, pre); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	if _, err := MatmulINT8PackedInto(nil, nil, 1, nil); err == nil {
+		t.Error("nil operand accepted")
+	}
+}
+
+// TestKernelFor pins the one kernel chooser over both element types and
+// every layout set an operand can carry: the tile unit wherever the host
+// grants it and the VNNI image is there, else the decoded view, else the
+// byte oracle — and each choice computes the reference product.
+func TestKernelFor(t *testing.T) {
+	hwElse := func(k kernel) kernel {
+		if hwAvailable {
+			return kernelHW
+		}
+		return k
+	}
+	const m, k, n = 3, 70, 20
+	af, bf := matrices(m, k, n, 0.5)
+	a8 := make([]uint8, m*k)
+	b8 := make([]int8, k*n)
+	for i := range a8 {
+		a8[i] = uint8(i*37 + 11)
+	}
+	for i := range b8 {
+		b8[i] = int8(i%251 - 125)
+	}
+	for _, tc := range []struct {
+		layout    string
+		vnni, dec bool
+		want      kernel
+	}{
+		{"vnni only", true, false, hwElse(kernelBytes)},
+		{"decoded only", false, true, kernelDecoded},
+		{"both", true, true, hwElse(kernelDecoded)},
+	} {
+		wf, err := prepack(bf, k, n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w8, err := prepack(b8, k, n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.vnni {
+			wf.vnni, w8.vnni = nil, nil
+		}
+		if !tc.dec {
+			wf.dec, w8.dec = nil, nil
+		}
+		if got := kernelFor(wf); got != tc.want {
+			t.Errorf("bf16 %s: kernel %d, want %d", tc.layout, got, tc.want)
+		}
+		if got := kernelFor(w8); got != tc.want {
+			t.Errorf("int8 %s: kernel %d, want %d", tc.layout, got, tc.want)
+		}
+		cf, _, err := matmulPacked(af, m, wf)
+		if err != nil {
+			t.Fatalf("bf16 %s: %v", tc.layout, err)
+		}
+		sameBitsF32(t, cf, ReferenceMatmulBF16(af, bf, m, k, n), "bf16 "+tc.layout)
+		c8, _, err := MatmulINT8Packed(a8, m, w8)
+		if err != nil {
+			t.Fatalf("int8 %s: %v", tc.layout, err)
+		}
+		if !reflect.DeepEqual(c8, ReferenceMatmulINT8(a8, b8, m, k, n)) {
+			t.Errorf("int8 %s: product differs from ReferenceMatmulINT8", tc.layout)
+		}
+	}
+}

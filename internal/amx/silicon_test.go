@@ -194,13 +194,13 @@ func runSiliconTrial(t *testing.T, rng *rand.Rand, cfg siliconConfig) siliconTri
 	a, b := cfg.Dist.gen(rng, cfg.Scale, m, cfg.K, n)
 	label := fmt.Sprintf("%s/%g/k%d", cfg.Dist.name, cfg.Scale, cfg.K)
 	hw := make([]float32, m*n)
-	w, err := prepackBF16(b, cfg.K, n, true)
+	w, err := prepack(b, cfg.K, n, true)
 	must(t, err)
-	_, err = matmulBF16On(kernelHW, hw, a, m, w)
+	_, err = matmulOn(kernelHW, hw, a, m, w)
 	must(t, err)
 	for _, kern := range kernels[:2] {
 		got := make([]float32, m*n)
-		_, err := matmulBF16On(kern.kern, got, a, m, w)
+		_, err := matmulOn(kern.kern, got, a, m, w)
 		must(t, err)
 		sameBitsF32(t, got, hw, label+" "+kern.name+" vs silicon")
 	}
@@ -368,13 +368,13 @@ func TestSiliconBF16Directed(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := ReferenceMatmulBF16(tc.a, tc.b, tc.m, tc.k, tc.n)
-			w, err := prepackBF16(tc.b, tc.k, tc.n, true)
+			w, err := prepack(tc.b, tc.k, tc.n, true)
 			must(t, err)
 			for _, kern := range kernels {
 				t.Run(kern.name, func(t *testing.T) {
 					needKernel(t, kern.kern)
 					got := make([]float32, tc.m*tc.n)
-					_, err := matmulBF16On(kern.kern, got, tc.a, tc.m, w)
+					_, err := matmulOn(kern.kern, got, tc.a, tc.m, w)
 					must(t, err)
 					for i := range want {
 						g, r := f32Bits(got[i]), f32Bits(want[i])

@@ -61,7 +61,7 @@ func TestSparsePrepackMatchesDenseBF16(t *testing.T) {
 			run := func(a []float32, m int, w *Prepacked, k kernel) []float32 {
 				t.Helper()
 				c := make([]float32, m*w.N)
-				if _, err := matmulBF16On(k, c, a, m, w); err != nil {
+				if _, err := matmulOn(k, c, a, m, w); err != nil {
 					t.Fatal(err)
 				}
 				return c
@@ -88,15 +88,15 @@ func TestSparsePrepackMatchesDenseBF16(t *testing.T) {
 						a[i] = float32(rng.NormFloat64())
 					}
 
-					dense, err := prepackBF16(b, sh.k, sh.n, true)
+					dense, err := prepack(b, sh.k, sh.n, true)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sparse, err := prepackBF16(b, sh.k, sh.n, true)
+					sparse, err := prepack(b, sh.k, sh.n, true)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sparse.zero = scanZeroBF16VNNI(sparse.vnni, sparse.padK, sparse.padN)
+					sparse.zero = sparse.scanZero()
 					nz, tot := sparse.BlockStats()
 					if tot != total {
 						t.Fatalf("total blocks %d, want %d", tot, total)
@@ -152,7 +152,7 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			for _, sh := range []struct{ m, k, n int }{{1, 128, 48}, {7, 64, 32}, {20, 192, 64}} {
 				kb := ceilDiv(sh.k, blockKi8)
-				cb := ceilDiv(sh.n, blockNi8)
+				cb := ceilDiv(sh.n, blockN)
 				total := kb * cb
 				zero := make(map[int]bool)
 				for i := 0; i < total/2; i++ {
@@ -161,7 +161,7 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 				b := make([]int8, sh.k*sh.n)
 				for r := 0; r < sh.k; r++ {
 					for c := 0; c < sh.n; c++ {
-						if !zero[(c/blockNi8)*kb+r/blockKi8] {
+						if !zero[(c/blockN)*kb+r/blockKi8] {
 							b[r*sh.n+c] = int8(rng.Intn(255) - 127)
 						}
 					}
@@ -170,15 +170,15 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 				for i := range a {
 					a[i] = uint8(rng.Intn(256))
 				}
-				dense, err := prepackINT8(b, sh.k, sh.n, true)
+				dense, err := prepack(b, sh.k, sh.n, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sparse, err := prepackINT8(b, sh.k, sh.n, true)
+				sparse, err := prepack(b, sh.k, sh.n, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sparse.zero = scanZeroINT8VNNI(sparse.vnni, sparse.padK, sparse.padN)
+				sparse.zero = sparse.scanZero()
 				want, _ := run(a, sh.m, dense)
 				got, cySparse := run(a, sh.m, sparse)
 				for i := range got {
@@ -192,11 +192,11 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 
 				// Byte-path oracle with the same bitmap takes the same skips:
 				// result and cycles (a cold unit may add one palette configure).
-				byteOp, err := prepackINT8(b, sh.k, sh.n, false)
+				byteOp, err := prepack(b, sh.k, sh.n, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				byteOp.zero = scanZeroINT8VNNI(byteOp.vnni, byteOp.padK, byteOp.padN)
+				byteOp.zero = byteOp.scanZero()
 				gotBytes, cyBytes, err := matmulINT8On(kernelBytes, a, sh.m, byteOp)
 				if err != nil {
 					t.Fatal(err)
@@ -228,38 +228,56 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 }
 
 // TestSparseCyclesModelExact pins PredictCycles to the emulator's
-// measured accounting: on a warm unit the GEMV consumes exactly the
-// predicted cycles; a cold unit adds at most one palette configure.
+// measured accounting, on sparse and dense operands of both element
+// types: on a warm unit the product consumes exactly the predicted
+// cycles; a cold unit adds at most one palette configure.
 func TestSparseCyclesModelExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	k, n := 256, 128
-	kb, cb := k/blockK, n/blockN
 	b := blockSparseBF16(rng, k, n, func(kbi, cbi int) bool { return (kbi+cbi)%2 == 0 })
+	b8 := make([]int8, k*n)
+	for i := range b8 {
+		if ((i/n)/blockKi8+(i%n)/blockN)%2 == 1 {
+			b8[i] = int8(rng.Intn(255) - 127)
+		}
+	}
+	// Each operand is built by its production constructor and returns its
+	// model and an m-row product on the kernel kernelFor picks.
+	type built struct {
+		predict func(m int) uint64
+		run     func(m int) (uint64, error)
+	}
+	bf16 := func(w *Prepacked, err error) (built, error) {
+		return built{w.PredictCycles, func(m int) (uint64, error) {
+			_, cy, err := matmulPacked(randF32(rng, m*k), m, w)
+			return cy, err
+		}}, err
+	}
+	int8 := func(w *PrepackedINT8, err error) (built, error) {
+		return built{w.PredictCycles, func(m int) (uint64, error) {
+			_, cy, err := MatmulINT8Packed(make([]uint8, m*k), m, w)
+			return cy, err
+		}}, err
+	}
 	for _, build := range []struct {
 		name string
-		mk   func() (*Prepacked, error)
+		mk   func() (built, error)
 	}{
-		{"sparse", func() (*Prepacked, error) { return PrepackBF16Sparse(b, k, n) }},
-		{"dense", func() (*Prepacked, error) { return PrepackBF16(b, k, n) }},
+		{"bf16 sparse", func() (built, error) { return bf16(PrepackBF16Sparse(b, k, n)) }},
+		{"bf16 dense", func() (built, error) { return bf16(PrepackBF16(b, k, n)) }},
+		{"int8 sparse", func() (built, error) { return int8(PrepackINT8Sparse(b8, k, n)) }},
+		{"int8 dense", func() (built, error) { return int8(PrepackINT8(b8, k, n)) }},
 	} {
 		w, err := build.mk()
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := make([]float32, k)
-		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-		}
 		for _, m := range []int{1, 9, 16} {
-			am := make([]float32, m*k)
-			for i := range am {
-				am[i] = float32(rng.NormFloat64())
-			}
-			want := w.PredictCycles(m)
+			want := w.predict(m)
 			// Two calls: the second is guaranteed warm only when the caller
 			// unit survives the pool round-trip, so accept the configure term.
 			for call := 0; call < 2; call++ {
-				_, cy, err := matmulPacked(am, m, w)
+				cy, err := w.run(m)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,19 +289,28 @@ func TestSparseCyclesModelExact(t *testing.T) {
 		}
 	}
 	// Sanity: the checkerboard's predicted saving is exactly the skipped
-	// blocks' TileLoads + TDP.
+	// blocks' TileLoads + TDP, for either element type.
 	sparse, _ := PrepackBF16Sparse(b, k, n)
 	dense, _ := PrepackBF16(b, k, n)
-	nz, total := sparse.BlockStats()
-	if nz != total/2 {
-		t.Fatalf("checkerboard nonzero blocks %d of %d, want half", nz, total)
+	sparse8, _ := PrepackINT8Sparse(b8, k, n)
+	dense8, _ := PrepackINT8(b8, k, n)
+	type model interface {
+		BlockStats() (nz, total int)
+		PredictCycles(m int) uint64
 	}
-	saved := dense.PredictCycles(1) - sparse.PredictCycles(1)
-	if want := uint64(total-nz) * (2*cyclesTileLoad + cyclesTDP); saved != want {
-		t.Fatalf("predicted saving %d cycles, want %d", saved, want)
+	for _, c := range []struct {
+		name          string
+		sparse, dense model
+	}{{"bf16", sparse, dense}, {"int8", sparse8, dense8}} {
+		nz, total := c.sparse.BlockStats()
+		if nz != total/2 {
+			t.Fatalf("%s checkerboard nonzero blocks %d of %d, want half", c.name, nz, total)
+		}
+		saved := c.dense.PredictCycles(1) - c.sparse.PredictCycles(1)
+		if want := uint64(total-nz) * (2*cyclesTileLoad + cyclesTDP); saved != want {
+			t.Fatalf("%s predicted saving %d cycles, want %d", c.name, saved, want)
+		}
 	}
-	_ = kb
-	_ = cb
 }
 
 // TestSparseDecodeFaster is the acceptance gate: at 50% block sparsity
@@ -392,11 +419,11 @@ func FuzzSparsePrepack(f *testing.F) {
 		}
 		sameF32ZeroTolerant(t, got, want, "fuzz sparse vs dense")
 
-		byteOp, err := prepackBF16(b, k, n, false)
+		byteOp, err := prepack(b, k, n, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		byteOp.zero = scanZeroBF16VNNI(byteOp.vnni, byteOp.padK, byteOp.padN)
+		byteOp.zero = byteOp.scanZero()
 		if bnz, btot := byteOp.BlockStats(); bnz != nz || btot != total {
 			t.Fatalf("byte-image bitmap (%d/%d) disagrees with decoded (%d/%d)", bnz, btot, nz, total)
 		}

@@ -1,0 +1,148 @@
+package amx
+
+import "testing"
+
+// benchSink keeps the benchmarks' results live.
+var benchSink any
+
+// BenchmarkTDPBF16PS measures one full-size TDPBF16PS tile op
+// (16×16 C += 16×32 A · 32×16 B) through the byte-accurate oracle and the
+// decoded fast path. The two sub-benchmarks run identical instruction
+// sequences — zero the accumulator, one TMUL op — so their ratio is the
+// pure operand-transport win the decoded tier buys.
+func BenchmarkTDPBF16PS(b *testing.B) {
+	const m, n, kPairs = 16, 16, 16
+	lanes := 2 * kPairs
+	cfg := TileConfig{}
+	cfg.Tiles[0] = TileShape{Rows: m, ColBytes: n * 4}
+	cfg.Tiles[1] = TileShape{Rows: m, ColBytes: kPairs * 4}
+	cfg.Tiles[2] = TileShape{Rows: kPairs, ColBytes: n * 4}
+	src := make([]float32, m*lanes)
+	for i := range src {
+		src[i] = float32(i%13)*0.25 - 1.5
+	}
+	aImg := make([]byte, m*lanes*2)
+	packBF16Into(aImg, src, m, lanes, m, lanes)
+	bImg := PackBF16VNNI(src[:lanes*n], lanes, n, lanes, n)
+
+	b.Run("byte", func(b *testing.B) {
+		u := NewUnit()
+		if err := u.Configure(cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := u.TileLoad(1, aImg, kPairs*4); err != nil {
+			b.Fatal(err)
+		}
+		if err := u.TileLoad(2, bImg, n*4); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := u.TileZero(0); err != nil {
+				b.Fatal(err)
+			}
+			if err := u.TDPBF16PS(0, 1, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decoded", func(b *testing.B) {
+		u := NewUnit()
+		if err := u.Configure(cfg); err != nil {
+			b.Fatal(err)
+		}
+		cDec := make([]float32, m*n)
+		aDec := make([]float32, m*lanes)
+		bCols := make([]float32, n*lanes)
+		for i := range aDec {
+			aDec[i] = RoundFloat32(src[i])
+		}
+		for j := 0; j < n; j++ {
+			for k := 0; k < lanes; k++ {
+				bCols[j*lanes+k] = RoundFloat32(src[k*n+j])
+			}
+		}
+		// The accumulator restarts at +0, so the fast path is exact
+		// wherever the operands' spans allow it, as in the drivers.
+		fast := bf16Fast(spanOf(aDec), spanOf(bCols))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := u.TileZeroCheck(0); err != nil {
+				b.Fatal(err)
+			}
+			clear(cDec)
+			if err := u.tdpBF16PSDecodedRows(0, 1, 2, m, fast, cDec, n, aDec, lanes, bCols, lanes); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchSink = cDec
+	})
+}
+
+// BenchmarkTDPBUSD is the INT8 mirror of BenchmarkTDPBF16PS: one
+// full-size TDPBUSD tile op (16×16 C += 16×64 A · 64×16 B) per tier.
+func BenchmarkTDPBUSD(b *testing.B) {
+	const m, n, kQuads = 16, 16, 16
+	lanes := 4 * kQuads
+	cfg := TileConfig{}
+	cfg.Tiles[0] = TileShape{Rows: m, ColBytes: n * 4}
+	cfg.Tiles[1] = TileShape{Rows: m, ColBytes: kQuads * 4}
+	cfg.Tiles[2] = TileShape{Rows: kQuads, ColBytes: n * 4}
+	aSrc := make([]uint8, m*lanes)
+	bSrc := make([]int8, lanes*n)
+	for i := range aSrc {
+		aSrc[i] = uint8(i * 11)
+	}
+	for i := range bSrc {
+		bSrc[i] = int8(i%253 - 126)
+	}
+	aImg := make([]byte, m*lanes)
+	packU8Into(aImg, aSrc, m, lanes, m, lanes)
+	bImg := PackS8VNNI(bSrc, lanes, n, lanes, n)
+
+	b.Run("byte", func(b *testing.B) {
+		u := NewUnit()
+		if err := u.Configure(cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := u.TileLoad(1, aImg, kQuads*4); err != nil {
+			b.Fatal(err)
+		}
+		if err := u.TileLoad(2, bImg, n*4); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := u.TileZero(0); err != nil {
+				b.Fatal(err)
+			}
+			if err := u.TDPBUSD(0, 1, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decoded", func(b *testing.B) {
+		u := NewUnit()
+		if err := u.Configure(cfg); err != nil {
+			b.Fatal(err)
+		}
+		cDec := make([]int32, m*n)
+		bCols := make([]int8, n*lanes)
+		for j := 0; j < n; j++ {
+			for k := 0; k < lanes; k++ {
+				bCols[j*lanes+k] = bSrc[k*n+j]
+			}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := u.TileZeroCheck(0); err != nil {
+				b.Fatal(err)
+			}
+			clear(cDec)
+			if err := u.tdpBUSDDecodedRows(0, 1, 2, m, false, cDec, n, aSrc, lanes, bCols, lanes); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchSink = cDec
+	})
+}

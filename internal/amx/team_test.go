@@ -81,15 +81,15 @@ func TestPartitionInvarianceBF16(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, kn := range partitionKNs {
 		k, n := kn[0], kn[1]
-		dense, err := prepackBF16(randF32(rng, k*n), k, n, true)
+		dense, err := prepack(randF32(rng, k*n), k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := prepackBF16(blockSparseBF16(rng, k, n, func(kb, cb int) bool { return (kb+cb)%2 == 0 }), k, n, true)
+		sparse, err := prepack(blockSparseBF16(rng, k, n, func(kb, cb int) bool { return (kb+cb)%2 == 0 }), k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse.zero = scanZeroBF16VNNI(sparse.vnni, sparse.padK, sparse.padN)
+		sparse.zero = sparse.scanZero()
 		for _, m := range partitionMs {
 			a := randF32(rng, m*k)
 			for name, w := range map[string]*Prepacked{"dense": dense, "sparse": sparse} {
@@ -103,7 +103,7 @@ func TestPartitionInvarianceBF16(t *testing.T) {
 								needKernel(t, kern.kern)
 								got := make([]float32, m*n)
 								for rep := 0; rep < 3; rep++ {
-									cycles, err := matmulBF16On(kern.kern, got, a, m, w)
+									cycles, err := matmulOn(kern.kern, got, a, m, w)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -134,19 +134,19 @@ func TestPartitionInvarianceINT8(t *testing.T) {
 		bs := make([]int8, k*n)
 		for i := range b {
 			b[i] = int8(rng.Intn(255) - 127)
-			if ((i/n)/blockKi8+(i%n)/blockNi8)%2 == 1 {
+			if ((i/n)/blockKi8+(i%n)/blockN)%2 == 1 {
 				bs[i] = b[i]
 			}
 		}
-		dense, err := prepackINT8(b, k, n, true)
+		dense, err := prepack(b, k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := prepackINT8(bs, k, n, true)
+		sparse, err := prepack(bs, k, n, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse.zero = scanZeroINT8VNNI(sparse.vnni, sparse.padK, sparse.padN)
+		sparse.zero = sparse.scanZero()
 		if nz, total := sparse.BlockStats(); nz == total {
 			t.Fatalf("k=%d n=%d: sparse operand has no zero block", k, n)
 		}
@@ -160,7 +160,7 @@ func TestPartitionInvarianceINT8(t *testing.T) {
 				for _, size := range []int{1, 2, 4} {
 					t.Run(fmt.Sprintf("%s/m%d/k%dn%d/team%d", name, m, k, n, size), func(t *testing.T) {
 						useTeam(t, size)
-						seedUnits(t, size, int8MatmulConfig)
+						seedUnits(t, size, matmulConfig)
 						for _, kern := range kernels {
 							t.Run(kern.name, func(t *testing.T) {
 								needKernel(t, kern.kern)
@@ -248,13 +248,11 @@ func TestPartitionInvarianceLUT(t *testing.T) {
 
 // TestMixedPaletteSteadyState interleaves BF16 and INT8 products that
 // split into fewer chunks than the team has workers. Both pipelines
-// install the same tile geometry, so once every unit has it no call —
+// install the one tile palette, matmulConfig, so once every unit has it
+// no call —
 // whichever workers it lands on — pays a configure: each call's cycles
 // are exactly PredictCycles(m).
 func TestMixedPaletteSteadyState(t *testing.T) {
-	if matmulConfig != int8MatmulConfig {
-		t.Skip("BF16 and INT8 palettes differ; interleaving them reconfigures by design")
-	}
 	useTeam(t, 4)
 	seedUnits(t, 4, matmulConfig)
 	rng := rand.New(rand.NewSource(43))

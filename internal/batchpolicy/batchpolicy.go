@@ -180,9 +180,6 @@ func (s *Scheduler) Running() []Seq {
 // RunningLen returns the running batch's size.
 func (s *Scheduler) RunningLen() int { return len(s.running) }
 
-// RequeuedLen returns how many preempted items await re-admission.
-func (s *Scheduler) RequeuedLen() int { return len(s.requeued) }
-
 // Busy reports whether any work is running or awaiting re-admission.
 func (s *Scheduler) Busy() bool { return len(s.running) > 0 || len(s.requeued) > 0 }
 
@@ -378,18 +375,6 @@ func (s *Scheduler) Ready() []Seq {
 		}
 	}
 	return out
-}
-
-// PrefillingLen returns how many running sequences still owe prompt
-// chunks.
-func (s *Scheduler) PrefillingLen() int {
-	n := 0
-	for _, seq := range s.running {
-		if seq.Prefilling() {
-			n++
-		}
-	}
-	return n
 }
 
 // TryExtend grows one running sequence's KV reservation by a single

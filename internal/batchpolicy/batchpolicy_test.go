@@ -92,8 +92,8 @@ func TestExtendAllSelfPreemption(t *testing.T) {
 	if len(evicted) != 1 || evicted[0].ID != 2 {
 		t.Fatalf("evicted %+v, want exactly the youngest (id 2)", evicted)
 	}
-	if s.RequeuedLen() != 1 {
-		t.Fatalf("requeued %d items, want the evicted one", s.RequeuedLen())
+	if len(s.requeued) != 1 {
+		t.Fatalf("requeued %d items, want the evicted one", len(s.requeued))
 	}
 	if s.Pool().Tokens(0) != 8 || s.Pool().Tokens(1) != 8 {
 		t.Errorf("survivors hold %d and %d tokens, want 8 and 8", s.Pool().Tokens(0), s.Pool().Tokens(1))
@@ -177,8 +177,8 @@ func TestAdmitRequeuedFirst(t *testing.T) {
 	if len(evicted) != 1 || evicted[0].Item.Ref != 2 {
 		t.Fatalf("evicted %+v, want exactly ref 2", evicted)
 	}
-	if s.RequeuedLen() != 1 {
-		t.Fatalf("requeued %d, want 1", s.RequeuedLen())
+	if len(s.requeued) != 1 {
+		t.Fatalf("requeued %d, want 1", len(s.requeued))
 	}
 	checkBooks(t, s)
 	// Admission must re-admit ref 2 (requeued) before ref 12 (waiting).
@@ -237,8 +237,8 @@ func TestReapOrderAndBooks(t *testing.T) {
 	if len(removed) != 2 || removed[0] != want[0] || removed[1] != want[1] {
 		t.Fatalf("events %+v, want %+v", removed, want)
 	}
-	if s.RunningLen() != 1 || s.RequeuedLen() != 0 || s.Running()[0].Item.Ref != 0 {
-		t.Fatalf("survivors: %d running, %d requeued", s.RunningLen(), s.RequeuedLen())
+	if s.RunningLen() != 1 || len(s.requeued) != 0 || s.Running()[0].Item.Ref != 0 {
+		t.Fatalf("survivors: %d running, %d requeued", s.RunningLen(), len(s.requeued))
 	}
 	checkBooks(t, s)
 }

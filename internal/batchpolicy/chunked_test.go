@@ -176,7 +176,7 @@ func TestTryExtend(t *testing.T) {
 	if s.TryExtend(0) {
 		t.Fatal("TryExtend succeeded with an exhausted pool")
 	}
-	if s.RunningLen() != 2 || s.RequeuedLen() != 0 {
+	if s.RunningLen() != 2 || len(s.requeued) != 0 {
 		t.Fatal("TryExtend preempted — it must never evict")
 	}
 	if s.TryExtend(77) {
@@ -217,8 +217,14 @@ func TestSetChunkValidation(t *testing.T) {
 	if admitted[0].Prefilling() {
 		t.Fatal("monolithic admission left prefilling")
 	}
-	if s.PrefillingLen() != 1 {
-		t.Fatalf("prefilling count %d, want 1", s.PrefillingLen())
+	prefilling := 0
+	for _, seq := range s.Running() {
+		if seq.Prefilling() {
+			prefilling++
+		}
+	}
+	if prefilling != 1 {
+		t.Fatalf("prefilling count %d, want 1", prefilling)
 	}
 	if got := len(s.Ready()); got != 1 {
 		t.Fatalf("ready count %d, want 1", got)

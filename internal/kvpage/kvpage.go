@@ -100,14 +100,6 @@ func (m *Manager) CanAdmit(promptTokens int) bool {
 	return m.blocksFor(promptTokens)+1 <= len(m.freeBlocks)
 }
 
-// CanAdmitShared is CanAdmit with the first sharedBlocks prompt blocks
-// supplied by the prefix cache: only the unshared suffix (plus the same
-// one-block headroom) must come from the free list.
-func (m *Manager) CanAdmitShared(promptTokens, sharedBlocks int) bool {
-	need := m.blocksFor(promptTokens) - sharedBlocks + 1
-	return need <= len(m.freeBlocks)
-}
-
 // Admit allocates blocks for a new sequence's prompt, including the one
 // headroom block CanAdmit charges, so an admitted sequence is guaranteed
 // its first block-boundary extension. (Before this reservation, CanAdmit
@@ -251,15 +243,6 @@ func (m *Manager) Tokens(seqID int) int {
 func (m *Manager) Blocks(seqID int) int {
 	if s, ok := m.seqs[seqID]; ok {
 		return len(s.blocks)
-	}
-	return 0
-}
-
-// SharedBlocks returns how many of a sequence's blocks are borrowed from
-// the prefix cache (0 if unknown).
-func (m *Manager) SharedBlocks(seqID int) int {
-	if s, ok := m.seqs[seqID]; ok {
-		return s.shared
 	}
 	return 0
 }

@@ -242,11 +242,10 @@ func TestMaxConcurrentSequencesMatchesAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: holding the prefix: %v", c, err)
 		}
+		// AdmitShared refuses, changing nothing, once the suffix and
+		// headroom no longer fit.
 		admitted = 0
-		for m.CanAdmitShared(c.mean, len(prefix)) {
-			if err := m.AdmitShared(admitted, c.mean, prefix); err != nil {
-				t.Fatalf("%+v: CanAdmitShared passed but AdmitShared failed: %v", c, err)
-			}
+		for m.AdmitShared(admitted, c.mean, prefix) == nil {
 			admitted++
 		}
 		if admitted != c.want {
@@ -292,8 +291,8 @@ func TestAdmitSharedAccounting(t *testing.T) {
 	if err := m.AdmitShared(1, 40, prefix); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeBlocks() != 96 || m.Blocks(1) != 4 || m.SharedBlocks(1) != 2 {
-		t.Errorf("free=%d blocks=%d shared=%d", m.FreeBlocks(), m.Blocks(1), m.SharedBlocks(1))
+	if m.FreeBlocks() != 96 || m.Blocks(1) != 4 {
+		t.Errorf("free=%d blocks=%d", m.FreeBlocks(), m.Blocks(1))
 	}
 	for _, id := range prefix {
 		if m.BlockRef(id) != 2 {
@@ -306,9 +305,6 @@ func TestAdmitSharedAccounting(t *testing.T) {
 		t.Errorf("UsedTokens=%d, want 40", st.UsedTokens)
 	}
 	// A second sequence over the same prefix pays only its suffix.
-	if !m.CanAdmitShared(40, 2) {
-		t.Error("shared admit refused")
-	}
 	if err := m.AdmitShared(2, 40, prefix); err != nil {
 		t.Fatal(err)
 	}

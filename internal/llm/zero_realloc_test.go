@@ -20,11 +20,14 @@ import (
 // every sublayer output, layer norm, residual sum and Q/K/V split still
 // allocated, and every dense product built a team closure. The executor
 // workspace and destination-taking kernels leave one: the logits, which
-// a caller may keep. One of slack each.
-var decodeAllocBudget = map[string]float64{"FullGPU": 2, "FullCPU": 2, "PartialCPU": 2}
+// a caller may keep. One of slack each. The INT8 tiers (under FullCPU)
+// allocated 17 until quant.Linear took its activation codes and int32
+// accumulator from pooled scratch; they too leave only the logits.
+var decodeAllocBudget = map[string]float64{"FullGPU": 2, "FullCPU": 2, "PartialCPU": 2, "int8": 2, "sparse-int8": 2}
 
 // TestDecodeStepAllocBudget pins the steady-state decode loop's
-// allocation count under each canonical policy.
+// allocation count under each canonical policy, and under FullCPU on
+// each INT8 tier.
 func TestDecodeStepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -36,13 +39,19 @@ func TestDecodeStepAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy core.Policy
+		tier   func(e *Executor)
 	}{
-		{"FullGPU", core.FullGPU},
-		{"FullCPU", core.FullCPU},
-		{"PartialCPU", core.PartialCPU},
+		{"FullGPU", core.FullGPU, nil},
+		{"FullCPU", core.FullCPU, nil},
+		{"PartialCPU", core.PartialCPU, nil},
+		{"int8", core.FullCPU, (*Executor).EnableINT8},
+		{"sparse-int8", core.FullCPU, func(e *Executor) { e.EnableSparseINT8(0.5) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewExecutor(m, tc.policy)
+			if tc.tier != nil {
+				tc.tier(e)
+			}
 			_, cache, err := e.Prefill([]int{5, 17, 42, 9, 63})
 			if err != nil {
 				t.Fatal(err)
@@ -56,6 +65,7 @@ func TestDecodeStepAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			t.Logf("%.0f allocs/op", allocs)
 			if budget := decodeAllocBudget[tc.name]; allocs > budget {
 				t.Errorf("DecodeStep allocated %.0f/op under %s, budget %.0f", allocs, tc.name, budget)
 			}

@@ -172,8 +172,16 @@ type Activations struct {
 
 // QuantizeActivations maps x's observed range onto [0, 255].
 func QuantizeActivations(x tensor.Matrix) Activations {
+	out := Activations{Q: make([]uint8, len(x.Data)), M: x.Rows, K: x.Cols}
+	out.Scale, out.Zero = quantizeInto(out.Q, x.Data)
+	return out
+}
+
+// quantizeInto writes the codes of xs into q (len(xs) values) and returns
+// the mapping's scale and zero point.
+func quantizeInto(q []uint8, xs []float32) (scale float32, zero uint8) {
 	minV, maxV := float32(math.Inf(1)), float32(math.Inf(-1))
-	for _, v := range x.Data {
+	for _, v := range xs {
 		if v < minV {
 			minV = v
 		}
@@ -187,29 +195,22 @@ func QuantizeActivations(x tensor.Matrix) Activations {
 	if maxV < 0 {
 		maxV = 0
 	}
-	scale := (maxV - minV) / 255
+	scale = (maxV - minV) / 255
 	if scale == 0 {
 		scale = 1
 	}
-	zero := uint8(math.RoundToEven(float64(-minV / scale)))
-	out := Activations{
-		Q:     make([]uint8, len(x.Data)),
-		M:     x.Rows,
-		K:     x.Cols,
-		Scale: scale,
-		Zero:  zero,
-	}
-	for i, v := range x.Data {
-		q := int32(math.RoundToEven(float64(v/scale))) + int32(zero)
-		if q < 0 {
-			q = 0
+	zero = uint8(math.RoundToEven(float64(-minV / scale)))
+	for i, v := range xs {
+		c := int32(math.RoundToEven(float64(v/scale))) + int32(zero)
+		if c < 0 {
+			c = 0
 		}
-		if q > 255 {
-			q = 255
+		if c > 255 {
+			c = 255
 		}
-		out.Q[i] = uint8(q)
+		q[i] = uint8(c)
 	}
-	return out
+	return scale, zero
 }
 
 // Dequantize reconstructs the float32 activations.
@@ -236,23 +237,21 @@ func Linear(dst, x tensor.Matrix, w Weights) (uint64, error) {
 	if w.pre == nil {
 		return 0, fmt.Errorf("quant: int8 weights missing prepacked image (use QuantizeWeights)")
 	}
-	qx := QuantizeActivations(x)
-	acc, cycles, err := amx.MatmulINT8Packed(qx.Q, qx.M, w.pre)
+	buf := linearScratch.Get().(*linearBuffers)
+	defer linearScratch.Put(buf)
+	codes, acc, factor := fit(&buf.codes, len(x.Data)), fit(&buf.acc, x.Rows*w.N), fit(&buf.factor, w.N)
+	scale, zero := quantizeInto(codes, x.Data)
+	cycles, err := amx.MatmulINT8PackedInto(acc, codes, x.Rows, w.pre)
 	if err != nil {
 		return 0, err
 	}
 	// s_x·s_j once per column: Go evaluates s_x·s_j·v left to right and
 	// there is no add to fuse, so hoisting the first product rounds exactly
 	// as the per-element expression did.
-	fp := colFactors.Get().(*[]float32)
-	if cap(*fp) < w.N {
-		*fp = make([]float32, w.N)
-	}
-	factor := (*fp)[:w.N]
 	for j, s := range w.ColScales {
-		factor[j] = qx.Scale * s
+		factor[j] = scale * s
 	}
-	zx := int32(qx.Zero)
+	zx := int32(zero)
 	for i := 0; i < x.Rows; i++ {
 		row := dst.Row(i)
 		accRow := acc[i*w.N : (i+1)*w.N]
@@ -260,12 +259,28 @@ func Linear(dst, x tensor.Matrix, w Weights) (uint64, error) {
 			row[j] = factor[j] * float32(accRow[j]-zx*w.ColSums[j])
 		}
 	}
-	colFactors.Put(fp)
 	return cycles, nil
 }
 
-// colFactors recycles Linear's per-column dequantisation factors.
-var colFactors = sync.Pool{New: func() any { return new([]float32) }}
+// linearBuffers is Linear's scratch: the activation codes, the int32
+// accumulator and the per-column dequantisation factors.
+type linearBuffers struct {
+	codes  []uint8
+	acc    []int32
+	factor []float32
+}
+
+// linearScratch recycles Linear's buffers across calls.
+var linearScratch = sync.Pool{New: func() any { return new(linearBuffers) }}
+
+// fit returns *buf resized to n elements, growing it when it is short.
+func fit[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
 
 // MaxAbsError returns the largest absolute elementwise difference between
 // two equally-shaped matrices — the quantization-error metric tests use.

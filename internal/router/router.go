@@ -467,24 +467,6 @@ func (r *Router) transition(name, from, to string) (*replica, error) {
 	return rep, nil
 }
 
-// State returns a replica's lifecycle state.
-func (r *Router) State(name string) (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rep, ok := r.byName[name]
-	if !ok {
-		return "", fmt.Errorf("router: unknown replica %q", name)
-	}
-	return rep.state, nil
-}
-
-// Loads returns the current placement view — what the next Submit
-// would score.
-func (r *Router) Loads() []Load {
-	loads, _ := r.loads()
-	return loads
-}
-
 // Snapshot is the router's own counters (per-replica serving counters
 // live in each gateway's Snapshot).
 type Snapshot struct {

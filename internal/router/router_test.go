@@ -180,10 +180,10 @@ func TestRouterFleetLifecycleAndFailover(t *testing.T) {
 	if ok == 0 {
 		t.Error("no request succeeded across the kill")
 	}
-	if st, _ := r.State("a"); st != StateDown {
+	if st := r.Snapshot().Replicas["a"]; st != StateDown {
 		t.Errorf("replica a state = %q after kill, want down", st)
 	}
-	if st, _ := r.State("b"); st != StateUp {
+	if st := r.Snapshot().Replicas["b"]; st != StateUp {
 		t.Errorf("replica b state = %q, want up", st)
 	}
 
@@ -192,7 +192,7 @@ func TestRouterFleetLifecycleAndFailover(t *testing.T) {
 	if err := r.Respawn("a"); err != nil {
 		t.Fatalf("respawn: %v", err)
 	}
-	if st, _ := r.State("a"); st != StateUp {
+	if st := r.Snapshot().Replicas["a"]; st != StateUp {
 		t.Errorf("replica a state after respawn = %q, want up", st)
 	}
 	m, err := llm.NewRandom(cfg, 42)
@@ -253,7 +253,8 @@ func TestRouterDrainRemovesFromPlacement(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	dcancel()
-	for _, l := range r.Loads() {
+	loads, _ := r.loads()
+	for _, l := range loads {
 		if l.Name == "a" && l.Placeable {
 			t.Error("drained replica still placeable")
 		}

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package tensor
 
 // useAVX2 reports whether the row kernels and the elementwise tails may

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // The row kernels keep o's lanes in Y4 (and Y5 for a second group of

@@ -1,9 +1,9 @@
-//go:build !amd64
+//go:build purego || !amd64
 
 package tensor
 
-// useAVX2 is false off amd64: the row kernels and the elementwise tails
-// run the Go loop on every lane. It is a variable so the tests that turn it off build
+// useAVX2 is false off amd64 and under the purego build tag: the row
+// kernels and the elementwise tails run the Go loop on every lane. It is a variable so the tests that turn it off build
 // everywhere.
 var useAVX2 = false
 
