@@ -20,8 +20,8 @@ import (
 //	          match is memoized for the Admit that follows in the same
 //	          scheduling round, keeping the two decisions consistent.
 //	Admit:    pin the match (refcounting the deepest node) and charge the
-//	          pool for blocksFor(prompt) − matched + 1, retaining the
-//	          shared blocks.
+//	          pool AdmitBlocks(prompt, matched) — the unshared blocks plus
+//	          one of headroom — retaining the shared blocks.
 //	Extend:   grow by one token slot, reclaiming a cold tree block first
 //	          when the pool is dry.
 //	Release:  drop the pool reservation and the pin — reached on finish,
@@ -69,7 +69,7 @@ func (a *prefixAdmitter) CanAdmit(it batchpolicy.Item) bool {
 	a.tree.Refetch(prompt)
 	m := a.tree.Lookup(prompt)
 	a.matches[it.Ref] = m
-	need := a.pool.BlocksFor(it.PromptLen) - m.Blocks() + 1
+	need := a.pool.AdmitBlocks(it.PromptLen, m.Blocks())
 	if a.pool.FreeBlocks() < need {
 		a.tree.EnsureFree(need, m)
 	}

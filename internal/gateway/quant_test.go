@@ -2,10 +2,14 @@ package gateway
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/lia-sim/lia/internal/batchpolicy"
 	"github.com/lia-sim/lia/internal/core"
 	"github.com/lia-sim/lia/internal/llm"
 )
@@ -21,20 +25,15 @@ func TestGatewayServesCompressedTiers(t *testing.T) {
 	}{
 		{Config{Quant: "sparse", QuantSparsity: 0.5}, "sparse"},
 		{Config{Quant: "int4lut"}, "int4lut"},
+		{Config{Quant: "int8"}, "int8"},
+		{Config{Quant: "sparse-int8", QuantSparsity: 0.5}, "sparse-int8"},
 	} {
 		g, err := New(testExecutor(t), Config{MaxBatch: 2, Quant: tc.cfg.Quant, QuantSparsity: tc.cfg.QuantSparsity, QuantGroup: tc.cfg.QuantGroup})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Reference: a solo executor with the same tier enabled.
-		ref := testExecutor(t)
-		switch tc.tier {
-		case "sparse":
-			ref.EnableSparse(0.5)
-		case "int4lut":
-			ref.EnableINT4LUT(0)
-		}
-		want, err := ref.Generate(prompt, 6)
+		want, err := tierExecutor(t, tc.tier).Generate(prompt, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,6 +67,101 @@ func TestGatewayServesCompressedTiers(t *testing.T) {
 			t.Error("lia_quant_block_sparsity gauge missing for sparse tier")
 		}
 		shutdown(t, g)
+	}
+}
+
+// tierExecutor is testExecutor with the named compressed tier enabled as
+// the gateway's Config enables it in these tests.
+func tierExecutor(t *testing.T, tier string) *llm.Executor {
+	t.Helper()
+	e := testExecutor(t)
+	switch tier {
+	case "sparse":
+		e.EnableSparse(0.5)
+	case "int4lut":
+		e.EnableINT4LUT(0)
+	case "int8":
+		e.EnableINT8()
+	case "sparse-int8":
+		e.EnableSparseINT8(0.5)
+	}
+	return e
+}
+
+// Four requests in flight at once under each compressed tier: the live
+// batcher (MaxBatch 4) stacks them into fused decode rounds — the INT8
+// tiers' included, since their activation scale is per sequence — and
+// each request's tokens still equal a solo Generate on the same tier.
+// The batcher holds its first admission until the other three requests
+// are queued, so they join the first one's decode rounds whatever the
+// host's load. Only a fused round runs parameter products on the
+// gateway's own executor (prefill and per-sequence steps run on forks),
+// so a nonzero INT8 count there proves the INT8 rounds stacked.
+func TestGatewayStacksCompressedTiers(t *testing.T) {
+	prompts := [][]int{{3, 14, 15}, {92, 65}, {35, 89, 79, 32}, {38}}
+	const n = 12
+	for _, tc := range []struct {
+		cfg  Config
+		tier string
+	}{
+		{Config{Quant: "sparse", QuantSparsity: 0.5}, "sparse"},
+		{Config{Quant: "int4lut"}, "int4lut"},
+		{Config{Quant: "int8"}, "int8"},
+		{Config{Quant: "sparse-int8", QuantSparsity: 0.5}, "sparse-int8"},
+	} {
+		t.Run(tc.tier, func(t *testing.T) {
+			admitted, queued := make(chan struct{}), make(chan struct{})
+			var first sync.Once
+			exec := testExecutor(t)
+			g, err := New(exec, Config{MaxBatch: 4, Quant: tc.cfg.Quant, QuantSparsity: tc.cfg.QuantSparsity,
+				OnEvent: func(e batchpolicy.Event) {
+					if e.Kind == batchpolicy.EventAdmit {
+						first.Do(func() { close(admitted); <-queued })
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][]int, len(prompts))
+			errs := make([]error, len(prompts))
+			var wg sync.WaitGroup
+			submit := func(i int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					defer cancel()
+					res, err := g.Submit(ctx, prompts[i], n)
+					got[i], errs[i] = res.Tokens, err
+				}()
+			}
+			submit(0)
+			<-admitted
+			for i := 1; i < len(prompts); i++ {
+				submit(i)
+			}
+			for len(g.submit) < len(prompts)-1 {
+				runtime.Gosched()
+			}
+			close(queued)
+			wg.Wait()
+			shutdown(t, g)
+			for i, p := range prompts {
+				if errs[i] != nil {
+					t.Fatalf("request %d: %v", i, errs[i])
+				}
+				want, err := tierExecutor(t, tc.tier).Generate(p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got[i], want) {
+					t.Errorf("request %d: served tokens %v, solo Generate %v", i, got[i], want)
+				}
+			}
+			if exec.INT8() && exec.Stats.Int8Matmuls == 0 {
+				t.Error("no INT8 decode round stacked on the gateway's executor")
+			}
+		})
 	}
 }
 

@@ -94,10 +94,20 @@ func (m *Manager) blocksFor(tokens int) int {
 // admission policies that reason about discounted (prefix-shared) costs.
 func (m *Manager) BlocksFor(tokens int) int { return m.blocksFor(tokens) }
 
+// AdmitBlocks is how many free blocks admitting a promptTokens-token
+// prompt costs when its first shared blocks are already held (by the
+// prefix cache): its unshared blocks plus one block of headroom for its
+// first generated tokens. CanAdmit and AdmitShared charge it, and so
+// does any admission policy that discounts shared prefixes, so the rule
+// lives here once.
+func (m *Manager) AdmitBlocks(promptTokens, shared int) int {
+	return m.blocksFor(promptTokens) - shared + 1
+}
+
 // CanAdmit reports whether a new sequence with the given prompt length
 // (plus one block of headroom for its first generated tokens) fits now.
 func (m *Manager) CanAdmit(promptTokens int) bool {
-	return m.blocksFor(promptTokens)+1 <= len(m.freeBlocks)
+	return m.AdmitBlocks(promptTokens, 0) <= len(m.freeBlocks)
 }
 
 // Admit allocates blocks for a new sequence's prompt, including the one
@@ -133,7 +143,7 @@ func (m *Manager) AdmitShared(seqID, promptTokens int, shared []int) error {
 			return fmt.Errorf("kvpage: shared block %d is free", id)
 		}
 	}
-	need := m.blocksFor(promptTokens) - len(shared) + 1
+	need := m.AdmitBlocks(promptTokens, len(shared))
 	if need > len(m.freeBlocks) {
 		return fmt.Errorf("kvpage: need %d blocks, %d free", need, len(m.freeBlocks))
 	}

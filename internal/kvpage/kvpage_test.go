@@ -428,3 +428,38 @@ func TestNoBlockLeaksProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAdmitBlocksIsWhatAdmissionCharges: AdmitBlocks is exactly the free
+// blocks AdmitShared pops and the bound CanAdmit checks, over prompt
+// lengths around block boundaries and every shared prefix they allow.
+func TestAdmitBlocksIsWhatAdmissionCharges(t *testing.T) {
+	for _, prompt := range []int{1, 15, 16, 17, 32, 33, 47} {
+		for shared := 0; shared*16 < prompt; shared++ {
+			m := tiny(t)
+			prefix, err := m.AllocBlocks(shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			free := m.FreeBlocks()
+			if err := m.AdmitShared(1, prompt, prefix); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := free-m.FreeBlocks(), m.AdmitBlocks(prompt, shared); got != want {
+				t.Errorf("prompt %d sharing %d blocks: admission popped %d, AdmitBlocks says %d", prompt, shared, got, want)
+			}
+		}
+		m := tiny(t)
+		if _, err := m.AllocBlocks(m.FreeBlocks() - m.AdmitBlocks(prompt, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if !m.CanAdmit(prompt) {
+			t.Errorf("prompt %d: CanAdmit refuses with AdmitBlocks free", prompt)
+		}
+		if _, err := m.AllocBlocks(1); err != nil {
+			t.Fatal(err)
+		}
+		if m.CanAdmit(prompt) {
+			t.Errorf("prompt %d: CanAdmit accepts with one block under AdmitBlocks free", prompt)
+		}
+	}
+}

@@ -22,8 +22,9 @@ import (
 // constructor validates and seeds the cache; drive AdvancePrefill until
 // it reports done (one call per scheduling round), then Step/SpecStep as
 // usual. When one chunk covers the remainder — chunk ≤ 0, chunk ≥ the
-// remainder, or INT8 mode, whose per-tensor activation scales couple all
-// rows of a pass so that splitting the prompt would change the numerics
+// remainder, or INT8 mode, whose per-span activation scale couples all
+// of the prompt's rows in a pass so that splitting it would change the
+// numerics
 // — the constructor runs that one AdvancePrefill itself and returns a
 // ready sequence.
 //

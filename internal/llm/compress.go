@@ -1,9 +1,10 @@
 // Compressed weight tiers: the INT8, block-sparse and INT4 LUT-GEMV
 // serving modes. Each Enable* prunes/quantizes and prepacks every
-// parameter sublayer eagerly into a new tier of linearOps (tier.go). INT8's
-// per-pass activation scales couple stacked rows (tier.rowCoupled); the
+// parameter sublayer eagerly into a new tier of linearOps (tier.go). The
 // sparse and INT4 kernels compute every output row from its own input
-// row, so they stay on the fused batch-decode path with no fallback.
+// row; INT8's per-span activation scale couples the rows within one
+// span (tier.rowCoupled) but not rows of different spans. All of them
+// run the fused batch-decode path with no fallback.
 package llm
 
 import (
@@ -49,8 +50,11 @@ type int8Op struct {
 	sparse bool
 }
 
+// apply quantizes each span's rows of x with their own activation scale
+// (the pass's row groups in e's workspace) and multiplies all of them in
+// one TDPBUSD product.
 func (o *int8Op) apply(e *Executor, _ int, _ model.Sublayer, x, dst tensor.Matrix) (tensor.Matrix, error) {
-	cycles, err := quant.Linear(dst, x, o.w)
+	cycles, err := quant.Linear(dst, x, o.w, e.ws.groups)
 	if err != nil {
 		return dst, fmt.Errorf("llm: int8 linear: %w", err)
 	}

@@ -215,15 +215,19 @@ func TestINT4FootprintHalfOfINT8(t *testing.T) {
 	}
 }
 
-// Both compressed tiers compute every output row from its own input row,
-// so unlike INT8 they stay on the fused batch-decode path: fused batch
-// tokens must be bit-identical to per-sequence generation.
+// Every compressed tier stays on the fused batch-decode path: the sparse
+// and INT4 kernels compute every output row from its own input row, and
+// the INT8 tiers quantize each sequence's rows with their own activation
+// scale. Fused batch tokens must be bit-identical to per-sequence
+// generation.
 func TestCompressedTiersStayOnFusedPath(t *testing.T) {
 	m := tinyModel(t)
 	prompts := [][]int{{1, 2, 3}, {4, 5}, {6, 7, 8, 9}}
 	enable := map[string]func(*Executor){
-		"sparse":  func(e *Executor) { e.EnableSparse(0.5) },
-		"int4lut": func(e *Executor) { e.EnableINT4LUT(0) },
+		"sparse":      func(e *Executor) { e.EnableSparse(0.5) },
+		"int4lut":     func(e *Executor) { e.EnableINT4LUT(0) },
+		"int8":        func(e *Executor) { e.EnableINT8() },
+		"sparse-int8": func(e *Executor) { e.EnableSparseINT8(0.5) },
 	}
 	for name, on := range enable {
 		ref := make([][]int, len(prompts))

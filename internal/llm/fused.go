@@ -52,12 +52,16 @@ type span struct {
 // pass over the weights, adding each row's terms in k order exactly as
 // that row alone would). The causal mask gives row r of a span exactly
 // the positions sequential decode would see, and RoPE rotates by
-// absolute position. Only the row-coupled INT8 tier breaks this, so on
-// it callers neither stack sequences nor split a prompt (tier.rowCoupled).
+// absolute position. The INT8 tiers quantize each span's rows with their
+// own activation scale (the workspace's groups), so stacking spans moves
+// no bit there either; but rows within one span are coupled, so on them
+// callers never split one sequence's rows across passes (tier.rowCoupled).
 func (e *Executor) forward(ctx context.Context, stage model.Stage, spans ...span) (tensor.Matrix, error) {
 	rows := 0
+	e.ws.groups = e.ws.groups[:0]
 	for _, sp := range spans {
 		rows += len(sp.tokens)
+		e.ws.groups = append(e.ws.groups, len(sp.tokens))
 	}
 	d := e.Model.Cfg.DModel
 	x := mat(&e.ws.x, rows, d)
@@ -120,15 +124,17 @@ func (e *Executor) forward(ctx context.Context, stage model.Stage, spans ...span
 // executor's Stats count one dispatch per parameter sublayer, each
 // sequence's fork its own attention.
 //
-// INT8 mode (per-pass activation scales would couple the stacked rows)
-// and attached memory hosts (pass windows are per-cache) fall back to
-// StepBatch; so do single-sequence batches, where there is nothing to
-// stack.
+// Every tier stacks, INT8's included: its activation scale is per span,
+// one per sequence here, so a fused INT8 round is bit-identical to
+// per-sequence decode (see quant.Linear). Attached memory hosts (pass
+// windows are per-cache) fall back to StepBatch; so do single-sequence
+// batches, where there is nothing to stack. Each row's next token is the
+// argmax of logits written into e's workspace.
 func (e *Executor) StepBatchFused(ctx context.Context, seqs []*Sequence) error {
 	if len(seqs) == 0 {
 		return fmt.Errorf("llm: empty step batch")
 	}
-	if e.tier.rowCoupled || e.Mem != nil || len(seqs) == 1 {
+	if e.Mem != nil || len(seqs) == 1 {
 		return StepBatch(ctx, seqs)
 	}
 	// Emit phase, preserving Step's error contract for finished or
@@ -155,7 +161,7 @@ func (e *Executor) StepBatchFused(ctx context.Context, seqs []*Sequence) error {
 	if err != nil {
 		return err
 	}
-	logits := e.logits(x)
+	logits := e.argmaxes(x)
 	r := 0
 	for _, s := range seqs {
 		if !s.Done() {

@@ -432,114 +432,164 @@ func TestChunkedWithSeed(t *testing.T) {
 // different lengths, sharing one multi-span pass, each get the hidden
 // states and cache rows their own one-span pass gives them — the fused
 // round's property for spans of more than one token, which locates each
-// span's rows in the stacked pass.
+// span's rows in the stacked pass — on the dense tier and on both INT8
+// tiers, which must quantize each span's rows with their own scale.
 func TestForwardSpansMatchSolo(t *testing.T) {
-	ctx := context.Background()
 	prompts := [][]int{{1, 2, 3, 4}, {50, 60}, {7, 8, 9, 10, 11, 12}}
 	cached := []int{1, 0, 3}
+	tiers := []struct {
+		name string
+		on   func(*Executor)
+	}{
+		{"dense", nil},
+		{"int8", (*Executor).EnableINT8},
+		{"sparse-int8", func(e *Executor) { e.EnableSparseINT8(0.5) }},
+	}
 	for _, a := range goldenArchs(t) {
 		for _, p := range []core.Policy{core.FullGPU, core.FullCPU, core.PartialCPU} {
-			e := NewExecutor(a.m, p)
-			// spansFor prefills each prompt's cached head alone and returns
-			// spans over the rest.
-			spansFor := func() []span {
-				spans := make([]span, len(prompts))
-				for i, pr := range prompts {
-					sub := e.fork()
-					spans[i] = span{sub, sub.NewCache(), pr[cached[i]:]}
-					if cached[i] > 0 {
-						if _, err := sub.forward(ctx, model.Prefill, span{sub, spans[i].cache, pr[:cached[i]]}); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				return spans
-			}
-			solo := spansFor()
-			var want []tensor.Matrix
-			for _, sp := range solo {
-				x, err := sp.e.forward(ctx, model.Prefill, sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, x)
-			}
-			stacked := spansFor()
-			x, err := e.forward(ctx, model.Prefill, stacked...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lo := 0
-			for i, sp := range stacked {
-				hi := lo + len(sp.tokens)
-				if !reflect.DeepEqual(rowRange(x, lo, hi).Data, want[i].Data) {
-					t.Errorf("%s/%s span %d: hidden states diverged from its solo pass", a.name, p, i)
-				}
-				for li := range a.m.Layers {
-					if !reflect.DeepEqual(sp.cache.K[li].Data, solo[i].cache.K[li].Data) ||
-						!reflect.DeepEqual(sp.cache.V[li].Data, solo[i].cache.V[li].Data) {
-						t.Errorf("%s/%s span %d layer %d: cache rows diverged from its solo pass", a.name, p, i, li)
-					}
-				}
-				lo = hi
+			for _, tier := range tiers {
+				forwardSpansMatchSolo(t, a.name+"/"+tier.name, a.m, p, tier.on, prompts, cached)
 			}
 		}
 	}
 }
 
+// forwardSpansMatchSolo is TestForwardSpansMatchSolo for one architecture,
+// policy and tier (on nil: dense).
+func forwardSpansMatchSolo(t *testing.T, name string, m *Model, p core.Policy, on func(*Executor), prompts [][]int, cached []int) {
+	t.Helper()
+	ctx := context.Background()
+	e := NewExecutor(m, p)
+	if on != nil {
+		on(e)
+	}
+	// spansFor prefills each prompt's cached head alone and returns
+	// spans over the rest.
+	spansFor := func() []span {
+		spans := make([]span, len(prompts))
+		for i, pr := range prompts {
+			sub := e.fork()
+			spans[i] = span{sub, sub.NewCache(), pr[cached[i]:]}
+			if cached[i] > 0 {
+				if _, err := sub.forward(ctx, model.Prefill, span{sub, spans[i].cache, pr[:cached[i]]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return spans
+	}
+	solo := spansFor()
+	var want []tensor.Matrix
+	for _, sp := range solo {
+		x, err := sp.e.forward(ctx, model.Prefill, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, x)
+	}
+	stacked := spansFor()
+	x, err := e.forward(ctx, model.Prefill, stacked...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := 0
+	for i, sp := range stacked {
+		hi := lo + len(sp.tokens)
+		if !reflect.DeepEqual(rowRange(x, lo, hi).Data, want[i].Data) {
+			t.Errorf("%s/%s span %d: hidden states diverged from its solo pass", name, p, i)
+		}
+		for li := range m.Layers {
+			if !reflect.DeepEqual(sp.cache.K[li].Data, solo[i].cache.K[li].Data) ||
+				!reflect.DeepEqual(sp.cache.V[li].Data, solo[i].cache.V[li].Data) {
+				t.Errorf("%s/%s span %d layer %d: cache rows diverged from its solo pass", name, p, i, li)
+			}
+		}
+		lo = hi
+	}
+}
+
 // TestStepBatchFusedMatchesStepBatch: the cross-sequence batched GEMM
 // round emits bit-identical tokens to per-sequence stepping, across
-// both architectures, all corpus policies, and ragged targets (members
-// retiring mid-stream).
+// both architectures, all corpus policies, ragged targets (members
+// retiring mid-stream), and the dense and both INT8 tiers — whose
+// activation scale is per span, so a fused round quantizes each
+// sequence's row alone and dispatches each parameter sublayer once:
+// 4·Layers INT8 products per round over all forks, not 4·Layers·B.
 func TestStepBatchFusedMatchesStepBatch(t *testing.T) {
 	ctx := context.Background()
 	for _, a := range goldenArchs(t) {
 		for _, p := range testPolicies(t) {
-			t.Run(a.name+"/"+p.String(), func(t *testing.T) {
-				prompts := [][]int{{1, 2, 3}, {50, 60}, {7}, a.prompt}
-				targets := []int{9, 4, 7, 2} // ragged: members finish at different rounds
+			for _, tier := range []struct {
+				name string
+				on   func(*Executor)
+			}{
+				{"", nil},
+				{"/int8", (*Executor).EnableINT8},
+				{"/sparse-int8", func(e *Executor) { e.EnableSparseINT8(0.5) }},
+			} {
+				t.Run(a.name+"/"+p.String()+tier.name, func(t *testing.T) {
+					prompts := [][]int{{1, 2, 3}, {50, 60}, {7}, a.prompt}
+					targets := []int{9, 4, 7, 2} // ragged: members finish at different rounds
 
-				mk := func() []*Sequence {
-					e := NewExecutor(a.m, p)
-					var seqs []*Sequence
-					for i, prompt := range prompts {
-						s, err := e.NewSequence(prompt, targets[i])
-						if err != nil {
+					mk := func() []*Sequence {
+						e := NewExecutor(a.m, p)
+						if tier.on != nil {
+							tier.on(e)
+						}
+						var seqs []*Sequence
+						for i, prompt := range prompts {
+							s, err := e.NewSequence(prompt, targets[i])
+							if err != nil {
+								t.Fatal(err)
+							}
+							seqs = append(seqs, s)
+						}
+						return seqs
+					}
+					live := func(seqs []*Sequence) []*Sequence {
+						var out []*Sequence
+						for _, s := range seqs {
+							if !s.Done() {
+								out = append(out, s)
+							}
+						}
+						return out
+					}
+					int8Products := func(seqs []*Sequence) (n int) {
+						for _, s := range seqs {
+							n += s.e.Stats.Int8Matmuls
+						}
+						return n
+					}
+
+					ref := mk()
+					for l := live(ref); len(l) > 0; l = live(ref) {
+						if err := StepBatch(ctx, l); err != nil {
 							t.Fatal(err)
 						}
-						seqs = append(seqs, s)
 					}
-					return seqs
-				}
-				live := func(seqs []*Sequence) []*Sequence {
-					var out []*Sequence
-					for _, s := range seqs {
-						if !s.Done() {
-							out = append(out, s)
+					fused := mk()
+					e := fused[0].e // any fork shares the parent's model/caches
+					want := 0
+					if tier.on != nil {
+						want = 4 * len(a.m.Layers)
+					}
+					for l := live(fused); len(l) > 0; l = live(fused) {
+						before := int8Products(fused)
+						if err := e.StepBatchFused(ctx, l); err != nil {
+							t.Fatal(err)
+						}
+						if got := int8Products(fused) - before; len(l) > 1 && got != want {
+							t.Fatalf("a fused round of %d sequences ran %d INT8 products, want %d", len(l), got, want)
 						}
 					}
-					return out
-				}
-
-				ref := mk()
-				for l := live(ref); len(l) > 0; l = live(ref) {
-					if err := StepBatch(ctx, l); err != nil {
-						t.Fatal(err)
+					for i := range ref {
+						if !reflect.DeepEqual(ref[i].Output(), fused[i].Output()) {
+							t.Errorf("sequence %d diverged:\n per-seq %v\n fused  %v", i, ref[i].Output(), fused[i].Output())
+						}
 					}
-				}
-				fused := mk()
-				e := fused[0].e // any fork shares the parent's model/caches
-				for l := live(fused); len(l) > 0; l = live(fused) {
-					if err := e.StepBatchFused(ctx, l); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for i := range ref {
-					if !reflect.DeepEqual(ref[i].Output(), fused[i].Output()) {
-						t.Errorf("sequence %d diverged:\n per-seq %v\n fused  %v", i, ref[i].Output(), fused[i].Output())
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -357,10 +357,16 @@ type Executor struct {
 // workspace holds one pass's activations — the hidden rows x (which take
 // both residuals in place), the normed rows, the QKV projection (its
 // column bands are Q, K and V), attention's context, FC1's output, the
-// gated activation, and the out-projection's and FC2's result — each
-// sized to the pass's rows through fit and overwritten by its kernel, so
-// a steady decode loop allocates nothing per product (DESIGN.md §18).
-type workspace struct{ x, normed, qkv, att, h1, act, out []float32 }
+// gated activation, the out-projection's and FC2's result, and the
+// logits of callers that keep only each row's argmax — each sized to the
+// pass's rows through fit and overwritten by its kernel, so a steady
+// decode loop allocates nothing per product (DESIGN.md §18). groups
+// holds each span's row count in row order: the row groups the INT8
+// tiers quantize separately.
+type workspace struct {
+	x, normed, qkv, att, h1, act, out, logits []float32
+	groups                                    []int
+}
 
 // mat returns buf, through fit, as a rows × cols matrix.
 func mat(buf *[]float32, rows, cols int) tensor.Matrix {
@@ -575,15 +581,28 @@ func (e *Executor) embedRow(dst []float32, tok, pos int) error {
 	return nil
 }
 
-// logits projects hidden states onto the (tied) vocabulary: the final
-// layer norm, then tensor.MatMul by the head (d × vocab). It equals the
-// dot product of each row with each embedding row bit for bit: MatMul adds
-// the same terms in the same k order from a +0 start, and each term it
-// skips for a zero coefficient is ±0 for a finite embedding, which cannot
-// change a sum that started at +0.
+// logits projects hidden states onto the (tied) vocabulary into fresh
+// storage, for callers that hand the logits out; argmaxes writes the same
+// product into the workspace, for callers that keep only each row's
+// argmax, so it allocates nothing and is overwritten by the next pass.
 func (e *Executor) logits(x tensor.Matrix) tensor.Matrix {
+	return e.logitsInto(make([]float32, x.Rows*e.Model.Cfg.VocabSize), x)
+}
+
+func (e *Executor) argmaxes(x tensor.Matrix) tensor.Matrix {
+	return e.logitsInto(mat(&e.ws.logits, x.Rows, e.Model.Cfg.VocabSize).Data, x)
+}
+
+// logitsInto is the final layer norm of x, then tensor.MatMulInto by the
+// head (d × vocab) into out. It equals the dot product of each row with
+// each embedding row bit for bit: MatMulInto adds the same terms in the
+// same k order from a +0 start, and each term it skips for a zero
+// coefficient is ±0 for a finite embedding, which cannot change a sum
+// that started at +0.
+func (e *Executor) logitsInto(out []float32, x tensor.Matrix) tensor.Matrix {
 	normed := tensor.LayerNorm(mat(&e.ws.normed, x.Rows, x.Cols), x, e.Model.FinalGain, e.Model.FinalBias, 1e-5)
-	return tensor.MatMul(normed, e.head())
+	h := e.head()
+	return tensor.MatMulInto(out, normed, tensor.Band(h.Data, h.Rows, h.Cols, h.Cols))
 }
 
 // head returns the LM head's right operand, the tied embedding transposed
@@ -680,13 +699,22 @@ func (e *Executor) Generate(prompt []int, n int) ([]int, error) {
 		if i == n-1 {
 			break
 		}
-		step, err := e.DecodeStep(cache, next)
-		if err != nil {
+		if next, err = e.nextToken(cache, next); err != nil {
 			return nil, err
 		}
-		next = step.ArgmaxRow(0)
 	}
 	return out, nil
+}
+
+// nextToken is DecodeStep for a caller that keeps only the argmax: one
+// decode step on cache, its logits left in the workspace.
+func (e *Executor) nextToken(cache *KVCache, token int) (int, error) {
+	e.tok[0] = token
+	x, err := e.forward(context.TODO(), model.Decode, span{e, cache, e.tok[:]})
+	if err != nil {
+		return 0, err
+	}
+	return e.argmaxes(x).ArgmaxRow(0), nil
 }
 
 // TinyLlamaConfig returns a laptop-scale architecture with Llama2's
@@ -706,20 +734,21 @@ func TinyLlamaConfig() model.Config {
 // align with prompts and are bit-identical to sequential generation. Call
 // EnableINT8 (if wanted) before GenerateBatch, not concurrently with it.
 //
-// On a row-independent tier without a memory host, prompts prefill in
-// parallel and every decode iteration advances the whole batch through
-// one fused round (StepBatchFused): the batch's parameter sublayers stack
-// into one matmul per sublayer while attention runs per sequence in
-// parallel. INT8 and hosted runs, and single prompts, run each sequence's
-// Generate on its own fork in parallel instead. Tokens are bit-identical
-// either way; only the dispatch shape changes.
+// Without a memory host, prompts prefill in parallel and every decode
+// iteration advances the whole batch through one fused round
+// (StepBatchFused) on every tier — INT8's included, whose activation
+// scale is per span: the batch's parameter sublayers stack into one
+// matmul per sublayer while attention runs per sequence in parallel.
+// Hosted runs and single prompts run each sequence's Generate on its own
+// fork in parallel instead. Tokens are bit-identical either way; only
+// the dispatch shape changes.
 func (e *Executor) GenerateBatch(prompts [][]int, n int) ([][]int, error) {
 	if len(prompts) == 0 {
 		return nil, fmt.Errorf("llm: empty batch")
 	}
 	ctx := context.Background()
 	out := make([][]int, len(prompts))
-	if e.tier.rowCoupled || e.Mem != nil || len(prompts) == 1 {
+	if e.Mem != nil || len(prompts) == 1 {
 		stats := make([]Stats, len(prompts))
 		if err := team.RunErr(ctx, len(prompts), func(i int) (err error) {
 			sub := e.fork()

@@ -76,11 +76,11 @@ func (s *KVSeed) validate(layers, kvDim int) error {
 // prefix changes no suffix value. Differential tests pin this.
 //
 // INT8 mode validates the seed like every tier, then drops it and
-// prefills the whole prompt: activation quantization is per-tensor
-// (quant.QuantizeActivations takes the min/max over every row in the
-// pass), so each row's quantized value depends on which other rows share
-// its pass — a seeded suffix would see different scales than the full
-// prompt did and diverge. The prefix cache still provides its capacity
+// prefills the whole prompt: activation quantization is per span
+// (quant.Linear takes the min/max over every row of the sequence's span
+// in the pass), so each row's quantized value depends on which other rows
+// of its sequence share its pass — a seeded suffix would see different
+// scales than the full prompt did and diverge. The prefix cache still provides its capacity
 // win there (shared blocks are still counted once); only the compute skip
 // is BF16-only.
 //

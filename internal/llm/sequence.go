@@ -61,11 +61,11 @@ func (s *Sequence) Step() (int, error) {
 	tok := s.pending
 	s.out = append(s.out, tok)
 	if len(s.out) < s.target {
-		logits, err := s.e.DecodeStep(s.cache, tok)
+		next, err := s.e.nextToken(s.cache, tok)
 		if err != nil {
 			return 0, err
 		}
-		s.pending = logits.ArgmaxRow(0)
+		s.pending = next
 	}
 	return tok, nil
 }

@@ -108,7 +108,7 @@ func (s *Sequence) SpecStats() SpecStats {
 // reports done) and before the sequence finishes.
 //
 // Both executors must be on the BF16 path without a memory host: INT8's
-// per-pass activation scales break the multi-row == sequential
+// per-span activation scale breaks the multi-row == sequential
 // equivalence the acceptance rule relies on, and a MemHost is not told
 // about the verify pass's speculative row rollbacks. Callers wanting
 // those modes keep plain Step (the gateway validates this up front).
@@ -136,7 +136,7 @@ func (s *Sequence) EnableSpec(draft *Executor, gamma int) error {
 		return fmt.Errorf("llm: draft max sequence %d < target %d", dcfg.MaxSeqLen, tcfg.MaxSeqLen)
 	}
 	if s.e.tier.rowCoupled || draft.tier.rowCoupled {
-		return fmt.Errorf("llm: speculative decoding requires the BF16 path (INT8 activation scales are per-pass)")
+		return fmt.Errorf("llm: speculative decoding requires the BF16 path (an INT8 activation scale is per span, and verification splits a sequence's rows across passes)")
 	}
 	if s.e.Mem != nil || draft.Mem != nil {
 		return fmt.Errorf("llm: speculative decoding does not compose with a memory host")
@@ -270,7 +270,7 @@ func (s *Sequence) SpecStep(allow int) (int, error) {
 //
 // INT8 mode (on either executor) and attached memory hosts fall back to
 // plain Generate with zero SpecStats — the same precedent PrefillFrom
-// sets for per-pass-scale-coupled numerics. Not safe for concurrent use
+// sets for per-span-scale-coupled numerics. Not safe for concurrent use
 // with the same draft executor (stats merge); fork per caller.
 func (e *Executor) SpecGenerate(prompt []int, n int, draft *Executor, gamma int) ([]int, SpecStats, error) {
 	if draft == nil {

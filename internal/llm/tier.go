@@ -44,10 +44,12 @@ const (
 // built, shared by every fork by pointer, replaced whole by Enable*.
 type tier struct {
 	name string
-	// rowCoupled marks kernels whose output row depends on which other
-	// rows share the call (INT8's per-pass activation scales): stacked
-	// decode rounds, prefix-seeded and chunked prefill, and speculative
-	// verification all require row independence and fall back without it.
+	// rowCoupled marks kernels whose rows within one span are coupled —
+	// INT8's per-span activation scale spans all of a sequence's rows in
+	// a pass — so one sequence's rows must not be split across passes:
+	// prefix-seeded and chunked prefill and speculative verification fall
+	// back without row independence. Rows of different spans stay
+	// independent, so stacked decode rounds run on every tier.
 	rowCoupled bool
 	// ops is indexed [layer][sublayer]; the attention sublayers' slots
 	// stay nil.

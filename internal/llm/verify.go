@@ -54,7 +54,7 @@ func (c *KVCache) Truncate(n int) {
 // The pass appends all len(tokens) K/V rows; callers that keep only a
 // prefix (speculative rejection) roll the rest back with
 // KVCache.Truncate. Under INT8 the pass still computes, but its
-// per-tensor activation scales span all rows, so row i is NOT
+// per-span activation scale spans all rows, so row i is NOT
 // bit-identical to sequential decode — the speculative and chunked
 // paths fall back to sequential execution there instead of calling
 // this.

@@ -25,9 +25,14 @@ import (
 // accumulator from pooled scratch; they too leave only the logits.
 var decodeAllocBudget = map[string]float64{"FullGPU": 2, "FullCPU": 2, "PartialCPU": 2, "int8": 2, "sparse-int8": 2}
 
+// stepAllocBudget bounds allocations per Sequence.Step, which keeps only
+// the argmax and so takes it from logits in the executor's workspace:
+// none under every policy and tier, and one of slack.
+const stepAllocBudget = 1
+
 // TestDecodeStepAllocBudget pins the steady-state decode loop's
-// allocation count under each canonical policy, and under FullCPU on
-// each INT8 tier.
+// allocation count — DecodeStep's and Sequence.Step's — under each
+// canonical policy, and under FullCPU on each INT8 tier.
 func TestDecodeStepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -69,6 +74,23 @@ func TestDecodeStepAllocBudget(t *testing.T) {
 			if budget := decodeAllocBudget[tc.name]; allocs > budget {
 				t.Errorf("DecodeStep allocated %.0f/op under %s, budget %.0f", allocs, tc.name, budget)
 			}
+
+			s, err := e.NewSequence([]int{5, 17, 42, 9, 63}, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Step(); err != nil { // warm the fork's workspace
+				t.Fatal(err)
+			}
+			steps := testing.AllocsPerRun(20, func() {
+				if _, err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("Sequence.Step: %.0f allocs/op", steps)
+			if steps > stepAllocBudget {
+				t.Errorf("Sequence.Step allocated %.0f/op under %s, budget %d", steps, tc.name, stepAllocBudget)
+			}
 		})
 	}
 }
@@ -84,18 +106,21 @@ func TestDecodeStepAllocBudget(t *testing.T) {
 // The executor workspace, the destination-taking kernels and MatMulInto
 // building its team closure only for a product that splits left 7 with
 // one P under every policy — the logits, and per layer the team loop
-// over the spans' attention — and 21, 17 and 21 with two. Two of slack
-// each.
+// over the spans' attention — and 21, 17 and 21 with two. Writing the
+// logits into the workspace took one off each: 6 with one P under every
+// policy and both INT8 tiers (now fused rounds too, under FullCPU), and
+// 20, 16, 20, 8 and 8 with two (at most 20.2, 16.5, 20.1, 8.4 and 8.3
+// with four). Two of slack each.
 // testing.AllocsPerRun is not the instrument because it pins GOMAXPROCS
 // to 1 while it runs, which cannot un-start the team's helpers.
 var fusedRoundMallocs = map[string][2]float64{ // [one P, more]
-	"FullGPU": {9, 23}, "FullCPU": {9, 19}, "PartialCPU": {9, 23},
+	"FullGPU": {8, 22}, "FullCPU": {8, 18}, "PartialCPU": {8, 22}, "int8": {8, 10}, "sparse-int8": {8, 10},
 }
 
 // TestFusedRoundSpawnsNothing pins the fused decode round to the
-// persistent worker team under each canonical policy: a hundred batch-8
-// rounds leave the goroutine count exactly where it was, and a round
-// allocates no more than its budget.
+// persistent worker team under each canonical policy, and under FullCPU
+// on each INT8 tier: a hundred batch-8 rounds leave the goroutine count
+// exactly where it was, and a round allocates no more than its budget.
 func TestFusedRoundSpawnsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -107,13 +132,19 @@ func TestFusedRoundSpawnsNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy core.Policy
+		tier   func(e *Executor)
 	}{
-		{"FullGPU", core.FullGPU},
-		{"FullCPU", core.FullCPU},
-		{"PartialCPU", core.PartialCPU},
+		{"FullGPU", core.FullGPU, nil},
+		{"FullCPU", core.FullCPU, nil},
+		{"PartialCPU", core.PartialCPU, nil},
+		{"int8", core.FullCPU, (*Executor).EnableINT8},
+		{"sparse-int8", core.FullCPU, func(e *Executor) { e.EnableSparseINT8(0.5) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewExecutor(m, tc.policy)
+			if tc.tier != nil {
+				tc.tier(e)
+			}
 			seqs := make([]*Sequence, 8)
 			for i := range seqs {
 				if seqs[i], err = e.NewSequence([]int{5 + i, 17, 42}, 120); err != nil {
@@ -140,7 +171,9 @@ func TestFusedRoundSpawnsNothing(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			budget := fusedRoundMallocs[tc.name][min(runtime.GOMAXPROCS(0), 2)-1]
-			if got := float64(after.Mallocs-before.Mallocs) / rounds; got > budget {
+			got := float64(after.Mallocs-before.Mallocs) / rounds
+			t.Logf("%.1f objects per round", got)
+			if got > budget {
 				t.Errorf("fused round allocated %.1f objects under %s, budget %.0f", got, tc.name, budget)
 			}
 		})

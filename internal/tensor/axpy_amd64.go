@@ -113,3 +113,17 @@ func addBiasResidualAVX2(o, p, b *float32, n int)
 
 //go:noescape
 func roundBF16AVX2(x *float32, n int)
+
+// minMaxAVX2 is MinMax over lanes [0, n), quantizeU8AVX2 QuantizeU8 and
+// dequantAVX2 DequantizeRow, n a positive multiple of 8, each pointer at
+// the first lane of a slice at least n long. They check nothing and run
+// VZEROUPPER before returning.
+//
+//go:noescape
+func minMaxAVX2(x *float32, n int) (lo, hi float32)
+
+//go:noescape
+func quantizeU8AVX2(q *uint8, x *float32, scale float32, zero int32, n int)
+
+//go:noescape
+func dequantAVX2(o *float32, acc *int32, f *float32, sums *int32, z int32, n int)

@@ -659,3 +659,101 @@ roundloop:
 	JB        roundloop
 	VZEROUPPER
 	RET
+
+// extremes holds minMaxAVX2's starting lanes, +Inf and −Inf.
+DATA extremes<>+0(SB)/4, $0x7f800000
+DATA extremes<>+4(SB)/4, $0xff800000
+GLOBL extremes<>(SB), RODATA|NOPTR, $8
+
+// func minMaxAVX2(x *float32, n int) (lo, hi float32)
+TEXT ·minMaxAVX2(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHLQ         $2, CX
+	XORQ         AX, AX
+	VBROADCASTSS extremes<>+0(SB), Y0
+	VBROADCASTSS extremes<>+4(SB), Y1
+
+minmaxloop:
+	VMOVUPS (DI)(AX*1), Y2
+	VMINPS  Y0, Y2, Y0     // v < lo ? v : lo
+	VMAXPS  Y1, Y2, Y1     // v > hi ? v : hi
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JB      minmaxloop
+
+	// The lanes hold no NaN, so they may meet in any order.
+	VEXTRACTF128 $1, Y0, X2
+	VMINPS       X2, X0, X0
+	VEXTRACTF128 $1, Y1, X3
+	VMAXPS       X3, X1, X1
+	VPERMILPS    $0x4e, X0, X2
+	VMINPS       X2, X0, X0
+	VPERMILPS    $0x4e, X1, X3
+	VMAXPS       X3, X1, X1
+	VPERMILPS    $0xb1, X0, X2
+	VMINPS       X2, X0, X0
+	VPERMILPS    $0xb1, X1, X3
+	VMAXPS       X3, X1, X1
+	VMOVSS       X0, lo+16(FP)
+	VMOVSS       X1, hi+20(FP)
+	VZEROUPPER
+	RET
+
+// func quantizeU8AVX2(q *uint8, x *float32, scale float32, zero int32, n int)
+TEXT ·quantizeU8AVX2(SB), NOSPLIT, $0-32
+	MOVQ         q+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+24(FP), CX
+	XORQ         AX, AX
+	VBROADCASTSS scale+16(FP), Y13
+	MOVL         zero+20(FP), R8
+	VMOVD        R8, X14
+	VPBROADCASTD X14, Y14
+	VPXOR        Y12, Y12, Y12
+	VPCMPEQD     Y15, Y15, Y15
+	VPSRLD       $24, Y15, Y15   // 255
+
+quantloop:
+	VMOVUPS      (SI)(AX*4), Y0
+	VDIVPS       Y13, Y0, Y0     // v / scale
+	VCVTPS2DQ    Y0, Y0          // nearest even; NaN, ±Inf, past int32: 0x80000000
+	VPADDD       Y14, Y0, Y0     // + zero
+	VPMAXSD      Y12, Y0, Y0
+	VPMINSD      Y15, Y0, Y0     // [0, 255]
+	VEXTRACTI128 $1, Y0, X1
+	VPACKUSDW    X1, X0, X0
+	VPACKUSWB    X0, X0, X0
+	VMOVQ        X0, (DI)(AX*1)
+	ADDQ         $8, AX
+	CMPQ         AX, CX
+	JB           quantloop
+	VZEROUPPER
+	RET
+
+// func dequantAVX2(o *float32, acc *int32, f *float32, sums *int32, z int32, n int)
+TEXT ·dequantAVX2(SB), NOSPLIT, $0-48
+	MOVQ         o+0(FP), DI
+	MOVQ         acc+8(FP), SI
+	MOVQ         f+16(FP), BX
+	MOVQ         sums+24(FP), DX
+	MOVQ         n+40(FP), CX
+	SHLQ         $2, CX
+	XORQ         AX, AX
+	MOVL         z+32(FP), R8
+	VMOVD        R8, X15
+	VPBROADCASTD X15, Y15
+
+dequantloop:
+	VPMULLD   (DX)(AX*1), Y15, Y1 // z·sums
+	VMOVDQU   (SI)(AX*1), Y0
+	VPSUBD    Y1, Y0, Y0          // acc − z·sums
+	VCVTDQ2PS Y0, Y0
+	VMOVUPS   (BX)(AX*1), Y2
+	VMULPS    Y0, Y2, Y0          // f · float32(…)
+	VMOVUPS   Y0, (DI)(AX*1)
+	ADDQ      $32, AX
+	CMPQ      AX, CX
+	JB        dequantloop
+	VZEROUPPER
+	RET

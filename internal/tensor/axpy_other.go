@@ -53,3 +53,15 @@ func addBiasResidualAVX2(o, p, b *float32, n int) {
 func roundBF16AVX2(x *float32, n int) {
 	panic("tensor: no AVX2 tail kernel on this platform")
 }
+
+func minMaxAVX2(x *float32, n int) (lo, hi float32) {
+	panic("tensor: no AVX2 tail kernel on this platform")
+}
+
+func quantizeU8AVX2(q *uint8, x *float32, scale float32, zero int32, n int) {
+	panic("tensor: no AVX2 tail kernel on this platform")
+}
+
+func dequantAVX2(o *float32, acc *int32, f *float32, sums *int32, z int32, n int) {
+	panic("tensor: no AVX2 tail kernel on this platform")
+}

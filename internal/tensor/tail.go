@@ -92,3 +92,79 @@ func vectorLanes(n int) int {
 	}
 	return 0
 }
+
+// An INT8 product's two elementwise ends — the activation codes going in
+// and the dequantized rows coming out (quant.Linear) — are one pass each
+// under the same split, and each lane's result is the scalar loop's bit
+// for bit:
+//
+//   - MinMax: VMINPS and VMAXPS with the running extreme as the second
+//     source, which they return unless the lane is strictly beyond it —
+//     so a NaN lane is skipped exactly as `if v < lo` skips it;
+//   - QuantizeU8: VDIVPS, then VCVTPS2DQ under the default
+//     round-to-nearest-even, which is RoundToEven of the quotient and, for
+//     NaN, ±Inf and quotients past int32, 0x80000000 — what
+//     int32(float64) gives them on amd64 (CVTTSD2SL) — then VPADDD the
+//     zero point (wrapping, as Go's int32 add does) and VPMAXSD/VPMINSD
+//     to [0, 255];
+//   - DequantizeRow: VPMULLD and VPSUBD (both wrapping like Go's int32),
+//     VCVTDQ2PS (round-to-nearest-even, like float32(int32)), VMULPS.
+
+// MinMax returns the least and greatest of xs as the loop
+// `if v < lo { lo = v }; if v > hi { hi = v }` from lo = +Inf, hi = −Inf
+// finds them: NaNs are skipped, and an empty or all-NaN xs returns
+// (+Inf, −Inf). A zero extreme may come back as either zero, since the
+// vector lanes meet in another order than the loop's; it compares equal.
+func MinMax(xs []float32) (lo, hi float32) {
+	lo, hi = float32(math.Inf(1)), float32(math.Inf(-1))
+	j := vectorLanes(len(xs))
+	if j > 0 {
+		lo, hi = minMaxAVX2(&xs[0], j)
+	}
+	for _, v := range xs[j:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// QuantizeU8 writes the uint8 code of every element of xs into q:
+// int32(math.RoundToEven(float64(v/scale))) + zero, clamped to [0, 255].
+func QuantizeU8(q []uint8, xs []float32, scale float32, zero int32) {
+	if len(q) != len(xs) {
+		panic(fmt.Sprintf("tensor: %d codes for %d values", len(q), len(xs)))
+	}
+	j := vectorLanes(len(xs))
+	if j > 0 {
+		quantizeU8AVX2(&q[0], &xs[0], scale, zero, j)
+	}
+	for ; j < len(xs); j++ {
+		c := int32(math.RoundToEven(float64(xs[j]/scale))) + zero
+		if c < 0 {
+			c = 0
+		}
+		if c > 255 {
+			c = 255
+		}
+		q[j] = uint8(c)
+	}
+}
+
+// DequantizeRow sets o[j] = f[j] · float32(acc[j] − z·sums[j]) for every
+// lane: an integer product row's zero-point correction and scale.
+func DequantizeRow(o []float32, acc []int32, f []float32, sums []int32, z int32) {
+	if len(acc) != len(o) || len(f) != len(o) || len(sums) != len(o) {
+		panic(fmt.Sprintf("tensor: dequantize %d lanes from %d, %d and %d", len(o), len(acc), len(f), len(sums)))
+	}
+	j := vectorLanes(len(o))
+	if j > 0 {
+		dequantAVX2(&o[0], &acc[0], &f[0], &sums[0], z, j)
+	}
+	for ; j < len(o); j++ {
+		o[j] = f[j] * float32(acc[j]-z*sums[j])
+	}
+}
