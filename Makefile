@@ -35,11 +35,12 @@ race:
 # loc prints non-test Go line counts the way ROADMAP.md and the issues'
 # acceptance lines count them (wc -l over every .go file that is not a
 # _test.go): the three packages the simplicity items name, then all of
-# internal/ + cmd/.
+# internal/ + cmd/; then the assembly (.s) lines under internal/ + cmd/.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -n 1 | awk '{print $$1}'; }; \
 	for d in internal/amx internal/llm internal/quant; do printf '%-18s %6d\n' $$d $$(count $$d); done; \
-	printf '%-18s %6d\n' 'internal/ + cmd/' $$(count internal cmd)
+	printf '%-18s %6d\n' 'internal/ + cmd/' $$(count internal cmd); \
+	printf '%-18s %6d\n' 'assembly (.s)' $$(find internal cmd -name '*.s' | xargs cat | wc -l)
 
 BASE ?= HEAD~1
 PAIRS ?= 10

@@ -1,7 +1,10 @@
 package lia_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 
 	"github.com/lia-sim/lia"
 )
@@ -76,4 +79,37 @@ func ExampleWithCXL() {
 	fmt.Println("parameters offloaded:", res.HostPlan.CXLUsed == lia.OPT30B.ParamBytes())
 	// Output:
 	// parameters offloaded: true
+}
+
+// ExampleFunctionalExecutor_SpecGenerate drafts with a one-layer model
+// cut from the target and verifies the drafts in one batched pass:
+// greedy speculation emits exactly the target's own tokens, and the
+// stats say how many drafted tokens the target accepted.
+func ExampleFunctionalExecutor_SpecGenerate() {
+	m, _ := lia.NewFunctionalModel(lia.TinyModelConfig(), 24)
+	dm, _ := lia.NewDraftModel(m, 1)
+	target := lia.NewFunctionalExecutor(m, lia.FullGPU)
+	draft := lia.NewFunctionalExecutor(dm, lia.FullGPU)
+	prompt := []int{12, 7, 88, 3, 41}
+	plain, _ := target.Generate(prompt, 16)
+	spec, stats, _ := target.SpecGenerate(prompt, 16, draft, 4)
+	fmt.Println("tokens match:", slices.Equal(spec, plain))
+	fmt.Printf("rounds %d, acceptance %.2f\n", stats.Rounds, stats.AcceptanceRate())
+	// Output:
+	// tokens match: true
+	// rounds 4, acceptance 0.69
+}
+
+// ExampleTokenizer_Save persists a trained tokenizer: its merge table,
+// one "a b" line per learned token above the 256 raw bytes.
+func ExampleTokenizer_Save() {
+	tok, _ := lia.TrainTokenizer("the cat sat on the mat. the cat ate the rat.", 260)
+	var buf bytes.Buffer
+	if err := tok.Save(&buf); err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println(tok.VocabSize(), strings.Count(buf.String(), "\n"))
+	// Output:
+	// 260 4
 }

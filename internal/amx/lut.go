@@ -150,6 +150,3 @@ func (w *PrepackedINT4) PredictCycles(m int) uint64 {
 		uint64(ceilDiv(w.N*w.groups, lutVecLanes))
 	return uint64(m) * perRow
 }
-
-// Groups reports the number of quantization groups along K.
-func (w *PrepackedINT4) Groups() int { return w.groups }

@@ -359,27 +359,3 @@ func matmulOn[A float32 | uint8, E float32 | int8, C float32 | int32](kern kerne
 	}
 	return drive(matmulConfig, bytesKernel[A, E, C]{p, *img}, c, m, w.N, kBlocks, w.zero)
 }
-
-// ReferenceMatmulBF16 computes the same product with plain loops but
-// identical numerics: bf16-rounded inputs and, per 32-lane k-block (one
-// TDPBF16PS), bf16Dot. Tests compare the tile pipeline against it
-// bit-for-bit.
-func ReferenceMatmulBF16(a, b []float32, m, k, n int) []float32 {
-	c := make([]float32, m*n)
-	var aL, bL [blockK]float32
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc float32
-			for k0 := 0; k0 < k; k0 += blockK {
-				aL, bL = [blockK]float32{}, [blockK]float32{}
-				for l := 0; l < blockK && k0+l < k; l++ {
-					aL[l] = RoundFloat32(a[i*k+k0+l])
-					bL[l] = RoundFloat32(b[(k0+l)*n+j])
-				}
-				acc = bf16Dot(acc, aL[:], bL[:])
-			}
-			c[i*n+j] = acc
-		}
-	}
-	return c
-}

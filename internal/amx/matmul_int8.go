@@ -91,19 +91,3 @@ func packS8DecodedBInto(dst []int8, src []int8, rows, cols, padRows, padCols int
 	}
 	clear(dst[cols*padRows : padCols*padRows])
 }
-
-// ReferenceMatmulINT8 is the plain-loop reference for MatmulINT8PackedInto,
-// over the unpacked operands.
-func ReferenceMatmulINT8(a []uint8, b []int8, m, k, n int) []int32 {
-	c := make([]int32, m*n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc int32
-			for kk := 0; kk < k; kk++ {
-				acc += int32(a[i*k+kk]) * int32(b[kk*n+j])
-			}
-			c[i*n+j] = acc
-		}
-	}
-	return c
-}

@@ -68,14 +68,6 @@ func (m Model) Energy(latency, cpuBusy, gpuBusy units.Seconds) units.Joules {
 	return units.Joules(watts * float64(latency))
 }
 
-// AveragePower returns the mean draw implied by Energy over latency.
-func (m Model) AveragePower(latency, cpuBusy, gpuBusy units.Seconds) units.Watts {
-	if latency <= 0 {
-		return 0
-	}
-	return units.Watts(float64(m.Energy(latency, cpuBusy, gpuBusy)) / float64(latency))
-}
-
 // PerToken divides energy by generated tokens (§7.5's energy/token).
 func PerToken(e units.Joules, tokens int) units.Joules {
 	if tokens <= 0 {

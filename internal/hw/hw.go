@@ -331,16 +331,6 @@ func (s System) CXLCapacity() units.Bytes {
 	return total
 }
 
-// CXLBandwidth returns the aggregate bandwidth of the installed expanders
-// under page-granularity NUMA interleaving (Observation-1, §6).
-func (s System) CXLBandwidth() units.BytesPerSecond {
-	var total units.BytesPerSecond
-	for _, e := range s.CXL {
-		total += e.BW
-	}
-	return total
-}
-
 // TotalCost returns the hardware acquisition cost of the system.
 func (s System) TotalCost() units.USD {
 	c := s.CPU.Cost + units.USD(s.GPUCount)*s.GPU.Cost + s.ChassisCost

@@ -79,7 +79,11 @@ func TestCXLAggregation(t *testing.T) {
 	}
 	// Two 17 GB/s expanders interleaved reach 34 GB/s ≥ PCIe4's 32 GB/s —
 	// the bandwidth-parity condition of Observation-1.
-	if got := s.CXLBandwidth(); got < s.HostLink().BW {
+	var got units.BytesPerSecond
+	for _, e := range s.CXL {
+		got += e.BW
+	}
+	if got < s.HostLink().BW {
 		t.Errorf("interleaved CXL BW %v below PCIe BW %v", got, s.HostLink().BW)
 	}
 	if s.Name != "SPR-A100+2xCXL" {

@@ -90,10 +90,6 @@ func (m *Manager) blocksFor(tokens int) int {
 	return (tokens + m.blockTokens - 1) / m.blockTokens
 }
 
-// BlocksFor returns how many blocks `tokens` slots occupy — exported for
-// admission policies that reason about discounted (prefix-shared) costs.
-func (m *Manager) BlocksFor(tokens int) int { return m.blocksFor(tokens) }
-
 // AdmitBlocks is how many free blocks admitting a promptTokens-token
 // prompt costs when its first shared blocks are already held (by the
 // prefix cache): its unshared blocks plus one block of headroom for its

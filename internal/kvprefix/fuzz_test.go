@@ -86,7 +86,7 @@ func FuzzPrefixTree(f *testing.F) {
 			case 1: // admission path: refetch, lookup, pin, shared admit
 				tr.Refetch(p)
 				m := tr.Lookup(p)
-				need := pool.BlocksFor(len(p)) - m.Blocks() + 1
+				need := pool.AdmitBlocks(len(p), m.Blocks())
 				if pool.FreeBlocks() < need {
 					tr.EnsureFree(need, m)
 				}

@@ -742,15 +742,6 @@ func (t *Tree) Stats() Stats {
 	return st
 }
 
-// EvictLog returns a copy of the bounded event log, oldest first.
-func (t *Tree) EvictLog() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.log))
-	copy(out, t.log)
-	return out
-}
-
 // logEvent appends to the bounded log.
 func (t *Tree) logEvent(kind EventKind, tokens int) {
 	if len(t.log) >= maxLog {

@@ -269,7 +269,7 @@ func TestPinBlocksEvictionUntilReleased(t *testing.T) {
 		t.Fatalf("pool has %d free blocks after eviction, want 4", pool.FreeBlocks())
 	}
 	var evicts int
-	for _, ev := range tr.EvictLog() {
+	for _, ev := range tr.log {
 		if ev.Kind == EventEvict {
 			evicts++
 			if ev.Tokens != 8 {

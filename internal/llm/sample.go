@@ -113,49 +113,3 @@ func (e *Executor) GenerateWith(prompt []int, n int, s Sampler) ([]int, error) {
 	}
 	return out, nil
 }
-
-// Divergence compares two executors over the same model family: the mean
-// across prompts of the maximum relative logit deviation at the last
-// position, and the fraction of prompts whose greedy (top-1) token
-// agrees. It is the functional accuracy proxy for quantization and
-// kernel-substitution studies.
-func Divergence(a, b *Executor, prompts [][]int) (meanMaxRel, top1Agreement float64, err error) {
-	if len(prompts) == 0 {
-		return 0, 0, fmt.Errorf("llm: no prompts")
-	}
-	agree := 0
-	for _, prompt := range prompts {
-		la, _, err := a.Prefill(prompt)
-		if err != nil {
-			return 0, 0, err
-		}
-		lb, _, err := b.Prefill(prompt)
-		if err != nil {
-			return 0, 0, err
-		}
-		rowA := la.Row(la.Rows - 1)
-		rowB := lb.Row(lb.Rows - 1)
-		var scale, worst float64
-		for i := range rowA {
-			if m := math.Abs(float64(rowA[i])); m > scale {
-				scale = m
-			}
-		}
-		if scale == 0 {
-			scale = 1
-		}
-		for i := range rowA {
-			d := math.Abs(float64(rowA[i]-rowB[i])) / scale
-			if d > worst {
-				worst = d
-			}
-		}
-		meanMaxRel += worst
-		if la.ArgmaxRow(la.Rows-1) == lb.ArgmaxRow(lb.Rows-1) {
-			agree++
-		}
-	}
-	meanMaxRel /= float64(len(prompts))
-	top1Agreement = float64(agree) / float64(len(prompts))
-	return meanMaxRel, top1Agreement, nil
-}

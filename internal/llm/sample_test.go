@@ -1,6 +1,8 @@
 package llm
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
@@ -131,14 +133,14 @@ func TestDivergenceSelfIsZero(t *testing.T) {
 	a := NewExecutor(m, core.FullGPU)
 	b := NewExecutor(m, core.FullGPU)
 	prompts := [][]int{{1, 2, 3}, {9, 8}, {42}}
-	rel, agree, err := Divergence(a, b, prompts)
+	rel, agree, err := divergence(a, b, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel != 0 || agree != 1 {
 		t.Errorf("self-divergence = %v, agreement = %v", rel, agree)
 	}
-	if _, _, err := Divergence(a, b, nil); err == nil {
+	if _, _, err := divergence(a, b, nil); err == nil {
 		t.Error("empty prompt set accepted")
 	}
 }
@@ -152,7 +154,7 @@ func TestDivergenceINT8Small(t *testing.T) {
 	q := NewExecutor(m, core.FullGPU)
 	q.EnableINT8()
 	prompts := [][]int{{1, 2, 3}, {50, 60, 70}, {7, 14, 21}, {99, 3}, {11, 22, 33, 44}}
-	rel, agree, err := Divergence(ref, q, prompts)
+	rel, agree, err := divergence(ref, q, prompts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestDivergenceINT8Small(t *testing.T) {
 // agree to float tolerance (policy invariance, quantified).
 func TestDivergenceCPUvsGPUKernels(t *testing.T) {
 	m := tinyModel(t)
-	rel, agree, err := Divergence(NewExecutor(m, core.FullGPU), NewExecutor(m, core.FullCPU),
+	rel, agree, err := divergence(NewExecutor(m, core.FullGPU), NewExecutor(m, core.FullCPU),
 		[][]int{{1, 2, 3}, {4, 5, 6}})
 	if err != nil {
 		t.Fatal(err)
@@ -176,4 +178,50 @@ func TestDivergenceCPUvsGPUKernels(t *testing.T) {
 	if rel > 1e-4 || agree != 1 {
 		t.Errorf("kernel divergence = %v, agreement = %v", rel, agree)
 	}
+}
+
+// divergence compares two executors over the same model family: the mean
+// across prompts of the maximum relative logit deviation at the last
+// position, and the fraction of prompts whose greedy (top-1) token
+// agrees. It is the functional accuracy proxy for quantization and
+// kernel-substitution studies.
+func divergence(a, b *Executor, prompts [][]int) (meanMaxRel, top1Agreement float64, err error) {
+	if len(prompts) == 0 {
+		return 0, 0, fmt.Errorf("llm: no prompts")
+	}
+	agree := 0
+	for _, prompt := range prompts {
+		la, _, err := a.Prefill(prompt)
+		if err != nil {
+			return 0, 0, err
+		}
+		lb, _, err := b.Prefill(prompt)
+		if err != nil {
+			return 0, 0, err
+		}
+		rowA := la.Row(la.Rows - 1)
+		rowB := lb.Row(lb.Rows - 1)
+		var scale, worst float64
+		for i := range rowA {
+			if m := math.Abs(float64(rowA[i])); m > scale {
+				scale = m
+			}
+		}
+		if scale == 0 {
+			scale = 1
+		}
+		for i := range rowA {
+			d := math.Abs(float64(rowA[i]-rowB[i])) / scale
+			if d > worst {
+				worst = d
+			}
+		}
+		meanMaxRel += worst
+		if la.ArgmaxRow(la.Rows-1) == lb.ArgmaxRow(lb.Rows-1) {
+			agree++
+		}
+	}
+	meanMaxRel /= float64(len(prompts))
+	top1Agreement = float64(agree) / float64(len(prompts))
+	return meanMaxRel, top1Agreement, nil
 }

@@ -269,12 +269,6 @@ func GPUFits(g hw.GPUSpec, nGPUs int, m model.Config, b, lTotal int) bool {
 	return need <= g.MemCapacity*units.Bytes(nGPUs)
 }
 
-// DDRSavings compares two host plans and returns the DDR bytes the second
-// saves relative to the first (Table 3's headline).
-func DDRSavings(before, after HostPlan) units.Bytes {
-	return before.DDRUsed - after.DDRUsed
-}
-
 // String summarizes a GPU plan.
 func (p GPUPlan) String() string {
 	return fmt.Sprintf("pinned %d layers (%.0f%% of params), KV-on-GPU=%v, %s/%s used",

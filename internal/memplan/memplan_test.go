@@ -129,7 +129,7 @@ func TestCXLReducesDDRUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := DDRSavings(before, after)
+	saved := before.DDRUsed - after.DDRUsed
 	if saved != model.OPT30B.ParamBytes() {
 		t.Errorf("DDR savings = %v, want the parameter bytes %v", saved, model.OPT30B.ParamBytes())
 	}

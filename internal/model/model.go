@@ -297,6 +297,8 @@ func (c Config) Int8Variant() Config {
 // zero blocks' TileLoads and TDP — cycles ∝ nonzero blocks), while
 // activations and KV cache stay BF16. The smaller layer footprint is
 // what memplan turns into more pinned layers and bigger KV budgets.
+// It is a test oracle: the model, memplan, engine and offload tests
+// build the sparse tier's analytic model with it, and no program does.
 func (c Config) SparseVariant(blockSparsity float64) Config {
 	out := c
 	out.Name = fmt.Sprintf("%s-sparse%.0f", c.Name, 100*blockSparsity)
@@ -307,6 +309,8 @@ func (c Config) SparseVariant(blockSparsity float64) Config {
 // Int4LUTVariant returns the model under the INT4 LUT-GEMV compute tier
 // with the given quantization group length (0 = 128): parameter bytes
 // shrink to 0.5 + 2/group per weight while FLOPs are priced unchanged.
+// It is a test oracle: the model, memplan, engine and offload tests
+// build the INT4 tier's analytic model with it, and no program does.
 func (c Config) Int4LUTVariant(group int) Config {
 	out := c
 	out.Name = c.Name + "-int4lut"
@@ -483,13 +487,6 @@ func (c Config) ActivationBytes(b, l int, stage Stage) units.Bytes {
 		rows = b
 	}
 	return units.Bytes(c.elem() * rows * (c.DModel + c.ffnFC1Width()))
-}
-
-// TotalFootprint returns the paper's headline memory requirement: all
-// parameters plus KV cache and activations for the batch (e.g. ~1.4 TB
-// for OPT-175B at B=1024, L=256).
-func (c Config) TotalFootprint(b, l int) units.Bytes {
-	return c.ParamBytes() + c.KVBytes(b, l) + c.ActivationBytes(b, l, Prefill)
 }
 
 // HeatmapCell is one entry of Figure 1's ops/byte heatmap.

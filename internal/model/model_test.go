@@ -125,12 +125,16 @@ func TestParamCounts(t *testing.T) {
 }
 
 func TestMemoryFootprintHeadlines(t *testing.T) {
-	// §1: OPT-175B at L=1024 goes from ~330 GB at B=1 to ~1.6 TB at B=256.
-	small := OPT175B.TotalFootprint(1, 1024)
+	// §1: OPT-175B at L=1024 goes from ~330 GB at B=1 to ~1.6 TB at B=256:
+	// all parameters plus the batch's KV cache and prefill activations.
+	footprint := func(b, l int) units.Bytes {
+		return OPT175B.ParamBytes() + OPT175B.KVBytes(b, l) + OPT175B.ActivationBytes(b, l, Prefill)
+	}
+	small := footprint(1, 1024)
 	if small < 320*units.GB || small > 380*units.GB {
 		t.Errorf("B=1 footprint = %v, want ≈330-350 GB", small)
 	}
-	big := OPT175B.TotalFootprint(256, 1024)
+	big := footprint(256, 1024)
 	if big < 1.4*units.TB || big > 1.8*units.TB {
 		t.Errorf("B=256 footprint = %v, want ≈1.6 TB", big)
 	}

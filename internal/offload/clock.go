@@ -16,9 +16,6 @@ import (
 // CXL pool run at the pool's size-dependent interleaved bandwidth capped
 // by the link (Observation-1), with the pool's extra load-to-use latency
 // folded into setup.
-//
-// Host-side copies (the DDR↔CXL KV spill path) do not occupy the GPU
-// link; they are charged at the pool bandwidth and tracked separately.
 type XferEngine struct {
 	mu   sync.Mutex
 	link hw.LinkSpec
@@ -27,14 +24,11 @@ type XferEngine struct {
 	linkFree units.Seconds // virtual time at which the GPU link frees
 	fault    LinkFault     // nil = healthy link
 
-	transfers     uint64
-	linkBusy      units.Seconds // cumulative GPU-link occupancy
-	linkBytes     units.Bytes
-	linkFaults    uint64
-	linkRetries   uint64
-	hostCopies    uint64
-	hostCopyTime  units.Seconds
-	hostCopyBytes units.Bytes
+	transfers   uint64
+	linkBusy    units.Seconds // cumulative GPU-link occupancy
+	linkBytes   units.Bytes
+	linkFaults  uint64
+	linkRetries uint64
 }
 
 // LinkFault injects transient host-link degradation into the virtual
@@ -94,14 +88,6 @@ func scaleBW(bw units.BytesPerSecond, s float64) units.BytesPerSecond {
 	return units.BytesPerSecond(float64(bw) * s)
 }
 
-// TransferCost returns the healthy (fault-free, contention-free) cost of
-// a b-byte host→GPU transfer from the given tier — the analytic number
-// the virtual clock must reproduce when the fault hook is identity. The
-// scenario harness prices fault-plan cost models through this.
-func (x *XferEngine) TransferCost(from Tier, b units.Bytes) units.Seconds {
-	return x.xferCost(from, b, 1)
-}
-
 // HostToGPU schedules a b-byte upload from the given host tier onto the
 // GPU link, requested at virtual time `at`. It returns the transfer's
 // start and finish times; the link is occupied for the whole interval.
@@ -135,22 +121,6 @@ func (x *XferEngine) HostToGPU(from Tier, b units.Bytes, at units.Seconds) (star
 	return start, finish
 }
 
-// HostCopy charges a b-byte DDR↔CXL migration (no GPU-link occupancy)
-// and returns its duration at the pool's interleaved bandwidth.
-func (x *XferEngine) HostCopy(b units.Bytes) units.Seconds {
-	bw := x.pool.TransferBW(b)
-	if x.pool.Empty() {
-		bw = x.pool.DDRBW
-	}
-	d := units.TransferTime(b, bw, x.pool.ExtraLatency())
-	x.mu.Lock()
-	x.hostCopies++
-	x.hostCopyTime += d
-	x.hostCopyBytes += b
-	x.mu.Unlock()
-	return d
-}
-
 // LinkFree returns the virtual time at which the GPU link next frees.
 func (x *XferEngine) LinkFree() units.Seconds {
 	x.mu.Lock()
@@ -168,14 +138,11 @@ func (x *XferEngine) Reset() {
 
 // XferStats is the engine's cumulative traffic accounting.
 type XferStats struct {
-	Transfers     uint64
-	LinkBusy      units.Seconds
-	LinkBytes     units.Bytes
-	LinkFaults    uint64 // transient faults the LinkFault hook injected
-	LinkRetries   uint64 // retried attempts (one per fault)
-	HostCopies    uint64
-	HostCopyTime  units.Seconds
-	HostCopyBytes units.Bytes
+	Transfers   uint64
+	LinkBusy    units.Seconds
+	LinkBytes   units.Bytes
+	LinkFaults  uint64 // transient faults the LinkFault hook injected
+	LinkRetries uint64 // retried attempts (one per fault)
 }
 
 // Stats returns the cumulative transfer accounting.
@@ -185,6 +152,5 @@ func (x *XferEngine) Stats() XferStats {
 	return XferStats{
 		Transfers: x.transfers, LinkBusy: x.linkBusy, LinkBytes: x.linkBytes,
 		LinkFaults: x.linkFaults, LinkRetries: x.linkRetries,
-		HostCopies: x.hostCopies, HostCopyTime: x.hostCopyTime, HostCopyBytes: x.hostCopyBytes,
 	}
 }

@@ -154,7 +154,7 @@ func TestLayerStreamTimeMatchesAnalytic(t *testing.T) {
 			for _, s := range paramSublayers {
 				analytic += parts[s].Load
 			}
-			got := h.LayerStreamTime()
+			got := h.layerStreamCost
 			rel := math.Abs(float64(got-analytic)) / float64(analytic)
 			if rel > 0.05 {
 				t.Errorf("virtual stream time %v vs analytic D_Y load %v: %.1f%% apart, want ≤5%%",

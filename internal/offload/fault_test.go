@@ -40,7 +40,7 @@ func TestLinkFaultIdentityMatchesAnalytic(t *testing.T) {
 		// the virtual clock must agree within 5% (it is exact, but the
 		// contract the harness relies on is the 5% bound the offload
 		// differential suite already pins for streamed layers).
-		want := healthy.TransferCost(from, b)
+		want := healthy.xferCost(from, b, 1)
 		got := hooked.Stats().LinkBusy / 5
 		if rel := math.Abs(float64(got-want)) / float64(want); rel > 0.05 {
 			t.Fatalf("%s: per-transfer occupancy %v vs analytic %v (%.2f%% off)", from, got, want, rel*100)
@@ -58,7 +58,7 @@ func TestLinkFaultDegradationScalesBandwidth(t *testing.T) {
 	pool := cxl.FromSystem(hw.SPRA100)
 	x := NewXferEngine(hw.PCIe4x16, pool)
 	b := 64 * units.MiB
-	healthy := x.TransferCost(DDR, b)
+	healthy := x.xferCost(DDR, b, 1)
 	x.SetLinkFault(func(uint64, Tier, units.Bytes) (float64, error) { return 0.5, nil })
 	s, f := x.HostToGPU(DDR, b, 0)
 	want := hw.PCIe4x16.Setup + 2*(healthy-hw.PCIe4x16.Setup)
@@ -79,7 +79,7 @@ func TestLinkFaultTransientErrorRetries(t *testing.T) {
 	pool := cxl.FromSystem(hw.SPRA100)
 	x := NewXferEngine(hw.PCIe4x16, pool)
 	b := 16 * units.MiB
-	healthy := x.TransferCost(DDR, b)
+	healthy := x.xferCost(DDR, b, 1)
 	// Every 3rd transfer faults at nominal bandwidth.
 	x.SetLinkFault(func(n uint64, _ Tier, _ units.Bytes) (float64, error) {
 		if n%3 == 0 {

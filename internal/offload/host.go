@@ -74,8 +74,13 @@ type Host struct {
 
 	// weights and staging are immutable after NewHost: the prefetch
 	// worker and executor forks read them without locking.
-	weights         map[int]*Allocation
-	staging         [2]*Allocation
+	weights map[int]*Allocation
+	staging [2]*Allocation
+	// layerStreamCost is one streamed layer's parameter upload time on
+	// an idle link: four sublayer transfers, each paying the link setup
+	// (and the pool's extra latency when parameters live in CXL). The
+	// differential test pins it against the analytic engine's per-layer
+	// D_Y load within tolerance.
 	layerStreamCost units.Seconds
 
 	mu                                       sync.Mutex
@@ -247,13 +252,6 @@ func (h *Host) computeDur(stage model.Stage, rows, past int, pinned bool) units.
 	return d
 }
 
-// LayerStreamTime returns one streamed layer's parameter upload time on
-// an idle link: four sublayer transfers, each paying the link setup (and
-// the pool's extra latency when parameters live in CXL). The
-// differential test pins this against the analytic engine's per-layer
-// D_Y load within tolerance.
-func (h *Host) LayerStreamTime() units.Seconds { return h.layerStreamCost }
-
 // InjectLinkFault installs a transient link-fault hook on the host's
 // transfer engine (nil removes it). Faults degrade and occasionally
 // double the virtual time of prefetch transfers — the scheduled
@@ -289,15 +287,6 @@ func (h *Host) KVBudget() units.Bytes { return h.plan.KVBudget() }
 
 // Plan returns the host's resolved tier layout.
 func (h *Host) Plan() *Plan { return h.plan }
-
-// EvictLog returns the cache ids of evicted KV pages in eviction order.
-func (h *Host) EvictLog() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int64, len(h.pt.evictLog))
-	copy(out, h.pt.evictLog)
-	return out
-}
 
 // HostSnapshot is the runtime's point-in-time accounting across tiers,
 // link, KV policy, and pass clock.

@@ -23,6 +23,13 @@ func closeEnough(a, b units.Seconds, rel float64) bool {
 	return math.Abs(fa-fb)/den <= rel
 }
 
+// evictLog returns the cache ids of evicted KV pages in eviction order.
+func evictLog(h *Host) []int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]int64(nil), h.pt.evictLog...)
+}
+
 // newTinyHost builds a host over a tiny system, failing the test on any
 // setup error.
 func newTinyHost(t *testing.T, cfg model.Config, pinned, nCXL int, mutate func(*Config)) *Host {
@@ -181,14 +188,14 @@ func TestKVEvictionLRUOrder(t *testing.T) {
 	driveKV(h, 2, 0) // cache 2 fills the tier
 	driveKV(h, 1, 1) // touch cache 1: cache 2 is now coldest
 	driveKV(h, 3, 0) // needs a page → evicts cache 2's
-	if got := h.EvictLog(); len(got) != 1 || got[0] != 2 {
+	if got := evictLog(h); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("evict log %v, want [2]", got)
 	}
 	// Re-extending cache 2 must re-fetch its evicted page (one refetch)
 	// and claim a second page, evicting the two coldest: 1 then 3.
 	driveKV(h, 2, 16)
 	want := []int64{2, 1, 3}
-	got := h.EvictLog()
+	got := evictLog(h)
 	if len(got) != len(want) {
 		t.Fatalf("evict log %v, want %v", got, want)
 	}

@@ -95,12 +95,6 @@ func TestXferEngineCXLSlowerThanDDR(t *testing.T) {
 	if cx <= ddr {
 		t.Fatalf("CXL transfer %v should exceed DDR transfer %v", cx, ddr)
 	}
-	if d := x.HostCopy(b); d <= 0 {
-		t.Fatalf("host copy duration %v", d)
-	}
-	if st := x.Stats(); st.HostCopies != 1 || st.HostCopyBytes != b {
-		t.Fatalf("host copy stats: %+v", st)
-	}
 }
 
 func TestNewPlanTinySystemPinsExactly(t *testing.T) {

@@ -173,18 +173,3 @@ func (pt *pageTable) touch(id int64) {
 		}
 	}
 }
-
-// kvResident returns the cache's bytes currently resident in the KV tier.
-func (pt *pageTable) kvResident(id int64) int {
-	cs, ok := pt.caches[id]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, pg := range cs.pages {
-		if pg != nil && pg.elem != nil {
-			n++
-		}
-	}
-	return n
-}

@@ -124,6 +124,8 @@ func (w WeightsINT4) scale(g, j int) float32 {
 }
 
 // Dequantize reconstructs the float32 weights: s(g,j) · (code − 8).
+// It is a test oracle: the quant and llm tests compare the INT4 tier
+// against these weights, and no program calls it.
 func (w WeightsINT4) Dequantize() tensor.Matrix {
 	out := tensor.New(w.K, w.N)
 	for i := 0; i < w.K; i++ {

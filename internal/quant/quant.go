@@ -132,17 +132,6 @@ func (w Weights) FootprintSparse() int {
 	return payload + (total+7)/8 + side
 }
 
-// Dequantize reconstructs the float32 weights.
-func (w Weights) Dequantize() tensor.Matrix {
-	out := tensor.New(w.K, w.N)
-	for i := 0; i < w.K; i++ {
-		for j := 0; j < w.N; j++ {
-			out.Set(i, j, float32(w.Q[i*w.N+j])*w.ColScales[j])
-		}
-	}
-	return out
-}
-
 // Bytes returns the quantized storage footprint: the int8 values plus
 // every per-column side table the format ships — the float32 scales AND
 // the int32 column sums (the zero-point correction cannot be applied
@@ -199,15 +188,6 @@ func quantizeInto(q []uint8, xs []float32) (scale float32, zero uint8) {
 	zero = uint8(math.RoundToEven(float64(-minV / scale)))
 	tensor.QuantizeU8(q, xs, scale, int32(zero))
 	return scale, zero
-}
-
-// Dequantize reconstructs the float32 activations.
-func (a Activations) Dequantize() tensor.Matrix {
-	out := tensor.New(a.M, a.K)
-	for i, q := range a.Q {
-		out.Data[i] = a.Scale * (float32(q) - float32(a.Zero))
-	}
-	return out
 }
 
 // Linear computes y = x·W into dst (x.Rows × N, every element
@@ -301,7 +281,8 @@ func fit[T any](buf *[]T, n int) []T {
 }
 
 // MaxAbsError returns the largest absolute elementwise difference between
-// two equally-shaped matrices — the quantization-error metric tests use.
+// two equally-shaped matrices. It is a test oracle: the quant and llm
+// tests measure quantization error with it, and no program calls it.
 func MaxAbsError(a, b tensor.Matrix) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return math.Inf(1)

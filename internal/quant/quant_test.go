@@ -21,7 +21,7 @@ func randomMatrix(rows, cols int, scale float32, seed int64) tensor.Matrix {
 func TestQuantizeWeightsRoundTrip(t *testing.T) {
 	w := randomMatrix(32, 16, 0.5, 1)
 	qw := QuantizeWeights(w)
-	back := qw.Dequantize()
+	back := qw.dequantize()
 	// Per-column symmetric int8: error ≤ scale/2 per element.
 	for j := 0; j < w.Cols; j++ {
 		bound := float64(qw.ColScales[j]) * 0.51
@@ -40,7 +40,7 @@ func TestQuantizeWeightsZeroColumn(t *testing.T) {
 	if qw.ColScales[0] != 1 {
 		t.Error("zero column should get unit scale, not divide by zero")
 	}
-	back := qw.Dequantize()
+	back := qw.dequantize()
 	for _, v := range back.Data {
 		if v != 0 {
 			t.Error("zero weights must stay zero")
@@ -64,7 +64,7 @@ func TestWeightsBytes(t *testing.T) {
 func TestQuantizeActivationsRoundTrip(t *testing.T) {
 	x := randomMatrix(5, 7, 3, 3)
 	qx := QuantizeActivations(x)
-	back := qx.Dequantize()
+	back := qx.dequantize()
 	bound := float64(qx.Scale) * 0.51
 	for i := range x.Data {
 		if d := math.Abs(float64(x.Data[i] - back.Data[i])); d > bound {
@@ -80,7 +80,7 @@ func TestQuantizeActivationsAllPositive(t *testing.T) {
 	if qx.Zero != 0 {
 		t.Errorf("zero point = %d, want 0", qx.Zero)
 	}
-	back := qx.Dequantize()
+	back := qx.dequantize()
 	if math.Abs(float64(back.At(0, 3)-4)) > float64(qx.Scale) {
 		t.Error("round trip broke on all-positive input")
 	}
@@ -129,7 +129,7 @@ func TestWeightQuantizationIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		w := randomMatrix(8, 8, 1, seed)
 		q1 := QuantizeWeights(w)
-		q2 := QuantizeWeights(q1.Dequantize())
+		q2 := QuantizeWeights(q1.dequantize())
 		for i := range q1.Q {
 			if q1.Q[i] != q2.Q[i] {
 				return false
@@ -296,4 +296,24 @@ func TestLinearRejectsBadGroups(t *testing.T) {
 			t.Errorf("groups %v over 4 rows accepted", groups)
 		}
 	}
+}
+
+// dequantize reconstructs the float32 weights.
+func (w Weights) dequantize() tensor.Matrix {
+	out := tensor.New(w.K, w.N)
+	for i := 0; i < w.K; i++ {
+		for j := 0; j < w.N; j++ {
+			out.Set(i, j, float32(w.Q[i*w.N+j])*w.ColScales[j])
+		}
+	}
+	return out
+}
+
+// dequantize reconstructs the float32 activations.
+func (a Activations) dequantize() tensor.Matrix {
+	out := tensor.New(a.M, a.K)
+	for i, q := range a.Q {
+		out.Data[i] = a.Scale * (float32(q) - float32(a.Zero))
+	}
+	return out
 }

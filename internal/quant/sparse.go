@@ -22,7 +22,8 @@ type SparseStats struct {
 	ZeroBlocks, TotalBlocks int
 }
 
-// Sparsity returns the zeroed-block fraction.
+// Sparsity returns the zeroed-block fraction. It is a test oracle: the
+// quant and engine tests read it, and no program calls it.
 func (s SparseStats) Sparsity() float64 {
 	if s.TotalBlocks == 0 {
 		return 0

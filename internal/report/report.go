@@ -180,7 +180,8 @@ func (f *Figure) String() string { return f.Table().String() }
 func (f *Figure) CSV() string { return f.Table().CSV() }
 
 // Ratio returns series a's value divided by series b's at tick index i,
-// or NaN when either is missing.
+// or NaN when either is missing. It is a test oracle: the report and
+// experiments tests check figure ratios with it, and no program calls it.
 func (f *Figure) Ratio(a, b string, i int) float64 {
 	av, bv := math.NaN(), math.NaN()
 	for _, s := range f.Series {

@@ -3,18 +3,12 @@
 // tensor-parallel width — behind one Submit. Placement is
 // power-of-two-choices scored by least KV pressure (live kvpage
 // headroom plus queue depth, reported over a per-replica health
-// channel), with prefix-affinity hinting so hot-prefix traffic lands
-// where the prefix cache already holds the blocks. A replica that sheds
-// or drains is retried on the next-best replica before the router
-// spills the request back to the caller. Replica lifecycle — spawn,
+// channel). A replica that sheds or drains is retried on the next-best
+// replica before the router spills the request back to the caller. Replica lifecycle — spawn,
 // drain, kill, respawn — is first-class, and the deterministic
 // FleetReplay prices the same placement policies over virtual clocks
 // for the scale study.
 package router
-
-import (
-	"hash/fnv"
-)
 
 // Load is one replica's placement-relevant state: the router's health
 // collector assembles these from gateway.Health reports, and the replay
@@ -128,25 +122,4 @@ func placeable(loads []Load) []int {
 		}
 	}
 	return idx
-}
-
-// PrefixKey hashes a prompt's leading block — the granularity kvprefix
-// caches at — into an affinity key: prompts sharing their first
-// blockTokens tokens map to the same key, and the router remembers
-// which replica last served each key so the shared prefix is a cache
-// hit there. Prompts shorter than one block get key 0 (no affinity).
-func PrefixKey(prompt []int, blockTokens int) uint64 {
-	if blockTokens <= 0 || len(prompt) < blockTokens {
-		return 0
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, tok := range prompt[:blockTokens] {
-		v := uint64(tok)
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(v >> (8 * b))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }

@@ -174,39 +174,6 @@ func TestPressureBounds(t *testing.T) {
 	}
 }
 
-// TestPrefixKey: prompts sharing their leading block share a key,
-// differing blocks differ, and prompts too short for one block opt out.
-func TestPrefixKey(t *testing.T) {
-	const block = 16
-	a := make([]int, 32)
-	b := make([]int, 48)
-	for i := range a {
-		a[i] = i
-	}
-	for i := range b {
-		if i < block {
-			b[i] = i // same first block as a
-		} else {
-			b[i] = 1000 + i
-		}
-	}
-	ka, kb := PrefixKey(a, block), PrefixKey(b, block)
-	if ka == 0 || ka != kb {
-		t.Errorf("shared first block: keys %d vs %d, want equal and nonzero", ka, kb)
-	}
-	c := append([]int(nil), a...)
-	c[3] = 9999
-	if kc := PrefixKey(c, block); kc == ka {
-		t.Errorf("differing first block produced the same key %d", kc)
-	}
-	if k := PrefixKey(a[:block-1], block); k != 0 {
-		t.Errorf("short prompt key = %d, want 0", k)
-	}
-	if k := PrefixKey(a, 0); k != 0 {
-		t.Errorf("blockTokens 0 key = %d, want 0", k)
-	}
-}
-
 // FuzzRouterPlacement checks placement invariants on arbitrary fleets:
 // every picker returns -1 exactly when nothing is placeable, otherwise
 // a placeable index; P2C is deterministic per rand seed; and

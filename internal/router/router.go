@@ -57,14 +57,6 @@ type Config struct {
 	// ProbeInterval is how often each replica's prober publishes a
 	// health report (default 1ms — the tiny model's rounds are fast).
 	ProbeInterval time.Duration
-	// AffinityBlockTokens, when positive, enables prefix-affinity
-	// hinting at that block granularity: prompts sharing their leading
-	// block are steered to the replica that last served that block,
-	// unless it is more than AffinitySpill pressured.
-	AffinityBlockTokens int
-	// AffinitySpill is the pressure above which an affinity hint is
-	// ignored and normal placement resumes (default 0.75).
-	AffinitySpill float64
 }
 
 func (c Config) withDefaults() Config {
@@ -73,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Millisecond
-	}
-	if c.AffinitySpill == 0 {
-		c.AffinitySpill = 0.75
 	}
 	return c
 }
@@ -129,15 +118,11 @@ type Router struct {
 	rng   *rand.Rand
 	rr    atomic.Uint64
 
-	affMu    sync.Mutex
-	affinity map[uint64]string
-
 	// Routing counters for Snapshot.
 	placed    atomic.Uint64
 	retried   atomic.Uint64
 	failovers atomic.Uint64
 	spilled   atomic.Uint64
-	affHits   atomic.Uint64
 }
 
 // New stands up the fleet: one gateway per spec, a prober per replica,
@@ -158,7 +143,6 @@ func New(cfg Config, specs []ReplicaSpec) (*Router, error) {
 		healthCh: make(chan healthReport, 4*len(specs)),
 		stop:     make(chan struct{}),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		affinity: map[uint64]string{},
 	}
 	for _, spec := range specs {
 		if _, err := r.addReplica(spec); err != nil {
@@ -294,24 +278,8 @@ func (r *Router) loads() ([]Load, []*replica) {
 	return loads, reps
 }
 
-// place picks a replica index by policy (affinity hint first), -1 when
-// nothing is placeable.
-func (r *Router) place(loads []Load, prompt []int) int {
-	if r.cfg.AffinityBlockTokens > 0 {
-		if key := PrefixKey(prompt, r.cfg.AffinityBlockTokens); key != 0 {
-			r.affMu.Lock()
-			name, ok := r.affinity[key]
-			r.affMu.Unlock()
-			if ok {
-				for i := range loads {
-					if loads[i].Name == name && loads[i].Placeable && loads[i].Pressure() < r.cfg.AffinitySpill {
-						r.affHits.Add(1)
-						return i
-					}
-				}
-			}
-		}
-	}
+// place picks a replica index by policy, -1 when nothing is placeable.
+func (r *Router) place(loads []Load) int {
 	switch r.cfg.Policy {
 	case PolicyRoundRobin:
 		return PickRoundRobin(loads, r.rr.Add(1)-1)
@@ -320,25 +288,6 @@ func (r *Router) place(loads []Load, prompt []int) int {
 		defer r.rngMu.Unlock()
 		return PickP2C(loads, r.rng.Intn)
 	}
-}
-
-// rememberAffinity records which replica served a prompt's leading
-// block. The table is bounded: at 64k keys it resets (a cold cache,
-// never a leak).
-func (r *Router) rememberAffinity(prompt []int, name string) {
-	if r.cfg.AffinityBlockTokens <= 0 {
-		return
-	}
-	key := PrefixKey(prompt, r.cfg.AffinityBlockTokens)
-	if key == 0 {
-		return
-	}
-	r.affMu.Lock()
-	if len(r.affinity) >= 1<<16 {
-		r.affinity = map[uint64]string{}
-	}
-	r.affinity[key] = name
-	r.affMu.Unlock()
 }
 
 // retryable reports whether a replica-level error should fail over to
@@ -356,7 +305,7 @@ func retryable(err error) bool {
 func (r *Router) Submit(ctx context.Context, prompt []int, n int) (gateway.Result, error) {
 	loads, reps := r.loads()
 	tried := make([]bool, len(reps))
-	pick := r.place(loads, prompt)
+	pick := r.place(loads)
 	var lastErr error
 	for attempt := 0; attempt < len(reps); attempt++ {
 		if pick < 0 {
@@ -367,7 +316,6 @@ func (r *Router) Submit(ctx context.Context, prompt []int, n int) (gateway.Resul
 		res, err := rep.gw.Submit(ctx, prompt, n)
 		if err == nil {
 			r.placed.Add(1)
-			r.rememberAffinity(prompt, rep.spec.Name)
 			return res, nil
 		}
 		if !retryable(err) {
@@ -478,8 +426,6 @@ type Snapshot struct {
 	Failovers uint64
 	// Spilled counts requests no replica accepted (returned ErrNoReplicas).
 	Spilled uint64
-	// AffinityHits counts placements steered by the prefix-affinity table.
-	AffinityHits uint64
 	// Replicas maps name → lifecycle state.
 	Replicas map[string]string
 }
@@ -487,12 +433,11 @@ type Snapshot struct {
 // Snapshot returns the router counters and replica states.
 func (r *Router) Snapshot() Snapshot {
 	s := Snapshot{
-		Placed:       r.placed.Load(),
-		Retried:      r.retried.Load(),
-		Failovers:    r.failovers.Load(),
-		Spilled:      r.spilled.Load(),
-		AffinityHits: r.affHits.Load(),
-		Replicas:     map[string]string{},
+		Placed:    r.placed.Load(),
+		Retried:   r.retried.Load(),
+		Failovers: r.failovers.Load(),
+		Spilled:   r.spilled.Load(),
+		Replicas:  map[string]string{},
 	}
 	r.mu.RLock()
 	for _, rep := range r.replicas {

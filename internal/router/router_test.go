@@ -113,7 +113,7 @@ func TestRouterFleetLifecycleAndFailover(t *testing.T) {
 		{Name: "b", Model: cfg, Seed: 42, Policy: core.PartialCPU,
 			Gateway: gateway.Config{MaxBatch: 4, QueueDepth: 32, Quant: "int8"}},
 	}
-	r, err := New(Config{Policy: PolicyP2C, Seed: 1, AffinityBlockTokens: 4}, specs)
+	r, err := New(Config{Policy: PolicyP2C, Seed: 1}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,37 +278,6 @@ func TestRouterDrainRemovesFromPlacement(t *testing.T) {
 	}
 	if err := r.Kill("missing"); err == nil {
 		t.Error("killing an unknown replica should fail")
-	}
-	sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
-	defer scancel()
-	if err := r.Shutdown(sctx); err != nil {
-		t.Errorf("shutdown: %v", err)
-	}
-	check()
-}
-
-// TestRouterAffinitySteering: with prefix affinity on, repeat prompts
-// sharing a leading block steer to the replica that served them first.
-func TestRouterAffinitySteering(t *testing.T) {
-	check := leakCheck(t)
-	cfg := llm.TinyConfig()
-	gwCfg := gateway.Config{MaxBatch: 4, QueueDepth: 16}
-	r, err := New(Config{Seed: 2, AffinityBlockTokens: 4}, []ReplicaSpec{
-		{Name: "a", Model: cfg, Seed: 42, Policy: core.FullGPU, Gateway: gwCfg},
-		{Name: "b", Model: cfg, Seed: 42, Policy: core.FullGPU, Gateway: gwCfg},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	prompt := testPrompt(3) // 6 tokens ≥ one 4-token block
-	for i := 0; i < 6; i++ {
-		if _, err := r.Submit(ctx, prompt, 4); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if hits := r.Snapshot().AffinityHits; hits < 5 {
-		t.Errorf("affinity hits = %d, want ≥5 (all repeats after the first)", hits)
 	}
 	sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
 	defer scancel()

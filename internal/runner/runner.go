@@ -23,8 +23,8 @@ import (
 // workerOverride holds the -j override; 0 means "use GOMAXPROCS".
 var workerOverride atomic.Int64
 
-// SetWorkers overrides the default worker count used by Map and NewPool
-// (the lia-bench -j flag). n <= 0 restores the GOMAXPROCS default;
+// SetWorkers overrides the default worker count Map uses (the
+// lia-bench -j flag). n <= 0 restores the GOMAXPROCS default;
 // n == 1 restores fully sequential execution.
 func SetWorkers(n int) {
 	if n < 0 {
@@ -33,7 +33,7 @@ func SetWorkers(n int) {
 	workerOverride.Store(int64(n))
 }
 
-// Workers returns the worker count Map and NewPool currently use.
+// Workers returns the worker count Map currently uses.
 func Workers() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
@@ -113,79 +113,4 @@ func Map[T, R any](ctx context.Context, items []T, fn func(context.Context, T) (
 		return nil, err
 	}
 	return results, nil
-}
-
-// Pool is a bounded worker pool for heterogeneous jobs: Go submits a
-// job, Wait blocks until all submitted jobs finish and returns the
-// first error in submission order. At most Workers() (at NewPool time)
-// jobs run concurrently; once a job fails, later-submitted jobs that
-// have not started yet are skipped with the pool context canceled.
-type Pool struct {
-	parent context.Context
-	ctx    context.Context
-	cancel context.CancelFunc
-	sem    chan struct{}
-	wg     sync.WaitGroup
-
-	mu   sync.Mutex
-	errs []error // genuine job failures only, indexed by submission order
-}
-
-// NewPool returns a pool bounded at Workers() concurrent jobs.
-func NewPool(ctx context.Context) *Pool {
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	return &Pool{parent: parent, ctx: ctx, cancel: cancel, sem: make(chan struct{}, Workers())}
-}
-
-// Go submits a job. It never blocks the caller beyond pool admission.
-func (p *Pool) Go(fn func(context.Context) error) {
-	p.mu.Lock()
-	idx := len(p.errs)
-	p.errs = append(p.errs, nil)
-	p.mu.Unlock()
-
-	p.wg.Add(1)
-	p.sem <- struct{}{}
-	if p.ctx.Err() != nil {
-		// Canceled before this job could start: skip it at admission
-		// time, recording nothing — the cause is already held at the
-		// failing job's index (or by the parent context), and recording
-		// ctx.Err() here could mask a genuine failure at a higher index.
-		// Deciding here rather than in the goroutine means a job
-		// admitted before any failure always runs to completion, so its
-		// error is always recorded (the Map ordering guarantee).
-		<-p.sem
-		p.wg.Done()
-		return
-	}
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-		}()
-		if err := fn(p.ctx); err != nil {
-			p.cancel()
-			p.mu.Lock()
-			p.errs[idx] = err
-			p.mu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks for all submitted jobs and returns the first genuine job
-// failure by submission order, falling back to the parent context's
-// error, and nil when every job succeeded. Cancellation-skipped jobs
-// never shadow the failure that triggered the cancellation.
-func (p *Pool) Wait() error {
-	p.wg.Wait()
-	p.cancel()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, err := range p.errs {
-		if err != nil {
-			return fmt.Errorf("runner: job %d: %w", i, err)
-		}
-	}
-	return p.parent.Err()
 }

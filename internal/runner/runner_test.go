@@ -212,35 +212,3 @@ func TestCachePanicDoesNotDeadlockWaiters(t *testing.T) {
 		t.Fatal("waiter deadlocked behind a panicking computation")
 	}
 }
-
-// TestPoolFirstErrorBySubmissionOrder: Wait reports the earliest
-// submitted failure and skips unstarted jobs after it.
-func TestPoolFirstErrorBySubmissionOrder(t *testing.T) {
-	SetWorkers(2)
-	defer SetWorkers(0)
-	p := NewPool(context.Background())
-	errA := errors.New("a")
-	p.Go(func(context.Context) error { time.Sleep(time.Millisecond); return errA })
-	p.Go(func(context.Context) error { return errors.New("b") })
-	err := p.Wait()
-	if !errors.Is(err, errA) {
-		t.Fatalf("err = %v, want first-submitted failure", err)
-	}
-}
-
-// TestPoolRunsAll: every submitted job runs when none fail.
-func TestPoolRunsAll(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	var ran atomic.Int64
-	p := NewPool(context.Background())
-	for i := 0; i < 20; i++ {
-		p.Go(func(context.Context) error { ran.Add(1); return nil })
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 20 {
-		t.Fatalf("ran %d/20 jobs", ran.Load())
-	}
-}

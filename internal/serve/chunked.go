@@ -21,6 +21,10 @@ import (
 //
 // chunk is the per-iteration prefill token budget (across all prefilling
 // sequences).
+//
+// No program calls it: it backs EXPERIMENTS.md's "chunked prefill
+// inverts under offloading" through its tests until the policy becomes a
+// batchpolicy option the live gateway can run too.
 func SimulateChunked(cfg Config, reqs []Request, chunk int) (Metrics, error) {
 	if err := cfg.check(reqs); err != nil {
 		return Metrics{}, err

@@ -195,14 +195,6 @@ func (r Result) Finish(h Handle) units.Seconds { return r.s.tasks[h].finish }
 // Busy is a resource's total service time, summed in FIFO order.
 func (r Result) Busy(on Resource) units.Seconds { return r.s.resources[on].busy }
 
-// Utilization returns a resource's busy fraction of the makespan.
-func (r Result) Utilization(on Resource) float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return float64(r.Busy(on)) / float64(r.Makespan)
-}
-
 // resolve turns the dependencies Add was given by name into handles.
 func (s *Schedule) resolve() error {
 	for _, u := range s.unresolved {

@@ -42,8 +42,8 @@ func TestSerialTasksOnOneResource(t *testing.T) {
 	if b := res.Start(at(t, s, "b")); b != 1 {
 		t.Errorf("b starts at %v, want 1", b)
 	}
-	if u := res.Utilization(s.Resource("gpu")); math.Abs(u-1) > 1e-12 {
-		t.Errorf("gpu utilization = %v, want 1", u)
+	if busy := res.Busy(s.Resource("gpu")); busy != res.Makespan {
+		t.Errorf("gpu busy %v, want the whole makespan %v", busy, res.Makespan)
 	}
 }
 
@@ -163,13 +163,6 @@ func TestZeroDurationTasks(t *testing.T) {
 	res := mustRun(t, s)
 	if res.Makespan != 0 {
 		t.Errorf("makespan = %v, want 0", res.Makespan)
-	}
-}
-
-func TestUtilizationOnEmptyResult(t *testing.T) {
-	var r Result
-	if r.Utilization(0) != 0 {
-		t.Error("empty result utilization should be 0")
 	}
 }
 

@@ -65,9 +65,3 @@ func (g *BlendGenerator) Batch(n int) []Request {
 	}
 	return out
 }
-
-// BlendMeanOutput returns the blended stream's expected output length:
-// the ratio-weighted mixture of the family means.
-func BlendMeanOutput(ratio float64) float64 {
-	return ratio*float64(Code.MeanOutput()) + (1-ratio)*float64(Conversation.MeanOutput())
-}

@@ -57,7 +57,7 @@ func TestBlendGeneratorStatistics(t *testing.T) {
 	}
 	// Blended mean: mixture sd ≈ 214 at ratio 0.5, so 4σ/√n ≈ 8.6.
 	blended := (codeOut + convOut) / n
-	want := BlendMeanOutput(ratio)
+	want := blendMeanOutput(ratio)
 	sd := math.Sqrt(ratio*(32*32) + (1-ratio)*(256*256) + ratio*(1-ratio)*(256-32)*(256-32))
 	if math.Abs(blended-want) > 4*sd/math.Sqrt(n) {
 		t.Errorf("blended output mean %.2f, want ≈%.1f", blended, want)
@@ -92,4 +92,10 @@ func TestBlendGeneratorDeterminismAndEdges(t *testing.T) {
 	if _, err := NewBlendGenerator(0.5, 0, 128, 1); err == nil {
 		t.Error("minIn 0 must be rejected")
 	}
+}
+
+// blendMeanOutput returns the blended stream's expected output length:
+// the ratio-weighted mixture of the family means.
+func blendMeanOutput(ratio float64) float64 {
+	return ratio*float64(Code.MeanOutput()) + (1-ratio)*float64(Conversation.MeanOutput())
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -111,27 +110,4 @@ func (g *LowEntropyGenerator) Batch(n int) []PromptRequest {
 		out[i] = g.Next()
 	}
 	return out
-}
-
-// EmpiricalEntropy returns the order-0 Shannon entropy (bits per token)
-// of the pooled prompt token stream — the knob the spec-decode benches
-// report alongside acceptance rate.
-func EmpiricalEntropy(prompts [][]int) float64 {
-	counts := map[int]int{}
-	total := 0
-	for _, p := range prompts {
-		for _, t := range p {
-			counts[t]++
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 )
 
@@ -73,7 +74,7 @@ func TestLowEntropyIsLowEntropy(t *testing.T) {
 		for _, r := range g.Batch(reqs) {
 			prompts = append(prompts, r.Prompt)
 		}
-		return EmpiricalEntropy(prompts)
+		return empiricalEntropy(prompts)
 	}
 
 	low := sample(lowEntropySpec())
@@ -119,4 +120,26 @@ func TestLowEntropyValidation(t *testing.T) {
 			t.Errorf("spec %d (%+v) accepted, want error", i, spec)
 		}
 	}
+}
+
+// empiricalEntropy returns the order-0 Shannon entropy (bits per token)
+// of the pooled prompt token stream.
+func empiricalEntropy(prompts [][]int) float64 {
+	counts := map[int]int{}
+	total := 0
+	for _, p := range prompts {
+		for _, t := range p {
+			counts[t]++
+			total++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	h := 0.0
+	for _, c := range counts {
+		p := float64(c) / float64(total)
+		h -= p * math.Log2(p)
+	}
+	return h
 }

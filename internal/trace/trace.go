@@ -155,21 +155,3 @@ func RepresentativeInputs(maxSeqLen, outputLen int) []int {
 
 // RepresentativeOutputs returns the paper's two L_out settings.
 func RepresentativeOutputs() []int { return []int{32, 256} }
-
-// AverageRequest summarizes a request slice as a Workload with the mean
-// input and output lengths (batch = len(reqs)).
-func AverageRequest(reqs []Request) (Workload, error) {
-	if len(reqs) == 0 {
-		return Workload{}, fmt.Errorf("trace: empty request slice")
-	}
-	var in, out int
-	for _, r := range reqs {
-		in += r.InputLen
-		out += r.OutputLen
-	}
-	return Workload{
-		Batch:     len(reqs),
-		InputLen:  in / len(reqs),
-		OutputLen: out / len(reqs),
-	}, nil
-}

@@ -151,17 +151,3 @@ func TestRepresentativeInputs(t *testing.T) {
 		}
 	}
 }
-
-func TestAverageRequest(t *testing.T) {
-	reqs := []Request{{InputLen: 100, OutputLen: 10}, {InputLen: 300, OutputLen: 30}}
-	w, err := AverageRequest(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Batch != 2 || w.InputLen != 200 || w.OutputLen != 20 {
-		t.Errorf("AverageRequest = %+v", w)
-	}
-	if _, err := AverageRequest(nil); err == nil {
-		t.Error("empty slice accepted")
-	}
-}
