@@ -88,11 +88,13 @@ func runBF16Tile(t *testing.T, kern kernel, m, n, kPairs int, cImg, aImg, bImg [
 		// E + O itself, except that a -0 sum comes back +0. The C image
 		// is added to it in the model's rounding, which is the oracle's
 		// result unless both C and E + O are -0.
+		// The stripe routine stores its one block with stride blockN.
 		hw := hwConfig(cfg)
-		sum := make([]float32, m*n)
-		tdpbf16psChain(&hw, &sum[0], uintptr(n*4), &aImg[0], uintptr(kPairs*4), &bImg[0], uintptr(n*4), &[2]uintptr{}, 1)
+		var sum [tileLanes]float32
+		one := uintptr(1)
+		tdpbf16psStripe(&hw, &sum[0], &aImg[0], uintptr(kPairs*4), &bImg[0], uintptr(n*4), &[2]uintptr{}, &one, 1)
 		for i := range c {
-			c[i] = bf16Add(c[i], sum[i])
+			c[i] = bf16Add(c[i], sum[i/n*blockN+i%n])
 		}
 	}
 	must(t, u.TileStoreCheck(tmmC, m*n*4, n*4))
@@ -123,7 +125,7 @@ func needKernel(t *testing.T, kern kernel) {
 // the byte oracle moves the images through the tile file; the decoded
 // path pre-decodes them the way the packers do (A row-major lanes, B
 // column-major lanes); the hardware path runs the *Check ops and then
-// one tdpbusdChain over the images themselves.
+// one tdpbusdStripe of one block over the images themselves.
 func runINT8Tile(t *testing.T, kern kernel, m, n, kQuads int, cImg, aImg, bImg []byte) (cOut []byte, cycles uint64) {
 	t.Helper()
 	u := NewUnit()
@@ -171,10 +173,11 @@ func runINT8Tile(t *testing.T, kern kernel, m, n, kQuads int, cImg, aImg, bImg [
 		// starting accumulator, and wrapping int32 addition is
 		// associative, so adding it afterwards is the same sum.
 		hw := hwConfig(cfg)
-		sum := make([]int32, m*n)
-		tdpbusdChain(&hw, &sum[0], uintptr(n*4), &aImg[0], uintptr(kQuads*4), &bImg[0], uintptr(n*4), &[2]uintptr{}, 1)
+		var sum [tileLanes]int32
+		one := uintptr(1)
+		tdpbusdStripe(&hw, &sum[0], &aImg[0], uintptr(kQuads*4), &bImg[0], uintptr(n*4), &[2]uintptr{}, &one, 1)
 		for i := range c {
-			c[i] += sum[i]
+			c[i] += sum[i/n*blockN+i%n]
 		}
 	}
 	must(t, u.TileStoreCheck(tmmC, m*n*4, n*4))

@@ -33,25 +33,30 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xinuse returns XGETBV with ECX = 1: XCR0 masked by the state
 // components the calling thread has in use (bit 18 is TILEDATA). Valid
 // only where CPUID.(0xD,1).EAX bit 2 is set; tests use it to show that
-// tdpbusdChain leaves the tile state INIT.
+// the stripe routines leave the tile state INIT.
 func xinuse() uint64
 
-// tdpbusdChain runs one output block's k-chain on the tile unit:
-// ldtilecfg cfg · tilezero tmm0 · for each of the n (aOff, bOff) pairs at
-// offs, tileloadd tmm1 ← a+aOff (stride aStride), tileloadd tmm2 ←
-// b+bOff (stride bStride), tdpbusd tmm0 += tmm1·tmm2 · tilestored tmm0 →
-// c (stride cStride) · tilerelease. It checks nothing: the caller has
-// validated every address against cfg's geometry with the *Check ops,
-// because on silicon a bad operand is a fault, not an error. Tile state
-// is INIT again when it returns, so the goroutine may migrate threads.
+// tdpbusdStripe issues one stripe's queued output blocks to the tile
+// unit in one call: ldtilecfg cfg, then for each block i < blocks
+// tilezero tmm0 · chain[i] × (tileloadd tmm1 ← a+aOff (stride aStride) ·
+// tileloadd tmm2 ← b+bOff (stride bStride) · tdpbusd tmm0 += tmm1·tmm2),
+// taking the (aOff, bOff) pairs from offs in order, · tilestored tmm0 →
+// c + i·1024 bytes (16 rows of 64) — then one tilerelease. A block with
+// an empty chain is stored as tilezero left it, +0 in every lane.
+// blocks must be at least 1 and at most stripeBlocks, which bounds the
+// accumulator at c and the time between the caller's preemption points.
+// The routine checks nothing: the caller has run every block's *Check
+// ops against cfg's geometry first, because on silicon a bad operand is
+// a fault, not an error. Tile state is INIT again when it returns, so the
+// goroutine may migrate threads.
 //
 //go:noescape
-func tdpbusdChain(cfg *hwTileCfg, c *int32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
+func tdpbusdStripe(cfg *hwTileCfg, c *int32, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, chain *uintptr, blocks int)
 
-// tdpbf16psChain is tdpbusdChain with tdpbf16ps as the dot product: a
+// tdpbf16psStripe is tdpbusdStripe with tdpbf16ps as the dot product: a
 // holds bf16 pairs, b their VNNI-packed right operand, c float32. The
 // same contract holds: everything validated by the caller, tile state
 // INIT on return.
 //
 //go:noescape
-func tdpbf16psChain(cfg *hwTileCfg, c *float32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
+func tdpbf16psStripe(cfg *hwTileCfg, c *float32, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, chain *uintptr, blocks int)

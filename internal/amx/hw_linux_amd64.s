@@ -6,24 +6,32 @@
 // assembler has no AMX mnemonics. Each carries its mnemonic beside it
 // (VEX; tmm0 = C, tmm1 = A, tmm2 = B); the B load's SIB byte names DI as
 // the stride register instead of SI (0x3A for 0x32) so the two operands
-// can have different strides.
+// can have different strides; the store's SIB byte (0x03) takes its
+// stride from AX.
 
-// TDP_CHAIN is the body the two chains share, over the frame of their
-// common Go signature: ldtilecfg cfg · tilezero tmm0 · n × (tileloadd
-// tmm1 · tileloadd tmm2 · TDP) · tilestored tmm0 · tilerelease, where
-// TDP is one dot-product instruction, tmm0 += tmm1·tmm2.
-#define TDP_CHAIN(TDP) \
+// TDP_STRIPE is the body the two stripe routines share, over the frame
+// of their common Go signature: ldtilecfg cfg, then for each queued
+// block i < blocks tilezero tmm0 · its k-chain, chain[i] × (tileloadd
+// tmm1 · tileloadd tmm2 · TDP) · tilestored tmm0 → c + i·1024 (stride 64),
+// then one tilerelease. TDP is one dot-product instruction,
+// tmm0 += tmm1·tmm2. AX holds the C stride once the palette is loaded.
+#define TDP_STRIPE(TDP) \
 	MOVQ cfg+0(FP), AX \
-	MOVQ a+24(FP), R8 \
-	MOVQ aStride+32(FP), SI \
-	MOVQ b+40(FP), R9 \
-	MOVQ bStride+48(FP), DI \
-	MOVQ offs+56(FP), R10 \
-	MOVQ n+64(FP), R11 \
+	MOVQ c+8(FP), BX \
+	MOVQ a+16(FP), R8 \
+	MOVQ aStride+24(FP), SI \
+	MOVQ b+32(FP), R9 \
+	MOVQ bStride+40(FP), DI \
+	MOVQ offs+48(FP), R10 \
+	MOVQ chain+56(FP), R12 \
+	MOVQ blocks+64(FP), R13 \
 	/* ldtilecfg (AX) */ \
 	BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x00 \
+	MOVQ $64, AX \
+block: \
 	/* tilezero tmm0 */ \
 	BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC0 \
+	MOVQ 0(R12), R11 \
 	TESTQ R11, R11 \
 	JZ    store \
 loop: \
@@ -40,10 +48,12 @@ loop: \
 	DECQ R11 \
 	JNZ  loop \
 store: \
-	MOVQ c+8(FP), BX \
-	MOVQ cStride+16(FP), SI \
-	/* tilestored tmm0, (BX)(SI*1) */ \
-	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x04; BYTE $0x33 \
+	/* tilestored tmm0, (BX)(AX*1) */ \
+	BYTE $0xC4; BYTE $0xE2; BYTE $0x7A; BYTE $0x4B; BYTE $0x04; BYTE $0x03 \
+	ADDQ $1024, BX \
+	ADDQ $8, R12 \
+	DECQ R13 \
+	JNZ  block \
 	/* tilerelease */ \
 	BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0 \
 	RET
@@ -73,10 +83,10 @@ TEXT ·xinuse(SB), NOSPLIT, $0-8
 	MOVQ AX, ret+0(FP)
 	RET
 
-// func tdpbusdChain(cfg *hwTileCfg, c *int32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
-TEXT ·tdpbusdChain(SB), NOSPLIT, $0-72
-	TDP_CHAIN(TDPBUSD)
+// func tdpbusdStripe(cfg *hwTileCfg, c *int32, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, chain *uintptr, blocks int)
+TEXT ·tdpbusdStripe(SB), NOSPLIT, $0-72
+	TDP_STRIPE(TDPBUSD)
 
-// func tdpbf16psChain(cfg *hwTileCfg, c *float32, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
-TEXT ·tdpbf16psChain(SB), NOSPLIT, $0-72
-	TDP_CHAIN(TDPBF16PS)
+// func tdpbf16psStripe(cfg *hwTileCfg, c *float32, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, chain *uintptr, blocks int)
+TEXT ·tdpbf16psStripe(SB), NOSPLIT, $0-72
+	TDP_STRIPE(TDPBF16PS)

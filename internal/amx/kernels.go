@@ -25,36 +25,36 @@ type tmul[A float32 | uint8, E float32 | int8, C float32 | int32] struct {
 	busd       bool
 	tdp        func(u *Unit, dst, a, b int) error
 	tdpDecoded func(u *Unit, dst, a, b, rows int, fast bool, c []C, cStride int, aDec []A, aStride int, bCols []E, bColStride int) error
-	// chain is the tile unit's k-chain of one output block.
-	chain func(cfg *hwTileCfg, c *C, cStride uintptr, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, n int)
+	// stripe issues a stripe's queued blocks to the tile unit.
+	stripe func(cfg *hwTileCfg, c *C, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, chain *uintptr, blocks int)
 	// packA writes A's padded tile image; decodeA its padded decoded
 	// lanes, returning their span, into buffers from scratch.
 	packA   func(dst []byte, src []A, rows, cols, padRows, padCols int)
 	decodeA func(dst, src []A, rows, cols, padRows, padCols int) bf16Span
 	scratch *scratchPool[A]
-	// acc is a unit's flat accumulator; fromBits reads one lane of a
+	// acc is a unit's stripe accumulator; fromBits reads one lane of a
 	// stored C tile.
-	acc      func(pu *pooledUnit) *[blockM * blockN]C
+	acc      func(pu *pooledUnit) *[stripeBlocks * tileLanes]C
 	fromBits func(uint32) C
 }
 
 var (
 	bf16TMUL = tmul[float32, float32, float32]{
 		tdp: (*Unit).TDPBF16PS, tdpDecoded: (*Unit).tdpBF16PSDecodedRows,
-		chain: tdpbf16psChain, packA: packBF16Into, decodeA: packBF16DecodedInto, scratch: &f32Scratch,
-		acc:      func(pu *pooledUnit) *[blockM * blockN]float32 { return &pu.cDecF },
+		stripe: tdpbf16psStripe, packA: packBF16Into, decodeA: packBF16DecodedInto, scratch: &f32Scratch,
+		acc:      func(pu *pooledUnit) *[stripeBlocks * tileLanes]float32 { return &pu.accF },
 		fromBits: f32FromBits,
 	}
 	int8TMUL = tmul[uint8, int8, int32]{
 		busd: true, tdp: (*Unit).TDPBUSD, tdpDecoded: (*Unit).tdpBUSDDecodedRows,
-		chain: tdpbusdChain, packA: packU8Into, scratch: &byteScratch,
+		stripe: tdpbusdStripe, packA: packU8Into, scratch: &byteScratch,
 		// The unsigned A image needs no decoding: its padded bytes are the
 		// lane values and the tile unit's layout.
 		decodeA: func(dst, src []uint8, rows, cols, padRows, padCols int) bf16Span {
 			packU8Into(dst, src, rows, cols, padRows, padCols)
 			return bf16Span{}
 		},
-		acc:      func(pu *pooledUnit) *[blockM * blockN]int32 { return &pu.cDecI },
+		acc:      func(pu *pooledUnit) *[stripeBlocks * tileLanes]int32 { return &pu.accI },
 		fromBits: func(b uint32) int32 { return int32(b) },
 	}
 )
@@ -92,9 +92,9 @@ type bytesKernel[A float32 | uint8, E float32 | int8, C float32 | int32] struct 
 	a []byte // padded tile image of A (tmul.packA)
 }
 
-func (k bytesKernel[A, E, C]) zero(pu *pooledUnit) error { return pu.u.TileZero(tmmC) }
+func (k bytesKernel[A, E, C]) zero(pu *pooledUnit, _ int) error { return pu.u.TileZero(tmmC) }
 
-func (k bytesKernel[A, E, C]) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
+func (k bytesKernel[A, E, C]) mac(pu *pooledUnit, _, rb, cb, kb, _ int) error {
 	aOff, bOff := k.offsets(rb, cb, kb)
 	if err := pu.u.TileLoad(tmmA, k.a[aOff:], k.aStride); err != nil {
 		return err
@@ -105,17 +105,19 @@ func (k bytesKernel[A, E, C]) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
 	return k.t.tdp(pu.u, tmmC, tmmA, tmmB)
 }
 
-func (k bytesKernel[A, E, C]) store(pu *pooledUnit) ([]C, error) {
+func (k bytesKernel[A, E, C]) store(pu *pooledUnit, s int) error {
 	cTile := pu.cTile[:blockM*blockN*4]
 	if err := pu.u.TileStore(tmmC, cTile, blockN*4); err != nil {
-		return nil, err
+		return err
 	}
-	acc := k.t.acc(pu)
+	acc := k.t.acc(pu)[s*tileLanes : (s+1)*tileLanes]
 	for i := range acc {
 		acc[i] = k.t.fromBits(binary.LittleEndian.Uint32(cTile[4*i:]))
 	}
-	return acc[:], nil
+	return nil
 }
+
+func (k bytesKernel[A, E, C]) issue(pu *pooledUnit, _ int) []C { return k.t.acc(pu)[:] }
 
 // decodedKernel is the decoded block kernel: the same TileZero /
 // TileLoad / TDP / TileStore sequence as bytesKernel — identical faults
@@ -131,12 +133,12 @@ type decodedKernel[A float32 | uint8, E float32 | int8, C float32 | int32] struc
 	fast bool
 }
 
-func (k decodedKernel[A, E, C]) zero(pu *pooledUnit) error {
-	*k.t.acc(pu) = [blockM * blockN]C{}
+func (k decodedKernel[A, E, C]) zero(pu *pooledUnit, s int) error {
+	clear(k.t.acc(pu)[s*tileLanes : (s+1)*tileLanes])
 	return pu.u.TileZeroCheck(tmmC)
 }
 
-func (k decodedKernel[A, E, C]) mac(pu *pooledUnit, rb, cb, kb, valid int) error {
+func (k decodedKernel[A, E, C]) mac(pu *pooledUnit, s, rb, cb, kb, valid int) error {
 	// The loads are checked against the image bytes the byte path would
 	// read: the decoded views hold as many lanes as the images, though
 	// the B view is column-major.
@@ -148,33 +150,35 @@ func (k decodedKernel[A, E, C]) mac(pu *pooledUnit, rb, cb, kb, valid int) error
 		return err
 	}
 	bCol := cb*blockN*k.w.decStride + kb*MaxColBytes/k.lane
-	return k.t.tdpDecoded(pu.u, tmmC, tmmA, tmmB, valid, k.fast, k.t.acc(pu)[:], blockN, k.a[aOff/k.lane:], k.w.padK, k.w.dec[bCol:], k.w.decStride)
+	return k.t.tdpDecoded(pu.u, tmmC, tmmA, tmmB, valid, k.fast, k.t.acc(pu)[s*tileLanes:(s+1)*tileLanes], blockN, k.a[aOff/k.lane:], k.w.padK, k.w.dec[bCol:], k.w.decStride)
 }
 
-func (k decodedKernel[A, E, C]) store(pu *pooledUnit) ([]C, error) {
-	return k.t.acc(pu)[:], pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4)
+func (k decodedKernel[A, E, C]) store(pu *pooledUnit, _ int) error {
+	return pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4)
 }
+
+func (k decodedKernel[A, E, C]) issue(pu *pooledUnit, _ int) []C { return k.t.acc(pu)[:] }
 
 // hwKernel is the block kernel on the host's tile unit: zero, mac and
 // store run the decoded kernel's *Check ops — faults and modelled cycles
 // are the emulator's — with every load validated against the bytes the
-// instruction reads (the padded A image, the VNNI image of B); mac
-// queues the validated block and store issues the block's k-chain in one
-// tmul.chain call, which starts from TILEZERO and stores the whole tile
-// into the unit's accumulator. The emulator computes both instructions
-// in the tile unit's order and rounding, so results are bit-identical to
-// it.
+// instruction reads (the padded A image, the VNNI image of B), and queue
+// each validated k-block's (A, B) offsets on the unit; issue hands the
+// stripe's queued blocks to the tile unit in one tmul.stripe call, which
+// starts every block from TILEZERO and stores it into its slot of the
+// unit's accumulator. The emulator computes both instructions in the
+// tile unit's order and rounding, so results are bit-identical to it.
 type hwKernel[A float32 | uint8, E float32 | int8, C float32 | int32] struct {
 	product[A, E, C]
 	a []byte // padded tile image of A (tmul.packA)
 }
 
-func (k hwKernel[A, E, C]) zero(pu *pooledUnit) error {
-	pu.hwOffs = pu.hwOffs[:0]
+func (k hwKernel[A, E, C]) zero(pu *pooledUnit, s int) error {
+	pu.hwChain[s] = 0
 	return pu.u.TileZeroCheck(tmmC)
 }
 
-func (k hwKernel[A, E, C]) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
+func (k hwKernel[A, E, C]) mac(pu *pooledUnit, s, rb, cb, kb, _ int) error {
 	aOff, bOff := k.offsets(rb, cb, kb)
 	if err := pu.u.TileLoadCheck(tmmA, len(k.a)-aOff, k.aStride); err != nil {
 		return err
@@ -186,21 +190,27 @@ func (k hwKernel[A, E, C]) mac(pu *pooledUnit, rb, cb, kb, _ int) error {
 		return err
 	}
 	pu.hwOffs = append(pu.hwOffs, [2]uintptr{uintptr(aOff), uintptr(bOff)})
+	pu.hwChain[s]++
 	return nil
 }
 
-func (k hwKernel[A, E, C]) store(pu *pooledUnit) ([]C, error) {
-	if err := pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4); err != nil {
-		return nil, err
-	}
+func (k hwKernel[A, E, C]) store(pu *pooledUnit, _ int) error {
+	return pu.u.TileStoreCheck(tmmC, blockM*blockN*4, blockN*4)
+}
+
+func (k hwKernel[A, E, C]) issue(pu *pooledUnit, n int) []C {
 	acc := k.t.acc(pu)
-	if n := len(pu.hwOffs); n > 0 {
-		k.t.chain(&pu.hwCfg, &acc[0], blockN*4, &k.a[0], uintptr(k.aStride), &k.w.vnni[0], uintptr(k.bStride), &pu.hwOffs[0], n)
-	} else {
-		// The bitmap skipped every k-block: the block is zero.
-		*acc = [blockM * blockN]C{}
+	if n > 0 {
+		// A stripe whose every block the bitmap emptied queues no
+		// offsets; the routine then reads none.
+		var offs *[2]uintptr
+		if len(pu.hwOffs) > 0 {
+			offs = &pu.hwOffs[0]
+		}
+		k.t.stripe(&pu.hwCfg, &acc[0], &k.a[0], uintptr(k.aStride), &k.w.vnni[0], uintptr(k.bStride), offs, &pu.hwChain[0], n)
 	}
-	return acc[:], nil
+	pu.hwOffs = pu.hwOffs[:0]
+	return acc[:]
 }
 
 // hwTileCfg is LDTILECFG's 64-byte memory operand: byte 0 the palette

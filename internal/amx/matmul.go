@@ -3,6 +3,8 @@ package amx
 import (
 	"encoding/binary"
 	"fmt"
+
+	"github.com/lia-sim/lia/internal/tensor"
 )
 
 // Tile-blocking geometry: each TDPBF16PS consumes a 16×32 bf16 A block
@@ -33,16 +35,12 @@ var matmulConfig = TileConfig{Tiles: [NumTiles]TileShape{
 // packBF16Into writes the padded bf16 image of src into dst, overwriting
 // every byte (dst may carry stale data from a previous use). Only the
 // padding rows/columns are zeroed — the payload region is written
-// exactly once, not zeroed and then overwritten.
+// exactly once, not zeroed and then overwritten, each row in one vector
+// pass (tensor.PackBF16, BF16FromFloat32 lane for lane).
 func packBF16Into(dst []byte, src []float32, rows, cols, padRows, padCols int) {
 	for r := 0; r < rows; r++ {
-		srow := src[r*cols : r*cols+cols]
 		drow := dst[r*padCols*2 : (r+1)*padCols*2]
-		for c, f := range srow {
-			v := BF16FromFloat32(f)
-			drow[c*2] = byte(v)
-			drow[c*2+1] = byte(v >> 8)
-		}
+		tensor.PackBF16(drow, src[r*cols:r*cols+cols])
 		clear(drow[cols*2:]) // padding columns
 	}
 	clear(dst[rows*padCols*2 : padRows*padCols*2]) // padding rows

@@ -29,6 +29,17 @@ const (
 	// claims at a time: coarse enough that claiming is noise, fine enough
 	// that a late helper still finds work.
 	chunkColBlocks = 4
+	// stripeBlocks caps the column blocks of a stripe that are queued
+	// and then issued together (blockKernel.issue): one LDTILECFG and one
+	// TILERELEASE per call instead of per block, a 16 KB accumulator per
+	// element type, and a bounded run between preemption points.
+	stripeBlocks = 16
+	// tileLanes is one output block's lanes: 16 rows of 16.
+	tileLanes = blockM * blockN
+	// hwOffsCap is a new unit's room for queued k-blocks: a full stripe
+	// of K up to 2,048 BF16 lanes (64 k-blocks), so the queue grows only
+	// for wider products, not as a serving run first meets each shape.
+	hwOffsCap = stripeBlocks * 64
 )
 
 // splits reports whether a rowBlocks × colBlocks grid over m activation
@@ -41,21 +52,28 @@ func splits(m, rowBlocks, colBlocks, kBlocks int) bool {
 // pooledUnit is one emulated core's persistent state: a Unit, the
 // last-installed tile palette (so reconfiguration only happens when the
 // geometry changes), a C-tile staging buffer for the byte path, the
-// flat C accumulators of the decoded and hardware kernels (float32 for
+// stripe accumulators every kernel stores its blocks into (float32 for
 // BF16, int32 for INT8), and the hardware kernels' palette encoding and
-// queued k-chain.
+// queued k-chains.
 type pooledUnit struct {
+	// accF and accI hold up to stripeBlocks finished blocks of one
+	// stripe, slot s at [s·tileLanes, (s+1)·tileLanes), row stride blockN.
+	// They come first: a unit is a large object, so its start is
+	// page-aligned and every 64-byte row the tile unit stores into them
+	// fills one cache line instead of straddling two.
+	accF  [stripeBlocks * tileLanes]float32
+	accI  [stripeBlocks * tileLanes]int32
 	u     *Unit
 	cfg   TileConfig
 	cTile [MaxRows * MaxColBytes]byte
-	cDecF [blockM * blockN]float32
-	cDecI [blockM * blockN]int32
 	// hwCfg is cfg encoded for LDTILECFG: the hardware kernel loads
 	// exactly the palette its checks ran against.
 	hwCfg hwTileCfg
-	// hwOffs holds the (A, B) byte offsets of the current block's
-	// validated k-blocks; it grows once per unit and is reused.
-	hwOffs [][2]uintptr
+	// hwOffs holds the (A, B) byte offsets of the queued blocks'
+	// validated k-blocks, block after block, and hwChain[s] how many of
+	// them are slot s's; hwOffs is reused, and grows past hwOffsCap only.
+	hwOffs  [][2]uintptr
+	hwChain [stripeBlocks]uintptr
 }
 
 // ensure installs cfg unless it is already the active palette.
@@ -91,7 +109,7 @@ func getUnit() *pooledUnit {
 		return pu
 	}
 	units.mu.Unlock()
-	return &pooledUnit{u: NewUnit()}
+	return &pooledUnit{u: NewUnit(), hwOffs: make([][2]uintptr, 0, hwOffsCap)}
 }
 
 func putUnit(pu *pooledUnit) {
@@ -183,22 +201,28 @@ const (
 	kernelHW                    // hwKernel, the host's tile unit
 )
 
-// blockKernel is one way of computing a 16×16 output block of a blocked
-// product on a tile unit. The three kernels — the byte oracle, the
-// decoded fast path and the host's tile unit, each instantiated for BF16
-// and INT8 — issue the same instruction sequence with the same faults
-// and cycles and differ only in how the operands travel and where the
-// MACs run, so drive is written once.
+// blockKernel is one way of computing the 16×16 output blocks of a
+// blocked product on a tile unit. The three kernels — the byte oracle,
+// the decoded fast path and the host's tile unit, each instantiated for
+// BF16 and INT8 — issue the same instruction sequence with the same
+// faults and cycles and differ only in how the operands travel, where
+// the MACs run and when, so drive is written once. A stripe's blocks are
+// numbered by slot s from 0 within each issue group of at most
+// stripeBlocks.
 type blockKernel[C float32 | int32] interface {
-	// zero is TILEZERO on the accumulator tile.
-	zero(pu *pooledUnit) error
-	// mac is C(rb, cb) += A(rb, kb) · B(kb, cb): two TILELOADDs and one
-	// TDP. Only the stripe's first valid rows carry data; a kernel may
-	// elide the padding rows' host arithmetic, never their cycles.
-	mac(pu *pooledUnit, rb, cb, kb, valid int) error
-	// store is TILESTORED: the finished accumulator, row-major with stride
-	// blockN, valid until the unit's next zero.
-	store(pu *pooledUnit) ([]C, error)
+	// zero is TILEZERO on slot s's accumulator tile.
+	zero(pu *pooledUnit, s int) error
+	// mac is C(rb, cb) += A(rb, kb) · B(kb, cb) in slot s: two TILELOADDs
+	// and one TDP. Only the stripe's first valid rows carry data; a kernel
+	// may elide the padding rows' host arithmetic, never their cycles.
+	mac(pu *pooledUnit, s, rb, cb, kb, valid int) error
+	// store is TILESTORED of slot s into its slot of the stripe
+	// accumulator.
+	store(pu *pooledUnit, s int) error
+	// issue finishes slots [0, n) — the tile unit runs them here; the
+	// emulators already have — and returns the stripe accumulator, valid
+	// until the unit's next zero.
+	issue(pu *pooledUnit, n int) []C
 }
 
 // drive runs one blocked product C (m×n) over the grid of 16×16 output
@@ -220,40 +244,60 @@ func drive[C float32 | int32, K blockKernel[C]](cfg TileConfig, kern K, c []C, m
 }
 
 // driveStripe computes column blocks [cbLo, cbHi) of one 16-row stripe of
-// the output. A non-nil zero bitmap (sparse operand) elides a marked
-// block's TileLoads and TDP for every kernel alike, which is what keeps
-// the byte and decoded kernels bit-identical on sparse operands. Not a
-// closure in drive: the team path's would escape and the inline path
-// must stay allocation-free.
+// the output, at most stripeBlocks at a time: every block's checks run
+// (queueBlocks), then the kernel issues the checked blocks and their
+// valid rows are scattered — those before a failed check too, so a fault
+// leaves c as issuing each block before checking the next would. Not a closure in drive:
+// the team path's would escape and the inline path must stay
+// allocation-free.
 func driveStripe[C float32 | int32, K blockKernel[C]](pu *pooledUnit, kern K, rb, cbLo, cbHi, kBlocks int, c []C, m, n int, zero *zeroBitmap) error {
 	// Rows of this stripe that carry real data; the rest of the tile is
 	// zero padding whose accumulator rows are never scattered (a GEMV
 	// otherwise pays 16 rows of host arithmetic for 1 row of output).
 	valid := min(m-rb*blockM, blockM)
-	for cb := cbLo; cb < cbHi; cb++ {
-		if err := kern.zero(pu); err != nil {
+	for lo := cbLo; lo < cbHi; lo += stripeBlocks {
+		done, err := queueBlocks(pu, kern, rb, lo, min(lo+stripeBlocks, cbHi), kBlocks, valid, zero)
+		acc := kern.issue(pu, done)
+		for s := 0; s < done; s++ {
+			cb := lo + s
+			cols := min(n-cb*blockN, blockN)
+			for r := 0; r < valid; r++ {
+				off := (rb*blockM+r)*n + cb*blockN
+				copy(c[off:off+cols], acc[s*tileLanes+r*blockN:][:cols])
+			}
+		}
+		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// queueBlocks runs column blocks [cbLo, cbHi) of stripe rb on the kernel
+// as slots 0, 1, …: TILEZERO, a TDP per k-block — except where a non-nil
+// zero bitmap (sparse operand) marks the block zero, which elides its
+// TileLoads and TDP for every kernel alike, keeping them bit-identical on
+// sparse operands — and TILESTORED. It returns how many blocks were
+// stored and the first fault.
+func queueBlocks[C float32 | int32, K blockKernel[C]](pu *pooledUnit, kern K, rb, cbLo, cbHi, kBlocks, valid int, zero *zeroBitmap) (int, error) {
+	for cb := cbLo; cb < cbHi; cb++ {
+		s := cb - cbLo
+		if err := kern.zero(pu, s); err != nil {
+			return s, err
 		}
 		for kb := 0; kb < kBlocks; kb++ {
 			if zero.skipBlock(cb, kb, kBlocks) {
 				continue
 			}
-			if err := kern.mac(pu, rb, cb, kb, valid); err != nil {
-				return err
+			if err := kern.mac(pu, s, rb, cb, kb, valid); err != nil {
+				return s, err
 			}
 		}
-		acc, err := kern.store(pu)
-		if err != nil {
-			return err
-		}
-		// Scatter the accumulator into the unpadded result.
-		cols := min(n-cb*blockN, blockN)
-		for r := 0; r < valid; r++ {
-			off := (rb*blockM+r)*n + cb*blockN
-			copy(c[off:off+cols], acc[r*blockN:r*blockN+cols])
+		if err := kern.store(pu, s); err != nil {
+			return s, err
 		}
 	}
-	return nil
+	return cbHi - cbLo, nil
 }
 
 // scratchPool recycles one kind of operand buffer across matmul calls.

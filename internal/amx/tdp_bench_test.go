@@ -1,6 +1,9 @@
 package amx
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // benchSink keeps the benchmarks' results live.
 var benchSink any
@@ -145,4 +148,55 @@ func BenchmarkTDPBUSD(b *testing.B) {
 		}
 		benchSink = cDec
 	})
+}
+
+// BenchmarkHWStripe issues 16 full-size BF16 output blocks of 1, 4 and
+// 16 k-steps each to the tile unit, into a pooled unit's accumulator,
+// either one block per stripe-routine call (an LDTILECFG and a
+// TILERELEASE per block) or all 16 in one call; ns/block is the
+// per-block cost EXPERIMENTS.md tabulates.
+func BenchmarkHWStripe(b *testing.B) {
+	if !hwAvailable {
+		b.Skip("no AMX")
+	}
+	for _, kSteps := range []int{1, 4, 16} {
+		const blocks = stripeBlocks
+		k, n := kSteps*blockK, blocks*blockN
+		a, w := make([]float32, blockM*k), make([]float32, k*n)
+		for i := range a {
+			a[i] = float32(i%13)*0.25 - 1.5
+		}
+		for i := range w {
+			w[i] = float32(i%7)*0.5 - 1.5
+		}
+		aImg := make([]byte, blockM*k*2)
+		packBF16Into(aImg, a, blockM, k, blockM, k)
+		bImg := PackBF16VNNI(w, k, n, k, n)
+		aStride, bStride := uintptr(k*2), uintptr(n*4)
+		var offs [][2]uintptr
+		var chain [blocks]uintptr
+		for cb := 0; cb < blocks; cb++ {
+			for kb := 0; kb < kSteps; kb++ {
+				offs = append(offs, [2]uintptr{uintptr(kb * MaxColBytes), uintptr(kb*MaxRows)*bStride + uintptr(cb*MaxColBytes)})
+			}
+			chain[cb] = uintptr(kSteps)
+		}
+		cfg := hwConfig(matmulConfig)
+		acc := &(&pooledUnit{}).accF
+		b.Run(fmt.Sprintf("k=%d/block", kSteps), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for s := 0; s < blocks; s++ {
+					tdpbf16psStripe(&cfg, &acc[s*tileLanes], &aImg[0], aStride, &bImg[0], bStride, &offs[s*kSteps], &chain[s], 1)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+		})
+		b.Run(fmt.Sprintf("k=%d/stripe", kSteps), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tdpbf16psStripe(&cfg, &acc[0], &aImg[0], aStride, &bImg[0], bStride, &offs[0], &chain[0], blocks)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+		})
+		benchSink = acc
+	}
 }

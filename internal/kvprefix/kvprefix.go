@@ -24,8 +24,8 @@
 //     runtime's DDR/CXL tiers) before they are evicted: a spilled node
 //     releases its pool blocks but keeps its data and its place in the
 //     tree, frozen — it cannot match lookups, split, or grow children
-//     until Refetch re-charges pool blocks for it. The event log records
-//     hits, misses, spills, evictions, and refetches.
+//     until Refetch re-charges pool blocks for it. Stats counts hits,
+//     misses, spills, evictions and refetches.
 //
 // The tree is internally locked: the serving batcher mutates it from its
 // single scheduling goroutine while /metrics readers snapshot Stats
@@ -74,47 +74,6 @@ type Config struct {
 	// Spiller, when set, receives cold nodes before they would be evicted.
 	Spiller Spiller
 }
-
-// EventKind labels one prefix-cache decision.
-type EventKind uint8
-
-// Prefix-cache events, in rough lifecycle order.
-const (
-	EventHit EventKind = iota
-	EventMiss
-	EventInsert
-	EventSpill
-	EventEvict
-	EventRefetch
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventHit:
-		return "hit"
-	case EventMiss:
-		return "miss"
-	case EventInsert:
-		return "insert"
-	case EventSpill:
-		return "spill"
-	case EventEvict:
-		return "evict"
-	case EventRefetch:
-		return "refetch"
-	}
-	return fmt.Sprintf("EventKind(%d)", uint8(k))
-}
-
-// Event is one log entry: what happened and how many tokens it covered.
-type Event struct {
-	Kind   EventKind
-	Tokens int
-}
-
-// maxLog bounds the event log (oldest entries drop).
-const maxLog = 4096
 
 // Stats is a point-in-time snapshot of the tree's counters and gauges.
 type Stats struct {
@@ -169,7 +128,6 @@ type Tree struct {
 	pinned     int // nodes with refs > 0
 
 	stats Stats
-	log   []Event
 }
 
 // New builds an empty tree.
@@ -293,10 +251,8 @@ func (t *Tree) Lookup(prompt []int) Match {
 	if m.tokens > 0 {
 		t.stats.Hits++
 		t.stats.HitTokens += uint64(m.tokens)
-		t.logEvent(EventHit, m.tokens)
 	} else {
 		t.stats.Misses++
-		t.logEvent(EventMiss, len(prompt))
 	}
 	return m
 }
@@ -519,7 +475,6 @@ func (t *Tree) newNodeLocked(parent *node, tokens []int, nb int, export Exporter
 	t.resident += nb
 	t.stats.Inserts++
 	t.stats.InsertedBlocks += uint64(nb)
-	t.logEvent(EventInsert, nb*t.cfg.BlockTokens)
 	return n, nil
 }
 
@@ -601,7 +556,6 @@ func (t *Tree) Refetch(prompt []int) int {
 			}
 			t.stats.Refetches++
 			t.stats.RefetchedBlocks += uint64(nb)
-			t.logEvent(EventRefetch, len(child.tokens))
 			restored += j * bt
 		}
 		pos += j * bt
@@ -685,7 +639,6 @@ func (t *Tree) evictSpilledLocked(victim *node) {
 	t.cold--
 	t.nodes--
 	t.stats.Evictions++
-	t.logEvent(EventEvict, len(victim.tokens))
 }
 
 // reclaimLocked frees a victim leaf's blocks: spill first (data moves to
@@ -703,7 +656,6 @@ func (t *Tree) reclaimLocked(victim *node) {
 			t.cold++
 			t.stats.Spills++
 			t.stats.SpilledBlocks += uint64(nb)
-			t.logEvent(EventSpill, len(victim.tokens))
 			return
 		}
 	}
@@ -713,7 +665,6 @@ func (t *Tree) reclaimLocked(victim *node) {
 	t.nodes--
 	t.stats.Evictions++
 	t.stats.EvictedBlocks += uint64(nb)
-	t.logEvent(EventEvict, len(victim.tokens))
 }
 
 // releaseBlocksLocked returns a resident node's blocks to the pool (or
@@ -740,14 +691,6 @@ func (t *Tree) Stats() Stats {
 	st.ColdNodes = t.cold
 	st.PinnedNodes = t.pinned
 	return st
-}
-
-// logEvent appends to the bounded log.
-func (t *Tree) logEvent(kind EventKind, tokens int) {
-	if len(t.log) >= maxLog {
-		t.log = t.log[1:]
-	}
-	t.log = append(t.log, Event{Kind: kind, Tokens: tokens})
 }
 
 // Validate walks the whole tree checking structural invariants — tests

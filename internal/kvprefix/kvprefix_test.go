@@ -268,17 +268,8 @@ func TestPinBlocksEvictionUntilReleased(t *testing.T) {
 	if pool.FreeBlocks() != 4 {
 		t.Fatalf("pool has %d free blocks after eviction, want 4", pool.FreeBlocks())
 	}
-	var evicts int
-	for _, ev := range tr.log {
-		if ev.Kind == EventEvict {
-			evicts++
-			if ev.Tokens != 8 {
-				t.Fatalf("evict event spans %d tokens, want 8", ev.Tokens)
-			}
-		}
-	}
-	if evicts != 1 {
-		t.Fatalf("evict log has %d evictions, want 1", evicts)
+	if got := st.EvictedBlocks * testBT; got != 8 {
+		t.Fatalf("the eviction spans %d tokens, want 8", got)
 	}
 }
 

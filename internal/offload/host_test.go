@@ -3,6 +3,7 @@ package offload
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,11 +24,16 @@ func closeEnough(a, b units.Seconds, rel float64) bool {
 	return math.Abs(fa-fb)/den <= rel
 }
 
-// evictLog returns the cache ids of evicted KV pages in eviction order.
-func evictLog(h *Host) []int64 {
+// lruOrder returns the cache id of every KV page resident in the KV tier,
+// coldest first: the order reclaimColdest takes victims in.
+func lruOrder(h *Host) []int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]int64(nil), h.pt.evictLog...)
+	var ids []int64
+	for e := h.pt.lru.Front(); e != nil; e = e.Next() {
+		ids = append(ids, e.Value.(*kvPage).cacheID)
+	}
+	return ids
 }
 
 // newTinyHost builds a host over a tiny system, failing the test on any
@@ -184,29 +190,30 @@ func TestKVEvictionLRUOrder(t *testing.T) {
 	h.CacheCreated(1, 128)
 	h.CacheCreated(2, 128)
 	h.CacheCreated(3, 128)
+	// step checks the eviction count and the resident pages' LRU order
+	// after one pass: a victim is the page that was coldest, so the
+	// order before a pass and who is gone after it name the victims.
+	step := func(what string, evictions uint64, lru ...int64) {
+		t.Helper()
+		if s := h.Snapshot(); s.KVEvictions != evictions || s.KVSpills != 0 {
+			t.Fatalf("%s: %d evictions, %d spills, want %d and 0", what, s.KVEvictions, s.KVSpills, evictions)
+		}
+		if got := lruOrder(h); !slices.Equal(got, lru) {
+			t.Fatalf("%s: LRU %v, want %v", what, got, lru)
+		}
+	}
 	driveKV(h, 1, 0) // cache 1 allocates its first page
 	driveKV(h, 2, 0) // cache 2 fills the tier
 	driveKV(h, 1, 1) // touch cache 1: cache 2 is now coldest
+	step("tier full", 0, 2, 1)
 	driveKV(h, 3, 0) // needs a page → evicts cache 2's
-	if got := evictLog(h); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("evict log %v, want [2]", got)
-	}
+	step("cache 3's first page", 1, 1, 3)
 	// Re-extending cache 2 must re-fetch its evicted page (one refetch)
 	// and claim a second page, evicting the two coldest: 1 then 3.
 	driveKV(h, 2, 16)
-	want := []int64{2, 1, 3}
-	got := evictLog(h)
-	if len(got) != len(want) {
-		t.Fatalf("evict log %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("evict log %v, want %v", got, want)
-		}
-	}
-	s := h.Snapshot()
-	if s.KVEvictions != 3 || s.KVRefetches != 1 || s.KVSpills != 0 {
-		t.Fatalf("eviction counters: %+v", s)
+	step("cache 2 re-extended", 3, 2, 2)
+	if s := h.Snapshot(); s.KVRefetches != 1 {
+		t.Fatalf("%d refetches, want 1", s.KVRefetches)
 	}
 	// Retiring a cache frees its pages; retiring twice is a no-op.
 	h.CacheRetired(2)

@@ -41,7 +41,6 @@ type pageTable struct {
 	evictions uint64
 	refetches uint64
 	overflows uint64
-	evictLog  []int64 // cache ids in eviction order, for the LRU tests
 }
 
 func newPageTable(plan *Plan, mgr *Manager) *pageTable {
@@ -152,7 +151,6 @@ func (pt *pageTable) reclaimColdest() bool {
 	// re-fetches it. The functional engine still holds the values — the
 	// hooks are observational — so tokens are unaffected.
 	pt.evictions++
-	pt.evictLog = append(pt.evictLog, pg.cacheID)
 	pt.mgr.Free(pg.alloc)
 	if cs, ok := pt.caches[pg.cacheID]; ok && pg.idx < len(cs.pages) && cs.pages[pg.idx] == pg {
 		cs.pages[pg.idx] = nil

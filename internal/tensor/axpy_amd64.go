@@ -114,6 +114,13 @@ func addBiasResidualAVX2(o, p, b *float32, n int)
 //go:noescape
 func roundBF16AVX2(x *float32, n int)
 
+// packBF16AVX2 is PackBF16 over lanes [0, n), n a positive multiple of
+// 8: the bfloat16 of src[i] into dst[2i:2i+2]. It checks nothing and
+// runs VZEROUPPER before returning.
+//
+//go:noescape
+func packBF16AVX2(dst *byte, src *float32, n int)
+
 // minMaxAVX2 is MinMax over lanes [0, n), quantizeU8AVX2 QuantizeU8 and
 // dequantAVX2 DequantizeRow, n a positive multiple of 8, each pointer at
 // the first lane of a slice at least n long. They check nothing and run

@@ -660,6 +660,39 @@ roundloop:
 	VZEROUPPER
 	RET
 
+// func packBF16AVX2(dst *byte, src *float32, n int)
+//
+// roundBF16AVX2's lane rule, then the kept half shifted down and packed
+// to 16-bit lanes: VPACKUSDW saturates nothing, as every lane is below
+// 0x10000 after the shift.
+TEXT ·packBF16AVX2(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	XORQ         AX, AX
+	VPBROADCASTD roundconst<>+0(SB), Y12
+	VPBROADCASTD roundconst<>+4(SB), Y13
+	VPBROADCASTD roundconst<>+8(SB), Y14
+
+packloop:
+	VMOVUPS      (SI)(AX*4), Y0
+	VPSRLD       $16, Y0, Y1
+	VPAND        Y12, Y1, Y1
+	VPADDD       Y13, Y1, Y1
+	VPADDD       Y0, Y1, Y1
+	VPOR         Y14, Y0, Y2
+	VCMPPS       $3, Y0, Y0, Y3
+	VBLENDVPS    Y3, Y2, Y1, Y1
+	VPSRLD       $16, Y1, Y1
+	VEXTRACTI128 $1, Y1, X2
+	VPACKUSDW    X2, X1, X1
+	VMOVDQU      X1, (DI)(AX*2)
+	ADDQ         $8, AX
+	CMPQ         AX, CX
+	JB           packloop
+	VZEROUPPER
+	RET
+
 // extremes holds minMaxAVX2's starting lanes, +Inf and −Inf.
 DATA extremes<>+0(SB)/4, $0x7f800000
 DATA extremes<>+4(SB)/4, $0xff800000

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -19,7 +20,9 @@ import (
 //   - BF16 rounding: integer round-to-nearest-even on the bits,
 //     bits + 0x7fff + (bits>>16 & 1) with the low half then cleared, and
 //     a NaN lane (VCMPPS unordered) blended to its own bits with the quiet
-//     bit set instead — amx.BF16FromFloat32's two cases.
+//     bit set instead — amx.BF16FromFloat32's two cases. PackBF16 then
+//     shifts the kept half down (VPSRLD $16) and packs it to 16-bit
+//     lanes (VPACKUSDW).
 
 // AddBias adds the row vector bias to every row of m in place and returns m.
 func AddBias(m Matrix, bias []float32) Matrix {
@@ -74,14 +77,35 @@ func RoundBF16(xs []float32) {
 		roundBF16AVX2(&xs[0], j)
 	}
 	for ; j < len(xs); j++ {
-		b := math.Float32bits(xs[j])
-		if xs[j] != xs[j] {
-			b |= 0x00400000
-		} else {
-			b += 0x7fff + b>>16&1
-		}
-		xs[j] = math.Float32frombits(b &^ 0xffff)
+		xs[j] = math.Float32frombits(uint32(bf16Of(xs[j])) << 16)
 	}
+}
+
+// PackBF16 writes the bfloat16 of every element of src into dst as
+// little-endian 16-bit lanes, src[i] at dst[2i:2i+2]: the kept half of
+// RoundBF16's result, lane for lane (amx's tile image of a BF16 operand
+// row). dst must hold at least 2·len(src) bytes.
+func PackBF16(dst []byte, src []float32) {
+	dst = dst[:2*len(src)]
+	j := vectorLanes(len(src))
+	if j > 0 {
+		packBF16AVX2(&dst[0], &src[0], j)
+	}
+	for ; j < len(src); j++ {
+		binary.LittleEndian.PutUint16(dst[2*j:], bf16Of(src[j]))
+	}
+}
+
+// bf16Of is the bfloat16 of x: round to nearest even on the bits, or x's
+// own bits with the quiet bit set for a NaN.
+func bf16Of(x float32) uint16 {
+	b := math.Float32bits(x)
+	if x != x {
+		b |= 0x00400000
+	} else {
+		b += 0x7fff + b>>16&1
+	}
+	return uint16(b >> 16)
 }
 
 // vectorLanes is how many leading lanes of an n-lane row the assembly

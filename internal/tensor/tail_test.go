@@ -265,3 +265,32 @@ func BenchmarkQuantTails(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPackBF16 times PackBF16 over one bench-small activation row
+// (k = 128) and one FC2 input row (k = 512), on the AVX2 pass and on the
+// Go loop; ns/op ÷ k is the per-element cost EXPERIMENTS.md tabulates.
+func BenchmarkPackBF16(b *testing.B) {
+	for _, k := range []int{128, 512} {
+		rng := rand.New(rand.NewSource(48))
+		xs, dst := make([]float32, k), make([]byte, 2*k)
+		for j := range xs {
+			xs[j] = float32(rng.NormFloat64())
+		}
+		for _, leg := range []struct {
+			name string
+			on   bool
+		}{{"avx2", true}, {"go", false}} {
+			if leg.on && !useAVX2 {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/k=%d", leg.name, k), func(b *testing.B) {
+				saved := useAVX2
+				useAVX2 = leg.on
+				defer func() { useAVX2 = saved }()
+				for i := 0; i < b.N; i++ {
+					PackBF16(dst, xs)
+				}
+			})
+		}
+	}
+}
