@@ -1,35 +1,35 @@
 // Package amx is a functional emulator of Intel Advanced Matrix
-// Extensions: the eight tile registers (tmm0–tmm7), the tile
-// configuration state, and the TMUL dot-product instructions TDPBF16PS
-// (bfloat16 → float32 accumulate) and TDPBUSD (uint8 × int8 → int32
-// accumulate). It reproduces the VNNI operand layout, bfloat16 rounding,
-// the faults, and — exactly — both instructions' arithmetic: TDPBUSD's
-// integers, and TDPBF16PS in the host tile unit's own accumulation order
-// and rounding (two float32 chains over the even and odd lanes, FMA-like
-// lane updates, DAZ and FTZ; bf16Dot in bf16.go). It keeps an
-// instruction cycle count so higher layers can reason about AMX
+// Extensions: the tile configuration state, the faults and cycles of the
+// tile loads, stores and zeroing, and the TMUL dot-product instructions
+// TDPBF16PS (bfloat16 → float32 accumulate) and TDPBUSD (uint8 × int8 →
+// int32 accumulate). It reproduces the VNNI operand layout, bfloat16
+// rounding, the faults, and — exactly — both instructions' arithmetic:
+// TDPBUSD's integers, and TDPBF16PS in the host tile unit's own
+// accumulation order and rounding (two float32 chains over the even and
+// odd lanes, FMA-like lane updates, DAZ and FTZ; bf16Dot in bf16.go). It
+// keeps an instruction cycle count so higher layers can reason about AMX
 // throughput the same way §4 of the paper does.
 //
 // The blocked matmul entry points in matmul.go are the "kernel library"
 // the functional LLM engine (package llm) routes CPU-offloaded sublayers
 // through, proving that the dataflow LIA's analytical model assumes is
 // executable end to end. One driver (drive, pool.go) owns the output grid
-// and runs it over a block kernel (kernels.go); there are three, each
-// written once for BF16 and INT8: two emulated tiers and the host's tile
-// unit (hwKernel) wherever CPUID and the kernel grant it. Silicon and
-// emulator agree bit for bit, so the drivers prefer silicon.
+// and runs it over a block kernel (kernels.go); there are two, each
+// written once for BF16 and INT8: the host's tile unit (hwKernel)
+// wherever CPUID and the kernel grant it, and the decoded emulator
+// everywhere else. Silicon and emulator agree bit for bit, so the
+// drivers prefer silicon.
 //
-// The byte-accurate tier (TDPBF16PS, TDPBUSD, TileLoad/TileStore)
-// reassembles every operand from the tile file's bytes and is the oracle
-// the other is tested against. The decoded fast path (the *DecodedRows
-// instructions, the *Check tile ops) applies the
-// discipline real AMX kernel libraries apply on hardware — hoist format
-// conversion out of the MAC loop — to the emulator itself: operands are
-// decoded once (at prepack time for weights, at append time for a KV
-// cache's growing operands, once per call for activations) and the inner
-// loops run over flat slices. Faults, cycle
-// accounting, accumulation order and therefore results are identical;
-// a fuzz + exhaustive-shape suite pins the two tiers bit-for-bit.
+// A Unit holds no tile data: its palette, the *Check tile ops and the
+// TDP shape checks give both kernels the hardware's faults and cycle
+// accounting, while the operands live in flat slices. The decoded
+// emulator (the *DecodedRows instructions) applies the discipline real
+// AMX kernel libraries apply on hardware — hoist format conversion out
+// of the MAC loop — to the emulator itself: operands are decoded once (at
+// prepack time for weights, at append time for a KV cache's growing
+// operands, once per call for activations) and the inner loops run over
+// flat slices. The package's tests pin it, instruction by instruction and
+// product by product, to plain-loop references and to silicon.
 package amx
 
 import (
@@ -89,18 +89,13 @@ var (
 	ErrBounds = errors.New("amx: memory access out of bounds")
 )
 
-// tile is one tile register's backing store.
-type tile struct {
-	shape TileShape
-	data  [MaxRows * MaxColBytes]byte
-}
-
-// Unit is one core's AMX state: tile configuration, tile registers, and a
-// cycle counter.
+// Unit is one core's AMX state as the checks see it: the installed tile
+// palette (all tiles unconfigured until Configure) and a cycle counter.
+// It holds no tile data; the kernels keep their operands and
+// accumulators in flat slices of their own.
 type Unit struct {
-	tiles  [NumTiles]tile
+	cfg    TileConfig
 	cycles uint64
-	onLine bool
 }
 
 // NewUnit returns an AMX unit in the INIT state (no tiles configured).
@@ -109,8 +104,7 @@ func NewUnit() *Unit { return &Unit{} }
 // Cycles reports the cycles consumed by all instructions so far.
 func (u *Unit) Cycles() uint64 { return u.cycles }
 
-// Configure executes LDTILECFG: validates and installs the tile palette,
-// zeroing all tile data.
+// Configure executes LDTILECFG: validates and installs the tile palette.
 func (u *Unit) Configure(cfg TileConfig) error {
 	for i, sh := range cfg.Tiles {
 		if sh == (TileShape{}) {
@@ -120,107 +114,60 @@ func (u *Unit) Configure(cfg TileConfig) error {
 			return fmt.Errorf("amx: tile %d shape %dx%dB invalid: %w", i, sh.Rows, sh.ColBytes, ErrShape)
 		}
 	}
-	for i := range u.tiles {
-		u.tiles[i] = tile{shape: cfg.Tiles[i]}
-	}
-	u.onLine = true
+	u.cfg = cfg
 	u.cycles += cyclesConfig
 	return nil
 }
 
-// Release executes TILERELEASE, returning the unit to the INIT state.
-func (u *Unit) Release() {
-	*u = Unit{cycles: u.cycles}
-}
-
-func (u *Unit) tileFor(idx int) (*tile, error) {
+// tileFor returns tile idx's configured shape, faulting as the hardware
+// would on a bad index or an unconfigured tile.
+func (u *Unit) tileFor(idx int) (TileShape, error) {
 	if idx < 0 || idx >= NumTiles {
-		return nil, fmt.Errorf("amx: tmm%d: %w", idx, ErrBadTile)
+		return TileShape{}, fmt.Errorf("amx: tmm%d: %w", idx, ErrBadTile)
 	}
-	t := &u.tiles[idx]
-	if !u.onLine || t.shape == (TileShape{}) {
-		return nil, fmt.Errorf("amx: tmm%d: %w", idx, ErrNotConfigured)
+	t := u.cfg.Tiles[idx]
+	if t == (TileShape{}) {
+		return TileShape{}, fmt.Errorf("amx: tmm%d: %w", idx, ErrNotConfigured)
 	}
 	return t, nil
-}
-
-// TileZero executes TILEZERO tmm{idx}.
-func (u *Unit) TileZero(idx int) error {
-	t, err := u.tileFor(idx)
-	if err != nil {
-		return err
-	}
-	for i := range t.data {
-		t.data[i] = 0
-	}
-	u.cycles += cyclesTileZero
-	return nil
 }
 
 // loadCheck validates a TILELOADD's configuration, stride and memory
-// bounds against a memory region of memBytes bytes; loadOp selects the
-// "load"/"store" wording so the error text matches the faulting
-// instruction exactly.
-func (u *Unit) loadCheck(idx, memBytes, stride int, op string) (*tile, error) {
+// bounds against a memory region of memBytes bytes; op selects the
+// "load"/"store" wording so the error text names the faulting
+// instruction.
+func (u *Unit) loadCheck(idx, memBytes, stride int, op string) error {
 	t, err := u.tileFor(idx)
-	if err != nil {
-		return nil, err
-	}
-	if stride < t.shape.ColBytes {
-		return nil, fmt.Errorf("amx: stride %d < row bytes %d: %w", stride, t.shape.ColBytes, ErrShape)
-	}
-	need := (t.shape.Rows-1)*stride + t.shape.ColBytes
-	if need > memBytes {
-		return nil, fmt.Errorf("amx: %s needs %d bytes, have %d: %w", op, need, memBytes, ErrBounds)
-	}
-	return t, nil
-}
-
-// TileLoad executes TILELOADD tmm{idx}, [mem+stride]: it copies
-// shape.Rows rows of shape.ColBytes bytes from mem, advancing by stride
-// bytes per row.
-func (u *Unit) TileLoad(idx int, mem []byte, stride int) error {
-	t, err := u.loadCheck(idx, len(mem), stride, "load")
 	if err != nil {
 		return err
 	}
-	for r := 0; r < t.shape.Rows; r++ {
-		copy(t.data[r*MaxColBytes:r*MaxColBytes+t.shape.ColBytes], mem[r*stride:])
+	if stride < t.ColBytes {
+		return fmt.Errorf("amx: stride %d < row bytes %d: %w", stride, t.ColBytes, ErrShape)
 	}
-	u.cycles += cyclesTileLoad
+	need := (t.Rows-1)*stride + t.ColBytes
+	if need > memBytes {
+		return fmt.Errorf("amx: %s needs %d bytes, have %d: %w", op, need, memBytes, ErrBounds)
+	}
 	return nil
 }
 
 // TileLoadCheck performs TILELOADD's fault checking and cycle accounting
-// without moving any bytes: the decoded fast path keeps its operands in
-// flat pre-decoded slices, but a load that would fault on hardware must
-// fault identically — and cost the same cycles — there too. memBytes is
-// the byte length of the region the byte-path load would read.
+// without moving any bytes: the kernels keep their operands in flat
+// slices, but a load that would fault on hardware must fault — and cost
+// the same cycles — there too. memBytes is the byte length of the tile
+// image the load reads from its start.
 func (u *Unit) TileLoadCheck(idx, memBytes, stride int) error {
-	if _, err := u.loadCheck(idx, memBytes, stride, "load"); err != nil {
+	if err := u.loadCheck(idx, memBytes, stride, "load"); err != nil {
 		return err
 	}
 	u.cycles += cyclesTileLoad
 	return nil
 }
 
-// TileStore executes TILESTORED [mem+stride], tmm{idx}.
-func (u *Unit) TileStore(idx int, mem []byte, stride int) error {
-	t, err := u.loadCheck(idx, len(mem), stride, "store")
-	if err != nil {
-		return err
-	}
-	for r := 0; r < t.shape.Rows; r++ {
-		copy(mem[r*stride:r*stride+t.shape.ColBytes], t.data[r*MaxColBytes:])
-	}
-	u.cycles += cyclesTileStore
-	return nil
-}
-
-// TileStoreCheck is TileStore's fault-and-cycles-only counterpart, the
+// TileStoreCheck is TILESTORED's fault-and-cycles-only counterpart, the
 // store analog of TileLoadCheck.
 func (u *Unit) TileStoreCheck(idx, memBytes, stride int) error {
-	if _, err := u.loadCheck(idx, memBytes, stride, "store"); err != nil {
+	if err := u.loadCheck(idx, memBytes, stride, "store"); err != nil {
 		return err
 	}
 	u.cycles += cyclesTileStore
@@ -228,8 +175,8 @@ func (u *Unit) TileStoreCheck(idx, memBytes, stride int) error {
 }
 
 // TileZeroCheck is TILEZERO's fault-and-cycles-only counterpart: the
-// decoded fast path zeroes its flat accumulator itself but still pays
-// the instruction's cycle (and faults on an unconfigured tile).
+// kernels zero their flat accumulators themselves but still pay the
+// instruction's cycle (and fault on an unconfigured tile).
 func (u *Unit) TileZeroCheck(idx int) error {
 	if _, err := u.tileFor(idx); err != nil {
 		return err
@@ -238,127 +185,45 @@ func (u *Unit) TileZeroCheck(idx int) error {
 	return nil
 }
 
-// readBF16 reads the bfloat16 at byte offset off within a tile row.
-func (t *tile) readBF16(row, pair int) BF16 {
-	off := row*MaxColBytes + pair*2
-	return BF16FromBytes(t.data[off], t.data[off+1])
-}
-
-// readF32 reads the float32 at element column c of a tile row.
-func (t *tile) readF32(row, col int) float32 {
-	off := row*MaxColBytes + col*4
-	bits := uint32(t.data[off]) | uint32(t.data[off+1])<<8 |
-		uint32(t.data[off+2])<<16 | uint32(t.data[off+3])<<24
-	return f32FromBits(bits)
-}
-
-func (t *tile) writeF32(row, col int, v float32) {
-	off := row*MaxColBytes + col*4
-	bits := f32Bits(v)
-	t.data[off] = byte(bits)
-	t.data[off+1] = byte(bits >> 8)
-	t.data[off+2] = byte(bits >> 16)
-	t.data[off+3] = byte(bits >> 24)
-}
-
-// readI32 reads the int32 at element column c of a tile row.
-func (t *tile) readI32(row, col int) int32 {
-	off := row*MaxColBytes + col*4
-	return int32(uint32(t.data[off]) | uint32(t.data[off+1])<<8 |
-		uint32(t.data[off+2])<<16 | uint32(t.data[off+3])<<24)
-}
-
-func (t *tile) writeI32(row, col int, v int32) {
-	// Write the four bytes directly: routing the bits through a float32
-	// round trip could canonicalize a signaling-NaN-patterned accumulator
-	// on platforms whose FP moves quieten sNaNs, and integer accumulators
-	// are plain bit patterns.
-	off := row*MaxColBytes + col*4
-	bits := uint32(v)
-	t.data[off] = byte(bits)
-	t.data[off+1] = byte(bits >> 8)
-	t.data[off+2] = byte(bits >> 16)
-	t.data[off+3] = byte(bits >> 24)
-}
-
 // tdpTiles resolves the three TMUL operand tiles, faulting exactly as
-// the hardware would on a bad index or unconfigured tile. Both the byte
-// and decoded entry points go through it so their faults are identical.
-func (u *Unit) tdpTiles(dst, a, b int) (td, ta, tb *tile, err error) {
+// the hardware would on a bad index or unconfigured tile. The decoded
+// instructions and tdpCheck all go through it, so their faults are
+// identical.
+func (u *Unit) tdpTiles(dst, a, b int) (td, ta, tb TileShape, err error) {
 	if td, err = u.tileFor(dst); err != nil {
-		return nil, nil, nil, err
+		return
 	}
 	if ta, err = u.tileFor(a); err != nil {
-		return nil, nil, nil, err
+		return
 	}
-	if tb, err = u.tileFor(b); err != nil {
-		return nil, nil, nil, err
-	}
-	return td, ta, tb, nil
+	tb, err = u.tileFor(b)
+	return
 }
 
 // tdpBF16Shapes validates the configured geometry for TDPBF16PS and
-// returns the m/n/kPairs trip counts. Shared by the byte and decoded
-// entry points: same checks, same error text.
-func tdpBF16Shapes(td, ta, tb *tile) (m, n, kPairs int, err error) {
-	m = td.shape.Rows
-	n = td.shape.ColBytes / 4
-	kPairs = ta.shape.ColBytes / 4 // bf16 pairs per A row
-	if ta.shape.Rows != m {
-		return 0, 0, 0, fmt.Errorf("amx: A rows %d != dst rows %d: %w", ta.shape.Rows, m, ErrShape)
+// returns the m/n/kPairs trip counts. Shared by the decoded instruction
+// and tdpCheck: same checks, same error text.
+func tdpBF16Shapes(td, ta, tb TileShape) (m, n, kPairs int, err error) {
+	m = td.Rows
+	n = td.ColBytes / 4
+	kPairs = ta.ColBytes / 4 // bf16 pairs per A row
+	if ta.Rows != m {
+		return 0, 0, 0, fmt.Errorf("amx: A rows %d != dst rows %d: %w", ta.Rows, m, ErrShape)
 	}
-	if tb.shape.Rows != kPairs || tb.shape.ColBytes/4 != n {
+	if tb.Rows != kPairs || tb.ColBytes/4 != n {
 		return 0, 0, 0, fmt.Errorf("amx: B shape %dx%d incompatible with dst %dx%d / A pairs %d: %w",
-			tb.shape.Rows, tb.shape.ColBytes/4, m, n, kPairs, ErrShape)
+			tb.Rows, tb.ColBytes/4, m, n, kPairs, ErrShape)
 	}
 	return m, n, kPairs, nil
 }
 
-// TDPBF16PS executes dst += a × b where a holds bfloat16 pairs
-// (M rows × 2K values), b holds the VNNI-packed right operand
-// (K rows × N bfloat16 pairs), and dst accumulates float32 (M rows × N)
-// in the tile unit's order and rounding (bf16Dot).
-//
-// VNNI layout: row r of b contains, for each output column n, the pair
-// (B[2r][n], B[2r+1][n]) of the logical (2K × N) matrix.
-//
-// This is the byte-accurate oracle: every operand value is reassembled
-// from the tile file's bytes on every instruction. The decoded fast path
-// (tdpBF16PSDecodedRows) runs the same accumulation over pre-decoded flat
-// slices; a fuzz + exhaustive-shape suite pins the two bit-for-bit.
-func (u *Unit) TDPBF16PS(dst, a, b int) error {
-	td, ta, tb, err := u.tdpTiles(dst, a, b)
-	if err != nil {
-		return err
-	}
-	m, n, kPairs, err := tdpBF16Shapes(td, ta, tb)
-	if err != nil {
-		return err
-	}
-	var aLanes, bLanes [2 * MaxColBytes / 4]float32
-	for i := 0; i < m; i++ {
-		for l := range 2 * kPairs {
-			aLanes[l] = ta.readBF16(i, l).Float32()
-		}
-		for j := 0; j < n; j++ {
-			for k := 0; k < kPairs; k++ {
-				bLanes[2*k] = tb.readBF16(k, 2*j).Float32()
-				bLanes[2*k+1] = tb.readBF16(k, 2*j+1).Float32()
-			}
-			td.writeF32(i, j, bf16Dot(td.readF32(i, j), aLanes[:2*kPairs], bLanes[:2*kPairs]))
-		}
-	}
-	u.cycles += cyclesTDP
-	return nil
-}
-
 // tdpINT8Shapes validates the configured geometry for TDPBUSD, shared
-// by the byte and decoded entry points.
-func tdpINT8Shapes(td, ta, tb *tile) (m, n, kQuads int, err error) {
-	m = td.shape.Rows
-	n = td.shape.ColBytes / 4
-	kQuads = ta.shape.ColBytes / 4
-	if ta.shape.Rows != m || tb.shape.Rows != kQuads || tb.shape.ColBytes/4 != n {
+// by the decoded instruction and tdpCheck.
+func tdpINT8Shapes(td, ta, tb TileShape) (m, n, kQuads int, err error) {
+	m = td.Rows
+	n = td.ColBytes / 4
+	kQuads = ta.ColBytes / 4
+	if ta.Rows != m || tb.Rows != kQuads || tb.ColBytes/4 != n {
 		return 0, 0, 0, fmt.Errorf("amx: TDPBUSD operand shapes incompatible: %w", ErrShape)
 	}
 	return m, n, kQuads, nil
@@ -385,37 +250,6 @@ func (u *Unit) tdpCheck(busd bool, dst, a, b int) error {
 	return nil
 }
 
-// TDPBUSD executes dst += a × b with a holding unsigned 8-bit quads
-// (M rows × 4K values), b holding the VNNI-packed signed 8-bit right
-// operand (K rows × N quads), and dst accumulating int32 (M rows × N).
-// Like TDPBF16PS it is the byte-accurate oracle; tdpBUSDDecodedRows is
-// the flat-slice fast path pinned to it bit-for-bit.
-func (u *Unit) TDPBUSD(dst, a, b int) error {
-	td, ta, tb, err := u.tdpTiles(dst, a, b)
-	if err != nil {
-		return err
-	}
-	m, n, kQuads, err := tdpINT8Shapes(td, ta, tb)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			acc := td.readI32(i, j)
-			for k := 0; k < kQuads; k++ {
-				for q := 0; q < 4; q++ {
-					av := int32(ta.data[i*MaxColBytes+4*k+q])       // unsigned
-					bv := int32(int8(tb.data[k*MaxColBytes+4*j+q])) // signed
-					acc += av * bv
-				}
-			}
-			td.writeI32(i, j, acc)
-		}
-	}
-	u.cycles += cyclesTDP
-	return nil
-}
-
 // tdpBF16PSDecodedRows executes TDPBF16PS's accumulation over pre-decoded
 // operands — the fast path real AMX kernel libraries model: format
 // conversion is hoisted out of the MAC loop, which runs over flat
@@ -429,11 +263,11 @@ func (u *Unit) TDPBUSD(dst, a, b int) error {
 //     j's 2·kPairs lanes, in k order, at bCols[j*bColStride:]. This is a
 //     layout-only transpose of the VNNI image — pair p of column j is
 //     (bCols[j*bColStride+2p], bCols[j*bColStride+2p+1]), exactly the
-//     (B[2p][j], B[2p+1][j]) pair the byte path reads from packed row p.
+//     (B[2p][j], B[2p+1][j]) pair TDPBF16PS reads from packed row p.
 //
 // Configuration and shape faults, trip counts, cycle accounting and the
-// numerics are TDPBF16PS's, so results are bit-for-bit the same; only
-// the operand transport differs.
+// numerics are TDPBF16PS's (bf16Dot per lane), so results are the tile
+// unit's bit for bit; only the operand transport differs.
 //
 // The MAC loop is bounded to the first rows tile rows. The matmul
 // drivers use that to skip A rows
@@ -555,8 +389,8 @@ func (u *Unit) tdpBUSDDecodedRows(dst, a, b, rows int, _ bool, cDec []int32, cSt
 		for j := 0; j < n; j++ {
 			// Four independent partial sums break the loop-carried
 			// dependency on the accumulator; int32 addition wraps and is
-			// associative, so the total is bit-identical to the byte path's
-			// sequential sum. Walking by reslicing lets the compiler prove
+			// associative, so the total is bit-identical to a sequential
+			// sum. Walking by reslicing lets the compiler prove
 			// every access in bounds (lanes is always a multiple of 4:
 			// 4·kQuads).
 			ap, bp := arow, bCols[j*bColStride:j*bColStride+lanes]

@@ -1,6 +1,7 @@
 package amx
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -68,10 +69,10 @@ func TestBF16IdempotentProperty(t *testing.T) {
 
 func TestUnitFaultsWhenUnconfigured(t *testing.T) {
 	u := NewUnit()
-	if err := u.TileZero(0); !errors.Is(err, ErrNotConfigured) {
-		t.Errorf("TileZero on INIT unit: %v, want ErrNotConfigured", err)
+	if err := u.TileZeroCheck(0); !errors.Is(err, ErrNotConfigured) {
+		t.Errorf("TILEZERO on INIT unit: %v, want ErrNotConfigured", err)
 	}
-	if err := u.TileLoad(9, nil, 64); !errors.Is(err, ErrBadTile) {
+	if err := u.TileLoadCheck(9, 0, 64); !errors.Is(err, ErrBadTile) {
 		t.Errorf("tmm9: %v, want ErrBadTile", err)
 	}
 }
@@ -89,33 +90,6 @@ func TestConfigureRejectsBadShapes(t *testing.T) {
 	}
 }
 
-func TestTileLoadStoreRoundTrip(t *testing.T) {
-	u := NewUnit()
-	cfg := TileConfig{}
-	cfg.Tiles[0] = TileShape{Rows: 4, ColBytes: 8}
-	if err := u.Configure(cfg); err != nil {
-		t.Fatal(err)
-	}
-	src := make([]byte, 4*16)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	if err := u.TileLoad(0, src, 16); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 4*8)
-	if err := u.TileStore(0, dst, 8); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 8; c++ {
-			if dst[r*8+c] != src[r*16+c] {
-				t.Fatalf("row %d col %d: got %d want %d", r, c, dst[r*8+c], src[r*16+c])
-			}
-		}
-	}
-}
-
 func TestTileLoadBoundsChecked(t *testing.T) {
 	u := NewUnit()
 	cfg := TileConfig{}
@@ -123,87 +97,50 @@ func TestTileLoadBoundsChecked(t *testing.T) {
 	if err := u.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
-	short := make([]byte, 100)
-	if err := u.TileLoad(0, short, 64); !errors.Is(err, ErrBounds) {
+	if err := u.TileLoadCheck(0, 100, 64); !errors.Is(err, ErrBounds) {
 		t.Errorf("short load: %v, want ErrBounds", err)
 	}
-	if err := u.TileLoad(0, make([]byte, 4096), 32); !errors.Is(err, ErrShape) {
+	if err := u.TileLoadCheck(0, 4096, 32); !errors.Is(err, ErrShape) {
 		t.Errorf("narrow stride: %v, want ErrShape", err)
 	}
 }
 
 func TestTDPBF16PSSingleTile(t *testing.T) {
-	// C(2×2) = A(2×4) · B(4×2) through one tile op with exact small ints.
+	// C(2×2) = A(2×4) · B(4×2) through one tile op with exact small ints,
+	// on every kernel.
 	a := []float32{1, 2, 3, 4, 5, 6, 7, 8}
 	b := []float32{1, 0, 0, 1, 2, 0, 0, 2}
-	u := NewUnit()
-	cfg := TileConfig{}
-	cfg.Tiles[tmmC] = TileShape{Rows: 2, ColBytes: 2 * 4}
-	cfg.Tiles[tmmA] = TileShape{Rows: 2, ColBytes: 4 * 2}
-	cfg.Tiles[tmmB] = TileShape{Rows: 2, ColBytes: 2 * 4}
-	if err := u.Configure(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.TileZero(tmmC); err != nil {
-		t.Fatal(err)
-	}
 	aImg := make([]byte, 2*4*2)
 	packBF16Into(aImg, a, 2, 4, 2, 4)
-	if err := u.TileLoad(tmmA, aImg, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.TileLoad(tmmB, PackBF16VNNI(b, 4, 2, 4, 2), 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.TDPBF16PS(tmmC, tmmA, tmmB); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, 2*8)
-	if err := u.TileStore(tmmC, out, 8); err != nil {
-		t.Fatal(err)
-	}
+	bImg := PackBF16VNNI(b, 4, 2, 4, 2)
 	want := []float32{7, 10, 19, 22} // [[1,2,3,4]·cols, ...]
-	for i, w := range want {
-		bits := uint32(out[i*4]) | uint32(out[i*4+1])<<8 | uint32(out[i*4+2])<<16 | uint32(out[i*4+3])<<24
-		if got := math.Float32frombits(bits); got != w {
-			t.Errorf("C[%d] = %v, want %v", i, got, w)
-		}
-	}
-	if u.Cycles() == 0 {
-		t.Error("cycle counter did not advance")
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			needKernel(t, k.kern)
+			out, cycles := runBF16Tile(t, k.kern, 2, 2, 2, make([]byte, 2*2*4), aImg, bImg)
+			for i, w := range want {
+				if got := math.Float32frombits(binary.LittleEndian.Uint32(out[4*i:])); got != w {
+					t.Errorf("C[%d] = %v, want %v", i, got, w)
+				}
+			}
+			if cycles == 0 {
+				t.Error("cycle counter did not advance")
+			}
+		})
 	}
 }
 
 func TestTDPBUSD(t *testing.T) {
-	// C(1×1) = row [1,2,3,4] (u8) · col [1,1,1,1] (s8) = 10.
-	u := NewUnit()
-	cfg := TileConfig{}
-	cfg.Tiles[0] = TileShape{Rows: 1, ColBytes: 4} // C: 1×1 i32
-	cfg.Tiles[1] = TileShape{Rows: 1, ColBytes: 4} // A: 1×4 u8
-	cfg.Tiles[2] = TileShape{Rows: 1, ColBytes: 4} // B: 1 quad × 1 col
-	if err := u.Configure(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.TileZero(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.TileLoad(1, []byte{1, 2, 3, 4}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.TileLoad(2, []byte{1, 0xFF, 1, 1}, 4); err != nil { // 0xFF = -1 signed
-		t.Fatal(err)
-	}
-	if err := u.TDPBUSD(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, 4)
-	if err := u.TileStore(0, out, 4); err != nil {
-		t.Fatal(err)
-	}
-	got := int32(uint32(out[0]) | uint32(out[1])<<8 | uint32(out[2])<<16 | uint32(out[3])<<24)
-	// 1·1 + 2·(-1) + 3·1 + 4·1 = 6
-	if got != 6 {
-		t.Errorf("TDPBUSD = %d, want 6", got)
+	// C(1×1) = row [1,2,3,4] (u8) · col [1,-1,1,1] (s8), on every kernel.
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			needKernel(t, k.kern)
+			out, _ := runINT8Tile(t, k.kern, 1, 1, 1, make([]byte, 4), []byte{1, 2, 3, 4}, []byte{1, 0xFF, 1, 1}) // 0xFF = -1 signed
+			// 1·1 + 2·(-1) + 3·1 + 4·1 = 6
+			if got := int32(binary.LittleEndian.Uint32(out)); got != 6 {
+				t.Errorf("TDPBUSD = %d, want 6", got)
+			}
+		})
 	}
 }
 
@@ -260,21 +197,6 @@ func TestMatmulRejectsBadSizes(t *testing.T) {
 	}
 	if _, _, err := matmulBF16(nil, nil, 0, 2, 2); err == nil {
 		t.Error("expected dimension error")
-	}
-}
-
-func TestReleaseReturnsToInit(t *testing.T) {
-	u := NewUnit()
-	if err := u.Configure(matmulConfig); err != nil {
-		t.Fatal(err)
-	}
-	before := u.Cycles()
-	u.Release()
-	if u.Cycles() != before {
-		t.Error("Release must preserve the cycle counter")
-	}
-	if err := u.TileZero(tmmC); !errors.Is(err, ErrNotConfigured) {
-		t.Errorf("post-release TileZero: %v, want ErrNotConfigured", err)
 	}
 }
 

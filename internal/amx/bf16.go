@@ -29,11 +29,6 @@ func (b BF16) Float32() float32 {
 	return math.Float32frombits(uint32(b) << 16)
 }
 
-// BF16FromBytes reassembles the little-endian bfloat16 stored as (lo,
-// hi) — the per-element byte shuffle the byte-accurate instructions
-// perform inside their MAC loops and the decoded fast path hoists out.
-func BF16FromBytes(lo, hi byte) BF16 { return BF16(uint16(lo) | uint16(hi)<<8) }
-
 // RoundFloat32 applies one float32→bfloat16→float32 round trip, the
 // precision loss a BF16 store incurs.
 func RoundFloat32(f float32) float32 {

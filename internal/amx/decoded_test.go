@@ -3,16 +3,21 @@ package amx
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// This file pins the decoded fast path (tdpBF16PSDecodedRows,
-// tdpBUSDDecodedRows, the *Check tile ops and the decoded drivers) to the
-// byte-accurate oracle: bit-identical results (NaN payloads excepted — see
-// sameF32Word), identical cycle accounting, identical faults.
+// This file pins the decoded emulator (tdpBF16PSDecodedRows,
+// tdpBUSDDecodedRows, the *Check tile ops and the decoded drivers) and
+// the tile unit to TDPBF16PS's and TDPBUSD's semantics: per instruction
+// against refTDPBF16PS and refTDPBUSD, per product against the byte
+// oracle (ReferenceMatmulBF16 / ReferenceMatmulINT8 over the operand's
+// VNNI image) and PredictCycles, and per fault against each other and
+// the expected error text. Bit-identical results (NaN payloads excepted
+// — see sameF32Word), identical cycle accounting, identical faults.
 
 // bf16TileConfig builds the palette for one C(m×n) += A(m×2k)·B tile op.
 func bf16TileConfig(m, n, kPairs int) TileConfig {
@@ -32,6 +37,56 @@ func int8TileConfig(m, n, kQuads int) TileConfig {
 	return cfg
 }
 
+// tileOpCycles is what one C += A·B tile op costs: three TILELOADDs
+// (C, A, B), the TDP and a TILESTORED.
+const tileOpCycles = 3*cyclesTileLoad + cyclesTDP + cyclesTileStore
+
+// bf16Lane reads the bfloat16 at byte offset off of a tile image.
+func bf16Lane(img []byte, off int) float32 {
+	return BF16(binary.LittleEndian.Uint16(img[off:])).Float32()
+}
+
+// refTDPBF16PS is TDPBF16PS as the instruction reference states it: from
+// the C image (m rows of n float32), the A image (m rows of 2·kPairs
+// bf16) and the VNNI B image (kPairs rows of n bf16 pairs) it computes
+// every output lane with bf16Dot and returns the new C image.
+func refTDPBF16PS(m, n, kPairs int, cImg, aImg, bImg []byte) []byte {
+	out := make([]byte, m*n*4)
+	aL, bL := make([]float32, 2*kPairs), make([]float32, 2*kPairs)
+	for i := 0; i < m; i++ {
+		for l := range aL {
+			aL[l] = bf16Lane(aImg, i*kPairs*4+2*l)
+		}
+		for j := 0; j < n; j++ {
+			for p := 0; p < kPairs; p++ {
+				bL[2*p] = bf16Lane(bImg, p*n*4+4*j)
+				bL[2*p+1] = bf16Lane(bImg, p*n*4+4*j+2)
+			}
+			c := f32FromBits(binary.LittleEndian.Uint32(cImg[4*(i*n+j):]))
+			binary.LittleEndian.PutUint32(out[4*(i*n+j):], f32Bits(bf16Dot(c, aL, bL)))
+		}
+	}
+	return out
+}
+
+// refTDPBUSD is TDPBUSD's reference: every output lane is its C lane plus
+// the integer dot product of A's unsigned bytes and B's signed quads.
+func refTDPBUSD(m, n, kQuads int, cImg, aImg, bImg []byte) []byte {
+	out := make([]byte, m*n*4)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			acc := int32(binary.LittleEndian.Uint32(cImg[4*(i*n+j):]))
+			for q := 0; q < kQuads; q++ {
+				for l := 0; l < 4; l++ {
+					acc += int32(aImg[i*kQuads*4+4*q+l]) * int32(int8(bImg[q*n*4+4*j+l]))
+				}
+			}
+			binary.LittleEndian.PutUint32(out[4*(i*n+j):], uint32(acc))
+		}
+	}
+	return out
+}
+
 // runBF16Tile executes one C(m×n) += A(m×2k)·B tile op from the given
 // operand images on kernel kern and returns the C image and the cycles
 // charged — runINT8Tile's BF16 twin. The operand bytes are arbitrary bit
@@ -44,15 +99,6 @@ func runBF16Tile(t *testing.T, kern kernel, m, n, kPairs int, cImg, aImg, bImg [
 	must(t, u.Configure(cfg))
 	start := u.Cycles()
 	cOut = make([]byte, m*n*4)
-	if kern == kernelBytes {
-		must(t, u.TileLoad(tmmC, cImg, n*4))
-		must(t, u.TileLoad(tmmA, aImg, kPairs*4))
-		must(t, u.TileLoad(tmmB, bImg, n*4))
-		must(t, u.TDPBF16PS(tmmC, tmmA, tmmB))
-		must(t, u.TileStore(tmmC, cOut, n*4))
-		return cOut, u.Cycles() - start
-	}
-
 	must(t, u.TileLoadCheck(tmmC, len(cImg), n*4))
 	must(t, u.TileLoadCheck(tmmA, len(aImg), kPairs*4))
 	must(t, u.TileLoadCheck(tmmB, len(bImg), n*4))
@@ -67,16 +113,15 @@ func runBF16Tile(t *testing.T, kern kernel, m, n, kPairs int, cImg, aImg, bImg [
 		aDec := make([]float32, m*lanes)
 		for i := 0; i < m; i++ {
 			for l := 0; l < lanes; l++ {
-				off := i*kPairs*4 + l*2
-				aDec[i*lanes+l] = BF16FromBytes(aImg[off], aImg[off+1]).Float32()
+				aDec[i*lanes+l] = bf16Lane(aImg, i*kPairs*4+l*2)
 			}
 		}
 		bCols := make([]float32, n*lanes)
 		for j := 0; j < n; j++ {
 			for p := 0; p < kPairs; p++ {
 				off := p*n*4 + j*4
-				bCols[j*lanes+2*p] = BF16FromBytes(bImg[off], bImg[off+1]).Float32()
-				bCols[j*lanes+2*p+1] = BF16FromBytes(bImg[off+2], bImg[off+3]).Float32()
+				bCols[j*lanes+2*p] = bf16Lane(bImg, off)
+				bCols[j*lanes+2*p+1] = bf16Lane(bImg, off+2)
 			}
 		}
 		// Every lane through bf16Dot: the C image is an arbitrary
@@ -86,8 +131,8 @@ func runBF16Tile(t *testing.T, kern kernel, m, n, kPairs int, cImg, aImg, bImg [
 		must(t, u.tdpCheck(false, tmmC, tmmA, tmmB))
 		// The chain starts from TILEZERO, so silicon returns +0 + (E + O):
 		// E + O itself, except that a -0 sum comes back +0. The C image
-		// is added to it in the model's rounding, which is the oracle's
-		// result unless both C and E + O are -0.
+		// is added to it in the model's rounding, which is the
+		// reference's result unless both C and E + O are -0.
 		// The stripe routine stores its one block with stride blockN.
 		hw := hwConfig(cfg)
 		var sum [tileLanes]float32
@@ -110,7 +155,7 @@ func runBF16Tile(t *testing.T, kern kernel, m, n, kPairs int, cImg, aImg, bImg [
 var kernels = []struct {
 	name string
 	kern kernel
-}{{"bytes", kernelBytes}, {"decoded", kernelDecoded}, {"hw", kernelHW}}
+}{{"decoded", kernelDecoded}, {"hw", kernelHW}}
 
 // needKernel skips t when kern cannot run on this host.
 func needKernel(t *testing.T, kern kernel) {
@@ -120,30 +165,74 @@ func needKernel(t *testing.T, kern kernel) {
 	}
 }
 
+// vnniMatrix reads w's VNNI image — the bytes the tile unit loads — back
+// into the K×N row-major matrix it encodes: lane (k, c) sits in pair row
+// k/2 (BF16) or quad row k/4 (INT8) at column c. A lane past the image's
+// end is an ErrBounds fault, and a padding lane that is not zero an
+// error, since the tile unit reads padding lanes too.
+func vnniMatrix[E float32 | int8](w *operand[E]) ([]E, error) {
+	lane := lanesOf[E]().bytes
+	per := 4 / lane
+	b := make([]E, w.K*w.N)
+	for k := 0; k < w.padK; k++ {
+		for c := 0; c < w.padN; c++ {
+			off := (k/per)*w.padN*4 + 4*c + lane*(k%per)
+			if off+lane > len(w.vnni) {
+				return nil, fmt.Errorf("amx: lane (%d, %d) at byte %d of a %d-byte VNNI image: %w", k, c, off, len(w.vnni), ErrBounds)
+			}
+			bits := uint16(w.vnni[off])
+			if lane == 2 {
+				bits = binary.LittleEndian.Uint16(w.vnni[off:])
+			}
+			if k >= w.K || c >= w.N {
+				if bits != 0 {
+					return nil, fmt.Errorf("amx: padding lane (%d, %d) = %#x, want 0", k, c, bits)
+				}
+				continue
+			}
+			switch b := any(b).(type) {
+			case []float32:
+				b[k*w.N+c] = BF16(bits).Float32()
+			case []int8:
+				b[k*w.N+c] = int8(bits)
+			}
+		}
+	}
+	return b, nil
+}
+
+// byteOracleBF16 is the byte oracle: the product as read straight from
+// w's VNNI image, ReferenceMatmulBF16 over vnniMatrix, with no unit,
+// blocking or team in between. The "bytes" leg of each differential
+// requires it to give the reference over the source matrix, which pins
+// the image on every host: off AMX no kernel reads it.
+func byteOracleBF16(t *testing.T, a []float32, m int, w *Prepacked) []float32 {
+	t.Helper()
+	b, err := vnniMatrix(w)
+	must(t, err)
+	return ReferenceMatmulBF16(a, b, m, w.K, w.N)
+}
+
+// byteOracleINT8 is byteOracleBF16's TDPBUSD twin.
+func byteOracleINT8(t *testing.T, a []uint8, m int, w *PrepackedINT8) []int32 {
+	t.Helper()
+	b, err := vnniMatrix(w)
+	must(t, err)
+	return ReferenceMatmulINT8(a, b, m, w.K, w.N)
+}
+
 // runINT8Tile executes one C(m×n) += A·B tile op from the given operand
 // images on kernel kern and returns the C image and the cycles charged:
-// the byte oracle moves the images through the tile file; the decoded
-// path pre-decodes them the way the packers do (A row-major lanes, B
-// column-major lanes); the hardware path runs the *Check ops and then
-// one tdpbusdStripe of one block over the images themselves.
+// the decoded path pre-decodes them the way the packers do (A row-major
+// lanes, B column-major lanes); the hardware path runs the *Check ops
+// and then one tdpbusdStripe of one block over the images themselves.
 func runINT8Tile(t *testing.T, kern kernel, m, n, kQuads int, cImg, aImg, bImg []byte) (cOut []byte, cycles uint64) {
 	t.Helper()
 	u := NewUnit()
 	cfg := int8TileConfig(m, n, kQuads)
-	if err := u.Configure(cfg); err != nil {
-		t.Fatal(err)
-	}
+	must(t, u.Configure(cfg))
 	start := u.Cycles()
 	cOut = make([]byte, m*n*4)
-	if kern == kernelBytes {
-		must(t, u.TileLoad(tmmC, cImg, n*4))
-		must(t, u.TileLoad(tmmA, aImg, kQuads*4))
-		must(t, u.TileLoad(tmmB, bImg, n*4))
-		must(t, u.TDPBUSD(tmmC, tmmA, tmmB))
-		must(t, u.TileStore(tmmC, cOut, n*4))
-		return cOut, u.Cycles() - start
-	}
-
 	must(t, u.TileLoadCheck(tmmC, len(cImg), n*4))
 	must(t, u.TileLoadCheck(tmmA, len(aImg), kQuads*4))
 	must(t, u.TileLoadCheck(tmmB, len(bImg), n*4))
@@ -169,7 +258,7 @@ func runINT8Tile(t *testing.T, kern kernel, m, n, kQuads int, cImg, aImg, bImg [
 		must(t, u.tdpBUSDDecodedRows(tmmC, tmmA, tmmB, MaxRows, false, c, n, aDec, lanes, bCols, lanes))
 	} else {
 		must(t, u.tdpCheck(true, tmmC, tmmA, tmmB))
-		// The chain starts from TILEZERO; the oracle's C image is its
+		// The chain starts from TILEZERO; the C image is the reference's
 		// starting accumulator, and wrapping int32 addition is
 		// associative, so adding it afterwards is the same sum.
 		hw := hwConfig(cfg)
@@ -221,14 +310,6 @@ func sameF32Word(a, b uint32) bool {
 	return a == b || (isNaNBits(a) && isNaNBits(b))
 }
 
-// cycleDiff returns the absolute difference of two cycle counts.
-func cycleDiff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
 // f32ImagesEqual compares two little-endian float32 tile images word by
 // word under sameF32Word.
 func f32ImagesEqual(a, b []byte) bool {
@@ -247,12 +328,12 @@ func f32ImagesEqual(a, b []byte) bool {
 
 // TestDecodedBF16ExhaustiveShapes runs every configurable tile geometry
 // (m, n, kPairs ∈ 1..16, with n and kPairs capped by the 64-byte row)
-// through the decoded and the hardware kernel and requires the byte
-// oracle's C image (modulo NaN payload) and cycle count. The operand
-// bytes include NaN/Inf/denormal bf16 patterns by construction (all byte
-// values occur).
+// through the decoded and the hardware kernel and requires
+// refTDPBF16PS's C image (modulo NaN payload) and one tile op's cycles.
+// The operand bytes include NaN/Inf/denormal bf16 patterns by
+// construction (all byte values occur).
 func TestDecodedBF16ExhaustiveShapes(t *testing.T) {
-	for _, k := range kernels[1:] {
+	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			needKernel(t, k.kern)
 			for m := 1; m <= MaxRows; m++ {
@@ -264,13 +345,12 @@ func TestDecodedBF16ExhaustiveShapes(t *testing.T) {
 						fillPattern(cImg, byte(m))
 						fillPattern(aImg, byte(n+37))
 						fillPattern(bImg, byte(kPairs+81))
-						byteC, bc := runBF16Tile(t, kernelBytes, m, n, kPairs, cImg, aImg, bImg)
 						gotC, gc := runBF16Tile(t, k.kern, m, n, kPairs, cImg, aImg, bImg)
-						if !f32ImagesEqual(byteC, gotC) {
-							t.Fatalf("m=%d n=%d kPairs=%d: %s C image diverges from byte path", m, n, kPairs, k.name)
+						if !f32ImagesEqual(refTDPBF16PS(m, n, kPairs, cImg, aImg, bImg), gotC) {
+							t.Fatalf("m=%d n=%d kPairs=%d: %s C image diverges from refTDPBF16PS", m, n, kPairs, k.name)
 						}
-						if bc != gc {
-							t.Fatalf("m=%d n=%d kPairs=%d: cycles %d (byte) != %d (%s)", m, n, kPairs, bc, gc, k.name)
+						if gc != tileOpCycles {
+							t.Fatalf("m=%d n=%d kPairs=%d: %d cycles (%s), want %d", m, n, kPairs, gc, k.name, tileOpCycles)
 						}
 					}
 				}
@@ -280,9 +360,9 @@ func TestDecodedBF16ExhaustiveShapes(t *testing.T) {
 }
 
 // TestDecodedINT8ExhaustiveShapes is the TDPBUSD mirror, run for the
-// decoded and the hardware kernel alike.
+// decoded and the hardware kernel alike against refTDPBUSD.
 func TestDecodedINT8ExhaustiveShapes(t *testing.T) {
-	for _, k := range kernels[1:] {
+	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			needKernel(t, k.kern)
 			for m := 1; m <= MaxRows; m++ {
@@ -294,13 +374,12 @@ func TestDecodedINT8ExhaustiveShapes(t *testing.T) {
 						fillPattern(cImg, byte(m+3))
 						fillPattern(aImg, byte(n+59))
 						fillPattern(bImg, byte(kQuads+113))
-						byteC, bc := runINT8Tile(t, kernelBytes, m, n, kQuads, cImg, aImg, bImg)
 						gotC, gc := runINT8Tile(t, k.kern, m, n, kQuads, cImg, aImg, bImg)
-						if !reflect.DeepEqual(byteC, gotC) {
-							t.Fatalf("m=%d n=%d kQuads=%d: %s C image diverges from byte path", m, n, kQuads, k.name)
+						if !reflect.DeepEqual(refTDPBUSD(m, n, kQuads, cImg, aImg, bImg), gotC) {
+							t.Fatalf("m=%d n=%d kQuads=%d: %s C image diverges from refTDPBUSD", m, n, kQuads, k.name)
 						}
-						if bc != gc {
-							t.Fatalf("m=%d n=%d kQuads=%d: cycles %d (byte) != %d (%s)", m, n, kQuads, bc, gc, k.name)
+						if gc != tileOpCycles {
+							t.Fatalf("m=%d n=%d kQuads=%d: %d cycles (%s), want %d", m, n, kQuads, gc, k.name, tileOpCycles)
 						}
 					}
 				}
@@ -310,7 +389,7 @@ func TestDecodedINT8ExhaustiveShapes(t *testing.T) {
 }
 
 // FuzzDecodedBF16Equivalence feeds arbitrary operand bit patterns and
-// geometry through the byte oracle and, as sub-tests, the decoded and the
+// geometry through refTDPBF16PS and, as sub-tests, the decoded and the
 // hardware kernel. Because operands are raw bytes the corpus naturally
 // exercises quiet/signaling NaN payloads, infinities and denormals; any
 // accumulation-order or decode divergence shows up as a byte mismatch in
@@ -324,30 +403,17 @@ func FuzzDecodedBF16Equivalence(f *testing.F) {
 		m := int(mR%MaxRows) + 1
 		n := int(nR%(MaxColBytes/4)) + 1
 		kPairs := int(kR%(MaxColBytes/4)) + 1
-		if len(data) == 0 {
-			data = []byte{0}
-		}
-		grab := func(dst []byte, phase int) {
-			for i := range dst {
-				dst[i] = data[(i+phase)%len(data)]
-			}
-		}
-		cImg := make([]byte, m*n*4)
-		aImg := make([]byte, m*kPairs*4)
-		bImg := make([]byte, kPairs*n*4)
-		grab(cImg, 0)
-		grab(aImg, 1)
-		grab(bImg, 2)
-		byteC, bc := runBF16Tile(t, kernelBytes, m, n, kPairs, cImg, aImg, bImg)
-		for _, k := range kernels[1:] {
+		cImg, aImg, bImg := fuzzImages(data, m*n*4, m*kPairs*4, kPairs*n*4)
+		want := refTDPBF16PS(m, n, kPairs, cImg, aImg, bImg)
+		for _, k := range kernels {
 			t.Run(k.name, func(t *testing.T) {
 				needKernel(t, k.kern)
 				gotC, gc := runBF16Tile(t, k.kern, m, n, kPairs, cImg, aImg, bImg)
-				if !f32ImagesEqual(byteC, gotC) {
-					t.Fatalf("m=%d n=%d kPairs=%d: %s C image diverges from byte path", m, n, kPairs, k.name)
+				if !f32ImagesEqual(want, gotC) {
+					t.Fatalf("m=%d n=%d kPairs=%d: %s C image diverges from refTDPBF16PS", m, n, kPairs, k.name)
 				}
-				if bc != gc {
-					t.Fatalf("m=%d n=%d kPairs=%d: cycle mismatch %d != %d (%s)", m, n, kPairs, bc, gc, k.name)
+				if gc != tileOpCycles {
+					t.Fatalf("m=%d n=%d kPairs=%d: %d cycles (%s), want %d", m, n, kPairs, gc, k.name, tileOpCycles)
 				}
 			})
 		}
@@ -355,7 +421,7 @@ func FuzzDecodedBF16Equivalence(f *testing.F) {
 }
 
 // FuzzDecodedINT8Equivalence is the TDPBUSD mirror of the BF16 fuzzer,
-// pinning the decoded and the hardware kernel to the byte oracle.
+// pinning the decoded and the hardware kernel to refTDPBUSD.
 func FuzzDecodedINT8Equivalence(f *testing.F) {
 	f.Add(uint8(16), uint8(16), uint8(16), []byte{0x80, 0x7F, 0xFF, 0x01})
 	f.Add(uint8(3), uint8(2), uint8(7), []byte{0xFF})
@@ -363,102 +429,105 @@ func FuzzDecodedINT8Equivalence(f *testing.F) {
 		m := int(mR%MaxRows) + 1
 		n := int(nR%(MaxColBytes/4)) + 1
 		kQuads := int(kR%(MaxColBytes/4)) + 1
-		if len(data) == 0 {
-			data = []byte{0}
-		}
-		grab := func(dst []byte, phase int) {
-			for i := range dst {
-				dst[i] = data[(i+phase)%len(data)]
-			}
-		}
-		cImg := make([]byte, m*n*4)
-		aImg := make([]byte, m*kQuads*4)
-		bImg := make([]byte, kQuads*n*4)
-		grab(cImg, 0)
-		grab(aImg, 1)
-		grab(bImg, 2)
-		byteC, bc := runINT8Tile(t, kernelBytes, m, n, kQuads, cImg, aImg, bImg)
-		for _, k := range kernels[1:] {
+		cImg, aImg, bImg := fuzzImages(data, m*n*4, m*kQuads*4, kQuads*n*4)
+		want := refTDPBUSD(m, n, kQuads, cImg, aImg, bImg)
+		for _, k := range kernels {
 			t.Run(k.name, func(t *testing.T) {
 				needKernel(t, k.kern)
 				gotC, gc := runINT8Tile(t, k.kern, m, n, kQuads, cImg, aImg, bImg)
-				if !reflect.DeepEqual(byteC, gotC) {
-					t.Fatalf("m=%d n=%d kQuads=%d: %s C image diverges from byte path", m, n, kQuads, k.name)
+				if !reflect.DeepEqual(want, gotC) {
+					t.Fatalf("m=%d n=%d kQuads=%d: %s C image diverges from refTDPBUSD", m, n, kQuads, k.name)
 				}
-				if bc != gc {
-					t.Fatalf("m=%d n=%d kQuads=%d: cycle mismatch %d != %d (%s)", m, n, kQuads, bc, gc, k.name)
+				if gc != tileOpCycles {
+					t.Fatalf("m=%d n=%d kQuads=%d: %d cycles (%s), want %d", m, n, kQuads, gc, k.name, tileOpCycles)
 				}
 			})
 		}
 	})
 }
 
+// fuzzImages cuts the C, A and B images of the given sizes from the
+// fuzzer's bytes, each from its own phase of the repeated input.
+func fuzzImages(data []byte, cLen, aLen, bLen int) (cImg, aImg, bImg []byte) {
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	grab := func(n, phase int) []byte {
+		dst := make([]byte, n)
+		for i := range dst {
+			dst[i] = data[(i+phase)%len(data)]
+		}
+		return dst
+	}
+	return grab(cLen, 0), grab(aLen, 1), grab(bLen, 2)
+}
+
+// cyclesMatch reports whether a product's measured cycles are the model's
+// plus some number of palette configures: a driver may draw a cold unit
+// from the pool (the pool's warm-up depends on team scheduling, and
+// sync.Pool is randomized under -race) and pay one Configure per unit.
+func cyclesMatch(got, model uint64) bool {
+	return got >= model && (got-model)%cyclesConfig == 0
+}
+
 // TestDecodedDriverMatchesByteDriverBF16 pins every BF16 kernel's full
-// driver (pack → blocking → worker team → scatter) against the byte
-// oracle's over a byte-only operand, bit for bit — including NaN and Inf
-// activations — and requires cycle parity. Comparison is on float32 bits
-// modulo NaN payload (sameF32Word).
+// driver (pack → blocking → worker team → scatter) to the byte oracle
+// over the same operand bit for bit — including NaN and Inf activations
+// and a denormal weight — and its cycles to PredictCycles; the "bytes"
+// leg pins the byte oracle itself to ReferenceMatmulBF16. Kernels are
+// compared on float32 bits modulo NaN payload (sameF32Word).
 func TestDecodedDriverMatchesByteDriverBF16(t *testing.T) {
+	type bf16Case struct {
+		m, k, n int
+		a, b    []float32
+		w       *Prepacked
+	}
+	var cases []bf16Case
+	rng := rand.New(rand.NewSource(11))
+	for _, s := range []struct{ m, k, n int }{
+		{1, 64, 64}, {16, 32, 16}, {33, 48, 20}, {5, 129, 3}, {64, 64, 128},
+	} {
+		a, b := matrices(s.m, s.k, s.n, 0.5)
+		// Inject special values: the kernels must agree on NaN
+		// propagation and signed-infinity arithmetic, not just finite
+		// data.
+		a[0] = float32(math.NaN())
+		a[len(a)-1] = float32(math.Inf(1))
+		b[0] = float32(math.Inf(-1))
+		b[len(b)-1] = math.Float32frombits(0x00000001) // denormal
+		for i := 0; i < 5; i++ {
+			a[rng.Intn(len(a))] = float32(math.NaN())
+		}
+		w, err := prepack(b, s.k, s.n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, bf16Case{s.m, s.k, s.n, a, b, w})
+	}
+	t.Run("bytes", func(t *testing.T) {
+		for _, c := range cases {
+			sameBitsF32(t, byteOracleBF16(t, c.a, c.m, c.w), ReferenceMatmulBF16(c.a, c.b, c.m, c.k, c.n),
+				fmt.Sprintf("%dx%dx%d byte oracle vs ReferenceMatmulBF16", c.m, c.k, c.n))
+		}
+	})
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			needKernel(t, k.kern)
-			rng := rand.New(rand.NewSource(11))
-			for _, s := range []struct{ m, k, n int }{
-				{1, 64, 64}, {16, 32, 16}, {33, 48, 20}, {5, 129, 3}, {64, 64, 128},
-			} {
-				a, b := matrices(s.m, s.k, s.n, 0.5)
-				// Inject special values: the kernels must agree on NaN
-				// propagation and signed-infinity arithmetic, not just finite
-				// data.
-				a[0] = float32(math.NaN())
-				a[len(a)-1] = float32(math.Inf(1))
-				b[0] = float32(math.Inf(-1))
-				b[len(b)-1] = math.Float32frombits(0x00000001) // denormal
-				for i := 0; i < 5; i++ {
-					a[rng.Intn(len(a))] = float32(math.NaN())
-				}
-
-				byteW, err := prepack(b, s.k, s.n, false)
+			for _, c := range cases {
+				want := byteOracleBF16(t, c.a, c.m, c.w)
+				got := make([]float32, c.m*c.n)
+				cycles, err := matmulOn(k.kern, got, c.a, c.m, c.w)
 				if err != nil {
-					t.Fatal(err)
-				}
-				w, err := prepack(b, s.k, s.n, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make([]float32, s.m*s.n)
-				got := make([]float32, s.m*s.n)
-				// Warm both kernels so the pooled units have the palette
-				// installed; otherwise a one-time Configure charge lands on
-				// whichever path happens to draw a cold unit.
-				if _, err := matmulOn(kernelBytes, want, a, s.m, byteW); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := matmulOn(k.kern, got, a, s.m, w); err != nil {
-					t.Fatal(err)
-				}
-				wantCycles, err := matmulOn(kernelBytes, want, a, s.m, byteW)
-				if err != nil {
-					t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
-				}
-				gotCycles, err := matmulOn(k.kern, got, a, s.m, w)
-				if err != nil {
-					t.Fatalf("%dx%dx%d %s driver: %v", s.m, s.k, s.n, k.name, err)
+					t.Fatalf("%dx%dx%d %s driver: %v", c.m, c.k, c.n, k.name, err)
 				}
 				for i := range want {
 					if !sameF32Word(f32Bits(want[i]), f32Bits(got[i])) {
-						t.Fatalf("%dx%dx%d: C[%d] bits %08x (byte) != %08x (%s)",
-							s.m, s.k, s.n, i, f32Bits(want[i]), f32Bits(got[i]), k.name)
+						t.Fatalf("%dx%dx%d: C[%d] bits %08x (bytes) != %08x (%s)",
+							c.m, c.k, c.n, i, f32Bits(want[i]), f32Bits(got[i]), k.name)
 					}
 				}
-				// Instruction-level cycle parity is pinned exhaustively at the
-				// tile level; at the driver level the pooled units' palette
-				// warm-up depends on team scheduling (and sync.Pool is
-				// randomized under -race), so a driver may draw a cold unit and
-				// pay one extra Configure. Allow exactly Configure-charge
-				// multiples, nothing else.
-				if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
-					t.Fatalf("%dx%dx%d: cycles %d (byte) != %d (%s)", s.m, s.k, s.n, wantCycles, gotCycles, k.name)
+				if !cyclesMatch(cycles, c.w.PredictCycles(c.m)) {
+					t.Fatalf("%dx%dx%d: %d cycles (%s), PredictCycles %d", c.m, c.k, c.n, cycles, k.name, c.w.PredictCycles(c.m))
 				}
 			}
 		})
@@ -466,65 +535,74 @@ func TestDecodedDriverMatchesByteDriverBF16(t *testing.T) {
 }
 
 // TestDecodedDriverMatchesByteDriverINT8 is the INT8 driver-level pin:
-// the byte oracle over a byte-only operand against every kernel over a
-// production one.
+// every kernel against the byte oracle and PredictCycles, and the byte
+// oracle ("bytes") against ReferenceMatmulINT8.
 func TestDecodedDriverMatchesByteDriverINT8(t *testing.T) {
+	type int8Case struct {
+		m, k, n int
+		a       []uint8
+		b       []int8
+		w       *PrepackedINT8
+	}
+	var cases []int8Case
+	for _, s := range []struct{ m, k, n int }{
+		{1, 64, 16}, {16, 64, 16}, {33, 100, 20}, {64, 128, 64},
+	} {
+		a := make([]uint8, s.m*s.k)
+		b := make([]int8, s.k*s.n)
+		for i := range a {
+			a[i] = uint8(i*29 + 7)
+		}
+		for i := range b {
+			b[i] = int8(i%255 - 127)
+		}
+		w, err := prepack(b, s.k, s.n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, int8Case{s.m, s.k, s.n, a, b, w})
+	}
+	t.Run("bytes", func(t *testing.T) {
+		for _, c := range cases {
+			if !reflect.DeepEqual(byteOracleINT8(t, c.a, c.m, c.w), ReferenceMatmulINT8(c.a, c.b, c.m, c.k, c.n)) {
+				t.Fatalf("%dx%dx%d: byte oracle diverges from ReferenceMatmulINT8", c.m, c.k, c.n)
+			}
+		}
+	})
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			needKernel(t, k.kern)
-			for _, s := range []struct{ m, k, n int }{
-				{1, 64, 16}, {16, 64, 16}, {33, 100, 20}, {64, 128, 64},
-			} {
-				a := make([]uint8, s.m*s.k)
-				b := make([]int8, s.k*s.n)
-				for i := range a {
-					a[i] = uint8(i*29 + 7)
-				}
-				for i := range b {
-					b[i] = int8(i%255 - 127)
-				}
-				byteW, err := prepack(b, s.k, s.n, false)
+			for _, c := range cases {
+				got, cycles, err := matmulINT8On(k.kern, c.a, c.m, c.w)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%dx%dx%d %s driver: %v", c.m, c.k, c.n, k.name, err)
 				}
-				w, err := prepack(b, s.k, s.n, true)
-				if err != nil {
-					t.Fatal(err)
+				if !reflect.DeepEqual(byteOracleINT8(t, c.a, c.m, c.w), got) {
+					t.Fatalf("%dx%dx%d: %s result diverges from the byte oracle", c.m, c.k, c.n, k.name)
 				}
-				if _, _, err := matmulINT8On(kernelBytes, a, s.m, byteW); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := matmulINT8On(k.kern, a, s.m, w); err != nil {
-					t.Fatal(err)
-				}
-				want, wantCycles, err := matmulINT8On(kernelBytes, a, s.m, byteW)
-				if err != nil {
-					t.Fatalf("%dx%dx%d byte driver: %v", s.m, s.k, s.n, err)
-				}
-				got, gotCycles, err := matmulINT8On(k.kern, a, s.m, w)
-				if err != nil {
-					t.Fatalf("%dx%dx%d %s driver: %v", s.m, s.k, s.n, k.name, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%dx%dx%d: %s result diverges from byte driver", s.m, s.k, s.n, k.name)
-				}
-				// Same Configure-charge tolerance as the BF16 driver test.
-				if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
-					t.Fatalf("%dx%dx%d: cycles %d (byte) != %d (%s)", s.m, s.k, s.n, wantCycles, gotCycles, k.name)
+				if !cyclesMatch(cycles, c.w.PredictCycles(c.m)) {
+					t.Fatalf("%dx%dx%d: %d cycles (%s), PredictCycles %d", c.m, c.k, c.n, cycles, k.name, c.w.PredictCycles(c.m))
 				}
 			}
 		})
 	}
 }
 
+// truncatedLoadErr is the fault a product over a right-hand image four
+// bytes short of two k-blocks × 128 columns raises: the last block's B
+// load (16 rows of the 512-byte VNNI row, 64 bytes from column block 7)
+// is four bytes short.
+var truncatedLoadErr = fmt.Sprintf("amx: load needs %d bytes, have %d: %v",
+	(MaxRows-1)*128*4+MaxColBytes, (MaxRows-1)*128*4+MaxColBytes-4, ErrBounds)
+
 // TestDecodedTruncatedOperandFaultIdentity drops the last four bytes of
 // each right-hand image — the tail of the final (kb, cb) block's B load —
-// and requires the same wrapped ErrBounds from all three block kernels
-// of both element types, on the inline path and split over a team. BF16
-// k=64 and INT8 k=128 are both two k-blocks of an n=128 operand, so the
-// images have equal sizes and even the byte counts in the message agree. A hardware kernel is
-// given a short VNNI image, the bytes it reads; a decoded one a short
-// decoded view.
+// and requires truncatedLoadErr, which wraps ErrBounds, from both block
+// kernels of both element types, on the inline path and split over a
+// team. BF16 k=64 and INT8 k=128 are both two k-blocks of an n=128
+// operand, so the images have equal sizes and even the byte counts in
+// the message agree. A hardware kernel is given a short VNNI image, the
+// bytes it reads; a decoded one a short decoded view.
 func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
 	const n, kBlocks = 128, 2
 	for _, tc := range []struct {
@@ -553,50 +631,43 @@ func TestDecodedTruncatedOperandFaultIdentity(t *testing.T) {
 				}
 				return w
 			}
-			bfBytes, bfDec, bfHW := bfW(false), bfW(true), bfW(false)
-			i8Bytes, i8Dec, i8HW := i8W(false), i8W(true), i8W(false)
-			bfBytes.vnni = bfBytes.vnni[:len(bfBytes.vnni)-4]
+			bfDec, bfHW := bfW(true), bfW(false)
+			i8Dec, i8HW := i8W(true), i8W(false)
 			bfDec.dec = bfDec.dec[:len(bfDec.dec)-2] // two bf16 lanes = four image bytes
 			bfHW.vnni = bfHW.vnni[:len(bfHW.vnni)-4]
-			i8Bytes.vnni = i8Bytes.vnni[:len(i8Bytes.vnni)-4]
 			i8Dec.dec = i8Dec.dec[:len(i8Dec.dec)-4]
 			i8HW.vnni = i8HW.vnni[:len(i8HW.vnni)-4]
 
-			names := []string{"bf16 bytes", "bf16 decoded", "int8 bytes", "int8 decoded"}
-			var errs [4]error
-			_, errs[0] = matmulOn(kernelBytes, make([]float32, tc.m*n), af, tc.m, bfBytes)
-			_, errs[1] = matmulOn(kernelDecoded, make([]float32, tc.m*n), af, tc.m, bfDec)
-			_, _, errs[2] = matmulINT8On(kernelBytes, ai, tc.m, i8Bytes)
-			_, _, errs[3] = matmulINT8On(kernelDecoded, ai, tc.m, i8Dec)
-			for i, err := range errs {
-				if !errors.Is(err, ErrBounds) {
-					t.Errorf("%s: error %v does not wrap ErrBounds", names[i], err)
-				}
-				if errText(err) != errText(errs[0]) {
-					t.Errorf("%s: %q, %s: %q", names[i], errText(err), names[0], errText(errs[0]))
-				}
-			}
-			for _, hw := range []struct {
+			for _, c := range []struct {
 				name string
-				run  func() error
+				kern kernel
+				run  func(kern kernel) error
 			}{
-				{"bf16 hw", func() error {
-					_, err := matmulOn(kernelHW, make([]float32, tc.m*n), af, tc.m, bfHW)
+				{"bf16_decoded", kernelDecoded, func(kern kernel) error {
+					_, err := matmulOn(kern, make([]float32, tc.m*n), af, tc.m, bfDec)
 					return err
 				}},
-				{"int8 hw", func() error {
-					_, _, err := matmulINT8On(kernelHW, ai, tc.m, i8HW)
+				{"int8_decoded", kernelDecoded, func(kern kernel) error {
+					_, _, err := matmulINT8On(kern, ai, tc.m, i8Dec)
+					return err
+				}},
+				{"bf16_hw", kernelHW, func(kern kernel) error {
+					_, err := matmulOn(kern, make([]float32, tc.m*n), af, tc.m, bfHW)
+					return err
+				}},
+				{"int8_hw", kernelHW, func(kern kernel) error {
+					_, _, err := matmulINT8On(kern, ai, tc.m, i8HW)
 					return err
 				}},
 			} {
-				t.Run(hw.name, func(t *testing.T) {
-					needKernel(t, kernelHW)
-					err := hw.run()
+				t.Run(c.name, func(t *testing.T) {
+					needKernel(t, c.kern)
+					err := c.run(c.kern)
 					if !errors.Is(err, ErrBounds) {
 						t.Errorf("error %v does not wrap ErrBounds", err)
 					}
-					if errText(err) != errText(errs[0]) {
-						t.Errorf("%q, %s: %q", errText(err), names[0], errText(errs[0]))
+					if errText(err) != truncatedLoadErr {
+						t.Errorf("%q, want %q", errText(err), truncatedLoadErr)
 					}
 				})
 			}
@@ -612,10 +683,11 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// TestDecodedFaultIdentity requires every fault the byte-path instructions
-// raise — unconfigured tiles, bad indices, incompatible shapes — to come
-// out of the decoded entry points with the *identical* error string, and
-// to leave the cycle counter untouched on both.
+// TestDecodedFaultIdentity requires every TDP fault — unconfigured
+// tiles, bad indices, incompatible shapes — to come out of the decoded
+// instructions and out of tdpCheck, the hardware kernel's check, with the
+// expected sentinel and the *identical* error string, and to leave the
+// cycle counter untouched.
 func TestDecodedFaultIdentity(t *testing.T) {
 	type setup func() *Unit
 	initUnit := func() *Unit { return NewUnit() }
@@ -664,38 +736,30 @@ func TestDecodedFaultIdentity(t *testing.T) {
 		{"B shape mismatch", bShapeBad, tmmC, tmmA, tmmB, ErrShape},
 	}
 	for _, tc := range cases {
-		ub, ud := tc.mk(), tc.mk()
-		cb0, cd0 := ub.Cycles(), ud.Cycles()
-		uh := tc.mk()
-		ch0 := uh.Cycles()
-		errByte := ub.TDPBF16PS(tc.d, tc.a, tc.b)
-		errDec := ud.tdpBF16PSDecodedRows(tc.d, tc.a, tc.b, MaxRows, false, cDec, 4, aDec, 8, bCols, 8)
-		if errText(errByte) != errText(errDec) {
-			t.Errorf("bf16 %s: byte %q != decoded %q", tc.name, errText(errByte), errText(errDec))
-		}
-		if !errors.Is(errDec, tc.wantErrIs) {
-			t.Errorf("bf16 %s: decoded error %v, want %v", tc.name, errDec, tc.wantErrIs)
-		}
-		if errHW := uh.tdpCheck(false, tc.d, tc.a, tc.b); errText(errByte) != errText(errHW) {
-			t.Errorf("bf16 %s: byte %q != hardware check %q", tc.name, errText(errByte), errText(errHW))
-		}
-		if ub.Cycles() != cb0 || ud.Cycles() != cd0 || uh.Cycles() != ch0 {
-			t.Errorf("bf16 %s: fault advanced cycle counter", tc.name)
-		}
-
-		ub, ud = tc.mk(), tc.mk()
-		uh = tc.mk()
-		ch0 = uh.Cycles()
-		errByte = ub.TDPBUSD(tc.d, tc.a, tc.b)
-		errDec = ud.tdpBUSDDecodedRows(tc.d, tc.a, tc.b, MaxRows, false, cI, 4, aU, 8, bS, 8)
-		if errText(errByte) != errText(errDec) {
-			t.Errorf("int8 %s: byte %q != decoded %q", tc.name, errText(errByte), errText(errDec))
-		}
-		if errHW := uh.tdpCheck(true, tc.d, tc.a, tc.b); errText(errByte) != errText(errHW) {
-			t.Errorf("int8 %s: byte %q != hardware check %q", tc.name, errText(errByte), errText(errHW))
-		}
-		if uh.Cycles() != ch0 {
-			t.Errorf("int8 %s: hardware check fault advanced the cycle counter", tc.name)
+		for _, op := range []struct {
+			name    string
+			decoded func(u *Unit) error
+			busd    bool
+		}{
+			{"bf16", func(u *Unit) error {
+				return u.tdpBF16PSDecodedRows(tc.d, tc.a, tc.b, MaxRows, false, cDec, 4, aDec, 8, bCols, 8)
+			}, false},
+			{"int8", func(u *Unit) error {
+				return u.tdpBUSDDecodedRows(tc.d, tc.a, tc.b, MaxRows, false, cI, 4, aU, 8, bS, 8)
+			}, true},
+		} {
+			ud, uh := tc.mk(), tc.mk()
+			cd0, ch0 := ud.Cycles(), uh.Cycles()
+			errDec, errHW := op.decoded(ud), uh.tdpCheck(op.busd, tc.d, tc.a, tc.b)
+			if !errors.Is(errDec, tc.wantErrIs) {
+				t.Errorf("%s %s: decoded error %v, want %v", op.name, tc.name, errDec, tc.wantErrIs)
+			}
+			if errText(errDec) != errText(errHW) {
+				t.Errorf("%s %s: decoded %q != hardware check %q", op.name, tc.name, errText(errDec), errText(errHW))
+			}
+			if ud.Cycles() != cd0 || uh.Cycles() != ch0 {
+				t.Errorf("%s %s: fault advanced the cycle counter", op.name, tc.name)
+			}
 		}
 	}
 }
@@ -746,106 +810,76 @@ func TestDecodedSliceValidation(t *testing.T) {
 	}
 }
 
-// TestCheckOpsMatchByteOps requires the fault-and-cycles-only tile ops to
-// fault with exactly the strings the data-moving ops produce, and to
-// charge the same cycles on success.
-func TestCheckOpsMatchByteOps(t *testing.T) {
-	mk := func() *Unit {
-		u := NewUnit()
-		cfg := TileConfig{}
-		cfg.Tiles[0] = TileShape{Rows: 16, ColBytes: 64}
-		if err := u.Configure(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return u
+// TestCheckOpsFaultsAndCycles pins the tile ops the kernels issue as
+// checks — TileLoadCheck, TileStoreCheck, TileZeroCheck — to the
+// instructions' faults, word for word, and their cycles: a faulting op
+// charges nothing, a good one its instruction's cost.
+func TestCheckOpsFaultsAndCycles(t *testing.T) {
+	u := NewUnit()
+	cfg := TileConfig{}
+	cfg.Tiles[0] = TileShape{Rows: 16, ColBytes: 64}
+	if err := u.Configure(cfg); err != nil {
+		t.Fatal(err)
 	}
-	mem := make([]byte, 16*64)
-	short := make([]byte, 100)
-
-	cases := []struct {
-		name string
-		run  func(u *Unit) error
-		chk  func(u *Unit) error
+	const mem, short = 16 * 64, 100
+	for _, tc := range []struct {
+		name   string
+		op     func(u *Unit) error
+		err    string
+		cycles uint64
 	}{
-		{"load ok", func(u *Unit) error { return u.TileLoad(0, mem, 64) },
-			func(u *Unit) error { return u.TileLoadCheck(0, len(mem), 64) }},
-		{"load short", func(u *Unit) error { return u.TileLoad(0, short, 64) },
-			func(u *Unit) error { return u.TileLoadCheck(0, len(short), 64) }},
-		{"load narrow stride", func(u *Unit) error { return u.TileLoad(0, mem, 32) },
-			func(u *Unit) error { return u.TileLoadCheck(0, len(mem), 32) }},
-		{"load bad tile", func(u *Unit) error { return u.TileLoad(9, mem, 64) },
-			func(u *Unit) error { return u.TileLoadCheck(9, len(mem), 64) }},
-		{"load unconfigured", func(u *Unit) error { return u.TileLoad(1, mem, 64) },
-			func(u *Unit) error { return u.TileLoadCheck(1, len(mem), 64) }},
-		{"store ok", func(u *Unit) error { return u.TileStore(0, mem, 64) },
-			func(u *Unit) error { return u.TileStoreCheck(0, len(mem), 64) }},
-		{"store short", func(u *Unit) error { return u.TileStore(0, short, 64) },
-			func(u *Unit) error { return u.TileStoreCheck(0, len(short), 64) }},
-		{"zero ok", func(u *Unit) error { return u.TileZero(0) },
-			func(u *Unit) error { return u.TileZeroCheck(0) }},
-		{"zero unconfigured", func(u *Unit) error { return u.TileZero(3) },
-			func(u *Unit) error { return u.TileZeroCheck(3) }},
-	}
-	for _, tc := range cases {
-		ub, uc := mk(), mk()
-		b0, c0 := ub.Cycles(), uc.Cycles()
-		errB, errC := tc.run(ub), tc.chk(uc)
-		if errText(errB) != errText(errC) {
-			t.Errorf("%s: byte op %q != check op %q", tc.name, errText(errB), errText(errC))
+		{"load ok", func(u *Unit) error { return u.TileLoadCheck(0, mem, 64) }, "<nil>", cyclesTileLoad},
+		{"load short", func(u *Unit) error { return u.TileLoadCheck(0, short, 64) },
+			"amx: load needs 1024 bytes, have 100: amx: memory access out of bounds", 0},
+		{"load narrow stride", func(u *Unit) error { return u.TileLoadCheck(0, mem, 32) },
+			"amx: stride 32 < row bytes 64: amx: incompatible tile shapes", 0},
+		{"load bad tile", func(u *Unit) error { return u.TileLoadCheck(9, mem, 64) },
+			"amx: tmm9: amx: tile index out of range", 0},
+		{"load unconfigured", func(u *Unit) error { return u.TileLoadCheck(1, mem, 64) },
+			"amx: tmm1: amx: tile not configured", 0},
+		{"store ok", func(u *Unit) error { return u.TileStoreCheck(0, mem, 64) }, "<nil>", cyclesTileStore},
+		{"store short", func(u *Unit) error { return u.TileStoreCheck(0, short, 64) },
+			"amx: store needs 1024 bytes, have 100: amx: memory access out of bounds", 0},
+		{"zero ok", func(u *Unit) error { return u.TileZeroCheck(0) }, "<nil>", cyclesTileZero},
+		{"zero unconfigured", func(u *Unit) error { return u.TileZeroCheck(3) },
+			"amx: tmm3: amx: tile not configured", 0},
+	} {
+		before := u.Cycles()
+		if err := tc.op(u); errText(err) != tc.err {
+			t.Errorf("%s: %q, want %q", tc.name, errText(err), tc.err)
 		}
-		if db, dc := ub.Cycles()-b0, uc.Cycles()-c0; db != dc {
-			t.Errorf("%s: cycles %d (byte) != %d (check)", tc.name, db, dc)
+		if d := u.Cycles() - before; d != tc.cycles {
+			t.Errorf("%s: %d cycles, want %d", tc.name, d, tc.cycles)
 		}
 	}
 }
 
-// TestWriteI32PreservesSNaNBits pins the writeI32 fix: an int32
-// accumulator whose bit pattern happens to be a signaling NaN
-// (0x7F800001) must reach memory unchanged. The old implementation routed
-// the bits through a float32 round trip, which FP canonicalization is
-// allowed to quieten (flipping bit 22 → 0x7FC00001).
+// TestWriteI32PreservesSNaNBits: an int32 accumulator whose bit pattern
+// happens to be a signalling NaN (0x7F800001) must reach memory
+// unchanged through every INT8 kernel and refTDPBUSD. A store that
+// routed the bits through a float32 round trip could have them quietened
+// (bit 22 set → 0x7FC00001) by FP canonicalization.
 func TestWriteI32PreservesSNaNBits(t *testing.T) {
 	snanBits := []uint32{
-		0x7F800001, // minimal-payload signaling NaN
-		0x7F800000, // +Inf (payload neighbors matter too)
-		0xFF800001, // negative signaling NaN
-		0x7FBFFFFF, // maximal signaling payload
+		0x7F800001, // minimal-payload signalling NaN
+		0x7F800000, // +Inf (payload neighbours matter too)
+		0xFF800001, // negative signalling NaN
+		0x7FBFFFFF, // maximal signalling payload
 	}
-	// Direct tile-level check.
-	var tl tile
+	zero := make([]byte, 4)
 	for _, bits := range snanBits {
-		tl.writeI32(0, 0, int32(bits))
-		if got := uint32(tl.readI32(0, 0)); got != bits {
-			t.Errorf("writeI32 round trip of %08x = %08x", bits, got)
+		img := binary.LittleEndian.AppendUint32(nil, bits)
+		if got := binary.LittleEndian.Uint32(refTDPBUSD(1, 1, 1, img, zero, zero)); got != bits {
+			t.Errorf("refTDPBUSD accumulate of zero over %08x gave %08x", bits, got)
 		}
-	}
-	// End-to-end: load the pattern as the initial accumulator, multiply by
-	// zero operands (acc unchanged), and require the stored bytes intact.
-	u := NewUnit()
-	if err := u.Configure(int8TileConfig(1, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	for _, bits := range snanBits {
-		img := []byte{byte(bits), byte(bits >> 8), byte(bits >> 16), byte(bits >> 24)}
-		if err := u.TileLoad(tmmC, img, 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := u.TileLoad(tmmA, make([]byte, 4), 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := u.TileLoad(tmmB, make([]byte, 4), 4); err != nil {
-			t.Fatal(err)
-		}
-		if err := u.TDPBUSD(tmmC, tmmA, tmmB); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]byte, 4)
-		if err := u.TileStore(tmmC, out, 4); err != nil {
-			t.Fatal(err)
-		}
-		got := uint32(out[0]) | uint32(out[1])<<8 | uint32(out[2])<<16 | uint32(out[3])<<24
-		if got != bits {
-			t.Errorf("TDPBUSD accumulate of zero over %08x stored %08x", bits, got)
+		for _, k := range kernels {
+			if k.kern == kernelHW && !hwAvailable {
+				continue
+			}
+			out, _ := runINT8Tile(t, k.kern, 1, 1, 1, img, zero, zero)
+			if got := binary.LittleEndian.Uint32(out); got != bits {
+				t.Errorf("%s: accumulate of zero over %08x stored %08x", k.name, bits, got)
+			}
 		}
 	}
 }

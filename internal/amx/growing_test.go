@@ -78,17 +78,30 @@ func sameLanes(t *testing.T, g *Growing, pre *Prepacked, label string) {
 	}
 }
 
+// growLegs are the legs of the growing differentials: each kernel on the
+// image it reads, and "bytes", the VNNI image alone — the tile unit's
+// layout — read through the byte oracle, which runs on every host.
+var growLegs = []struct {
+	name  string
+	kern  kernel
+	bytes bool
+}{{"bytes", kernelHW, true}, {"decoded", kernelDecoded, false}, {"hw", kernelHW, false}}
+
 // TestGrowingMatchesPrepacked appends positions one at a time and, at
 // lengths on both sides of every block boundary and at capacity, requires
 // the image to hold PrepackBF16's lanes for the same matrix and products
 // to equal MatmulBF16PackedInto over it in bits and cycles — per kernel, per
-// growth axis, for a GEMV and a two-stripe product.
+// growth axis, for a GEMV and a two-stripe product. The "bytes" leg
+// requires the byte oracle over the growing VNNI image to equal
+// ReferenceMatmulBF16 over the matrix.
 func TestGrowingMatchesPrepacked(t *testing.T) {
 	for _, geo := range []struct{ width, capacity int }{{24, 40}, {32, 64}} {
 		for _, axis := range growAxes {
-			for _, kern := range kernels {
+			for _, kern := range growLegs {
 				t.Run(fmt.Sprintf("%s/w%dc%d/%s", axis.name, geo.width, geo.capacity, kern.name), func(t *testing.T) {
-					needKernel(t, kern.kern)
+					if !kern.bytes {
+						needKernel(t, kern.kern)
+					}
 					useTeam(t, 1)
 					seedUnits(t, 1, matmulConfig)
 					rng := rand.New(rand.NewSource(int64(geo.width + geo.capacity)))
@@ -115,6 +128,10 @@ func TestGrowingMatchesPrepacked(t *testing.T) {
 						sameLanes(t, g, pre, label)
 						for _, m := range []int{1, 17} {
 							a := randF32(rng, m*k)
+							if kern.bytes {
+								sameBitsF32(t, byteOracleBF16(t, a, m, &g.w), ReferenceMatmulBF16(a, b, m, k, nn), fmt.Sprintf("%s m=%d byte oracle", label, m))
+								continue
+							}
 							want, got := make([]float32, m*nn), make([]float32, m*nn)
 							wantCycles, err := matmulOn(kern.kern, want, a, m, pre)
 							if err != nil {
@@ -228,6 +245,9 @@ func TestGrowingTruncateRebuilds(t *testing.T) {
 				if !reflect.DeepEqual(g, fresh) {
 					t.Fatal("truncated and re-appended operand differs from a fresh build")
 				}
+				if !decoded && !hwAvailable {
+					return // no kernel here reads the VNNI image; its lanes matched above
+				}
 				_, k, n := growMatrix(kept, axis.byRows)
 				a := randF32(rng, k)
 				got, want := make([]float32, n), make([]float32, n)
@@ -251,14 +271,17 @@ func TestGrowingTruncateRebuilds(t *testing.T) {
 // TestGrowingShortImageFaultIdentity gives a growing operand at capacity —
 // whose image then has a prepacked operand's size — the same four-byte
 // (two-lane) shortfall TestDecodedTruncatedOperandFaultIdentity gives a
-// prepacked one, and requires the same ErrBounds text from every kernel.
+// prepacked one, and requires the same ErrBounds text from every kernel
+// and, on the cut VNNI images, from the byte oracle ("bytes").
 func TestGrowingShortImageFaultIdentity(t *testing.T) {
 	const k, n, m = 2 * blockK, 128, 1
 	af, bf := matrices(m, k, n, 0.5)
 	for _, axis := range growAxes {
-		for _, kern := range kernels {
+		for _, kern := range growLegs {
 			t.Run(axis.name+"/"+kern.name, func(t *testing.T) {
-				needKernel(t, kern.kern)
+				if !kern.bytes {
+					needKernel(t, kern.kern)
+				}
 				decoded := kern.kern == kernelDecoded
 				pre, err := prepack(bf, k, n, decoded)
 				if err != nil {
@@ -292,8 +315,14 @@ func TestGrowingShortImageFaultIdentity(t *testing.T) {
 						w.vnni = w.vnni[:len(w.vnni)-4]
 					}
 				}
-				_, want := matmulOn(kern.kern, make([]float32, m*n), af, m, pre)
-				_, got := matmulOn(kern.kern, make([]float32, m*n), af, m, &g.w)
+				var want, got error
+				if kern.bytes {
+					_, want = vnniMatrix(pre)
+					_, got = vnniMatrix(&g.w)
+				} else {
+					_, want = matmulOn(kern.kern, make([]float32, m*n), af, m, pre)
+					_, got = matmulOn(kern.kern, make([]float32, m*n), af, m, &g.w)
+				}
 				if !errors.Is(got, ErrBounds) || errText(got) != errText(want) {
 					t.Fatalf("growing: %q, prepacked: %q", errText(got), errText(want))
 				}

@@ -2,7 +2,7 @@ package amx
 
 import "encoding/binary"
 
-// This file holds the three block kernels drive runs, each written once
+// This file holds the two block kernels drive runs, each written once
 // for both element types. What differs between TDPBF16PS and TDPBUSD —
 // the instruction's semantics on the emulator and on the tile unit, and
 // how A reaches them — is a tmul value of concrete functions (and one
@@ -19,11 +19,10 @@ import "encoding/binary"
 // float32 activations, bf16-rounded float32 weight lanes and a float32
 // accumulator, or TDPBUSD over uint8, int8 and int32.
 type tmul[A float32 | uint8, E float32 | int8, C float32 | int32] struct {
-	// busd selects TDPBUSD's checks (Unit.tdpCheck). tdp is the
-	// byte-accurate instruction, tdpDecoded its flat-slice fast path (fast
-	// selects plain float32 arithmetic; TDPBUSD ignores it).
+	// busd selects TDPBUSD's checks (Unit.tdpCheck). tdpDecoded is the
+	// instruction on the decoded emulator (fast selects plain float32
+	// arithmetic; TDPBUSD ignores it).
 	busd       bool
-	tdp        func(u *Unit, dst, a, b int) error
 	tdpDecoded func(u *Unit, dst, a, b, rows int, fast bool, c []C, cStride int, aDec []A, aStride int, bCols []E, bColStride int) error
 	// stripe issues a stripe's queued blocks to the tile unit.
 	stripe func(cfg *hwTileCfg, c *C, a *byte, aStride uintptr, b *byte, bStride uintptr, offs *[2]uintptr, chain *uintptr, blocks int)
@@ -32,21 +31,18 @@ type tmul[A float32 | uint8, E float32 | int8, C float32 | int32] struct {
 	packA   func(dst []byte, src []A, rows, cols, padRows, padCols int)
 	decodeA func(dst, src []A, rows, cols, padRows, padCols int) bf16Span
 	scratch *scratchPool[A]
-	// acc is a unit's stripe accumulator; fromBits reads one lane of a
-	// stored C tile.
-	acc      func(pu *pooledUnit) *[stripeBlocks * tileLanes]C
-	fromBits func(uint32) C
+	// acc is a unit's stripe accumulator.
+	acc func(pu *pooledUnit) *[stripeBlocks * tileLanes]C
 }
 
 var (
 	bf16TMUL = tmul[float32, float32, float32]{
-		tdp: (*Unit).TDPBF16PS, tdpDecoded: (*Unit).tdpBF16PSDecodedRows,
-		stripe: tdpbf16psStripe, packA: packBF16Into, decodeA: packBF16DecodedInto, scratch: &f32Scratch,
-		acc:      func(pu *pooledUnit) *[stripeBlocks * tileLanes]float32 { return &pu.accF },
-		fromBits: f32FromBits,
+		tdpDecoded: (*Unit).tdpBF16PSDecodedRows, stripe: tdpbf16psStripe,
+		packA: packBF16Into, decodeA: packBF16DecodedInto, scratch: &f32Scratch,
+		acc: func(pu *pooledUnit) *[stripeBlocks * tileLanes]float32 { return &pu.accF },
 	}
 	int8TMUL = tmul[uint8, int8, int32]{
-		busd: true, tdp: (*Unit).TDPBUSD, tdpDecoded: (*Unit).tdpBUSDDecodedRows,
+		busd: true, tdpDecoded: (*Unit).tdpBUSDDecodedRows,
 		stripe: tdpbusdStripe, packA: packU8Into, scratch: &byteScratch,
 		// The unsigned A image needs no decoding: its padded bytes are the
 		// lane values and the tile unit's layout.
@@ -54,8 +50,7 @@ var (
 			packU8Into(dst, src, rows, cols, padRows, padCols)
 			return bf16Span{}
 		},
-		acc:      func(pu *pooledUnit) *[stripeBlocks * tileLanes]int32 { return &pu.accI },
-		fromBits: func(b uint32) int32 { return int32(b) },
+		acc: func(pu *pooledUnit) *[stripeBlocks * tileLanes]int32 { return &pu.accI },
 	}
 )
 
@@ -84,49 +79,13 @@ func (p *product[A, E, C]) offsets(rb, cb, kb int) (aOff, bOff int) {
 	return rb*blockM*p.aStride + kb*MaxColBytes, kb*MaxRows*p.bStride + cb*MaxColBytes
 }
 
-// bytesKernel is the byte-accurate block kernel: every operand moves
-// through the tile file byte for byte (TileLoad, TDP, TileStore) — the
-// instruction-level oracle the other two are pinned against.
-type bytesKernel[A float32 | uint8, E float32 | int8, C float32 | int32] struct {
-	product[A, E, C]
-	a []byte // padded tile image of A (tmul.packA)
-}
-
-func (k bytesKernel[A, E, C]) zero(pu *pooledUnit, _ int) error { return pu.u.TileZero(tmmC) }
-
-func (k bytesKernel[A, E, C]) mac(pu *pooledUnit, _, rb, cb, kb, _ int) error {
-	aOff, bOff := k.offsets(rb, cb, kb)
-	if err := pu.u.TileLoad(tmmA, k.a[aOff:], k.aStride); err != nil {
-		return err
-	}
-	if err := pu.u.TileLoad(tmmB, k.w.vnni[bOff:], k.bStride); err != nil {
-		return err
-	}
-	return k.t.tdp(pu.u, tmmC, tmmA, tmmB)
-}
-
-func (k bytesKernel[A, E, C]) store(pu *pooledUnit, s int) error {
-	cTile := pu.cTile[:blockM*blockN*4]
-	if err := pu.u.TileStore(tmmC, cTile, blockN*4); err != nil {
-		return err
-	}
-	acc := k.t.acc(pu)[s*tileLanes : (s+1)*tileLanes]
-	for i := range acc {
-		acc[i] = k.t.fromBits(binary.LittleEndian.Uint32(cTile[4*i:]))
-	}
-	return nil
-}
-
-func (k bytesKernel[A, E, C]) issue(pu *pooledUnit, _ int) []C { return k.t.acc(pu)[:] }
-
-// decodedKernel is the decoded block kernel: the same TileZero /
-// TileLoad / TDP / TileStore sequence as bytesKernel — identical faults
-// and cycle accounting via the *Check variants, each load checked against
-// the image bytes the byte path would read — but the MAC loop reads flat
-// pre-decoded slices and the accumulator stays decoded end to end (its
-// byte image would round-trip losslessly anyway, so results are
-// bit-identical). fast is bf16Fast of the two operands: the accumulator
-// starts at +0 for every block, so a BF16 product may run plain float32.
+// decodedKernel is the emulator's block kernel: the TILEZERO / TILELOADD
+// / TDP / TILESTORED sequence as *Check ops — the tile unit's faults and
+// cycle accounting, each load checked against the bytes of the tile
+// image it stands for — with the MAC loop over flat pre-decoded slices
+// and the accumulator decoded end to end. fast is bf16Fast of the two
+// operands: the accumulator starts at +0 for every block, so a BF16
+// product may run plain float32.
 type decodedKernel[A float32 | uint8, E float32 | int8, C float32 | int32] struct {
 	product[A, E, C]
 	a    []A // padded decoded lanes of A (tmul.decodeA)
@@ -139,9 +98,9 @@ func (k decodedKernel[A, E, C]) zero(pu *pooledUnit, s int) error {
 }
 
 func (k decodedKernel[A, E, C]) mac(pu *pooledUnit, s, rb, cb, kb, valid int) error {
-	// The loads are checked against the image bytes the byte path would
-	// read: the decoded views hold as many lanes as the images, though
-	// the B view is column-major.
+	// The loads are checked against the bytes of the tile images: the
+	// decoded views hold as many lanes as the images, though the B view
+	// is column-major.
 	aOff, bOff := k.offsets(rb, cb, kb)
 	if err := pu.u.TileLoadCheck(tmmA, k.lane*len(k.a)-aOff, k.aStride); err != nil {
 		return err

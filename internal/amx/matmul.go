@@ -125,8 +125,8 @@ func vnniPairRow(drow []byte, row0, row1 []float32) {
 // packBF16DecodedBInto writes the decoded view of src's VNNI image into
 // dst: the bf16-pre-rounded values laid out **column-major**,
 // dst[c*padRows+r] = RoundFloat32(src[r][c]), padding zeroed. Column c's
-// slice dst[c*padRows:] then holds exactly the lane sequence the byte
-// path reads from the VNNI image for output column c — pair p at
+// slice dst[c*padRows:] then holds exactly the lane sequence TDPBF16PS
+// reads from the VNNI image for output column c — pair p at
 // elements (2p, 2p+1) — but contiguously, so the decoded MAC loop is a
 // flat dot product. It returns the payload's span.
 func packBF16DecodedBInto(dst []float32, src []float32, rows, cols, padRows, padCols int) bf16Span {
@@ -228,8 +228,8 @@ func (w *operand[E]) kBlocks() int { return w.padK * lanesOf[E]().bytes / MaxCol
 
 // PrepackBF16 packs a row-major float32 matrix (k × n) for reuse as the
 // right-hand operand of MatmulBF16PackedInto: the VNNI byte image the tile
-// unit and the byte-accurate oracle read, plus, on hosts without the tile
-// unit, the decoded float32 view the emulator's fast path reads.
+// unit reads, plus, on hosts without the tile unit, the decoded float32
+// view the emulator reads.
 func PrepackBF16(b []float32, k, n int) (*Prepacked, error) {
 	return prepack(b, k, n, !hwAvailable)
 }
@@ -243,8 +243,7 @@ func PrepackINT8(b []int8, k, n int) (*PrepackedINT8, error) {
 
 // prepack builds the VNNI image and, when decoded is set, the decoded
 // view. Production callers build the view only where kernelFor can pick
-// the decoded kernel; tests set decoded to run that kernel on any host,
-// or clear it for an operand only the byte oracle (or silicon) can read.
+// the decoded kernel; tests set decoded to run that kernel on any host.
 func prepack[E float32 | int8](b []E, k, n int, decoded bool) (*operand[E], error) {
 	l := lanesOf[E]()
 	if len(b) != k*n {
@@ -319,17 +318,14 @@ func matmulInto[A float32 | uint8, E float32 | int8, C float32 | int32](c []C, a
 // kernelFor is the one place a block kernel is chosen, for both element
 // types: the tile unit when the host grants it and w carries the VNNI
 // image it reads (every operand built there does), else the decoded
-// emulator when w carries its decoded view (every operand built off AMX
-// hosts does), else the byte oracle. All three produce the same results,
-// faults and cycles, so the choice is invisible above this package.
+// emulator, which reads w's decoded view (every operand built off AMX
+// hosts carries one). Both produce the same results, faults and cycles,
+// so the choice is invisible above this package.
 func kernelFor[E float32 | int8](w *operand[E]) kernel {
-	switch {
-	case hwAvailable && w.vnni != nil:
+	if hwAvailable && w.vnni != nil {
 		return kernelHW
-	case w.dec != nil:
-		return kernelDecoded
 	}
-	return kernelBytes
+	return kernelDecoded
 }
 
 // matmulOn packs A into pooled scratch in the form kernel kern reads and
@@ -352,8 +348,5 @@ func matmulOn[A float32 | uint8, E float32 | int8, C float32 | int32](kern kerne
 	img := byteScratch.get(padM * p.aStride)
 	defer byteScratch.put(img)
 	p.t.packA(*img, a, m, w.K, padM, w.padK)
-	if kern == kernelHW {
-		return drive(matmulConfig, hwKernel[A, E, C]{p, *img}, c, m, w.N, kBlocks, w.zero)
-	}
-	return drive(matmulConfig, bytesKernel[A, E, C]{p, *img}, c, m, w.N, kBlocks, w.zero)
+	return drive(matmulConfig, hwKernel[A, E, C]{p, *img}, c, m, w.N, kBlocks, w.zero)
 }

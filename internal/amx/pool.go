@@ -51,21 +51,19 @@ func splits(m, rowBlocks, colBlocks, kBlocks int) bool {
 
 // pooledUnit is one emulated core's persistent state: a Unit, the
 // last-installed tile palette (so reconfiguration only happens when the
-// geometry changes), a C-tile staging buffer for the byte path, the
-// stripe accumulators every kernel stores its blocks into (float32 for
-// BF16, int32 for INT8), and the hardware kernels' palette encoding and
-// queued k-chains.
+// geometry changes), the stripe accumulators both kernels store their
+// blocks into (float32 for BF16, int32 for INT8), and the hardware
+// kernel's palette encoding and queued k-chains.
 type pooledUnit struct {
 	// accF and accI hold up to stripeBlocks finished blocks of one
 	// stripe, slot s at [s·tileLanes, (s+1)·tileLanes), row stride blockN.
 	// They come first: a unit is a large object, so its start is
 	// page-aligned and every 64-byte row the tile unit stores into them
 	// fills one cache line instead of straddling two.
-	accF  [stripeBlocks * tileLanes]float32
-	accI  [stripeBlocks * tileLanes]int32
-	u     *Unit
-	cfg   TileConfig
-	cTile [MaxRows * MaxColBytes]byte
+	accF [stripeBlocks * tileLanes]float32
+	accI [stripeBlocks * tileLanes]int32
+	u    *Unit
+	cfg  TileConfig
 	// hwCfg is cfg encoded for LDTILECFG: the hardware kernel loads
 	// exactly the palette its checks ran against.
 	hwCfg hwTileCfg
@@ -192,21 +190,20 @@ func runInline(cfg TileConfig, rowBlocks int, run func(pu *pooledUnit, rb int) e
 	return pu.u.Cycles() - start, nil
 }
 
-// kernel names one of the three block kernels (kernels.go).
+// kernel names one of the two block kernels (kernels.go).
 type kernel uint8
 
 const (
-	kernelBytes   kernel = iota // bytesKernel, the oracle
-	kernelDecoded               // decodedKernel, the emulator's fast path
+	kernelDecoded kernel = iota // decodedKernel, the emulator
 	kernelHW                    // hwKernel, the host's tile unit
 )
 
 // blockKernel is one way of computing the 16×16 output blocks of a
-// blocked product on a tile unit. The three kernels — the byte oracle,
-// the decoded fast path and the host's tile unit, each instantiated for
-// BF16 and INT8 — issue the same instruction sequence with the same
-// faults and cycles and differ only in how the operands travel, where
-// the MACs run and when, so drive is written once. A stripe's blocks are
+// blocked product on a tile unit. The two kernels — the decoded emulator
+// and the host's tile unit, each instantiated for BF16 and INT8 — issue
+// the same instruction sequence with the same faults and cycles and
+// differ only in how the operands travel, where the MACs run and when,
+// so drive is written once. A stripe's blocks are
 // numbered by slot s from 0 within each issue group of at most
 // stripeBlocks.
 type blockKernel[C float32 | int32] interface {

@@ -1,6 +1,9 @@
 package amx
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -196,8 +199,8 @@ func TestMatmulBF16PackedInto(t *testing.T) {
 		if !reflect.DeepEqual(want, dst) {
 			t.Fatalf("%dx%dx%d: result into a dirty destination diverges", s.m, s.k, s.n)
 		}
-		if diff := cycleDiff(cycles, wantCycles); diff%cyclesConfig != 0 {
-			t.Fatalf("%dx%dx%d: Into cycles %d != %d", s.m, s.k, s.n, cycles, wantCycles)
+		if !cyclesMatch(cycles, pre.PredictCycles(s.m)) || !cyclesMatch(wantCycles, pre.PredictCycles(s.m)) {
+			t.Fatalf("%dx%dx%d: Into cycles %d and %d, PredictCycles %d", s.m, s.k, s.n, cycles, wantCycles, pre.PredictCycles(s.m))
 		}
 	}
 
@@ -285,8 +288,10 @@ func TestMatmulINT8PackedInto(t *testing.T) {
 
 // TestKernelFor pins the one kernel chooser over both element types and
 // every layout set an operand can carry: the tile unit wherever the host
-// grants it and the VNNI image is there, else the decoded view, else the
-// byte oracle — and each choice computes the reference product.
+// grants it and the VNNI image is there, else the decoded emulator. Each
+// choice computes the reference product where it has the layout it
+// reads, and faults with ErrBounds, not a panic, where it does not (a
+// VNNI-only operand off AMX, which no constructor builds).
 func TestKernelFor(t *testing.T) {
 	hwElse := func(k kernel) kernel {
 		if hwAvailable {
@@ -309,7 +314,7 @@ func TestKernelFor(t *testing.T) {
 		vnni, dec bool
 		want      kernel
 	}{
-		{"vnni only", true, false, hwElse(kernelBytes)},
+		{"vnni only", true, false, hwElse(kernelDecoded)},
 		{"decoded only", false, true, kernelDecoded},
 		{"both", true, true, hwElse(kernelDecoded)},
 	} {
@@ -334,6 +339,13 @@ func TestKernelFor(t *testing.T) {
 			t.Errorf("int8 %s: kernel %d, want %d", tc.layout, got, tc.want)
 		}
 		cf, _, err := matmulPacked(af, m, wf)
+		if tc.want == kernelDecoded && !tc.dec {
+			_, _, err8 := MatmulINT8Packed(a8, m, w8)
+			if !errors.Is(err, ErrBounds) || !errors.Is(err8, ErrBounds) {
+				t.Errorf("%s: errors %v and %v, want ErrBounds", tc.layout, err, err8)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("bf16 %s: %v", tc.layout, err)
 		}
@@ -344,6 +356,77 @@ func TestKernelFor(t *testing.T) {
 		}
 		if !reflect.DeepEqual(c8, ReferenceMatmulINT8(a8, b8, m, k, n)) {
 			t.Errorf("int8 %s: product differs from ReferenceMatmulINT8", tc.layout)
+		}
+	}
+}
+
+// TestVNNIImagesReadBack reads PackBF16VNNI's and PackS8VNNI's images
+// back lane by lane on odd shapes: lane (k, c) of B sits in pair row k/2
+// (quad row k/4 for INT8) at column c, and must hold the source matrix's
+// lane — BF16FromFloat32 of it, specials included — or zero in the
+// padding, and the decoded view (packBF16DecodedBInto,
+// packS8DecodedBInto) must hold the same lane. Off AMX no kernel reads
+// the VNNI images, so this is what pins them on every host.
+func TestVNNIImagesReadBack(t *testing.T) {
+	for _, s := range []struct{ rows, cols int }{{1, 1}, {3, 5}, {31, 17}, {33, 15}, {65, 33}} {
+		padRows, padCols := ceilDiv(s.rows, blockK)*blockK, ceilDiv(s.cols, blockN)*blockN
+		bf := make([]float32, s.rows*s.cols)
+		for i := range bf {
+			bf[i] = math.Float32frombits(bf16Specials[i%len(bf16Specials)] ^ uint32(i/len(bf16Specials))<<16)
+		}
+		img := PackBF16VNNI(bf, s.rows, s.cols, padRows, padCols)
+		dec := make([]float32, padRows*padCols)
+		for i := range dec {
+			dec[i] = float32(math.NaN())
+		}
+		packBF16DecodedBInto(dec, bf, s.rows, s.cols, padRows, padCols)
+		if len(img) != padRows*padCols*2 {
+			t.Fatalf("bf16 %dx%d: image of %d bytes, want %d", s.rows, s.cols, len(img), padRows*padCols*2)
+		}
+		for k := 0; k < padRows; k++ {
+			for c := 0; c < padCols; c++ {
+				var want uint16
+				if k < s.rows && c < s.cols {
+					want = uint16(BF16FromFloat32(bf[k*s.cols+c]))
+				}
+				lane := binary.LittleEndian.Uint16(img[(k/2)*padCols*4+4*c+2*(k&1):])
+				if lane != want {
+					t.Fatalf("bf16 %dx%d: VNNI lane (%d, %d) = %#04x, want %#04x", s.rows, s.cols, k, c, lane, want)
+				}
+				if got := f32Bits(dec[c*padRows+k]); got != uint32(lane)<<16 {
+					t.Fatalf("bf16 %dx%d: decoded lane (%d, %d) = %#08x, VNNI lane %#04x", s.rows, s.cols, k, c, got, lane)
+				}
+			}
+		}
+
+		padRows = ceilDiv(s.rows, blockKi8) * blockKi8
+		b8 := make([]int8, s.rows*s.cols)
+		for i := range b8 {
+			b8[i] = int8(i*37 + 1)
+		}
+		img = PackS8VNNI(b8, s.rows, s.cols, padRows, padCols)
+		dec8 := make([]int8, padRows*padCols)
+		for i := range dec8 {
+			dec8[i] = -86
+		}
+		packS8DecodedBInto(dec8, b8, s.rows, s.cols, padRows, padCols)
+		if len(img) != padRows*padCols {
+			t.Fatalf("int8 %dx%d: image of %d bytes, want %d", s.rows, s.cols, len(img), padRows*padCols)
+		}
+		for k := 0; k < padRows; k++ {
+			for c := 0; c < padCols; c++ {
+				var want int8
+				if k < s.rows && c < s.cols {
+					want = b8[k*s.cols+c]
+				}
+				lane := int8(img[(k/4)*padCols*4+4*c+(k&3)])
+				if lane != want {
+					t.Fatalf("int8 %dx%d: VNNI lane (%d, %d) = %d, want %d", s.rows, s.cols, k, c, lane, want)
+				}
+				if got := dec8[c*padRows+k]; got != lane {
+					t.Fatalf("int8 %dx%d: decoded lane (%d, %d) = %d, VNNI lane %d", s.rows, s.cols, k, c, got, lane)
+				}
+			}
 		}
 	}
 }

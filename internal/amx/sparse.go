@@ -9,8 +9,8 @@ import "encoding/binary"
 // cycles go: each skipped block saves 2·cyclesTileLoad + cyclesTDP while
 // the per-column-block TileZero/TileStore bookkeeping is unchanged.
 // Because the bitmap is a property of the operand (data-independent at
-// matmul time), the byte-accurate oracle and the decoded fast path take
-// exactly the same skips and stay bit-identical to each other.
+// matmul time), the tile unit and the decoded emulator take exactly the
+// same skips and stay bit-identical to each other.
 //
 // Numerics: a skipped BF16 block contributes only ±0.0 products to the
 // accumulator. Eliding those adds is exact whenever the running sum is

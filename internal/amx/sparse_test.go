@@ -1,6 +1,7 @@
 package amx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,10 +10,11 @@ import (
 )
 
 // This file pins the sparse tier: zero-block bitmaps built at prepack
-// time, the drivers' block skips (decoded and byte oracle taking the
-// same skips, bit-identical to each other and to the dense product on
-// finite inputs), the exact cycles-∝-nonzero-blocks model, and the
-// measurable speedup the skip buys.
+// time, the drivers' block skips (the decoded emulator and the tile unit
+// taking the same skips, bit-identical to each other, to the dense
+// product and to the reference over the pruned matrix on finite inputs),
+// the exact cycles-∝-nonzero-blocks model, and the measurable speedup
+// the skip buys.
 
 // blockSparseBF16 builds a k×n matrix whose (blockK×blockN) tile blocks
 // are zeroed according to zeroBlock(kb, cb); nonzero blocks get values
@@ -51,83 +53,110 @@ func sameF32ZeroTolerant(t *testing.T, got, want []float32, label string) {
 
 // TestSparsePrepackMatchesDenseBF16 runs every BF16 kernel on the dense
 // and the bitmap-skipping form of block-sparse operands: each kernel's
-// sparse product equals its dense one (±0.0-tolerant) and the byte
-// oracle's sparse product bit for bit, and skipping a nonzero block
-// changes it.
+// sparse product equals its dense one and ReferenceMatmulBF16 over the
+// pruned matrix (±0.0-tolerant), costs PredictCycles, and skipping a
+// nonzero block changes it. The "bytes" leg requires the byte oracle
+// over the sparse operand to equal the reference bit for bit and the
+// bitmap, scanned from that image, to skip every planted block.
 func TestSparsePrepackMatchesDenseBF16(t *testing.T) {
+	type sparseCase struct {
+		m, k, n int
+		a, b    []float32
+		planted map[int]bool // blocks zeroed, by cb·kBlocks + kb
+	}
+	var cases []sparseCase
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range []struct{ m, k, n int }{
+		{1, 64, 48},   // decode GEMV, padded N
+		{1, 96, 64},   // ragged K
+		{5, 64, 64},   // partial row block
+		{33, 128, 80}, // multi row block
+	} {
+		kb := ceilDiv(sh.k, blockK)
+		total := kb * ceilDiv(sh.n, blockN)
+		for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			zero := make(map[int]bool)
+			for i := 0; i < int(frac*float64(total)); i++ {
+				zero[i*7919%total] = true
+			}
+			b := blockSparseBF16(rng, sh.k, sh.n, func(kbi, cbi int) bool { return zero[cbi*kb+kbi] })
+			a := make([]float32, sh.m*sh.k)
+			for i := range a {
+				a[i] = float32(rng.NormFloat64())
+			}
+			cases = append(cases, sparseCase{sh.m, sh.k, sh.n, a, b, zero})
+		}
+	}
+	t.Run("bytes", func(t *testing.T) {
+		for _, c := range cases {
+			sparse, err := prepack(c.b, c.k, c.n, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sparse.zero = sparse.scanZero()
+			sameBitsF32(t, byteOracleBF16(t, c.a, c.m, sparse), ReferenceMatmulBF16(c.a, c.b, c.m, c.k, c.n),
+				fmt.Sprintf("%dx%dx%d byte oracle vs ReferenceMatmulBF16", c.m, c.k, c.n))
+			for blk := range c.planted {
+				if !sparse.zero.skip(blk) {
+					t.Fatalf("%dx%dx%d: planted zero block %d not skipped", c.m, c.k, c.n, blk)
+				}
+			}
+		}
+	})
 	for _, kern := range kernels {
 		t.Run(kern.name, func(t *testing.T) {
 			needKernel(t, kern.kern)
-			run := func(a []float32, m int, w *Prepacked, k kernel) []float32 {
+			run := func(a []float32, m int, w *Prepacked) []float32 {
 				t.Helper()
 				c := make([]float32, m*w.N)
-				if _, err := matmulOn(k, c, a, m, w); err != nil {
+				cycles, err := matmulOn(kern.kern, c, a, m, w)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if !cyclesMatch(cycles, w.PredictCycles(m)) {
+					t.Fatalf("%d cycles, PredictCycles %d", cycles, w.PredictCycles(m))
 				}
 				return c
 			}
-			rng := rand.New(rand.NewSource(11))
-			shapes := []struct{ m, k, n int }{
-				{1, 64, 48},   // decode GEMV, padded N
-				{1, 96, 64},   // ragged K
-				{5, 64, 64},   // partial row block
-				{33, 128, 80}, // multi row block
-			}
-			for _, sh := range shapes {
-				kb := ceilDiv(sh.k, blockK)
-				cb := ceilDiv(sh.n, blockN)
-				for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
-					zero := make(map[int]bool)
-					total := kb * cb
-					for i := 0; i < int(frac*float64(total)); i++ {
-						zero[i*7919%total] = true
-					}
-					b := blockSparseBF16(rng, sh.k, sh.n, func(kbi, cbi int) bool { return zero[cbi*kb+kbi] })
-					a := make([]float32, sh.m*sh.k)
-					for i := range a {
-						a[i] = float32(rng.NormFloat64())
-					}
+			for _, c := range cases {
+				dense, err := prepack(c.b, c.k, c.n, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sparse, err := prepack(c.b, c.k, c.n, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sparse.zero = sparse.scanZero()
+				nz, tot := sparse.BlockStats()
+				if total := ceilDiv(c.k, blockK) * ceilDiv(c.n, blockN); tot != total {
+					t.Fatalf("total blocks %d, want %d", tot, total)
+				}
+				if tot-nz < len(c.planted) {
+					// >=: a random nonzero block could still round to all-zero bf16 — not with +0.25 offset.
+					t.Fatalf("%dx%dx%d: %d zero blocks found, want >= %d", c.m, c.k, c.n, tot-nz, len(c.planted))
+				}
 
-					dense, err := prepack(b, sh.k, sh.n, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sparse, err := prepack(b, sh.k, sh.n, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sparse.zero = sparse.scanZero()
-					nz, tot := sparse.BlockStats()
-					if tot != total {
-						t.Fatalf("total blocks %d, want %d", tot, total)
-					}
-					if tot-nz < len(zero) {
-						// >=: a random nonzero block could still round to all-zero bf16 — not with +0.25 offset.
-						t.Fatalf("sparsity %.2f: %d zero blocks found, want >= %d", frac, tot-nz, len(zero))
-					}
+				got := run(c.a, c.m, sparse)
+				sameF32ZeroTolerant(t, got, run(c.a, c.m, dense), "sparse vs dense")
+				sameF32ZeroTolerant(t, got, ReferenceMatmulBF16(c.a, c.b, c.m, c.k, c.n), "sparse vs reference")
 
-					got := run(a, sh.m, sparse, kern.kern)
-					sameF32ZeroTolerant(t, got, run(a, sh.m, dense, kern.kern), "sparse vs dense")
-					// The byte oracle with the same bitmap takes the same skips.
-					sameBitsF32(t, got, run(a, sh.m, sparse, kernelBytes), "sparse vs sparse byte oracle")
-
-					// The differential has teeth: mark one nonzero block of a
-					// copy of the bitmap as skippable and this kernel's product
-					// must change.
-					if nz == 0 {
-						continue
-					}
-					z := &zeroBitmap{bits: slices.Clone(sparse.zero.bits)}
-					flip := 0
-					for z.skip(flip) {
-						flip++
-					}
-					z.set(flip)
-					mutOp := *sparse
-					mutOp.zero = z
-					if reflect.DeepEqual(run(a, sh.m, &mutOp, kern.kern), got) {
-						t.Fatalf("%v: skipping nonzero block %d left the %s product unchanged — the comparison cannot fail", sh, flip, kern.name)
-					}
+				// The differential has teeth: mark one nonzero block of a
+				// copy of the bitmap as skippable and this kernel's product
+				// must change.
+				if nz == 0 {
+					continue
+				}
+				z := &zeroBitmap{bits: slices.Clone(sparse.zero.bits), nz: nz - 1}
+				flip := 0
+				for z.skip(flip) {
+					flip++
+				}
+				z.set(flip)
+				mutOp := *sparse
+				mutOp.zero = z
+				if reflect.DeepEqual(run(c.a, c.m, &mutOp), got) {
+					t.Fatalf("%dx%dx%d: skipping nonzero block %d left the %s product unchanged — the comparison cannot fail", c.m, c.k, c.n, flip, kern.name)
 				}
 			}
 		})
@@ -136,8 +165,50 @@ func TestSparsePrepackMatchesDenseBF16(t *testing.T) {
 
 // TestSparsePrepackMatchesDenseINT8 runs every INT8 kernel on the dense
 // and the bitmap-skipping form of one pruned operand, and pins each
-// kernel's sparse product to the byte oracle's.
+// kernel's sparse product to ReferenceMatmulINT8 and its cycles to
+// PredictCycles; the "bytes" leg pins the byte oracle over the sparse
+// operand to ReferenceMatmulINT8.
 func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
+	type sparseCase struct {
+		m, k, n int
+		a       []uint8
+		b       []int8
+	}
+	var cases []sparseCase
+	rng := rand.New(rand.NewSource(13))
+	for _, sh := range []struct{ m, k, n int }{{1, 128, 48}, {7, 64, 32}, {20, 192, 64}} {
+		kb := ceilDiv(sh.k, blockKi8)
+		total := kb * ceilDiv(sh.n, blockN)
+		zero := make(map[int]bool)
+		for i := 0; i < total/2; i++ {
+			zero[i*31%total] = true
+		}
+		b := make([]int8, sh.k*sh.n)
+		for r := 0; r < sh.k; r++ {
+			for c := 0; c < sh.n; c++ {
+				if !zero[(c/blockN)*kb+r/blockKi8] {
+					b[r*sh.n+c] = int8(rng.Intn(255) - 127)
+				}
+			}
+		}
+		a := make([]uint8, sh.m*sh.k)
+		for i := range a {
+			a[i] = uint8(rng.Intn(256))
+		}
+		cases = append(cases, sparseCase{sh.m, sh.k, sh.n, a, b})
+	}
+	t.Run("bytes", func(t *testing.T) {
+		for _, c := range cases {
+			sparse, err := prepack(c.b, c.k, c.n, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sparse.zero = sparse.scanZero()
+			if !reflect.DeepEqual(byteOracleINT8(t, c.a, c.m, sparse), ReferenceMatmulINT8(c.a, c.b, c.m, c.k, c.n)) {
+				t.Fatalf("%dx%dx%d: byte oracle diverges from ReferenceMatmulINT8", c.m, c.k, c.n)
+			}
+		}
+	})
 	for _, kern := range kernels {
 		t.Run(kern.name, func(t *testing.T) {
 			needKernel(t, kern.kern)
@@ -149,63 +220,36 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 				}
 				return c, cycles
 			}
-			rng := rand.New(rand.NewSource(13))
-			for _, sh := range []struct{ m, k, n int }{{1, 128, 48}, {7, 64, 32}, {20, 192, 64}} {
-				kb := ceilDiv(sh.k, blockKi8)
-				cb := ceilDiv(sh.n, blockN)
-				total := kb * cb
-				zero := make(map[int]bool)
-				for i := 0; i < total/2; i++ {
-					zero[i*31%total] = true
-				}
-				b := make([]int8, sh.k*sh.n)
-				for r := 0; r < sh.k; r++ {
-					for c := 0; c < sh.n; c++ {
-						if !zero[(c/blockN)*kb+r/blockKi8] {
-							b[r*sh.n+c] = int8(rng.Intn(255) - 127)
-						}
-					}
-				}
-				a := make([]uint8, sh.m*sh.k)
-				for i := range a {
-					a[i] = uint8(rng.Intn(256))
-				}
-				dense, err := prepack(b, sh.k, sh.n, true)
+			for _, c := range cases {
+				sh := fmt.Sprintf("%dx%dx%d", c.m, c.k, c.n)
+				dense, err := prepack(c.b, c.k, c.n, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sparse, err := prepack(b, sh.k, sh.n, true)
+				sparse, err := prepack(c.b, c.k, c.n, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sparse.zero = sparse.scanZero()
-				want, _ := run(a, sh.m, dense)
-				got, cySparse := run(a, sh.m, sparse)
+				want, _ := run(c.a, c.m, dense)
+				got, cySparse := run(c.a, c.m, sparse)
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("int8 sparse diverged at %d: %d vs %d", i, got[i], want[i])
 					}
 				}
-				if _, cyDense := run(a, sh.m, dense); cySparse >= cyDense {
+				if _, cyDense := run(c.a, c.m, dense); cySparse >= cyDense {
 					t.Fatalf("int8 sparse cycles %d not below dense %d", cySparse, cyDense)
 				}
 
-				// Byte-path oracle with the same bitmap takes the same skips:
-				// result and cycles (a cold unit may add one palette configure).
-				byteOp, err := prepack(b, sh.k, sh.n, false)
-				if err != nil {
-					t.Fatal(err)
+				// The skips are exact: the reference over the pruned matrix,
+				// at the modelled cycles (a cold unit may add one palette
+				// configure).
+				if !reflect.DeepEqual(ReferenceMatmulINT8(c.a, c.b, c.m, c.k, c.n), got) {
+					t.Fatalf("%s: int8 sparse %s diverged from ReferenceMatmulINT8", sh, kern.name)
 				}
-				byteOp.zero = byteOp.scanZero()
-				gotBytes, cyBytes, err := matmulINT8On(kernelBytes, a, sh.m, byteOp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotBytes, got) {
-					t.Fatalf("%v: int8 sparse byte oracle diverged from %s", sh, kern.name)
-				}
-				if diff := cycleDiff(cyBytes, cySparse); diff%cyclesConfig != 0 {
-					t.Fatalf("%v: cycles %d (byte) != %d (%s)", sh, cyBytes, cySparse, kern.name)
+				if !cyclesMatch(cySparse, sparse.PredictCycles(c.m)) {
+					t.Fatalf("%s: %d cycles (%s), PredictCycles %d", sh, cySparse, kern.name, sparse.PredictCycles(c.m))
 				}
 
 				// The differential has teeth: mark one nonzero block of a copy
@@ -219,8 +263,8 @@ func TestSparsePrepackMatchesDenseINT8(t *testing.T) {
 				z.set(flip)
 				mutOp := *sparse
 				mutOp.zero = z
-				if gotMut, _ := run(a, sh.m, &mutOp); reflect.DeepEqual(gotMut, got) {
-					t.Fatalf("%v: skipping nonzero block %d left the %s product unchanged — the comparison cannot fail", sh, flip, kern.name)
+				if gotMut, _ := run(c.a, c.m, &mutOp); reflect.DeepEqual(gotMut, got) {
+					t.Fatalf("%s: skipping nonzero block %d left the %s product unchanged — the comparison cannot fail", sh, flip, kern.name)
 				}
 			}
 		})
@@ -351,8 +395,9 @@ func TestSparseDecodeFaster(t *testing.T) {
 // FuzzSparsePrepack round-trips arbitrary block-zero patterns — including
 // the all-zero and no-zero extremes seeded below — through dense and
 // sparse images of the same matrix and requires equivalent products
-// (±0.0-tolerant) plus bit-identical byte-oracle/decoded sparse paths
-// and a bitmap that counts at least the planted zero blocks.
+// (±0.0-tolerant), bit-identical sparse products from every kernel the
+// host can run, and a bitmap that counts at least the planted zero
+// blocks.
 func FuzzSparsePrepack(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(2), uint64(0))      // no zero blocks
 	f.Add(int64(2), uint8(2), uint8(3), uint8(2), ^uint64(0))     // all blocks zero
@@ -419,21 +464,23 @@ func FuzzSparsePrepack(f *testing.F) {
 		}
 		sameF32ZeroTolerant(t, got, want, "fuzz sparse vs dense")
 
-		byteOp, err := prepack(b, k, n, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byteOp.zero = byteOp.scanZero()
-		if bnz, btot := byteOp.BlockStats(); bnz != nz || btot != total {
-			t.Fatalf("byte-image bitmap (%d/%d) disagrees with decoded (%d/%d)", bnz, btot, nz, total)
-		}
-		gotBytes, _, err := matmulPacked(a, m, byteOp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(gotBytes[i]) {
-				t.Fatalf("sparse byte vs decoded at %d: %g vs %g", i, gotBytes[i], got[i])
+		for _, kern := range kernels {
+			if kern.kern == kernelHW && !hwAvailable {
+				continue
+			}
+			w, err := prepack(b, k, n, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.zero = w.scanZero()
+			c := make([]float32, m*n)
+			if _, err := matmulOn(kern.kern, c, a, m, w); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(c[i]) {
+					t.Fatalf("sparse %s vs production kernel at %d: %g vs %g", kern.name, i, c[i], got[i])
+				}
 			}
 		}
 	})

@@ -14,8 +14,8 @@ import (
 // This file pins the two halves of a product's per-call path: A's BF16
 // image (tensor.PackBF16 under packBF16Into) against BF16FromFloat32, and
 // the stripe issue (driveStripe → blockKernel.issue → tdp*Stripe) against
-// the byte oracle, across issue-group boundaries, team splits, emptied
-// blocks and a fault in the middle of a stripe.
+// the byte oracle and PredictCycles, across issue-group boundaries, team
+// splits, emptied blocks and a fault in the middle of a stripe.
 
 // bf16Specials are the lanes TestPackBF16MatchesBF16FromFloat32 cycles
 // through: quiet and signalling NaNs of both signs (one with only low
@@ -95,13 +95,13 @@ const (
 func emptied(kb, cb int) bool { return cb == 2 || cb == 17 || (kb+3*cb)%5 == 0 }
 
 // TestHWStripeMatchesByteOracle runs BF16 and INT8 products with
-// m ∈ {1, 3, 16, 17} on the hardware kernel and on the byte oracle,
-// inline (stripes of 20 blocks: one full issue group and one of 4) and
-// split over a four-worker team, on dense operands and on sparse ones
-// whose bitmap empties whole blocks. Results must agree bit for bit —
-// an emptied block is +0 in every lane, not −0 — and cycles, with each
-// other and with PredictCycles (every block checked exactly once), up
-// to Configure charges.
+// m ∈ {1, 3, 16, 17} on the hardware kernel, inline (stripes of 20
+// blocks: one full issue group and one of 4) and split over a
+// four-worker team, on dense operands and on sparse ones whose bitmap
+// empties whole blocks. Results must equal the byte oracle over the
+// VNNI image the stripes load, bit for bit — an emptied block is +0 in
+// every lane, not −0 — and cycles PredictCycles (every block checked
+// exactly once), up to Configure charges.
 func TestHWStripeMatchesByteOracle(t *testing.T) {
 	needKernel(t, kernelHW)
 	rng := rand.New(rand.NewSource(48))
@@ -128,11 +128,7 @@ func TestHWStripeMatchesByteOracle(t *testing.T) {
 						wf.zero = wf.scanZero()
 					}
 					af := randF32(rng, m*k)
-					want, got := make([]float32, m*stripeN), make([]float32, m*stripeN)
-					wantCycles, err := matmulOn(kernelBytes, want, af, m, wf)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want, got := byteOracleBF16(t, af, m, wf), make([]float32, m*stripeN)
 					gotCycles, err := matmulOn(kernelHW, got, af, m, wf)
 					if err != nil {
 						t.Fatal(err)
@@ -145,10 +141,7 @@ func TestHWStripeMatchesByteOracle(t *testing.T) {
 							t.Fatalf("bf16 %s: emptied block %d lane C[%d] bits %08x, want +0", what, cb, i, f32Bits(got[i]))
 						}
 					}
-					if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
-						t.Fatalf("bf16 %s: cycles %d (bytes) != %d (hw)", what, wantCycles, gotCycles)
-					}
-					if diff := cycleDiff(gotCycles, wf.PredictCycles(m)); diff%cyclesConfig != 0 {
+					if !cyclesMatch(gotCycles, wf.PredictCycles(m)) {
 						t.Fatalf("bf16 %s: cycles %d, PredictCycles %d", what, gotCycles, wf.PredictCycles(m))
 					}
 
@@ -172,10 +165,7 @@ func TestHWStripeMatchesByteOracle(t *testing.T) {
 					for i := range ai {
 						ai[i] = uint8(rng.Intn(256))
 					}
-					wantI, wantCycles, err := matmulINT8On(kernelBytes, ai, m, wi)
-					if err != nil {
-						t.Fatal(err)
-					}
+					wantI := byteOracleINT8(t, ai, m, wi)
 					gotI, gotCycles, err := matmulINT8On(kernelHW, ai, m, wi)
 					if err != nil {
 						t.Fatal(err)
@@ -185,10 +175,7 @@ func TestHWStripeMatchesByteOracle(t *testing.T) {
 							t.Fatalf("int8 %s: C[%d] = %d (hw), want %d (bytes)", what, i, gotI[i], wantI[i])
 						}
 					}
-					if diff := cycleDiff(wantCycles, gotCycles); diff%cyclesConfig != 0 {
-						t.Fatalf("int8 %s: cycles %d (bytes) != %d (hw)", what, wantCycles, gotCycles)
-					}
-					if diff := cycleDiff(gotCycles, wi.PredictCycles(m)); diff%cyclesConfig != 0 {
+					if !cyclesMatch(gotCycles, wi.PredictCycles(m)) {
 						t.Fatalf("int8 %s: cycles %d, PredictCycles %d", what, gotCycles, wi.PredictCycles(m))
 					}
 				}
@@ -203,24 +190,37 @@ func TestHWStripeMatchesByteOracle(t *testing.T) {
 // issued and 3 queued (n = 20). Every kernel must return the fault with
 // c holding the product in exactly the columns of the blocks before it
 // and the caller's values everywhere else — what issuing and scattering
-// each block before checking the next leaves.
+// each block before checking the next leaves. The "bytes" leg pins
+// those columns' values, the byte oracle over the whole image, to
+// ReferenceMatmulBF16, and requires the byte oracle over the cut image
+// to fault with ErrBounds too.
 func TestHWStripeFaultKeepsEarlierBlocks(t *testing.T) {
 	useTeam(t, 1)
 	const sentinel = float32(-12345.5)
+	shapes := []struct{ m, colBlocks int }{{1, 8}, {17, 8}, {1, 20}, {17, 20}}
+	t.Run("bytes", func(t *testing.T) {
+		for _, s := range shapes {
+			n, kd := s.colBlocks*blockN, 2*blockK
+			a, b := matrices(s.m, kd, n, 0.5)
+			w, err := prepack(b, kd, n, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBitsF32(t, byteOracleBF16(t, a, s.m, w), ReferenceMatmulBF16(a, b, s.m, kd, n),
+				fmt.Sprintf("m=%d blocks=%d: byte oracle vs ReferenceMatmulBF16", s.m, s.colBlocks))
+			w.vnni = w.vnni[:len(w.vnni)-4]
+			if _, err := vnniMatrix(w); !errors.Is(err, ErrBounds) {
+				t.Fatalf("m=%d blocks=%d: cut image: error %v does not wrap ErrBounds", s.m, s.colBlocks, err)
+			}
+		}
+	})
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			needKernel(t, k.kern)
-			for _, s := range []struct{ m, colBlocks int }{{1, 8}, {17, 8}, {1, 20}, {17, 20}} {
+			for _, s := range shapes {
 				n, kd := s.colBlocks*blockN, 2*blockK
 				a, b := matrices(s.m, kd, n, 0.5)
-				whole, err := prepack(b, kd, n, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make([]float32, s.m*n)
-				if _, err := matmulOn(kernelBytes, want, a, s.m, whole); err != nil {
-					t.Fatal(err)
-				}
+				want := ReferenceMatmulBF16(a, b, s.m, kd, n)
 				w, err := prepack(b, kd, n, k.kern == kernelDecoded)
 				if err != nil {
 					t.Fatal(err)

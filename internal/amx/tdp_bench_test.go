@@ -9,10 +9,8 @@ import (
 var benchSink any
 
 // BenchmarkTDPBF16PS measures one full-size TDPBF16PS tile op
-// (16×16 C += 16×32 A · 32×16 B) through the byte-accurate oracle and the
-// decoded fast path. The two sub-benchmarks run identical instruction
-// sequences — zero the accumulator, one TMUL op — so their ratio is the
-// pure operand-transport win the decoded tier buys.
+// (16×16 C += 16×32 A · 32×16 B) on the decoded emulator: zero the
+// accumulator, one TMUL op.
 func BenchmarkTDPBF16PS(b *testing.B) {
 	const m, n, kPairs = 16, 16, 16
 	lanes := 2 * kPairs
@@ -24,31 +22,7 @@ func BenchmarkTDPBF16PS(b *testing.B) {
 	for i := range src {
 		src[i] = float32(i%13)*0.25 - 1.5
 	}
-	aImg := make([]byte, m*lanes*2)
-	packBF16Into(aImg, src, m, lanes, m, lanes)
-	bImg := PackBF16VNNI(src[:lanes*n], lanes, n, lanes, n)
 
-	b.Run("byte", func(b *testing.B) {
-		u := NewUnit()
-		if err := u.Configure(cfg); err != nil {
-			b.Fatal(err)
-		}
-		if err := u.TileLoad(1, aImg, kPairs*4); err != nil {
-			b.Fatal(err)
-		}
-		if err := u.TileLoad(2, bImg, n*4); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := u.TileZero(0); err != nil {
-				b.Fatal(err)
-			}
-			if err := u.TDPBF16PS(0, 1, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("decoded", func(b *testing.B) {
 		u := NewUnit()
 		if err := u.Configure(cfg); err != nil {
@@ -83,7 +57,7 @@ func BenchmarkTDPBF16PS(b *testing.B) {
 }
 
 // BenchmarkTDPBUSD is the INT8 mirror of BenchmarkTDPBF16PS: one
-// full-size TDPBUSD tile op (16×16 C += 16×64 A · 64×16 B) per tier.
+// full-size TDPBUSD tile op (16×16 C += 16×64 A · 64×16 B).
 func BenchmarkTDPBUSD(b *testing.B) {
 	const m, n, kQuads = 16, 16, 16
 	lanes := 4 * kQuads
@@ -99,31 +73,7 @@ func BenchmarkTDPBUSD(b *testing.B) {
 	for i := range bSrc {
 		bSrc[i] = int8(i%253 - 126)
 	}
-	aImg := make([]byte, m*lanes)
-	packU8Into(aImg, aSrc, m, lanes, m, lanes)
-	bImg := PackS8VNNI(bSrc, lanes, n, lanes, n)
 
-	b.Run("byte", func(b *testing.B) {
-		u := NewUnit()
-		if err := u.Configure(cfg); err != nil {
-			b.Fatal(err)
-		}
-		if err := u.TileLoad(1, aImg, kQuads*4); err != nil {
-			b.Fatal(err)
-		}
-		if err := u.TileLoad(2, bImg, n*4); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := u.TileZero(0); err != nil {
-				b.Fatal(err)
-			}
-			if err := u.TDPBUSD(0, 1, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("decoded", func(b *testing.B) {
 		u := NewUnit()
 		if err := u.Configure(cfg); err != nil {

@@ -354,6 +354,14 @@ func TestGatewayHTTP(t *testing.T) {
 	if status, _ := post(`{"prompt":[1,2],"max_new_tokens":4,"timeout_ms":0,"unknown_field":1}`); status != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", status)
 	}
+	// A timeout_ms past what a time.Duration holds is malformed, not a
+	// deadline wrapped into the past (1e13: an instant 504) or into an
+	// arbitrary future (2e13: about 49 years).
+	for _, ms := range []string{"10000000000000", "20000000000000"} {
+		if status, _ := post(`{"prompt":[1,2],"max_new_tokens":4,"timeout_ms":` + ms + `}`); status != http.StatusBadRequest {
+			t.Errorf("timeout_ms %s: status %d, want 400", ms, status)
+		}
+	}
 
 	// Health and metrics.
 	resp, err := http.Get(srv.URL + "/healthz")

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"time"
 )
@@ -16,7 +18,8 @@ type GenerateRequest struct {
 	// MaxNewTokens is how many tokens to generate.
 	MaxNewTokens int `json:"max_new_tokens"`
 	// TimeoutMs, when positive, bounds the request end to end (queue wait
-	// included) on the server side.
+	// included) on the server side; zero or negative means no bound, and a
+	// value past what a time.Duration holds (≈9.2e12 ms) is rejected.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
@@ -45,12 +48,20 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
+// maxTimeoutMs is the largest timeout_ms a time.Duration holds; a larger
+// one would wrap to an arbitrary deadline, possibly one already past.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
 func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req GenerateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		return
+	}
+	if int64(req.TimeoutMs) > maxTimeoutMs {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("timeout_ms %d exceeds %d", req.TimeoutMs, maxTimeoutMs)})
 		return
 	}
 	ctx := r.Context()

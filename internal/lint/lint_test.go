@@ -1,5 +1,5 @@
-// Package lint holds tier-1 checks over the module's own source: two
-// counts that drift without anyone seeing them unless a test pins them.
+// Package lint holds tier-1 checks over the module's own source: what
+// drifts without anyone seeing it unless a test pins it.
 //
 //   - TestExportedFuncsHaveCallers: every exported function or method
 //     declared under internal/ is referenced by some non-test code, or
@@ -8,18 +8,29 @@
 //     until it is taken off.
 //   - TestPanicCounts: non-test panic calls per package stay at or below
 //     testdata/panics.txt, and recover() is called only in internal/team.
+//   - TestSourceIsGofmtClean: every non-test .go file under internal/,
+//     cmd/ and benchmark/ is what gofmt would write, so a local go test
+//     sees what CI's Format step sees.
+//   - TestRunPatternsNameTests: every alternative of every -run '…'
+//     pattern in .github/workflows/ci.yml and the Makefile matches some
+//     test, so a renamed test cannot leave a CI step that runs nothing.
 //
-// Both read the source with go/parser alone, so the package needs no
-// dependency and no build of the code it checks.
+// They read the source with the standard library alone (go/parser,
+// go/format), so the package needs no dependency and no build of the
+// code it checks.
 package lint
 
 import (
 	"bufio"
+	"bytes"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,14 +48,12 @@ type srcFile struct {
 	ast  *ast.File
 }
 
-// parseModule parses every .go file under the module root, skipping
-// testdata and the directories the go tool ignores (leading "." or "_").
-// Build constraints are not evaluated: every file counts, whichever
-// target it builds for.
-func parseModule(t *testing.T) []srcFile {
+// goFiles returns the path of every .go file under the module root,
+// skipping testdata and the directories the go tool ignores (leading "."
+// or "_").
+func goFiles(t *testing.T) []string {
 	t.Helper()
-	fset := token.NewFileSet()
-	var files []srcFile
+	var paths []string
 	err := filepath.WalkDir(moduleRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -56,22 +65,39 @@ func parseModule(t *testing.T) []srcFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
+		if strings.HasSuffix(name, ".go") {
+			paths = append(paths, path)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(moduleRoot, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		files = append(files, srcFile{dir: filepath.ToSlash(rel), test: strings.HasSuffix(name, "_test.go"), ast: f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return paths
+}
+
+// relDir is path's directory relative to the module root, slash-separated.
+func relDir(t *testing.T, path string) string {
+	t.Helper()
+	rel, err := filepath.Rel(moduleRoot, filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.ToSlash(rel)
+}
+
+// parseModule parses every .go file goFiles returns. Build constraints
+// are not evaluated: every file counts, whichever target it builds for.
+func parseModule(t *testing.T) []srcFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []srcFile
+	for _, path := range goFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, srcFile{dir: relDir(t, path), test: strings.HasSuffix(path, "_test.go"), ast: f})
 	}
 	return files
 }
@@ -246,5 +272,108 @@ func TestPanicCounts(t *testing.T) {
 		if panics[dir] < b {
 			t.Logf("%s has %d panic calls, below its budget of %d: lower the budget", dir, panics[dir], b)
 		}
+	}
+}
+
+// TestSourceIsGofmtClean requires every non-test .go file under
+// internal/, cmd/ and benchmark/ to be unchanged by go/format.Source,
+// which formats as gofmt does.
+func TestSourceIsGofmtClean(t *testing.T) {
+	for _, path := range goFiles(t) {
+		dir := relDir(t, path)
+		top, _, _ := strings.Cut(dir, "/")
+		if strings.HasSuffix(path, "_test.go") || (top != "internal" && top != "cmd" && top != "benchmark") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := dir + "/" + filepath.Base(path)
+		if out, err := format.Source(src); err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if !bytes.Equal(out, src) {
+			t.Errorf("%s is not gofmt-clean: run gofmt -w %s", name, name)
+		}
+	}
+}
+
+// runPattern finds the quoted -run patterns of a Makefile or workflow:
+// -run 'P' and -run='P'.
+var runPattern = regexp.MustCompile(`-run[ =]'([^']*)'`)
+
+// splitTop splits s at every sep outside brackets and parentheses, the
+// way go test splits a -run pattern into levels at '/' and a regexp
+// splits into alternatives at '|'.
+func splitTop(s string, sep byte) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case sep:
+			if depth == 0 {
+				parts = append(parts, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, s[start:])
+}
+
+// TestRunPatternsNameTests requires every '|'-alternative of the top
+// level of every quoted -run pattern in .github/workflows/ci.yml and the
+// Makefile to match the name of at least one Test, Fuzz, Example or
+// Benchmark function of the module. go test runs a pattern that matches
+// nothing as "no tests to run" and passes, so without this check a
+// renamed test silently drops out of the CI step that names it. The
+// pattern "^$" runs no test on purpose and is exempt.
+func TestRunPatternsNameTests(t *testing.T) {
+	var names []string
+	for _, f := range parseModule(t) {
+		if !f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				for _, p := range []string{"Test", "Fuzz", "Example", "Benchmark"} {
+					if strings.HasPrefix(fd.Name.Name, p) {
+						names = append(names, fd.Name.Name)
+						break
+					}
+				}
+			}
+		}
+	}
+	checked := 0
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		src, err := os.ReadFile(filepath.Join(moduleRoot, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range runPattern.FindAllStringSubmatch(string(src), -1) {
+			for _, alt := range splitTop(splitTop(m[1], '/')[0], '|') {
+				if alt == "^$" {
+					continue
+				}
+				checked++
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -run '%s': alternative %q: %v", file, m[1], alt, err)
+					continue
+				}
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("%s: -run '%s': alternative %q matches no test, fuzz target, example or benchmark", file, m[1], alt)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run pattern: the check would pass vacuously")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/lia-sim/lia/internal/core"
+	"github.com/lia-sim/lia/internal/cxl"
 	"github.com/lia-sim/lia/internal/llm"
 	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/units"
@@ -171,13 +172,14 @@ func driveKV(h *Host, id int64, past int) {
 	ps.EndPass()
 }
 
-// TestKVEvictionLRUOrder fills a two-page KV tier from three caches and
-// checks that victims leave in least-recently-used order.
-func TestKVEvictionLRUOrder(t *testing.T) {
+// newTwoPageHost builds a host of 16-token KV pages whose DDR holds the
+// hosted weights plus exactly two KV pages, and no CXL pool: a third
+// page evicts the coldest.
+func newTwoPageHost(t *testing.T) *Host {
+	t.Helper()
 	cfg := llm.TinyConfig()
-	h := newTinyHost(t, cfg, 0, 0, func(c *Config) {
+	return newTinyHost(t, cfg, 0, 0, func(c *Config) {
 		c.PageTokens = 16
-		// Shrink DDR to the hosted weights plus exactly two KV pages.
 		var wb units.Bytes
 		for _, s := range paramSublayers {
 			wb += cfg.DataY(model.Prefill, s, 1, 1)
@@ -186,6 +188,12 @@ func TestKVEvictionLRUOrder(t *testing.T) {
 		page := cfg.KVBytes(1, c.PageTokens)
 		c.System.CPU.DRAMCapacity = wb + 2*page + page/2
 	})
+}
+
+// TestKVEvictionLRUOrder fills a two-page KV tier from three caches and
+// checks that victims leave in least-recently-used order.
+func TestKVEvictionLRUOrder(t *testing.T) {
+	h := newTwoPageHost(t)
 
 	h.CacheCreated(1, 128)
 	h.CacheCreated(2, 128)
@@ -218,6 +226,65 @@ func TestKVEvictionLRUOrder(t *testing.T) {
 	// Retiring a cache frees its pages; retiring twice is a no-op.
 	h.CacheRetired(2)
 	h.CacheRetired(2)
+}
+
+// TestKVRefetchCounting pins KVRefetches to pages that were allocated,
+// evicted and allocated again — wherever in the cache the page sits — and
+// to nothing else.
+func TestKVRefetchCounting(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(h *Host)
+		want uint64
+	}{
+		{"evicted last page re-touched", func(h *Host) {
+			driveKV(h, 1, 0)
+			driveKV(h, 2, 0)
+			driveKV(h, 1, 1)
+			driveKV(h, 3, 0) // evicts cache 2's only page, its last
+			driveKV(h, 2, 1) // re-touches it
+		}, 1},
+		{"interior hole", func(h *Host) {
+			driveKV(h, 1, 0)
+			driveKV(h, 2, 0)
+			driveKV(h, 1, 1)
+			driveKV(h, 3, 0)  // evicts cache 2's page 0
+			driveKV(h, 2, 16) // page 0 again, page 1 for the first time
+		}, 1},
+		{"first-time growth", func(h *Host) {
+			driveKV(h, 1, 0)
+			driveKV(h, 1, 16)
+			driveKV(h, 2, 0) // evicts cache 1's page 0: no refetch yet
+		}, 0},
+		{"overflow then retry", func(h *Host) {
+			// Fill the KV tier so that, with no page resident, even one
+			// page cannot be allocated: the pass overflows before cache 1
+			// has any page. Once the tier has room the retry allocates
+			// both pages for the first time.
+			ts := h.mgr.Snapshot()[h.plan.KVTier]
+			filler, err := h.mgr.Alloc(h.plan.KVTier, cxl.KVCache, "filler", ts.Capacity-ts.Used)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveKV(h, 1, 16)
+			if s := h.Snapshot(); s.KVOverflows == 0 {
+				t.Fatalf("no overflow with the KV tier full: %+v", s)
+			}
+			h.mgr.Free(filler)
+			driveKV(h, 1, 17)
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTwoPageHost(t)
+			for id := int64(1); id <= 3; id++ {
+				h.CacheCreated(id, 128)
+			}
+			tc.run(h)
+			if s := h.Snapshot(); s.KVRefetches != tc.want {
+				t.Fatalf("%d refetches, want %d (%d evictions, %d overflows)", s.KVRefetches, tc.want, s.KVEvictions, s.KVOverflows)
+			}
+		})
+	}
 }
 
 // TestKVSpillsToCXLBeforeEvicting: with expanders installed, the

@@ -23,6 +23,10 @@ type cacheState struct {
 	capRows int
 	rows    int // high-water mark of appended positions
 	pages   []*kvPage
+	// fetched is how many pages have ever been allocated: pages are first
+	// allocated in index order, so those are pages [0, fetched), and a
+	// nil one among them was evicted.
+	fetched int
 }
 
 // pageTable implements the §6 KV paging policy: hot pages live in the KV
@@ -96,15 +100,16 @@ func (pt *pageTable) ensure(id int64, totalRows int) error {
 		if pg != nil {
 			continue
 		}
-		refetch := i < need-1 // an interior hole means the page was evicted
 		npg, err := pt.allocPage(cs, i)
 		if err != nil {
 			pt.overflows++
 			return err
 		}
 		cs.pages[i] = npg
-		if refetch {
-			pt.refetches++
+		if i < cs.fetched {
+			pt.refetches++ // allocated before, then evicted
+		} else {
+			cs.fetched = i + 1
 		}
 	}
 	return nil
