@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"testing"
 
@@ -40,6 +41,30 @@ func TestExperimentBytesDeterministic(t *testing.T) {
 		}
 		t.Fatalf("two runs of the same experiment differ at line %d:\nrun1: %s\nrun2: %s",
 			line+1, la[line], lb[line])
+	}
+}
+
+// TestDefaultMatchesCommittedArtifact pins the standing experiment to
+// the committed BENCH_scenario.json byte for byte — the declaration
+// `make bench-scenario` runs (Default(), seed 1). A change to
+// serve.Machine, its driver or the lab that moves one trial fails here;
+// regenerate the file with `make bench-scenario` only in a commit that
+// says which trials moved and whether a verdict did.
+func TestDefaultMatchesCommittedArtifact(t *testing.T) {
+	res, err := Run(Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../BENCH_scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("Default() at seed 1 no longer renders BENCH_scenario.json: %d bytes, committed %d (diff `go run ./cmd/lia-serve -scenario -seed 1` against the file)", len(got), len(want))
 	}
 }
 
