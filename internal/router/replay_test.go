@@ -3,6 +3,7 @@ package router
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
@@ -57,15 +58,7 @@ func burstTrace(n int, seed int64, withCancels bool) []gateway.ReplayRequest {
 // phasedTrace is the combined differential row's stream: a saturating
 // burst without abandonments (the bounded queue sheds, the tight pool
 // preempts), then — once that backlog has drained — a paced stream with
-// cancels and deadlines the queue never fills under. The split is
-// deliberate. Where an arrival meets a full queue that still holds an
-// expired waiter the two drivers differ by design, the fourth documented
-// divergence: the bare replay reaps before it ingests and checks
-// dead-on-arrival against its round-end clock, the fleet places every
-// arrival at its own instant, before the next reap, so the fleet sheds
-// what the bare replay keeps. Reconciling them moves BENCH_scenario.json
-// (its chaos plan squeezes the queue under a cancel storm), so both
-// orders stay, and this row exercises everything around the coincidence.
+// cancels and deadlines the queue never fills under.
 func phasedTrace() []gateway.ReplayRequest {
 	reqs := burstTrace(40, 11, false)
 	rng := rand.New(rand.NewSource(12))
@@ -163,15 +156,12 @@ func TestFleetReplaySingleReplicaMatchesBareGateway(t *testing.T) {
 			}
 			for i := range reqs {
 				b, f := bare.Requests[i], fleet.Requests[i]
-				// Shed Finish times are excluded: the bare replay stamps a
-				// shed when its single clock reaches the ingest pass, the
-				// fleet at the arrival instant — matching the live gateway's
-				// synchronous 429. The shed decisions themselves must agree
-				// (checked via Outcome and the aggregate counts above).
+				// Both stamp a shed at the arrival instant, matching the
+				// live gateway's synchronous 429.
 				if b.Outcome != f.Outcome || b.Emitted != f.Emitted || b.FirstToken != f.FirstToken {
 					t.Errorf("request %d diverges: bare %+v, fleet %+v", i, b, f)
 				}
-				if b.Outcome != gateway.ReplayShed && b.Finish != f.Finish {
+				if b.Finish != f.Finish {
 					t.Errorf("request %d finish diverges: bare %v, fleet %v", i, b.Finish, f.Finish)
 				}
 				// One machine stamps Admitted for both drivers (first
@@ -237,7 +227,8 @@ func TestFleetReplayScalingThroughput(t *testing.T) {
 // respawns it later: the accounting identity Completed+Shed+Canceled ==
 // len(requests) must hold exactly across the failover, every request
 // must carry a resolved outcome, orphans must actually fail over, and
-// the whole replay must be byte-deterministic.
+// the whole replay must be byte-deterministic. A malformed fault plan is
+// an error.
 func TestFleetReplayFailoverAccounting(t *testing.T) {
 	cfg := llm.TinyConfig()
 	reqs := burstTrace(48, 23, true)
@@ -290,6 +281,18 @@ func TestFleetReplayFailoverAccounting(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, again) {
 		t.Error("fleet replay with faults is not deterministic across runs")
+	}
+
+	// A fault plan kills before it respawns, at non-negative times:
+	// respawn without a kill, respawn at or before the kill, and negative
+	// instants are refused.
+	for _, plan := range [][2]units.Seconds{{0, 1}, {2, 2}, {3, 1}, {-1, 0}, {0, -1}} {
+		bad := fc
+		bad.Replicas = slices.Clone(fc.Replicas)
+		bad.Replicas[0].DownAt, bad.Replicas[0].UpAt = plan[0], plan[1]
+		if _, err := FleetReplay(bad, reqs); err == nil {
+			t.Errorf("fault plan DownAt %v, UpAt %v accepted", plan[0], plan[1])
+		}
 	}
 }
 
