@@ -22,6 +22,7 @@ type machinePlan struct {
 	kvTokens             int // 0 = unconstrained
 	replicas             int
 	downAt, upAt         units.Seconds // replica 0's fault plan (0 = none)
+	prefillChunk         int           // the single-machine replay's chunk mode (0 = monolithic)
 }
 
 func randomMachinePlan(rng *rand.Rand) machinePlan {
@@ -51,6 +52,7 @@ func randomMachinePlan(rng *rand.Rand) machinePlan {
 			p.upAt = p.downAt + clock*units.Seconds(0.3*rng.Float64())
 		}
 	}
+	p.prefillChunk = []int{0, 4, 16}[rng.Intn(3)]
 	return p
 }
 
@@ -84,12 +86,12 @@ func checkClosed(t *testing.T, reqs []gateway.ReplayRequest, completed, shed, ca
 }
 
 // TestMachineInvariantsThroughEveryDriver serves random plans — cancels,
-// deadlines, bounded queues, KV pressure, and for the fleet a replica
-// kill with or without respawn — through all three drivers of
-// serve.Machine. Each must close its accounting, resolve every request,
-// leave every surviving pool fully free (each driver ends on
-// Machine.Drained, so a leak is an error here), and repeat itself
-// exactly.
+// deadlines, bounded queues, KV pressure, chunked prefill for the
+// single-machine replay, and for the fleet a replica kill with or
+// without respawn — through all three callers of serve.Drive. Each must
+// close its accounting, resolve every request, leave every surviving
+// pool fully free (Drive ends on the machines' leak check, so a leak is
+// an error here), and repeat itself exactly.
 func TestMachineInvariantsThroughEveryDriver(t *testing.T) {
 	cfg := llm.TinyConfig()
 	var preempted, shed, canceled, failovers int
@@ -124,11 +126,11 @@ func TestMachineInvariantsThroughEveryDriver(t *testing.T) {
 			}
 			preempted += m.Preemptions
 
-			// Driver 2: the single-replica replay.
+			// Driver 2: the single-replica replay, in the plan's prefill mode.
 			replay := func() gateway.ReplayResult {
 				res, err := gateway.Replay(gateway.ReplayConfig{
 					MaxBatch: p.maxBatch, Model: cfg, KVBudget: budget, KVBlockTokens: 4,
-					Costs: refCosts(), QueueDepth: p.queueDepth,
+					Costs: refCosts(), QueueDepth: p.queueDepth, PrefillChunk: p.prefillChunk,
 				}, p.reqs)
 				if err != nil {
 					t.Fatalf("gateway.Replay: %v", err)

@@ -54,8 +54,9 @@ const (
 type Mode struct {
 	// SpecGamma enables speculative decoding with the given draft depth.
 	SpecGamma int `json:"spec_gamma,omitempty"`
-	// PrefillChunk enables chunked prefill (live leg; the virtual leg
-	// prices monolithic prefill — see trial.go).
+	// PrefillChunk enables chunked prefill on both legs: the live
+	// gateway's and the virtual machine's chunk mode, which prices each
+	// chunk launch as a prefill.
 	PrefillChunk int `json:"prefill_chunk,omitempty"`
 	// PrefixCache enables cross-request KV prefix reuse (live leg).
 	PrefixCache bool `json:"prefix_cache,omitempty"`

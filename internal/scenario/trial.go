@@ -383,6 +383,7 @@ func RunTrial(cell Cell, seed int64, live bool) (TrialResult, error) {
 		KVBlockTokens: 4,
 		Costs:         costs,
 		QueueDepth:    queue,
+		PrefillChunk:  cell.Scenario.Mode.PrefillChunk,
 	}, reqs)
 	if err != nil {
 		return TrialResult{}, fmt.Errorf("scenario %s/%s: %w", cell.Scenario.Name, cell.Fault.Name, err)

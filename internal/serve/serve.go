@@ -140,15 +140,14 @@ type Metrics struct {
 	// started.
 	MeanQueueing units.Seconds
 	// Batches counts executed batches and MeanBatchSize is their mean
-	// sequence occupancy, with one shared definition across all three
-	// simulators: Simulate counts each formed batch once; the
-	// iteration-level simulators count every executed scheduler step —
-	// each prefill launch and each decode iteration in
-	// SimulateContinuous, and each chunked iteration in SimulateChunked —
-	// weighted by the sequences it carried. Under that definition a
-	// long-running decode batch contributes its occupancy every
-	// iteration, so MeanBatchSize reflects sustained device-side batch
-	// utilization rather than admission burst sizes.
+	// sequence occupancy, with one shared definition across both
+	// simulators: Simulate counts each formed batch once;
+	// SimulateContinuous counts every executed launch — each prefill
+	// (or prompt chunk, in the machine's chunk mode) and each decode
+	// iteration — weighted by the sequences it carried. Under that
+	// definition a long-running decode batch contributes its occupancy
+	// every iteration, so MeanBatchSize reflects sustained device-side
+	// batch utilization rather than admission burst sizes.
 	Batches       int
 	MeanBatchSize float64
 	// Preemptions counts sequences evicted and recomputed because the

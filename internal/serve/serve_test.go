@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"github.com/lia-sim/lia/internal/engine"
@@ -322,9 +323,20 @@ func TestContinuousKVBudgetTooSmall(t *testing.T) {
 	}
 }
 
+// simulateChunked serves reqs as SimulateContinuous does — one machine
+// priced by cfg.stepCosts() — in batchpolicy's chunk mode.
+func simulateChunked(cfg Config, reqs []Request, chunk int) (Metrics, error) {
+	if err := cfg.check(reqs); err != nil {
+		return Metrics{}, err
+	}
+	rc := cfg.machine()
+	rc.PrefillChunk = chunk
+	return simulateOn(rc, reqs, nil)
+}
+
 func TestChunkedBasics(t *testing.T) {
 	reqs := genReqs(t, 16, 10)
-	m, err := SimulateChunked(baseConfig(), reqs, 128)
+	m, err := simulateChunked(baseConfig(), reqs, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +350,36 @@ func TestChunkedBasics(t *testing.T) {
 	if m.GeneratedTokens != want {
 		t.Errorf("generated %d, want %d", m.GeneratedTokens, want)
 	}
-	if _, err := SimulateChunked(baseConfig(), reqs, 0); err == nil {
-		t.Error("chunk=0 accepted")
+	if _, err := simulateChunked(baseConfig(), reqs, -1); err == nil {
+		t.Error("negative chunk accepted")
 	}
-	if _, err := SimulateChunked(baseConfig(), nil, 64); err == nil {
+	if _, err := simulateChunked(baseConfig(), nil, 64); err == nil {
 		t.Error("empty stream accepted")
+	}
+
+	// A 10-token prompt in chunks of 4 on the fake engine (1 ms a
+	// prompt token): launches of 4, 4 and 2 tokens, and its first token
+	// lands with the last one.
+	mach, err := NewMachine(ReplayConfig{MaxBatch: 1, Costs: fakeCosts(), PrefillChunk: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := Drive([]ReplayRequest{{PromptLen: 10, OutputLen: 2}}, []*Machine{mach}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Requests[0]; math.Abs(float64(got.FirstToken)-0.010) > 1e-12 || got.Outcome != ReplayCompleted {
+		t.Errorf("chunked request %+v, want its first token at 10 ms", got)
+	}
+	// Its queueing ends with the first chunk, not with each.
+	cfg := baseConfig()
+	cfg.StepCosts = fakeCosts()
+	m, err = simulateChunked(cfg, []Request{{Request: trace.Request{InputLen: 10, OutputLen: 2}}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(float64(m.MeanQueueing)-0.004) > 1e-12 {
+		t.Errorf("chunked queueing %v, want 4 ms", m.MeanQueueing)
 	}
 }
 
@@ -374,7 +411,7 @@ func TestChunkedPrefillCostsInOffloadedRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := SimulateChunked(cfg, reqs, 256)
+	chunked, err := simulateChunked(cfg, reqs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +430,11 @@ func TestChunkedPrefillCostsInOffloadedRegime(t *testing.T) {
 
 func TestChunkedDeterministic(t *testing.T) {
 	reqs := genReqs(t, 10, 5)
-	a, err := SimulateChunked(baseConfig(), reqs, 64)
+	a, err := simulateChunked(baseConfig(), reqs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateChunked(baseConfig(), reqs, 64)
+	b, err := simulateChunked(baseConfig(), reqs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,7 @@ func stageCost(p exec.Plan, stage model.Stage, b, l int) (units.Seconds, error) 
 }
 
 // decodeStepCost optimizes the decode policy for the bucketed context and
-// returns the memoized per-iteration cost. Used by both the continuous
-// and chunked simulators, replacing their per-call private maps.
+// returns the memoized per-iteration cost.
 func decodeStepCost(base exec.Plan, b, l int) (units.Seconds, error) {
 	lq := bucketCtx(l)
 	pol, _ := core.OptimizeOptsCached(base.Env, model.Decode, b, lq, base.Opt)
