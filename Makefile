@@ -125,10 +125,13 @@ bench-fleet:
 
 # artifacts-check regenerates the two byte-reproducible virtual-clock
 # artifacts and compares them with the committed files: any change to
-# serve.Machine or its drivers that moves a simulated number fails here.
-# The scenario lab runs into a temp dir (≈1 s); the fleet half is the
-# internal/router test that pins router.ScaleStudy to BENCH_fleet.json
-# byte for byte, so `go test ./...` checks it too.
+# serve.Machine, serve.Drive or their callers that moves a simulated
+# number fails here. The scenario lab runs through the CLI into a temp
+# dir (≈1 s); the fleet half is the internal/router test that pins
+# router.ScaleStudy to BENCH_fleet.json byte for byte. Both files are
+# also pinned by tier-1 tests (TestDefaultMatchesCommittedArtifact in
+# internal/scenario, TestScaleStudyMatchesCommittedArtifact), so
+# `go test ./...` checks them too.
 artifacts-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/lia-serve -scenario -seed 1 2> /dev/null > "$$tmp/scenario.json" && \
@@ -138,9 +141,9 @@ artifacts-check:
 
 # fleet-smoke is the CI-sized cut of the fleet: all of internal/router
 # (the live 2-replica lifecycle/failover suite, the 1-replica
-# router-vs-bare-gateway differential, the placement and machine
-# properties, the scale-study artifact pin) and the fleet scenario legs,
-# under the race detector.
+# fleet-vs-gateway.Replay differential over serve.Drive, the fault-plan
+# validation, the placement and machine properties, the scale-study
+# artifact pin) and the fleet scenario legs, under the race detector.
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/router
 	$(GO) test -race -run 'TestFleetScenario' -count=1 ./internal/scenario
