@@ -15,7 +15,9 @@ import (
 // up front — the serving admission path must reject oversized work
 // before reserving batch slots, not discover it mid-decode: prefill
 // occupies len(prompt) positions and the n-1 decode steps one more each,
-// so len(prompt)+n-1 must fit MaxSeqLen.
+// so len(prompt)+n-1 must fit MaxSeqLen. The sequence's cache holds
+// min(len(prompt)+n, MaxSeqLen) rows — what plain and speculative decode
+// can reach (see reach), not MaxSeqLen.
 //
 // seed resumes from a cached KV prefix (see PrefillFrom, including the
 // INT8 rule); chunking applies to the uncached remainder. The
@@ -40,7 +42,7 @@ func (e *Executor) NewSequenceChunked(prompt []int, n, chunk int, seed *KVSeed) 
 			len(prompt), n, e.Model.Cfg.MaxSeqLen)
 	}
 	sub := e.fork()
-	cache, cached, err := sub.seeded(prompt, seed)
+	cache, cached, err := sub.seeded(prompt, seed, sub.reach(len(prompt), n))
 	if err != nil {
 		return nil, err
 	}

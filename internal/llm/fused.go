@@ -39,9 +39,11 @@ type span struct {
 // once; attend runs per span, causally masked. A one-span pass runs
 // inside one MemHost window on e, closed before forward returns and so
 // before the head; a multi-span pass opens none (windows are per cache).
-// A sublayer whose shapes do not fit its weight fails the pass, and a
-// multi-span pass also gives up once ctx is done; either leaves the
-// caches part-extended.
+// A span that would append past its cache's capacity, or a token outside
+// the vocabulary, fails the pass before any layer runs, so every cache
+// is left as it was. A sublayer whose shapes do not fit its weight fails
+// the pass, and a multi-span pass also gives up once ctx is done; either
+// leaves the caches part-extended.
 //
 // Per-element results do not depend on how rows are stacked: every
 // kernel on the path computes each output row from its input row alone —
@@ -60,6 +62,10 @@ func (e *Executor) forward(ctx context.Context, stage model.Stage, spans ...span
 	rows := 0
 	e.ws.groups = e.ws.groups[:0]
 	for _, sp := range spans {
+		if past := sp.cache.Len(); past+len(sp.tokens) > sp.cache.capRows {
+			return tensor.Matrix{}, fmt.Errorf("llm: %d rows after %d cached exceed the KV cache's capacity of %d rows",
+				len(sp.tokens), past, sp.cache.capRows)
+		}
 		rows += len(sp.tokens)
 		e.ws.groups = append(e.ws.groups, len(sp.tokens))
 	}

@@ -14,9 +14,9 @@ import "github.com/lia-sim/lia/internal/model"
 // parallel). The PassHooks a host returns is used by a single goroutine
 // for the duration of that pass.
 type MemHost interface {
-	// CacheCreated announces a new KV cache with capRows rows of capacity.
-	// IDs are unique per shared executor family and never reused.
-	CacheCreated(id int64, capRows int)
+	// CacheCreated announces a new, empty KV cache. IDs are unique per
+	// shared executor family and never reused.
+	CacheCreated(id int64)
 	// CacheRetired announces that a cache's storage can be reclaimed.
 	// Retiring an unknown or already-retired id is a no-op.
 	CacheRetired(id int64)

@@ -32,7 +32,7 @@ type passRec struct {
 	host *recHost
 }
 
-func (h *recHost) CacheCreated(id int64, _ int) {
+func (h *recHost) CacheCreated(id int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.created = append(h.created, id)
@@ -151,7 +151,7 @@ func TestPassWindows(t *testing.T) {
 	})
 	t.Run("DecodeStep", func(t *testing.T) {
 		e, h := hosted(m, p)
-		cache := e.NewCache()
+		cache := e.newCache(e.Model.Cfg.MaxSeqLen)
 		seg, err := donor.ExportKV(donorCache, 0, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestPassWindows(t *testing.T) {
 	})
 	t.Run("VerifyStep", func(t *testing.T) {
 		e, h := hosted(m, p)
-		cache := e.NewCache()
+		cache := e.newCache(e.Model.Cfg.MaxSeqLen)
 		if _, err := e.VerifyStep(cache, prompt[:3]); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,10 @@
 package llm
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/lia-sim/lia/internal/amx"
@@ -187,5 +189,130 @@ func checkBF16Cache(t *testing.T, when string, c *KVCache) {
 				}
 			}
 		}
+	}
+}
+
+// TestKVCacheCapacityIsReach pins the sizing rule: a sequence's cache
+// holds min(len(prompt)+n, MaxSeqLen) rows whether the prompt prefills in
+// one pass, in chunks or from a prefix seed, up to the exact boundary
+// len(prompt)+n-1 == MaxSeqLen; the sequence then decodes to its end in
+// it. A cache handed to a caller — Prefill's — holds MaxSeqLen.
+func TestKVCacheCapacityIsReach(t *testing.T) {
+	m, err := NewRandom(TinyConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExecutor(m, core.FullGPU)
+	maxSeq := m.Cfg.MaxSeqLen
+	prompt := []int{5, 17, 42, 9, 63, 2, 71, 33, 8, 14, 90, 1}
+	long := make([]int, maxSeq-2)
+	for i := range long {
+		long[i] = i % m.Cfg.VocabSize
+	}
+	for _, tc := range []struct {
+		name   string
+		prompt []int
+		n      int
+		chunk  int
+		seeded int // prompt tokens the seed covers
+	}{
+		{"plain", prompt, 8, 0, 0},
+		{"chunked", prompt, 8, 5, 0},
+		{"seeded", prompt, 8, 0, 7},
+		{"seeded-chunked", prompt, 1, 2, 7},
+		{"one-short", long, 2, 0, 0},
+		{"boundary", long, 3, 4, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var seed *KVSeed
+			if tc.seeded > 0 {
+				seed = seedFor(t, e, tc.prompt, tc.seeded)
+			}
+			s, err := e.NewSequenceChunked(tc.prompt, tc.n, tc.chunk, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(len(tc.prompt)+tc.n, maxSeq); s.cache.capRows != want {
+				t.Errorf("cache holds %d rows, want %d", s.cache.capRows, want)
+			}
+			for s.Prefilling() {
+				if _, err := s.AdvancePrefill(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := len(seqTokens(t, s)); got != tc.n {
+				t.Errorf("emitted %d tokens, want %d", got, tc.n)
+			}
+		})
+	}
+	_, cache, err := e.Prefill(prompt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.capRows != maxSeq {
+		t.Errorf("Prefill's cache holds %d rows, want MaxSeqLen %d", cache.capRows, maxSeq)
+	}
+}
+
+// TestPassPastCapacityFails drives a right-sized cache to its capacity
+// and one pass past it, on every attention layout: the pass fails with
+// an error that names the capacity, before any layer runs, so the cache
+// keeps its length and still decodes as before. In a multi-span pass
+// one over-long span refuses the whole pass and no cache is extended.
+func TestPassPastCapacityFails(t *testing.T) {
+	m, err := NewRandom(TinyLlamaConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompt := []int{9, 33, 71}
+	for _, tc := range []struct {
+		name   string
+		policy core.Policy
+	}{{"FullGPU", core.FullGPU}, {"FullCPU", core.FullCPU}, {"PartialCPU", core.PartialCPU}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewExecutor(m, tc.policy)
+			full, err := e.NewSequence(prompt, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqTokens(t, full) // 3 + 3 rows of 7
+			if _, err := full.e.DecodeStep(full.cache, 1); err != nil {
+				t.Fatalf("decode into the last row: %v", err)
+			}
+			capRows := full.cache.Len()
+			if capRows != len(prompt)+4 {
+				t.Fatalf("cache full at %d rows, want %d", capRows, len(prompt)+4)
+			}
+			if _, err := full.e.DecodeStep(full.cache, 1); err == nil || !strings.Contains(err.Error(), "capacity of 7 rows") {
+				t.Errorf("decode past capacity: error %v, want one naming the capacity", err)
+			}
+			if got := full.cache.Len(); got != capRows {
+				t.Errorf("refused decode left %d rows, want %d", got, capRows)
+			}
+			full.cache.Truncate(capRows - 2)
+			if _, err := full.e.VerifyStep(full.cache, []int{1, 2, 3}); err == nil {
+				t.Error("verify of 3 rows into 2 accepted")
+			}
+			if got := full.cache.Len(); got != capRows-2 {
+				t.Errorf("refused verify left %d rows, want %d", got, capRows-2)
+			}
+			if _, err := full.e.VerifyStep(full.cache, []int{1, 2}); err != nil {
+				t.Errorf("verify into the last 2 rows after a refused pass: %v", err)
+			}
+
+			room, err := e.NewSequence(prompt, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := room.cache.Len()
+			if _, err := e.forward(context.Background(), model.Decode,
+				span{room.e, room.cache, []int{1}}, span{full.e, full.cache, []int{1}}); err == nil {
+				t.Error("multi-span pass with a span past capacity accepted")
+			}
+			if room.cache.Len() != before || full.cache.Len() != capRows {
+				t.Errorf("refused multi-span pass left %d and %d rows, want %d and %d",
+					room.cache.Len(), full.cache.Len(), before, capRows)
+			}
+		})
 	}
 }

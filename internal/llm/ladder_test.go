@@ -3,6 +3,7 @@ package llm
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -469,7 +470,7 @@ func forwardSpansMatchSolo(t *testing.T, name string, m *Model, p core.Policy, o
 		spans := make([]span, len(prompts))
 		for i, pr := range prompts {
 			sub := e.fork()
-			spans[i] = span{sub, sub.NewCache(), pr[cached[i]:]}
+			spans[i] = span{sub, sub.newCache(sub.Model.Cfg.MaxSeqLen), pr[cached[i]:]}
 			if cached[i] > 0 {
 				if _, err := sub.forward(ctx, model.Prefill, span{sub, spans[i].cache, pr[:cached[i]]}); err != nil {
 					t.Fatal(err)
@@ -678,5 +679,48 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := e.VerifyStep(cache, nil); err == nil {
 		t.Error("empty VerifyStep succeeded")
+	}
+}
+
+// TestSpecGenerateAtMaxSeqLen runs speculative decoding to the model's
+// last position — len(prompt)+n-1 == MaxSeqLen, where the sequence's
+// cache holds MaxSeqLen rows — one token short of it, where it holds
+// len(prompt)+n == MaxSeqLen rows, and well short of it, where a last
+// fully drafted verify pass fills all len(prompt)+n rows. Each must emit
+// Generate's tokens, and each round's drafting must be what it was when
+// every cache held MaxSeqLen rows: the pinned SpecStats are that
+// implementation's.
+func TestSpecGenerateAtMaxSeqLen(t *testing.T) {
+	want := map[string]SpecStats{
+		"tiny-opt/n=124":   {Rounds: 25, Drafted: 100, Accepted: 98, Emitted: 124},
+		"tiny-opt/n=123":   {Rounds: 25, Drafted: 100, Accepted: 98, Emitted: 123},
+		"tiny-opt/n=20":    {Rounds: 4, Drafted: 16, Accepted: 16, Emitted: 20},
+		"tiny-llama/n=126": {Rounds: 25, Drafted: 100, Accepted: 100, Emitted: 126},
+		"tiny-llama/n=125": {Rounds: 25, Drafted: 100, Accepted: 100, Emitted: 125},
+		"tiny-llama/n=20":  {Rounds: 4, Drafted: 16, Accepted: 16, Emitted: 20},
+	}
+	for _, a := range goldenArchs(t) {
+		draftM, err := DraftModel(a.m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundary := a.m.Cfg.MaxSeqLen + 1 - len(a.prompt)
+		for _, n := range []int{boundary, boundary - 1, 20} {
+			name := fmt.Sprintf("%s/n=%d", a.name, n)
+			ref, err := NewExecutor(a.m, core.FullGPU).Generate(a.prompt, n)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, stats, err := NewExecutor(a.m, core.FullGPU).SpecGenerate(a.prompt, n, NewExecutor(draftM, core.FullGPU), 4)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: speculative tokens diverged from Generate", name)
+			}
+			if stats != want[name] {
+				t.Errorf("%s: stats %+v, want %+v", name, stats, want[name])
+			}
+		}
 	}
 }

@@ -130,18 +130,22 @@ func NewRandom(cfg model.Config, seed int64) (*Model, error) {
 	return m, nil
 }
 
-// KVCache stores per-layer key and value matrices, preallocated to the
-// model's maximum sequence length and grown row-wise in place as decoding
-// proceeds (the seed implementation re-copied the whole cache every step
-// via Concat — quadratic in context length), holding BF16-rounded rows as
-// a BF16 KV cache does. Beside the rows it keeps the layouts attention's
-// routes read, each built from the rows on the first pass that needs it
-// and kept current by Append: the dense Q·Kᵀ route's transposed mirror,
-// and the AMX routes' per-KV-head tile images of Kᵀ and V. A cache holds
-// only the layouts its policy reads.
+// KVCache stores per-layer key and value matrices, preallocated to a fixed
+// capacity in rows and grown row-wise in place as decoding proceeds (the
+// seed implementation re-copied the whole cache every step via Concat —
+// quadratic in context length), holding BF16-rounded rows as a BF16 KV
+// cache does. A cache whose owner knows how far it reaches — a
+// Sequence's, Generate's, a speculative draft's — holds exactly that many
+// rows (see reach); one handed to a caller (Prefill, PrefillFrom) holds
+// MaxSeqLen, since how far the caller will decode is unknown. Beside the
+// rows it keeps the layouts attention's routes read, each built from the
+// rows on the first pass that needs it, sized by the same capacity and
+// kept current by Append: the dense Q·Kᵀ route's transposed mirror, and
+// the AMX routes' per-KV-head tile images of Kᵀ and V. A cache holds only
+// the layouts its policy reads.
 type KVCache struct {
 	// K and V are indexed by layer; each is (seen × KVDim), a view over a
-	// backing array with MaxSeqLen rows of capacity.
+	// backing array with capRows rows of capacity.
 	K, V []tensor.Matrix
 	// kT mirrors K transposed for the dense Q·Kᵀ route: kT[li] is
 	// (KVDim × capRows) whose first Len() columns are valid, or empty
@@ -174,8 +178,8 @@ func (c *KVCache) Len() int {
 // the cache's own storage (k and v stay as they are), and writes the
 // rounded rows into every layout the layer has built: keys as mirror
 // columns, each head's slice of a row as one position of that head's
-// images. The executor's position checks guarantee the capacity is never
-// exceeded.
+// images. forward refuses a pass that would exceed the capacity before
+// any layer runs, so Append never does.
 func (c *KVCache) Append(li, rows int, k, v []float32, ld int) {
 	past, cols := c.K[li].Rows, c.K[li].Cols
 	kd, vd := c.K[li].Data[:(past+rows)*cols], c.V[li].Data[:(past+rows)*cols]
@@ -563,14 +567,12 @@ func (e *Executor) finishLayer(li int, x, ctx tensor.Matrix) error {
 }
 
 // embedRow writes one token's embedding at absolute position pos into
-// dst (length DModel).
+// dst (length DModel). forward's capacity check keeps pos below the
+// cache's capacity, which is at most MaxSeqLen.
 func (e *Executor) embedRow(dst []float32, tok, pos int) error {
 	cfg := e.Model.Cfg
 	if tok < 0 || tok >= cfg.VocabSize {
 		return fmt.Errorf("llm: token %d outside vocabulary [0, %d)", tok, cfg.VocabSize)
-	}
-	if pos >= cfg.MaxSeqLen {
-		return fmt.Errorf("llm: position %d exceeds max sequence length %d", pos, cfg.MaxSeqLen)
 	}
 	copy(dst, e.Model.Embed.Row(tok))
 	if !cfg.RoPE {
@@ -628,14 +630,26 @@ func rowRange(x tensor.Matrix, lo, hi int) tensor.Matrix {
 	return tensor.FromSlice(hi-lo, x.Cols, x.Data[lo*x.Cols:hi*x.Cols])
 }
 
-// NewCache returns an empty KV cache for the model, preallocated to
-// MaxSeqLen rows per layer so decode-time appends never reallocate or
-// copy existing entries. Attention's derived layouts are allocated later,
-// by the first pass that reads them.
-func (e *Executor) NewCache() *KVCache {
+// reach is the capacity, in rows, of the cache of a sequence that
+// prefills promptLen tokens and emits n: min(promptLen+n, MaxSeqLen).
+// Plain decode appends promptLen+n-1 rows — the prompt, then one per
+// emitted token but the last. A speculative verify pass can hold one
+// more: it appends the emitted token and g ≤ n-len(out) proposals after
+// past = promptLen+len(out)-1 rows, so past+1+g ≤ promptLen+n (SpecStep
+// bounds g by the cache's capacity as well). The draft's cache tops out
+// at promptLen+n-1: it holds the confirmed stream, at most
+// promptLen+len(out) rows, plus its g-1 further proposals.
+func (e *Executor) reach(promptLen, n int) int {
+	return min(promptLen+n, e.Model.Cfg.MaxSeqLen)
+}
+
+// newCache returns an empty KV cache for the model, preallocated to
+// capRows rows per layer so appends never reallocate or copy existing
+// entries. Attention's derived layouts are allocated later, by the first
+// pass that reads them.
+func (e *Executor) newCache(capRows int) *KVCache {
 	cfg := e.Model.Cfg
 	kvDim := cfg.KVDim()
-	capRows := cfg.MaxSeqLen
 	layers := len(e.Model.Layers)
 	c := &KVCache{
 		kT:    make([]tensor.Matrix, layers),
@@ -649,7 +663,7 @@ func (e *Executor) NewCache() *KVCache {
 	}
 	if e.Mem != nil {
 		c.id = e.shared.cacheIDs.Add(1)
-		e.Mem.CacheCreated(c.id, capRows)
+		e.Mem.CacheCreated(c.id)
 	}
 	return c
 }
@@ -673,7 +687,7 @@ func (e *Executor) endPass() {
 }
 
 // Prefill runs the Sum stage over a prompt, returning the logits of its
-// last position and the populated KV cache.
+// last position and the populated KV cache, which holds MaxSeqLen rows.
 func (e *Executor) Prefill(prompt []int) (tensor.Matrix, *KVCache, error) {
 	return e.PrefillFrom(prompt, nil)
 }
@@ -685,9 +699,13 @@ func (e *Executor) DecodeStep(cache *KVCache, token int) (tensor.Matrix, error) 
 	return e.VerifyStep(cache, e.tok[:])
 }
 
-// Generate greedily decodes n tokens after the prompt.
+// Generate greedily decodes n tokens after the prompt, in a cache that
+// holds what they reach.
 func (e *Executor) Generate(prompt []int, n int) ([]int, error) {
-	logits, cache, err := e.Prefill(prompt)
+	if n < 0 {
+		return nil, fmt.Errorf("llm: negative token count %d", n)
+	}
+	logits, cache, err := e.prefill(prompt, nil, e.reach(len(prompt), n))
 	if err != nil {
 		return nil, err
 	}

@@ -578,11 +578,7 @@ func seedHead(normed, embed tensor.Matrix) tensor.Matrix {
 // every model shape the repository runs, including a constant row (whose
 // normed row is all zeros) and rows with exact zeros in them.
 func TestLogitsMatchSeedHead(t *testing.T) {
-	benchSmall := model.Config{
-		Name: "bench-small", Layers: 2, DModel: 128, Heads: 4, KVHeads: 4,
-		DFF: 512, VocabSize: 256, MaxSeqLen: 256, BytesPerParam: 2, Experts: 1,
-	}
-	for _, cfg := range []model.Config{TinyConfig(), TinyLlamaConfig(), benchSmall} {
+	for _, cfg := range []model.Config{TinyConfig(), TinyLlamaConfig(), benchSmallConfig()} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			m, err := NewRandom(cfg, 42)
 			if err != nil {

@@ -86,9 +86,15 @@ func (s *KVSeed) validate(layers, kvDim int) error {
 //
 // A nil or empty seed is exactly Prefill. The seed must be strictly
 // shorter than the prompt — resuming with nothing left to compute would
-// leave no last-position logits to return.
+// leave no last-position logits to return. The returned cache holds
+// MaxSeqLen rows, since how far its caller will decode is unknown.
 func (e *Executor) PrefillFrom(prompt []int, seed *KVSeed) (tensor.Matrix, *KVCache, error) {
-	cache, cached, err := e.seeded(prompt, seed)
+	return e.prefill(prompt, seed, e.Model.Cfg.MaxSeqLen)
+}
+
+// prefill is PrefillFrom into a cache of capRows rows.
+func (e *Executor) prefill(prompt []int, seed *KVSeed, capRows int) (tensor.Matrix, *KVCache, error) {
+	cache, cached, err := e.seeded(prompt, seed, capRows)
 	if err != nil {
 		return tensor.Matrix{}, nil, err
 	}
@@ -101,10 +107,10 @@ func (e *Executor) PrefillFrom(prompt []int, seed *KVSeed) (tensor.Matrix, *KVCa
 }
 
 // seeded validates seed against the prompt and the model, then returns a
-// fresh cache holding the seed's rows and how many prompt positions they
-// cover — the first step of every prefill. A row-coupled tier drops a
-// valid seed (see PrefillFrom): its cache starts empty.
-func (e *Executor) seeded(prompt []int, seed *KVSeed) (*KVCache, int, error) {
+// fresh cache of capRows rows holding the seed's rows and how many prompt
+// positions they cover — the first step of every prefill. A row-coupled
+// tier drops a valid seed (see PrefillFrom): its cache starts empty.
+func (e *Executor) seeded(prompt []int, seed *KVSeed, capRows int) (*KVCache, int, error) {
 	if len(prompt) == 0 {
 		return nil, 0, fmt.Errorf("llm: empty prompt")
 	}
@@ -115,14 +121,14 @@ func (e *Executor) seeded(prompt []int, seed *KVSeed) (*KVCache, int, error) {
 			return nil, 0, fmt.Errorf("llm: seed covers %d of %d prompt tokens — nothing left to prefill",
 				cached, len(prompt))
 		}
-		if cached > cfg.MaxSeqLen {
-			return nil, 0, fmt.Errorf("llm: seed length %d exceeds max sequence length %d", cached, cfg.MaxSeqLen)
+		if cached > capRows {
+			return nil, 0, fmt.Errorf("llm: seed length %d exceeds the KV cache's capacity of %d rows", cached, capRows)
 		}
 		if err := seed.validate(len(e.Model.Layers), cfg.KVDim()); err != nil {
 			return nil, 0, err
 		}
 	}
-	cache := e.NewCache()
+	cache := e.newCache(capRows)
 	if cached == 0 || e.tier.rowCoupled {
 		return cache, 0, nil
 	}

@@ -145,7 +145,7 @@ func (s *Sequence) EnableSpec(draft *Executor, gamma int) error {
 	confirmed := make([]int, 0, len(s.prompt)+len(s.out))
 	confirmed = append(confirmed, s.prompt...)
 	confirmed = append(confirmed, s.out...)
-	_, dcache, err := sub.Prefill(confirmed)
+	_, dcache, err := sub.prefill(confirmed, nil, sub.reach(len(s.prompt), s.target))
 	if err != nil {
 		return fmt.Errorf("llm: draft prefill: %w", err)
 	}
@@ -161,7 +161,8 @@ func (s *Sequence) EnableSpec(draft *Executor, gamma int) error {
 // reservation budget): the round keeps at most allow rows, so at most
 // allow-1 tokens are drafted. Values below 1 are treated as 1 — the
 // pre-reserved decode slot always guarantees single-token progress.
-// Pass the model's MaxSeqLen when unconstrained.
+// Pass the model's MaxSeqLen when unconstrained. The round also keeps
+// within the cache's capacity, which reach sizes to hold every round.
 //
 // One round: the held pending token t is emitted; the draft (lazily
 // resynced to the confirmed stream) proposes p₁…p_γ'; the target scores
@@ -197,7 +198,7 @@ func (s *Sequence) SpecStep(allow int) (int, error) {
 	if a := allow - 1; g > a {
 		g = a
 	}
-	if p := s.e.Model.Cfg.MaxSeqLen - 1 - past; g > p {
+	if p := s.cache.capRows - 1 - past; g > p {
 		g = p
 	}
 	if g < 1 {

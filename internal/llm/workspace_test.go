@@ -226,7 +226,7 @@ func TestShapeMismatchFailsPass(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Prefill: error %v, want one containing %q", err, tc.want)
 			}
-			if _, err := e.DecodeStep(e.NewCache(), 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := e.DecodeStep(e.newCache(e.Model.Cfg.MaxSeqLen), 1); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("DecodeStep: error %v, want one containing %q", err, tc.want)
 			}
 			if err := e.StepBatchFused(context.Background(), seqs); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/lia-sim/lia/internal/core"
+	"github.com/lia-sim/lia/internal/model"
 	"github.com/lia-sim/lia/internal/runner"
 	"github.com/lia-sim/lia/internal/tensor"
 )
@@ -308,6 +309,73 @@ func TestGenerateBatchParallelDeterminism(t *testing.T) {
 				if !reflect.DeepEqual(solo, parallel[i]) {
 					t.Errorf("batch lane %d diverges from solo Generate: %v vs %v", i, parallel[i], solo)
 				}
+			}
+		})
+	}
+}
+
+// benchSmallConfig is the benchmark's offline_tiers model: wide enough
+// that parameter GEMMs, not call overhead, dominate a decode step.
+func benchSmallConfig() model.Config {
+	return model.Config{
+		Name: "bench-small", Layers: 2, DModel: 128, Heads: 4, KVHeads: 4,
+		DFF: 512, VocabSize: 256, MaxSeqLen: 256, BytesPerParam: 2, Experts: 1,
+	}
+}
+
+// generateBatchBytes bounds the bytes one warmed GenerateBatch call
+// allocates at offline_tiers' shape — batch 8, 16-token prompts, 32
+// tokens each, on bench-small — per policy. When every sequence's KV
+// cache held MaxSeqLen = 256 rows a call allocated 7.30 MB under FullGPU
+// and 7.37 MB under FullCPU on an AMX host (9.48 MB off it, where the
+// tile images are float32): K, V, the dense route's Kᵀ mirror or the AMX
+// route's per-head images, and attention scratch, all sized to 256 rows.
+// Sized to the 48 rows a sequence can reach, a call allocates 2.08 MB
+// under FullGPU and 2.22–2.25 MB under FullCPU (2.69 MB off AMX), at
+// GOMAXPROCS 1 to 4. About 10% of slack each over the largest.
+var generateBatchBytes = map[string]uint64{"FullGPU": 2_300_000, "FullCPU": 3_000_000}
+
+// TestGenerateBatchByteBudget pins what a GenerateBatch call allocates
+// (runtime.MemStats.TotalAlloc over a few warmed calls), so KV caches
+// sized past what their sequences can reach show up as a failure.
+func TestGenerateBatchByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	m, err := NewRandom(benchSmallConfig(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompts := make([][]int, 8)
+	for i := range prompts {
+		prompts[i] = make([]int, 16)
+		for j := range prompts[i] {
+			prompts[i][j] = (i*31 + j*7) % m.Cfg.VocabSize
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		policy core.Policy
+	}{{"FullGPU", core.FullGPU}, {"FullCPU", core.FullCPU}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewExecutor(m, tc.policy)
+			call := func() {
+				if _, err := e.GenerateBatch(prompts, 32); err != nil {
+					t.Fatal(err)
+				}
+			}
+			call() // pack the weights, size the parent's workspace
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const calls = 4
+			for i := 0; i < calls; i++ {
+				call()
+			}
+			runtime.ReadMemStats(&after)
+			got := (after.TotalAlloc - before.TotalAlloc) / calls
+			t.Logf("%d bytes per call", got)
+			if budget := generateBatchBytes[tc.name]; got > budget {
+				t.Errorf("GenerateBatch allocated %d bytes per call under %s, budget %d", got, tc.name, budget)
 			}
 		})
 	}

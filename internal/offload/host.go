@@ -205,9 +205,9 @@ func (h *Host) Close() {
 }
 
 // CacheCreated implements llm.MemHost.
-func (h *Host) CacheCreated(id int64, capRows int) {
+func (h *Host) CacheCreated(id int64) {
 	h.mu.Lock()
-	h.pt.createCache(id, capRows)
+	h.pt.createCache(id)
 	h.mu.Unlock()
 }
 

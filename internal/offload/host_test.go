@@ -195,9 +195,9 @@ func newTwoPageHost(t *testing.T) *Host {
 func TestKVEvictionLRUOrder(t *testing.T) {
 	h := newTwoPageHost(t)
 
-	h.CacheCreated(1, 128)
-	h.CacheCreated(2, 128)
-	h.CacheCreated(3, 128)
+	h.CacheCreated(1)
+	h.CacheCreated(2)
+	h.CacheCreated(3)
 	// step checks the eviction count and the resident pages' LRU order
 	// after one pass: a victim is the page that was coldest, so the
 	// order before a pass and who is gone after it name the victims.
@@ -277,7 +277,7 @@ func TestKVRefetchCounting(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newTwoPageHost(t)
 			for id := int64(1); id <= 3; id++ {
-				h.CacheCreated(id, 128)
+				h.CacheCreated(id)
 			}
 			tc.run(h)
 			if s := h.Snapshot(); s.KVRefetches != tc.want {
@@ -302,8 +302,8 @@ func TestKVSpillsToCXLBeforeEvicting(t *testing.T) {
 		page := cfg.KVBytes(1, c.PageTokens)
 		c.System.CPU.DRAMCapacity = wb + page + page/2 // room for one page only
 	})
-	h.CacheCreated(1, 128)
-	h.CacheCreated(2, 128)
+	h.CacheCreated(1)
+	h.CacheCreated(2)
 	driveKV(h, 1, 0)
 	driveKV(h, 2, 0) // pressure: cache 1's page spills to CXL
 	s := h.Snapshot()
@@ -347,7 +347,7 @@ func TestHostCloseStopsWorker(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after Close", before, got)
 	}
 	// Hooks after Close run their accounting inline.
-	h.CacheCreated(99, 16)
+	h.CacheCreated(99)
 	driveKV(h, 99, 0)
 	if s := h.Snapshot(); s.Decodes == 0 {
 		t.Fatal("post-Close pass not accounted")

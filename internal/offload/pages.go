@@ -19,10 +19,9 @@ type kvPage struct {
 
 // cacheState tracks one hosted KV cache's pages.
 type cacheState struct {
-	id      int64
-	capRows int
-	rows    int // high-water mark of appended positions
-	pages   []*kvPage
+	id    int64
+	rows  int // high-water mark of appended positions
+	pages []*kvPage
 	// fetched is how many pages have ever been allocated: pages are first
 	// allocated in index order, so those are pages [0, fetched), and a
 	// nil one among them was evicted.
@@ -51,11 +50,11 @@ func newPageTable(plan *Plan, mgr *Manager) *pageTable {
 	return &pageTable{plan: plan, mgr: mgr, caches: make(map[int64]*cacheState), lru: list.New()}
 }
 
-func (pt *pageTable) createCache(id int64, capRows int) {
+func (pt *pageTable) createCache(id int64) {
 	if _, ok := pt.caches[id]; ok {
 		return
 	}
-	pt.caches[id] = &cacheState{id: id, capRows: capRows}
+	pt.caches[id] = &cacheState{id: id}
 }
 
 func (pt *pageTable) retireCache(id int64) {
